@@ -34,14 +34,13 @@ ActionTable::ActionTable() {
   // ActionId 0: the empty (idling) action.
   actions_.push_back({});
   const std::uint64_t h = hash_uses(actions_[0]);
-  shards_[h % kIndexShards].buckets[h].push_back(0);
+  buckets_[h].push_back(0);
 }
 
 ActionId ActionTable::find_in_bucket(
-    const IndexShard& shard, std::uint64_t h,
-    const std::vector<ResourceUse>& uses) const {
-  const auto it = shard.buckets.find(h);
-  if (it == shard.buckets.end()) return kNoAction;
+    std::uint64_t h, const std::vector<ResourceUse>& uses) const {
+  const auto it = buckets_.find(h);
+  if (it == buckets_.end()) return kNoAction;
   for (ActionId id : it->second)
     if (actions_[id] == uses) return id;
   return kNoAction;
@@ -61,25 +60,10 @@ ActionId ActionTable::intern(std::vector<ResourceUse> uses) {
   uses.resize(w);
 
   const std::uint64_t h = hash_uses(uses);
-  IndexShard& shard = shards_[h % kIndexShards];
-
-  if (!shared_) {
-    if (const ActionId hit = find_in_bucket(shard, h, uses); hit != kNoAction)
-      return hit;
-    const ActionId id = static_cast<ActionId>(actions_.push_back(std::move(uses)));
-    shard.buckets[h].push_back(id);
-    return id;
-  }
-
-  std::lock_guard shard_lk(shard.mu);
-  if (const ActionId hit = find_in_bucket(shard, h, uses); hit != kNoAction)
+  if (const ActionId hit = find_in_bucket(h, uses); hit != kNoAction)
     return hit;
-  ActionId id;
-  {
-    std::lock_guard append_lk(append_mu_);
-    id = static_cast<ActionId>(actions_.push_back(std::move(uses)));
-  }
-  shard.buckets[h].push_back(id);
+  const ActionId id = static_cast<ActionId>(actions_.push_back(std::move(uses)));
+  buckets_[h].push_back(id);
   return id;
 }
 
@@ -150,10 +134,6 @@ EventSetId EventSetTable::intern(std::vector<Event> events) {
   std::sort(events.begin(), events.end());
   events.erase(std::unique(events.begin(), events.end()), events.end());
   const std::uint64_t h = hash_events(events);
-  // Event sets are interned during translation, not exploration; a single
-  // mutex in shared mode is plenty.
-  std::unique_lock<std::mutex> lk;
-  if (shared_) lk = std::unique_lock(mu_);
   if (const EventSetId hit = find_existing(h, events); hit != kNoEventSet)
     return hit;
   const EventSetId id = static_cast<EventSetId>(sets_.push_back(std::move(events)));

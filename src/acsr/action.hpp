@@ -8,9 +8,7 @@
 // identified by a u32.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -63,24 +61,12 @@ class ActionTable {
     return actions_.size() * (sizeof(std::vector<ResourceUse>) + 64);
   }
 
-  /// See TermTable::set_shared_mode: locked interning for the parallel
-  /// explorer (Par3 merges intern new combined actions on the hot path).
-  void set_shared_mode(bool shared) { shared_ = shared; }
-
  private:
-  static constexpr std::size_t kIndexShards = 16;
-  struct IndexShard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<ActionId>> buckets;
-  };
-
-  ActionId find_in_bucket(const IndexShard& shard, std::uint64_t h,
+  ActionId find_in_bucket(std::uint64_t h,
                           const std::vector<ResourceUse>& uses) const;
 
   util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
-  std::array<IndexShard, kIndexShards> shards_;
-  std::mutex append_mu_;
-  bool shared_ = false;
+  std::unordered_map<std::uint64_t, std::vector<ActionId>> buckets_;
 };
 
 /// Interned sorted sets of event labels, for the restriction operator.
@@ -93,16 +79,12 @@ class EventSetTable {
   bool contains(EventSetId id, Event e) const;
   std::size_t size() const { return sets_.size(); }
 
-  void set_shared_mode(bool shared) { shared_ = shared; }
-
  private:
   EventSetId find_existing(std::uint64_t h,
                            const std::vector<Event>& events) const;
 
   util::ChunkedVector<std::vector<Event>, 8> sets_;
   std::unordered_map<std::uint64_t, std::vector<EventSetId>> index_;
-  mutable std::mutex mu_;
-  bool shared_ = false;
 };
 
 }  // namespace aadlsched::acsr

@@ -199,15 +199,8 @@ TermId Context::instantiate(OpenTermId open_id,
 }
 
 TermId Context::unfold(TermId call_term) {
-  UnfoldShard& shard =
-      unfold_shards_[(call_term * 0x9e3779b9u) >> 28 & (kUnfoldShards - 1)];
-  if (shared_) {
-    std::lock_guard lk(shard.mu);
-    if (auto it = shard.memo.find(call_term); it != shard.memo.end())
-      return it->second;
-  } else if (auto it = shard.memo.find(call_term); it != shard.memo.end()) {
+  if (auto it = unfold_memo_.find(call_term); it != unfold_memo_.end())
     return it->second;
-  }
   const TermNode& node = terms_.node(call_term);
   assert(node.kind == TermKind::Call);
   const DefId def_id = node.a;
@@ -218,17 +211,8 @@ TermId Context::unfold(TermId call_term) {
   std::vector<ParamValue> params(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i)
     params[i] = static_cast<ParamValue>(raw[i]);
-  const OpenTermId body = def.body;
-  // Instantiation happens outside the shard lock: interning makes it
-  // idempotent, so two workers racing on the same call reach the same
-  // TermId and the second emplace is a no-op.
-  const TermId ground = instantiate(body, params);
-  if (shared_) {
-    std::lock_guard lk(shard.mu);
-    shard.memo.emplace(call_term, ground);
-  } else {
-    shard.memo.emplace(call_term, ground);
-  }
+  const TermId ground = instantiate(def.body, params);
+  unfold_memo_.emplace(call_term, ground);
   return ground;
 }
 
@@ -242,18 +226,8 @@ std::size_t Context::approx_bytes() const {
   bytes += open_terms_.size() * sizeof(OpenTermNode);
   bytes += defs_.size() * sizeof(Definition);
   // Unfold memo: one map entry per distinct Call state seen.
-  for (std::size_t s = 0; s < kUnfoldShards; ++s)
-    bytes += unfold_shards_[s].memo.size() * 48;
+  bytes += unfold_memo_.size() * 48;
   return bytes;
-}
-
-void Context::set_shared_mode(bool shared) {
-  shared_ = shared;
-  resources_.set_shared_mode(shared);
-  events_.set_shared_mode(shared);
-  actions_.set_shared_mode(shared);
-  event_sets_.set_shared_mode(shared);
-  terms_.set_shared_mode(shared);
 }
 
 }  // namespace aadlsched::acsr

@@ -5,17 +5,11 @@
 // definitions. Instantiation (open term + parameter values -> ground term)
 // and call unfolding live here because they touch all tables.
 //
-// A Context is single-threaded while a model is being built. For the
-// parallel explorer it can be switched into *shared mode*
-// (set_shared_mode / SharedModeGuard): every hash-cons table then takes
-// striped locks on intern so multiple workers may extend the term DAG
-// concurrently. Sweeps over independent model variants still use one
-// Context per job (they are cheap to create).
+// A Context is single-threaded: one model is built and explored on one
+// thread. Sweeps over independent model variants use one Context per job.
 #pragma once
 
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -98,38 +92,10 @@ class Context {
   /// Approximate bytes held by the hash-cons tables (terms, actions,
   /// expressions, interners). Dominated by the term table during
   /// exploration; used with the visited-set footprint to enforce
-  /// RunBudget::memory_bytes (util/budget.hpp). Call while no worker is
-  /// appending (the explorers probe at expansion/level boundaries).
+  /// RunBudget::memory_bytes (util/budget.hpp).
   std::size_t approx_bytes() const;
 
-  // --- concurrency -----------------------------------------------------
-  /// Switch every table into (or out of) shared mode. Must be called while
-  /// no other thread touches the Context; definitions and open terms must
-  /// already be built (they stay read-only in shared mode).
-  void set_shared_mode(bool shared);
-  bool shared_mode() const { return shared_; }
-
-  /// RAII shared-mode window, used by versa::explore_parallel.
-  class SharedModeGuard {
-   public:
-    explicit SharedModeGuard(Context& ctx) : ctx_(ctx) {
-      ctx_.set_shared_mode(true);
-    }
-    ~SharedModeGuard() { ctx_.set_shared_mode(false); }
-    SharedModeGuard(const SharedModeGuard&) = delete;
-    SharedModeGuard& operator=(const SharedModeGuard&) = delete;
-
-   private:
-    Context& ctx_;
-  };
-
  private:
-  static constexpr std::size_t kUnfoldShards = 16;
-  struct UnfoldShard {
-    std::mutex mu;
-    std::unordered_map<TermId, TermId> memo;
-  };
-
   OpenTermId push_open(OpenTermNode n);
 
   util::Interner resources_;
@@ -141,9 +107,7 @@ class Context {
   std::deque<OpenTermNode> open_terms_;
   std::deque<Definition> defs_;
   std::unordered_map<std::string, DefId> def_index_;
-  std::unique_ptr<UnfoldShard[]> unfold_shards_ =
-      std::make_unique<UnfoldShard[]>(kUnfoldShards);
-  bool shared_ = false;
+  std::unordered_map<TermId, TermId> unfold_memo_;
 };
 
 }  // namespace aadlsched::acsr

@@ -26,7 +26,7 @@ TermTable::TermTable() {
   // TermId 0 is NIL.
   nodes_.push_back(TermNode{});
   const std::uint64_t h = hash_node(nodes_[0], {});
-  shards_[h % kIndexShards].buckets[h].push_back(kNil);
+  buckets_[h].push_back(kNil);
 }
 
 std::span<const std::uint32_t> TermTable::payload(TermId id) const {
@@ -34,11 +34,10 @@ std::span<const std::uint32_t> TermTable::payload(TermId id) const {
   return arena_.view(n.extra, n.extra_len);
 }
 
-TermId TermTable::find_in_bucket(const IndexShard& shard, std::uint64_t h,
-                                 const TermNode& proto,
+TermId TermTable::find_in_bucket(std::uint64_t h, const TermNode& proto,
                                  std::span<const std::uint32_t> payload) const {
-  const auto it = shard.buckets.find(h);
-  if (it == shard.buckets.end()) return kInvalidTerm;
+  const auto it = buckets_.find(h);
+  if (it == buckets_.end()) return kInvalidTerm;
   for (TermId id : it->second) {
     const TermNode& n = nodes_[id];
     if (n.kind == proto.kind && n.flag == proto.flag && n.a == proto.a &&
@@ -54,33 +53,12 @@ TermId TermTable::intern(TermNode proto,
                          std::span<const std::uint32_t> payload) {
   proto.extra_len = static_cast<std::uint32_t>(payload.size());
   const std::uint64_t h = hash_node(proto, payload);
-  IndexShard& shard = shards_[h % kIndexShards];
-
-  if (!shared_) {
-    if (const TermId hit = find_in_bucket(shard, h, proto, payload);
-        hit != kInvalidTerm)
-      return hit;
-    proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
-    const TermId id = static_cast<TermId>(nodes_.push_back(proto));
-    shard.buckets[h].push_back(id);
-    return id;
-  }
-
-  // Shared mode: equal protos hash to the same shard, so holding the shard
-  // lock across probe + publish makes the dedup atomic; the global append
-  // lock serializes storage growth across shards. Lock order is always
-  // shard -> append.
-  std::lock_guard shard_lk(shard.mu);
-  if (const TermId hit = find_in_bucket(shard, h, proto, payload);
+  if (const TermId hit = find_in_bucket(h, proto, payload);
       hit != kInvalidTerm)
     return hit;
-  TermId id;
-  {
-    std::lock_guard append_lk(append_mu_);
-    proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
-    id = static_cast<TermId>(nodes_.push_back(proto));
-  }
-  shard.buckets[h].push_back(id);
+  proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
+  const TermId id = static_cast<TermId>(nodes_.push_back(proto));
+  buckets_[h].push_back(id);
   return id;
 }
 

@@ -12,9 +12,7 @@
 // explored space (see bench_statespace).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -93,32 +91,16 @@ class TermTable {
            arena_.size() * sizeof(std::uint32_t);
   }
 
-  /// In shared mode every intern takes its index-shard lock (and a global
-  /// append lock on a miss) so workers of the parallel explorer can extend
-  /// the term DAG concurrently. Outside shared mode construction is
-  /// lock-free single-threaded, as before. Toggle only while quiescent.
-  void set_shared_mode(bool shared) { shared_ = shared; }
-
  private:
-  static constexpr std::size_t kIndexShards = 64;
-  struct IndexShard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<TermId>> buckets;
-  };
-
   TermId intern(TermNode proto, std::span<const std::uint32_t> payload);
-  TermId find_in_bucket(const IndexShard& shard, std::uint64_t h,
-                        const TermNode& proto,
+  TermId find_in_bucket(std::uint64_t h, const TermNode& proto,
                         std::span<const std::uint32_t> payload) const;
 
-  // Chunked so element addresses are stable: readers chase TermIds while
-  // writers append (see chunked_vector.hpp for the synchronization
-  // contract).
+  // Chunked so node references and payload spans stay valid while further
+  // terms are interned (see chunked_vector.hpp).
   util::ChunkedVector<TermNode, 13> nodes_;
   util::ChunkedVector<std::uint32_t, 14> arena_;
-  std::array<IndexShard, kIndexShards> shards_;
-  std::mutex append_mu_;
-  bool shared_ = false;
+  std::unordered_map<std::uint64_t, std::vector<TermId>> buckets_;
 };
 
 }  // namespace aadlsched::acsr

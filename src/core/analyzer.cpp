@@ -173,7 +173,6 @@ void apply_exploration(AnalysisResult& result,
   result.peak_frontier = er.peak_frontier;
   result.fans_computed = er.sem_stats.computed;
   result.memo_hits = er.sem_stats.memo_hits;
-  result.worker_states = er.worker_states;
   result.symmetry_groups = er.symmetry_groups;
   result.states_saved = er.states_saved;
   result.commuted_expansions = er.commuted_expansions;
@@ -183,7 +182,7 @@ void apply_exploration(AnalysisResult& result,
 /// the mangled role-name groups (the translator's on a cold run, the
 /// checkpoint's on a resume) and wire it into the exploration options.
 /// With --no-reduction, or when no groups resolve, the layer stays inert
-/// and both engines behave bit-identically to a run without it.
+/// and the explorer behaves bit-identically to a run without it.
 versa::CheckpointReduction setup_reduction(
     versa::SymmetryModel& model, versa::ExploreOptions& eopts,
     acsr::Context& ctx,
@@ -251,12 +250,9 @@ AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
       restored.reduction.uniform_dispatch, opts.no_reduction);
 
   versa::ExploreResult er;
-  if (opts.parallel.workers == 1) {
+  {  // the fan memo is freed before checkpoint capture
     acsr::Semantics sem(ctx);
     er = versa::explore(sem, restored.wave.initial, eopts);
-  } else {
-    er = versa::explore_parallel(ctx, restored.wave.initial, eopts,
-                                 opts.parallel);
   }
   apply_exploration(result, er);
   result.resumed = true;
@@ -405,14 +401,6 @@ std::string AnalysisResult::summary() const {
     os << "\nreduction: symmetry groups: " << symmetry_groups
        << ", states saved: " << states_saved << ", commuted expansions: "
        << commuted_expansions;
-  if (worker_states.size() > 1) {
-    os << ", per-worker states [";
-    for (std::size_t i = 0; i < worker_states.size(); ++i) {
-      if (i) os << ' ';
-      os << worker_states[i];
-    }
-    os << ']';
-  }
   return os.str();
 }
 
@@ -537,11 +525,9 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
                       tr->symmetry.uniform_dispatch, opts.no_reduction);
 
   versa::ExploreResult er;
-  if (opts.parallel.workers == 1) {
+  {  // the fan memo is freed before checkpoint capture and lift-back
     acsr::Semantics sem(ctx);
     er = versa::explore(sem, tr->initial, eopts);
-  } else {
-    er = versa::explore_parallel(ctx, tr->initial, eopts, opts.parallel);
   }
   apply_exploration(result, er);
   maybe_capture_checkpoint(result, er, captured, ctx, opts, red);

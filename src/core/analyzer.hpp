@@ -36,10 +36,6 @@ struct AnalyzerOptions {
   versa::ExploreOptions exploration;
   /// Exploration engine selection (see Engine above).
   Engine engine = Engine::Enumerative;
-  /// Single-model exploration parallelism. workers == 1 (default) keeps the
-  /// classic serial explorer; anything else routes through
-  /// versa::explore_parallel (0 = hardware concurrency).
-  versa::ParallelExploreOptions parallel;
 
   /// Run the static analysis front door (src/lint) before translating.
   /// Off by default at the library level (programmatic callers see
@@ -153,7 +149,6 @@ struct AnalysisResult {
   std::uint64_t peak_frontier = 0;
   std::uint64_t fans_computed = 0;   // successor fans computed
   std::uint64_t memo_hits = 0;       // fans served from a memo cache
-  std::vector<std::uint64_t> worker_states;  // states expanded per worker
 
   /// Engine that produced (or would have produced) the verdict:
   /// "enumerative" or "symbolic". Part of the canonical result JSON — the

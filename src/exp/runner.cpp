@@ -53,7 +53,6 @@ server::Request build_request(const ExperimentSpec& spec, const Cell& cell,
   req.options.max_states = spec.max_states;
   req.options.deadline_ms = 0;  // only deterministic budgets (spec.hpp)
   req.options.memory_budget_mb = 0;
-  req.options.workers = 1;
   req.options.run_lint = spec.run_lint;
   req.options.late_completion = false;
   req.options.no_reduction = spec.no_reduction;

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <variant>
 
+#include "util/numeric.hpp"
+
 namespace aadlsched::lint {
 
 namespace {
@@ -18,15 +20,6 @@ using I128 = __int128;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
-}
-
-I128 gcd128(I128 a, I128 b) {
-  while (b != 0) {
-    const I128 t = a % b;
-    a = b;
-    b = t;
-  }
-  return a < 0 ? -a : a;
 }
 
 /// Mirror of translate::Translator::rank(): stable sort ascending by key,
@@ -137,7 +130,7 @@ std::optional<int> utilization_vs_one(const std::vector<ScreenTask>& tasks,
     if (den > kCap / t.period_q) return std::nullopt;
     num = num * t.period_q + static_cast<I128>(t.cmax_q) * den;
     den = den * t.period_q;
-    const I128 g = gcd128(num, den);
+    const I128 g = util::gcd128(num, den);
     if (g > 1) {
       num /= g;
       den /= g;

@@ -8,6 +8,40 @@
 
 namespace aadlsched::sched {
 
+namespace {
+
+using I128 = __int128;
+
+/// Sign of (sum of wcet/period) - 1, compared exactly over the integer
+/// periods: a double sum rounds exact-U = 1 sets such as C = 1,
+/// T = {20,10,4,8,20,8,5,10} to 1.0000000000000002. Tasks with a
+/// non-positive period contribute nothing, as in Task::utilization. The
+/// reduced fraction stays within 2^60 so no product leaves 128 bits; a set
+/// whose fraction outgrows that falls back to the double sum.
+int utilization_vs_one(const TaskSet& ts) {
+  const auto by_double = [&ts] {
+    const double u = ts.utilization();
+    return (u > 1.0) - (u < 1.0);
+  };
+  constexpr I128 kCap = I128{1} << 60;
+  I128 num = 0;
+  I128 den = 1;
+  for (const Task& t : ts.tasks) {
+    if (t.period <= 0) continue;
+    if (den > kCap / t.period) return by_double();
+    num = num * t.period + I128{t.wcet} * den;
+    den *= t.period;
+    if (const I128 g = util::gcd128(num, den); g > 1) {
+      num /= g;
+      den /= g;
+    }
+    if (num > kCap || num < -kCap) return by_double();
+  }
+  return (num > den) - (num < den);
+}
+
+}  // namespace
+
 double liu_layland_bound(std::size_t n) {
   if (n == 0) return 1.0;
   const double nn = static_cast<double>(n);
@@ -30,8 +64,8 @@ Verdict hyperbolic_bound_test(const TaskSet& ts) {
 
 Verdict edf_utilization_test(const TaskSet& ts) {
   if (!ts.implicit_deadlines()) return Verdict::Unknown;
-  return ts.utilization() <= 1.0 ? Verdict::Schedulable
-                                 : Verdict::Unschedulable;
+  return utilization_vs_one(ts) <= 0 ? Verdict::Schedulable
+                                     : Verdict::Unschedulable;
 }
 
 RtaResult response_time_analysis(const TaskSet& ts,
@@ -95,7 +129,9 @@ Time demand_check_bound(const TaskSet& ts) {
   Time bound = ts.hyperperiod();
   if (bound < 0) bound = std::numeric_limits<Time>::max();
   bound = std::max(bound, max_deadline);
-  if (u < 1.0) {
+  // The double test guards the division: an exact U just below 1 can still
+  // round to 1.0, and the hyperperiod bound holds on its own.
+  if (utilization_vs_one(ts) < 0 && u < 1.0) {
     // L_a = max(D_i, sum (T_i - D_i) U_i / (1 - U)).
     double la = 0.0;
     for (const Task& t : ts.tasks)
@@ -131,7 +167,7 @@ Time edf_check_bound(const TaskSet& ts) { return demand_check_bound(ts); }
 
 EdfResult edf_demand_analysis(const TaskSet& ts) {
   EdfResult result;
-  if (ts.utilization() > 1.0) {
+  if (utilization_vs_one(ts) > 0) {
     result.verdict = Verdict::Unschedulable;
     return result;
   }
@@ -166,7 +202,7 @@ EdfResult edf_qpa(const TaskSet& ts) {
     result.verdict = Verdict::Schedulable;
     return result;
   }
-  if (ts.utilization() > 1.0) {
+  if (utilization_vs_one(ts) > 0) {
     result.verdict = Verdict::Unschedulable;
     return result;
   }

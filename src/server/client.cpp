@@ -18,7 +18,6 @@ RequestOptions to_request_options(const core::AnalyzerOptions& opts) {
   ro.max_states = opts.exploration.max_states;
   ro.deadline_ms = opts.exploration.budget.deadline_ms;
   ro.memory_budget_mb = opts.exploration.budget.memory_bytes / (1024 * 1024);
-  ro.workers = opts.parallel.workers;
   ro.run_lint = opts.run_lint;
   ro.late_completion = opts.translation.time_model ==
                        translate::ExecutionTimeModel::LateCompletion;

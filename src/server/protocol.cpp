@@ -75,8 +75,6 @@ std::optional<Request> parse_request(std::string_view line,
     if (const auto* d = opts->get("deadline_ms")) o.deadline_ms = d->as_double();
     if (const auto* m = opts->get("memory_budget_mb"))
       o.memory_budget_mb = static_cast<std::uint64_t>(m->as_int());
-    if (const auto* w = opts->get("workers"))
-      o.workers = static_cast<std::size_t>(w->as_int(1));
     if (const auto* l = opts->get("lint")) o.run_lint = l->as_bool(true);
     if (const auto* lc = opts->get("late_completion"))
       o.late_completion = lc->as_bool();
@@ -119,7 +117,6 @@ std::string render_request(const Request& req) {
     w.key("max_states").value(o.max_states);
     w.key("deadline_ms").value(o.deadline_ms);
     w.key("memory_budget_mb").value(o.memory_budget_mb);
-    w.key("workers").value(static_cast<std::uint64_t>(o.workers));
     w.key("lint").value(o.run_lint);
     w.key("late_completion").value(o.late_completion);
     w.key("no_reduction").value(o.no_reduction);

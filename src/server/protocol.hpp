@@ -7,10 +7,12 @@
 //   {"v": 1, "op": "analyze", "id": "r1", "model": "<aadl text>",
 //    "root": "Root.impl",
 //    "options": {"quantum_ms": 1, "max_states": 5000000, "deadline_ms": 0,
-//                "memory_budget_mb": 0, "workers": 1, "lint": true,
+//                "memory_budget_mb": 0, "lint": true,
 //                "late_completion": false, "no_reduction": false,
 //                "engine": "enumerative"},
 //    "no_cache": false, "resume": false, "no_checkpoint": false}
+//   Unknown option keys are ignored, so older clients that still send
+//   "workers" are served unchanged.
 // Request (stats | ping | shutdown):
 //   {"v": 1, "op": "stats"}
 //
@@ -57,7 +59,6 @@ struct RequestOptions {
   std::uint64_t max_states = 5'000'000;
   double deadline_ms = 0;
   std::uint64_t memory_budget_mb = 0;
-  std::size_t workers = 1;
   bool run_lint = true;
   bool late_completion = false;
   /// Disable the state-space reduction layer (DESIGN.md §13). Part of the

@@ -202,9 +202,6 @@ core::AnalyzerOptions Service::analyzer_options(
     mem_mb = mem_mb > 0 ? std::min(mem_mb, cfg_.memory_budget_mb_cap)
                         : cfg_.memory_budget_mb_cap;
   opts.exploration.budget.memory_bytes = mem_mb * 1024 * 1024;
-  const std::size_t max_w = std::max<std::size_t>(1, cfg_.max_request_workers);
-  opts.parallel.workers =
-      ro.workers == 0 ? max_w : std::min(ro.workers, max_w);
   return opts;
 }
 

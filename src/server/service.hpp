@@ -50,7 +50,6 @@ struct ServiceConfig {
   double max_deadline_ms = 0;
   std::uint64_t max_states_cap = 0;
   std::uint64_t memory_budget_mb_cap = 0;
-  std::size_t max_request_workers = 8;  // per-request exploration threads
   /// Daemon-level override: run every request without the reduction layer
   /// (aadlschedd --no-reduction), regardless of per-request options.
   bool force_no_reduction = false;

@@ -31,21 +31,32 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
+enum class RecvStatus : std::uint8_t {
+  Line,     // `line` holds the next line
+  Closed,   // EOF or a socket error with no complete line pending
+  TooLong,  // the pending line exceeds kMaxLineBytes
+};
+
 /// Read up to the next '\n' into `line` (newline stripped), buffering any
-/// overshoot in `buffer`. False on EOF/error with nothing pending.
-bool recv_line(int fd, std::string& buffer, std::string& line) {
+/// overshoot in `buffer`. Only newly received bytes are scanned, so a long
+/// line costs linear time.
+RecvStatus recv_line(int fd, std::string& buffer, std::string& line) {
+  std::size_t scanned = 0;
   while (true) {
-    const auto nl = buffer.find('\n');
+    const auto nl = buffer.find('\n', scanned);
     if (nl != std::string::npos) {
-      line = buffer.substr(0, nl);
+      if (nl > kMaxLineBytes) return RecvStatus::TooLong;
+      line.assign(buffer, 0, nl);
       buffer.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
+      return RecvStatus::Line;
     }
+    if (buffer.size() > kMaxLineBytes) return RecvStatus::TooLong;
+    scanned = buffer.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
+    if (n <= 0) return RecvStatus::Closed;
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -135,8 +146,18 @@ void TcpServer::accept_loop() {
 
 void TcpServer::connection_loop(int fd) {
   std::string buffer, line;
-  while (!stopping_.load(std::memory_order_relaxed) &&
-         recv_line(fd, buffer, line)) {
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    const RecvStatus status = recv_line(fd, buffer, line);
+    if (status == RecvStatus::Closed) break;
+    if (status == RecvStatus::TooLong) {
+      // The rest of the line cannot be skipped without reading it, so the
+      // connection ends here; the client learns why first.
+      Response resp;
+      resp.error = "request line exceeds " +
+                   std::to_string(kMaxLineBytes >> 20) + " MiB";
+      send_all(fd, render_response(resp) + "\n");
+      break;
+    }
     if (line.empty()) continue;  // tolerate keep-alive blank lines
     const std::string response = service_.handle_line(line);
     if (!send_all(fd, response) || !send_all(fd, "\n")) break;
@@ -280,11 +301,19 @@ bool Client::roundtrip(const std::string& request_line,
     error = std::string("send: ") + std::strerror(errno);
     return false;
   }
-  if (!recv_line(fd_, rx_buffer_, response_line)) {
-    error = (errno == EAGAIN || errno == EWOULDBLOCK)
-                ? "receive timed out before a response arrived"
-                : "connection closed before a response arrived";
-    return false;
+  switch (recv_line(fd_, rx_buffer_, response_line)) {
+    case RecvStatus::Line:
+      break;
+    case RecvStatus::TooLong:
+      error = "response line exceeds " +
+              std::to_string(kMaxLineBytes >> 20) + " MiB";
+      close();  // the rest of the line would poison the next roundtrip
+      return false;
+    case RecvStatus::Closed:
+      error = (errno == EAGAIN || errno == EWOULDBLOCK)
+                  ? "receive timed out before a response arrived"
+                  : "connection closed before a response arrived";
+      return false;
   }
   return true;
 }

@@ -22,6 +22,11 @@
 
 namespace aadlsched::server {
 
+/// Longest protocol line either side accepts (newline excluded). A request
+/// over it gets an ok=false response and the connection is closed, so one
+/// client cannot grow daemon memory without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
 struct TcpConfig {
   std::string host = "127.0.0.1";  // bind address (loopback by default)
   std::uint16_t port = 0;          // 0 = ephemeral; see TcpServer::port()

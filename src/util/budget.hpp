@@ -78,15 +78,16 @@ struct RunBudget {
 };
 
 /// Deterministic fault injection. One global instance (armed once from
-/// $AADLSCHED_FAULT) plus local instances for tests. Counters are atomic so
-/// parallel-explorer workers may probe concurrently; exactly which worker
-/// observes the Nth check depends on scheduling, but *some* check trips, so
-/// every bail-out path is reachable on demand.
+/// $AADLSCHED_FAULT) plus local instances for tests. Counters are atomic
+/// because the global instance is probed from every Service worker and
+/// parallel_sweep thread at once; exactly which thread observes the Nth
+/// check depends on scheduling, but *some* check trips, so every bail-out
+/// path is reachable on demand.
 class FaultInjector {
  public:
   enum class Site : std::uint8_t {
     None,
-    BudgetCheck,  // a BudgetTracker/worker budget check reports `reason`
+    BudgetCheck,  // a BudgetTracker budget check reports `reason`
     MemoryProbe,  // a memory probe reports pressure regardless of usage
     Job,          // a parallel_sweep job throws InjectedFault on entry
     // Filesystem sites (DESIGN.md §15): every disk I/O the server performs
@@ -162,9 +163,7 @@ struct BudgetStatus {
   StopReason reason = StopReason::None;
 };
 
-/// Per-run governor. Single-threaded: owned by the (serial or coordinator)
-/// exploration loop; parallel workers use cheaper per-block checks (cancel
-/// token + deadline time-point + shared stop flag, see explorer.cpp).
+/// Per-run governor. Single-threaded: owned by the exploration loop.
 class BudgetTracker {
  public:
   /// `memory_fn` estimates current footprint in bytes (sampled only on
@@ -177,7 +176,7 @@ class BudgetTracker {
   /// Hot-path check, call once per expansion. Cancel is checked every call;
   /// clock/memory every kStride calls (and on the first).
   BudgetStatus check(std::uint64_t states);
-  /// Full check (clock + memory), for level boundaries.
+  /// Full check (clock + memory) regardless of the stride.
   BudgetStatus check_now(std::uint64_t states);
 
   /// The engine degraded (dropped trace recording); the next sustained
@@ -187,9 +186,6 @@ class BudgetTracker {
 
   double elapsed_ms() const;
   std::uint64_t last_memory_bytes() const { return last_memory_; }
-  /// Deadline as a steady_clock time point, for worker-side checks.
-  std::chrono::steady_clock::time_point deadline() const { return deadline_; }
-  bool has_deadline() const { return budget_.deadline_ms > 0; }
 
   static constexpr std::uint64_t kStride = 256;
 

@@ -1,19 +1,13 @@
-// Append-only storage with stable addresses, safe for concurrent readers.
+// Append-only storage with stable element addresses.
 //
 // The hash-cons tables of the ACSR core are append-only: once an id is
-// handed out, the entry behind it is immutable. A std::vector backing store
-// breaks under concurrent exploration because a grow reallocates and
-// invalidates every element mid-read. ChunkedVector stores elements in
-// fixed-size chunks behind a preallocated spine of chunk pointers, so
-//   * an element's address never changes once written, and
-//   * a reader that holds a published index never touches memory that a
-//     concurrent append is writing.
-// Appends themselves are NOT synchronized here; tables serialize them with
-// their own append mutex when running in shared mode. The synchronization
-// contract is the usual hash-cons one: an index only reaches a reader
-// through a lock-protected structure (an index shard bucket, the explorer's
-// level barrier), which establishes the happens-before edge for the chunk
-// contents.
+// handed out, the entry behind it is immutable. Stable addresses are part
+// of their contract: a reference or span a single-threaded caller got from
+// TermTable::node/payload or ActionTable::uses stays valid while that
+// caller goes on interning. A std::vector backing store would reallocate
+// on growth and leave such a reference dangling. ChunkedVector stores
+// elements in fixed-size chunks behind a preallocated spine of chunk
+// pointers, so an element's address never changes once written.
 #pragma once
 
 #include <cstddef>

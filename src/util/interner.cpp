@@ -5,8 +5,6 @@ namespace aadlsched::util {
 Interner::Interner() { intern(""); }
 
 Symbol Interner::intern(std::string_view s) {
-  std::unique_lock<std::mutex> lk;
-  if (shared_) lk = std::unique_lock(mu_);
   if (auto it = index_.find(s); it != index_.end()) return it->second;
   const Symbol id = static_cast<Symbol>(storage_.size());
   storage_.emplace_back(s);
@@ -15,8 +13,6 @@ Symbol Interner::intern(std::string_view s) {
 }
 
 bool Interner::lookup(std::string_view s, Symbol& out) const {
-  std::unique_lock<std::mutex> lk;
-  if (shared_) lk = std::unique_lock(mu_);
   auto it = index_.find(s);
   if (it == index_.end()) return false;
   out = it->second;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,26 +29,13 @@ class Interner {
 
   /// Resolve a symbol back to its string. The reference stays valid for the
   /// lifetime of the interner (storage is a deque; never reallocated).
-  const std::string& str(Symbol s) const {
-    if (shared_) {
-      std::lock_guard lk(mu_);
-      return storage_.at(s);
-    }
-    return storage_.at(s);
-  }
+  const std::string& str(Symbol s) const { return storage_.at(s); }
 
   std::size_t size() const { return storage_.size(); }
-
-  /// Shared mode guards intern/lookup/str with a mutex so the parallel
-  /// explorer's workers may resolve names concurrently. Names are all
-  /// interned during translation, so this lock is cold during exploration.
-  void set_shared_mode(bool shared) { shared_ = shared; }
 
  private:
   std::deque<std::string> storage_;
   std::unordered_map<std::string_view, Symbol> index_;
-  mutable std::mutex mu_;
-  bool shared_ = false;
 };
 
 }  // namespace aadlsched::util

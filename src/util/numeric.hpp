@@ -18,6 +18,17 @@ constexpr std::int64_t gcd64(std::int64_t a, std::int64_t b) {
   return a < 0 ? -a : a;
 }
 
+/// gcd over 128 bits, for exact sums of ratios whose denominators are
+/// products of 64-bit periods.
+constexpr __int128 gcd128(__int128 a, __int128 b) {
+  while (b != 0) {
+    const __int128 t = a % b;
+    a = b;
+    b = t;
+  }
+  return a < 0 ? -a : a;
+}
+
 /// lcm that reports overflow instead of wrapping; nullopt on overflow.
 std::optional<std::int64_t> checked_lcm(std::int64_t a, std::int64_t b);
 

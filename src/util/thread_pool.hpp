@@ -1,7 +1,7 @@
-// Minimal work-stealing-free thread pool used by the parallel state-space
-// explorer. The explorer drives the pool in bulk-synchronous rounds (one BFS
-// frontier per round), so a simple shared queue with a condition variable is
-// both sufficient and easy to reason about.
+// Minimal work-stealing-free thread pool behind versa::parallel_sweep. The
+// sweep drives the pool in one bulk round of independent jobs, so a simple
+// shared queue with a condition variable is both sufficient and easy to
+// reason about.
 #pragma once
 
 #include <condition_variable>

@@ -21,8 +21,8 @@
 //     acsr::parse_ground_term as an end-to-end printer/parser cross-check;
 //   * a trailing FNV-1a digest over everything above, verified first.
 //
-// Soundness of resuming (DESIGN.md §12): at any stop point both engines
-// maintain the BFS invariant that every reachable-but-unvisited state is
+// Soundness of resuming (DESIGN.md §12): at any stop point the explorer
+// maintains the BFS invariant that every reachable-but-unvisited state is
 // reachable through frontier ++ next_frontier. Seeding a fresh run with
 // (visited, frontiers, counters) therefore continues the exact same BFS:
 // the verdict is identical to an uninterrupted run, and on a run that

@@ -6,19 +6,13 @@
 // exactly a timing violation (§5); BFS order means the reported failing
 // scenario is a shortest one.
 //
-// Two engines share that contract:
-//   * explore()          — the classic serial BFS;
-//   * explore_parallel() — level-synchronous parallel BFS: each BFS level is
-//     carved into blocks processed by a worker pool, duplicates are resolved
-//     through a sharded concurrent visited set, and workers extend the
-//     shared hash-cons tables under Context shared mode with per-worker
-//     Semantics memo caches. Processing level-by-level preserves the BFS
-//     depth invariant, so the counterexample is still a shortest one and
-//     states/transitions are identical for every worker count.
+// One model is explored by one thread: the engine owns its Semantics,
+// visited set and frontier outright and takes no lock. Parallelism lives
+// across models (versa/sweep.hpp, the server's worker pool); DESIGN.md §8
+// gives the measurement behind that split.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +24,7 @@ namespace aadlsched::versa {
 
 /// A paused BFS: everything needed to continue an exploration later,
 /// possibly in a different process against a restored Context (see
-/// versa/checkpoint.hpp). The invariant both engines maintain is that every
+/// versa/checkpoint.hpp). The invariant the engine maintains is that every
 /// reachable-but-unvisited state is reachable through `frontier` ++
 /// `next_frontier`, so seeding a fresh run with (visited, frontier,
 /// counters) continues the exact same BFS — same final verdict and, on a
@@ -65,12 +59,9 @@ struct ExploreOptions {
   bool stop_at_first_deadlock = true;
   /// Resource envelope: wall-clock deadline, extra state cap, approximate
   /// memory ceiling, cooperative cancellation. Default = unlimited. The
-  /// serial engine checks per expansion; the parallel engine checks at
-  /// level boundaries plus cheap per-block cancellation/deadline probes, so
-  /// a huge level cannot outlive the budget by more than one block per
-  /// worker. Under memory pressure the engine degrades first — trace
-  /// recording is dropped (ExploreResult::trace_dropped) — and only stops
-  /// when pressure persists. See DESIGN.md §10.
+  /// engine checks per expansion. Under memory pressure it degrades first
+  /// — trace recording is dropped (ExploreResult::trace_dropped) — and
+  /// only stops when pressure persists. See DESIGN.md §10.
   util::RunBudget budget;
 
   // --- warm re-exploration (checkpointing) -----------------------------
@@ -89,25 +80,12 @@ struct ExploreOptions {
   // --- reduction layer (DESIGN.md §13) ---------------------------------
   /// Which reductions to run. Only consulted when `symmetry_model` is set
   /// and active; the default translation produces an empty (inactive)
-  /// model, for which both engines behave bit-identically to a run
+  /// model, for which the engine behaves bit-identically to a run
   /// without the layer.
   ReductionOptions reduction;
   /// Translation-time symmetry groups, resolved against the Context.
   /// Null disables the layer entirely. Not owned.
   const SymmetryModel* symmetry_model = nullptr;
-};
-
-struct ParallelExploreOptions {
-  /// Worker threads for a single-model exploration. 1 runs the level-
-  /// synchronous engine on the calling thread (no pool, no shared-mode
-  /// locking); 0 means hardware concurrency.
-  std::size_t workers = 1;
-  /// Levels smaller than this are expanded inline by the coordinator — the
-  /// automatic serial fallback for the shallow, narrow prefix of the BFS
-  /// where fan-out cannot amortize the barrier.
-  std::size_t serial_frontier_threshold = 128;
-  /// States handed to a worker per grab of the shared level cursor.
-  std::size_t block = 32;
 };
 
 /// One step of a counterexample: the label taken and the state reached.
@@ -155,10 +133,10 @@ struct ExploreResult {
   // --- observability ---------------------------------------------------
   double wall_ms = 0;                 // exploration wall time
   std::uint64_t peak_frontier = 0;    // largest BFS frontier/level seen
-  /// States expanded per worker (one entry for the serial explorer).
-  std::vector<std::uint64_t> worker_states;
-  /// Aggregated successor-fan memo effectiveness across all Semantics
-  /// instances involved (one per worker).
+  /// States expanded (successor fans requested) by this run; excludes
+  /// expansions a resumed checkpoint already did.
+  std::uint64_t expanded = 0;
+  /// Successor-fan memo effectiveness of the run's Semantics.
   acsr::Semantics::Stats sem_stats;
 
   bool schedulable() const { return complete && !deadlock_found; }
@@ -167,21 +145,6 @@ struct ExploreResult {
 /// Breadth-first exploration of the prioritized transition system.
 ExploreResult explore(acsr::Semantics& sem, acsr::TermId initial,
                       const ExploreOptions& opts = {});
-
-/// Level-synchronous parallel BFS over one model. Constructs one Semantics
-/// per worker on the shared Context (which is put in shared mode for the
-/// duration when workers > 1).
-///
-/// Compared with explore(), the only behavioural difference is stop
-/// granularity: stop_at_first_deadlock and max_states take effect at level
-/// boundaries, so on a deadlocked model the whole deadlock level is counted
-/// (the serial engine stops mid-level). On a fully explored space — any
-/// schedulable model, or stop_at_first_deadlock = false — states,
-/// transitions, verdict and trace length are identical to explore(), and
-/// they are identical across worker counts and runs in every case.
-ExploreResult explore_parallel(acsr::Context& ctx, acsr::TermId initial,
-                               const ExploreOptions& opts = {},
-                               const ParallelExploreOptions& popts = {});
 
 /// A fully materialized labelled transition system, for tests and the
 /// playground example (small models only).

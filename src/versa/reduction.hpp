@@ -28,9 +28,9 @@
 //     fails the check and the full fan is kept. The verification repeats
 //     at every step of the kept chain.
 //
-// The Reducer is per-engine-worker (its memo tables are not synchronized);
-// the SymmetryModel is immutable after build() and shared. Canonicalization
-// interns new terms, which is safe under Context shared mode.
+// The Reducer belongs to one exploration run (its memo tables are not
+// synchronized); the SymmetryModel is immutable after build().
+// Canonicalization interns new terms into the run's Context.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +103,9 @@ class SymmetryModel {
   util::FlatIdMap<Tag> event_tags_;
 };
 
-/// Per-worker reduction state: memoized canonicalization and the
-/// commutation rule. Constructed against the worker's Semantics (whose
-/// Context it rebuilds terms in).
+/// Per-run reduction state: memoized canonicalization and the commutation
+/// rule. Constructed against the run's Semantics (whose Context it
+/// rebuilds terms in).
 class Reducer {
  public:
   struct Stats {

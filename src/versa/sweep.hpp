@@ -1,19 +1,10 @@
 // Parallel analysis sweeps.
 //
-// Two axes of parallelism exist in this codebase, and they compose:
-//   * Across models (this file): independent analyses — one model variant
-//     per job, each with a private Context — run concurrently on a thread
-//     pool. Utilization sweeps are embarrassingly parallel and scale
-//     linearly.
-//   * Within one model: versa::explore_parallel runs a level-synchronous
-//     parallel BFS over a single prioritized transition system, with the
-//     hash-cons tables in Context shared-mode (striped locks) and a sharded
-//     concurrent visited set. See DESIGN.md §8 for the architecture and the
-//     shortest-trace argument.
-// An earlier revision claimed single-model exploration was inherently
-// serial "pointer-chasing over a shared hash-cons table"; chunked
-// append-only table storage plus per-worker transition-memo caches proved
-// that wrong — most of the hot path never takes a lock.
+// Parallelism in this codebase is across models: independent analyses —
+// one model variant per job, each with a private Context — run
+// concurrently on a thread pool, sharing nothing, so utilization sweeps
+// are embarrassingly parallel. Each single exploration stays on one
+// thread (DESIGN.md §8).
 #pragma once
 
 #include <cstddef>

@@ -34,7 +34,6 @@ using util::RunBudget;
 using util::StopReason;
 using versa::ExploreOptions;
 using versa::ExploreResult;
-using versa::ParallelExploreOptions;
 
 namespace {
 
@@ -210,7 +209,6 @@ TEST(Budget, TrackerDeadline) {
   RunBudget b;
   b.deadline_ms = 0.5;
   BudgetTracker tracker(b, {}, nullptr);
-  EXPECT_TRUE(tracker.has_deadline());
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   const BudgetStatus st = tracker.check_now(1);
   EXPECT_EQ(st.signal, BudgetSignal::Stop);
@@ -328,84 +326,37 @@ TEST(BudgetExplore, SerialPersistentMemoryPressureStops) {
   EXPECT_GT(r.states, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel explorer: budgets observed mid-level, equivalence preserved.
-
-ExploreResult explore_storm_parallel(const ExploreOptions& opts,
-                                     std::size_t workers) {
-  acsr::Context ctx;
-  ParallelExploreOptions popts;
-  popts.workers = workers;
-  popts.serial_frontier_threshold = 0;  // pooled blocks from level one
-  popts.block = 8;
-  return versa::explore_parallel(
-      ctx, build_initial(ctx, read_model("storm.aadl"), "Storm.impl",
-                         1'000'000),
-      opts, popts);
-}
-
-TEST(BudgetExplore, ParallelInjectedDeadlineMidLevel) {
-  InjectorGuard guard;
-  // Workers probe the injector per block; the 40th probe reports Deadline,
-  // landing mid-level (not at a barrier) with the pooled path forced on.
-  FaultInjector::global().arm(FaultInjector::Site::BudgetCheck, 40,
-                              StopReason::Deadline);
-  const ExploreResult r = explore_storm_parallel({}, 2);
-  EXPECT_EQ(r.stop, StopReason::Deadline);
-  EXPECT_FALSE(r.complete);
-  EXPECT_GT(r.states, 0u);
-}
-
-TEST(BudgetExplore, ParallelCancelled) {
-  CancelToken tok;
-  tok.cancel();
-  ExploreOptions opts;
-  opts.budget.cancel = &tok;
-  const ExploreResult r = explore_storm_parallel(opts, 2);
-  EXPECT_EQ(r.stop, StopReason::Cancelled);
-  EXPECT_FALSE(r.complete);
-}
-
-TEST(BudgetExplore, ParallelMaxStatesBudget) {
-  ExploreOptions opts;
-  opts.budget.max_states = 300;
-  const ExploreResult r = explore_storm_parallel(opts, 2);
-  EXPECT_EQ(r.stop, StopReason::MaxStates);
-  EXPECT_FALSE(r.complete);
-  EXPECT_GE(r.states, 300u);  // level granularity may overshoot the cap
-}
-
 TEST(BudgetExplore, GenerousBudgetsDoNotPerturbEquivalence) {
-  // A budget nobody hits must leave serial/parallel equivalence intact —
-  // governance is observation, not interference.
+  // A budget nobody hits must leave the exploration exactly as an
+  // unbudgeted run leaves it — governance is observation, not
+  // interference.
   const std::string src = read_model("cruise_control.aadl");
-  ExploreOptions opts;
-  opts.stop_at_first_deadlock = false;
-  opts.budget.deadline_ms = 600'000;
-  opts.budget.max_states = 5'000'000;
-  opts.budget.memory_bytes = 8ull << 30;
+  ExploreOptions free_run;
+  free_run.stop_at_first_deadlock = false;
+  ExploreOptions governed = free_run;
+  governed.budget.deadline_ms = 600'000;
+  governed.budget.max_states = 5'000'000;
+  governed.budget.memory_bytes = 8ull << 30;
 
   acsr::Context c1;
   acsr::Semantics s1(c1);
-  const ExploreResult serial = versa::explore(
+  const ExploreResult plain = versa::explore(
       s1, build_initial(c1, src, "CruiseControlSystem.impl", 10'000'000),
-      opts);
+      free_run);
   acsr::Context c2;
-  ParallelExploreOptions popts;
-  popts.workers = 2;
-  popts.serial_frontier_threshold = 16;
-  const ExploreResult par = versa::explore_parallel(
-      c2, build_initial(c2, src, "CruiseControlSystem.impl", 10'000'000),
-      opts, popts);
+  acsr::Semantics s2(c2);
+  const ExploreResult budgeted = versa::explore(
+      s2, build_initial(c2, src, "CruiseControlSystem.impl", 10'000'000),
+      governed);
 
-  EXPECT_EQ(serial.stop, StopReason::None);
-  EXPECT_EQ(par.stop, StopReason::None);
-  EXPECT_TRUE(serial.complete);
-  EXPECT_TRUE(par.complete);
-  EXPECT_EQ(serial.states, par.states);
-  EXPECT_EQ(serial.transitions, par.transitions);
-  EXPECT_EQ(serial.deadlock_found, par.deadlock_found);
-  EXPECT_GT(serial.approx_memory_bytes, 0u);  // ceiling set => probed
+  EXPECT_EQ(budgeted.stop, StopReason::None);
+  EXPECT_TRUE(plain.complete);
+  EXPECT_TRUE(budgeted.complete);
+  EXPECT_EQ(budgeted.states, plain.states);
+  EXPECT_EQ(budgeted.transitions, plain.transitions);
+  EXPECT_EQ(budgeted.deadlock_found, plain.deadlock_found);
+  EXPECT_EQ(budgeted.peak_frontier, plain.peak_frontier);
+  EXPECT_GT(budgeted.approx_memory_bytes, 0u);  // ceiling set => probed
 }
 
 TEST(BudgetExplore, MemoryEstimateIncludesSemanticsCaches) {

@@ -2,7 +2,7 @@
 // runs, resume determinism (a resumed run must reach the exact verdict and
 // state counts a cold run reaches, and render a byte-identical canonical
 // result object), corruption fallback, and the versa-level serialize/parse
-// round trip. The parallel tests run under the tsan ctest label.
+// round trip.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -74,61 +74,6 @@ public
     Actual_Processor_Binding => reference (cpu) applies to app;
   end Root.impl;
 end Med;
-)";
-}
-
-/// Three independent processors, each with two range-time threads: ~7k
-/// states with a BFS frontier peaking over 1000 — wide enough that the
-/// parallel explorer's worker pool (not its narrow-level serial fallback)
-/// carries the bulk of the space.
-std::string wide_model() {
-  return R"(package Wide
-public
-  processor CPU
-  properties
-    Scheduling_Protocol => RATE_MONOTONIC_PROTOCOL;
-  end CPU;
-  thread W
-  end W;
-  thread implementation W.impl
-  properties
-    Dispatch_Protocol => Periodic;
-    Period => 8 ms;
-    Compute_Execution_Time => 1 ms .. 3 ms;
-    Deadline => 8 ms;
-  end W.impl;
-  thread V
-  end V;
-  thread implementation V.impl
-  properties
-    Dispatch_Protocol => Periodic;
-    Period => 12 ms;
-    Compute_Execution_Time => 2 ms .. 4 ms;
-    Deadline => 12 ms;
-  end V.impl;
-  system App
-  end App;
-  system implementation App.impl
-  subcomponents
-    w : thread W.impl;
-    v : thread V.impl;
-  end App.impl;
-  system Root
-  end Root;
-  system implementation Root.impl
-  subcomponents
-    a1 : system App.impl;
-    a2 : system App.impl;
-    a3 : system App.impl;
-    c1 : processor CPU;
-    c2 : processor CPU;
-    c3 : processor CPU;
-  properties
-    Actual_Processor_Binding => reference (c1) applies to a1;
-    Actual_Processor_Binding => reference (c2) applies to a2;
-    Actual_Processor_Binding => reference (c3) applies to a3;
-  end Root.impl;
-end Wide;
 )";
 }
 
@@ -320,72 +265,43 @@ TEST(Checkpoint, ResumeFindsDeadlockBeyondTheOldBudget) {
   EXPECT_FALSE(resumed.scenario.has_value());
 }
 
-// --- parallel engine ----------------------------------------------------
+// --- level-boundary wavefronts -------------------------------------------
 
-TEST(Checkpoint, ParallelCaptureResumesToTheColdVerdict) {
-  core::AnalyzerOptions par = base_options();
-  par.parallel.workers = 4;
-  par.parallel.serial_frontier_threshold = 1;  // no serial-fallback window
-
-  const auto cold = core::analyze_source(wide_model(), "Root.impl", par);
-  ASSERT_EQ(cold.outcome, core::Outcome::Schedulable);
-
-  // Capture from the pool path.
-  core::AnalyzerOptions bound = par;
-  bound.exploration.max_states = 1500;
-  std::string blob;
-  bound.checkpoint_out = &blob;
-  const auto first = core::analyze_source(wide_model(), "Root.impl", bound);
-  ASSERT_EQ(first.outcome, core::Outcome::Inconclusive);
-  ASSERT_TRUE(first.checkpoint_captured);
-
-  // Resume on the parallel engine: byte-identical to the parallel cold run
-  // (the engines count peak_frontier differently — deque size vs level
-  // size — so byte-identity is a same-engine property).
-  core::AnalyzerOptions warm = par;
-  warm.resume_checkpoint = &blob;
-  const auto resumed = core::analyze_source(wide_model(), "Root.impl", warm);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.outcome, cold.outcome);
-  EXPECT_EQ(resumed.states, cold.states);
-  EXPECT_EQ(resumed.transitions, cold.transitions);
-  EXPECT_EQ(resumed.depth, cold.depth);
-  EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
-            normalize_explore_ms(core::render_result_json(cold)));
-
-  // The same checkpoint resumes on the serial engine too — the wavefront
-  // format is engine-agnostic; verdict and counts must agree.
-  core::AnalyzerOptions warm_serial = base_options();
-  warm_serial.resume_checkpoint = &blob;
-  const auto serial =
-      core::analyze_source(wide_model(), "Root.impl", warm_serial);
-  EXPECT_TRUE(serial.resumed);
-  EXPECT_EQ(serial.outcome, cold.outcome);
-  EXPECT_EQ(serial.states, cold.states);
-  EXPECT_EQ(serial.transitions, cold.transitions);
-  EXPECT_EQ(serial.depth, cold.depth);
-}
-
-TEST(Checkpoint, SerialCaptureResumesOnTheParallelEngine) {
+TEST(Checkpoint, LevelBoundaryWavefrontResumesToTheColdBytes) {
+  // A stop that falls exactly on a BFS level boundary leaves an empty
+  // `frontier` and the whole next level in `next_frontier`. Older
+  // level-synchronous runs wrote every level-boundary stop that way, and
+  // such .ckpt files may still sit in a shared cache dir. Find a state cap
+  // at which the engine also stops on a boundary, then resume it.
   const auto cold =
       core::analyze_source(medium_model(), "Root.impl", base_options());
+  ASSERT_EQ(cold.outcome, core::Outcome::Schedulable);
 
-  core::AnalyzerOptions bound = base_options();
-  bound.exploration.max_states = 40;
   std::string blob;
-  bound.checkpoint_out = &blob;
-  ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+  for (std::uint64_t cap = 2; cap < cold.states && blob.empty(); ++cap) {
+    core::AnalyzerOptions bound = base_options();
+    bound.exploration.max_states = cap;
+    std::string candidate;
+    bound.checkpoint_out = &candidate;
+    ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
+                    .checkpoint_captured)
+        << "cap " << cap;
+    std::string error;
+    const auto restored = versa::parse_checkpoint(candidate, error);
+    ASSERT_TRUE(restored.has_value()) << error;
+    if (restored->wave.frontier.empty()) {
+      ASSERT_FALSE(restored->wave.next_frontier.empty());
+      blob = std::move(candidate);
+    }
+  }
+  ASSERT_FALSE(blob.empty()) << "no state cap stops on a level boundary";
 
   core::AnalyzerOptions warm = base_options();
-  warm.parallel.workers = 4;
-  warm.parallel.serial_frontier_threshold = 1;
   warm.resume_checkpoint = &blob;
   const auto resumed = core::analyze_source(medium_model(), "Root.impl", warm);
   EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.outcome, cold.outcome);
-  EXPECT_EQ(resumed.states, cold.states);
-  EXPECT_EQ(resumed.transitions, cold.transitions);
+  EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
+            normalize_explore_ms(core::render_result_json(cold)));
 }
 
 // --- corruption fallback ------------------------------------------------

@@ -1,15 +1,14 @@
 // Reduction-layer gating (DESIGN.md §13). Two families of guarantees:
 //
 //   * Inertness on the default translation: for EVERY shipped example
-//     model, analyzed with reductions on vs. off, on the serial and the
-//     parallel engine, the canonical result JSON is byte-identical
-//     (explore_ms aside). Under ordered instants the translator's symmetry
-//     groups are empty by construction, so the layer must not perturb a
-//     single byte — counts included.
+//     model, analyzed with reductions on vs. off, the canonical result
+//     JSON is byte-identical (explore_ms aside). Under ordered instants the
+//     translator's symmetry groups are empty by construction, so the layer
+//     must not perturb a single byte — counts included.
 //
 //   * Real reductions under uniform instants: translated with
 //     ordered_instants off, the symmetric fixture's interchangeable
-//     threads form a group, both engines reach the same verdict as a
+//     threads form a group, the engine reaches the same verdict as a
 //     reduction-free run, and the representative count is at least 2x
 //     smaller (the bench_reduction acceptance bar, pinned here as a
 //     functional test).
@@ -89,33 +88,26 @@ TEST(ReductionEquivalence, DirectoryIsFullyCovered) {
   }
 }
 
-/// The full on/off x serial/parallel matrix, one model per iteration.
-/// Byte-identity is a same-engine property (the engines count
-/// peak_frontier differently), so the comparison pairs each engine with
-/// itself.
+/// Reductions on vs off, one model per iteration.
 TEST(ReductionEquivalence, ResultJsonIsByteIdenticalOnEveryExampleModel) {
   for (const ExampleModel& m : kExamples) {
     const std::string src = read_model(m.file);
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      core::AnalyzerOptions on = base_options();
-      on.parallel.workers = workers;
-      on.parallel.serial_frontier_threshold = 1;
-      core::AnalyzerOptions off = on;
-      off.no_reduction = true;
+    const core::AnalyzerOptions on = base_options();
+    core::AnalyzerOptions off = on;
+    off.no_reduction = true;
 
-      const auto r_on = core::analyze_source(src, m.root, on);
-      const auto r_off = core::analyze_source(src, m.root, off);
-      ASSERT_TRUE(r_on.ok) << m.file << ": " << r_on.diagnostics;
-      EXPECT_EQ(r_on.outcome, r_off.outcome) << m.file;
-      EXPECT_EQ(r_on.states, r_off.states) << m.file;
-      EXPECT_EQ(r_on.transitions, r_off.transitions) << m.file;
-      EXPECT_EQ(normalize_explore_ms(core::render_result_json(r_on)),
-                normalize_explore_ms(core::render_result_json(r_off)))
-          << m.file << " with " << workers << " worker(s)";
-      // Default translation: no groups can form, the layer reports inert.
-      EXPECT_EQ(r_on.symmetry_groups, 0u) << m.file;
-      EXPECT_EQ(r_on.states_saved, 0u) << m.file;
-    }
+    const auto r_on = core::analyze_source(src, m.root, on);
+    const auto r_off = core::analyze_source(src, m.root, off);
+    ASSERT_TRUE(r_on.ok) << m.file << ": " << r_on.diagnostics;
+    EXPECT_EQ(r_on.outcome, r_off.outcome) << m.file;
+    EXPECT_EQ(r_on.states, r_off.states) << m.file;
+    EXPECT_EQ(r_on.transitions, r_off.transitions) << m.file;
+    EXPECT_EQ(normalize_explore_ms(core::render_result_json(r_on)),
+              normalize_explore_ms(core::render_result_json(r_off)))
+        << m.file;
+    // Default translation: no groups can form, the layer reports inert.
+    EXPECT_EQ(r_on.symmetry_groups, 0u) << m.file;
+    EXPECT_EQ(r_on.states_saved, 0u) << m.file;
   }
 }
 
@@ -150,26 +142,6 @@ TEST(ReductionEffect, SymmetricFixtureCollapsesByAtLeast2x) {
       << ", reduced " << reduced.states << ")";
   EXPECT_NE(reduced.summary().find("symmetry groups: 1"), std::string::npos);
   EXPECT_NE(reduced.summary().find("states saved:"), std::string::npos);
-}
-
-TEST(ReductionEffect, EnginesAgreeOnTheReducedSpace) {
-  const std::string src = read_model("symmetric.aadl");
-
-  const auto serial =
-      core::analyze_source(src, "Symmetric.impl", uniform_options());
-
-  core::AnalyzerOptions par = uniform_options();
-  par.parallel.workers = 4;
-  par.parallel.serial_frontier_threshold = 1;
-  const auto parallel = core::analyze_source(src, "Symmetric.impl", par);
-
-  ASSERT_TRUE(serial.ok);
-  ASSERT_TRUE(parallel.ok);
-  EXPECT_EQ(parallel.outcome, serial.outcome);
-  EXPECT_EQ(parallel.states, serial.states);
-  EXPECT_EQ(parallel.transitions, serial.transitions);
-  EXPECT_EQ(parallel.depth, serial.depth);
-  EXPECT_EQ(parallel.symmetry_groups, serial.symmetry_groups);
 }
 
 }  // namespace

@@ -109,6 +109,24 @@ TEST(Edf, UtilizationTestExactForImplicit) {
   EXPECT_EQ(edf_utilization_test(ts), Verdict::Unschedulable);
 }
 
+TEST(Edf, ExactUtilizationOfOneIsSchedulable) {
+  // U = 1 exactly, but the double sum of these utilizations is
+  // 1.0000000000000002: every EDF entry point must compare exactly.
+  TaskSet ts;
+  const Time periods[] = {20, 10, 4, 8, 20, 8, 5, 10};
+  for (const Time t : periods) ts.tasks.push_back(mk("t", 1, t));
+  ASSERT_GT(ts.utilization(), 1.0);  // the rounding this test pins
+  EXPECT_EQ(edf_utilization_test(ts), Verdict::Schedulable);
+  EXPECT_EQ(edf_demand_analysis(ts).verdict, Verdict::Schedulable);
+  EXPECT_EQ(edf_qpa(ts).verdict, Verdict::Schedulable);
+
+  // One more quantum of demand tips it over on all three.
+  ts.tasks[0].wcet = 2;
+  EXPECT_EQ(edf_utilization_test(ts), Verdict::Unschedulable);
+  EXPECT_EQ(edf_demand_analysis(ts).verdict, Verdict::Unschedulable);
+  EXPECT_EQ(edf_qpa(ts).verdict, Verdict::Unschedulable);
+}
+
 TEST(Edf, DemandAnalysisConstrainedDeadlines) {
   TaskSet ts;
   // D < T makes utilization insufficient; demand analysis is needed.

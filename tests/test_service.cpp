@@ -6,6 +6,9 @@
 // label.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "server/service.hpp"
+#include "server/tcp.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -530,6 +534,83 @@ TEST(Service, MalformedLineIsAProtocolError) {
   EXPECT_EQ(stat(stats_of(svc), "protocol_errors"), 1);
   // The service survives and still serves.
   EXPECT_TRUE(svc.handle(analyze(tiny_model(2, 10, 10))).ok);
+}
+
+TEST(Service, RetiredWorkersOptionKeepsTheKeyAndTheBytes) {
+  // Older clients still send options.workers; it selects nothing any more
+  // and must neither split the cache key nor change the result.
+  Service svc;
+  const std::string plain =
+      server::render_request(analyze(tiny_model(2, 10, 10), "w"));
+  std::string with_workers = plain;
+  const std::string key = "\"options\": {";
+  const auto pos = with_workers.find(key);
+  ASSERT_NE(pos, std::string::npos);
+  with_workers.insert(pos + key.size(), "\"workers\": 4, ");
+
+  std::string err;
+  const auto cold = server::parse_response(svc.handle_line(plain), err);
+  ASSERT_TRUE(cold.has_value()) << err;
+  ASSERT_TRUE(cold->ok) << cold->error;
+  EXPECT_FALSE(cold->cached);
+  const auto again =
+      server::parse_response(svc.handle_line(with_workers), err);
+  ASSERT_TRUE(again.has_value()) << err;
+  ASSERT_TRUE(again->ok) << again->error;
+  EXPECT_TRUE(again->cached);  // same cache key: a memory hit
+  EXPECT_EQ(again->result_json, cold->result_json);
+  EXPECT_EQ(stat(stats_of(svc), "cache", "entries"), 1);
+}
+
+TEST(Service, OversizedRequestLineIsRefusedOverTcp) {
+  Service svc;
+  server::TcpServer tcp(svc, server::TcpConfig{});
+  std::string err;
+  ASSERT_TRUE(tcp.start(err)) << err;
+
+  // A raw connection streams one line past the cap, without a newline.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(tcp.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const std::string chunk(1 << 16, 'x');
+  std::size_t sent = 0;
+  while (sent <= server::kMaxLineBytes) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may hang up before the last chunk
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;)
+    reply.append(buf, static_cast<std::size_t>(n));
+  ::close(fd);
+
+  const auto nl = reply.find('\n');
+  ASSERT_NE(nl, std::string::npos) << "no response before the close";
+  const auto resp = server::parse_response(reply.substr(0, nl), err);
+  ASSERT_TRUE(resp.has_value()) << err;
+  EXPECT_FALSE(resp->ok);
+  EXPECT_NE(resp->error.find("exceeds 16 MiB"), std::string::npos)
+      << resp->error;
+
+  // The daemon keeps serving new connections.
+  server::Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", tcp.port(), err)) << err;
+  Request ping;
+  ping.op = Op::Ping;
+  std::string line;
+  ASSERT_TRUE(client.roundtrip(server::render_request(ping), line, err))
+      << err;
+  const auto pong = server::parse_response(line, err);
+  ASSERT_TRUE(pong.has_value()) << err;
+  EXPECT_TRUE(pong->ok);
+  client.close();
+  tcp.stop();
 }
 
 // --- symbolic engine at the service layer (DESIGN.md §16) ---------------

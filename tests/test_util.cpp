@@ -1,11 +1,14 @@
 // Unit tests for the util support library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <thread>
 
+#include "util/chunked_vector.hpp"
 #include "util/diagnostics.hpp"
 #include "util/hash.hpp"
 #include "util/interner.hpp"
@@ -181,6 +184,33 @@ TEST(ThreadPool, ReusableAfterWait) {
   pool.parallel_for(10, [&](std::size_t) { ++count; });
   pool.parallel_for(10, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ChunkedVector, StableAddressesAcrossGrowth) {
+  u::ChunkedVector<int, 4> v;  // chunks of 16
+  EXPECT_EQ(v.push_back(7), 0u);
+  const int* first = &v[0];
+  for (int i = 1; i < 1000; ++i)
+    EXPECT_EQ(v.push_back(i), static_cast<std::size_t>(i));
+  EXPECT_EQ(first, &v[0]) << "growth must not move existing elements";
+  EXPECT_EQ(v[0], 7);
+  EXPECT_EQ(v[999], 999);
+  EXPECT_EQ(v.size(), 1000u);
+}
+
+TEST(ChunkedVector, AppendSpanNeverStraddlesChunks) {
+  u::ChunkedVector<std::uint32_t, 4> v;  // chunks of 16
+  const std::uint32_t a[13] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  const std::size_t s1 = v.append_span(std::span<const std::uint32_t>(a, 13));
+  // 13 more do not fit in the 3 remaining slots: must pad to chunk 2.
+  const std::size_t s2 = v.append_span(std::span<const std::uint32_t>(a, 13));
+  EXPECT_EQ(s1, 0u);
+  EXPECT_EQ(s2, 16u);
+  const auto view2 = v.view(s2, 13);
+  EXPECT_TRUE(std::equal(view2.begin(), view2.end(), a));
+  // Empty span: no write, any start is fine, view is empty.
+  const std::size_t s3 = v.append_span({});
+  EXPECT_TRUE(v.view(s3, 0).empty());
 }
 
 TEST(ParseInt64, AcceptsWellFormedIntegers) {

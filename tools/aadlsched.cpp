@@ -12,8 +12,6 @@
 //                          observer); repeatable
 //   --late-completion      use the literal Fig. 5 execution-time model
 //   --max-states <n>       exploration bound (default 5,000,000)
-//   --workers <n>          parallel exploration workers (default 1 =
-//                          serial; 0 = hardware concurrency)
 //   --deadline-ms <n>      wall-clock budget per analysis; an expired run
 //                          reports INCONCLUSIVE (deadline) with partial
 //                          stats instead of hanging
@@ -128,7 +126,7 @@ int usage() {
   std::cerr <<
       "usage: aadlsched <model.aadl>... <Root.impl> [--quantum ms] [--acsr]\n"
       "                 [--classical] [--latency src sink ms]\n"
-      "                 [--late-completion] [--max-states n] [--workers n]\n"
+      "                 [--late-completion] [--max-states n]\n"
       "                 [--deadline-ms n] [--memory-budget-mb n]\n"
       "                 [--no-reduction] [--engine enumerative|symbolic|auto]\n"
       "                 [--lint] [--lint-format text|json] [--no-lint]\n"
@@ -496,10 +494,6 @@ int main(int argc, char** argv) {
                                   std::numeric_limits<std::int64_t>::max());
       if (!n) return usage();
       opts.exploration.max_states = static_cast<std::uint64_t>(*n);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      const auto n = parse_option("--workers", argv[++i], 0, 65536);
-      if (!n) return usage();
-      opts.parallel.workers = static_cast<std::size_t>(*n);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       const auto n = parse_option("--deadline-ms", argv[++i], 1,
                                   std::numeric_limits<std::int32_t>::max());
