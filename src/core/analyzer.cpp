@@ -181,16 +181,15 @@ void apply_exploration(AnalysisResult& result,
 /// Resolve the reduction layer for one run: build the SymmetryModel from
 /// the mangled role-name groups (the translator's on a cold run, the
 /// checkpoint's on a resume) and wire it into the exploration options.
-/// With --no-reduction, or when no groups resolve, the layer stays inert
-/// and the explorer behaves bit-identically to a run without it.
+/// With both reductions off, or when no groups resolve, the layer stays
+/// inert and the explorer behaves bit-identically to a run without it.
 versa::CheckpointReduction setup_reduction(
     versa::SymmetryModel& model, versa::ExploreOptions& eopts,
     acsr::Context& ctx,
     const std::vector<std::vector<std::string>>& role_groups,
-    bool uniform_dispatch, bool no_reduction) {
+    bool uniform_dispatch) {
   versa::CheckpointReduction red;
-  if (no_reduction) {
-    eopts.reduction = versa::ReductionOptions{false, false};
+  if (!eopts.reduction.any()) {
     eopts.symmetry_model = nullptr;
     return red;
   }
@@ -247,7 +246,7 @@ AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
   versa::SymmetryModel sym;
   const versa::CheckpointReduction red = setup_reduction(
       sym, eopts, ctx, restored.reduction.role_groups,
-      restored.reduction.uniform_dispatch, opts.no_reduction);
+      restored.reduction.uniform_dispatch);
 
   versa::ExploreResult er;
   {  // the fan memo is freed before checkpoint capture
@@ -447,8 +446,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
       // The visited set holds whatever the capturing run deduplicated on
       // (orbit representatives under symmetry), so the resume must run
       // with the same reduction settings — a mismatch downgrades to cold.
-      versa::ReductionOptions want = opts.exploration.reduction;
-      if (opts.no_reduction) want = versa::ReductionOptions{false, false};
+      const versa::ReductionOptions& want = opts.exploration.reduction;
       if (restored->reduction.symmetry == want.symmetry &&
           restored->reduction.commute == want.commute) {
         return analyze_resumed(std::move(*restored), opts);
@@ -462,18 +460,28 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     resume_note += why + "; falling back to a cold run\n";
   }
 
+  // One translation serves lint's ACSR-tier passes and exploration. Its
+  // diagnostics are reported only when exploration runs, after lint's
+  // findings: when lint decides or gates, its hygiene passes already name
+  // the same preconditions with check ids.
+  std::optional<acsr::Context> context;  // an empty Context is not free
+  util::DiagnosticEngine tdiags("<model>");
+  std::optional<translate::Translation> tr;
+  if (opts.run_lint || !use_symbolic)
+    tr = translate::translate(context.emplace(), instance, tdiags,
+                              opts.translation);
+
   if (opts.run_lint) {
     lint::Options lopts = opts.lint;
-    lopts.translation = opts.translation;
     lopts.diags = &diags;
-    result.lint_report = lint::run(instance, lopts);
+    const lint::Subject subject{&instance, tr ? &*context : nullptr,
+                                tr ? &*tr : nullptr, opts.translation};
+    result.lint_report = lint::run_subject(subject, lopts);
     const lint::Report& report = *result.lint_report;
     // A conclusive static verdict on a translatable model replaces
     // exploration: the screening passes only decide when exploration would
     // provably agree (DESIGN.md §9).
-    if (report.translated &&
-        report.verdict != lint::StaticVerdict::None &&
-        opts.skip_exploration_on_conclusive) {
+    if (report.translated && report.verdict != lint::StaticVerdict::None) {
       result.ok = true;
       result.exhaustive = true;
       result.schedulable =
@@ -506,11 +514,10 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     return result;
   }
 
-  acsr::Context ctx;
-  auto tr = translate::translate(ctx, instance, diags, opts.translation);
-  result.diagnostics = resume_note + diags.render_all();
+  result.diagnostics = resume_note + diags.render_all() + tdiags.render_all();
   if (!tr) return result;
   result.threads = tr->threads;
+  acsr::Context& ctx = *context;
 
   versa::ExploreOptions eopts = opts.exploration;
   versa::Wavefront captured;
@@ -522,7 +529,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   versa::SymmetryModel sym;
   const versa::CheckpointReduction red =
       setup_reduction(sym, eopts, ctx, role_groups,
-                      tr->symmetry.uniform_dispatch, opts.no_reduction);
+                      tr->symmetry.uniform_dispatch);
 
   versa::ExploreResult er;
   {  // the fan memo is freed before checkpoint capture and lift-back

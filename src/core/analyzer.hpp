@@ -37,23 +37,15 @@ struct AnalyzerOptions {
   /// Exploration engine selection (see Engine above).
   Engine engine = Engine::Enumerative;
 
-  /// Run the static analysis front door (src/lint) before translating.
+  /// Run the static analysis front door (src/lint) before exploring.
   /// Off by default at the library level (programmatic callers see
   /// unchanged behavior); tools/aadlsched enables it unless --no-lint.
   bool run_lint = false;
-  /// Lint policy. `lint.translation` is overridden with `translation`
-  /// so screening sees the same quantum the explorer would.
+  /// Lint policy. `lint.translation` is ignored: lint checks the one
+  /// translation made with `translation` that exploration uses. A conclusive
+  /// static verdict on a translatable model replaces exploration and
+  /// reports 0 states (DESIGN.md §9).
   lint::Options lint;
-  /// When lint reaches a conclusive static verdict on a translatable
-  /// model, skip exploration and report 0 states (DESIGN.md §9).
-  bool skip_exploration_on_conclusive = true;
-
-  /// Escape hatch for the reduction layer (DESIGN.md §13): skip symmetry
-  /// canonicalization and commutation linearization entirely. The verdict
-  /// and the canonical result JSON are identical either way — reductions
-  /// only change how many states the engine walks to reach them — so this
-  /// exists for debugging and for A/B measurement, not correctness.
-  bool no_reduction = false;
 
   // --- warm re-exploration (DESIGN.md §12) -----------------------------
   /// When non-null and exploration stops on a budget without reaching a

@@ -49,12 +49,10 @@ server::Request build_request(const ExperimentSpec& spec, const Cell& cell,
   req.id = "c" + std::to_string(cell_index) + "-s" + std::to_string(seed);
   req.model = std::move(model);
   req.root = "Root.impl";
+  // Only deterministic budgets (spec.hpp): no deadline, no memory budget.
   req.options.quantum_ns = cell.quantum_ms * 1'000'000;
   req.options.max_states = spec.max_states;
-  req.options.deadline_ms = 0;  // only deterministic budgets (spec.hpp)
-  req.options.memory_budget_mb = 0;
   req.options.run_lint = spec.run_lint;
-  req.options.late_completion = false;
   req.options.no_reduction = spec.no_reduction;
   req.options.engine = core::engine_from_string(cell.engine)
                            .value_or(core::Engine::Enumerative);

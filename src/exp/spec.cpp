@@ -186,8 +186,8 @@ std::optional<ExperimentSpec> parse_experiment_spec(const std::string& text,
       return std::nullopt;
     }
   for (const std::int64_t q : spec.quantum_ms)
-    if (q < 1) {
-      error = "quantum_ms axis values must be >= 1";
+    if (q < 1 || q > 1'000'000'000) {  // the aadlsched --quantum range
+      error = "quantum_ms axis values must lie in [1, 1000000000]";
       return std::nullopt;
     }
   for (const int p : spec.processors)

@@ -8,23 +8,8 @@
 #include <thread>
 
 #include "server/tcp.hpp"
-#include "translate/translator.hpp"
 
 namespace aadlsched::server {
-
-RequestOptions to_request_options(const core::AnalyzerOptions& opts) {
-  RequestOptions ro;
-  ro.quantum_ns = opts.translation.quantum_ns;
-  ro.max_states = opts.exploration.max_states;
-  ro.deadline_ms = opts.exploration.budget.deadline_ms;
-  ro.memory_budget_mb = opts.exploration.budget.memory_bytes / (1024 * 1024);
-  ro.run_lint = opts.run_lint;
-  ro.late_completion = opts.translation.time_model ==
-                       translate::ExecutionTimeModel::LateCompletion;
-  ro.no_reduction = opts.no_reduction;
-  ro.engine = opts.engine;
-  return ro;
-}
 
 std::optional<Response> request_with_retry(const std::string& host,
                                            std::uint16_t port,

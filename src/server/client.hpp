@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 
-#include "core/analyzer.hpp"
 #include "server/protocol.hpp"
 
 namespace aadlsched::server {
@@ -24,11 +23,6 @@ struct RetryPolicy {
   double io_timeout_ms = 0;
   unsigned retries = 3;
 };
-
-/// Map local analyzer options onto the wire options. Shared by the CLI and
-/// the experiment harness so both submit byte-identical option objects (and
-/// therefore hit the same cache keys) for the same configuration.
-RequestOptions to_request_options(const core::AnalyzerOptions& opts);
 
 /// Invoked before each backoff sleep with the 1-based attempt about to run,
 /// the policy's retry budget, the chosen delay, and the failure that caused

@@ -1,7 +1,11 @@
 #include "server/protocol.hpp"
 
+#include <algorithm>
+#include <iostream>
+
 #include "core/result_json.hpp"
 #include "util/json.hpp"
+#include "util/string_utils.hpp"
 
 namespace aadlsched::server {
 
@@ -19,6 +23,68 @@ std::optional<Op> op_from_string(std::string_view s) {
   for (const Op op : {Op::Analyze, Op::Stats, Op::Ping, Op::Shutdown})
     if (s == to_string(op)) return op;
   return std::nullopt;
+}
+
+namespace {
+
+/// The lowest value the flag takes, in its unit: the wire minimum without
+/// the wire's 0 = no limit (leaving the flag out means no limit).
+std::int64_t flag_min(const OptionSpec& spec) {
+  return std::max<std::int64_t>(1, spec.min / spec.scale);
+}
+
+std::optional<std::int64_t> engine_value(std::string_view name) {
+  const auto e = core::engine_from_string(name);
+  if (!e) return std::nullopt;
+  return static_cast<std::int64_t>(*e);
+}
+
+/// What `spec` accepts between lo and hi, for error messages.
+std::string accepted(const OptionSpec& spec, std::int64_t lo,
+                     std::int64_t hi) {
+  if (spec.is_switch()) return "true or false";
+  if (spec.is_engine()) return std::string(spec.unit);
+  return "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+         "]";
+}
+
+}  // namespace
+
+const OptionSpec* find_flag(std::string_view flag) {
+  for (const OptionSpec& spec : kOptionTable)
+    if (spec.flag == flag) return &spec;
+  return nullptr;
+}
+
+bool parse_flag(const OptionSpec& spec, std::string_view text,
+                RequestOptions& o) {
+  // A switch flips its default; the other rows read `text`.
+  std::optional<std::int64_t> n = !spec.get(RequestOptions{});
+  if (spec.is_engine()) {
+    n = engine_value(text);
+    if (!n)
+      std::cerr << "invalid value '" << text << "' for " << spec.flag
+                << " (expected " << spec.unit << ")\n";
+  } else if (!spec.is_switch()) {
+    n = util::parse_option(spec.flag, text, flag_min(spec),
+                           spec.max / spec.scale);
+  }
+  if (n) spec.set(o, *n * spec.scale);
+  return n.has_value();
+}
+
+core::AnalyzerOptions to_analyzer_options(const RequestOptions& ro) {
+  core::AnalyzerOptions opts;
+  opts.translation.quantum_ns = ro.quantum_ns;
+  if (ro.late_completion)
+    opts.translation.time_model = translate::ExecutionTimeModel::LateCompletion;
+  opts.run_lint = ro.run_lint;
+  if (ro.no_reduction) opts.exploration.reduction = {false, false};
+  opts.engine = ro.engine;
+  opts.exploration.max_states = ro.max_states;
+  opts.exploration.budget.deadline_ms = static_cast<double>(ro.deadline_ms);
+  opts.exploration.budget.memory_bytes = ro.memory_budget_mb * 1024 * 1024;
+  return opts;
 }
 
 std::optional<Request> parse_request(std::string_view line,
@@ -66,34 +132,29 @@ std::optional<Request> parse_request(std::string_view line,
   if (const auto* nk = doc->get("no_checkpoint"))
     req.no_checkpoint = nk->as_bool();
   if (const auto* opts = doc->get("options"); opts && opts->is_object()) {
-    RequestOptions& o = req.options;
-    if (const auto* q = opts->get("quantum_ms"))
-      o.quantum_ns = q->as_int(1) * 1'000'000;
-    if (const auto* q = opts->get("quantum_ns")) o.quantum_ns = q->as_int(o.quantum_ns);
-    if (const auto* m = opts->get("max_states"))
-      o.max_states = static_cast<std::uint64_t>(m->as_int(5'000'000));
-    if (const auto* d = opts->get("deadline_ms")) o.deadline_ms = d->as_double();
-    if (const auto* m = opts->get("memory_budget_mb"))
-      o.memory_budget_mb = static_cast<std::uint64_t>(m->as_int());
-    if (const auto* l = opts->get("lint")) o.run_lint = l->as_bool(true);
-    if (const auto* lc = opts->get("late_completion"))
-      o.late_completion = lc->as_bool();
-    if (const auto* nr = opts->get("no_reduction"))
-      o.no_reduction = nr->as_bool();
-    if (const auto* e = opts->get("engine")) {
-      const auto parsed = e->is_string()
-                              ? core::engine_from_string(e->as_string())
-                              : std::nullopt;
-      if (!parsed) {
-        error = "options.engine must be \"enumerative\", \"symbolic\" or "
-                "\"auto\"";
-        return std::nullopt;
+    for (const OptionSpec& spec : kOptionTable) {
+      // The legacy key first, so the wire-unit key wins when both are set.
+      for (const std::string_view key : {spec.legacy_key, spec.key}) {
+        const util::JsonValue* v = key.empty() ? nullptr : opts->get(key);
+        if (!v) continue;
+        const bool legacy = key == spec.legacy_key;
+        const std::int64_t lo = legacy ? flag_min(spec) : spec.min;
+        const std::int64_t hi = legacy ? spec.max / spec.scale : spec.max;
+        std::optional<std::int64_t> n;
+        if (spec.is_switch()) {
+          if (v->is_bool()) n = v->as_bool();
+        } else if (spec.is_engine()) {
+          if (v->is_string()) n = engine_value(v->as_string());
+        } else if (v->is_int()) {
+          n = v->as_int();
+        }
+        if (!n || *n < lo || *n > hi) {
+          error = "options." + std::string(key) + " must be " +
+                  accepted(spec, lo, hi);
+          return std::nullopt;
+        }
+        spec.set(req.options, legacy ? *n * spec.scale : *n);
       }
-      o.engine = *parsed;
-    }
-    if (o.quantum_ns <= 0) {
-      error = "options.quantum_ms must be positive";
-      return std::nullopt;
     }
   }
   return req;
@@ -111,16 +172,17 @@ std::string render_request(const Request& req) {
     if (req.no_cache) w.key("no_cache").value(true);
     if (req.resume) w.key("resume").value(true);
     if (req.no_checkpoint) w.key("no_checkpoint").value(true);
-    const RequestOptions& o = req.options;
     w.key("options").begin_object();
-    w.key("quantum_ns").value(o.quantum_ns);
-    w.key("max_states").value(o.max_states);
-    w.key("deadline_ms").value(o.deadline_ms);
-    w.key("memory_budget_mb").value(o.memory_budget_mb);
-    w.key("lint").value(o.run_lint);
-    w.key("late_completion").value(o.late_completion);
-    w.key("no_reduction").value(o.no_reduction);
-    w.key("engine").value(core::to_string(o.engine));
+    for (const OptionSpec& spec : kOptionTable) {
+      const std::int64_t v = spec.get(req.options);
+      w.key(spec.key);
+      if (spec.is_switch())
+        w.value(v != 0);
+      else if (spec.is_engine())
+        w.value(core::to_string(static_cast<core::Engine>(v)));
+      else
+        w.value(v);
+    }
     w.end_object();
   }
   w.end_object();

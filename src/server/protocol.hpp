@@ -6,11 +6,16 @@
 // Request (analyze):
 //   {"v": 1, "op": "analyze", "id": "r1", "model": "<aadl text>",
 //    "root": "Root.impl",
-//    "options": {"quantum_ms": 1, "max_states": 5000000, "deadline_ms": 0,
-//                "memory_budget_mb": 0, "lint": true,
-//                "late_completion": false, "no_reduction": false,
-//                "engine": "enumerative"},
+//    "options": {"quantum_ns": 1000000, "max_states": 5000000,
+//                "deadline_ms": 0, "memory_budget_mb": 0,
+//                "late_completion": false, "lint": true,
+//                "no_reduction": false, "engine": "enumerative"},
 //    "no_cache": false, "resume": false, "no_checkpoint": false}
+//   Each option is a row of kOptionTable below (defaults: RequestOptions).
+//   Integers must lie in the row's [min, max]: quantum_ns [1, 10^15]
+//   (the legacy "quantum_ms" takes [1, 10^9] ms), max_states [1, 2^63-1],
+//   deadline_ms [0, 2^31-1], memory_budget_mb [0, 10^9], where 0 = no
+//   limit. Anything else is a protocol error naming options.<key>.
 //   Unknown option keys are ignored, so older clients that still send
 //   "workers" are served unchanged.
 // Request (stats | ping | shutdown):
@@ -36,9 +41,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "core/analyzer.hpp"
 
@@ -51,14 +59,14 @@ enum class Op : std::uint8_t { Analyze, Stats, Ping, Shutdown };
 std::string_view to_string(Op op);
 std::optional<Op> op_from_string(std::string_view s);
 
-/// Per-request analysis knobs; mirrors the aadlsched CLI flags. Budgets are
-/// requests, not entitlements: the service clamps them to its configured
-/// caps before running.
+/// Per-request analysis knobs, one field per row of kOptionTable. Budgets
+/// are requests, not entitlements: the service clamps them to its
+/// configured caps before running.
 struct RequestOptions {
   std::int64_t quantum_ns = 1'000'000;  // CLI default (1 ms)
   std::uint64_t max_states = 5'000'000;
-  double deadline_ms = 0;
-  std::uint64_t memory_budget_mb = 0;
+  std::uint64_t deadline_ms = 0;       // 0 = no limit
+  std::uint64_t memory_budget_mb = 0;  // 0 = no limit
   bool run_lint = true;
   bool late_completion = false;
   /// Disable the state-space reduction layer (DESIGN.md §13). Part of the
@@ -72,6 +80,80 @@ struct RequestOptions {
   /// result objects differ in engine-observability fields.
   core::Engine engine = core::Engine::Enumerative;
 };
+
+/// One per-request knob: its wire key, its aadlsched flag, the values it
+/// accepts, whether it is part of the cache key, and the field it sets. The
+/// field's type gives the value's shape: an integer, a switch (the flag
+/// takes no value and flips the default) or an engine name. get/set carry
+/// every value as an int64 (a switch as 0/1, an engine as its enumerator);
+/// the cache key hashes that.
+struct OptionSpec {
+  using Field =
+      std::variant<std::int64_t RequestOptions::*,
+                   std::uint64_t RequestOptions::*, bool RequestOptions::*,
+                   core::Engine RequestOptions::*>;
+
+  std::string_view key;   // wire key; its value is in wire units
+  std::string_view flag;  // aadlsched flag
+  std::string_view unit;  // the flag's unit; for the engine, its names
+  std::int64_t scale;     // wire value = flag value * scale
+  std::int64_t min, max;  // accepted wire values; min 0 means 0 = no limit
+  bool cache_key;         // hashed into the service's cache key
+  Field field;
+  std::string_view legacy_key = {};  // older wire key, in the flag's unit
+
+  bool is_switch() const {
+    return std::holds_alternative<bool RequestOptions::*>(field);
+  }
+  bool is_engine() const {
+    return std::holds_alternative<core::Engine RequestOptions::*>(field);
+  }
+  std::int64_t get(const RequestOptions& o) const {
+    return std::visit([&](auto f) { return static_cast<std::int64_t>(o.*f); },
+                      field);
+  }
+  void set(RequestOptions& o, std::int64_t v) const {
+    std::visit(
+        [&](auto f) { o.*f = static_cast<std::decay_t<decltype(o.*f)>>(v); },
+        field);
+  }
+};
+
+/// The options schema. parse_request, render_request, the service's cache
+/// key and the aadlsched flags all loop over these rows; the cache key
+/// hashes the cache_key rows in this order, so keep the order stable.
+inline constexpr OptionSpec kOptionTable[] = {
+    {"quantum_ns", "--quantum", "ms", 1'000'000, 1, 1'000'000'000'000'000,
+     true, &RequestOptions::quantum_ns, "quantum_ms"},
+    {"max_states", "--max-states", "states", 1, 1,
+     std::numeric_limits<std::int64_t>::max(), false,
+     &RequestOptions::max_states},
+    {"deadline_ms", "--deadline-ms", "ms", 1, 0,
+     std::numeric_limits<std::int32_t>::max(), false,
+     &RequestOptions::deadline_ms},
+    {"memory_budget_mb", "--memory-budget-mb", "MB", 1, 0, 1'000'000'000,
+     false, &RequestOptions::memory_budget_mb},
+    {"late_completion", "--late-completion", "", 1, 0, 1, true,
+     &RequestOptions::late_completion},
+    {"lint", "--no-lint", "", 1, 0, 1, true, &RequestOptions::run_lint},
+    {"no_reduction", "--no-reduction", "", 1, 0, 1, true,
+     &RequestOptions::no_reduction},
+    {"engine", "--engine", "enumerative|symbolic|auto", 1, 0, 2, true,
+     &RequestOptions::engine},
+};
+
+/// The row whose aadlsched flag is `flag`, or null.
+const OptionSpec* find_flag(std::string_view flag);
+
+/// Set the knob of `spec` from the text after its aadlsched flag (ignored
+/// for switches). A value outside the flag's range is reported on stderr
+/// and returns false, leaving `o` unchanged.
+bool parse_flag(const OptionSpec& spec, std::string_view text,
+                RequestOptions& o);
+
+/// The analyzer configuration a request asks for, before any service caps.
+/// Local aadlsched runs use it unchanged.
+core::AnalyzerOptions to_analyzer_options(const RequestOptions& ro);
 
 struct Request {
   Op op = Op::Ping;

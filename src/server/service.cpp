@@ -24,24 +24,15 @@ double ms_since(Clock::time_point t0) {
 /// is not the model. Budgets are deliberately absent: only budget-invariant
 /// (conclusive) outcomes are cached (see cache.hpp).
 std::string options_key(const RequestOptions& ro) {
-  // v2: no_reduction joined the key. Reduction settings do not change the
-  // result JSON, but checkpoint blobs stored under the same key carry
-  // representation-dependent visited sets, so the settings must partition
-  // the key space.
-  // v3: the lint pass catalogue version joined the key. A new or changed
-  // pass can turn an explored model into a statically decided one (and
-  // attach a static_certificate), so cached results from an older
-  // catalogue must not be served.
-  // v4: the exploration engine joined the key. Engines agree on verdicts
-  // inside the symbolic fragment, but result objects differ in their
-  // engine-observability fields ("engine", states-as-zones), so one key
-  // must never serve both.
+  // The cache_key rows of kOptionTable (RequestOptions says why each is
+  // there), then the lint pass catalogue version: a new or changed pass
+  // can turn an explored model into a statically decided one, so results
+  // from an older catalogue must not be served. v2 added no_reduction, v3
+  // the catalogue version, v4 the engine.
   std::uint64_t h = util::fnv1a("options-v4");
-  h = util::hash_combine(h, static_cast<std::uint64_t>(ro.quantum_ns));
-  h = util::hash_combine(h, ro.late_completion ? 1u : 0u);
-  h = util::hash_combine(h, ro.run_lint ? 1u : 0u);
-  h = util::hash_combine(h, ro.no_reduction ? 1u : 0u);
-  h = util::hash_combine(h, static_cast<std::uint64_t>(ro.engine));
+  for (const OptionSpec& spec : kOptionTable)
+    if (spec.cache_key)
+      h = util::hash_combine(h, static_cast<std::uint64_t>(spec.get(ro)));
   h = util::hash_combine(h, static_cast<std::uint64_t>(lint::kLintPassVersion));
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -179,29 +170,17 @@ bool Service::shutting_down() const {
 
 core::AnalyzerOptions Service::analyzer_options(
     const RequestOptions& ro) const {
-  core::AnalyzerOptions opts;
-  opts.translation.quantum_ns = ro.quantum_ns;
-  opts.translation.time_model = ro.late_completion
-                                    ? translate::ExecutionTimeModel::LateCompletion
-                                    : translate::ExecutionTimeModel::CommittedDemand;
-  opts.run_lint = ro.run_lint;
-  opts.no_reduction = ro.no_reduction || cfg_.force_no_reduction;
-  opts.engine = ro.engine;
-  opts.exploration.max_states = ro.max_states;
-  if (cfg_.max_states_cap > 0)
-    opts.exploration.max_states =
-        std::min(opts.exploration.max_states, cfg_.max_states_cap);
-  opts.exploration.budget.deadline_ms = ro.deadline_ms;
-  if (cfg_.max_deadline_ms > 0) {
-    opts.exploration.budget.deadline_ms =
-        ro.deadline_ms > 0 ? std::min(ro.deadline_ms, cfg_.max_deadline_ms)
-                           : cfg_.max_deadline_ms;
-  }
-  std::uint64_t mem_mb = ro.memory_budget_mb;
-  if (cfg_.memory_budget_mb_cap > 0)
-    mem_mb = mem_mb > 0 ? std::min(mem_mb, cfg_.memory_budget_mb_cap)
-                        : cfg_.memory_budget_mb_cap;
-  opts.exploration.budget.memory_bytes = mem_mb * 1024 * 1024;
+  // A cap of 0 is no cap; a request for no limit (0) gets the cap.
+  const auto clamp = [](auto request, auto cap) {
+    return cap == 0 ? request : request == 0 ? cap : std::min(request, cap);
+  };
+  core::AnalyzerOptions opts = to_analyzer_options(ro);
+  util::RunBudget& b = opts.exploration.budget;
+  opts.exploration.max_states =
+      clamp(opts.exploration.max_states, cfg_.max_states_cap);
+  b.deadline_ms = clamp(b.deadline_ms, cfg_.max_deadline_ms);
+  b.memory_bytes =
+      clamp(b.memory_bytes, cfg_.memory_budget_mb_cap * 1024 * 1024);
   return opts;
 }
 

@@ -50,9 +50,6 @@ struct ServiceConfig {
   double max_deadline_ms = 0;
   std::uint64_t max_states_cap = 0;
   std::uint64_t memory_budget_mb_cap = 0;
-  /// Daemon-level override: run every request without the reduction layer
-  /// (aadlschedd --no-reduction), regardless of per-request options.
-  bool force_no_reduction = false;
   /// Daemon-level engine override (aadlschedd --engine): rewrites every
   /// request's engine before cache-key computation, so forced and requested
   /// runs of the same engine share cache entries.

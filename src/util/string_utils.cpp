@@ -1,6 +1,7 @@
 #include "util/string_utils.hpp"
 
 #include <cctype>
+#include <iostream>
 #include <limits>
 
 namespace aadlsched::util {
@@ -79,6 +80,19 @@ std::optional<std::int64_t> parse_int64(std::string_view s) {
     value = value * 10 + digit;
   }
   return negative ? -value : value;
+}
+
+std::optional<std::int64_t> parse_option(std::string_view flag,
+                                         std::string_view value,
+                                         std::int64_t min, std::int64_t max) {
+  const auto n = parse_int64(value);
+  if (!n || *n < min || *n > max) {
+    std::cerr << "invalid value '" << value << "' for " << flag
+              << " (expected an integer in [" << min << ", " << max
+              << "])\n";
+    return std::nullopt;
+  }
+  return n;
 }
 
 std::string json_escape(std::string_view s) {

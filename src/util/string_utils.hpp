@@ -34,6 +34,13 @@ std::string pad_right(std::string_view s, std::size_t width);
 /// std::atoll, which silently accepts garbage). Used by CLI option parsing.
 std::optional<std::int64_t> parse_int64(std::string_view s);
 
+/// The integer value of a command-line flag: parse_int64 inside [min, max].
+/// Otherwise nullopt, and "invalid value '<value>' for <flag> (expected an
+/// integer in [min, max])" goes to stderr.
+std::optional<std::int64_t> parse_option(std::string_view flag,
+                                         std::string_view value,
+                                         std::int64_t min, std::int64_t max);
+
 /// Escape a string for embedding in a JSON string literal (quotes,
 /// backslash, control characters).
 std::string json_escape(std::string_view s);

@@ -441,7 +441,7 @@ TEST(Checkpoint, ReductionSettingMismatchFallsBackToAColdRun) {
   // The capture ran with reductions on; resuming without them would mix a
   // representative-based visited set into a raw-state exploration.
   core::AnalyzerOptions warm = uniform_options();
-  warm.no_reduction = true;
+  warm.exploration.reduction = {false, false};
   warm.resume_checkpoint = &blob;
   const auto r = core::analyze_source(symmetric_model(), "Root.impl", warm);
   EXPECT_FALSE(r.resumed);

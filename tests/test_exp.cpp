@@ -79,6 +79,7 @@ TEST(ExpSpec, RejectsMalformedDocuments) {
   rejects(R"({"grid": {"utilization": [0.0]}})", "utilization");
   rejects(R"({"grid": {"deadline_fraction": [1.5]}})", "deadline_fraction");
   rejects(R"({"grid": {"quantum_ms": [0]}})", "quantum_ms");
+  rejects(R"({"grid": {"quantum_ms": [9300000000000]}})", "quantum_ms");
   rejects(R"({"grid": {"processors": [0]}})", "processors");
   rejects(R"({"grid": {"policy": []}})", "non-empty");
   rejects(R"({"seeds": {"count": 0}})", "count");

@@ -94,7 +94,7 @@ TEST(ReductionEquivalence, ResultJsonIsByteIdenticalOnEveryExampleModel) {
     const std::string src = read_model(m.file);
     const core::AnalyzerOptions on = base_options();
     core::AnalyzerOptions off = on;
-    off.no_reduction = true;
+    off.exploration.reduction = {false, false};
 
     const auto r_on = core::analyze_source(src, m.root, on);
     const auto r_off = core::analyze_source(src, m.root, off);
@@ -125,7 +125,7 @@ TEST(ReductionEffect, SymmetricFixtureCollapsesByAtLeast2x) {
   const std::string src = read_model("symmetric.aadl");
 
   core::AnalyzerOptions off = uniform_options();
-  off.no_reduction = true;
+  off.exploration.reduction = {false, false};
   const auto raw = core::analyze_source(src, "Symmetric.impl", off);
   ASSERT_TRUE(raw.ok) << raw.diagnostics;
   ASSERT_EQ(raw.outcome, core::Outcome::Schedulable);

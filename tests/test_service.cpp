@@ -210,6 +210,31 @@ TEST(Service, DiskTierSurvivesRestart) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Service, DiskEntryNameIsPinned) {
+  // The disk entry file name is <fingerprint>-<options hash>.json. Daemons
+  // of every version share one --cache-dir, so the hash of the default
+  // options must not drift: this literal was recorded from the hand-written
+  // options-v4 hash that the option table replaced.
+  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ServiceConfig cfg;
+  cfg.cache.disk_dir = dir;
+  {
+    Service svc(cfg);
+    Request req = analyze(tiny_model(2, 10, 10));
+    req.options = {};
+    ASSERT_TRUE(svc.handle(req).ok);
+  }
+  std::vector<std::string> entries;
+  for (const auto& ent : std::filesystem::directory_iterator(dir))
+    if (ent.path().extension() == ".json")
+      entries.push_back(ent.path().filename().string());
+  EXPECT_EQ(entries, std::vector<std::string>{
+                         "c836a3ecd06f12cf39940598798b1249-8de79bd4b9ff2356.json"});
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Service, StaleTmpFilesAreSweptOnConstruction) {
   char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
@@ -698,21 +723,57 @@ TEST(Service, EngineFieldRoundTripsThroughTheProtocol) {
             std::string::npos);
 }
 
-TEST(Service, UnknownEngineValueIsAProtocolError) {
-  Service svc;
-  std::string line =
-      server::render_request(analyze(tiny_model(2, 10, 10), "bad"));
-  const std::string key = "\"engine\": \"enumerative\"";
-  const auto pos = line.find(key);
-  ASSERT_NE(pos, std::string::npos);
-  line.replace(pos, key.size(), "\"engine\": \"zonal\"");
+TEST(Service, EveryOptionRoundTripsThroughTheProtocol) {
+  // Every row of the options table, set away from its default, survives
+  // render_request -> parse_request.
+  Request req = analyze(tiny_model(2, 10, 10), "rt");
+  const server::RequestOptions defaults;
+  for (const server::OptionSpec& spec : server::kOptionTable)
+    spec.set(req.options,
+             spec.get(defaults) == spec.max ? spec.min : spec.max);
 
   std::string err;
-  const auto resp = server::parse_response(svc.handle_line(line), err);
-  ASSERT_TRUE(resp.has_value()) << err;
-  EXPECT_FALSE(resp->ok);
-  EXPECT_NE(resp->error.find("options.engine"), std::string::npos);
-  EXPECT_EQ(stat(stats_of(svc), "protocol_errors"), 1);
+  const auto parsed = server::parse_request(server::render_request(req), err);
+  ASSERT_TRUE(parsed.has_value()) << err;
+  for (const server::OptionSpec& spec : server::kOptionTable) {
+    EXPECT_NE(spec.get(req.options), spec.get(defaults)) << spec.key;
+    EXPECT_EQ(spec.get(parsed->options), spec.get(req.options)) << spec.key;
+  }
+}
+
+TEST(Service, OutOfRangeOptionsAreProtocolErrors) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"engine", "\"zonal\""},
+      {"max_states", "-5"},
+      {"max_states", "0"},
+      {"memory_budget_mb", "17592186044416"},  // 2^44 MB wraps to 0 bytes
+      {"deadline_ms", "-7"},
+      {"quantum_ms", "9300000000000"},  // overflows int64 in nanoseconds
+      {"quantum_ns", "-1"},
+  };
+  Service svc;
+  for (const auto& [key, value] : cases) {
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("v").value(1);
+    w.key("op").value("analyze");
+    w.key("model").value(tiny_model(2, 10, 10));
+    w.key("root").value("Root.impl");
+    w.key("options").begin_object();
+    w.key(key).raw(value);
+    w.end_object();
+    w.end_object();
+
+    std::string err;
+    const auto resp =
+        server::parse_response(svc.handle_line(std::move(w).str()), err);
+    ASSERT_TRUE(resp.has_value()) << err;
+    EXPECT_FALSE(resp->ok) << key << ": " << value;
+    EXPECT_NE(resp->error.find("options." + key), std::string::npos)
+        << resp->error;
+  }
+  EXPECT_EQ(stat(stats_of(svc), "protocol_errors"),
+            static_cast<std::int64_t>(std::size(cases)));
 }
 
 // --- admission policy ---------------------------------------------------

@@ -47,17 +47,7 @@ int usage() {
   return 2;
 }
 
-std::optional<std::int64_t> parse_option(const char* flag, const char* value,
-                                         std::int64_t min, std::int64_t max) {
-  const auto n = util::parse_int64(value);
-  if (!n || *n < min || *n > max) {
-    std::cerr << "invalid value '" << value << "' for " << flag
-              << " (expected an integer in [" << min << ", " << max
-              << "])\n";
-    return std::nullopt;
-  }
-  return n;
-}
+using util::parse_option;
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);

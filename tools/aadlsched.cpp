@@ -53,6 +53,9 @@
 //                          instead of exploring locally; prints the result
 //                          object (implies --json), same exit codes. With
 //                          --stats / --shutdown, query or stop the daemon.
+//                          Local-only flags (--latency, --acsr,
+//                          --classical, --lint, --checkpoint-file) are a
+//                          usage error with --connect.
 //   --no-cache             (with --connect) force a fresh exploration,
 //                          bypassing the daemon's result cache
 //   --connect-timeout-ms <n>
@@ -85,21 +88,13 @@
 // 4 daemon unreachable (--connect transport failure after all retries —
 // distinct from 2 so scripts can tell "restart the daemon" from "fix the
 // model").
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
-#include <random>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "acsr/printer.hpp"
@@ -124,39 +119,25 @@ using namespace aadlsched;
 
 int usage() {
   std::cerr <<
-      "usage: aadlsched <model.aadl>... <Root.impl> [--quantum ms] [--acsr]\n"
-      "                 [--classical] [--latency src sink ms]\n"
-      "                 [--late-completion] [--max-states n]\n"
-      "                 [--deadline-ms n] [--memory-budget-mb n]\n"
-      "                 [--no-reduction] [--engine enumerative|symbolic|auto]\n"
-      "                 [--lint] [--lint-format text|json] [--no-lint]\n"
-      "                 [--explain AL0NN]\n"
+      "usage: aadlsched <model.aadl>... <Root.impl> [analysis options]\n"
+      "                 [--acsr] [--classical] [--latency src sink ms]\n"
+      "                 [--lint] [--lint-format text|json] [--explain AL0NN]\n"
       "                 [--json] [--checkpoint-file f] [--resume]\n"
       "                 [--no-checkpoint]\n"
       "       aadlsched --batch <list> [--batch-workers n] [--keep-going]\n"
-      "                 [--report file] [common options]\n"
+      "                 [--report file] [analysis options]\n"
       "       aadlsched --connect <host:port> <model.aadl>... <Root.impl>\n"
       "                 [--no-cache] [--resume] [--no-checkpoint]\n"
       "                 [--connect-timeout-ms n] [--io-timeout-ms n]\n"
-      "                 [--connect-retries n] [common options]\n"
-      "       aadlsched --connect <host:port> --stats | --shutdown\n";
+      "                 [--connect-retries n] [analysis options]\n"
+      "       aadlsched --connect <host:port> --stats | --shutdown\n"
+      "analysis options:\n";
+  for (const server::OptionSpec& spec : server::kOptionTable)
+    std::cerr << "  " << spec.flag << ' ' << spec.unit << '\n';
   return 2;
 }
 
-/// Strict numeric option parsing: std::atoll silently accepts garbage and
-/// out-of-range values; reject anything outside [min, max] with a usage
-/// error instead.
-std::optional<std::int64_t> parse_option(const char* flag, const char* value,
-                                         std::int64_t min, std::int64_t max) {
-  const auto n = aadlsched::util::parse_int64(value);
-  if (!n || *n < min || *n > max) {
-    std::cerr << "invalid value '" << value << "' for " << flag
-              << " (expected an integer in [" << min << ", " << max
-              << "])\n";
-    return std::nullopt;
-  }
-  return n;
-}
+using util::parse_option;
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
@@ -301,9 +282,9 @@ std::string render_batch_json(const std::vector<BatchEntry>& entries,
 }
 
 // --- client mode (--connect) --------------------------------------------
-// The option mapping and the retry/backoff transport live in
-// server/client.hpp (shared with aadlsched-exp); this file only owns the
-// CLI surface: argument plumbing, stderr messages, and exit codes.
+// The retry/backoff transport lives in server/client.hpp (shared with
+// aadlsched-exp); this file only owns the CLI surface: argument plumbing,
+// stderr messages, and exit codes.
 
 /// Exit code for "daemon unreachable": every transport-level failure
 /// (refused, timeout, truncated response) after retries are exhausted.
@@ -319,8 +300,9 @@ constexpr int kExitUnreachable = 4;
 /// that is an analysis/protocol failure, not unreachability.
 int run_connect(const std::string& endpoint,
                 const std::vector<std::string>& files, const std::string& root,
-                const core::AnalyzerOptions& opts, bool no_cache, bool resume,
-                bool no_checkpoint, bool want_stats, bool want_shutdown,
+                const server::RequestOptions& options, bool no_cache,
+                bool resume, bool no_checkpoint, bool want_stats,
+                bool want_shutdown,
                 const server::RetryPolicy& policy) {
   std::string host;
   std::uint16_t port = 0;
@@ -341,7 +323,7 @@ int run_connect(const std::string& endpoint,
     req.no_cache = no_cache;
     req.resume = resume;
     req.no_checkpoint = no_checkpoint;
-    req.options = server::to_request_options(opts);
+    req.options = options;
     // The daemon parses one text; AADL packages concatenate cleanly, so a
     // multi-file model becomes one request body.
     for (const std::string& f : files) {
@@ -453,9 +435,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> files;
   std::string root;
-  core::AnalyzerOptions opts;
-  opts.translation.quantum_ns = 1'000'000;
-  opts.run_lint = true;
+  server::RequestOptions request;
+  std::vector<translate::LatencySpec> latency;
   bool dump_acsr = false;
   bool classical = false;
   bool lint_only = false;
@@ -478,45 +459,15 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--quantum" && i + 1 < argc) {
-      const auto ms = parse_option("--quantum", argv[++i], 1, 1'000'000'000);
-      if (!ms) return usage();
-      opts.translation.quantum_ns = *ms * 1'000'000;
+    if (const server::OptionSpec* knob = server::find_flag(arg)) {
+      const bool takes_value = !knob->is_switch();
+      if (takes_value && i + 1 >= argc) return usage();
+      if (!server::parse_flag(*knob, takes_value ? argv[++i] : "", request))
+        return usage();
     } else if (arg == "--acsr") {
       dump_acsr = true;
     } else if (arg == "--classical") {
       classical = true;
-    } else if (arg == "--late-completion") {
-      opts.translation.time_model =
-          translate::ExecutionTimeModel::LateCompletion;
-    } else if (arg == "--max-states" && i + 1 < argc) {
-      const auto n = parse_option("--max-states", argv[++i], 1,
-                                  std::numeric_limits<std::int64_t>::max());
-      if (!n) return usage();
-      opts.exploration.max_states = static_cast<std::uint64_t>(*n);
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      const auto n = parse_option("--deadline-ms", argv[++i], 1,
-                                  std::numeric_limits<std::int32_t>::max());
-      if (!n) return usage();
-      opts.exploration.budget.deadline_ms = static_cast<double>(*n);
-    } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      const auto n = parse_option("--memory-budget-mb", argv[++i], 1,
-                                  1'000'000'000);
-      if (!n) return usage();
-      opts.exploration.budget.memory_bytes =
-          static_cast<std::uint64_t>(*n) * 1024 * 1024;
-    } else if (arg == "--no-reduction") {
-      opts.no_reduction = true;
-    } else if (arg == "--engine" && i + 1 < argc) {
-      const char* value = argv[++i];
-      const auto engine = core::engine_from_string(value);
-      if (!engine) {
-        std::cerr << "invalid value '" << value
-                  << "' for --engine (expected enumerative, symbolic or "
-                     "auto)\n";
-        return usage();
-      }
-      opts.engine = *engine;
     } else if (arg == "--batch" && i + 1 < argc) {
       batch_list = argv[++i];
     } else if (arg == "--batch-workers" && i + 1 < argc) {
@@ -534,7 +485,7 @@ int main(int argc, char** argv) {
       const auto ms = parse_option("--latency", argv[++i], 1, 1'000'000'000);
       if (!ms) return usage();
       spec.max_latency_ns = *ms * 1'000'000;
-      opts.translation.latency_specs.push_back(std::move(spec));
+      latency.push_back(std::move(spec));
     } else if (arg == "--json") {
       json_out = true;
     } else if (arg == "--connect" && i + 1 < argc) {
@@ -572,8 +523,6 @@ int main(int argc, char** argv) {
       explain_id = argv[++i];
     } else if (arg == "--lint") {
       lint_only = true;
-    } else if (arg == "--no-lint") {
-      opts.run_lint = false;
     } else if (arg == "--lint-format" && i + 1 < argc) {
       const std::string fmt = argv[++i];
       if (fmt == "json") {
@@ -614,7 +563,6 @@ int main(int argc, char** argv) {
 
   // Cooperative cancellation: exploration polls the token every budget
   // check, so ^C yields the partial summary instead of discarding work.
-  opts.exploration.budget.cancel = &g_cancel;
   std::signal(SIGINT, on_sigint);
 
   if (!connect_endpoint.empty()) {
@@ -622,17 +570,26 @@ int main(int argc, char** argv) {
       std::cerr << "--connect and --batch are mutually exclusive\n";
       return usage();
     }
-    if (!checkpoint_file.empty()) {
-      std::cerr << "--checkpoint-file is local-only (the daemon keeps its "
-                   "own checkpoint store); use --resume/--no-checkpoint\n";
-      return usage();
+    // The wire carries only the options table (and the daemon keeps its
+    // own checkpoint store): a daemon run would silently ignore these.
+    const std::pair<bool, const char*> local_only[] = {
+        {!checkpoint_file.empty(), "--checkpoint-file"},
+        {!latency.empty(), "--latency"},
+        {dump_acsr, "--acsr"},
+        {classical, "--classical"},
+        {lint_only, "--lint"}};
+    for (const auto& [given, flag] : local_only) {
+      if (given) {
+        std::cerr << flag << " is local-only; run without --connect\n";
+        return usage();
+      }
     }
     if (connect_stats || connect_shutdown) {
       if (!files.empty() || !root.empty()) return usage();
     } else if (files.empty() || root.empty()) {
       return usage();
     }
-    return run_connect(connect_endpoint, files, root, opts, no_cache, resume,
+    return run_connect(connect_endpoint, files, root, request, no_cache, resume,
                        no_checkpoint, connect_stats, connect_shutdown,
                        connect_policy);
   }
@@ -641,6 +598,10 @@ int main(int argc, char** argv) {
                  "--io-timeout-ms/--connect-retries require --connect\n";
     return usage();
   }
+
+  core::AnalyzerOptions opts = server::to_analyzer_options(request);
+  opts.translation.latency_specs = std::move(latency);
+  opts.exploration.budget.cancel = &g_cancel;
 
   if (!batch_list.empty()) {
     if (!files.empty() || !root.empty()) {

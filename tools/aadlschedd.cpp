@@ -20,9 +20,6 @@
 //   --no-checkpoint          disable the warm re-exploration checkpoint
 //                            store (DESIGN.md §12); budget-bound runs are
 //                            not checkpointed and "resume" requests miss
-//   --no-reduction           run every request without the state-space
-//                            reduction layer (DESIGN.md §13), regardless
-//                            of per-request options
 //   --engine <e>             force every request onto one exploration
 //                            engine (enumerative | symbolic | auto,
 //                            DESIGN.md §16), overriding per-request
@@ -79,22 +76,11 @@ int usage() {
       "                  [--memory-budget-mb n] [--no-checkpoint]\n"
       "                  [--checkpoint-capacity n] [--checkpoint-disk-cap n]\n"
       "                  [--cache-disk-cap mb] [--maintenance-interval-ms n]\n"
-      "                  [--no-reduction] "
-      "[--engine enumerative|symbolic|auto]\n";
+      "                  [--engine enumerative|symbolic|auto]\n";
   return 2;
 }
 
-std::optional<std::int64_t> parse_option(const char* flag, const char* value,
-                                         std::int64_t min, std::int64_t max) {
-  const auto n = util::parse_int64(value);
-  if (!n || *n < min || *n > max) {
-    std::cerr << "invalid value '" << value << "' for " << flag
-              << " (expected an integer in [" << min << ", " << max
-              << "])\n";
-    return std::nullopt;
-  }
-  return n;
-}
+using util::parse_option;
 
 std::atomic<bool> g_signalled{false};
 
@@ -144,18 +130,11 @@ int main(int argc, char** argv) {
       cfg.memory_budget_mb_cap = static_cast<std::uint64_t>(*n);
     } else if (arg == "--no-checkpoint") {
       cfg.cache.checkpoints = false;
-    } else if (arg == "--no-reduction") {
-      cfg.force_no_reduction = true;
     } else if (arg == "--engine" && i + 1 < argc) {
-      const char* value = argv[++i];
-      const auto engine = core::engine_from_string(value);
-      if (!engine) {
-        std::cerr << "invalid value '" << value
-                  << "' for --engine (expected enumerative, symbolic or "
-                     "auto)\n";
+      server::RequestOptions forced;  // the request flag's values and checks
+      if (!server::parse_flag(*server::find_flag(arg), argv[++i], forced))
         return usage();
-      }
-      cfg.force_engine = *engine;
+      cfg.force_engine = forced.engine;
     } else if (arg == "--checkpoint-capacity" && i + 1 < argc) {
       const auto n = parse_option("--checkpoint-capacity", argv[++i], 0,
                                   1'000'000);
