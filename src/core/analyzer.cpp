@@ -267,7 +267,7 @@ AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
 /// summary, JSON, service stats — needs no second vocabulary.
 void apply_symbolic(AnalysisResult& result,
                     const versa::SymbolicResult& sr) {
-  result.engine = "symbolic";
+  result.engine = Engine::Symbolic;
   result.states = sr.classes;
   result.transitions = sr.transitions;
   result.depth = sr.depth;
@@ -382,7 +382,7 @@ std::string AnalysisResult::summary() const {
        << " / " << states << " states (partial result, not a verdict)";
     if (trace_dropped) os << "\n  trace recording was dropped en route";
   }
-  if (engine == "symbolic")
+  if (engine == Engine::Symbolic)
     os << "\nsymbolic: " << states << " zones explored, "
        << zone_subsumptions << " subsumptions, DBM dimension "
        << dbm_dimension;
@@ -418,7 +418,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     sx = extract_symbolic(instance, opts.translation);
     if (sx.applicable) {
       use_symbolic = true;
-      result.engine = "symbolic";
+      result.engine = Engine::Symbolic;
     } else if (opts.engine == Engine::Symbolic) {
       result.diagnostics =
           "symbolic engine inapplicable: " + sx.why() + "\n";

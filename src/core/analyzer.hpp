@@ -142,11 +142,11 @@ struct AnalysisResult {
   std::uint64_t fans_computed = 0;   // successor fans computed
   std::uint64_t memo_hits = 0;       // fans served from a memo cache
 
-  /// Engine that produced (or would have produced) the verdict:
-  /// "enumerative" or "symbolic". Part of the canonical result JSON — the
+  /// Engine that produced (or would have produced) the verdict: never
+  /// Auto. Part of the canonical result JSON (as to_string(engine)) — the
   /// cross-engine agreement suite normalizes it away alongside the other
   /// engine-observability counters.
-  std::string engine = "enumerative";
+  Engine engine = Engine::Enumerative;
 
   // Symbolic-engine observability (DESIGN.md §16). Zero on enumerative
   // runs. `states`/`transitions`/`depth`/`peak_frontier` above are reused

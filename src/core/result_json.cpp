@@ -56,7 +56,7 @@ void append_result_fields(util::JsonWriter& w, const AnalysisResult& r) {
   w.key("schema_version").value(kResultSchemaVersion);
   w.key("outcome").value(to_string(r.outcome));
   w.key("stop_reason").value(util::to_string(r.stop_reason));
-  w.key("engine").value(r.engine);
+  w.key("engine").value(to_string(r.engine));
   w.key("schedulable").value(r.ok && r.schedulable);
   w.key("exhaustive").value(r.exhaustive);
   w.key("states").value(r.states);

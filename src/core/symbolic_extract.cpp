@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
 #include "aadl/properties.hpp"
+#include "translate/timing.hpp"
 
 namespace aadlsched::core {
 
@@ -16,23 +16,8 @@ struct Extracted {
   const aadl::ComponentInstance* cpu = nullptr;
   aadl::ThreadProperties props;
   std::int64_t offset_ns = 0;
+  int priority = 0;
 };
-
-/// The translator's rank(), replicated over nanosecond keys: stable sort
-/// ascending, priorities group.size()+1 downward. Quanta and nanoseconds
-/// order identically whenever the quantum divides every key, which is the
-/// regime the cross-engine agreement suite pins (DESIGN.md §16).
-template <typename Key>
-void rank(std::vector<Extracted*>& group, std::vector<int>& prio, Key key) {
-  std::vector<std::size_t> order(group.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return key(group[a]) < key(group[b]);
-                   });
-  int p = static_cast<int>(group.size()) + 1;
-  for (std::size_t idx : order) prio[idx] = p--;
-}
 
 }  // namespace
 
@@ -93,13 +78,10 @@ SymbolicExtraction extract_symbolic(
     e.inst = t;
     e.cpu = binding->second;
     e.props = *props;
-    if (const aadl::PropertyValue* pv =
-            aadl::find_property(instance, *t, "dispatch_offset")) {
-      if (const auto* iu = std::get_if<aadl::IntWithUnit>(&pv->data)) {
-        if (auto ns = aadl::time_to_ns(*iu, scratch, {}))
-          e.offset_ns = std::clamp<std::int64_t>(*ns, 0, props->period_ns);
-      }
-    }
+    // A one-nanosecond quantum keeps the translator's offset clamp exact.
+    e.offset_ns = translate::quantize(
+        *props, translate::dispatch_offset_ns(instance, *t, scratch)
+                    .value_or(0), 1).offset;
     threads.push_back(e);
   }
 
@@ -108,13 +90,13 @@ SymbolicExtraction extract_symbolic(
   // periodic threads ignore external events), so only the thread check
   // above matters — data-port connections are timing-neutral.
 
-  // Priorities per processor, mirroring the translator's grouping (group
-  // members keep model order; the group map itself need not).
+  // Priorities per processor by the translator's rule over nanosecond keys,
+  // which order as quanta do whenever the quantum divides every key
+  // (DESIGN.md §16). Group members keep model order; the map need not.
   std::map<const aadl::ComponentInstance*, std::vector<Extracted*>> per_cpu;
   for (Extracted& e : threads) per_cpu[e.cpu].push_back(&e);
 
   std::vector<const aadl::ComponentInstance*> cpus;
-  std::map<const Extracted*, int> priorities;
   for (auto& [cpu, group] : per_cpu) {
     cpus.push_back(cpu);
     auto proto = aadl::scheduling_protocol(instance, *cpu, scratch);
@@ -122,40 +104,36 @@ SymbolicExtraction extract_symbolic(
       refuse("processor '" + cpu->path + "' has no scheduling protocol");
       continue;
     }
-    std::vector<int> prio(group.size(), 0);
-    switch (*proto) {
-      case aadl::SchedulingProtocol::RateMonotonic:
-        rank(group, prio,
-             [](const Extracted* e) { return e->props.period_ns; });
-        break;
-      case aadl::SchedulingProtocol::DeadlineMonotonic:
-        rank(group, prio,
-             [](const Extracted* e) { return e->props.deadline_ns; });
-        break;
-      case aadl::SchedulingProtocol::HighestPriorityFirst:
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          if (!group[i]->props.priority) {
-            refuse("thread '" + group[i]->inst->path +
-                   "' has no Priority under HPF scheduling");
-          } else {
-            prio[i] = *group[i]->props.priority + 2;
-          }
-        }
-        for (std::size_t a = 0; a < group.size(); ++a)
-          for (std::size_t b = a + 1; b < group.size(); ++b)
-            if (prio[a] == prio[b] && prio[a] != 0)
-              refuse("threads '" + group[a]->inst->path + "' and '" +
-                     group[b]->inst->path +
-                     "' share an HPF priority (ambiguous preemption)");
-        break;
-      case aadl::SchedulingProtocol::Edf:
-      case aadl::SchedulingProtocol::Llf:
-        refuse("processor '" + cpu->path + "' uses a dynamic-priority " +
-               "protocol (" + std::string(aadl::to_string(*proto)) + ")");
-        continue;
+    if (*proto == aadl::SchedulingProtocol::Edf ||
+        *proto == aadl::SchedulingProtocol::Llf) {
+      refuse("processor '" + cpu->path + "' uses a dynamic-priority " +
+             "protocol (" + std::string(aadl::to_string(*proto)) + ")");
+      continue;
     }
-    for (std::size_t i = 0; i < group.size(); ++i)
-      priorities[group[i]] = prio[i];
+    std::vector<translate::PriorityInput> inputs;
+    for (const Extracted* e : group)
+      inputs.push_back({e->props.dispatch, e->props.period_ns,
+                        e->props.deadline_ns, e->props.priority.value_or(0)});
+    const std::vector<int> prio =
+        translate::assign_priorities(*proto, inputs).priorities;
+    // The fragment's own HPF precondition is a declared Priority; an
+    // undeclared one counts as 0 and stays out of the tie check.
+    const bool hpf = *proto == aadl::SchedulingProtocol::HighestPriorityFirst;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      group[i]->priority = prio[i];
+      if (!hpf || group[i]->props.priority) continue;
+      refuse("thread '" + group[i]->inst->path +
+             "' has no Priority under HPF scheduling");
+      group[i]->priority = 0;
+    }
+    // RM/DM ranks are distinct by construction; HPF ones may tie.
+    for (std::size_t a = 0; a < group.size(); ++a)
+      for (std::size_t b = a + 1; b < group.size(); ++b)
+        if (group[a]->priority == group[b]->priority &&
+            group[a]->priority != 0)
+          refuse("threads '" + group[a]->inst->path + "' and '" +
+                 group[b]->inst->path +
+                 "' share an HPF priority (ambiguous preemption)");
   }
 
   if (!out.reasons.empty()) return out;
@@ -169,7 +147,7 @@ SymbolicExtraction extract_symbolic(
     t.cmin_ns = e.props.compute_min_ns;
     t.cmax_ns = e.props.compute_max_ns;
     t.offset_ns = e.offset_ns;
-    t.priority = priorities.at(&e);
+    t.priority = e.priority;
     t.cpu = static_cast<std::size_t>(
         std::find(cpus.begin(), cpus.end(), e.cpu) - cpus.begin());
     out.model.tasks.push_back(std::move(t));

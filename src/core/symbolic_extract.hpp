@@ -11,9 +11,10 @@
 //
 //   * every thread periodic, bound, with a constrained deadline (D <= T);
 //   * static-priority scheduling (RM / DM / HPF) with distinct effective
-//     priorities per processor — the translator's rank() is replicated
-//     here over raw nanosecond keys (quanta and nanoseconds order
-//     identically whenever the quantum divides the parameters);
+//     priorities per processor — translate::assign_priorities, the
+//     translator's own rule, over raw nanosecond keys (quanta and
+//     nanoseconds order identically whenever the quantum divides the
+//     parameters);
 //   * committed interval demands (the LateCompletion time model is out);
 //   * no buses on connections, no event-driven threads, no devices, no
 //     latency observers — connection kinds the translator provably

@@ -1,8 +1,8 @@
 #include "core/taskset_extract.hpp"
 
-#include <algorithm>
+#include <map>
 
-#include "util/numeric.hpp"
+#include "lint/screen_view.hpp"
 
 namespace aadlsched::core {
 
@@ -10,10 +10,6 @@ std::optional<ExtractedTaskSet> extract_taskset(
     const aadl::InstanceModel& model, std::int64_t quantum_ns,
     util::DiagnosticEngine& diags) {
   ExtractedTaskSet out;
-
-  const auto to_quanta = [&](std::int64_t ns, bool round_up) {
-    return round_up ? util::ceil_div(ns, quantum_ns) : ns / quantum_ns;
-  };
 
   const auto processor_index =
       [&](const aadl::ComponentInstance* cpu) -> std::optional<int> {
@@ -26,6 +22,14 @@ std::optional<ExtractedTaskSet> extract_taskset(
     return static_cast<int>(out.processor_paths.size() - 1);
   };
 
+  // Timing and priorities are the screen view's (the translator's rule);
+  // it only skips the threads the loop below reports.
+  const std::vector<lint::ScreenCpu> cpus =
+      lint::extract_screen_cpus(model, quantum_ns);
+  std::map<const aadl::ComponentInstance*, const lint::ScreenTask*> view;
+  for (const lint::ScreenCpu& sc : cpus)
+    for (const lint::ScreenTask& t : sc.tasks) view[t.inst] = &t;
+
   for (const aadl::ComponentInstance* thread : model.threads) {
     const auto binding = model.bindings.find(thread);
     if (binding == model.bindings.end()) {
@@ -37,14 +41,14 @@ std::optional<ExtractedTaskSet> extract_taskset(
     const auto cpu = processor_index(binding->second);
     if (!cpu) return std::nullopt;
 
+    const lint::ScreenTask& st = *view.at(thread);
     sched::Task task;
     task.name = thread->path;
-    task.wcet = to_quanta(props->compute_max_ns, true);
-    task.bcet = std::min<sched::Time>(
-        to_quanta(props->compute_min_ns, false), task.wcet);
-    task.period = to_quanta(props->period_ns, false);
-    task.deadline = to_quanta(props->deadline_ns, false);
-    task.priority = props->priority.value_or(0);
+    task.wcet = st.quanta.cmax;
+    task.bcet = st.quanta.cmin;
+    task.period = st.quanta.period;
+    task.deadline = st.quanta.deadline;
+    task.priority = st.priority;
     task.processor = *cpu;
     switch (props->dispatch) {
       case aadl::DispatchProtocol::Periodic:
@@ -69,44 +73,8 @@ std::optional<ExtractedTaskSet> extract_taskset(
 
   // Event connections / queues / bus bindings have no classical
   // counterpart: flag the extraction as lossy.
-  for (const aadl::SemanticConnection& sc : model.connections) {
-    if (sc.bus) out.lossy = true;
-    if (sc.kind == aadl::FeatureKind::EventPort ||
-        sc.kind == aadl::FeatureKind::EventDataPort)
-      out.lossy = true;
-  }
+  if (!lint::model_is_pure(model)) out.lossy = true;
 
-  // Apply the per-processor protocol's priority assignment so RTA and the
-  // simulator see the priorities the translation would use.
-  for (std::size_t cpu = 0; cpu < out.processor_paths.size(); ++cpu) {
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < out.tasks.tasks.size(); ++i)
-      if (out.tasks.tasks[i].processor == static_cast<int>(cpu))
-        members.push_back(i);
-    const auto rank_by = [&](auto key) {
-      std::stable_sort(members.begin(), members.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return key(out.tasks.tasks[a]) <
-                                key(out.tasks.tasks[b]);
-                       });
-      int prio = static_cast<int>(members.size());
-      for (std::size_t idx : members) out.tasks.tasks[idx].priority = prio--;
-    };
-    switch (out.protocols[cpu]) {
-      case aadl::SchedulingProtocol::RateMonotonic:
-        rank_by([](const sched::Task& t) {
-          return t.period > 0 ? t.period : std::int64_t{1} << 40;
-        });
-        break;
-      case aadl::SchedulingProtocol::DeadlineMonotonic:
-        rank_by([](const sched::Task& t) {
-          return t.deadline > 0 ? t.deadline : std::int64_t{1} << 40;
-        });
-        break;
-      default:
-        break;  // HPF keeps declared priorities; EDF/LLF ignore them
-    }
-  }
   return out;
 }
 

@@ -33,9 +33,11 @@ struct ExtractedTaskSet {
 };
 
 /// Extract the periodic/sporadic task view of a bound instance model.
-/// Times are converted to quanta of `quantum_ns` (WCET rounds up, periods
-/// and deadlines round down — same convention as the translator). Returns
-/// nullopt when mandatory properties are missing (errors in `diags`).
+/// Quantized times and priorities are those of lint's screen view, i.e.
+/// the translator's rule (translate/timing.hpp) at `quantum_ns`: an
+/// aperiodic thread ranks as having no period, even though its task then
+/// takes the deadline as its period. Returns nullopt when mandatory
+/// properties are missing (errors in `diags`).
 std::optional<ExtractedTaskSet> extract_taskset(
     const aadl::InstanceModel& model, std::int64_t quantum_ns,
     util::DiagnosticEngine& diags);

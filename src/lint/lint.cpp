@@ -244,7 +244,31 @@ void finalize_verdict(const Subject& subject, Report& report) {
 
 }  // namespace
 
-Report run_subject(const Subject& subject, const Options& opts) {
+std::vector<CertTask> cert_rows(const ScreenCpu& sc, bool periodic_only,
+                                const std::vector<std::int64_t>* blocking,
+                                const std::vector<std::int64_t>* response) {
+  std::vector<CertTask> rows;
+  for (std::size_t i = 0; i < sc.tasks.size(); ++i) {
+    const ScreenTask& t = sc.tasks[i];
+    if (periodic_only && t.dispatch != aadl::DispatchProtocol::Periodic)
+      continue;
+    CertTask row;
+    row.path = t.inst->path;
+    row.wcet_q = t.quanta.cmax;
+    row.period_q = t.quanta.period;
+    row.deadline_q = t.quanta.deadline;
+    row.priority = t.priority;
+    if (blocking && i < blocking->size()) row.blocking_q = (*blocking)[i];
+    if (response && i < response->size()) row.response_q = (*response)[i];
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+Report run_subject(Subject subject, const Options& opts) {
+  if (subject.instance)
+    subject.screen =
+        extract_screen_cpus(*subject.instance, subject.topts.quantum_ns);
   Report report;
   report.translated = subject.translation != nullptr;
   Sink sink(report, opts.diags);
@@ -280,7 +304,7 @@ Report run(const aadl::InstanceModel& instance, const Options& opts) {
     subject.acsr = &ctx;
     subject.translation = &*tr;
   }
-  return run_subject(subject, opts);
+  return run_subject(std::move(subject), opts);
 }
 
 Report run_acsr(const acsr::Context& ctx, const Options& opts) {

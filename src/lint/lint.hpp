@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "aadl/instance.hpp"
+#include "lint/screen_view.hpp"
 #include "translate/translator.hpp"
 #include "util/diagnostics.hpp"
 
@@ -167,6 +168,7 @@ struct Subject {
   const acsr::Context* acsr = nullptr;
   const translate::Translation* translation = nullptr;
   translate::TranslateOptions topts;  // quantum etc. for screening passes
+  std::vector<ScreenCpu> screen = {};  // run_subject fills it
 };
 
 class Sink {
@@ -255,6 +257,6 @@ Report run(const aadl::InstanceModel& instance, const Options& opts = {});
 Report run_acsr(const acsr::Context& ctx, const Options& opts = {});
 
 /// Lint an explicit subject (power users / tests).
-Report run_subject(const Subject& subject, const Options& opts = {});
+Report run_subject(Subject subject, const Options& opts = {});
 
 }  // namespace aadlsched::lint

@@ -61,11 +61,11 @@ sched::TaskSet to_taskset(const ScreenCpu& sc) {
   sched::TaskSet ts;
   for (const ScreenTask& t : sc.tasks) {
     sched::Task task;
-    task.name = t.path;
-    task.wcet = t.cmax_q;
-    task.bcet = t.cmin_q;
-    task.period = t.period_q;
-    task.deadline = t.deadline_q;
+    task.name = t.inst->path;
+    task.wcet = t.quanta.cmax;
+    task.bcet = t.quanta.cmin;
+    task.period = t.quanta.period;
+    task.deadline = t.quanta.deadline;
     task.priority = t.priority;
     ts.tasks.push_back(std::move(task));
   }
@@ -77,25 +77,6 @@ bool distinct_priorities(const ScreenCpu& sc) {
   for (const ScreenTask& t : sc.tasks)
     if (!seen.insert(t.priority).second) return false;
   return true;
-}
-
-std::vector<CertTask> cert_rows(const ScreenCpu& sc,
-                                const std::vector<sched::Time>* blocking,
-                                const std::vector<sched::Time>* response) {
-  std::vector<CertTask> rows;
-  for (std::size_t i = 0; i < sc.tasks.size(); ++i) {
-    const ScreenTask& t = sc.tasks[i];
-    CertTask row;
-    row.path = t.path;
-    row.wcet_q = t.cmax_q;
-    row.period_q = t.period_q;
-    row.deadline_q = t.deadline_q;
-    row.priority = t.priority;
-    if (blocking && i < blocking->size()) row.blocking_q = (*blocking)[i];
-    if (response && i < response->size()) row.response_q = (*response)[i];
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 /// Level-i demand at window t under the synchronous release: the task's own
@@ -132,7 +113,7 @@ class ExactRtaPass final : public Pass {
   }
   void run(const Subject& subject, Sink& sink) const override {
     if (!model_is_pure(*subject.instance)) return;
-    for (const ScreenCpu& sc : extract_screen_cpus(subject)) {
+    for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol || !sc.priorities_ok) continue;
       if (!fixed_priority_protocol(*sc.protocol)) continue;
       if (!all_periodic_constrained(sc)) continue;
@@ -153,7 +134,7 @@ class ExactRtaPass final : public Pass {
         cert.kind = "fp-response-bound";
         cert.processor = sc.cpu->path;
         cert.schedulable = true;
-        cert.tasks = cert_rows(sc, nullptr, &pessimistic.response);
+        cert.tasks = cert_rows(sc, false, nullptr, &pessimistic.response);
         sink.certificate(std::move(cert));
         continue;
       }
@@ -188,7 +169,7 @@ class ExactRtaPass final : public Pass {
         cert.kind = "fp-overload-witness";
         cert.processor = sc.cpu->path;
         cert.schedulable = false;
-        cert.tasks = cert_rows(sc, nullptr, nullptr);
+        cert.tasks = cert_rows(sc, false);
         // Witness row first so checkers know which task misses.
         std::stable_partition(
             cert.tasks.begin(), cert.tasks.end(),
@@ -222,7 +203,7 @@ class EdfQpaPass final : public Pass {
   }
   void run(const Subject& subject, Sink& sink) const override {
     if (!model_is_pure(*subject.instance)) return;
-    for (const ScreenCpu& sc : extract_screen_cpus(subject)) {
+    for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol) continue;
       if (*sc.protocol != SchedulingProtocol::Edf &&
           *sc.protocol != SchedulingProtocol::Llf)
@@ -250,7 +231,7 @@ class EdfQpaPass final : public Pass {
         cert.kind = "edf-demand";
         cert.processor = sc.cpu->path;
         cert.schedulable = true;
-        cert.tasks = cert_rows(sc, nullptr, nullptr);
+        cert.tasks = cert_rows(sc, false);
         cert.window_q = bound;
         sink.certificate(std::move(cert));
         continue;
@@ -273,7 +254,7 @@ class EdfQpaPass final : public Pass {
       cert.kind = "edf-overflow-witness";
       cert.processor = sc.cpu->path;
       cert.schedulable = false;
-      cert.tasks = cert_rows(sc, nullptr, nullptr);
+      cert.tasks = cert_rows(sc, false);
       cert.window_q = t;
       cert.demand_q = demand;
       sink.certificate(std::move(cert));
@@ -322,7 +303,7 @@ class BlockingRtaPass final : public Pass {
     if (srm.resources.empty()) return;
     const std::int64_t q = subject.topts.quantum_ns;
 
-    for (const ScreenCpu& sc : extract_screen_cpus(subject)) {
+    for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol || !sc.priorities_ok) continue;
       if (!fixed_priority_protocol(*sc.protocol)) continue;
       if (!all_periodic_constrained(sc)) continue;
@@ -398,7 +379,7 @@ class BlockingRtaPass final : public Pass {
       cert.kind = "fp-response-bound";
       cert.processor = sc.cpu->path;
       cert.schedulable = true;
-      cert.tasks = cert_rows(sc, &*blocking, &rta.response);
+      cert.tasks = cert_rows(sc, false, &*blocking, &rta.response);
       sink.certificate(std::move(cert));
     }
   }

@@ -11,6 +11,7 @@
 #include "aadl/properties.hpp"
 #include "lint/lint.hpp"
 #include "lint/passes.hpp"
+#include "util/numeric.hpp"
 #include "util/string_utils.hpp"
 
 namespace aadlsched::lint {
@@ -23,10 +24,6 @@ using aadl::Direction;
 using aadl::Feature;
 using aadl::FeatureKind;
 using aadl::InstanceModel;
-
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
 
 void for_each_instance(const ComponentInstance* inst,
                        const std::function<void(const ComponentInstance&)>& f) {
@@ -349,7 +346,7 @@ class InconsistentTimingPass final : public Pass {
                        " ns): it rounds down to zero quanta");
 
       if (q > 0 && rt.cmax_ns && deadline && *deadline > 0) {
-        const std::int64_t cmax_q = ceil_div(*rt.cmax_ns, q);
+        const std::int64_t cmax_q = util::ceil_div(*rt.cmax_ns, q);
         const std::int64_t dl_q = *deadline / q;
         if (dl_q > 0 && cmax_q > dl_q) {
           sink.error(t->path,

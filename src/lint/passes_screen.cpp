@@ -35,23 +35,6 @@ using aadl::SchedulingProtocol;
 
 using I128 = __int128;
 
-/// Certificate rows for the processor's tasks (periodic-only for the
-/// overload witness, everything otherwise).
-std::vector<CertTask> cert_tasks(const ScreenCpu& sc, bool periodic_only) {
-  std::vector<CertTask> rows;
-  for (const ScreenTask& t : sc.tasks) {
-    if (periodic_only && t.dispatch != DispatchProtocol::Periodic) continue;
-    CertTask row;
-    row.path = t.path;
-    row.wcet_q = t.cmax_q;
-    row.period_q = t.period_q;
-    row.deadline_q = t.deadline_q;
-    row.priority = t.priority;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 // --- AL007 ----------------------------------------------------------------
 
 class UtilizationOverloadPass final : public Pass {
@@ -70,7 +53,7 @@ class UtilizationOverloadPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    for (const ScreenCpu& sc : extract_screen_cpus(subject)) {
+    for (const ScreenCpu& sc : subject.screen) {
       const auto periodic_sign = utilization_vs_one(sc.tasks, true);
       if (periodic_sign && *periodic_sign > 0) {
         const std::string u = utilization_string(sc.tasks, true);
@@ -86,7 +69,7 @@ class UtilizationOverloadPass final : public Pass {
         cert.kind = "utilization-overload";
         cert.processor = sc.cpu->path;
         cert.schedulable = false;
-        cert.tasks = cert_tasks(sc, true);
+        cert.tasks = cert_rows(sc, true);
         sink.certificate(std::move(cert));
         continue;
       }
@@ -121,7 +104,7 @@ class RmUtilizationBoundPass final : public Pass {
   }
   void run(const Subject& subject, Sink& sink) const override {
     if (!model_is_pure(*subject.instance)) return;
-    for (const ScreenCpu& sc : extract_screen_cpus(subject)) {
+    for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol) continue;
       if (*sc.protocol != SchedulingProtocol::RateMonotonic &&
           *sc.protocol != SchedulingProtocol::DeadlineMonotonic)
@@ -129,7 +112,7 @@ class RmUtilizationBoundPass final : public Pass {
       if (!all_periodic_implicit(sc)) continue;
       bool fits = true;
       for (const ScreenTask& t : sc.tasks)
-        if (t.cmax_q > t.period_q) fits = false;
+        if (t.quanta.cmax > t.quanta.period) fits = false;
       if (!fits) continue;
 
       // Hyperbolic bound, exact: prod(c_i + p_i) <= 2 * prod(p_i).
@@ -137,7 +120,7 @@ class RmUtilizationBoundPass final : public Pass {
       I128 lhs = 1, rhs = 2;
       bool exact = true;
       for (const ScreenTask& t : sc.tasks) {
-        const I128 a = t.cmax_q + t.period_q, b = t.period_q;
+        const I128 a = t.quanta.cmax + t.quanta.period, b = t.quanta.period;
         if (lhs > kCap / a || rhs > kCap / b) {
           exact = false;
           break;
@@ -159,7 +142,7 @@ class RmUtilizationBoundPass final : public Pass {
       cert.kind = "hyperbolic-bound";
       cert.processor = sc.cpu->path;
       cert.schedulable = true;
-      cert.tasks = cert_tasks(sc, false);
+      cert.tasks = cert_rows(sc, false);
       sink.certificate(std::move(cert));
     }
   }
@@ -182,7 +165,7 @@ class EdfUtilizationPass final : public Pass {
   }
   void run(const Subject& subject, Sink& sink) const override {
     if (!model_is_pure(*subject.instance)) return;
-    for (const ScreenCpu& sc : extract_screen_cpus(subject)) {
+    for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol) continue;
       if (*sc.protocol != SchedulingProtocol::Edf &&
           *sc.protocol != SchedulingProtocol::Llf)
@@ -199,7 +182,7 @@ class EdfUtilizationPass final : public Pass {
       cert.kind = "edf-utilization";
       cert.processor = sc.cpu->path;
       cert.schedulable = true;
-      cert.tasks = cert_tasks(sc, false);
+      cert.tasks = cert_rows(sc, false);
       sink.certificate(std::move(cert));
     }
   }

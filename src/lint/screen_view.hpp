@@ -1,9 +1,10 @@
 // Quantized per-processor task view shared by the screening and exact
-// lint tiers. Replicates the translator's rounding (execution times up,
-// periods/deadlines/offsets down) and its per-processor priority
-// assignment, so static analyses see exactly the parameters exploration
-// would; deliberately does not use core::extract_taskset (core depends on
-// lint, not the other way around).
+// lint tiers and core::extract_taskset. Parameters and priorities come
+// from translate/timing.hpp, the translator's own rule, so static analyses
+// see exactly the parameters exploration would. Unlike the translator it
+// keeps going past incomplete threads and applies no max_quanta cap
+// (AL007 must still refute models the translator cannot take).
+// lint::run_subject builds the view once per run (Subject::screen).
 #pragma once
 
 #include <cstdint>
@@ -11,20 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "aadl/instance.hpp"
 #include "aadl/properties.hpp"
-#include "lint/lint.hpp"
+#include "translate/timing.hpp"
 
 namespace aadlsched::lint {
 
 struct ScreenTask {
   const aadl::ComponentInstance* inst = nullptr;
-  std::string path;
   aadl::DispatchProtocol dispatch = aadl::DispatchProtocol::Periodic;
-  std::int64_t cmin_q = 0, cmax_q = 0, period_q = 0, deadline_q = 0;
-  std::int64_t offset_q = 0;  // Dispatch_Offset (clamped like the translator)
-  /// Effective scheduling priority mirroring translate::assign_priorities
-  /// (RM/DM rank, HPF declared+2, EDF/LLF 0, background floor); larger is
-  /// more important. Meaningless when ScreenCpu::priorities_ok is false.
+  translate::QuantizedTiming quanta;
+  /// Effective scheduling priority (translate::assign_priorities); larger
+  /// is more important. Meaningless when ScreenCpu::priorities_ok is false.
   int priority = 0;
 };
 
@@ -38,7 +37,10 @@ struct ScreenCpu {
   bool priorities_ok = true;
 };
 
-std::vector<ScreenCpu> extract_screen_cpus(const Subject& subject);
+/// The view of every thread-bearing processor at the given quantum (empty
+/// when the quantum is not positive).
+std::vector<ScreenCpu> extract_screen_cpus(const aadl::InstanceModel& m,
+                                           std::int64_t quantum_ns);
 
 /// Exact utilization comparison over the quantized view: returns the sign
 /// of (sum cmax/period) - 1 as -1/0/+1, or nullopt when the exact

@@ -376,7 +376,7 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   result.diagnostics = job->parsed->front_end_output + result.diagnostics;
   const std::string result_json = core::render_result_json(result);
 
-  if (result.engine == "symbolic")
+  if (result.engine == core::Engine::Symbolic)
     metrics_.record_symbolic_run(result.states, result.zone_subsumptions,
                                  result.dbm_dimension);
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
-#include "util/numeric.hpp"
+#include "translate/timing.hpp"
 #include "util/string_utils.hpp"
 
 namespace aadlsched::translate {
@@ -127,25 +126,25 @@ class Translator {
     return ok;
   }
 
-  std::optional<std::int64_t> to_quanta(std::int64_t ns, bool round_up,
-                                        std::string_view what,
-                                        const std::string& who) {
+  /// The translator's policy on one quantized parameter: a warning when
+  /// rounding lost time, an error above the max_quanta cap.
+  bool check_quanta(std::string_view what, const std::string& who,
+                    std::int64_t ns, std::int64_t quanta) {
     const std::int64_t q = opts_.quantum_ns;
-    std::int64_t v = round_up ? util::ceil_div(ns, q) : ns / q;
     if (ns % q != 0) {
       diags_.warning({}, std::string(what) + " of '" + who + "' (" +
                              std::to_string(ns) + " ns) is not a multiple "
                              "of the quantum; rounded " +
-                             (round_up ? "up" : "down"));
+                             (quanta > ns / q ? "up" : "down"));
     }
-    if (v > opts_.max_quanta) {
+    if (quanta > opts_.max_quanta) {
       diags_.error({}, std::string(what) + " of '" + who + "' is " +
-                           std::to_string(v) +
+                           std::to_string(quanta) +
                            " quanta, above the configured cap; increase the "
                            "quantum");
-      return std::nullopt;
+      return false;
     }
-    return v;
+    return true;
   }
 
   bool collect_threads() {
@@ -159,28 +158,34 @@ class Translator {
       tc.info.dispatch = props->dispatch;
       tc.processor = model_.bindings.at(t);
 
-      auto cmin = to_quanta(props->compute_min_ns, false,
-                            "Compute_Execution_Time.min", t->path);
-      auto cmax = to_quanta(props->compute_max_ns, true,
-                            "Compute_Execution_Time.max", t->path);
-      if (!cmin || !cmax) return false;
-      tc.info.cmin = std::min(*cmin, *cmax);
-      tc.info.cmax = *cmax;
+      const QuantizedTiming qt = quantize(*props, 0, opts_.quantum_ns);
+
+      // Both execution-time bounds are reported before stopping.
+      const bool cmin_ok = check_quanta("Compute_Execution_Time.min",
+                                        t->path, props->compute_min_ns,
+                                        qt.cmin);
+      const bool cmax_ok = check_quanta("Compute_Execution_Time.max",
+                                        t->path, props->compute_max_ns,
+                                        qt.cmax);
+      if (!cmin_ok || !cmax_ok) return false;
+      tc.info.cmin = qt.cmin;
+      tc.info.cmax = qt.cmax;
 
       if (props->period_ns > 0) {
-        auto p = to_quanta(props->period_ns, false, "Period", t->path);
-        if (!p) return false;
-        if (*p < 1) {
+        if (!check_quanta("Period", t->path, props->period_ns, qt.period))
+          return false;
+        if (qt.period < 1) {
           diags_.error({}, "Period of '" + t->path +
                                "' is below one scheduling quantum");
           return false;
         }
-        tc.info.period = *p;
+        tc.info.period = qt.period;
       }
       if (props->deadline_ns > 0) {
-        auto d = to_quanta(props->deadline_ns, false, "Deadline", t->path);
-        if (!d) return false;
-        tc.info.deadline = *d;
+        if (!check_quanta("Deadline", t->path, props->deadline_ns,
+                          qt.deadline))
+          return false;
+        tc.info.deadline = qt.deadline;
       }
       if (tc.info.dispatch == DispatchProtocol::Periodic &&
           tc.info.deadline > tc.info.period) {
@@ -189,16 +194,13 @@ class Translator {
                              "translation does not support");
         return false;
       }
-      if (props->priority) tc.info.static_priority = *props->priority;
-      if (const auto* pv =
-              aadl::find_property(model_, *t, "dispatch_offset")) {
-        if (const auto* iu = std::get_if<aadl::IntWithUnit>(&pv->data)) {
-          if (auto ns = aadl::time_to_ns(*iu, diags_, {})) {
-            if (auto off = to_quanta(*ns, false, "Dispatch_Offset", t->path))
-              tc.offset = std::clamp<std::int64_t>(
-                  *off, 0, std::max<std::int64_t>(tc.info.period, 0));
-          }
-        }
+      // The declared Priority until assign_priorities() replaces it.
+      tc.info.static_priority = props->priority.value_or(0);
+      if (const auto offset_ns = dispatch_offset_ns(model_, *t, diags_)) {
+        // The cap applies to the offset as written, before the clamp.
+        check_quanta("Dispatch_Offset", t->path, *offset_ns,
+                     *offset_ns / opts_.quantum_ns);
+        tc.offset = quantize(*props, *offset_ns, opts_.quantum_ns).offset;
       }
       tc.info.cpu_resource = "cpu_" + mangle(tc.processor->path);
       threads_.push_back(std::move(tc));
@@ -215,64 +217,28 @@ class Translator {
       auto proto = aadl::scheduling_protocol(model_, *cpu, diags_);
       if (!proto) return false;
       std::int64_t dmax = 0;
-      for (ThreadCtx* tc : group)
-        dmax = std::max(dmax, tc->info.deadline);
+      std::vector<PriorityInput> inputs;
       for (ThreadCtx* tc : group) {
-        tc->protocol = *proto;
-        tc->proc_dmax = dmax;
+        dmax = std::max(dmax, tc->info.deadline);
+        inputs.push_back({tc->info.dispatch, tc->info.period,
+                          tc->info.deadline, tc->info.static_priority});
       }
-      switch (*proto) {
-        case SchedulingProtocol::RateMonotonic:
-          rank(group, [](const ThreadCtx* t) {
-            // Background threads have no period: rank them last.
-            return t->info.period > 0 ? t->info.period
-                                      : std::int64_t{1} << 40;
-          });
-          break;
-        case SchedulingProtocol::DeadlineMonotonic:
-          rank(group, [](const ThreadCtx* t) {
-            return t->info.deadline > 0 ? t->info.deadline
-                                        : std::int64_t{1} << 40;
-          });
-          break;
-        case SchedulingProtocol::HighestPriorityFirst: {
-          for (ThreadCtx* tc : group) {
-            if (tc->info.static_priority == 0 &&
-                tc->info.dispatch != DispatchProtocol::Background) {
-              diags_.error({}, "HPF scheduling on '" + cpu->path +
-                                   "' requires a Priority property on "
-                                   "thread '" + tc->info.path + "'");
-              return false;
-            }
-            // Shift by 2 so priorities stay above background (1) and idle.
-            tc->info.static_priority += 2;
-          }
-          break;
-        }
-        case SchedulingProtocol::Edf:
-        case SchedulingProtocol::Llf:
-          for (ThreadCtx* tc : group) tc->info.static_priority = 0;  // dynamic
-          break;
+      const PriorityAssignment pa =
+          translate::assign_priorities(*proto, inputs);
+      if (!pa.missing_priority.empty()) {
+        diags_.error({}, "HPF scheduling on '" + cpu->path +
+                             "' requires a Priority property on thread '" +
+                             group[pa.missing_priority.front()]->info.path +
+                             "'");
+        return false;
+      }
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        group[i]->protocol = *proto;
+        group[i]->proc_dmax = dmax;
+        group[i]->info.static_priority = pa.priorities[i];
       }
     }
     return true;
-  }
-
-  template <typename Key>
-  void rank(std::vector<ThreadCtx*>& group, Key key) {
-    std::vector<std::size_t> order(group.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return key(group[a]) < key(group[b]);
-                     });
-    int prio = static_cast<int>(group.size()) + 1;
-    for (std::size_t idx : order)
-      group[idx]->info.static_priority = prio--;
-    // Background threads run below every ranked thread.
-    for (ThreadCtx* tc : group)
-      if (tc->info.dispatch == DispatchProtocol::Background)
-        tc->info.static_priority = 1;
   }
 
   // --- symmetry detection ------------------------------------------------
@@ -384,8 +350,9 @@ class Translator {
                   aadl::find_property(model_, *sc.source, "period")) {
             if (const auto* iu = std::get_if<aadl::IntWithUnit>(&pv->data)) {
               if (auto ns = aadl::time_to_ns(*iu, diags_, {})) {
-                if (auto p = to_quanta(*ns, false, "Period", sc.source->path))
-                  gc.period = std::max<std::int64_t>(*p, 1);
+                const std::int64_t p = *ns / opts_.quantum_ns;
+                if (check_quanta("Period", sc.source->path, *ns, p))
+                  gc.period = std::max<std::int64_t>(p, 1);
               }
             }
           }
@@ -799,15 +766,17 @@ class Translator {
                              "'");
         return false;
       }
-      auto latency = to_quanta(spec.max_latency_ns, false, "latency bound",
-                               spec.source_path + "->" + spec.sink_path);
-      if (!latency) return false;
+      const std::int64_t latency = spec.max_latency_ns / opts_.quantum_ns;
+      if (!check_quanta("latency bound",
+                        spec.source_path + "->" + spec.sink_path,
+                        spec.max_latency_ns, latency))
+        return false;
       ObserverCtx oc;
       oc.info.source_path = spec.source_path;
       oc.info.sink_path = spec.sink_path;
-      oc.info.latency = *latency;
+      oc.info.latency = latency;
       oc.info.description = spec.source_path + " -> " + spec.sink_path +
-                            " within " + std::to_string(*latency) +
+                            " within " + std::to_string(latency) +
                             " quanta";
       oc.start_event = "obs_start_" + std::to_string(index);
       oc.end_event = "obs_end_" + std::to_string(index);

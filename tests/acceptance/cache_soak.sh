@@ -90,6 +90,18 @@ field() {
     | grep -o "\"$3\": [0-9]*" | head -n1 | grep -o '[0-9]*$'
 }
 
+# await_field <endpoint> <object> <name> <want> — poll field every 0.1 s
+# until it reads <want>; give up (status 1) after 10 s. Maintenance ticks
+# run on the daemon's own clock, so a fixed sleep is load-sensitive.
+await_field() {
+  local i
+  for ((i = 0; i < 100; i++)); do
+    [ "$(field "$1" "$2" "$3")" = "$4" ] && return 0
+    sleep 0.1
+  done
+  return 1
+}
+
 norm() { sed 's/"explore_ms": [0-9.]*/"explore_ms": X/' "$1"; }
 
 # submit <endpoint> <name> <round> [extra-cli-args...] — returns the CLI's
@@ -191,18 +203,17 @@ done
     | grep -o '[0-9]*$')" = 0 ] \
   || fail "daemon b re-explored instead of serving the shared disk tier"
 
-sleep 1  # one maintenance tick: both gauges converge on 2 cohabitants
-[ "$(field "$endpoint_a" shared instances)" = 2 ] \
+# Within a maintenance tick both gauges converge on 2 cohabitants.
+await_field "$endpoint_a" shared instances 2 \
   || fail "daemon a's cohabitant gauge never reached 2"
-[ "$(field "$endpoint_b" shared instances)" = 2 ] \
+await_field "$endpoint_b" shared instances 2 \
   || fail "daemon b's cohabitant gauge never reached 2"
 
 # kill -9: b never deregisters; a's next sweep must reap the registry entry
 # (and the flock dies with the process — no stale lock can wedge a).
 kill -9 "$pid_b"
 wait "$pid_b" 2>/dev/null
-sleep 1
-[ "$(field "$endpoint_a" shared instances)" = 1 ] \
+await_field "$endpoint_a" shared instances 1 \
   || fail "daemon a never reaped the kill -9'd cohabitant"
 submit "$endpoint_a" tiny after_kill
 check_golden tiny after_kill

@@ -499,7 +499,7 @@ TEST(Checkpoint, SymbolicRunRefusesToCheckpoint) {
 
   const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
   ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_EQ(r.engine, "symbolic");
+  EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_FALSE(r.checkpoint_captured);
   EXPECT_TRUE(blob.empty());
@@ -524,7 +524,7 @@ TEST(Checkpoint, SymbolicRunIgnoresAValidEnumerativeCheckpoint) {
   const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
   ASSERT_TRUE(r.ok) << r.diagnostics;
   EXPECT_FALSE(r.resumed);
-  EXPECT_EQ(r.engine, "symbolic");
+  EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_NE(r.diagnostics.find(
                 "checkpoint resume is unsupported for the symbolic engine"),

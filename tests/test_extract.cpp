@@ -7,9 +7,12 @@
 #include <sstream>
 
 #include "aadl/parser.hpp"
+#include "acsr/context.hpp"
 #include "core/taskset_aadl.hpp"
 #include "core/taskset_extract.hpp"
+#include "lint/screen_view.hpp"
 #include "sched/analysis.hpp"
+#include "translate/translator.hpp"
 
 using namespace aadlsched;
 
@@ -22,6 +25,21 @@ std::unique_ptr<aadl::InstanceModel> load(const std::string& src,
   EXPECT_TRUE(aadl::parse_aadl(model, src, diags)) << diags.render_all();
   return aadl::instantiate(model, root, diags);
 }
+
+std::string read_model(const std::string& name) {
+  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/" + name);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+bool fixed_priority(aadl::SchedulingProtocol p) {
+  return p == aadl::SchedulingProtocol::RateMonotonic ||
+         p == aadl::SchedulingProtocol::DeadlineMonotonic ||
+         p == aadl::SchedulingProtocol::HighestPriorityFirst;
+}
+
+int sign(int v) { return (v > 0) - (v < 0); }
 
 TEST(Extract, RoundTripsThroughTasksetToAadl) {
   sched::TaskSet ts;
@@ -120,12 +138,9 @@ TEST(Extract, RmProtocolAssignsPriorities) {
 }
 
 TEST(Extract, EventFeaturesAreFlaggedLossy) {
-  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/avionics.aadl");
-  std::ostringstream os;
-  os << in.rdbuf();
   aadl::Model model;
   util::DiagnosticEngine diags;
-  auto inst = load(os.str(), model, diags, "Avionics.impl");
+  auto inst = load(read_model("avionics.aadl"), model, diags, "Avionics.impl");
   ASSERT_NE(inst, nullptr);
   const auto ex = core::extract_taskset(*inst, 1'000'000, diags);
   ASSERT_TRUE(ex.has_value()) << diags.render_all();
@@ -161,6 +176,69 @@ TEST(Extract, MissingBindingReported) {
   util::DiagnosticEngine ediags;
   EXPECT_FALSE(core::extract_taskset(*inst, 1'000'000, ediags).has_value());
   EXPECT_TRUE(ediags.has_errors());
+}
+
+// RTA, the simulator and the lint screens must analyze the priorities
+// exploration uses. On every shipped model and fixed-priority processor,
+// the classical view orders threads as the translation does (aperiodic
+// threads rank by their missing period, not by the deadline the classical
+// view substitutes for it) and the lint screen view carries the
+// translation's priorities exactly.
+TEST(Extract, PrioritiesFollowTheTranslation) {
+  const std::pair<const char*, const char*> kModels[] = {
+      {"avionics.aadl", "Avionics.impl"},
+      {"cruise_control.aadl", "CruiseControlSystem.impl"},
+      {"dual_rig.aadl", "DualRig.impl"},
+      {"quantum_ladder.aadl", "QuantumLadder.impl"},
+      {"slow_periodic.aadl", "SlowPeriodic.impl"},
+      {"storm.aadl", "Storm.impl"},
+      {"symmetric.aadl", "Symmetric.impl"}};
+  int compared = 0;
+  for (const auto& [file, root] : kModels) {
+    for (const std::int64_t q_ms : {1, 2}) {
+      SCOPED_TRACE(std::string(file) + " at " + std::to_string(q_ms) + " ms");
+      aadl::Model model;
+      util::DiagnosticEngine diags;
+      auto inst = load(read_model(file), model, diags, root);
+      ASSERT_NE(inst, nullptr) << diags.render_all();
+      translate::TranslateOptions topts;
+      topts.quantum_ns = q_ms * 1'000'000;
+      acsr::Context ctx;
+      const auto tr = translate::translate(ctx, *inst, diags, topts);
+      ASSERT_TRUE(tr.has_value()) << diags.render_all();
+      const auto translated = [&](const std::string& path) {
+        const translate::TranslatedThread* t = tr->thread_by_path(path);
+        EXPECT_NE(t, nullptr) << path;
+        return t ? t->static_priority : 0;
+      };
+
+      const auto ex = core::extract_taskset(*inst, topts.quantum_ns, diags);
+      ASSERT_TRUE(ex.has_value()) << diags.render_all();
+      const std::vector<sched::Task>& tasks = ex->tasks.tasks;
+      for (const sched::Task& a : tasks) {
+        if (!fixed_priority(ex->protocols[a.processor])) continue;
+        for (const sched::Task& b : tasks) {
+          if (&a == &b || a.processor != b.processor) continue;
+          EXPECT_EQ(sign(a.priority - b.priority),
+                    sign(translated(a.name) - translated(b.name)))
+              << "classical order of " << a.name << " vs " << b.name;
+          ++compared;
+        }
+      }
+
+      for (const lint::ScreenCpu& sc :
+           lint::extract_screen_cpus(*inst, topts.quantum_ns)) {
+        ASSERT_TRUE(sc.protocol.has_value());
+        if (!fixed_priority(*sc.protocol)) continue;
+        for (const lint::ScreenTask& t : sc.tasks) {
+          EXPECT_EQ(t.priority, translated(t.inst->path))
+              << "screen view priority of " << t.inst->path;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 }  // namespace

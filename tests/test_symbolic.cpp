@@ -379,7 +379,7 @@ TEST(SymbolicAnalyzer, SymbolicVerdictCarriesTheEngineObservability) {
       read_model("quantum_ladder.aadl"), "QuantumLadder.impl",
       engine_options(core::Engine::Symbolic));
   ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_EQ(r.engine, "symbolic");
+  EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_TRUE(r.exhaustive);
   EXPECT_GT(r.states, 0u);
@@ -396,7 +396,7 @@ TEST(SymbolicAnalyzer, AutoFallsBackWithTheReasonsInDiagnostics) {
                                       "CruiseControlSystem.impl",
                                       engine_options(core::Engine::Auto));
   ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_EQ(r.engine, "enumerative");
+  EXPECT_EQ(r.engine, core::Engine::Enumerative);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_NE(r.diagnostics.find("symbolic engine inapplicable"),
             std::string::npos);
@@ -410,7 +410,7 @@ TEST(SymbolicAnalyzer, AutoUsesTheSymbolicEngineInsideTheFragment) {
       read_model("quantum_ladder.aadl"), "QuantumLadder.impl",
       engine_options(core::Engine::Auto));
   ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_EQ(r.engine, "symbolic");
+  EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
 }
 
@@ -580,7 +580,7 @@ TEST_P(SymbolicProperty, GeneratedTasksetsAgreeAcrossAllThreeProcedures) {
       src, "Root.impl", engine_options(core::Engine::Symbolic));
   ASSERT_TRUE(en.ok) << "seed " << seed << "\n" << en.diagnostics << src;
   ASSERT_TRUE(sy.ok) << "seed " << seed << "\n" << sy.diagnostics << src;
-  EXPECT_EQ(sy.engine, "symbolic");
+  EXPECT_EQ(sy.engine, core::Engine::Symbolic);
 
   // Engine agreement, byte-for-byte on the canonical result.
   EXPECT_EQ(sy.outcome, en.outcome) << "seed " << seed << "\n" << src;
