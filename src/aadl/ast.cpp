@@ -27,13 +27,6 @@ const Feature* ComponentType::find_feature(
   return nullptr;
 }
 
-const Subcomponent* ComponentImpl::find_subcomponent(
-    std::string_view lowered_name) const {
-  for (const Subcomponent& s : subcomponents)
-    if (util::to_lower(s.name) == lowered_name) return &s;
-  return nullptr;
-}
-
 const ComponentType* Model::find_type(std::string_view name) const {
   const std::string lowered_s = util::to_lower(name);
   const std::string_view lowered = lowered_s;

@@ -6,7 +6,12 @@
 // parsed and retained but (exactly like the paper, §4.1) not translated.
 //
 // AADL identifiers are case-insensitive; the parser preserves the original
-// spelling for diagnostics and lowercases for lookup.
+// spelling for diagnostics and lowercases for lookup. Subcomponent::name,
+// PropertyAssociation::name and IntWithUnit::unit are lowercased in the
+// parser only, which is their one construction site; lookups
+// (find_property, find_connection_property, time_to_ns, the fingerprint)
+// compare them as stored, without folding again. Feature names keep their
+// spelling because diagnostics print them, so feature lookups fold.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +68,7 @@ struct PropertyValue;
 
 struct IntWithUnit {
   std::int64_t value = 0;
-  std::string unit;  // empty for plain integers
+  std::string unit;  // lowercased; empty for plain integers
 
   friend bool operator==(const IntWithUnit&, const IntWithUnit&) = default;
 };
@@ -109,7 +114,7 @@ struct PropertyAssociation {
 // ---------------------------------------------------------------------------
 
 struct Subcomponent {
-  std::string name;
+  std::string name;  // lowercased
   Category category = Category::System;
   /// Classifier reference: "type" or "type.impl" (lowercased).
   std::string classifier;
@@ -154,8 +159,6 @@ struct ComponentImpl {
   std::vector<PropertyAssociation> properties;
   std::vector<ModeDecl> modes;
   util::SourceLoc loc;
-
-  const Subcomponent* find_subcomponent(std::string_view lowered_name) const;
 };
 
 struct Package {

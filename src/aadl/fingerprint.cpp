@@ -38,7 +38,7 @@ void render_value(std::ostream& os, const PropertyValue& v);
 
 void render_int(std::ostream& os, const IntWithUnit& v) {
   os << v.value;
-  if (!v.unit.empty()) os << ' ' << util::to_lower(v.unit);
+  if (!v.unit.empty()) os << ' ' << v.unit;
 }
 
 void render_value(std::ostream& os, const PropertyValue& v) {
@@ -80,7 +80,7 @@ void render_properties(std::ostream& os,
   std::set<std::string> seen;  // dedup keys, first wins
   std::vector<std::string> lines;
   for (const PropertyAssociation& pa : props) {
-    const std::string name = util::to_lower(pa.name);
+    const std::string& name = pa.name;
     std::ostringstream val;
     render_value(val, pa.value);
     if (pa.applies_to.empty()) {

@@ -429,7 +429,7 @@ const PropertyValue* find_connection_property(
   //    applies_to = [port name]).
   if (conn.destination && conn.destination->type) {
     for (const PropertyAssociation& pa : conn.destination->type->properties) {
-      if (util::to_lower(pa.name) != lowered_name) continue;
+      if (pa.name != lowered_name) continue;
       for (const auto& t : pa.applies_to)
         if (t.size() == 1 && t[0] == conn.destination_port) return &pa.value;
     }
@@ -445,7 +445,7 @@ const PropertyValue* find_connection_property(
       if (found) return;
       if (inst->impl) {
         for (const PropertyAssociation& pa : inst->impl->properties) {
-          if (util::to_lower(pa.name) != name) {
+          if (pa.name != name) {
             // also accept qualified names ending in ::name
             const auto pos = pa.name.rfind("::");
             if (pos == std::string::npos ||
@@ -475,7 +475,7 @@ const PropertyValue* find_property(const InstanceModel& model,
                                    const ComponentInstance& inst,
                                    std::string_view lowered_name) {
   const auto matches = [&](const PropertyAssociation& pa) {
-    if (util::to_lower(pa.name) == lowered_name) return true;
+    if (pa.name == lowered_name) return true;
     const auto pos = pa.name.rfind("::");
     return pos != std::string::npos && pa.name.substr(pos + 2) == lowered_name;
   };

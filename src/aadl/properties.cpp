@@ -30,28 +30,34 @@ std::string_view to_string(SchedulingProtocol p) {
 std::optional<std::int64_t> time_to_ns(const IntWithUnit& v,
                                        util::DiagnosticEngine& diags,
                                        util::SourceLoc loc) {
-  const std::string unit = util::to_lower(v.unit);
+  // v.unit is lowercased by the parser (ast.hpp).
   std::int64_t scale = 0;
-  if (unit.empty() || unit == "ns")
+  if (v.unit.empty() || v.unit == "ns")
     scale = 1;
-  else if (unit == "us")
+  else if (v.unit == "us")
     scale = 1'000;
-  else if (unit == "ms")
+  else if (v.unit == "ms")
     scale = 1'000'000;
-  else if (unit == "sec" || unit == "s")
+  else if (v.unit == "sec" || v.unit == "s")
     scale = 1'000'000'000;
-  else if (unit == "min")
+  else if (v.unit == "min")
     scale = 60LL * 1'000'000'000;
-  else if (unit == "hr")
+  else if (v.unit == "hr")
     scale = 3600LL * 1'000'000'000;
-  else if (unit == "ps") {
+  else if (v.unit == "ps") {
     // Sub-nanosecond: round to nanoseconds.
     return v.value / 1000;
   } else {
     diags.error(loc, "unknown time unit '" + v.unit + "'");
     return std::nullopt;
   }
-  return v.value * scale;
+  std::int64_t ns = 0;
+  if (__builtin_mul_overflow(v.value, scale, &ns)) {
+    diags.error(loc, "time value " + std::to_string(v.value) + " " + v.unit +
+                         " is out of range");
+    return std::nullopt;
+  }
+  return ns;
 }
 
 namespace {

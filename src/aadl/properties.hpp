@@ -53,9 +53,10 @@ struct ConnectionProperties {
   int urgency = 0;     // Urgency: higher = preferred dequeue
 };
 
-/// Convert an AADL time literal to nanoseconds. Unknown units report an
-/// error and return nullopt. An empty unit means "quanta" and is accepted
-/// as-is only by quantum-relative call sites; here it defaults to ns.
+/// Convert an AADL time literal to nanoseconds. Unknown units, and values
+/// whose nanosecond count does not fit in 64 bits, report an error and
+/// return nullopt. An empty unit means "quanta" and is accepted as-is only
+/// by quantum-relative call sites; here it defaults to ns.
 std::optional<std::int64_t> time_to_ns(const IntWithUnit& v,
                                        util::DiagnosticEngine& diags,
                                        util::SourceLoc loc);

@@ -108,9 +108,9 @@ std::int64_t section_time_ns(const InstanceModel& model,
       if (found >= 0) return;
       if (inst->impl) {
         for (const PropertyAssociation& pa : inst->impl->properties) {
-          std::string name = util::to_lower(pa.name);
+          std::string_view name = pa.name;
           const auto pos = name.rfind("::");
-          if (pos != std::string::npos) name = name.substr(pos + 2);
+          if (pos != std::string_view::npos) name = name.substr(pos + 2);
           if (name != "critical_section_time") continue;
           for (const auto& t : pa.applies_to) {
             if (t.size() != 1) continue;

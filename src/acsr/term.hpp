@@ -97,8 +97,10 @@ class TermTable {
                         std::span<const std::uint32_t> payload) const;
 
   // Chunked so node references and payload spans stay valid while further
-  // terms are interned (see chunked_vector.hpp).
-  util::ChunkedVector<TermNode, 13> nodes_;
+  // terms are interned (see chunked_vector.hpp). Node chunks are 24 KiB, so
+  // the NIL node an empty table holds costs little; 2^18 of them keep the
+  // 2^28-node capacity.
+  util::ChunkedVector<TermNode, 10, std::size_t{1} << 18> nodes_;
   util::ChunkedVector<std::uint32_t, 14> arena_;
   std::unordered_map<std::uint64_t, std::vector<TermId>> buckets_;
 };

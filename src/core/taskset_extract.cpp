@@ -68,6 +68,20 @@ std::optional<ExtractedTaskSet> extract_taskset(
         task.kind = sched::DispatchKind::Background;
         break;
     }
+    // A period below one quantum is refused, as lint's AL005 and the
+    // translator refuse it; the classical analyses would divide by it.
+    if (task.kind != sched::DispatchKind::Background && task.period < 1) {
+      const bool aperiodic =
+          props->dispatch == aadl::DispatchProtocol::Aperiodic;
+      diags.error({}, thread->path + ": " +
+                          (aperiodic ? "Deadline (" : "Period (") +
+                          std::to_string(aperiodic ? props->deadline_ns
+                                                   : props->period_ns) +
+                          " ns) is smaller than the scheduling quantum (" +
+                          std::to_string(quantum_ns) +
+                          " ns): it rounds down to zero quanta");
+      return std::nullopt;
+    }
     out.tasks.tasks.push_back(std::move(task));
   }
 

@@ -37,7 +37,8 @@ struct ExtractedTaskSet {
 /// the translator's rule (translate/timing.hpp) at `quantum_ns`: an
 /// aperiodic thread ranks as having no period, even though its task then
 /// takes the deadline as its period. Returns nullopt when mandatory
-/// properties are missing (errors in `diags`).
+/// properties are missing or a task's period (an aperiodic thread's
+/// deadline) is below one quantum (errors in `diags`).
 std::optional<ExtractedTaskSet> extract_taskset(
     const aadl::InstanceModel& model, std::int64_t quantum_ns,
     util::DiagnosticEngine& diags);

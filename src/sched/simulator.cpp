@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/string_utils.hpp"
 
@@ -25,6 +26,10 @@ SimResult simulate(const TaskSet& ts, const SimOptions& opts) {
   SimResult result;
   const std::size_t n = ts.tasks.size();
   result.worst_response.assign(n, 0);
+  for (const Task& t : ts.tasks)
+    if (t.kind != DispatchKind::Background && t.period < 1)
+      throw std::invalid_argument("simulate: task '" + t.name +
+                                  "' has a period below one quantum");
 
   Time horizon = opts.horizon;
   if (horizon == 0) {

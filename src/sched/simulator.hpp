@@ -53,6 +53,8 @@ struct SimResult {
 /// Simulate a single-processor task set. Tasks of kind Sporadic/Aperiodic
 /// are released at their maximum rate (period = min separation), i.e. the
 /// worst case; Background tasks are released once at t=0 with no deadline.
+/// Throws std::invalid_argument when a non-background task has a period
+/// below one quantum (there is no release pattern to simulate).
 SimResult simulate(const TaskSet& ts, const SimOptions& opts = {});
 
 /// Render a timeline as an ASCII Gantt chart (one row per task).

@@ -6,8 +6,11 @@
 // TermTable::node/payload or ActionTable::uses stays valid while that
 // caller goes on interning. A std::vector backing store would reallocate
 // on growth and leave such a reference dangling. ChunkedVector stores
-// elements in fixed-size chunks behind a preallocated spine of chunk
-// pointers, so an element's address never changes once written.
+// elements in fixed-size chunks that never move; only the spine of chunk
+// pointers grows, one chunk at a time as elements arrive, so an empty
+// vector allocates nothing and an element's address never changes once
+// written. The spine is not safe for concurrent readers while a writer
+// grows it: the tables are single-threaded.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +18,7 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace aadlsched::util {
 
@@ -23,8 +27,6 @@ class ChunkedVector {
  public:
   static constexpr std::size_t kChunkSize = std::size_t{1} << ChunkLog;
   static constexpr std::size_t kChunkMask = kChunkSize - 1;
-
-  ChunkedVector() : spine_(new std::unique_ptr<T[]>[MaxChunks]) {}
 
   std::size_t size() const { return size_; }
 
@@ -72,10 +74,11 @@ class ChunkedVector {
     const std::size_t c = i >> ChunkLog;
     if (c >= MaxChunks)
       throw std::length_error("ChunkedVector: capacity exhausted");
+    if (c >= spine_.size()) spine_.resize(c + 1);
     if (!spine_[c]) spine_[c] = std::make_unique<T[]>(kChunkSize);
   }
 
-  std::unique_ptr<std::unique_ptr<T[]>[]> spine_;
+  std::vector<std::unique_ptr<T[]>> spine_;
   std::size_t size_ = 0;
 };
 

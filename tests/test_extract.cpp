@@ -241,4 +241,28 @@ TEST(Extract, PrioritiesFollowTheTranslation) {
   EXPECT_GT(compared, 0);
 }
 
+TEST(Extract, RefusesPeriodBelowOneQuantum) {
+  // t0's 500 us Period quantizes to zero quanta at 1 ms. Exploration
+  // refuses the model (AL005); the classical view must refuse it too rather
+  // than hand RTA and the simulator a zero period.
+  std::ifstream in(std::string(AADLSCHED_CORPUS_DIR) +
+                   "/../sub_quantum_period.aadl");
+  std::ostringstream os;
+  os << in.rdbuf();
+  util::DiagnosticEngine diags("sub_quantum_period.aadl");
+  aadl::Model model;
+  auto inst = load(os.str(), model, diags, "Root.impl");
+  ASSERT_TRUE(inst && !diags.has_errors()) << diags.render_all();
+  util::DiagnosticEngine ediags("extract");
+  EXPECT_FALSE(core::extract_taskset(*inst, 1'000'000, ediags));
+  EXPECT_NE(ediags.render_all().find("t0: Period (500000 ns) is smaller "
+                                     "than the scheduling quantum"),
+            std::string::npos)
+      << ediags.render_all();
+  // At a 100 us quantum, which the period survives, the model extracts.
+  util::DiagnosticEngine fine("extract");
+  EXPECT_TRUE(core::extract_taskset(*inst, 100'000, fine))
+      << fine.render_all();
+}
+
 }  // namespace

@@ -12,6 +12,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "aadl/fingerprint.hpp"
@@ -207,6 +208,57 @@ TEST(Fingerprint, SemanticEditsChangeFingerprint) {
                  "Actual_Connection_Binding => reference (vme) applies to "
                  "c_mode;",
                  "");
+}
+
+// Property names and units are lowercased once, in the parser, and the
+// lookups and the fingerprint compare them as stored (ast.hpp). One model
+// spelled in upper case, with a property-set qualifier and in lower case
+// must resolve to one Period.
+std::string spelled(const std::string& period) {
+  return "package P\npublic\n"
+         "  processor Cpu\n  properties\n"
+         "    Scheduling_Protocol => RATE_MONOTONIC_PROTOCOL;\n"
+         "  end Cpu;\n"
+         "  thread T\n  end T;\n"
+         "  thread implementation T.impl\n  properties\n"
+         "    Dispatch_Protocol => Periodic;\n"
+         "    " + period + ";\n"
+         "    Compute_Execution_Time => 1 ms .. 2 ms;\n"
+         "  end T.impl;\n"
+         "  system Root\n  end Root;\n"
+         "  system implementation Root.impl\n  subcomponents\n"
+         "    T0 : thread T.impl;\n    cpu : processor Cpu;\n"
+         "  properties\n"
+         "    Actual_Processor_Binding => reference (cpu) applies to T0;\n"
+         "  end Root.impl;\nend P;\n";
+}
+
+TEST(Fingerprint, LowercaseAtParseMakesSpellingsAgree) {
+  const std::string spellings[] = {"PERIOD => 10 MS",
+                                   "Timing_Properties::Period => 10 ms",
+                                   "period => 10 ms"};
+  for (const std::string& s : spellings) {
+    util::DiagnosticEngine diags("fp.aadl");
+    aadl::Model model;
+    ASSERT_TRUE(aadl::parse_aadl(model, spelled(s), diags)) << s;
+    auto inst = aadl::instantiate(model, "Root.impl", diags);
+    ASSERT_TRUE(inst && !diags.has_errors()) << s << diags.render_all();
+    ASSERT_EQ(inst->threads.size(), 1u);
+    const aadl::PropertyValue* pv =
+        aadl::find_property(*inst, *inst->threads[0], "period");
+    ASSERT_NE(pv, nullptr) << s;
+    const auto* iu = std::get_if<aadl::IntWithUnit>(&pv->data);
+    ASSERT_NE(iu, nullptr) << s;
+    EXPECT_EQ(*iu, (aadl::IntWithUnit{10, "ms"})) << s;
+    EXPECT_EQ(inst->threads[0]->path, "t0") << s;
+  }
+  const auto fp = [](const std::string& s) {
+    return fingerprint_of(spelled(s), "Root.impl").hex();
+  };
+  EXPECT_EQ(fp(spellings[0]), fp(spellings[2]));
+  // The canonical text keeps the stored name, qualifier included, so the
+  // qualified spelling agrees with itself across case.
+  EXPECT_EQ(fp("TIMING_PROPERTIES::PERIOD => 10 MS"), fp(spellings[1]));
 }
 
 TEST(Fingerprint, CanonicalTextIsVersioned) {

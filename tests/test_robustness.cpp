@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "aadl/parser.hpp"
+#include "aadl/properties.hpp"
 #include "core/analyzer.hpp"
 #include "util/diagnostics.hpp"
 
@@ -77,6 +80,26 @@ TEST(Robustness, AbsurdPropertyValuesAreCaughtNotAnalyzed) {
   EXPECT_FALSE(r.diagnostics.empty() &&
                (!r.lint_report || r.lint_report->findings.empty()))
       << "nonsense timing values produced neither diagnostics nor findings";
+}
+
+TEST(Robustness, TimeToNsReportsOverflowInsteadOfWrapping) {
+  // absurd_properties.aadl's 99999999999999999999999999 ms saturates to
+  // INT64_MAX in the lexer; scaling it to ns must not overflow.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (const aadl::IntWithUnit& v :
+       {aadl::IntWithUnit{kMax, "ms"}, aadl::IntWithUnit{kMin, "us"},
+        aadl::IntWithUnit{kMax / 1000, "hr"}}) {
+    util::DiagnosticEngine diags("time");
+    EXPECT_FALSE(aadl::time_to_ns(v, diags, {}).has_value()) << v.unit;
+    EXPECT_NE(diags.render_all().find("out of range"), std::string::npos)
+        << diags.render_all();
+  }
+  util::DiagnosticEngine diags("time");
+  EXPECT_EQ(aadl::time_to_ns({kMax, "ns"}, diags, {}), kMax);
+  EXPECT_EQ(aadl::time_to_ns({kMax / 1000, "us"}, diags, {}),
+            kMax / 1000 * 1000);
+  EXPECT_FALSE(diags.has_errors());
 }
 
 TEST(Robustness, CyclicExtendsTerminates) {

@@ -4,6 +4,8 @@
 // three must return the same verdict.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sched/analysis.hpp"
 #include "sched/simulator.hpp"
 #include "sched/workload.hpp"
@@ -34,6 +36,17 @@ TEST(Simulator, SingleTaskRunsImmediately) {
   EXPECT_EQ(r.timeline[1], 0);
   EXPECT_EQ(r.timeline[2], -1);  // idle
   EXPECT_EQ(r.worst_response[0], 2);
+}
+
+TEST(Simulator, RejectsPeriodBelowOneQuantum) {
+  // A zero period has no release pattern; it used to be a division by zero.
+  TaskSet ts;
+  ts.tasks = {mk("fast", 1, 5, 0, 2), mk("zero", 1, 5, 5, 1)};
+  ts.tasks[1].period = 0;
+  EXPECT_THROW(simulate(ts), std::invalid_argument);
+  // A background task has no period and stays accepted.
+  ts.tasks[1].kind = DispatchKind::Background;
+  EXPECT_TRUE(simulate(ts).schedulable);
 }
 
 TEST(Simulator, FixedPriorityPreemptsLower) {

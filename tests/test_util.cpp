@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/chunked_vector.hpp"
 #include "util/diagnostics.hpp"
@@ -189,13 +192,18 @@ TEST(ThreadPool, ReusableAfterWait) {
 TEST(ChunkedVector, StableAddressesAcrossGrowth) {
   u::ChunkedVector<int, 4> v;  // chunks of 16
   EXPECT_EQ(v.push_back(7), 0u);
-  const int* first = &v[0];
-  for (int i = 1; i < 1000; ++i)
+  std::vector<const int*> chunk_starts{&v[0]};
+  for (int i = 1; i < 16 * 150; ++i) {
     EXPECT_EQ(v.push_back(i), static_cast<std::size_t>(i));
-  EXPECT_EQ(first, &v[0]) << "growth must not move existing elements";
+    if (i % 16 == 0) chunk_starts.push_back(&v[static_cast<std::size_t>(i)]);
+  }
+  // The spine grew past 100 chunks; no element moved.
+  for (std::size_t c = 0; c < chunk_starts.size(); ++c)
+    EXPECT_EQ(chunk_starts[c], &v[c * 16])
+        << "growth must not move existing elements (chunk " << c << ")";
   EXPECT_EQ(v[0], 7);
-  EXPECT_EQ(v[999], 999);
-  EXPECT_EQ(v.size(), 1000u);
+  EXPECT_EQ(v[2399], 2399);
+  EXPECT_EQ(v.size(), 2400u);
 }
 
 TEST(ChunkedVector, AppendSpanNeverStraddlesChunks) {
@@ -211,6 +219,16 @@ TEST(ChunkedVector, AppendSpanNeverStraddlesChunks) {
   // Empty span: no write, any start is fine, view is empty.
   const std::size_t s3 = v.append_span({});
   EXPECT_TRUE(v.view(s3, 0).empty());
+}
+
+TEST(ChunkedVector, SmallCapacityThrowsAtItsCap) {
+  u::ChunkedVector<int, 2, 3> v;  // 3 chunks of 4: 12 elements
+  for (int i = 0; i < 12; ++i) v.push_back(i);
+  EXPECT_THROW(v.push_back(12), std::length_error);
+  EXPECT_EQ(v.size(), 12u);
+  EXPECT_EQ(v[11], 11);
+  const int two[2] = {1, 2};
+  EXPECT_THROW(v.append_span(std::span<const int>(two, 2)), std::length_error);
 }
 
 TEST(ParseInt64, AcceptsWellFormedIntegers) {

@@ -668,46 +668,46 @@ int main(int argc, char** argv) {
         *instance, opts.translation.quantum_ns, ediags);
     if (!extracted) {
       std::cerr << ediags.render_all();
-    } else {
-      std::cout << "classical task view"
-                << (extracted->lossy
-                        ? " (approximate: model has event/bus features)"
-                        : "")
-                << ":\n";
-      for (std::size_t cpu = 0; cpu < extracted->processor_paths.size();
-           ++cpu) {
-        const sched::TaskSet on =
-            extracted->tasks.on_processor(static_cast<int>(cpu));
-        std::cout << "  " << extracted->processor_paths[cpu] << " ("
-                  << aadl::to_string(extracted->protocols[cpu])
-                  << "), U = " << on.utilization() << "\n";
-        const bool edf =
-            extracted->protocols[cpu] == aadl::SchedulingProtocol::Edf ||
-            extracted->protocols[cpu] == aadl::SchedulingProtocol::Llf;
-        if (edf) {
-          const auto v = sched::edf_demand_analysis(on);
-          std::cout << "    EDF demand analysis: "
-                    << (v.verdict == sched::Verdict::Schedulable
-                            ? "schedulable"
-                            : "NOT schedulable")
-                    << "\n";
-        } else {
-          const auto v = sched::response_time_analysis(on);
-          std::cout << "    response-time analysis: "
-                    << (v.verdict == sched::Verdict::Schedulable
-                            ? "schedulable"
-                            : "NOT schedulable")
-                    << "\n";
-        }
-        sched::SimOptions so;
-        so.policy = edf ? sched::SchedulingPolicy::Edf
-                        : sched::SchedulingPolicy::FixedPriority;
-        std::cout << "    hyperperiod simulation: "
-                  << (sched::simulate(on, so).schedulable
+      return 2;
+    }
+    std::cout << "classical task view"
+              << (extracted->lossy
+                      ? " (approximate: model has event/bus features)"
+                      : "")
+              << ":\n";
+    for (std::size_t cpu = 0; cpu < extracted->processor_paths.size();
+         ++cpu) {
+      const sched::TaskSet on =
+          extracted->tasks.on_processor(static_cast<int>(cpu));
+      std::cout << "  " << extracted->processor_paths[cpu] << " ("
+                << aadl::to_string(extracted->protocols[cpu])
+                << "), U = " << on.utilization() << "\n";
+      const bool edf =
+          extracted->protocols[cpu] == aadl::SchedulingProtocol::Edf ||
+          extracted->protocols[cpu] == aadl::SchedulingProtocol::Llf;
+      if (edf) {
+        const auto v = sched::edf_demand_analysis(on);
+        std::cout << "    EDF demand analysis: "
+                  << (v.verdict == sched::Verdict::Schedulable
+                          ? "schedulable"
+                          : "NOT schedulable")
+                  << "\n";
+      } else {
+        const auto v = sched::response_time_analysis(on);
+        std::cout << "    response-time analysis: "
+                  << (v.verdict == sched::Verdict::Schedulable
                           ? "schedulable"
                           : "NOT schedulable")
                   << "\n";
       }
+      sched::SimOptions so;
+      so.policy = edf ? sched::SchedulingPolicy::Edf
+                      : sched::SchedulingPolicy::FixedPriority;
+      std::cout << "    hyperperiod simulation: "
+                << (sched::simulate(on, so).schedulable
+                        ? "schedulable"
+                        : "NOT schedulable")
+                << "\n";
     }
   }
 
