@@ -25,28 +25,19 @@ std::uint64_t hash_events(std::span<const Event> es) {
 
 }  // namespace
 
-namespace {
-constexpr ActionId kNoAction = static_cast<ActionId>(-1);
-constexpr EventSetId kNoEventSet = static_cast<EventSetId>(-1);
-}  // namespace
-
 ActionTable::ActionTable() {
   // ActionId 0: the empty (idling) action.
   actions_.push_back({});
-  const std::uint64_t h = hash_uses(actions_[0]);
-  buckets_[h].push_back(0);
+  index_.insert(hash_uses(actions_[0]), kIdleAction);
 }
 
-ActionId ActionTable::find_in_bucket(
-    std::uint64_t h, const std::vector<ResourceUse>& uses) const {
-  const auto it = buckets_.find(h);
-  if (it == buckets_.end()) return kNoAction;
-  for (ActionId id : it->second)
-    if (actions_[id] == uses) return id;
-  return kNoAction;
+ActionId ActionTable::intern(std::span<const ResourceUse> uses) {
+  scratch_.assign(uses.begin(), uses.end());
+  return intern_scratch();
 }
 
-ActionId ActionTable::intern(std::vector<ResourceUse> uses) {
+ActionId ActionTable::intern_scratch() {
+  std::vector<ResourceUse>& uses = scratch_;
   std::sort(uses.begin(), uses.end());
   // Collapse duplicate resources, keeping the highest priority.
   std::size_t w = 0;
@@ -60,10 +51,11 @@ ActionId ActionTable::intern(std::vector<ResourceUse> uses) {
   uses.resize(w);
 
   const std::uint64_t h = hash_uses(uses);
-  if (const ActionId hit = find_in_bucket(h, uses); hit != kNoAction)
-    return hit;
-  const ActionId id = static_cast<ActionId>(actions_.push_back(std::move(uses)));
-  buckets_[h].push_back(id);
+  const ActionId hit =
+      index_.find(h, [&](ActionId id) { return actions_[id] == uses; });
+  if (hit != util::kFlatEmptySlot) return hit;
+  const ActionId id = static_cast<ActionId>(actions_.push_back(uses));
+  index_.insert(h, id);
   return id;
 }
 
@@ -84,11 +76,11 @@ bool ActionTable::disjoint(ActionId a, ActionId b) const {
 ActionId ActionTable::merge(ActionId a, ActionId b) {
   if (a == kIdleAction) return b;
   if (b == kIdleAction) return a;
-  // Copy before intern: intern() may grow actions_ and invalidate refs.
-  std::vector<ResourceUse> merged = actions_[a];
-  const std::vector<ResourceUse> ub = actions_[b];
-  merged.insert(merged.end(), ub.begin(), ub.end());
-  return intern(std::move(merged));
+  const std::vector<ResourceUse>& ua = actions_[a];
+  const std::vector<ResourceUse>& ub = actions_[b];
+  scratch_.assign(ua.begin(), ua.end());
+  scratch_.insert(scratch_.end(), ub.begin(), ub.end());
+  return intern_scratch();
 }
 
 bool ActionTable::preempts(ActionId a, ActionId b) const {
@@ -118,26 +110,20 @@ bool ActionTable::preempts(ActionId a, ActionId b) const {
 
 EventSetTable::EventSetTable() {
   sets_.push_back({});
-  index_[hash_events(sets_[0])].push_back(0);
+  index_.insert(hash_events(sets_[0]), 0);
 }
 
-EventSetId EventSetTable::find_existing(
-    std::uint64_t h, const std::vector<Event>& events) const {
-  const auto it = index_.find(h);
-  if (it == index_.end()) return kNoEventSet;
-  for (EventSetId id : it->second)
-    if (sets_[id] == events) return id;
-  return kNoEventSet;
-}
-
-EventSetId EventSetTable::intern(std::vector<Event> events) {
-  std::sort(events.begin(), events.end());
-  events.erase(std::unique(events.begin(), events.end()), events.end());
-  const std::uint64_t h = hash_events(events);
-  if (const EventSetId hit = find_existing(h, events); hit != kNoEventSet)
-    return hit;
-  const EventSetId id = static_cast<EventSetId>(sets_.push_back(std::move(events)));
-  index_[h].push_back(id);
+EventSetId EventSetTable::intern(std::span<const Event> events) {
+  std::vector<Event>& set = scratch_;
+  set.assign(events.begin(), events.end());
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  const std::uint64_t h = hash_events(set);
+  const EventSetId hit =
+      index_.find(h, [&](EventSetId id) { return sets_[id] == set; });
+  if (hit != util::kFlatEmptySlot) return hit;
+  const EventSetId id = static_cast<EventSetId>(sets_.push_back(set));
+  index_.insert(h, id);
   return id;
 }
 

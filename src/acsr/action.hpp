@@ -9,13 +9,14 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/ids.hpp"
 #include "util/chunked_vector.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
 
@@ -33,8 +34,13 @@ class ActionTable {
 
   /// Intern an action. The input is canonicalized: sorted by resource id;
   /// duplicate resources keep the highest priority (a process cannot
-  /// meaningfully request the same resource twice in one step).
-  ActionId intern(std::vector<ResourceUse> uses);
+  /// meaningfully request the same resource twice in one step). The copy
+  /// is canonicalized in a scratch buffer the table keeps, so interning an
+  /// existing action allocates nothing.
+  ActionId intern(std::span<const ResourceUse> uses);
+  ActionId intern(std::initializer_list<ResourceUse> uses) {
+    return intern(std::span<const ResourceUse>(uses.begin(), uses.size()));
+  }
 
   const std::vector<ResourceUse>& uses(ActionId id) const {
     return actions_[id];
@@ -45,7 +51,8 @@ class ActionTable {
   /// Par3 side condition: resource sets are disjoint.
   bool disjoint(ActionId a, ActionId b) const;
 
-  /// Union of two disjoint actions (sorted merge).
+  /// Union of two disjoint actions (sorted merge). Allocation-free when the
+  /// union is already interned.
   ActionId merge(ActionId a, ActionId b);
 
   /// The paper's preemption order on actions: a ≺ b iff every resource of a
@@ -58,15 +65,17 @@ class ActionTable {
   /// Approximate footprint (resource-use vectors + index), for the
   /// resource-governance memory estimate.
   std::size_t approx_bytes() const {
-    return actions_.size() * (sizeof(std::vector<ResourceUse>) + 64);
+    return actions_.size() * (sizeof(std::vector<ResourceUse>) + 32) +
+           index_.approx_bytes();
   }
 
  private:
-  ActionId find_in_bucket(std::uint64_t h,
-                          const std::vector<ResourceUse>& uses) const;
+  /// Canonicalize scratch_ in place and intern it.
+  ActionId intern_scratch();
 
   util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
-  std::unordered_map<std::uint64_t, std::vector<ActionId>> buckets_;
+  util::FlatHashIndex index_;
+  std::vector<ResourceUse> scratch_;
 };
 
 /// Interned sorted sets of event labels, for the restriction operator.
@@ -74,17 +83,20 @@ class EventSetTable {
  public:
   EventSetTable();
 
-  EventSetId intern(std::vector<Event> events);
+  /// Intern the set of `events` (sorted and deduplicated in a scratch
+  /// buffer the table keeps).
+  EventSetId intern(std::span<const Event> events);
+  EventSetId intern(std::initializer_list<Event> events) {
+    return intern(std::span<const Event>(events.begin(), events.size()));
+  }
   const std::vector<Event>& events(EventSetId id) const { return sets_[id]; }
   bool contains(EventSetId id, Event e) const;
   std::size_t size() const { return sets_.size(); }
 
  private:
-  EventSetId find_existing(std::uint64_t h,
-                           const std::vector<Event>& events) const;
-
   util::ChunkedVector<std::vector<Event>, 8> sets_;
-  std::unordered_map<std::uint64_t, std::vector<EventSetId>> index_;
+  util::FlatHashIndex index_;
+  std::vector<Event> scratch_;
 };
 
 }  // namespace aadlsched::acsr

@@ -199,8 +199,7 @@ TermId Context::instantiate(OpenTermId open_id,
 }
 
 TermId Context::unfold(TermId call_term) {
-  if (auto it = unfold_memo_.find(call_term); it != unfold_memo_.end())
-    return it->second;
+  if (const TermId* hit = unfold_memo_.find(call_term)) return *hit;
   const TermNode& node = terms_.node(call_term);
   assert(node.kind == TermKind::Call);
   const DefId def_id = node.a;
@@ -225,8 +224,7 @@ std::size_t Context::approx_bytes() const {
   bytes += (resources_.size() + events_.size()) * 64;
   bytes += open_terms_.size() * sizeof(OpenTermNode);
   bytes += defs_.size() * sizeof(Definition);
-  // Unfold memo: one map entry per distinct Call state seen.
-  bytes += unfold_memo_.size() * 48;
+  bytes += unfold_memo_.approx_bytes();
   return bytes;
 }
 

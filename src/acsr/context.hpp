@@ -21,6 +21,7 @@
 #include "acsr/expr.hpp"
 #include "acsr/open_term.hpp"
 #include "acsr/term.hpp"
+#include "util/flat_set.hpp"
 #include "util/interner.hpp"
 
 namespace aadlsched::acsr {
@@ -107,7 +108,7 @@ class Context {
   std::deque<OpenTermNode> open_terms_;
   std::deque<Definition> defs_;
   std::unordered_map<std::string, DefId> def_index_;
-  std::unordered_map<TermId, TermId> unfold_memo_;
+  util::FlatIdMap<TermId> unfold_memo_;
 };
 
 }  // namespace aadlsched::acsr

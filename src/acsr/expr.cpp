@@ -34,28 +34,28 @@ std::int64_t clamp32(std::int64_t v) {
 ExprTable::ExprTable() {
   // CondId 0 is reserved for the trivially-true guard.
   conds_.push_back(CondNode{CondKind::True, 0, 0});
-  cond_index_[hash_cond(conds_[0])].push_back(0);
+  cond_index_.insert(hash_cond(conds_[0]), kCondTrue);
 }
 
 ExprId ExprTable::intern_expr(const ExprNode& n) {
   const std::uint64_t h = hash_expr(n);
-  auto& bucket = expr_index_[h];
-  for (ExprId id : bucket)
-    if (exprs_[id] == n) return id;
+  const ExprId hit =
+      expr_index_.find(h, [&](ExprId id) { return exprs_[id] == n; });
+  if (hit != util::kFlatEmptySlot) return hit;
   const ExprId id = static_cast<ExprId>(exprs_.size());
   exprs_.push_back(n);
-  bucket.push_back(id);
+  expr_index_.insert(h, id);
   return id;
 }
 
 CondId ExprTable::intern_cond(const CondNode& n) {
   const std::uint64_t h = hash_cond(n);
-  auto& bucket = cond_index_[h];
-  for (CondId id : bucket)
-    if (conds_[id] == n) return id;
+  const CondId hit =
+      cond_index_.find(h, [&](CondId id) { return conds_[id] == n; });
+  if (hit != util::kFlatEmptySlot) return hit;
   const CondId id = static_cast<CondId>(conds_.size());
   conds_.push_back(n);
-  bucket.push_back(id);
+  cond_index_.insert(h, id);
   return id;
 }
 

@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/ids.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
 
@@ -98,8 +98,8 @@ class ExprTable {
 
   std::vector<ExprNode> exprs_;
   std::vector<CondNode> conds_;
-  std::unordered_map<std::uint64_t, std::vector<ExprId>> expr_index_;
-  std::unordered_map<std::uint64_t, std::vector<CondId>> cond_index_;
+  util::FlatHashIndex expr_index_;
+  util::FlatHashIndex cond_index_;
 };
 
 }  // namespace aadlsched::acsr

@@ -1,7 +1,5 @@
 #include "acsr/preemption.hpp"
 
-#include <algorithm>
-
 namespace aadlsched::acsr {
 
 bool preempted_by(const ActionTable& actions, const Label& a,
@@ -22,25 +20,31 @@ bool preempted_by(const ActionTable& actions, const Label& a,
   return false;
 }
 
-void prioritize(const ActionTable& actions, std::vector<Transition>& ts) {
-  // O(n^2) pairwise check; transition fans are small (tens) in practice.
-  // A transition is kept iff nothing in the *full* set preempts it (the
-  // relation is applied against all siblings, including ones that are
-  // themselves preempted; preemption chains are consistent because the
-  // underlying orders are transitive).
-  std::vector<bool> dead(ts.size(), false);
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    for (std::size_t j = 0; j < ts.size(); ++j) {
-      if (i == j) continue;
-      if (preempted_by(actions, ts[i].label, ts[j].label)) {
-        dead[i] = true;
+void mark_survivors(const ActionTable& actions, std::span<const Label> labels,
+                    std::vector<std::uint8_t>& keep) {
+  // O(n^2) pairwise check; fans are small (tens) in practice. A label is
+  // kept iff nothing in the *full* set preempts it; preemption chains are
+  // consistent because the underlying orders are transitive.
+  keep.assign(labels.size(), 1);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    for (std::size_t j = 0; j < labels.size(); ++j) {
+      if (i != j && preempted_by(actions, labels[i], labels[j])) {
+        keep[i] = 0;
         break;
       }
     }
   }
+}
+
+void prioritize(const ActionTable& actions, std::vector<Transition>& ts) {
+  std::vector<Label> labels;
+  labels.reserve(ts.size());
+  for (const Transition& t : ts) labels.push_back(t.label);
+  std::vector<std::uint8_t> keep;
+  mark_survivors(actions, labels, keep);
   std::size_t w = 0;
   for (std::size_t i = 0; i < ts.size(); ++i)
-    if (!dead[i]) ts[w++] = ts[i];
+    if (keep[i]) ts[w++] = ts[i];
   ts.resize(w);
 }
 

@@ -16,99 +16,166 @@ sort_key(const Transition& t) {
           static_cast<std::uint32_t>(t.label.priority), t.target};
 }
 
-void canonicalize(std::vector<Transition>& ts) {
-  std::sort(ts.begin(), ts.end(), [](const Transition& a, const Transition& b) {
+/// Sort ts[from..) into canonical order and drop duplicates.
+void canonicalize(std::vector<Transition>& ts, std::size_t from) {
+  const auto first = ts.begin() + static_cast<std::ptrdiff_t>(from);
+  std::sort(first, ts.end(), [](const Transition& a, const Transition& b) {
     return sort_key(a) < sort_key(b);
   });
-  ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+  ts.erase(std::unique(first, ts.end()), ts.end());
 }
+
+/// Fans are stored in blocks of this many transitions (a larger fan gets a
+/// block of its own size).
+constexpr std::size_t kBlockTransitions = 4096;
+
+/// parallel_candidates() argument for a Parallel with no Restrict around it.
+constexpr EventSetId kNoRestriction = static_cast<EventSetId>(-1);
 
 }  // namespace
 
+std::size_t Semantics::approx_bytes() const {
+  std::size_t bytes = memo_.approx_bytes();
+  for (const std::vector<Transition>& b : blocks_)
+    bytes += b.capacity() * sizeof(Transition);
+  return bytes;
+}
+
+Semantics::Fan Semantics::store(Fan fan) {
+  if (fan.empty()) return {};
+  for (;; ++block_) {
+    if (block_ == blocks_.size())
+      blocks_.emplace_back().reserve(std::max(kBlockTransitions, fan.size()));
+    std::vector<Transition>& b = blocks_[block_];
+    if (b.capacity() - b.size() >= fan.size()) {
+      const std::size_t at = b.size();
+      b.insert(b.end(), fan.begin(), fan.end());  // within capacity: no move
+      return {b.data() + at, fan.size()};
+    }
+  }
+}
+
+void Semantics::rewind() {
+  // Blocks past block_ are still empty from the previous rewind.
+  for (std::size_t b = 0; b < blocks_.size() && b <= block_; ++b)
+    blocks_[b].clear();
+  block_ = 0;
+}
+
 std::vector<Transition> Semantics::transitions(TermId t) {
+  if (!memoize_) rewind();
+  const Fan f = fan(t);
+  return {f.begin(), f.end()};
+}
+
+void Semantics::prioritized(TermId t, std::vector<Transition>& out) {
+  out.clear();
+  if (!memoize_) rewind();
+  TermTable& tt = ctx_.terms();
+  const TermNode& node = tt.node(t);
+  const bool restricted = node.kind == TermKind::Restrict &&
+                          tt.kind(node.b) == TermKind::Parallel;
+  if (restricted || node.kind == TermKind::Parallel) {
+    // Labels first: prioritize the candidates, intern survivors only.
+    const TermId par = restricted ? node.b : t;
+    const EventSetId fset = restricted ? node.a : kNoRestriction;
+    parallel_candidates(par, fset);
+    mark_survivors(ctx_.actions(), cand_labels_, keep_);
+    const std::size_t n = tt.payload(par).size();
+    for (std::size_t k = 0; k < cand_labels_.size(); ++k) {
+      if (!keep_[k]) continue;
+      ++stats_.kept;
+      TermId target = tt.parallel(
+          std::span<const TermId>(cand_rows_.data() + k * n, n));
+      if (restricted) target = tt.restrict(fset, target);
+      out.push_back(Transition{cand_labels_[k], target});
+    }
+    stats_.candidates += cand_labels_.size();
+    canonicalize(out, 0);
+  } else {
+    const Fan f = fan(t);
+    cand_labels_.clear();
+    for (const Transition& tr : f) cand_labels_.push_back(tr.label);
+    mark_survivors(ctx_.actions(), cand_labels_, keep_);
+    for (std::size_t k = 0; k < f.size(); ++k)
+      if (keep_[k]) out.push_back(f[k]);
+    stats_.candidates += f.size();
+    stats_.kept += out.size();
+  }
+}
+
+Semantics::Fan Semantics::fan(TermId t) {
   if (memoize_) {
-    if (const FanRef* ref = memo_.find(t)) {
+    if (const Fan* hit = memo_.find(t)) {
       ++stats_.memo_hits;
-      const auto first = fan_arena_.begin() + ref->offset;
-      return {first, first + ref->len};
+      return *hit;
     }
   }
   ++stats_.computed;
-  std::vector<Transition> ts = compute(t);
-  canonicalize(ts);
-  if (memoize_) {
-    // Nested transitions() calls inside compute() appended their own
-    // windows first, so the arena tail is free here.
-    const auto offset = static_cast<std::uint32_t>(fan_arena_.size());
-    fan_arena_.insert(fan_arena_.end(), ts.begin(), ts.end());
-    memo_.emplace(t, FanRef{offset, static_cast<std::uint32_t>(ts.size())});
-  }
-  return ts;
+  const std::size_t base = out_.size();
+  compute(t);
+  canonicalize(out_, base);
+  const Fan f = store(Fan(out_).subspan(base));
+  out_.resize(base);
+  if (memoize_) memo_.emplace(t, f);
+  return f;
 }
 
-std::vector<Transition> Semantics::prioritized(TermId t) {
-  std::vector<Transition> ts = transitions(t);
-  prioritize(ctx_.actions(), ts);
-  return ts;
-}
-
-std::vector<Transition> Semantics::compute(TermId t) {
+void Semantics::compute(TermId t) {
   TermTable& tt = ctx_.terms();
-  std::vector<Transition> out;
-  // Copy the node: recursive calls below intern new terms, which can
-  // reallocate the node table and invalidate references into it.
   const TermNode node = tt.node(t);
   switch (node.kind) {
     case TermKind::Nil:
       break;
 
     case TermKind::Act:
-      out.push_back(Transition{Label::make_action(node.a), node.b});
+      out_.push_back(Transition{Label::make_action(node.a), node.b});
       break;
 
     case TermKind::Evt:
-      out.push_back(Transition{
+      out_.push_back(Transition{
           Label::make_event(node.a, node.flag != 0,
                             static_cast<Priority>(node.c)),
           node.b});
       break;
 
-    case TermKind::Choice: {
-      const auto p = tt.payload(t);
-      const std::vector<TermId> kids(p.begin(), p.end());
-      for (TermId k : kids) {
-        const std::vector<Transition> ks = transitions(k);
-        out.insert(out.end(), ks.begin(), ks.end());
+    case TermKind::Choice:
+      for (const TermId k : tt.payload(t)) {
+        const Fan f = fan(k);
+        out_.insert(out_.end(), f.begin(), f.end());
       }
+      break;
+
+    case TermKind::Parallel: {
+      parallel_candidates(t, kNoRestriction);
+      const std::size_t n = tt.payload(t).size();
+      for (std::size_t k = 0; k < cand_labels_.size(); ++k)
+        out_.push_back(Transition{
+            cand_labels_[k],
+            tt.parallel(
+                std::span<const TermId>(cand_rows_.data() + k * n, n))});
       break;
     }
 
-    case TermKind::Parallel:
-      parallel_transitions(t, out);
-      break;
-
     case TermKind::Restrict: {
       const EventSetId fset = node.a;
-      const std::vector<Transition> body = transitions(node.b);
-      for (const Transition& tr : body) {
+      for (const Transition& tr : fan(node.b)) {
         if (tr.label.kind == Label::Kind::Event &&
             ctx_.event_sets().contains(fset, tr.label.event))
           continue;  // restricted: may only synchronize inside
-        out.push_back(
-            Transition{tr.label, tt.restrict(fset, tr.target)});
+        out_.push_back(Transition{tr.label, tt.restrict(fset, tr.target)});
       }
       break;
     }
 
     case TermKind::Scope: {
       const ScopeParts parts = tt.scope_parts(t);
-      const std::vector<Transition> body = transitions(parts.body);
-      for (const Transition& tr : body) {
+      for (const Transition& tr : fan(parts.body)) {
         if (tr.label.is_timed()) {
           ScopeParts next = parts;
           next.body = tr.target;
           if (next.time_left != kInfiniteTime) --next.time_left;
-          out.push_back(Transition{tr.label, tt.scope(next)});
+          out_.push_back(Transition{tr.label, tt.scope(next)});
         } else if (tr.label.kind == Label::Kind::Event &&
                    tr.label.send && parts.exception_label != 0 &&
                    tr.label.event == parts.exception_label) {
@@ -117,56 +184,67 @@ std::vector<Transition> Semantics::compute(TermId t) {
           const TermId target = parts.exception_cont == kInvalidTerm
                                     ? kNil
                                     : parts.exception_cont;
-          out.push_back(Transition{tr.label, target});
+          out_.push_back(Transition{tr.label, target});
         } else {
           // Events are instantaneous: the clock of the scope is unchanged.
           ScopeParts next = parts;
           next.body = tr.target;
-          out.push_back(Transition{tr.label, tt.scope(next)});
+          out_.push_back(Transition{tr.label, tt.scope(next)});
         }
       }
       if (parts.interrupt_handler != kInvalidTerm) {
         // The interrupt handler's initial steps remain enabled for the
         // lifetime of the scope; taking one abandons the body.
-        const std::vector<Transition> intr =
-            transitions(parts.interrupt_handler);
-        out.insert(out.end(), intr.begin(), intr.end());
+        const Fan intr = fan(parts.interrupt_handler);
+        out_.insert(out_.end(), intr.begin(), intr.end());
       }
       break;
     }
 
     case TermKind::Call: {
-      const TermId body = ctx_.unfold(t);
-      out = transitions(body);
+      const Fan f = fan(ctx_.unfold(t));
+      out_.insert(out_.end(), f.begin(), f.end());
       break;
     }
   }
-  return out;
 }
 
-void Semantics::parallel_transitions(TermId t, std::vector<Transition>& out) {
-  TermTable& tt = ctx_.terms();
-  const auto p = tt.payload(t);
-  const std::vector<TermId> kids(p.begin(), p.end());
+void Semantics::parallel_candidates(TermId par, EventSetId restricted) {
+  ActionTable& actions = ctx_.actions();
+  const auto kids = ctx_.terms().payload(par);
   const std::size_t n = kids.size();
 
-  // Child fans, copied up front: computing one child's fan can invalidate
-  // references produced for another.
-  std::vector<std::vector<Transition>> fans(n);
-  for (std::size_t i = 0; i < n; ++i) fans[i] = transitions(kids[i]);
+  // Child fans first: computing one can recurse into this function for a
+  // nested Parallel, which reuses the candidate buffers below.
+  const std::size_t base = kid_fans_.size();
+  for (const TermId k : kids) {
+    const Fan f = fan(k);
+    kid_fans_.push_back(f);
+  }
+  const Fan* fans = kid_fans_.data() + base;
 
-  std::vector<TermId> scratch;
-  const auto rebuilt = [&](std::size_t i, TermId replacement) {
-    scratch = kids;
-    scratch[i] = replacement;
-    return tt.parallel(scratch);
+  cand_labels_.clear();
+  cand_rows_.clear();
+  // New candidate: its label, and a row of the components' current terms
+  // for the caller to overwrite with the moving components' targets. The
+  // row pointer is valid until the next call.
+  const auto add = [&](const Label& label) {
+    cand_labels_.push_back(label);
+    const std::size_t at = cand_rows_.size();
+    cand_rows_.insert(cand_rows_.end(), kids.begin(), kids.end());
+    return cand_rows_.data() + at;
   };
 
-  // Par1/Par2: events and taus of one component interleave.
+  // Par1/Par2: events and taus of one component interleave. An event the
+  // restriction around this Parallel would block is not a candidate.
   for (std::size_t i = 0; i < n; ++i) {
     for (const Transition& tr : fans[i]) {
       if (tr.label.is_timed()) continue;
-      out.push_back(Transition{tr.label, rebuilt(i, tr.target)});
+      if (restricted != kNoRestriction &&
+          tr.label.kind == Label::Kind::Event &&
+          ctx_.event_sets().contains(restricted, tr.label.event))
+        continue;
+      add(tr.label)[i] = tr.target;
     }
   }
 
@@ -181,13 +259,10 @@ void Semantics::parallel_transitions(TermId t, std::vector<Transition>& out) {
           if (ti.label.event != tj.label.event ||
               ti.label.send == tj.label.send)
             continue;
-          scratch = kids;
-          scratch[i] = ti.target;
-          scratch[j] = tj.target;
-          out.push_back(Transition{
-              Label::make_tau(ti.label.event,
-                              ti.label.priority + tj.label.priority),
-              tt.parallel(scratch)});
+          TermId* row = add(Label::make_tau(
+              ti.label.event, ti.label.priority + tj.label.priority));
+          row[i] = ti.target;
+          row[j] = tj.target;
         }
       }
     }
@@ -195,33 +270,36 @@ void Semantics::parallel_transitions(TermId t, std::vector<Transition>& out) {
 
   // Par3: one global timed action combining a timed step of *every*
   // component, resource sets pairwise disjoint. Built as a left fold over
-  // the components; if any component offers no timed step, time cannot
-  // advance in the composition.
-  struct Partial {
-    ActionId action = kIdleAction;
-    std::vector<TermId> chosen;
-  };
-  std::vector<Partial> partials(1);
-  partials[0].chosen.reserve(n);
-  for (std::size_t i = 0; i < n && !partials.empty(); ++i) {
-    std::vector<Partial> next;
-    for (const Partial& part : partials) {
+  // the components; partial p is fold_actions_[p] plus the n-wide row p of
+  // fold_rows_, whose first i entries are chosen. If any component offers
+  // no timed step, time cannot advance in the composition.
+  fold_actions_.assign(1, kIdleAction);
+  fold_rows_.assign(kids.begin(), kids.end());
+  for (std::size_t i = 0; i < n && !fold_actions_.empty(); ++i) {
+    next_actions_.clear();
+    next_rows_.clear();
+    for (std::size_t p = 0; p < fold_actions_.size(); ++p) {
       for (const Transition& tr : fans[i]) {
         if (!tr.label.is_timed()) continue;
-        if (!ctx_.actions().disjoint(part.action, tr.label.action)) continue;
-        Partial ext;
-        ext.action = ctx_.actions().merge(part.action, tr.label.action);
-        ext.chosen = part.chosen;
-        ext.chosen.push_back(tr.target);
-        next.push_back(std::move(ext));
+        if (!actions.disjoint(fold_actions_[p], tr.label.action)) continue;
+        next_actions_.push_back(
+            actions.merge(fold_actions_[p], tr.label.action));
+        const auto row = fold_rows_.begin() + static_cast<std::ptrdiff_t>(p * n);
+        next_rows_.insert(next_rows_.end(), row,
+                          row + static_cast<std::ptrdiff_t>(n));
+        next_rows_[next_rows_.size() - n + i] = tr.target;
       }
     }
-    partials = std::move(next);
+    fold_actions_.swap(next_actions_);
+    fold_rows_.swap(next_rows_);
   }
-  for (Partial& part : partials) {
-    out.push_back(Transition{Label::make_action(part.action),
-                             tt.parallel(std::move(part.chosen))});
+  for (std::size_t p = 0; p < fold_actions_.size(); ++p) {
+    cand_labels_.push_back(Label::make_action(fold_actions_[p]));
+    const auto row = fold_rows_.begin() + static_cast<std::ptrdiff_t>(p * n);
+    cand_rows_.insert(cand_rows_.end(), row,
+                      row + static_cast<std::ptrdiff_t>(n));
   }
+  kid_fans_.resize(base);
 }
 
 }  // namespace aadlsched::acsr

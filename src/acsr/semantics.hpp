@@ -21,9 +21,17 @@
 // prioritized() applies the preemption relation of preemption.hpp on top —
 // that is the relation the explorer walks, and the one for which
 // "deadlock <=> missed deadline" holds for translated AADL models (§5).
+//
+// Labels first: whether a step is preempted depends only on its label, so
+// on a Parallel state (or a Restrict around one — every translated model's
+// state) prioritized() builds the candidate labels with their per-component
+// choices, drops the preempted ones, and interns targets only for the
+// survivors. transitions() runs the same candidate generator and interns
+// every candidate (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "acsr/context.hpp"
@@ -35,49 +43,79 @@ namespace aadlsched::acsr {
 class Semantics {
  public:
   struct Stats {
-    std::uint64_t computed = 0;   // states whose fan was computed
-    std::uint64_t memo_hits = 0;  // fan served from the memo table
+    // Memoized fans: terms whose fan was computed, and fans served from
+    // the memo. A labels-first expansion is not memoized; its children are.
+    std::uint64_t computed = 0;
+    std::uint64_t memo_hits = 0;
+    // Hot-loop fan sizes of the states prioritized() expanded: labels
+    // generated before preemption, and targets kept (interned) after it.
+    std::uint64_t candidates = 0;
+    std::uint64_t kept = 0;
   };
 
   /// memoize=false exists only for the ablation bench; exploration with it
   /// is identical but recomputes every fan.
   explicit Semantics(Context& ctx, bool memoize = true)
       : ctx_(ctx), memoize_(memoize) {}
+  // The memo holds views into this object's own fan blocks.
+  Semantics(const Semantics&) = delete;
+  Semantics& operator=(const Semantics&) = delete;
 
   /// Unprioritized transition fan (copy; safe across further calls).
   std::vector<Transition> transitions(TermId t);
 
-  /// Prioritized fan: unprioritized minus preempted transitions.
-  std::vector<Transition> prioritized(TermId t);
+  /// Prioritized fan into `out` (cleared first): unprioritized minus
+  /// preempted transitions, in canonical order. Reusing `out` across calls
+  /// makes a warm call allocation-free.
+  void prioritized(TermId t, std::vector<Transition>& out);
+  std::vector<Transition> prioritized(TermId t) {
+    std::vector<Transition> out;
+    prioritized(t, out);
+    return out;
+  }
 
   const Stats& stats() const { return stats_; }
   Context& context() { return ctx_; }
 
-  /// Approximate footprint of the fan memo (arena + index). The memory
+  /// Approximate footprint of the fan memo (fan blocks + index). The memory
   /// budget estimate adds this on top of Context::approx_bytes(); before it
   /// did, memo-heavy runs under-counted by the whole fan table.
-  std::size_t approx_bytes() const {
-    return fan_arena_.capacity() * sizeof(Transition) + memo_.approx_bytes();
-  }
+  std::size_t approx_bytes() const;
 
  private:
-  std::vector<Transition> compute(TermId t);
-  void parallel_transitions(TermId t, std::vector<Transition>& out);
+  using Fan = std::span<const Transition>;
 
-  // Memoized fans live flat in one arena; the per-term index holds an
-  // (offset, len) window into it. Compared to the former
-  // unordered_map<TermId, vector<Transition>> this drops two heap nodes
-  // per memoized state and keeps fans contiguous.
-  struct FanRef {
-    std::uint32_t offset = 0;
-    std::uint32_t len = 0;
-  };
+  Fan fan(TermId t);
+  void compute(TermId t);
+  void parallel_candidates(TermId par, EventSetId restricted);
+  Fan store(Fan fan);
+  void rewind();
 
   Context& ctx_;
   bool memoize_;
   Stats stats_;
-  std::vector<Transition> fan_arena_;
-  util::FlatIdMap<FanRef> memo_;
+
+  // Fans live in blocks that are never reallocated, so a Fan view stays
+  // valid while more fans are stored; the memo maps a term to its view.
+  // Without the memo the blocks are rewound at every public call: a view
+  // only has to outlive the call that made it.
+  std::vector<std::vector<Transition>> blocks_;
+  std::size_t block_ = 0;
+  util::FlatIdMap<Fan> memo_;
+
+  // Scratch reused across calls so a warm expansion allocates nothing.
+  // out_ and kid_fans_ are stacks (nested fan() calls push above their
+  // caller's entries); the candidate buffers are used only between
+  // collecting a Parallel's child fans and interning its targets, where
+  // nothing recurses. prioritized() on any other term fills cand_labels_
+  // with its fan's labels.
+  std::vector<Transition> out_;
+  std::vector<Fan> kid_fans_;
+  std::vector<Label> cand_labels_;  // candidate k's label ...
+  std::vector<TermId> cand_rows_;   // ... and its n-wide component row
+  std::vector<ActionId> fold_actions_, next_actions_;  // Par3 partials
+  std::vector<TermId> fold_rows_, next_rows_;
+  std::vector<std::uint8_t> keep_;  // mark_survivors() output
 };
 
 }  // namespace aadlsched::acsr

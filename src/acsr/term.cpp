@@ -25,8 +25,7 @@ std::uint64_t hash_node(const TermNode& n,
 TermTable::TermTable() {
   // TermId 0 is NIL.
   nodes_.push_back(TermNode{});
-  const std::uint64_t h = hash_node(nodes_[0], {});
-  buckets_[h].push_back(kNil);
+  index_.insert(hash_node(nodes_[0], {}), kNil);
 }
 
 std::span<const std::uint32_t> TermTable::payload(TermId id) const {
@@ -34,31 +33,21 @@ std::span<const std::uint32_t> TermTable::payload(TermId id) const {
   return arena_.view(n.extra, n.extra_len);
 }
 
-TermId TermTable::find_in_bucket(std::uint64_t h, const TermNode& proto,
-                                 std::span<const std::uint32_t> payload) const {
-  const auto it = buckets_.find(h);
-  if (it == buckets_.end()) return kInvalidTerm;
-  for (TermId id : it->second) {
-    const TermNode& n = nodes_[id];
-    if (n.kind == proto.kind && n.flag == proto.flag && n.a == proto.a &&
-        n.b == proto.b && n.c == proto.c && n.extra_len == proto.extra_len &&
-        std::equal(payload.begin(), payload.end(),
-                   arena_.view(n.extra, n.extra_len).begin()))
-      return id;
-  }
-  return kInvalidTerm;
-}
-
 TermId TermTable::intern(TermNode proto,
                          std::span<const std::uint32_t> payload) {
   proto.extra_len = static_cast<std::uint32_t>(payload.size());
   const std::uint64_t h = hash_node(proto, payload);
-  if (const TermId hit = find_in_bucket(h, proto, payload);
-      hit != kInvalidTerm)
-    return hit;
+  const TermId hit = index_.find(h, [&](TermId id) {
+    const TermNode& n = nodes_[id];
+    return n.kind == proto.kind && n.flag == proto.flag && n.a == proto.a &&
+           n.b == proto.b && n.c == proto.c && n.extra_len == proto.extra_len &&
+           std::equal(payload.begin(), payload.end(),
+                      arena_.view(n.extra, n.extra_len).begin());
+  });
+  if (hit != kInvalidTerm) return hit;
   proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
   const TermId id = static_cast<TermId>(nodes_.push_back(proto));
-  buckets_[h].push_back(id);
+  index_.insert(h, id);
   return id;
 }
 
@@ -80,12 +69,11 @@ TermId TermTable::evt(Event e, bool send, Priority priority, TermId cont) {
   return intern(n, {});
 }
 
-TermId TermTable::choice(std::vector<TermId> alts) {
+TermId TermTable::choice(std::span<const TermId> alts) {
   // Flatten nested choices, drop NIL (neutral for choice), sort, dedup.
-  std::vector<TermId> flat;
-  flat.reserve(alts.size());
-  for (std::size_t i = 0; i < alts.size(); ++i) {
-    const TermId t = alts[i];
+  std::vector<TermId>& flat = flat_;
+  flat.clear();
+  for (const TermId t : alts) {
     if (t == kNil) continue;
     if (nodes_[t].kind == TermKind::Choice) {
       const auto p = payload(t);  // chunked arena: span stays valid
@@ -103,10 +91,10 @@ TermId TermTable::choice(std::vector<TermId> alts) {
   return intern(n, flat);
 }
 
-TermId TermTable::parallel(std::vector<TermId> procs) {
-  std::vector<TermId> flat;
-  flat.reserve(procs.size());
-  for (TermId t : procs) {
+TermId TermTable::parallel(std::span<const TermId> procs) {
+  std::vector<TermId>& flat = flat_;
+  flat.clear();
+  for (const TermId t : procs) {
     if (nodes_[t].kind == TermKind::Parallel) {
       const auto p = payload(t);
       flat.insert(flat.end(), p.begin(), p.end());
@@ -169,10 +157,10 @@ TermId TermTable::call(DefId def, std::span<const ParamValue> args) {
   TermNode n;
   n.kind = TermKind::Call;
   n.a = def;
-  std::vector<std::uint32_t> payload(args.size());
-  for (std::size_t i = 0; i < args.size(); ++i)
-    payload[i] = static_cast<std::uint32_t>(args[i]);
-  return intern(n, payload);
+  flat_.clear();
+  for (const ParamValue v : args)
+    flat_.push_back(static_cast<std::uint32_t>(v));
+  return intern(n, flat_);
 }
 
 }  // namespace aadlsched::acsr

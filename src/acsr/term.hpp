@@ -13,12 +13,13 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/ids.hpp"
 #include "util/chunked_vector.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
 
@@ -67,8 +68,17 @@ class TermTable {
   TermId nil() const { return kNil; }
   TermId act(ActionId action, TermId cont);
   TermId evt(Event e, bool send, Priority priority, TermId cont);
-  TermId choice(std::vector<TermId> alts);
-  TermId parallel(std::vector<TermId> procs);
+  // Choice and Parallel read their operands from a span and normalize them
+  // in a scratch buffer the table keeps, so interning an existing term
+  // allocates nothing.
+  TermId choice(std::span<const TermId> alts);
+  TermId choice(std::initializer_list<TermId> alts) {
+    return choice(std::span<const TermId>(alts.begin(), alts.size()));
+  }
+  TermId parallel(std::span<const TermId> procs);
+  TermId parallel(std::initializer_list<TermId> procs) {
+    return parallel(std::span<const TermId>(procs.begin(), procs.size()));
+  }
   TermId restrict(EventSetId events, TermId body);
   TermId scope(const ScopeParts& parts);
   TermId call(DefId def, std::span<const ParamValue> args);
@@ -84,17 +94,15 @@ class TermTable {
 
   std::size_t size() const { return nodes_.size(); }
 
-  /// Approximate footprint (nodes + payload arena + hash index overhead),
-  /// for the resource-governance memory estimate (util/budget.hpp).
+  /// Footprint (nodes + payload arena + hash index), for the
+  /// resource-governance memory estimate (util/budget.hpp).
   std::size_t approx_bytes() const {
-    return nodes_.size() * (sizeof(TermNode) + 48) +
-           arena_.size() * sizeof(std::uint32_t);
+    return nodes_.size() * sizeof(TermNode) +
+           arena_.size() * sizeof(std::uint32_t) + index_.approx_bytes();
   }
 
  private:
   TermId intern(TermNode proto, std::span<const std::uint32_t> payload);
-  TermId find_in_bucket(std::uint64_t h, const TermNode& proto,
-                        std::span<const std::uint32_t> payload) const;
 
   // Chunked so node references and payload spans stay valid while further
   // terms are interned (see chunked_vector.hpp). Node chunks are 24 KiB, so
@@ -102,7 +110,8 @@ class TermTable {
   // 2^28-node capacity.
   util::ChunkedVector<TermNode, 10, std::size_t{1} << 18> nodes_;
   util::ChunkedVector<std::uint32_t, 14> arena_;
-  std::unordered_map<std::uint64_t, std::vector<TermId>> buckets_;
+  util::FlatHashIndex index_;
+  std::vector<TermId> flat_;  // choice/parallel/call normalization scratch
 };
 
 }  // namespace aadlsched::acsr

@@ -173,6 +173,8 @@ void apply_exploration(AnalysisResult& result,
   result.peak_frontier = er.peak_frontier;
   result.fans_computed = er.sem_stats.computed;
   result.memo_hits = er.sem_stats.memo_hits;
+  result.fan_candidates = er.sem_stats.candidates;
+  result.fan_kept = er.sem_stats.kept;
   result.symmetry_groups = er.symmetry_groups;
   result.states_saved = er.states_saved;
   result.commuted_expansions = er.commuted_expansions;
@@ -395,7 +397,8 @@ std::string AnalysisResult::summary() const {
        << " — resubmit with a larger budget to resume";
   os << "\nexploration: " << std::fixed << std::setprecision(2) << explore_ms
      << " ms, peak frontier " << peak_frontier << ", fan memo "
-     << memo_hits << " hits / " << fans_computed << " computed";
+     << memo_hits << " hits / " << fans_computed << " computed, successors "
+     << fan_kept << " kept / " << fan_candidates << " candidates";
   if (symmetry_groups > 0)
     os << "\nreduction: symmetry groups: " << symmetry_groups
        << ", states saved: " << states_saved << ", commuted expansions: "

@@ -141,6 +141,10 @@ struct AnalysisResult {
   std::uint64_t peak_frontier = 0;
   std::uint64_t fans_computed = 0;   // successor fans computed
   std::uint64_t memo_hits = 0;       // fans served from a memo cache
+  /// Hot-loop fan sizes over the expanded states: successor labels built
+  /// before preemption, and targets kept after it (acsr::Semantics::Stats).
+  std::uint64_t fan_candidates = 0;
+  std::uint64_t fan_kept = 0;
 
   /// Engine that produced (or would have produced) the verdict: never
   /// Auto. Part of the canonical result JSON (as to_string(engine)) — the

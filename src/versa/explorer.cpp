@@ -117,9 +117,11 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   util::BudgetTracker tracker(opts.budget, approx_memory);
 
   const auto finish = [&] {
-    result.sem_stats.computed = sem.stats().computed - stats_before.computed;
-    result.sem_stats.memo_hits =
-        sem.stats().memo_hits - stats_before.memo_hits;
+    const acsr::Semantics::Stats& now = sem.stats();
+    result.sem_stats.computed = now.computed - stats_before.computed;
+    result.sem_stats.memo_hits = now.memo_hits - stats_before.memo_hits;
+    result.sem_stats.candidates = now.candidates - stats_before.candidates;
+    result.sem_stats.kept = now.kept - stats_before.kept;
     // Reported even when no memory budget probed it: bench_reduction and
     // the E11 table read bytes/state off any run.
     result.approx_memory_bytes = approx_memory();
@@ -156,6 +158,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     w.first_deadlock = result.first_deadlock;
   };
 
+  std::vector<Transition> fan;  // reused: a warm expansion allocates nothing
   while (!frontier.empty()) {
     // The state cap is enforced here (not mid-fan) so a capped run stops on
     // a state boundary with a consistent wavefront for checkpointing.
@@ -190,7 +193,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     frontier.pop_front();
     --level_remaining;
 
-    std::vector<Transition> fan = sem.prioritized(state);
+    sem.prioritized(state, fan);
     ++result.expanded;
     if (is_stuck(state, fan)) {
       ++result.deadlock_count;

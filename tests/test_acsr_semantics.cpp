@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <unordered_set>
 
+#include "aadl/instance.hpp"
+#include "aadl/parser.hpp"
 #include "acsr/builder.hpp"
+#include "acsr/preemption.hpp"
 #include "acsr/printer.hpp"
 #include "acsr/semantics.hpp"
+#include "translate/translator.hpp"
 
 using namespace aadlsched;
 using namespace aadlsched::acsr;
@@ -361,5 +368,116 @@ TEST_F(SemanticsTest, NoMemoModeAgreesWithMemoized) {
   EXPECT_EQ(sem.transitions(t), plain.transitions(t));
   EXPECT_EQ(sem.prioritized(t), plain.prioritized(t));
 }
+
+// --- whole translated models ----------------------------------------------
+
+struct ShippedModel {
+  const char* file;
+  const char* root;
+};
+
+void PrintTo(const ShippedModel& m, std::ostream* os) { *os << m.file; }
+
+/// Every shipped model has well under this many states at 5 ms (the
+/// largest, slow_periodic, has 53,655); a BFS that passes it is exploring a
+/// wrong relation and stops instead of exhausting memory.
+constexpr std::size_t kMaxStates = 100'000;
+
+constexpr ShippedModel kShippedModels[] = {
+    {"cruise_control", "CruiseControlSystem.impl"},
+    {"avionics", "Avionics.impl"},
+    {"storm", "Storm.impl"},
+    {"symmetric", "Symmetric.impl"},
+    {"quantum_ladder", "QuantumLadder.impl"},
+    {"slow_periodic", "SlowPeriodic.impl"},
+    {"dual_rig", "DualRig.impl"},
+};
+
+/// Translate a shipped model at a 5 ms quantum into `ctx`; kInvalidTerm
+/// (with a recorded failure) when the front end or translation fails.
+TermId translate_shipped(Context& ctx, const ShippedModel& m) {
+  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/" + m.file +
+                   ".aadl");
+  std::stringstream src;
+  src << in.rdbuf();
+  util::DiagnosticEngine diags(m.file);
+  aadl::Model model;
+  if (!aadl::parse_aadl(model, src.str(), diags)) {
+    ADD_FAILURE() << diags.render_all();
+    return kInvalidTerm;
+  }
+  auto inst = aadl::instantiate(model, m.root, diags);
+  if (!inst || diags.has_errors()) {
+    ADD_FAILURE() << diags.render_all();
+    return kInvalidTerm;
+  }
+  translate::TranslateOptions topts;
+  topts.quantum_ns = 5'000'000;
+  auto tr = translate::translate(ctx, *inst, diags, topts);
+  if (!tr) {
+    ADD_FAILURE() << diags.render_all();
+    return kInvalidTerm;
+  }
+  return tr->initial;
+}
+
+class ShippedModelSemantics : public ::testing::TestWithParam<ShippedModel> {
+};
+
+// The explorer's labels-first prioritized() must agree, on every reachable
+// state, with the definition: the full unprioritized fan with every
+// preempted transition removed. Both run in the same Context, so target
+// ids are comparable.
+TEST_P(ShippedModelSemantics, LabelsFirstEqualsPrioritizedFullFan) {
+  Context ctx;
+  const TermId initial = translate_shipped(ctx, GetParam());
+  ASSERT_NE(initial, kInvalidTerm);
+  Semantics sem(ctx);
+  std::vector<TermId> states{initial};
+  std::unordered_set<TermId> seen{initial};
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const TermId s = states[i];
+    const std::vector<Transition> fast = sem.prioritized(s);
+    std::vector<Transition> full = sem.transitions(s);
+    prioritize(ctx.actions(), full);
+    ASSERT_EQ(fast, full) << "state #" << i << " of " << GetParam().file;
+    for (const Transition& tr : fast)
+      if (seen.insert(tr.target).second) states.push_back(tr.target);
+    ASSERT_LT(states.size(), kMaxStates);
+  }
+  EXPECT_GT(states.size(), 1u);
+  EXPECT_GE(sem.stats().candidates, sem.stats().kept);
+}
+
+// The fan memo is an optimization only: a memo-free Semantics over the same
+// Context yields the same fans on every reachable state.
+TEST_P(ShippedModelSemantics, MemoFreeAgreesWithMemoized) {
+  Context ctx;
+  const TermId initial = translate_shipped(ctx, GetParam());
+  ASSERT_NE(initial, kInvalidTerm);
+  Semantics memo(ctx);
+  Semantics plain(ctx, /*memoize=*/false);
+  std::vector<TermId> states{initial};
+  std::unordered_set<TermId> seen{initial};
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const TermId s = states[i];
+    const std::vector<Transition> fan = memo.prioritized(s);
+    ASSERT_EQ(fan, plain.prioritized(s))
+        << "state #" << i << " of " << GetParam().file;
+    ASSERT_EQ(memo.transitions(s), plain.transitions(s))
+        << "state #" << i << " of " << GetParam().file;
+    for (const Transition& tr : fan)
+      if (seen.insert(tr.target).second) states.push_back(tr.target);
+    ASSERT_LT(states.size(), kMaxStates);
+  }
+  EXPECT_GT(memo.stats().memo_hits, 0u);
+  EXPECT_EQ(plain.stats().memo_hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShippedModels, ShippedModelSemantics, ::testing::ValuesIn(kShippedModels),
+    [](const ::testing::TestParamInfo<ShippedModel>& info) {
+      return std::string(info.param.file);
+    });
 
 }  // namespace

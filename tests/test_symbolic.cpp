@@ -601,11 +601,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicProperty,
 
 TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   const std::string src = read_model("slow_periodic.aadl");
+  // The enumerator needs ~0.5 s for the 255,255 states of slow_periodic at
+  // 1 ms on a 4-core x86-64 host; the symbolic engine needs ~6 ms.
+  constexpr double kBudgetMs = 200;
 
-  // The enumerator at the CLI-default 1 ms quantum against a 2 s
+  // The enumerator at the CLI-default 1 ms quantum against a 200 ms
   // wall-clock budget: the 252 s hyperperiod leaves it inconclusive.
   core::AnalyzerOptions en = engine_options(core::Engine::Enumerative);
-  en.exploration.budget.deadline_ms = 2000;
+  en.exploration.budget.deadline_ms = kBudgetMs;
   const auto r_en = core::analyze_source(src, "SlowPeriodic.impl", en);
   ASSERT_TRUE(r_en.ok) << r_en.diagnostics;
   EXPECT_EQ(r_en.outcome, core::Outcome::Inconclusive);
@@ -615,12 +618,12 @@ TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   // The symbolic engine under the same budget closes the class graph and
   // proves schedulability outright.
   core::AnalyzerOptions sy = engine_options(core::Engine::Symbolic);
-  sy.exploration.budget.deadline_ms = 2000;
+  sy.exploration.budget.deadline_ms = kBudgetMs;
   const auto r_sy = core::analyze_source(src, "SlowPeriodic.impl", sy);
   ASSERT_TRUE(r_sy.ok) << r_sy.diagnostics;
   EXPECT_EQ(r_sy.outcome, core::Outcome::Schedulable);
   EXPECT_TRUE(r_sy.exhaustive);
-  EXPECT_LT(r_sy.explore_ms, 2000.0);
+  EXPECT_LT(r_sy.explore_ms, kBudgetMs);
 }
 
 // --- concurrency: symbolic analyses under parallel_sweep (tsan) ----------
