@@ -41,16 +41,16 @@ std::size_t Semantics::approx_bytes() const {
   return bytes;
 }
 
-Semantics::Fan Semantics::store(Fan fan) {
-  if (fan.empty()) return {};
+Semantics::Fan Semantics::store(Fan f) {
+  if (f.empty()) return {};
   for (;; ++block_) {
     if (block_ == blocks_.size())
-      blocks_.emplace_back().reserve(std::max(kBlockTransitions, fan.size()));
+      blocks_.emplace_back().reserve(std::max(kBlockTransitions, f.size()));
     std::vector<Transition>& b = blocks_[block_];
-    if (b.capacity() - b.size() >= fan.size()) {
+    if (b.capacity() - b.size() >= f.size()) {
       const std::size_t at = b.size();
-      b.insert(b.end(), fan.begin(), fan.end());  // within capacity: no move
-      return {b.data() + at, fan.size()};
+      b.insert(b.end(), f.begin(), f.end());  // within capacity: no move
+      return {b.data() + at, f.size()};
     }
   }
 }

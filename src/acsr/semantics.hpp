@@ -88,7 +88,7 @@ class Semantics {
   Fan fan(TermId t);
   void compute(TermId t);
   void parallel_candidates(TermId par, EventSetId restricted);
-  Fan store(Fan fan);
+  Fan store(Fan f);
   void rewind();
 
   Context& ctx_;
