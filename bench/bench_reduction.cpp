@@ -1,23 +1,13 @@
-// E11 — the reduction-layer ablation (DESIGN.md §13): symmetry
-// canonicalization and commutation linearization, separately and together,
-// on the symmetric fixture translated with uniform instants (the one
-// configuration where the reductions have anything to do). Reported per
-// variant: orbit representatives visited, raw states folded away, fans
-// linearized, bytes per stored state, wall time. The acceptance bar —
-// >= 2x fewer states with both reductions on — is pinned as a functional
-// test in test_reduction.cpp; this bench measures how far past the bar the
-// layer lands and what it costs.
-//
-// A second series measures compact state storage on storm.aadl (bounded):
-// reductions are inert under the default ordered-instants translation, so
-// bytes/state there isolates the storage representation itself.
+// Compact state storage (DESIGN.md §13): bytes per stored state of the
+// explorer's hash-consed term tables, fan memo and visited set, on cruise
+// control and on storm.aadl (bounded). BM_StormBytesPerState is the row
+// tools/bench_diff.py gates as storm_bytes_per_state.
 #include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
-#include "versa/reduction.hpp"
 
 namespace {
 
@@ -32,11 +22,8 @@ std::string read_model(const char* file) {
 
 struct Run {
   std::uint64_t states = 0;
-  std::uint64_t states_saved = 0;
-  std::uint64_t commuted = 0;
   std::uint64_t memory_bytes = 0;
   double ms = 0;
-  bool schedulable = false;
 
   double bytes_per_state() const {
     return states ? static_cast<double>(memory_bytes) /
@@ -45,11 +32,9 @@ struct Run {
   }
 };
 
-/// Pipeline with an explicit reduction configuration. `enable` builds the
-/// SymmetryModel from the translator's detected groups; with it false the
-/// run is the reduction-free control (exactly --no-reduction).
-Run run_once(const std::string& src, const char* root, bool ordered,
-             bool enable, versa::ReductionOptions red,
+/// The default translation at 1 ms, explored up to `max_states` (0 = the
+/// explorer's default cap).
+Run run_once(const std::string& src, const char* root,
              std::uint64_t max_states = 0) {
   Run out;
   util::DiagnosticEngine diags("bench.aadl");
@@ -60,22 +45,11 @@ Run run_once(const std::string& src, const char* root, bool ordered,
   acsr::Context ctx;
   translate::TranslateOptions topts;
   topts.quantum_ns = 1'000'000;
-  topts.ordered_instants = ordered;
   auto tr = translate::translate(ctx, *inst, diags, topts);
   if (!tr) return out;
 
   versa::ExploreOptions eopts;
   if (max_states) eopts.max_states = max_states;
-  versa::SymmetryModel sym;
-  if (enable) {
-    std::vector<std::vector<std::string>> role_groups;
-    for (const auto& g : tr->symmetry.groups) role_groups.push_back(g.roles);
-    sym = versa::SymmetryModel::build(ctx, role_groups,
-                                      tr->symmetry.uniform_dispatch);
-    eopts.symmetry_model = &sym;
-    eopts.reduction = red;
-  }
-
   acsr::Semantics sem(ctx);
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = versa::explore(sem, tr->initial, eopts);
@@ -83,48 +57,17 @@ Run run_once(const std::string& src, const char* root, bool ordered,
                std::chrono::steady_clock::now() - t0)
                .count();
   out.states = r.states;
-  out.states_saved = r.states_saved;
-  out.commuted = r.commuted_expansions;
   out.memory_bytes = r.approx_memory_bytes;
-  out.schedulable = r.schedulable();
   return out;
 }
 
-const struct Variant {
-  const char* name;
-  bool enable;
-  versa::ReductionOptions red;
-} kVariants[] = {
-    {"none", false, {false, false}},
-    {"symmetry only", true, {true, false}},
-    {"commutation only", true, {false, true}},
-    {"symmetry + commutation", true, {true, true}},
-};
-
 void print_table() {
   bench::print_header(
-      "E11: reduction ablation and compact state storage",
-      "symmetry + commutation cut the symmetric fixture's uniform-instant "
-      "space by >= 2x; bytes/state measures the arena representation");
-
-  const std::string sym_src = read_model("symmetric.aadl");
-  std::printf("symmetric.aadl, uniform instants (8 interchangeable threads):\n");
-  std::printf("%-24s %10s %12s %10s %12s %10s\n", "variant", "states",
-              "states_saved", "commuted", "bytes/state", "time_ms");
-  for (const Variant& v : kVariants) {
-    const Run r = run_once(sym_src, "Symmetric.impl", false, v.enable, v.red);
-    std::printf("%-24s %10llu %12llu %10llu %12.1f %10.2f\n", v.name,
-                static_cast<unsigned long long>(r.states),
-                static_cast<unsigned long long>(r.states_saved),
-                static_cast<unsigned long long>(r.commuted),
-                r.bytes_per_state(), r.ms);
-  }
-
-  std::printf(
-      "\ndefault translation (reductions inert under ordered instants;\n"
-      "bytes/state isolates the storage representation, storm 20k-bound):\n");
-  std::printf("%-18s %-18s %10s %12s %10s\n", "model", "variant", "states",
-              "bytes/state", "time_ms");
+      "Compact state storage",
+      "bytes/state measures the term-table, fan-memo and visited-set "
+      "representation (storm 20k-bound)");
+  std::printf("%-20s %10s %12s %10s\n", "model", "states", "bytes/state",
+              "time_ms");
   const struct {
     const char* file;
     const char* root;
@@ -134,56 +77,19 @@ void print_table() {
       {"storm.aadl", "Storm.impl", 20'000},
   };
   for (const auto& m : kStorage) {
-    const std::string src = read_model(m.file);
-    for (const bool enable : {false, true}) {
-      const Run r = run_once(src, m.root, true, enable, {true, true},
-                             m.bound);
-      std::printf("%-18s %-18s %10llu %12.1f %10.2f\n", m.file,
-                  enable ? "layer on (inert)" : "layer off",
-                  static_cast<unsigned long long>(r.states),
-                  r.bytes_per_state(), r.ms);
-    }
+    const Run r = run_once(read_model(m.file), m.root, m.bound);
+    std::printf("%-20s %10llu %12.1f %10.2f\n", m.file,
+                static_cast<unsigned long long>(r.states),
+                r.bytes_per_state(), r.ms);
   }
   std::printf("\n");
 }
-
-void run_variant(benchmark::State& state, const Variant& v) {
-  const std::string src = read_model("symmetric.aadl");
-  Run r;
-  for (auto _ : state) {
-    r = run_once(src, "Symmetric.impl", false, v.enable, v.red);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["states"] = static_cast<double>(r.states);
-  state.counters["states_saved"] = static_cast<double>(r.states_saved);
-  state.counters["bytes_per_state"] = r.bytes_per_state();
-}
-
-void BM_ReductionNone(benchmark::State& state) {
-  run_variant(state, kVariants[0]);
-}
-BENCHMARK(BM_ReductionNone);
-
-void BM_ReductionSymmetry(benchmark::State& state) {
-  run_variant(state, kVariants[1]);
-}
-BENCHMARK(BM_ReductionSymmetry);
-
-void BM_ReductionCommute(benchmark::State& state) {
-  run_variant(state, kVariants[2]);
-}
-BENCHMARK(BM_ReductionCommute);
-
-void BM_ReductionBoth(benchmark::State& state) {
-  run_variant(state, kVariants[3]);
-}
-BENCHMARK(BM_ReductionBoth);
 
 void BM_StormBytesPerState(benchmark::State& state) {
   const std::string src = read_model("storm.aadl");
   Run r;
   for (auto _ : state) {
-    r = run_once(src, "Storm.impl", true, false, {false, false}, 20'000);
+    r = run_once(src, "Storm.impl", 20'000);
     benchmark::DoNotOptimize(r);
   }
   state.counters["states"] = static_cast<double>(r.states);

@@ -175,33 +175,6 @@ void apply_exploration(AnalysisResult& result,
   result.memo_hits = er.sem_stats.memo_hits;
   result.fan_candidates = er.sem_stats.candidates;
   result.fan_kept = er.sem_stats.kept;
-  result.symmetry_groups = er.symmetry_groups;
-  result.states_saved = er.states_saved;
-  result.commuted_expansions = er.commuted_expansions;
-}
-
-/// Resolve the reduction layer for one run: build the SymmetryModel from
-/// the mangled role-name groups (the translator's on a cold run, the
-/// checkpoint's on a resume) and wire it into the exploration options.
-/// With both reductions off, or when no groups resolve, the layer stays
-/// inert and the explorer behaves bit-identically to a run without it.
-versa::CheckpointReduction setup_reduction(
-    versa::SymmetryModel& model, versa::ExploreOptions& eopts,
-    acsr::Context& ctx,
-    const std::vector<std::vector<std::string>>& role_groups,
-    bool uniform_dispatch) {
-  versa::CheckpointReduction red;
-  if (!eopts.reduction.any()) {
-    eopts.symmetry_model = nullptr;
-    return red;
-  }
-  model = versa::SymmetryModel::build(ctx, role_groups, uniform_dispatch);
-  eopts.symmetry_model = &model;
-  red.symmetry = eopts.reduction.symmetry;
-  red.commute = eopts.reduction.commute;
-  red.uniform_dispatch = model.uniform_dispatch();
-  red.role_groups = model.role_names();
-  return red;
 }
 
 /// Serialize the captured wavefront when the run is worth resuming later:
@@ -211,8 +184,7 @@ void maybe_capture_checkpoint(AnalysisResult& result,
                               const versa::ExploreResult& er,
                               const versa::Wavefront& wave,
                               const acsr::Context& ctx,
-                              const AnalyzerOptions& opts,
-                              const versa::CheckpointReduction& reduction) {
+                              const AnalyzerOptions& opts) {
   if (!opts.checkpoint_out || er.deadlock_found || wave.empty()) return;
   switch (er.stop) {
     case util::StopReason::MaxStates:
@@ -224,8 +196,7 @@ void maybe_capture_checkpoint(AnalysisResult& result,
       return;  // None (conclusive) or Fault (state may be inconsistent)
   }
   *opts.checkpoint_out = versa::serialize_checkpoint(
-      ctx, wave, opts.checkpoint_key.empty() ? "-" : opts.checkpoint_key,
-      reduction);
+      ctx, wave, opts.checkpoint_key.empty() ? "-" : opts.checkpoint_key);
   result.checkpoint_captured = true;
 }
 
@@ -242,14 +213,6 @@ AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
   versa::Wavefront captured;
   if (opts.checkpoint_out) eopts.capture = &captured;
 
-  // Rebuild the capturing run's symmetry model against the restored
-  // Context: there is no Translation here, but the checkpoint carries the
-  // mangled role names, and SymmetryModel::build resolves them by name.
-  versa::SymmetryModel sym;
-  const versa::CheckpointReduction red = setup_reduction(
-      sym, eopts, ctx, restored.reduction.role_groups,
-      restored.reduction.uniform_dispatch);
-
   versa::ExploreResult er;
   {  // the fan memo is freed before checkpoint capture
     acsr::Semantics sem(ctx);
@@ -259,7 +222,7 @@ AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
   result.resumed = true;
   result.resumed_from_depth = restored.wave.depth;
   result.resumed_from_states = restored.wave.states;
-  maybe_capture_checkpoint(result, er, captured, ctx, opts, red);
+  maybe_capture_checkpoint(result, er, captured, ctx, opts);
   return result;
 }
 
@@ -399,10 +362,6 @@ std::string AnalysisResult::summary() const {
      << " ms, peak frontier " << peak_frontier << ", fan memo "
      << memo_hits << " hits / " << fans_computed << " computed, successors "
      << fan_kept << " kept / " << fan_candidates << " candidates";
-  if (symmetry_groups > 0)
-    os << "\nreduction: symmetry groups: " << symmetry_groups
-       << ", states saved: " << states_saved << ", commuted expansions: "
-       << commuted_expansions;
   return os.str();
 }
 
@@ -444,22 +403,8 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
         "cold\n";
   } else if (opts.resume_checkpoint && !opts.resume_checkpoint->empty()) {
     std::string why;
-    if (auto restored =
-            versa::parse_checkpoint(*opts.resume_checkpoint, why)) {
-      // The visited set holds whatever the capturing run deduplicated on
-      // (orbit representatives under symmetry), so the resume must run
-      // with the same reduction settings — a mismatch downgrades to cold.
-      const versa::ReductionOptions& want = opts.exploration.reduction;
-      if (restored->reduction.symmetry == want.symmetry &&
-          restored->reduction.commute == want.commute) {
-        return analyze_resumed(std::move(*restored), opts);
-      }
-      why = "checkpoint rejected: reduction settings differ (captured with "
-            "symmetry=" + std::to_string(restored->reduction.symmetry) +
-            " commute=" + std::to_string(restored->reduction.commute) +
-            ", this run wants symmetry=" + std::to_string(want.symmetry) +
-            " commute=" + std::to_string(want.commute) + ")";
-    }
+    if (auto restored = versa::parse_checkpoint(*opts.resume_checkpoint, why))
+      return analyze_resumed(std::move(*restored), opts);
     resume_note += why + "; falling back to a cold run\n";
   }
 
@@ -526,21 +471,13 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   versa::Wavefront captured;
   if (opts.checkpoint_out) eopts.capture = &captured;
 
-  std::vector<std::vector<std::string>> role_groups;
-  for (const translate::SymmetryGroup& g : tr->symmetry.groups)
-    role_groups.push_back(g.roles);
-  versa::SymmetryModel sym;
-  const versa::CheckpointReduction red =
-      setup_reduction(sym, eopts, ctx, role_groups,
-                      tr->symmetry.uniform_dispatch);
-
   versa::ExploreResult er;
   {  // the fan memo is freed before checkpoint capture and lift-back
     acsr::Semantics sem(ctx);
     er = versa::explore(sem, tr->initial, eopts);
   }
   apply_exploration(result, er);
-  maybe_capture_checkpoint(result, er, captured, ctx, opts, red);
+  maybe_capture_checkpoint(result, er, captured, ctx, opts);
   // No timeline without a trace: when recording was dropped under memory
   // pressure, lifting would produce an empty "0 quanta" scenario that reads
   // like a real counterexample.

@@ -163,13 +163,6 @@ struct AnalysisResult {
   /// timeline to draw.
   std::vector<std::string> symbolic_witness;
 
-  // Reduction observability (DESIGN.md §13). Summary-only, never part of
-  // the canonical result JSON: with the layer active `states` counts orbit
-  // representatives, and these report what the layer did on top.
-  std::uint64_t symmetry_groups = 0;  // groups the active model carried
-  std::uint64_t states_saved = 0;     // raw states folded into an orbit rep
-  std::uint64_t commuted_expansions = 0;  // fans linearized by commutation
-
   std::string summary() const;
 };
 

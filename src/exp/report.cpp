@@ -97,7 +97,6 @@ std::string render_report(const ExperimentSpec& spec,
   w.end_object();
   w.key("max_states").value(spec.max_states);
   w.key("lint").value(spec.run_lint);
-  w.key("no_reduction").value(spec.no_reduction);
   w.key("bin_width").value(spec.bin_width);
   w.end_object();
 

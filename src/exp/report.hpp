@@ -18,7 +18,7 @@
 
 namespace aadlsched::exp {
 
-inline constexpr int kReportSchemaVersion = 1;
+inline constexpr int kReportSchemaVersion = 2;
 
 /// Render the canonical report document (trailing newline included).
 std::string render_report(const ExperimentSpec& spec,

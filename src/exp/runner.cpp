@@ -53,7 +53,6 @@ server::Request build_request(const ExperimentSpec& spec, const Cell& cell,
   req.options.quantum_ns = cell.quantum_ms * 1'000'000;
   req.options.max_states = spec.max_states;
   req.options.run_lint = spec.run_lint;
-  req.options.no_reduction = spec.no_reduction;
   req.options.engine = core::engine_from_string(cell.engine)
                            .value_or(core::Engine::Enumerative);
   // A fleet sweep must re-run nothing by accident but may reuse its own

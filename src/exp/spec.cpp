@@ -156,8 +156,6 @@ std::optional<ExperimentSpec> parse_experiment_spec(const std::string& text,
 
   if (const JsonValue* v = doc->get("lint"); v && v->is_bool())
     spec.run_lint = v->as_bool();
-  if (const JsonValue* v = doc->get("no_reduction"); v && v->is_bool())
-    spec.no_reduction = v->as_bool();
   if (const JsonValue* v = doc->get("bin_width"); v && v->is_number())
     spec.bin_width = v->as_double();
   if (const JsonValue* v = doc->get("workers"); v && v->is_int())

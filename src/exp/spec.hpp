@@ -27,7 +27,6 @@
 //     "periods": [4, 5, 8, 10, 16, 20],      // quanta; optional
 //     "budget": {"max_states": 200000},      // deterministic budgets only
 //     "lint": true,
-//     "no_reduction": false,
 //     "bin_width": 0.1,                      // realized-U curve bins
 //     "workers": 1                           // fan-out concurrency
 //   }
@@ -66,7 +65,6 @@ struct ExperimentSpec {
   // Deterministic exploration budget per model.
   std::uint64_t max_states = 200'000;
   bool run_lint = true;
-  bool no_reduction = false;
   // Realized-utilization histogram bin width for the acceptance curve.
   double bin_width = 0.1;
   // Fan-out workers (in-process Service pool size / concurrent daemon

@@ -13,6 +13,7 @@
 #include "core/result_json.hpp"
 #include "server/diskstore.hpp"
 #include "util/budget.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace aadlsched::server {
@@ -103,7 +104,7 @@ std::optional<ResultCache::Entry> ResultCache::disk_load(
   };
   // Gate 1: the trailing content digest (DESIGN.md §15) — catches torn,
   // truncated, bit-rotted, or pre-digest-era files byte-exactly.
-  const auto body = strip_trailing_digest(*raw);
+  const auto body = util::strip_trailing_digest(*raw);
   if (!body) return quarantine();
   std::string json(*body);
   while (!json.empty() && (json.back() == '\n' || json.back() == '\r'))
@@ -150,7 +151,7 @@ void ResultCache::store(const std::string& key, core::Outcome outcome,
       final_path + ".tmp." + std::to_string(::getpid());
   std::string body = result_json;
   body += '\n';
-  append_digest(body);
+  util::append_digest(body);
   if (!write_tmp_file(tmp_path, body, FaultInjector::Site::CacheWrite)) {
     note_store_failure(final_path, "write");
     return;  // torn tmp (if any) is left for the liveness-aware sweeper
@@ -219,10 +220,10 @@ std::optional<std::string> CheckpointStore::lookup(const std::string& key) {
   auto blob = read_file(disk_path(key), FaultInjector::Site::CkptRead);
   if (!blob || blob->empty()) return std::nullopt;
   // serialize_checkpoint seals every blob with the same trailing digest
-  // line diskstore.hpp uses; verify it here (without stripping — it is part
-  // of the blob format parse_checkpoint expects) so a torn .ckpt is
+  // line (util::append_digest); verify it here (without stripping — it is
+  // part of the blob format parse_checkpoint expects) so a torn .ckpt is
   // quarantined instead of burning a restore attempt.
-  if (!verify_trailing_digest(*blob)) {
+  if (!util::strip_trailing_digest(*blob)) {
     std::error_code ec;
     fs::remove(disk_path(key), ec);
     corrupt_evictions_.fetch_add(1, std::memory_order_relaxed);

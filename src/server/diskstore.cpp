@@ -9,13 +9,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 
 #include "util/budget.hpp"
-#include "util/hash.hpp"
 #include "util/string_utils.hpp"
 
 namespace aadlsched::server {
@@ -23,13 +21,6 @@ namespace aadlsched::server {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Age of a file in seconds by its last write time; 0 on stat failure (a
 /// file we cannot stat is treated as brand new, i.e. never grace-expired).
@@ -70,29 +61,6 @@ std::int64_t recency_seconds(const fs::path& p) {
 }
 
 }  // namespace
-
-// --- content digests --------------------------------------------------------
-
-void append_digest(std::string& body) {
-  body += "digest " + hex64(util::fnv1a(body)) + "\n";
-}
-
-bool verify_trailing_digest(std::string_view text) {
-  return strip_trailing_digest(text).has_value();
-}
-
-std::optional<std::string_view> strip_trailing_digest(std::string_view text) {
-  // The digest line is "digest <16 hex>\n" and must be the final bytes.
-  const std::size_t dpos = text.rfind("\ndigest ");
-  if (dpos == std::string_view::npos) return std::nullopt;
-  const std::string_view body = text.substr(0, dpos + 1);
-  const std::size_t hex_at = dpos + 8;
-  const std::size_t nl = text.find('\n', hex_at);
-  if (nl == std::string_view::npos || nl != text.size() - 1) return std::nullopt;
-  if (nl - hex_at != 16) return std::nullopt;
-  if (text.substr(hex_at, 16) != hex64(util::fnv1a(body))) return std::nullopt;
-  return body;
-}
 
 // --- pid liveness and tmp hygiene ------------------------------------------
 

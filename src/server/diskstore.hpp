@@ -6,8 +6,9 @@
 // file adds the pieces that make that safe:
 //
 //   * a trailing content digest sealed into every disk artifact, verified on
-//     every read (append_digest / verify_trailing_digest) — a torn, truncated
-//     or bit-rotted file is detected and quarantined, never served;
+//     every read (util::append_digest / util::strip_trailing_digest) — a
+//     torn, truncated or bit-rotted file is detected and quarantined, never
+//     served;
 //   * an advisory flock(2)-based directory lock (DirLock) scoping every
 //     multi-file maintenance operation (GC, sweeps, registry updates) so two
 //     daemons never garbage-collect the same directory concurrently;
@@ -37,22 +38,6 @@
 #include <vector>
 
 namespace aadlsched::server {
-
-// --- content digests --------------------------------------------------------
-
-/// Seal `body` (which must end in '\n') with a trailing digest line:
-/// "digest <16 hex>\n" over every preceding byte. The exact format
-/// versa::serialize_checkpoint already uses, so one verifier covers both
-/// artifact kinds.
-void append_digest(std::string& body);
-
-/// True iff `text` ends with a digest line that matches its body. Rejects
-/// absent/garbled digest lines and trailing bytes after the digest.
-bool verify_trailing_digest(std::string_view text);
-
-/// Body bytes with the digest line removed (verifying first); nullopt when
-/// verification fails.
-std::optional<std::string_view> strip_trailing_digest(std::string_view text);
 
 // --- pid liveness and tmp hygiene ------------------------------------------
 

@@ -79,7 +79,6 @@ core::AnalyzerOptions to_analyzer_options(const RequestOptions& ro) {
   if (ro.late_completion)
     opts.translation.time_model = translate::ExecutionTimeModel::LateCompletion;
   opts.run_lint = ro.run_lint;
-  if (ro.no_reduction) opts.exploration.reduction = {false, false};
   opts.engine = ro.engine;
   opts.exploration.max_states = ro.max_states;
   opts.exploration.budget.deadline_ms = static_cast<double>(ro.deadline_ms);

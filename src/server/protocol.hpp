@@ -9,15 +9,15 @@
 //    "options": {"quantum_ns": 1000000, "max_states": 5000000,
 //                "deadline_ms": 0, "memory_budget_mb": 0,
 //                "late_completion": false, "lint": true,
-//                "no_reduction": false, "engine": "enumerative"},
+//                "engine": "enumerative"},
 //    "no_cache": false, "resume": false, "no_checkpoint": false}
 //   Each option is a row of kOptionTable below (defaults: RequestOptions).
 //   Integers must lie in the row's [min, max]: quantum_ns [1, 10^15]
 //   (the legacy "quantum_ms" takes [1, 10^9] ms), max_states [1, 2^63-1],
 //   deadline_ms [0, 2^31-1], memory_budget_mb [0, 10^9], where 0 = no
 //   limit. Anything else is a protocol error naming options.<key>.
-//   Unknown option keys are ignored, so older clients that still send
-//   "workers" are served unchanged.
+//   Unknown option keys are ignored, so older clients that still send a
+//   retired option such as "workers" are served unchanged.
 // Request (stats | ping | shutdown):
 //   {"v": 1, "op": "stats"}
 //
@@ -69,12 +69,6 @@ struct RequestOptions {
   std::uint64_t memory_budget_mb = 0;  // 0 = no limit
   bool run_lint = true;
   bool late_completion = false;
-  /// Disable the state-space reduction layer (DESIGN.md §13). Part of the
-  /// cache key even though the canonical result JSON is identical either
-  /// way: cached entries record budget-invariant *conclusive* outcomes, and
-  /// mixing reduction settings under one key would conflate their
-  /// checkpoint blobs (whose visited sets are representation-dependent).
-  bool no_reduction = false;
   /// Exploration engine (DESIGN.md §16). Part of the cache key: the two
   /// engines agree on verdicts inside the symbolic fragment, but their
   /// result objects differ in engine-observability fields.
@@ -136,8 +130,6 @@ inline constexpr OptionSpec kOptionTable[] = {
     {"late_completion", "--late-completion", "", 1, 0, 1, true,
      &RequestOptions::late_completion},
     {"lint", "--no-lint", "", 1, 0, 1, true, &RequestOptions::run_lint},
-    {"no_reduction", "--no-reduction", "", 1, 0, 1, true,
-     &RequestOptions::no_reduction},
     {"engine", "--engine", "enumerative|symbolic|auto", 1, 0, 2, true,
      &RequestOptions::engine},
 };

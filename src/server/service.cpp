@@ -30,9 +30,12 @@ std::string options_key(const RequestOptions& ro) {
   // from an older catalogue must not be served. v2 added no_reduction, v3
   // the catalogue version, v4 the engine.
   std::uint64_t h = util::fnv1a("options-v4");
-  for (const OptionSpec& spec : kOptionTable)
-    if (spec.cache_key)
-      h = util::hash_combine(h, static_cast<std::uint64_t>(spec.get(ro)));
+  for (const OptionSpec& spec : kOptionTable) {
+    if (!spec.cache_key) continue;
+    // no_reduction's retired slot stays 0: daemon versions share cache dirs.
+    if (spec.key == "engine") h = util::hash_combine(h, 0);
+    h = util::hash_combine(h, static_cast<std::uint64_t>(spec.get(ro)));
+  }
   h = util::hash_combine(h, static_cast<std::uint64_t>(lint::kLintPassVersion));
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",

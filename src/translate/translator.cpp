@@ -88,7 +88,6 @@ class Translator {
     collect_connections();
     if (!check_trigger_preconditions()) return std::nullopt;
     if (!collect_observers()) return std::nullopt;
-    detect_symmetry();
 
     for (ThreadCtx& tc : threads_) {
       build_thread_skeleton(tc);
@@ -239,47 +238,6 @@ class Translator {
       }
     }
     return true;
-  }
-
-  // --- symmetry detection ------------------------------------------------
-
-  /// Bucket threads by everything the generated skeleton + dispatcher
-  /// structure depends on. Two threads in one bucket translate to
-  /// identical process definitions up to renaming their mangled name, so
-  /// they are interchangeable roles for the versa reducer. Threads touched
-  /// by connections, buses, or observers are excluded outright: their
-  /// event footprint is not private. Note the dispatch priority is part of
-  /// the key — under the default ordered_instants translation it is
-  /// distinct per thread and no group ever forms (the reduction is only
-  /// live for uniform-instant translations; see SymmetrySpec).
-  void detect_symmetry() {
-    std::map<std::string, std::vector<std::string>> buckets;
-    for (const ThreadCtx& tc : threads_) {
-      if (!tc.completion_sends.empty() || !tc.triggers.empty() ||
-          !tc.bus_resources.empty() || !tc.observe_starts.empty() ||
-          !tc.observe_ends.empty())
-        continue;
-      std::string key = mangle(tc.processor->path);
-      const auto add = [&key](std::int64_t v) {
-        key.push_back('|');
-        key += std::to_string(v);
-      };
-      add(static_cast<std::int64_t>(tc.protocol));
-      add(static_cast<std::int64_t>(tc.info.dispatch));
-      add(tc.info.cmin);
-      add(tc.info.cmax);
-      add(tc.info.period);
-      add(tc.info.deadline);
-      add(tc.offset);
-      add(tc.info.static_priority);
-      add(tc.dispatch_prio);
-      buckets[key].push_back(tc.info.mangled);
-    }
-    for (auto& [key, roles] : buckets) {
-      if (roles.size() < 2) continue;
-      symmetry_.groups.push_back(SymmetryGroup{std::move(roles)});
-    }
-    symmetry_.uniform_dispatch = !opts_.ordered_instants;
   }
 
   ThreadCtx* thread_ctx(const ComponentInstance* inst) {
@@ -847,7 +805,6 @@ class Translator {
     for (const QueueCtx& qc : queues_) out.queues.push_back(qc.info);
     for (const ObserverCtx& oc : observers_) out.observers.push_back(oc.info);
     out.restricted_events = restricted_;
-    out.symmetry = symmetry_;
     return out;
   }
 
@@ -857,7 +814,6 @@ class Translator {
   TranslateOptions opts_;
 
   std::vector<ThreadCtx> threads_;
-  SymmetrySpec symmetry_;
   std::vector<QueueCtx> queues_;
   std::vector<GeneratorCtx> generators_;
   std::vector<ObserverCtx> observers_;

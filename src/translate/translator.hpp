@@ -120,38 +120,12 @@ struct TranslatedObserver {
   std::int64_t latency = 0;  // quanta
 };
 
-/// A set of interchangeable thread instances: same processor, scheduling
-/// protocol, dispatch protocol, timing parameters, equal priorities, and an
-/// event footprint limited to the thread's private dispatch/done events (no
-/// connections, queues, buses, or latency observers touch it). Swapping two
-/// roles is then an isomorphism of the translated process network up to
-/// renaming their definitions and events, which is what licenses the
-/// symmetry reduction in versa (DESIGN.md §13). Roles are identified by
-/// mangled thread name; versa rebuilds the per-role def/event ids from the
-/// names, which also lets a checkpoint carry the groups across a module
-/// print/parse round-trip.
-struct SymmetryGroup {
-  std::vector<std::string> roles;  // mangled thread names, size >= 2
-};
-
-struct SymmetrySpec {
-  std::vector<SymmetryGroup> groups;
-  /// True when translation ran with ordered_instants == false: dispatch
-  /// taus of one instant carry uniform priority, so symmetric and
-  /// commuting interleavings actually exist in the state space. Under the
-  /// default static ordering the group key (which includes the dispatch
-  /// priority) never matches, groups stay empty, and the reducer is the
-  /// identity — result JSON is bit-for-bit unchanged.
-  bool uniform_dispatch = false;
-};
-
 struct Translation {
   acsr::TermId initial = acsr::kNil;
   std::vector<TranslatedThread> threads;
   std::vector<TranslatedQueue> queues;
   std::vector<TranslatedObserver> observers;
   std::vector<std::string> restricted_events;
-  SymmetrySpec symmetry;
   std::int64_t quantum_ns = 0;
 
   const TranslatedThread* thread_by_path(std::string_view path) const;

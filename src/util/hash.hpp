@@ -6,7 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 
 namespace aadlsched::util {
@@ -30,6 +32,34 @@ constexpr std::uint64_t fnv1a(std::string_view s,
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// FNV-1a of `bytes` as 16 lowercase hex digits.
+inline std::string hex_digest(std::string_view bytes) {
+  std::uint64_t h = fnv1a(bytes);
+  std::string hex(16, '0');
+  for (int i = 15; i >= 0; --i, h >>= 4)
+    hex[static_cast<std::size_t>(i)] = "0123456789abcdef"[h & 0xf];
+  return hex;
+}
+
+/// Seal `body` (which must end in '\n') with a trailing line
+/// "digest <16 hex>\n" over every preceding byte. Checkpoints and the
+/// daemon's disk cache entries share this seal.
+inline void append_digest(std::string& body) {
+  body += "digest " + hex_digest(body) + "\n";
+}
+
+/// The body of a sealed `text`, digest line removed; nullopt when the
+/// digest line is absent or garbled, does not match, or is not the final
+/// bytes.
+inline std::optional<std::string_view> strip_trailing_digest(
+    std::string_view text) {
+  const std::size_t dpos = text.rfind("\ndigest ");
+  if (dpos == std::string_view::npos) return std::nullopt;
+  const std::string_view body = text.substr(0, dpos + 1);
+  if (text.substr(dpos + 8) != hex_digest(body) + "\n") return std::nullopt;
+  return body;
 }
 
 /// Strong 64-bit mixer (splitmix64 finalizer). Used to decorrelate ids that

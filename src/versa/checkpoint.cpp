@@ -22,20 +22,9 @@ using acsr::kInvalidTerm;
 namespace {
 
 constexpr std::string_view kMagic = "aadlsched-checkpoint";
-// v2 added the reduction section (settings + symmetry role groups). v1
-// blobs carry no reduction provenance, so they are rejected as stale
-// rather than resumed with guessed settings.
-constexpr std::string_view kVersion = "v2";
-
-std::string hex64(std::uint64_t v) {
-  static constexpr char digits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
+// Blobs of an older version (v2 still carried the deleted reduction
+// section) are rejected as stale rather than parsed with a guessed layout.
+constexpr std::string_view kVersion = "v3";
 
 /// Child term ids of a node, including the optional scope handlers.
 template <typename Fn>
@@ -144,8 +133,7 @@ class Reader {
 
 std::string serialize_checkpoint(const acsr::Context& ctx,
                                  const Wavefront& wave,
-                                 std::string_view key,
-                                 const CheckpointReduction& reduction) {
+                                 std::string_view key) {
   const acsr::TermTable& tt = ctx.terms();
   acsr::Printer printer(ctx);
 
@@ -183,19 +171,6 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
   os << "stats " << wave.states << ' ' << wave.transitions << ' '
      << wave.depth << ' ' << wave.peak_frontier << ' ' << wave.deadlock_count
      << ' ' << (wave.deadlock_found ? 1 : 0) << '\n';
-
-  // Reduction provenance (v2): the visited set below holds whatever the
-  // capturing run deduplicated on — orbit representatives when symmetry
-  // canonicalization was active — so a resume must rebuild the same model.
-  os << "reduction " << (reduction.symmetry ? 1 : 0) << ' '
-     << (reduction.commute ? 1 : 0) << ' '
-     << (reduction.uniform_dispatch ? 1 : 0) << ' '
-     << reduction.role_groups.size() << '\n';
-  for (const std::vector<std::string>& g : reduction.role_groups) {
-    os << "group " << g.size();
-    for (const std::string& role : g) os << ' ' << role;
-    os << '\n';
-  }
 
   const std::string module_text = printer.module();
   os << "module " << module_text.size() << '\n' << module_text << '\n';
@@ -304,7 +279,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
   emit_list("visited", wave.visited, true);
 
   std::string body = os.str();
-  body += "digest " + hex64(util::fnv1a(body)) + "\n";
+  util::append_digest(body);
   return body;
 }
 
@@ -316,15 +291,12 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
   };
 
   // Integrity first: the trailing digest line covers every preceding byte.
-  const std::size_t dpos = text.rfind("\ndigest ");
-  if (dpos == std::string_view::npos) return reject("no digest line");
-  const std::string_view body = text.substr(0, dpos + 1);
-  const std::string_view digest_hex =
-      text.substr(dpos + 8, text.find('\n', dpos + 8) - (dpos + 8));
-  if (digest_hex != hex64(util::fnv1a(body)))
-    return reject("digest mismatch (truncated or corrupt)");
+  if (text.rfind("\ndigest ") == std::string_view::npos)
+    return reject("no digest line");
+  const auto body = util::strip_trailing_digest(text);
+  if (!body) return reject("digest mismatch (truncated or corrupt)");
 
-  Reader r{std::string(body)};
+  Reader r{std::string(*body)};
   r.expect(kMagic);
   {
     const std::string version = r.token("format version");
@@ -344,19 +316,6 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
   w.peak_frontier = r.unum("peak_frontier");
   w.deadlock_count = r.unum("deadlock_count");
   w.deadlock_found = r.unum("deadlock_found") != 0;
-
-  r.expect("reduction");
-  out.reduction.symmetry = r.unum("reduction symmetry flag") != 0;
-  out.reduction.commute = r.unum("reduction commute flag") != 0;
-  out.reduction.uniform_dispatch = r.unum("uniform-dispatch flag") != 0;
-  for (std::uint64_t i = r.unum("symmetry group count"); r.ok() && i > 0;
-       --i) {
-    r.expect("group");
-    std::vector<std::string> roles;
-    for (std::uint64_t k = r.unum("role count"); r.ok() && k > 0; --k)
-      roles.push_back(r.token("role name"));
-    out.reduction.role_groups.push_back(std::move(roles));
-  }
 
   r.expect("module");
   const std::string module_text = r.raw(r.unum("module bytes"));

@@ -39,21 +39,6 @@
 
 namespace aadlsched::versa {
 
-/// The reduction configuration a checkpoint was captured under (format v2).
-/// A visited set built with symmetry canonicalization holds orbit
-/// representatives, not raw states, so resuming it under different
-/// reduction settings would silently re-explore (or skip) states; the
-/// parser hands the captured configuration back so the caller can rebuild
-/// the same SymmetryModel — and reject a resume whose settings differ.
-struct CheckpointReduction {
-  bool symmetry = false;
-  bool commute = false;
-  bool uniform_dispatch = false;
-  /// Mangled role names per symmetry group (what SymmetryModel::build
-  /// takes; resolvable against the restored Context by name).
-  std::vector<std::vector<std::string>> role_groups;
-};
-
 /// A checkpoint parsed back into a fresh Context plus the wavefront with
 /// every id remapped into that Context's tables.
 struct RestoredCheckpoint {
@@ -61,24 +46,20 @@ struct RestoredCheckpoint {
   Wavefront wave;
   /// The cache key the checkpoint was stored under ("-" when none given).
   std::string key;
-  /// Reduction settings the capturing run explored with.
-  CheckpointReduction reduction;
 };
 
 /// Serialize a captured wavefront against the Context it was explored in.
 /// `key` identifies the request (instance fingerprint + options hash); pass
 /// "-" or empty when keying is handled elsewhere. Deterministic: the same
-/// (context, wavefront, reduction) always serializes to the same bytes.
+/// (context, wavefront, key) always serializes to the same bytes.
 std::string serialize_checkpoint(const acsr::Context& ctx,
-                                 const Wavefront& wave, std::string_view key,
-                                 const CheckpointReduction& reduction = {});
+                                 const Wavefront& wave, std::string_view key);
 
 /// Parse and validate a checkpoint. Returns std::nullopt (with a
 /// human-readable reason in `error`) on any digest mismatch, malformed
 /// section, unknown name, or out-of-range id — the caller falls back to a
-/// cold run. Blobs in a stale format version (v1 predates the reduction
-/// section) are rejected the same way, with a diagnostic naming the stale
-/// version, rather than resumed with guessed settings.
+/// cold run. Blobs in a stale format version (v1, v2) are rejected the same
+/// way, with a diagnostic naming the stale version.
 std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
                                                    std::string& error);
 

@@ -59,10 +59,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   const acsr::Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
 
-  Reducer reducer(sem, opts.symmetry_model, opts.reduction);
-  // All stored states are canonical orbit representatives (identity when
-  // the reduction layer is off or inert).
-  result.initial = reducer.canonical(initial);
+  result.initial = initial;
 
   util::FlatIdMap<ParentLink> parent;
   util::FlatIdSet seen;
@@ -122,14 +119,9 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.sem_stats.memo_hits = now.memo_hits - stats_before.memo_hits;
     result.sem_stats.candidates = now.candidates - stats_before.candidates;
     result.sem_stats.kept = now.kept - stats_before.kept;
-    // Reported even when no memory budget probed it: bench_reduction and
-    // the E11 table read bytes/state off any run.
+    // Reported even when no memory budget probed it: BM_StormBytesPerState
+    // reads bytes/state off any run.
     result.approx_memory_bytes = approx_memory();
-    if (reducer.active()) {
-      result.symmetry_groups = opts.symmetry_model->groups().size();
-      result.states_saved = reducer.stats().states_saved;
-      result.commuted_expansions = reducer.stats().commuted_expansions;
-    }
     result.wall_ms = ms_since(t0);
   };
 
@@ -204,15 +196,13 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
       if (opts.stop_at_first_deadlock) break;
       continue;
     }
-    reducer.linearize(state, fan);
     for (const Transition& tr : fan) {
       ++result.transitions;
-      const TermId target = reducer.canonical(tr.target);
-      if (seen.insert(target)) {
-        if (recording) parent.emplace(target, ParentLink{state, tr.label});
+      if (seen.insert(tr.target)) {
+        if (recording) parent.emplace(tr.target, ParentLink{state, tr.label});
         ++result.states;
         ++next_level;
-        frontier.push_back(target);
+        frontier.push_back(tr.target);
         result.peak_frontier =
             std::max<std::uint64_t>(result.peak_frontier, frontier.size());
       }

@@ -18,7 +18,6 @@
 
 #include "acsr/semantics.hpp"
 #include "util/budget.hpp"
-#include "versa/reduction.hpp"
 
 namespace aadlsched::versa {
 
@@ -76,16 +75,6 @@ struct ExploreOptions {
   /// parent links of the original run are gone), so a deadlock found after
   /// a resume reports without a counterexample timeline.
   const Wavefront* resume = nullptr;
-
-  // --- reduction layer (DESIGN.md §13) ---------------------------------
-  /// Which reductions to run. Only consulted when `symmetry_model` is set
-  /// and active; the default translation produces an empty (inactive)
-  /// model, for which the engine behaves bit-identically to a run
-  /// without the layer.
-  ReductionOptions reduction;
-  /// Translation-time symmetry groups, resolved against the Context.
-  /// Null disables the layer entirely. Not owned.
-  const SymmetryModel* symmetry_model = nullptr;
 };
 
 /// One step of a counterexample: the label taken and the state reached.
@@ -119,16 +108,6 @@ struct ExploreResult {
   std::uint64_t depth = 0;
   /// Last sampled footprint estimate (0 if no memory ceiling was probed).
   std::uint64_t approx_memory_bytes = 0;
-
-  // --- reduction observability -----------------------------------------
-  /// Symmetry groups the active reduction model carried (0 when the layer
-  /// was off or inert). Counters below are *reduced* figures: with the
-  /// layer active, `states` counts orbit representatives.
-  std::uint64_t symmetry_groups = 0;
-  /// Distinct raw states folded into an already-canonical representative.
-  std::uint64_t states_saved = 0;
-  /// Expansions linearized by the commutation rule.
-  std::uint64_t commuted_expansions = 0;
 
   // --- observability ---------------------------------------------------
   double wall_ms = 0;                 // exploration wall time

@@ -83,7 +83,7 @@ for tag, r in (("local", local), ("daemon", daemon)):
                 "curve", "totals", "transport", "timing"):
         if key not in r:
             die(f"{tag}: missing top-level key '{key}'")
-    if r["schema_version"] != 1:
+    if r["schema_version"] != 2:
         die(f"{tag}: unexpected schema_version {r['schema_version']}")
     runs_seen = 0
     for i, cell in enumerate(r["cells"]):

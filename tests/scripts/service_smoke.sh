@@ -74,7 +74,7 @@ ckpt_field() {  # ckpt_field <name> — value of "name" inside "checkpoints"
     | grep -o "\"$1\": [0-9]*" | head -n1 | grep -o '[0-9]*$'
 }
 
-# Three shipped example models (including the symmetric reduction fixture)
+# Three shipped example models (including the symmetric fixture)
 # plus a generated overload (NotSchedulable): only conclusive verdicts are
 # cached (DESIGN.md §11), so every smoke model must reach one. storm.aadl
 # is budget-bound by design and stays out.

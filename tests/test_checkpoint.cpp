@@ -148,7 +148,7 @@ TEST(Checkpoint, BudgetBoundRunCapturesACheckpoint) {
   EXPECT_EQ(r.stop_reason, util::StopReason::MaxStates);
   EXPECT_TRUE(r.checkpoint_captured);
   EXPECT_FALSE(blob.empty());
-  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v2", 0), 0u);
+  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v3", 0), 0u);
   EXPECT_NE(r.summary().find("checkpoint captured at depth"),
             std::string::npos);
 }
@@ -346,113 +346,7 @@ TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
   }
 }
 
-// --- reduction provenance (DESIGN.md §13) -------------------------------
-
-/// Four interchangeable HPF threads with equal explicit priority. Under
-/// ordered_instants == false the translator detects one symmetry group of
-/// four roles, so captured checkpoints carry an active reduction section.
-std::string symmetric_model() {
-  return R"(package Sym
-public
-  processor CPU
-  properties
-    Scheduling_Protocol => HIGHEST_PRIORITY_FIRST;
-  end CPU;
-  thread T
-  end T;
-  thread implementation T.impl
-  properties
-    Dispatch_Protocol => Periodic;
-    Period => 12 ms;
-    Compute_Execution_Time => 1 ms .. 2 ms;
-    Deadline => 12 ms;
-    Priority => 5;
-  end T.impl;
-  system App
-  end App;
-  system implementation App.impl
-  subcomponents
-    t1 : thread T.impl;
-    t2 : thread T.impl;
-    t3 : thread T.impl;
-    t4 : thread T.impl;
-  end App.impl;
-  system Root
-  end Root;
-  system implementation Root.impl
-  subcomponents
-    app : system App.impl;
-    cpu : processor CPU;
-  properties
-    Actual_Processor_Binding => reference (cpu) applies to app;
-  end Root.impl;
-end Sym;
-)";
-}
-
-core::AnalyzerOptions uniform_options() {
-  core::AnalyzerOptions opts = base_options();
-  // Uniform-instant translation: simultaneous dispatch taus carry equal
-  // priority, so the symmetry/commutation layer actually engages.
-  opts.translation.ordered_instants = false;
-  return opts;
-}
-
-TEST(Checkpoint, CaptureWithActiveReductionsResumesExactly) {
-  const auto cold =
-      core::analyze_source(symmetric_model(), "Root.impl", uniform_options());
-  ASSERT_EQ(cold.outcome, core::Outcome::Schedulable);
-  EXPECT_EQ(cold.symmetry_groups, 1u);
-  EXPECT_GT(cold.states_saved, 0u);
-
-  core::AnalyzerOptions bound = uniform_options();
-  bound.exploration.max_states = 10;
-  std::string blob;
-  bound.checkpoint_out = &blob;
-  const auto first =
-      core::analyze_source(symmetric_model(), "Root.impl", bound);
-  ASSERT_EQ(first.outcome, core::Outcome::Inconclusive);
-  ASSERT_TRUE(first.checkpoint_captured);
-  // The blob records the active configuration: both reductions on, uniform
-  // dispatch, one group of four roles.
-  EXPECT_NE(blob.find("\nreduction 1 1 1 1\n"), std::string::npos);
-  EXPECT_NE(blob.find("\ngroup 4 "), std::string::npos);
-
-  core::AnalyzerOptions warm = uniform_options();
-  warm.resume_checkpoint = &blob;
-  const auto resumed =
-      core::analyze_source(symmetric_model(), "Root.impl", warm);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.outcome, cold.outcome);
-  EXPECT_EQ(resumed.states, cold.states);
-  EXPECT_EQ(resumed.transitions, cold.transitions);
-  EXPECT_EQ(resumed.depth, cold.depth);
-  EXPECT_EQ(resumed.symmetry_groups, 1u);
-}
-
-TEST(Checkpoint, ReductionSettingMismatchFallsBackToAColdRun) {
-  core::AnalyzerOptions bound = uniform_options();
-  bound.exploration.max_states = 10;
-  std::string blob;
-  bound.checkpoint_out = &blob;
-  ASSERT_TRUE(core::analyze_source(symmetric_model(), "Root.impl", bound)
-                  .checkpoint_captured);
-
-  // The capture ran with reductions on; resuming without them would mix a
-  // representative-based visited set into a raw-state exploration.
-  core::AnalyzerOptions warm = uniform_options();
-  warm.exploration.reduction = {false, false};
-  warm.resume_checkpoint = &blob;
-  const auto r = core::analyze_source(symmetric_model(), "Root.impl", warm);
-  EXPECT_FALSE(r.resumed);
-  EXPECT_EQ(r.outcome, core::Outcome::Schedulable);  // cold run still decides
-  EXPECT_NE(r.diagnostics.find("reduction settings differ"),
-            std::string::npos);
-  EXPECT_NE(r.diagnostics.find("falling back to a cold run"),
-            std::string::npos);
-}
-
-TEST(Checkpoint, StaleV1FormatIsRejectedWithADiagnostic) {
+TEST(Checkpoint, StaleFormatsAreRejectedWithADiagnostic) {
   core::AnalyzerOptions bound = base_options();
   bound.exploration.max_states = 40;
   std::string blob;
@@ -460,30 +354,33 @@ TEST(Checkpoint, StaleV1FormatIsRejectedWithADiagnostic) {
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
                   .checkpoint_captured);
 
-  // Rewrite the header to the retired v1 tag and re-sign the body, so the
-  // only thing wrong with the blob is its format version.
-  std::string stale = blob;
-  const auto vpos = stale.find(" v2\n");
-  ASSERT_NE(vpos, std::string::npos);
-  stale.replace(vpos, 4, " v1\n");
-  const auto dpos = stale.rfind("digest ");
-  ASSERT_NE(dpos, std::string::npos);
-  stale.erase(dpos);
-  std::uint64_t h = util::fnv1a(stale);
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = "0123456789abcdef"[h & 0xf];
-  stale += "digest " + hex + "\n";
+  // Retired tags: v1 predates the reduction section, v2 carried it.
+  for (const std::string tag : {"v1", "v2"}) {
+    SCOPED_TRACE(tag);
+    // Rewrite the header to the retired tag and re-seal the body, so the
+    // only thing wrong with the blob is its format version.
+    std::string stale = blob;
+    const auto vpos = stale.find(" v3\n");
+    ASSERT_NE(vpos, std::string::npos);
+    stale.replace(vpos, 4, " " + tag + "\n");
+    const auto dpos = stale.rfind("digest ");
+    ASSERT_NE(dpos, std::string::npos);
+    stale.erase(dpos);
+    util::append_digest(stale);
 
-  std::string error;
-  EXPECT_FALSE(versa::parse_checkpoint(stale, error).has_value());
-  EXPECT_NE(error.find("stale checkpoint format 'v1'"), std::string::npos);
+    std::string error;
+    EXPECT_FALSE(versa::parse_checkpoint(stale, error).has_value());
+    EXPECT_NE(error.find("stale checkpoint format '" + tag + "'"),
+              std::string::npos);
 
-  core::AnalyzerOptions warm = base_options();
-  warm.resume_checkpoint = &stale;
-  const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
-  EXPECT_FALSE(r.resumed);  // cold fallback, with the reason surfaced
-  EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
-  EXPECT_NE(r.diagnostics.find("stale checkpoint format"), std::string::npos);
+    core::AnalyzerOptions warm = base_options();
+    warm.resume_checkpoint = &stale;
+    const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
+    EXPECT_FALSE(r.resumed);  // cold fallback, with the reason surfaced
+    EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
+    EXPECT_NE(r.diagnostics.find("stale checkpoint format"),
+              std::string::npos);
+  }
 }
 
 // --- symbolic engine interplay (DESIGN.md §16) --------------------------
@@ -556,7 +453,7 @@ TEST(Checkpoint, VersaParseRoundTripPreservesTheWavefront) {
   // Re-serializing the restored wavefront must parse again (the round trip
   // is closed, not merely one-way).
   const std::string again = versa::serialize_checkpoint(
-      *restored->ctx, restored->wave, restored->key, restored->reduction);
+      *restored->ctx, restored->wave, restored->key);
   std::string error2;
   const auto twice = versa::parse_checkpoint(again, error2);
   ASSERT_TRUE(twice.has_value()) << error2;

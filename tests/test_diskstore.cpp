@@ -19,6 +19,7 @@
 #include "server/cache.hpp"
 #include "server/diskstore.hpp"
 #include "util/budget.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -66,32 +67,31 @@ pid_t dead_pid() {
 TEST(Digest, SealRoundTrips) {
   std::string body = "{\"outcome\": \"schedulable\"}\n";
   const std::string payload = body;
-  server::append_digest(body);
+  util::append_digest(body);
   EXPECT_NE(body, payload);
-  EXPECT_TRUE(server::verify_trailing_digest(body));
-  const auto stripped = server::strip_trailing_digest(body);
+  const auto stripped = util::strip_trailing_digest(body);
   ASSERT_TRUE(stripped.has_value());
   EXPECT_EQ(*stripped, payload);
 }
 
 TEST(Digest, RejectsTamperTruncationAndTrailingBytes) {
   std::string body = "line one\nline two\n";
-  server::append_digest(body);
-  ASSERT_TRUE(server::verify_trailing_digest(body));
+  util::append_digest(body);
+  ASSERT_TRUE(util::strip_trailing_digest(body));
 
   std::string flipped = body;
   flipped[0] = 'L';  // one payload bit differs
-  EXPECT_FALSE(server::verify_trailing_digest(flipped));
+  EXPECT_FALSE(util::strip_trailing_digest(flipped));
 
   // Truncation anywhere — mid-payload or mid-digest — fails.
   for (std::size_t keep : {body.size() - 1, body.size() / 2, std::size_t{0}})
-    EXPECT_FALSE(server::verify_trailing_digest(body.substr(0, keep)))
+    EXPECT_FALSE(util::strip_trailing_digest(body.substr(0, keep)))
         << "kept " << keep << " bytes";
 
   // Bytes after the digest line mean the digest is not the final seal.
-  EXPECT_FALSE(server::verify_trailing_digest(body + "x"));
+  EXPECT_FALSE(util::strip_trailing_digest(body + "x"));
   // A pre-digest-era file has no seal at all.
-  EXPECT_FALSE(server::verify_trailing_digest("{\"outcome\": \"x\"}\n"));
+  EXPECT_FALSE(util::strip_trailing_digest("{\"outcome\": \"x\"}\n"));
 }
 
 // --- pid liveness and tmp hygiene ---------------------------------------

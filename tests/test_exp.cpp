@@ -51,6 +51,7 @@ TEST(ExpSpec, FullDocumentRoundTrips) {
   })";
   std::string error;
   const auto spec = exp::parse_experiment_spec(doc, error);
+  // "no_reduction" is a retired key: ignored, the document still parses.
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->name, "full");
   EXPECT_EQ(spec->policies.size(), 4u);
@@ -59,7 +60,6 @@ TEST(ExpSpec, FullDocumentRoundTrips) {
   EXPECT_EQ(spec->periods, (std::vector<sched::Time>{4, 8, 16}));
   EXPECT_EQ(spec->max_states, 1234u);
   EXPECT_FALSE(spec->run_lint);
-  EXPECT_TRUE(spec->no_reduction);
   EXPECT_DOUBLE_EQ(spec->bin_width, 0.05);
   EXPECT_EQ(spec->workers, 4u);
   // 4 policies * 2 U * 2 n * 2 df * 2 quanta * 2 engines * 2 topologies.

@@ -1344,7 +1344,7 @@ TEST(LintAnalyzer, ExploredResultCarriesNoCertificate) {
 
 TEST(LintAnalyzer, SymmetricExampleIsNowDecidedStatically) {
   // The acceptance example: eight identical equal-priority threads were
-  // previously explored (the reduction-layer showcase); tie-pessimistic
+  // previously explored (the symmetric fixture); tie-pessimistic
   // exact RTA now decides the model without a single state.
   std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/symmetric.aadl");
   ASSERT_TRUE(in);

@@ -235,6 +235,56 @@ TEST(Service, DiskEntryNameIsPinned) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Service, RetiredNoReductionOptionKeepsTheDefaultDiskEntry) {
+  // "no_reduction" is no longer an option, but older clients still send
+  // it. Their request must parse, be analyzed, and land on the disk entry
+  // the default request writes: the cache dir outlives daemon versions.
+  const auto disk_entries = [](const std::string& line) {
+    char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+    EXPECT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    ServiceConfig cfg;
+    cfg.cache.disk_dir = dir;
+    {
+      std::string err;
+      const auto req = server::parse_request(line, err);
+      EXPECT_TRUE(req.has_value()) << err;
+      if (req) {
+        Service svc(cfg);
+        EXPECT_TRUE(svc.handle(*req).ok);
+      }
+    }
+    std::vector<std::string> entries;
+    for (const auto& ent : std::filesystem::directory_iterator(dir))
+      if (ent.path().extension() == ".json")
+        entries.push_back(ent.path().filename().string());
+    std::filesystem::remove_all(dir);
+    return entries;
+  };
+
+  // Request lines written by hand: the old client sends only the retired
+  // key, the default request no options at all.
+  const auto request_line = [](bool old_client) {
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("v").value(server::kProtocolVersion);
+    w.key("op").value("analyze");
+    w.key("model").value(tiny_model(2, 10, 10));
+    w.key("root").value("Root.impl");
+    if (old_client)
+      w.key("options").begin_object().key("no_reduction").value(true)
+          .end_object();
+    w.end_object();
+    return std::move(w).str();
+  };
+  const std::string plain = request_line(false);
+  const std::string old_client = request_line(true);
+
+  const std::vector<std::string> want = disk_entries(plain);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(disk_entries(old_client), want);
+}
+
 TEST(Service, StaleTmpFilesAreSweptOnConstruction) {
   char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);

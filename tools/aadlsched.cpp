@@ -18,10 +18,6 @@
 //   --memory-budget-mb <n> approximate memory ceiling per analysis; the
 //                          engine degrades (drops trace recording) before
 //                          giving up
-//   --no-reduction         disable the state-space reduction layer
-//                          (symmetry canonicalization + commutation
-//                          linearization, DESIGN.md §13); the verdict and
-//                          the --json result are identical either way
 //   --engine <e>           exploration engine: enumerative (default,
 //                          the paper's unit-quantum BFS), symbolic (the
 //                          quantum-independent state-class engine,

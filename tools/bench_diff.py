@@ -67,12 +67,6 @@ def resume_ratio(reports):
         row(r, "BM_ColdFullExploration"))
 
 
-def reduction_states_ratio(reports):
-    r = reports["BENCH_reduction.json"]
-    return row(r, "BM_ReductionNone")["states"] / row(
-        r, "BM_ReductionBoth")["states"]
-
-
 def storm_bytes_per_state(reports):
     return row(reports["BENCH_reduction.json"],
                "BM_StormBytesPerState")["bytes_per_state"]
@@ -120,10 +114,8 @@ class Metric:
 
 
 # The gated metrics (ROADMAP perf item): exploration throughput, the warm
-# serve path, how much cheaper a resume is than a cold run, the two
-# reduction-layer numbers (state collapse on the symmetric fixture must
-# stay >= 2x; bytes/state on storm tracks the storage representation), and
-# the static screening numbers (DESIGN.md §14: the decide rate must not
+# serve path, how much cheaper a resume is than a cold run, bytes/state on
+# storm (it tracks the storage representation), and the static screening numbers (DESIGN.md §14: the decide rate must not
 # drop — a pass silently losing its fragment pushes models back to
 # exploration — and the per-model screen must stay in microseconds).
 METRICS = [
@@ -138,8 +130,6 @@ METRICS = [
            higher_is_better=False, floor=50.0, unit="us"),
     Metric("resume_ratio", resume_ratio,
            higher_is_better=False, floor=0.05, unit="x"),
-    Metric("reduction_states_ratio", reduction_states_ratio,
-           higher_is_better=True, floor=0.1, unit="x"),
     Metric("storm_bytes_per_state", storm_bytes_per_state,
            higher_is_better=False, floor=64.0, unit="B"),
     Metric("lint_static_decide_rate", lint_static_decide_rate,

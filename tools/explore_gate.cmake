@@ -12,7 +12,7 @@
 #
 # Usage (wired as ctest cases by tools/CMakeLists.txt):
 #   cmake -DAADLSCHED_BIN=<tool> -DMODEL=<m.aadl> -DROOT=<Root.impl>
-#         -DQUANTUM=<ms> -DMODE=default|no-lint|no-lint-no-reduction
+#         -DQUANTUM=<ms> -DMODE=default|no-lint
 #         -DGOLDEN=<tests/baselines/explore/m.qN.mode> -P explore_gate.cmake
 #
 # Regenerate after an intentional change by adding -DUPDATE=1, which writes
@@ -28,8 +28,6 @@ if(MODE STREQUAL "default")
   set(mode_flags "")
 elseif(MODE STREQUAL "no-lint")
   set(mode_flags --no-lint)
-elseif(MODE STREQUAL "no-lint-no-reduction")
-  set(mode_flags --no-lint --no-reduction)
 else()
   message(FATAL_ERROR "explore_gate.cmake: unknown MODE '${MODE}'")
 endif()

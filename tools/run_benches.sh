@@ -6,7 +6,7 @@
 #   BENCH_explore.json     state-space exploration timings  (bench_statespace)
 #   BENCH_service.json     service serve-path timings       (bench_service)
 #   BENCH_checkpoint.json  checkpoint capture/resume timings (bench_checkpoint)
-#   BENCH_reduction.json   reduction-ablation states/bytes  (bench_reduction)
+#   BENCH_reduction.json   storm bytes per stored state     (bench_reduction)
 #   BENCH_lint.json        static screening decide rate/cost (bench_lint)
 #   BENCH_symbolic.json    symbolic engine zones/decide rate (bench_symbolic)
 #   BENCH_exp.json         experiment harness models/sec     (bench_exp)
