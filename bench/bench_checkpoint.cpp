@@ -4,9 +4,11 @@
 // resumed wall-clock against a cold full run (the resumed run must also
 // reach the identical verdict and state count — determinism is asserted,
 // not assumed). The BM_ timings cover the checkpoint mechanics themselves:
-// serialize, digest-verified parse, and a resumed vs cold exploration.
+// serialize, digest-verified restore into a translation, and a resumed vs
+// cold exploration.
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -114,26 +116,57 @@ const Captured& captured() {
   return c;
 }
 
+/// The caller's side of a resume: its own translation of avionics, into
+/// which a checkpoint is restored.
+struct Fresh {
+  acsr::Context ctx;
+  acsr::TermId initial = acsr::kInvalidTerm;
+};
+
+std::unique_ptr<Fresh> translate_avionics() {
+  auto out = std::make_unique<Fresh>();
+  util::DiagnosticEngine diags("bench");
+  aadl::Model model;
+  if (!aadl::parse_aadl(model, avionics_text(), diags)) return out;
+  const auto instance = aadl::instantiate(model, "Avionics.impl", diags);
+  if (!instance) return out;
+  if (const auto tr = translate::translate(out->ctx, *instance, diags,
+                                           base_options().translation))
+    out->initial = tr->initial;
+  return out;
+}
+
 void BM_CheckpointParse(benchmark::State& state) {
   const std::string& blob = captured().blob;
   for (auto _ : state) {
+    // Only the restore is timed: each iteration restores into a fresh
+    // translation, made (and the previous one freed) with the timer paused.
+    state.PauseTiming();
+    auto fresh = translate_avionics();
+    state.ResumeTiming();
     std::string error;
-    benchmark::DoNotOptimize(versa::parse_checkpoint(blob, error));
+    benchmark::DoNotOptimize(
+        versa::parse_checkpoint(fresh->ctx, fresh->initial, blob, error));
+    state.PauseTiming();
+    fresh.reset();
+    state.ResumeTiming();
   }
   state.counters["bytes"] = static_cast<double>(blob.size());
 }
 BENCHMARK(BM_CheckpointParse)->Unit(benchmark::kMillisecond);
 
 void BM_CheckpointSerialize(benchmark::State& state) {
+  const auto fresh = translate_avionics();
   std::string error;
-  const auto restored = versa::parse_checkpoint(captured().blob, error);
+  const auto restored = versa::parse_checkpoint(fresh->ctx, fresh->initial,
+                                                captured().blob, error);
   if (!restored) {
-    state.SkipWithError("checkpoint parse failed");
+    state.SkipWithError("checkpoint restore failed");
     return;
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        versa::serialize_checkpoint(*restored->ctx, restored->wave, "bench"));
+        versa::serialize_checkpoint(fresh->ctx, *restored));
   }
 }
 BENCHMARK(BM_CheckpointSerialize)->Unit(benchmark::kMillisecond);

@@ -1,6 +1,7 @@
 #include "acsr/parser.hpp"
 
 #include <cctype>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -559,239 +560,6 @@ class Parser {
   int speculating_ = 0;
 };
 
-// Recursive descent over the printed ground-term grammar. Unlike the module
-// parser there is no backtracking: in a ground term a '(' is an event prefix
-// exactly when an identifier followed by '!'/'?' comes next (guards have
-// been evaluated away), and Choice/Parallel are always parenthesized by the
-// printer, so the grammar is LL(2). Everything is built straight in the
-// ground tables; kInvalidTerm is the error sentinel (kNil is a valid term).
-class GroundParser {
- public:
-  GroundParser(Context& ctx, std::vector<Token> tokens,
-               util::DiagnosticEngine& diags)
-      : ctx_(ctx), toks_(std::move(tokens)), diags_(diags) {}
-
-  TermId run() {
-    const TermId t = prefix();
-    if (t == kInvalidTerm) return kInvalidTerm;
-    if (!at(Tok::End)) {
-      diags_.error(cur().loc, "trailing input after ground term");
-      return kInvalidTerm;
-    }
-    return t;
-  }
-
- private:
-  const Token& cur() const { return toks_[i_]; }
-  const Token& peek2() const { return toks_[i_ + 1]; }
-  bool at(Tok k) const { return cur().kind == k; }
-  bool at_kw(std::string_view kw) const {
-    return at(Tok::Ident) && cur().text == kw;
-  }
-  Token eat() { return toks_[i_++]; }
-  bool accept(Tok k) {
-    if (!at(k)) return false;
-    ++i_;
-    return true;
-  }
-  bool expect(Tok k, std::string_view what) {
-    if (accept(k)) return true;
-    diags_.error(cur().loc, "expected " + std::string(what) + ", found '" +
-                                std::string(cur().text) + "'");
-    return false;
-  }
-
-  /// Integer literal with optional leading '-' (call arguments may be
-  /// negative; printed priorities never are but the form is harmless).
-  std::optional<std::int32_t> integer() {
-    const bool neg = accept(Tok::Minus);
-    if (!at(Tok::Int)) {
-      diags_.error(cur().loc, "expected integer, found '" +
-                                  std::string(cur().text) + "'");
-      return std::nullopt;
-    }
-    const std::int64_t v = eat().value;
-    return static_cast<std::int32_t>(neg ? -v : v);
-  }
-
-  // prefix ::= primary ('\' '{' names '}')*
-  TermId prefix() {
-    TermId base = primary();
-    while (base != kInvalidTerm && at(Tok::Backslash)) {
-      eat();
-      if (!expect(Tok::LBrace, "'{'")) return kInvalidTerm;
-      std::vector<Event> events;
-      if (!at(Tok::RBrace)) {
-        do {
-          if (!at(Tok::Ident)) {
-            diags_.error(cur().loc, "expected event name");
-            return kInvalidTerm;
-          }
-          events.push_back(ctx_.event(eat().text));
-        } while (accept(Tok::Comma));
-      }
-      if (!expect(Tok::RBrace, "'}'")) return kInvalidTerm;
-      base = ctx_.terms().restrict(ctx_.event_sets().intern(std::move(events)),
-                                   base);
-    }
-    return base;
-  }
-
-  TermId primary() {
-    if (at_kw("NIL")) {
-      eat();
-      return ctx_.terms().nil();
-    }
-    if (at_kw("scope")) return scope();
-    if (at(Tok::LBrace)) return action();
-    if (at(Tok::LParen)) return paren();
-    if (at(Tok::Ident)) return call();
-    diags_.error(cur().loc, "expected ground term, found '" +
-                                std::string(cur().text) + "'");
-    return kInvalidTerm;
-  }
-
-  // '{' [ '(' res ',' prio ')' (',' ...)* ] '}' ':' prefix
-  TermId action() {
-    eat();  // '{'
-    std::vector<ResourceUse> uses;
-    if (!at(Tok::RBrace)) {
-      do {
-        if (!expect(Tok::LParen, "'('")) return kInvalidTerm;
-        if (!at(Tok::Ident)) {
-          diags_.error(cur().loc, "expected resource name");
-          return kInvalidTerm;
-        }
-        const Resource r = ctx_.resource(eat().text);
-        if (!expect(Tok::Comma, "','")) return kInvalidTerm;
-        const auto prio = integer();
-        if (!prio || !expect(Tok::RParen, "')'")) return kInvalidTerm;
-        uses.push_back(ResourceUse{r, *prio});
-      } while (accept(Tok::Comma));
-    }
-    if (!expect(Tok::RBrace, "'}'")) return kInvalidTerm;
-    if (!expect(Tok::Colon, "':'")) return kInvalidTerm;
-    const TermId cont = prefix();
-    if (cont == kInvalidTerm) return kInvalidTerm;
-    return ctx_.terms().act(ctx_.actions().intern(std::move(uses)), cont);
-  }
-
-  // '(' name ('!'|'?') ',' prio ')' '.' prefix   — or grouping.
-  TermId paren() {
-    eat();  // '('
-    if (at(Tok::Ident) &&
-        (peek2().kind == Tok::Bang || peek2().kind == Tok::Question)) {
-      const Event e = ctx_.event(eat().text);
-      const bool send = eat().kind == Tok::Bang;
-      if (!expect(Tok::Comma, "','")) return kInvalidTerm;
-      const auto prio = integer();
-      if (!prio || !expect(Tok::RParen, "')'") || !expect(Tok::Dot, "'.'"))
-        return kInvalidTerm;
-      const TermId cont = prefix();
-      if (cont == kInvalidTerm) return kInvalidTerm;
-      return ctx_.terms().evt(e, send, *prio, cont);
-    }
-    // Grouping: a single term, or a printed Choice/Parallel list.
-    TermId first = prefix();
-    if (first == kInvalidTerm) return kInvalidTerm;
-    if (at(Tok::Plus) || at(Tok::ParBar)) {
-      const bool is_choice = at(Tok::Plus);
-      std::vector<TermId> children{first};
-      while (accept(is_choice ? Tok::Plus : Tok::ParBar)) {
-        const TermId next = prefix();
-        if (next == kInvalidTerm) return kInvalidTerm;
-        children.push_back(next);
-      }
-      if (!expect(Tok::RParen, "')'")) return kInvalidTerm;
-      return is_choice ? ctx_.terms().choice(std::move(children))
-                       : ctx_.terms().parallel(std::move(children));
-    }
-    if (!expect(Tok::RParen, "')'")) return kInvalidTerm;
-    return first;
-  }
-
-  // 'scope' '(' term ',' time [', exc e -> t'] [', intr -> t'] [', timeout
-  // -> t'] ')'
-  TermId scope() {
-    eat();  // 'scope'
-    if (!expect(Tok::LParen, "'('")) return kInvalidTerm;
-    ScopeParts parts;
-    parts.body = prefix();
-    if (parts.body == kInvalidTerm || !expect(Tok::Comma, "','"))
-      return kInvalidTerm;
-    if (at_kw("inf")) {
-      eat();
-      parts.time_left = kInfiniteTime;
-    } else {
-      const auto t = integer();
-      if (!t) return kInvalidTerm;
-      parts.time_left = *t;
-    }
-    while (accept(Tok::Comma)) {
-      if (at_kw("exc")) {
-        eat();
-        if (!at(Tok::Ident)) {
-          diags_.error(cur().loc, "expected exception event name");
-          return kInvalidTerm;
-        }
-        parts.exception_label = ctx_.event(eat().text);
-        if (!expect(Tok::Arrow, "'->'")) return kInvalidTerm;
-        parts.exception_cont = prefix();
-        if (parts.exception_cont == kInvalidTerm) return kInvalidTerm;
-      } else if (at_kw("intr")) {
-        eat();
-        if (!expect(Tok::Arrow, "'->'")) return kInvalidTerm;
-        parts.interrupt_handler = prefix();
-        if (parts.interrupt_handler == kInvalidTerm) return kInvalidTerm;
-      } else if (at_kw("timeout")) {
-        eat();
-        if (!expect(Tok::Arrow, "'->'")) return kInvalidTerm;
-        parts.timeout_handler = prefix();
-        if (parts.timeout_handler == kInvalidTerm) return kInvalidTerm;
-      } else {
-        diags_.error(cur().loc, "expected 'exc', 'intr' or 'timeout'");
-        return kInvalidTerm;
-      }
-    }
-    if (!expect(Tok::RParen, "')'")) return kInvalidTerm;
-    return ctx_.terms().scope(parts);
-  }
-
-  // name [ '[' int (',' int)* ']' ] — the definition must already exist.
-  TermId call() {
-    const Token name = eat();
-    const auto def = ctx_.find_definition(name.text);
-    if (!def) {
-      diags_.error(name.loc, "unknown process '" + std::string(name.text) +
-                                 "' in ground term");
-      return kInvalidTerm;
-    }
-    std::vector<ParamValue> args;
-    if (accept(Tok::LBracket)) {
-      do {
-        const auto a = integer();
-        if (!a) return kInvalidTerm;
-        args.push_back(*a);
-      } while (accept(Tok::Comma));
-      if (!expect(Tok::RBracket, "']'")) return kInvalidTerm;
-    }
-    if (args.size() != ctx_.definition(*def).params.size()) {
-      diags_.error(name.loc,
-                   "call of '" + std::string(name.text) + "' with " +
-                       std::to_string(args.size()) + " arguments (expected " +
-                       std::to_string(ctx_.definition(*def).params.size()) +
-                       ")");
-      return kInvalidTerm;
-    }
-    return ctx_.terms().call(*def, args);
-  }
-
-  Context& ctx_;
-  std::vector<Token> toks_;
-  util::DiagnosticEngine& diags_;
-  std::size_t i_ = 0;
-};
-
 }  // namespace
 
 bool parse_module(Context& ctx, std::string_view source,
@@ -799,14 +567,6 @@ bool parse_module(Context& ctx, std::string_view source,
   Lexer lexer(source, diags);
   Parser parser(ctx, lexer.run(), diags);
   return parser.module();
-}
-
-TermId parse_ground_term(Context& ctx, std::string_view source,
-                         util::DiagnosticEngine& diags) {
-  Lexer lexer(source, diags);
-  GroundParser parser(ctx, lexer.run(), diags);
-  if (diags.has_errors()) return kInvalidTerm;  // lexing failed
-  return parser.run();
 }
 
 }  // namespace aadlsched::acsr

@@ -17,9 +17,12 @@
 // '(' is ambiguous between event prefix, guard and grouping; the parser
 // resolves it with bounded backtracking. Priorities/guards may reference
 // the parameters of the enclosing definition by name.
+//
+// It reads whole modules only: the tests and the `--acsr` dump contract
+// rely on Printer output parsing back. Checkpoints never go through it;
+// they restore into the caller's own translation (versa/checkpoint.hpp).
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 #include "acsr/context.hpp"
@@ -31,16 +34,5 @@ namespace aadlsched::acsr {
 /// errors are reported into `diags`.
 bool parse_module(Context& ctx, std::string_view source,
                   util::DiagnosticEngine& diags);
-
-/// Parse one *ground* term — the single-line syntax Printer::ground_term
-/// emits: every priority, timeout and call argument is an integer literal
-/// (or `inf`), and guards have been evaluated away. The term is built
-/// directly in the ground TermTable (no open-term intermediates), so a
-/// checkpoint restore does not bloat the open-term arena. Definitions
-/// referenced by calls must already exist in `ctx` (parse the module
-/// first); an unknown name is an error, which doubles as a corruption
-/// check. Returns kInvalidTerm on error (reported into `diags`).
-TermId parse_ground_term(Context& ctx, std::string_view source,
-                         util::DiagnosticEngine& diags);
 
 }  // namespace aadlsched::acsr

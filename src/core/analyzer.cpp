@@ -152,10 +152,10 @@ FailingScenario lift_back(acsr::Context& ctx,
   return fs;
 }
 
-/// Map an exploration outcome onto the result, shared by the cold and the
-/// resumed paths. A partial run is still a result: ok means "the engine
-/// answered", and the answer may be Inconclusive(stop_reason). A found
-/// deadlock is conclusive even when the budget cut the run short.
+/// Map an exploration outcome onto the result. A partial run is still a
+/// result: ok means "the engine answered", and the answer may be
+/// Inconclusive(stop_reason). A found deadlock is conclusive even when the
+/// budget cut the run short.
 void apply_exploration(AnalysisResult& result,
                        const versa::ExploreResult& er) {
   result.states = er.states;
@@ -195,35 +195,8 @@ void maybe_capture_checkpoint(AnalysisResult& result,
     default:
       return;  // None (conclusive) or Fault (state may be inconsistent)
   }
-  *opts.checkpoint_out = versa::serialize_checkpoint(
-      ctx, wave, opts.checkpoint_key.empty() ? "-" : opts.checkpoint_key);
+  *opts.checkpoint_out = versa::serialize_checkpoint(ctx, wave);
   result.checkpoint_captured = true;
-}
-
-/// The resumed path of analyze_instance: exploration continues a restored
-/// wavefront, so lint, translation and AADL-level trace lifting are all
-/// skipped (a resumed run has no parent links, hence never a timeline).
-AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
-                               const AnalyzerOptions& opts) {
-  AnalysisResult result;
-  acsr::Context& ctx = *restored.ctx;
-
-  versa::ExploreOptions eopts = opts.exploration;
-  eopts.resume = &restored.wave;
-  versa::Wavefront captured;
-  if (opts.checkpoint_out) eopts.capture = &captured;
-
-  versa::ExploreResult er;
-  {  // the fan memo is freed before checkpoint capture
-    acsr::Semantics sem(ctx);
-    er = versa::explore(sem, restored.wave.initial, eopts);
-  }
-  apply_exploration(result, er);
-  result.resumed = true;
-  result.resumed_from_depth = restored.wave.depth;
-  result.resumed_from_states = restored.wave.states;
-  maybe_capture_checkpoint(result, er, captured, ctx, opts);
-  return result;
 }
 
 /// The symbolic analogue of apply_exploration: map a state-class run onto
@@ -391,21 +364,14 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     }
   }
 
-  // Warm resume: a valid checkpoint stands in for lint + translation + the
-  // already-explored prefix. A checkpoint that fails validation (digest,
-  // round-trip, any id out of range) downgrades to a cold run — resuming is
-  // an optimization, never a correctness risk. The symbolic engine has no
-  // wavefront format: a resume request is noted and ignored.
-  if (use_symbolic && opts.resume_checkpoint &&
-      !opts.resume_checkpoint->empty()) {
+  // The symbolic engine has no wavefront format: a resume request is noted
+  // and ignored.
+  bool resume = opts.resume_checkpoint && !opts.resume_checkpoint->empty();
+  if (resume && use_symbolic) {
     resume_note +=
         "checkpoint resume is unsupported for the symbolic engine; running "
         "cold\n";
-  } else if (opts.resume_checkpoint && !opts.resume_checkpoint->empty()) {
-    std::string why;
-    if (auto restored = versa::parse_checkpoint(*opts.resume_checkpoint, why))
-      return analyze_resumed(std::move(*restored), opts);
-    resume_note += why + "; falling back to a cold run\n";
+    resume = false;
   }
 
   // One translation serves lint's ACSR-tier passes and exploration. Its
@@ -462,12 +428,37 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     return result;
   }
 
+  // Warm resume: a valid checkpoint seeds exploration with the prefix it
+  // already visited in this very translation. A checkpoint that fails
+  // validation (digest, another translation, any id out of range)
+  // downgrades to a cold run — resuming is an optimization, never a
+  // correctness risk. The rejected blob may have interned part of itself,
+  // so the cold run explores a fresh translation it never touched.
+  std::optional<versa::Wavefront> restored;
+  if (resume && tr) {
+    std::string why;
+    restored = versa::parse_checkpoint(*context, tr->initial,
+                                       *opts.resume_checkpoint, why);
+    if (!restored) {
+      resume_note += why + "; falling back to a cold run\n";
+      util::DiagnosticEngine again("<model>");
+      tr = translate::translate(context.emplace(), instance, again,
+                                opts.translation);
+    }
+  }
+
   result.diagnostics = resume_note + diags.render_all() + tdiags.render_all();
   if (!tr) return result;
   result.threads = tr->threads;
   acsr::Context& ctx = *context;
 
   versa::ExploreOptions eopts = opts.exploration;
+  if (restored) {
+    eopts.resume = &*restored;
+    result.resumed = true;
+    result.resumed_from_depth = restored->depth;
+    result.resumed_from_states = restored->states;
+  }
   versa::Wavefront captured;
   if (opts.checkpoint_out) eopts.capture = &captured;
 
@@ -480,7 +471,8 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   maybe_capture_checkpoint(result, er, captured, ctx, opts);
   // No timeline without a trace: when recording was dropped under memory
   // pressure, lifting would produce an empty "0 quanta" scenario that reads
-  // like a real counterexample.
+  // like a real counterexample. A resumed run has no trace either (the
+  // parent links predate the resume).
   if (er.deadlock_found && !er.trace.empty())
     result.scenario = lift_back(ctx, *tr, er);
   return result;

@@ -49,17 +49,16 @@ struct AnalyzerOptions {
 
   // --- warm re-exploration (DESIGN.md §12) -----------------------------
   /// When non-null and exploration stops on a budget without reaching a
-  /// verdict, a serialized versa checkpoint (translated module + BFS
-  /// wavefront) is written here so a later run can resume it.
+  /// verdict, a serialized versa checkpoint (the BFS wavefront, bound to
+  /// this translation) is written here so a later run can resume it.
   std::string* checkpoint_out = nullptr;
-  /// When non-null and non-empty, try to restore this checkpoint and
-  /// resume: lint, translation and the already-explored prefix are all
-  /// skipped. Any validation failure falls back to a cold run (the reason
-  /// lands in AnalysisResult::diagnostics).
+  /// When non-null and non-empty, try to restore this checkpoint into this
+  /// run's own translation and resume: translation and lint run as on a
+  /// cold run, and exploration skips the already-explored prefix. A
+  /// checkpoint from another translation, or one that fails any other
+  /// validation, falls back to a cold run (the reason lands in
+  /// AnalysisResult::diagnostics).
   const std::string* resume_checkpoint = nullptr;
-  /// Cache key recorded inside a captured checkpoint (instance fingerprint
-  /// + options hash at the service layer; informational elsewhere).
-  std::string checkpoint_key;
 };
 
 /// Per-thread status in one quantum of a failing scenario.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/result_json.hpp"
-#include "server/diskstore.hpp"
 #include "util/budget.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
@@ -23,11 +22,6 @@ namespace fs = std::filesystem;
 namespace {
 
 using util::FaultInjector;
-
-/// Tmp leftovers younger than this survive the constructor sweep even when
-/// their owner pid cannot be resolved (matches DiskJanitor's default, so
-/// startup and periodic sweeps agree on what "stale" means).
-constexpr double kStartupTmpGraceSeconds = 300;
 
 /// Write `body` to `tmp_path`, honoring the `site` fault hook: a tripped
 /// write site emits only a prefix of the bytes and reports failure — the
@@ -65,8 +59,8 @@ ResultCache::ResultCache(CacheConfig cfg)
     fs::create_directories(cfg_.disk_dir, ec);
     // A failed create degrades to memory-only: lookups will miss, stores
     // will fail (and be counted). The daemon surfaces the misconfiguration
-    // at startup instead (it stats the directory).
-    sweep_stale_tmp_files(cfg_.disk_dir, kStartupTmpGraceSeconds);
+    // at startup instead (it stats the directory). Tmp leftovers are the
+    // DiskJanitor's: its startup sweep is the one scan of the directory.
   }
 }
 
@@ -190,9 +184,6 @@ CheckpointStore::CheckpointStore(std::size_t memory_capacity,
   if (has_disk_tier()) {
     std::error_code ec;
     fs::create_directories(disk_dir_, ec);
-    // ResultCache sweeps the shared directory too when it owns it, but the
-    // store must clean up after itself when configured standalone.
-    sweep_stale_tmp_files(disk_dir_, kStartupTmpGraceSeconds);
   }
 }
 

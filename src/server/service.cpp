@@ -361,7 +361,6 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   bool resume_attempted = false;
   if (use_checkpoints) {
     opts.checkpoint_out = &checkpoint_out;
-    opts.checkpoint_key = job->key;
     if (job->req.resume) {
       if (auto blob = checkpoints_.lookup(job->key)) {
         resume_blob = std::move(*blob);

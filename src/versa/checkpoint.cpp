@@ -1,15 +1,14 @@
 #include "versa/checkpoint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <type_traits>
 #include <vector>
 
-#include "acsr/parser.hpp"
 #include "acsr/printer.hpp"
-#include "util/diagnostics.hpp"
 #include "util/hash.hpp"
 
 namespace aadlsched::versa {
@@ -22,9 +21,11 @@ using acsr::kInvalidTerm;
 namespace {
 
 constexpr std::string_view kMagic = "aadlsched-checkpoint";
-// Blobs of an older version (v2 still carried the deleted reduction
-// section) are rejected as stale rather than parsed with a guessed layout.
-constexpr std::string_view kVersion = "v3";
+// Blobs of an older version are rejected as stale rather than parsed with a
+// guessed layout.
+constexpr std::string_view kVersion = "v4";
+
+constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
 
 /// Child term ids of a node, including the optional scope handlers.
 template <typename Fn>
@@ -54,6 +55,29 @@ void for_each_child(const acsr::TermTable& tt, TermId id, const Fn& fn) {
   }
 }
 
+/// Dense serialization index of every `used` id, in ascending id order.
+std::vector<std::uint32_t> densify(const std::vector<bool>& used) {
+  std::vector<std::uint32_t> dense(used.size(), kUnmapped);
+  std::uint32_t next = 0;
+  for (std::size_t i = 0; i < used.size(); ++i)
+    if (used[i]) dense[i] = next++;
+  return dense;
+}
+
+/// Identity of the translation a checkpoint belongs to: the printed module
+/// plus the resource and event names in id order, which together fix the
+/// meaning of every raw resource, event and definition id it stores.
+std::string translation_digest(const acsr::Context& ctx) {
+  std::string text = acsr::Printer(ctx).module();
+  for (const util::Interner* names :
+       {&ctx.resource_interner(), &ctx.event_interner()}) {
+    text += "--\n";
+    for (util::Symbol s = 1; s < names->size(); ++s)
+      text.append(names->str(s)).push_back('\n');
+  }
+  return util::hex_digest(text);
+}
+
 /// Emit a list of u32 values, wrapped so no line grows unbounded.
 void emit_ids(std::ostringstream& os, const std::vector<std::uint32_t>& ids) {
   for (std::size_t i = 0; i < ids.size(); ++i)
@@ -64,7 +88,7 @@ void emit_ids(std::ostringstream& os, const std::vector<std::uint32_t>& ids) {
 /// checked; the first failure latches and everything after no-ops.
 class Reader {
  public:
-  explicit Reader(std::string body) : is_(std::move(body)) {}
+  explicit Reader(std::string_view body) : rest_(body) {}
 
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
@@ -76,23 +100,36 @@ class Reader {
     }
   }
 
-  /// Consume one whitespace-delimited token and require it to be `word`.
-  void expect(std::string_view word) {
-    if (!ok_) return;
-    std::string t;
-    if (!(is_ >> t) || t != word)
-      fail("expected '" + std::string(word) + "', found '" + t + "'");
-  }
-
-  std::string token(std::string_view what) {
-    std::string t;
-    if (ok_ && !(is_ >> t)) fail("missing " + std::string(what));
+  /// The next whitespace-delimited token; empty at the end of the body.
+  std::string_view word(std::string_view what) {
+    if (!ok_) return {};
+    const auto space = [](char c) { return c == ' ' || c == '\n'; };
+    std::size_t i = 0;
+    while (i < rest_.size() && space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !space(rest_[j])) ++j;
+    const std::string_view t = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    if (t.empty()) fail("missing " + std::string(what));
     return t;
   }
 
-  std::int64_t num(std::string_view what) {
+  /// Consume one token and require it to be `word`.
+  void expect(std::string_view w) {
+    const std::string_view t = word(w);
+    if (ok_ && t != w)
+      fail("expected '" + std::string(w) + "', found '" + std::string(t) +
+           "'");
+  }
+
+  std::int64_t num(std::string_view what) { return to_int(word(what), what); }
+
+  std::int64_t to_int(std::string_view t, std::string_view what) {
     std::int64_t v = 0;
-    if (ok_ && !(is_ >> v)) fail("missing number: " + std::string(what));
+    if (!ok_) return v;
+    const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+    if (ec != std::errc() || end != t.data() + t.size())
+      fail("malformed number: " + std::string(what));
     return v;
   }
 
@@ -102,29 +139,15 @@ class Reader {
     return static_cast<std::uint64_t>(v);
   }
 
-  /// Read exactly `n` raw bytes (after skipping the newline that ends the
-  /// current line).
-  std::string raw(std::uint64_t n) {
-    std::string out;
-    if (!ok_) return out;
-    is_.get();  // the '\n' after the byte count
-    out.resize(n);
-    if (!is_.read(out.data(), static_cast<std::streamsize>(n)))
-      fail("truncated raw section");
-    return out;
-  }
-
-  /// Rest of the current line (after one separating space).
-  std::string line(std::string_view what) {
-    std::string out;
-    if (!ok_) return out;
-    is_.get();  // the ' ' after the keyword
-    if (!std::getline(is_, out)) fail("missing " + std::string(what));
-    return out;
+  /// An id that must index a table of `limit` entries; 0 once failed.
+  std::uint32_t id(std::uint64_t limit, std::string_view what) {
+    const std::uint64_t v = unum(what);
+    if (ok_ && v >= limit) fail("out-of-range " + std::string(what));
+    return ok_ ? static_cast<std::uint32_t>(v) : 0;
   }
 
  private:
-  std::istringstream is_;
+  std::string_view rest_;
   bool ok_ = true;
   std::string error_;
 };
@@ -132,10 +155,8 @@ class Reader {
 }  // namespace
 
 std::string serialize_checkpoint(const acsr::Context& ctx,
-                                 const Wavefront& wave,
-                                 std::string_view key) {
+                                 const Wavefront& wave) {
   const acsr::TermTable& tt = ctx.terms();
-  acsr::Printer printer(ctx);
 
   // Mark the term DAG reachable from the wavefront (children first by
   // construction: every child has a smaller TermId than its parent).
@@ -158,55 +179,51 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
     for_each_child(tt, id, push);
   }
 
-  // Dense serialization index in ascending TermId order.
-  std::vector<std::uint32_t> dense(tt.size(),
-                                   std::numeric_limits<std::uint32_t>::max());
-  std::uint32_t count = 0;
-  for (TermId id = 0; id < tt.size(); ++id)
-    if (marked[id]) dense[id] = count++;
+  // Only the actions and event sets the marked terms use are written.
+  const acsr::ActionTable& at = ctx.actions();
+  const acsr::EventSetTable& est = ctx.event_sets();
+  std::vector<bool> used_actions(at.size(), false);
+  std::vector<bool> used_sets(est.size(), false);
+  for (TermId id = 0; id < tt.size(); ++id) {
+    if (!marked[id]) continue;
+    const TermNode& n = tt.node(id);
+    if (n.kind == TermKind::Act) used_actions[n.a] = true;
+    if (n.kind == TermKind::Restrict) used_sets[n.a] = true;
+  }
+  const std::vector<std::uint32_t> dense = densify(marked);
+  const std::vector<std::uint32_t> action_index = densify(used_actions);
+  const std::vector<std::uint32_t> set_index = densify(used_sets);
 
   std::ostringstream os;
   os << kMagic << ' ' << kVersion << '\n';
-  os << "key " << (key.empty() ? "-" : key) << '\n';
   os << "stats " << wave.states << ' ' << wave.transitions << ' '
      << wave.depth << ' ' << wave.peak_frontier << ' ' << wave.deadlock_count
      << ' ' << (wave.deadlock_found ? 1 : 0) << '\n';
+  os << "translation " << translation_digest(ctx) << '\n';
 
-  const std::string module_text = printer.module();
-  os << "module " << module_text.size() << '\n' << module_text << '\n';
-
-  // Name tables, by name: symbol 0 is the pre-interned empty string and is
-  // implicit; DefIds are serialized as names because they are not stable
-  // across a module round-trip.
-  const util::Interner& res = ctx.resource_interner();
-  os << "resources " << res.size() - 1 << '\n';
-  for (util::Symbol s = 1; s < res.size(); ++s) os << res.str(s) << '\n';
-  const util::Interner& ev = ctx.event_interner();
-  os << "events " << ev.size() - 1 << '\n';
-  for (util::Symbol s = 1; s < ev.size(); ++s) os << ev.str(s) << '\n';
-  os << "defs " << ctx.definition_count() << '\n';
-  for (acsr::DefId d = 0; d < ctx.definition_count(); ++d)
-    os << ctx.definition(d).name << '\n';
-
-  const acsr::ActionTable& at = ctx.actions();
-  os << "actions " << at.size() << '\n';
+  // Resources, events and definitions are written as raw ids: the
+  // translation digest pins their meaning.
+  os << "actions " << std::count(used_actions.begin(), used_actions.end(), true)
+     << '\n';
   for (acsr::ActionId a = 0; a < at.size(); ++a) {
+    if (!used_actions[a]) continue;
     const auto& uses = at.uses(a);
     os << uses.size();
     for (const acsr::ResourceUse& u : uses)
       os << ' ' << u.resource << ' ' << u.priority;
     os << '\n';
   }
-  const acsr::EventSetTable& est = ctx.event_sets();
-  os << "eventsets " << est.size() << '\n';
+  os << "eventsets " << std::count(used_sets.begin(), used_sets.end(), true)
+     << '\n';
   for (acsr::EventSetId e = 0; e < est.size(); ++e) {
+    if (!used_sets[e]) continue;
     const auto& events = est.events(e);
     os << events.size();
     for (const acsr::Event x : events) os << ' ' << x;
     os << '\n';
   }
 
-  os << "terms " << count << '\n';
+  os << "terms " << std::count(marked.begin(), marked.end(), true) << '\n';
   for (TermId id = 0; id < tt.size(); ++id) {
     if (!marked[id]) continue;
     const TermNode& n = tt.node(id);
@@ -215,7 +232,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
         os << "N\n";
         break;
       case TermKind::Act:
-        os << "A " << n.a << ' ' << dense[n.b] << '\n';
+        os << "A " << action_index[n.a] << ' ' << dense[n.b] << '\n';
         break;
       case TermKind::Evt:
         os << "E " << n.a << ' ' << static_cast<int>(n.flag) << ' '
@@ -230,7 +247,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
         break;
       }
       case TermKind::Restrict:
-        os << "R " << n.a << ' ' << dense[n.b] << '\n';
+        os << "R " << set_index[n.a] << ' ' << dense[n.b] << '\n';
         break;
       case TermKind::Scope: {
         const acsr::ScopeParts p = tt.scope_parts(id);
@@ -260,8 +277,6 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
     os << "firstdeadlock " << dense[wave.first_deadlock] << '\n';
   else
     os << "firstdeadlock -\n";
-  // End-to-end printer/parser cross-check line (re-parsed on restore).
-  os << "initialterm " << printer.ground_term(wave.initial) << '\n';
 
   const auto emit_list = [&](std::string_view name,
                              const std::vector<TermId>& ids, bool sorted) {
@@ -283,9 +298,11 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
   return body;
 }
 
-std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
-                                                   std::string& error) {
-  const auto reject = [&](std::string msg) -> std::optional<RestoredCheckpoint> {
+std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
+                                          TermId initial,
+                                          std::string_view text,
+                                          std::string& error) {
+  const auto reject = [&](std::string msg) -> std::optional<Wavefront> {
     error = "checkpoint rejected: " + std::move(msg);
     return std::nullopt;
   };
@@ -296,19 +313,16 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
   const auto body = util::strip_trailing_digest(text);
   if (!body) return reject("digest mismatch (truncated or corrupt)");
 
-  Reader r{std::string(*body)};
+  Reader r{*body};
   r.expect(kMagic);
   {
-    const std::string version = r.token("format version");
+    const std::string version(r.word("format version"));
     if (r.ok() && version != kVersion)
       return reject("stale checkpoint format '" + version + "' (this build "
                     "writes " + std::string(kVersion) +
                     "); re-run cold to capture a fresh checkpoint");
   }
-  r.expect("key");
-  RestoredCheckpoint out;
-  out.key = r.token("key");
-  Wavefront& w = out.wave;
+  Wavefront w;
   r.expect("stats");
   w.states = r.unum("states");
   w.transitions = r.unum("transitions");
@@ -317,43 +331,20 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
   w.deadlock_count = r.unum("deadlock_count");
   w.deadlock_found = r.unum("deadlock_found") != 0;
 
-  r.expect("module");
-  const std::string module_text = r.raw(r.unum("module bytes"));
+  // Nothing is interned before the translation is known to match.
+  r.expect("translation");
+  const std::string_view digest = r.word("translation digest");
   if (!r.ok()) return reject(r.error());
+  if (digest != translation_digest(ctx))
+    return reject("captured from a different translation (another model "
+                  "or other analysis options)");
 
-  out.ctx = std::make_unique<acsr::Context>();
-  acsr::Context& ctx = *out.ctx;
-  util::DiagnosticEngine mdiags("<checkpoint-module>");
-  if (!acsr::parse_module(ctx, module_text, mdiags))
-    return reject("embedded ACSR module failed to parse: " +
-                  mdiags.render_all());
-
-  // Name tables -> new-id maps. Index 0 is the implicit empty symbol.
-  std::vector<acsr::Resource> rmap{0};
-  r.expect("resources");
-  for (std::uint64_t i = r.unum("resource count"); r.ok() && i > 0; --i)
-    rmap.push_back(ctx.resource(r.token("resource name")));
-  std::vector<acsr::Event> emap{0};
-  r.expect("events");
-  for (std::uint64_t i = r.unum("event count"); r.ok() && i > 0; --i)
-    emap.push_back(ctx.event(r.token("event name")));
-  std::vector<acsr::DefId> dmap;
-  r.expect("defs");
-  for (std::uint64_t i = r.unum("def count"); r.ok() && i > 0; --i) {
-    const std::string name = r.token("def name");
-    const auto def = ctx.find_definition(name);
-    if (!def) return reject("unknown definition '" + name + "'");
-    dmap.push_back(*def);
-  }
-
-  const auto mapped = [&](const auto& map, std::uint64_t idx,
-                          std::string_view what) {
+  const std::size_t nresources = ctx.resource_interner().size();
+  const std::size_t nevents = ctx.event_interner().size();
+  const auto mapped = [&](const auto& map, std::string_view what) {
     using V = std::decay_t<decltype(map[0])>;
-    if (idx >= map.size()) {
-      r.fail("out-of-range " + std::string(what));
-      return V{};
-    }
-    return map[idx];
+    const std::uint32_t i = r.id(map.size(), what);
+    return r.ok() ? map[i] : V{};
   };
 
   std::vector<acsr::ActionId> amap;
@@ -362,20 +353,19 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
     std::vector<acsr::ResourceUse> uses;
     for (std::uint64_t k = r.unum("resource-use count"); r.ok() && k > 0;
          --k) {
-      const acsr::Resource res =
-          mapped(rmap, r.unum("resource id"), "resource id");
+      const acsr::Resource res = r.id(nresources, "resource id");
       uses.push_back(acsr::ResourceUse{
           res, static_cast<acsr::Priority>(r.num("priority"))});
     }
-    amap.push_back(ctx.actions().intern(std::move(uses)));
+    amap.push_back(ctx.actions().intern(uses));
   }
   std::vector<acsr::EventSetId> esmap;
   r.expect("eventsets");
   for (std::uint64_t i = r.unum("event-set count"); r.ok() && i > 0; --i) {
     std::vector<acsr::Event> events;
     for (std::uint64_t k = r.unum("event-set size"); r.ok() && k > 0; --k)
-      events.push_back(mapped(emap, r.unum("event id"), "event id"));
-    esmap.push_back(ctx.event_sets().intern(std::move(events)));
+      events.push_back(r.id(nevents, "event id"));
+    esmap.push_back(ctx.event_sets().intern(events));
   }
 
   // Term DAG, children-before-parents: every reference below must point at
@@ -395,15 +385,14 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
     return tmap[static_cast<std::size_t>(idx)];
   };
   for (std::uint64_t i = 0; r.ok() && i < nterms; ++i) {
-    const std::string tag = r.token("term tag");
+    const std::string_view tag = r.word("term tag");
     if (tag == "N") {
       tmap.push_back(tt.nil());
     } else if (tag == "A") {
-      const acsr::ActionId a =
-          mapped(amap, r.unum("action id"), "action id");
+      const acsr::ActionId a = mapped(amap, "action id");
       tmap.push_back(tt.act(a, term_at(r.num("continuation"))));
     } else if (tag == "E") {
-      const acsr::Event e = mapped(emap, r.unum("event id"), "event id");
+      const acsr::Event e = r.id(nevents, "event id");
       const bool send = r.num("send flag") != 0;
       const auto prio = static_cast<acsr::Priority>(r.num("priority"));
       tmap.push_back(tt.evt(e, send, prio, term_at(r.num("continuation"))));
@@ -411,18 +400,16 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
       std::vector<TermId> children;
       for (std::uint64_t k = r.unum("child count"); r.ok() && k > 0; --k)
         children.push_back(term_at(r.num("child")));
-      tmap.push_back(tag == "C" ? tt.choice(std::move(children))
-                                : tt.parallel(std::move(children)));
+      tmap.push_back(tag == "C" ? tt.choice(children)
+                                : tt.parallel(children));
     } else if (tag == "R") {
-      const acsr::EventSetId es =
-          mapped(esmap, r.unum("event-set id"), "event-set id");
+      const acsr::EventSetId es = mapped(esmap, "event-set id");
       tmap.push_back(tt.restrict(es, term_at(r.num("body"))));
     } else if (tag == "S") {
       acsr::ScopeParts p;
       p.body = term_at(r.num("scope body"));
       p.time_left = static_cast<acsr::TimeValue>(r.num("scope time"));
-      p.exception_label =
-          mapped(emap, r.unum("exception label"), "exception label");
+      p.exception_label = r.id(nevents, "exception label");
       const auto opt = [&](std::string_view what) -> TermId {
         const std::int64_t idx = r.num(what);
         return idx < 0 ? kInvalidTerm : term_at(idx);
@@ -432,50 +419,27 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
       p.timeout_handler = opt("timeout handler");
       tmap.push_back(tt.scope(p));
     } else if (tag == "L") {
-      const acsr::DefId d = mapped(dmap, r.unum("def id"), "def id");
+      const acsr::DefId d = r.id(ctx.definition_count(), "def id");
       std::vector<acsr::ParamValue> args;
       for (std::uint64_t k = r.unum("arg count"); r.ok() && k > 0; --k)
         args.push_back(static_cast<acsr::ParamValue>(r.num("arg")));
-      if (r.ok() && args.size() != ctx.definition(d).params.size())
+      if (!r.ok()) break;
+      if (args.size() != ctx.definition(d).params.size())
         return reject("arity mismatch calling '" + ctx.definition(d).name +
                       "'");
       tmap.push_back(tt.call(d, args));
     } else {
-      return reject("unknown term tag '" + tag + "'");
+      return reject("unknown term tag '" + std::string(tag) + "'");
     }
   }
 
   r.expect("initial");
   w.initial = term_at(r.num("initial index"));
   r.expect("firstdeadlock");
-  {
-    const std::string t = r.token("first deadlock");
-    if (t != "-") {
-      std::int64_t idx = -1;
-      try {
-        idx = std::stoll(t);
-      } catch (...) {
-        r.fail("malformed first-deadlock index");
-      }
-      w.first_deadlock = term_at(idx);
-    }
-  }
-
-  r.expect("initialterm");
-  const std::string initial_line = r.line("initial term");
-  if (!r.ok()) return reject(r.error());
-
-  // Printer/parser cross-check: the restored DAG's initial state must print
-  // to the recorded line, and the line must re-parse to a term that prints
-  // identically (full ground-term round-trip through the ACSR syntax).
-  acsr::Printer printer(ctx);
-  if (printer.ground_term(w.initial) != initial_line)
-    return reject("initial term does not match the restored term DAG");
-  util::DiagnosticEngine gdiags("<checkpoint-initial>");
-  const TermId reparsed = acsr::parse_ground_term(ctx, initial_line, gdiags);
-  if (reparsed == kInvalidTerm ||
-      printer.ground_term(reparsed) != initial_line)
-    return reject("initial term failed the printer/parser round-trip");
+  if (const std::string_view t = r.word("first deadlock"); r.ok() && t != "-")
+    w.first_deadlock = term_at(r.to_int(t, "first deadlock"));
+  if (r.ok() && w.initial != initial)
+    return reject("initial state differs from this translation's");
 
   const auto read_list = [&](std::string_view name,
                              std::vector<TermId>& into) {
@@ -488,7 +452,7 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
   read_list("visited", w.visited);
 
   if (!r.ok()) return reject(r.error());
-  return out;
+  return w;
 }
 
 }  // namespace aadlsched::versa

@@ -22,8 +22,8 @@
 namespace aadlsched::versa {
 
 /// A paused BFS: everything needed to continue an exploration later,
-/// possibly in a different process against a restored Context (see
-/// versa/checkpoint.hpp). The invariant the engine maintains is that every
+/// possibly in a different process, restored into a fresh copy of the same
+/// translation (see versa/checkpoint.hpp). The invariant the engine maintains is that every
 /// reachable-but-unvisited state is reachable through `frontier` ++
 /// `next_frontier`, so seeding a fresh run with (visited, frontier,
 /// counters) continues the exact same BFS — same final verdict and, on a

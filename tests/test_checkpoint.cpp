@@ -1,15 +1,19 @@
 // Warm re-exploration (DESIGN.md §12): checkpoint capture on budget-bound
 // runs, resume determinism (a resumed run must reach the exact verdict and
 // state counts a cold run reaches, and render a byte-identical canonical
-// result object), corruption fallback, and the versa-level serialize/parse
-// round trip.
+// result object), corruption fallback, refusal of a checkpoint captured
+// from another translation, and the versa-level serialize/restore round
+// trip.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "aadl/parser.hpp"
 #include "core/analyzer.hpp"
 #include "core/result_json.hpp"
+#include "translate/translator.hpp"
 #include "util/hash.hpp"
 #include "versa/checkpoint.hpp"
 
@@ -120,6 +124,26 @@ core::AnalyzerOptions base_options() {
   return opts;
 }
 
+/// What a resuming caller holds before it restores a checkpoint: its own
+/// fresh translation of `source` (root Root.impl) at the base quantum.
+struct Fresh {
+  acsr::Context ctx;
+  acsr::TermId initial = acsr::kInvalidTerm;
+};
+
+std::unique_ptr<Fresh> translate_fresh(const std::string& source) {
+  auto out = std::make_unique<Fresh>();
+  util::DiagnosticEngine diags("<test>");
+  aadl::Model model;
+  if (!aadl::parse_aadl(model, source, diags)) return out;
+  const auto instance = aadl::instantiate(model, "Root.impl", diags);
+  if (!instance) return out;
+  const auto tr = translate::translate(out->ctx, *instance, diags,
+                                       base_options().translation);
+  if (tr) out->initial = tr->initial;
+  return out;
+}
+
 /// `explore_ms` is the one canonical-result field that legitimately differs
 /// between two runs of the same analysis; everything else must be
 /// byte-identical.
@@ -140,7 +164,6 @@ TEST(Checkpoint, BudgetBoundRunCapturesACheckpoint) {
   opts.exploration.max_states = 40;
   std::string blob;
   opts.checkpoint_out = &blob;
-  opts.checkpoint_key = "test-key";
 
   const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
   ASSERT_TRUE(r.ok);
@@ -148,7 +171,7 @@ TEST(Checkpoint, BudgetBoundRunCapturesACheckpoint) {
   EXPECT_EQ(r.stop_reason, util::StopReason::MaxStates);
   EXPECT_TRUE(r.checkpoint_captured);
   EXPECT_FALSE(blob.empty());
-  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v3", 0), 0u);
+  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v4", 0), 0u);
   EXPECT_NE(r.summary().find("checkpoint captured at depth"),
             std::string::npos);
 }
@@ -287,10 +310,12 @@ TEST(Checkpoint, LevelBoundaryWavefrontResumesToTheColdBytes) {
                     .checkpoint_captured)
         << "cap " << cap;
     std::string error;
-    const auto restored = versa::parse_checkpoint(candidate, error);
+    const auto fresh = translate_fresh(medium_model());
+    const auto restored =
+        versa::parse_checkpoint(fresh->ctx, fresh->initial, candidate, error);
     ASSERT_TRUE(restored.has_value()) << error;
-    if (restored->wave.frontier.empty()) {
-      ASSERT_FALSE(restored->wave.next_frontier.empty());
+    if (restored->frontier.empty()) {
+      ASSERT_FALSE(restored->next_frontier.empty());
       blob = std::move(candidate);
     }
   }
@@ -325,6 +350,39 @@ TEST(Checkpoint, CorruptBlobFallsBackToAColdRun) {
   EXPECT_NE(r.diagnostics.find("checkpoint rejected"), std::string::npos);
   EXPECT_NE(r.diagnostics.find("falling back to a cold run"),
             std::string::npos);
+  // The rejected blob leaves no trace: the fallback is a plain cold run.
+  const auto cold =
+      core::analyze_source(medium_model(), "Root.impl", base_options());
+  EXPECT_EQ(normalize_explore_ms(core::render_result_json(r)),
+            normalize_explore_ms(core::render_result_json(cold)));
+}
+
+TEST(Checkpoint, ResumeRefusesAnotherTranslation) {
+  core::AnalyzerOptions bound = base_options();
+  bound.exploration.max_states = 40;
+  std::string blob;
+  bound.checkpoint_out = &blob;
+  ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
+                  .checkpoint_captured);
+
+  // Another model: the answer is the named model's, never the blob's.
+  core::AnalyzerOptions warm = base_options();
+  warm.resume_checkpoint = &blob;
+  const auto other = core::analyze_source(failing_model(), "Root.impl", warm);
+  EXPECT_FALSE(other.resumed);
+  EXPECT_EQ(other.outcome, core::Outcome::NotSchedulable);
+  EXPECT_NE(other.diagnostics.find("checkpoint rejected"), std::string::npos);
+
+  // The same model at another quantum is another translation too.
+  core::AnalyzerOptions coarse = base_options();
+  coarse.translation.quantum_ns = 2'000'000;
+  const auto cold = core::analyze_source(medium_model(), "Root.impl", coarse);
+  coarse.resume_checkpoint = &blob;
+  const auto resumed =
+      core::analyze_source(medium_model(), "Root.impl", coarse);
+  EXPECT_FALSE(resumed.resumed);
+  EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
+            normalize_explore_ms(core::render_result_json(cold)));
 }
 
 TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
@@ -354,13 +412,14 @@ TEST(Checkpoint, StaleFormatsAreRejectedWithADiagnostic) {
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
                   .checkpoint_captured);
 
-  // Retired tags: v1 predates the reduction section, v2 carried it.
-  for (const std::string tag : {"v1", "v2"}) {
+  // Retired tags: v1 predates the reduction section, v2 carried it, and v3
+  // still carried its own printed module.
+  for (const std::string tag : {"v1", "v2", "v3"}) {
     SCOPED_TRACE(tag);
     // Rewrite the header to the retired tag and re-seal the body, so the
     // only thing wrong with the blob is its format version.
     std::string stale = blob;
-    const auto vpos = stale.find(" v3\n");
+    const auto vpos = stale.find(" v4\n");
     ASSERT_NE(vpos, std::string::npos);
     stale.replace(vpos, 4, " " + tag + "\n");
     const auto dpos = stale.rfind("digest ");
@@ -369,7 +428,10 @@ TEST(Checkpoint, StaleFormatsAreRejectedWithADiagnostic) {
     util::append_digest(stale);
 
     std::string error;
-    EXPECT_FALSE(versa::parse_checkpoint(stale, error).has_value());
+    const auto fresh = translate_fresh(medium_model());
+    EXPECT_FALSE(versa::parse_checkpoint(fresh->ctx, fresh->initial, stale,
+                                         error)
+                     .has_value());
     EXPECT_NE(error.find("stale checkpoint format '" + tag + "'"),
               std::string::npos);
 
@@ -435,33 +497,61 @@ TEST(Checkpoint, VersaParseRoundTripPreservesTheWavefront) {
   bound.exploration.max_states = 40;
   std::string blob;
   bound.checkpoint_out = &blob;
-  bound.checkpoint_key = "fingerprint-options";
   const auto r = core::analyze_source(medium_model(), "Root.impl", bound);
   ASSERT_TRUE(r.checkpoint_captured);
 
   std::string error;
-  const auto restored = versa::parse_checkpoint(blob, error);
+  const auto fresh = translate_fresh(medium_model());
+  const auto restored =
+      versa::parse_checkpoint(fresh->ctx, fresh->initial, blob, error);
   ASSERT_TRUE(restored.has_value()) << error;
-  EXPECT_EQ(restored->key, "fingerprint-options");
-  EXPECT_EQ(restored->wave.states, r.states);
-  EXPECT_EQ(restored->wave.transitions, r.transitions);
-  EXPECT_EQ(restored->wave.depth, r.depth);
-  EXPECT_EQ(restored->wave.visited.size(), r.states);
-  EXPECT_FALSE(restored->wave.empty());
-  EXPECT_NE(restored->wave.initial, acsr::kInvalidTerm);
+  EXPECT_EQ(restored->states, r.states);
+  EXPECT_EQ(restored->transitions, r.transitions);
+  EXPECT_EQ(restored->depth, r.depth);
+  EXPECT_EQ(restored->visited.size(), r.states);
+  EXPECT_FALSE(restored->empty());
+  EXPECT_NE(restored->initial, acsr::kInvalidTerm);
 
-  // Re-serializing the restored wavefront must parse again (the round trip
-  // is closed, not merely one-way).
-  const std::string again = versa::serialize_checkpoint(
-      *restored->ctx, restored->wave, restored->key);
+  // Re-serializing the restored wavefront must restore again (the round
+  // trip is closed, not merely one-way).
+  const std::string again = versa::serialize_checkpoint(fresh->ctx, *restored);
   std::string error2;
-  const auto twice = versa::parse_checkpoint(again, error2);
+  const auto other = translate_fresh(medium_model());
+  const auto twice =
+      versa::parse_checkpoint(other->ctx, other->initial, again, error2);
   ASSERT_TRUE(twice.has_value()) << error2;
-  EXPECT_EQ(twice->wave.states, restored->wave.states);
-  EXPECT_EQ(twice->wave.visited.size(), restored->wave.visited.size());
-  EXPECT_EQ(twice->wave.frontier.size(), restored->wave.frontier.size());
-  EXPECT_EQ(twice->wave.next_frontier.size(),
-            restored->wave.next_frontier.size());
+  EXPECT_EQ(twice->states, restored->states);
+  EXPECT_EQ(twice->visited.size(), restored->visited.size());
+  EXPECT_EQ(twice->frontier.size(), restored->frontier.size());
+  EXPECT_EQ(twice->next_frontier.size(), restored->next_frontier.size());
+}
+
+TEST(Checkpoint, RestoreChecksTheInitialStateAndEveryId) {
+  core::AnalyzerOptions bound = base_options();
+  bound.exploration.max_states = 40;
+  std::string blob;
+  bound.checkpoint_out = &blob;
+  ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
+                  .checkpoint_captured);
+
+  // Same translation, but the caller's initial state is another term.
+  std::string error;
+  const auto fresh = translate_fresh(medium_model());
+  EXPECT_FALSE(
+      versa::parse_checkpoint(fresh->ctx, acsr::kNil, blob, error).has_value());
+  EXPECT_NE(error.find("initial state differs"), std::string::npos);
+
+  // A resealed blob whose initial index points past the term table.
+  std::string bad = blob;
+  const auto ipos = bad.find("\ninitial ");
+  ASSERT_NE(ipos, std::string::npos);
+  bad.replace(ipos, bad.find('\n', ipos + 1) - ipos, "\ninitial 999999999");
+  bad.erase(bad.rfind("digest "));
+  util::append_digest(bad);
+  const auto other = translate_fresh(medium_model());
+  EXPECT_FALSE(versa::parse_checkpoint(other->ctx, other->initial, bad, error)
+                   .has_value());
+  EXPECT_NE(error.find("out-of-range term reference"), std::string::npos);
 }
 
 TEST(Checkpoint, DigestMismatchIsRejectedBeforeParsing) {
@@ -475,7 +565,10 @@ TEST(Checkpoint, DigestMismatchIsRejectedBeforeParsing) {
   std::string corrupt = blob;
   corrupt[corrupt.find("stats ") + 6] ^= 1;  // damage a counter digit
   std::string error;
-  EXPECT_FALSE(versa::parse_checkpoint(corrupt, error).has_value());
+  const auto fresh = translate_fresh(medium_model());
+  EXPECT_FALSE(versa::parse_checkpoint(fresh->ctx, fresh->initial, corrupt,
+                                       error)
+                   .has_value());
   EXPECT_NE(error.find("digest"), std::string::npos);
 }
 

@@ -505,6 +505,58 @@ TEST(Service, CorruptCheckpointOnDiskFallsBackColdAndIsErased) {
   std::filesystem::remove_all(dir);
 }
 
+// A sealed checkpoint under the right key but from another translation (a
+// binary whose translator differs wrote it) is refused and erased, never
+// resumed against the request's model.
+TEST(Service, CheckpointFromAnotherTranslationIsRefusedAndErased) {
+  const auto only_ckpt = [](const std::string& dir) {
+    std::string path;
+    for (const auto& ent : std::filesystem::directory_iterator(dir))
+      if (ent.path().extension() == ".ckpt") path = ent.path();
+    return path;
+  };
+  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  char other_tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(other_tmpl), nullptr);
+  const std::string other_dir = other_tmpl;
+
+  ServiceConfig cfg;
+  cfg.cache.disk_dir = dir;
+  ServiceConfig other_cfg;
+  other_cfg.cache.disk_dir = other_dir;
+  const std::string model = tiny_model(2, 10, 10);
+  {
+    Service first(cfg);
+    ASSERT_TRUE(first.handle(bounded(model, 5)).checkpoint_captured);
+    Service other(other_cfg);
+    ASSERT_TRUE(other.handle(bounded(tiny_model(2, 20, 20), 5))
+                    .checkpoint_captured);
+  }
+  const std::string ckpt_path = only_ckpt(dir);
+  ASSERT_FALSE(ckpt_path.empty());
+  std::filesystem::copy_file(
+      only_ckpt(other_dir), ckpt_path,
+      std::filesystem::copy_options::overwrite_existing);
+
+  Service second(cfg);
+  Request again = analyze(model);
+  again.resume = true;
+  const Response resp = second.handle(again);
+  ASSERT_TRUE(resp.ok);
+  EXPECT_FALSE(resp.resumed);
+  EXPECT_EQ(resp.outcome, core::Outcome::Schedulable);
+  const auto s = stats_of(second);
+  EXPECT_EQ(stat(s, "checkpoints", "hits"), 1);
+  EXPECT_EQ(stat(s, "checkpoints", "resume_failures"), 1);
+  EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);
+  EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(other_dir);
+}
+
 TEST(Service, CheckpointDiskCapEvictsOldestFirst) {
   char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);

@@ -65,13 +65,14 @@
 //                          response) with exponential backoff + jitter
 //                          before giving up (default 3; 0 = fail fast)
 //   --checkpoint-file <f>  (local) when a budget truncates the run, save a
-//                          warm-restart checkpoint (translated ACSR module
-//                          + BFS wavefront, DESIGN.md §12) to <f>
+//                          warm-restart checkpoint (the BFS wavefront,
+//                          bound to this translation, DESIGN.md §12) to <f>
 //   --resume               resume a budget-bound run: locally, restore the
 //                          --checkpoint-file wavefront instead of starting
 //                          cold; with --connect, ask the daemon for its
-//                          stored checkpoint. A checkpoint that fails
-//                          validation falls back to a cold run.
+//                          stored checkpoint. A checkpoint from another
+//                          model or other analysis options, or one that
+//                          fails validation, falls back to a cold run.
 //   --no-checkpoint        never capture a checkpoint (locally: even with
 //                          --checkpoint-file; daemon: skip the store)
 //
@@ -89,6 +90,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -210,6 +212,31 @@ std::optional<std::vector<BatchEntry>> read_batch_list(
   return entries;
 }
 
+/// The front end of every local run: parse all `files` into `model`
+/// (multi-file packages supported) and instantiate `root`. On failure
+/// returns null with the text to report in `error`.
+std::unique_ptr<aadl::InstanceModel> load_instance(
+    const std::vector<std::string>& files, const std::string& root,
+    aadl::Model& model, util::DiagnosticEngine& diags, std::string& error) {
+  for (const std::string& f : files) {
+    const auto text = read_file(f);
+    if (!text) {
+      error = "cannot open '" + f + "'\n";
+      return nullptr;
+    }
+    if (!aadl::parse_aadl(model, *text, diags)) {
+      error = diags.render_all();
+      return nullptr;
+    }
+  }
+  auto instance = aadl::instantiate(model, root, diags);
+  if (!instance || diags.has_errors()) {
+    error = diags.render_all();
+    return nullptr;
+  }
+  return instance;
+}
+
 /// Parse + instantiate + analyze one entry. Never throws for front-end
 /// problems (they land in diagnostics with Outcome::Error); exceptions that
 /// do escape are caught by the sweep isolation layer.
@@ -218,22 +245,9 @@ core::AnalysisResult analyze_entry(const BatchEntry& entry,
   core::AnalysisResult result;
   util::DiagnosticEngine diags(entry.files.front());
   aadl::Model model;
-  for (const std::string& f : entry.files) {
-    const auto text = read_file(f);
-    if (!text) {
-      result.diagnostics = "cannot open '" + f + "'\n";
-      return result;
-    }
-    if (!aadl::parse_aadl(model, *text, diags)) {
-      result.diagnostics = diags.render_all();
-      return result;
-    }
-  }
-  auto instance = aadl::instantiate(model, entry.root, diags);
-  if (!instance || diags.has_errors()) {
-    result.diagnostics = diags.render_all();
-    return result;
-  }
+  const auto instance =
+      load_instance(entry.files, entry.root, model, diags, result.diagnostics);
+  if (!instance) return result;
   result = core::analyze_instance(*instance, opts);
   result.diagnostics = diags.render_all() + result.diagnostics;
   return result;
@@ -618,23 +632,13 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Parse all files into one model (multi-file packages supported).
   util::DiagnosticEngine diags(files.front());
   aadl::Model model;
-  for (const std::string& f : files) {
-    const auto text = read_file(f);
-    if (!text) {
-      std::cerr << "cannot open '" << f << "'\n";
-      return 2;
-    }
-    if (!aadl::parse_aadl(model, *text, diags)) {
-      std::cerr << diags.render_all();
-      return 2;
-    }
-  }
-  auto instance = aadl::instantiate(model, root, diags);
-  if (!instance || diags.has_errors()) {
-    std::cerr << diags.render_all();
+  std::string front_end_error;
+  const auto instance =
+      load_instance(files, root, model, diags, front_end_error);
+  if (!instance) {
+    std::cerr << front_end_error;
     return 2;
   }
 
