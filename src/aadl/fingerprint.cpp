@@ -194,11 +194,8 @@ std::string canonical_instance_text(const InstanceModel& model) {
 }
 
 Fingerprint instance_fingerprint(const InstanceModel& model) {
-  const std::string text = canonical_instance_text(model);
-  Fingerprint fp;
-  fp.hi = util::fnv1a(text);
-  fp.lo = util::fnv1a(text, 0x9ae16a3b2f90404fULL);
-  return fp;
+  const util::Hash128 h = util::fnv1a_128(canonical_instance_text(model));
+  return Fingerprint{h.hi, h.lo};
 }
 
 }  // namespace aadlsched::aadl

@@ -52,8 +52,16 @@ std::optional<std::string> read_file(const std::string& path,
 
 }  // namespace
 
+util::Hash128 front_end_digest(std::string_view root, std::string_view model) {
+  util::Hash128 h = util::fnv1a_128(root);
+  h = util::fnv1a_128(std::string_view("\0", 1), h);
+  return util::fnv1a_128(model, h);
+}
+
 ResultCache::ResultCache(CacheConfig cfg)
-    : cfg_(std::move(cfg)), memory_(cfg_.memory_capacity) {
+    : cfg_(std::move(cfg)),
+      memory_(cfg_.memory_capacity),
+      front_end_memo_(cfg_.memory_capacity) {
   if (!cfg_.disk_dir.empty()) {
     std::error_code ec;
     fs::create_directories(cfg_.disk_dir, ec);
@@ -162,6 +170,18 @@ void ResultCache::store(const std::string& key, core::Outcome outcome,
     fs::remove(tmp_path, ec);
     note_store_failure(final_path, "rename");
   }
+}
+
+std::optional<aadl::Fingerprint> ResultCache::recall(
+    const util::Hash128& digest) {
+  std::lock_guard lock(mu_);
+  return front_end_memo_.get(digest);
+}
+
+void ResultCache::remember(const util::Hash128& digest,
+                           const aadl::Fingerprint& fp) {
+  std::lock_guard lock(mu_);
+  front_end_memo_.put(digest, fp);
 }
 
 std::uint64_t ResultCache::evictions() const {

@@ -19,6 +19,25 @@
 // Inconclusive or Error outcome, by contrast, depends on the budget (or on
 // transient front-end state) and must be recomputed, possibly with a
 // bigger envelope. cacheable() encodes this.
+//
+// In front of both tiers sits the exact-repeat memo: a request digest (the
+// root, a NUL byte and the exact model bytes, front_end_digest) mapped to
+// the fingerprint the full front end computed for those bytes. A repeat
+// names its cache key without parse, instantiate or fingerprint. It is
+// sound because:
+//   * the front end is a pure function of the root and the model bytes,
+//     and the digest covers exactly those, so the digest of one request
+//     cannot stand for a different instance (up to a collision of the
+//     same two-lane 128-bit FNV-1a the fingerprint itself trusts as the
+//     cache key — the memo adds no new collision class);
+//   * only successful front ends are remembered: an error response
+//     carries diagnostics rendered with the request id, so it is rebuilt
+//     every time;
+//   * the memo stores 16-byte digests and fingerprints, never model text,
+//     and shares CacheConfig::memory_capacity with the memory tier, so
+//     memory_capacity = 0 turns both off;
+//   * a memo hit only changes how the key is found: when its result entry
+//     is gone, the request takes the full path as if the memo were absent.
 #pragma once
 
 #include <atomic>
@@ -27,7 +46,9 @@
 #include <optional>
 #include <string>
 
+#include "aadl/fingerprint.hpp"
 #include "core/analyzer.hpp"
+#include "util/hash.hpp"
 #include "util/lru_cache.hpp"
 
 namespace aadlsched::server {
@@ -53,6 +74,10 @@ inline bool cacheable(core::Outcome o) {
   return o == core::Outcome::Schedulable || o == core::Outcome::NotSchedulable;
 }
 
+/// The exact-repeat memo's key: FNV-1a 128 over `root`, a NUL byte and
+/// `model`. The NUL keeps root "A" + model "Bx" apart from "AB" + "x".
+util::Hash128 front_end_digest(std::string_view root, std::string_view model);
+
 class ResultCache {
  public:
   struct Hit {
@@ -72,6 +97,13 @@ class ResultCache {
   /// a corrupted one is never served.
   void store(const std::string& key, core::Outcome outcome,
              const std::string& result_json);
+
+  /// The fingerprint remember() recorded for `digest`, if the memo still
+  /// holds it (exact-repeat memo, see file comment).
+  std::optional<aadl::Fingerprint> recall(const util::Hash128& digest);
+
+  /// Record what a successful front end computed for a request digest.
+  void remember(const util::Hash128& digest, const aadl::Fingerprint& fp);
 
   std::uint64_t evictions() const;
   std::uint64_t entries() const;
@@ -98,9 +130,16 @@ class ResultCache {
   std::optional<Entry> disk_load(const std::string& key) const;
   void note_store_failure(const std::string& path, const char* what);
 
+  struct DigestHash {
+    std::size_t operator()(const util::Hash128& h) const {
+      return static_cast<std::size_t>(h.hi);
+    }
+  };
+
   CacheConfig cfg_;
   mutable std::mutex mu_;
   util::LruCache<std::string, Entry> memory_;
+  util::LruCache<util::Hash128, aadl::Fingerprint, DigestHash> front_end_memo_;
   mutable std::atomic<std::uint64_t> corrupt_evictions_{0};
   std::atomic<std::uint64_t> disk_store_failures_{0};
   std::atomic<bool> store_diag_emitted_{false};

@@ -16,6 +16,7 @@ std::string StatsSnapshot::render_json() const {
   w.key("hits_memory").value(cache_hits_memory);
   w.key("hits_disk").value(cache_hits_disk);
   w.key("misses").value(cache_misses);
+  w.key("front_end_skips").value(cache_front_end_skips);
   w.key("stores").value(cache_stores);
   w.key("evictions").value(cache_evictions);
   w.key("corrupt_evictions").value(cache_corrupt_evictions);
@@ -97,12 +98,13 @@ void Metrics::record_outcome(core::Outcome o) {
   ++s_.outcomes[static_cast<int>(o)];
 }
 
-void Metrics::record_hit(bool disk_tier) {
+void Metrics::record_hit(bool disk_tier, bool front_end_skipped) {
   std::lock_guard lock(mu_);
   if (disk_tier)
     ++s_.cache_hits_disk;
   else
     ++s_.cache_hits_memory;
+  if (front_end_skipped) ++s_.cache_front_end_skips;
 }
 
 void Metrics::record_miss() {

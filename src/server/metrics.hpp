@@ -28,6 +28,9 @@ struct StatsSnapshot {
   std::uint64_t cache_hits_memory = 0;
   std::uint64_t cache_hits_disk = 0;
   std::uint64_t cache_misses = 0;
+  /// Hits answered through the exact-repeat memo, without the front end
+  /// (a subset of hits_memory + hits_disk).
+  std::uint64_t cache_front_end_skips = 0;
   std::uint64_t cache_stores = 0;
   std::uint64_t cache_evictions = 0;
   /// Corrupt disk-cache files quarantined on load (cache self-healing).
@@ -92,7 +95,7 @@ class Metrics {
   void record_analysis_run();
   void record_protocol_error();
   void record_outcome(core::Outcome o);
-  void record_hit(bool disk_tier);
+  void record_hit(bool disk_tier, bool front_end_skipped);
   void record_miss();
   void record_store();
   void record_checkpoint_hit();

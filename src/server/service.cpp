@@ -43,6 +43,12 @@ std::string options_key(const RequestOptions& ro) {
   return buf;
 }
 
+/// The result-cache key: the model's fingerprint and the options hash. It
+/// is also the disk entry's file name stem.
+std::string cache_key(const aadl::Fingerprint& fp, const RequestOptions& ro) {
+  return fp.hex() + "-" + options_key(ro);
+}
+
 /// Everything that must stay alive for the instance to be analyzable: the
 /// declarative model (the instance tree points into its types/impls) plus
 /// the instance itself.
@@ -229,6 +235,34 @@ std::future<Response> Service::submit(Request req) {
   // and requested runs of the same engine share cache entries.
   if (cfg_.force_engine) req.options.engine = *cfg_.force_engine;
 
+  // A cache hit is answered inline: it never queues behind a running
+  // exploration.
+  const auto answer_hit = [&](const aadl::Fingerprint& fp,
+                              ResultCache::Hit hit, bool front_end_skipped) {
+    resp.ok = true;
+    resp.outcome = hit.outcome;
+    resp.fingerprint = fp.hex();
+    resp.cached = true;
+    resp.cache_tier = hit.from_disk ? "disk" : "memory";
+    resp.result_json = std::move(hit.result_json);
+    resp.served_ms = ms_since(t0);
+    metrics_.record_hit(hit.from_disk, front_end_skipped);
+    metrics_.record_outcome(hit.outcome);
+    metrics_.record_latency_ms(resp.served_ms);
+    return immediate(std::move(resp));
+  };
+
+  // Exact repeat (cache.hpp): these root and model bytes were fingerprinted
+  // before, so the cache key is known without the front end. When its
+  // result entry is gone, the full path below runs as if the memo missed.
+  std::optional<util::Hash128> digest;
+  if (!req.no_cache) {
+    digest = front_end_digest(req.root, req.model);
+    if (const auto fp = cache_.recall(*digest))
+      if (auto hit = cache_.lookup(cache_key(*fp, req.options)))
+        return answer_hit(*fp, std::move(*hit), true);
+  }
+
   // Front end on the submitting thread: parse + instantiate + fingerprint
   // are microseconds against an exploration, and the fingerprint is needed
   // before any scheduling decision (it IS the cache key).
@@ -249,22 +283,12 @@ std::future<Response> Service::submit(Request req) {
   }
 
   const aadl::Fingerprint fp = aadl::instance_fingerprint(*parsed->instance);
-  const std::string key = fp.hex() + "-" + options_key(req.options);
+  const std::string key = cache_key(fp, req.options);
 
-  if (!req.no_cache) {
-    if (auto hit = cache_.lookup(key)) {
-      resp.ok = true;
-      resp.outcome = hit->outcome;
-      resp.fingerprint = fp.hex();
-      resp.cached = true;
-      resp.cache_tier = hit->from_disk ? "disk" : "memory";
-      resp.result_json = std::move(hit->result_json);
-      resp.served_ms = ms_since(t0);
-      metrics_.record_hit(hit->from_disk);
-      metrics_.record_outcome(hit->outcome);
-      metrics_.record_latency_ms(resp.served_ms);
-      return immediate(std::move(resp));
-    }
+  if (digest) {
+    cache_.remember(*digest, fp);
+    if (auto hit = cache_.lookup(key))
+      return answer_hit(fp, std::move(*hit), false);
     metrics_.record_miss();
   }
 

@@ -6,8 +6,12 @@
 //
 //   * stats / ping / shutdown are answered inline (they must stay
 //     responsive while every worker grinds on a storm model);
-//   * analyze is parsed and fingerprinted on the submitting thread (cheap
-//     next to exploration), then
+//   * analyze whose exact root and model bytes were fingerprinted before
+//     (the exact-repeat memo, cache.hpp) is served from the cache with no
+//     parse, instantiate or fingerprint when its result entry is there;
+//   * any other analyze runs the front end (parse, instantiate,
+//     fingerprint) on the submitting thread — cheap next to exploration —
+//     then is
 //       - served from cache immediately on a hit (hits never queue behind
 //         a running exploration — the whole point of the cache),
 //       - coalesced onto an identical in-flight run on a pending-key match

@@ -34,6 +34,30 @@ constexpr std::uint64_t fnv1a(std::string_view s,
   return h;
 }
 
+/// A 128-bit hash as two 64-bit lanes.
+struct Hash128 {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+
+  friend bool operator==(const Hash128&, const Hash128&) = default;
+};
+
+/// Two FNV-1a lanes in one pass: `hi` is fnv1a(s) and `lo` is
+/// fnv1a(s, 0x9ae16a3b2f90404f). FNV-1a streams, so passing an earlier
+/// result as `seed` hashes the concatenation of both inputs.
+constexpr Hash128 fnv1a_128(
+    std::string_view s,
+    Hash128 seed = {0xcbf29ce484222325ULL, 0x9ae16a3b2f90404fULL}) {
+  std::uint64_t hi = seed.hi;
+  std::uint64_t lo = seed.lo;
+  for (char c : s) {
+    const auto b = static_cast<std::uint8_t>(c);
+    hi = (hi ^ b) * 0x100000001b3ULL;
+    lo = (lo ^ b) * 0x100000001b3ULL;
+  }
+  return {hi, lo};
+}
+
 /// FNV-1a of `bytes` as 16 lowercase hex digits.
 inline std::string hex_digest(std::string_view bytes) {
   std::uint64_t h = fnv1a(bytes);

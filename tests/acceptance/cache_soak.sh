@@ -55,6 +55,10 @@ fail() {
 start_daemon() {
   local tag=$1
   shift
+  # Empty the discovery file here, not only in the forked child: its
+  # redirection truncates after the fork, so the first poll below could
+  # still read the previous daemon's line for this tag.
+  : >"$work/$tag.out"
   "$daemon" --port 0 "$@" >"$work/$tag.out" 2>"$work/$tag.log" &
   local pid=$!
   pids+=("$pid")

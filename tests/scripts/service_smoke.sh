@@ -37,6 +37,10 @@ fail() {
 }
 
 start_daemon() {
+  # Empty the discovery file before the fork: the child's redirection
+  # truncates it too late for the first poll, which could read the previous
+  # daemon's line.
+  : >"$work/daemon.out"
   "$daemon" --port 0 --cache-dir "$work/cache" "$@" \
     >"$work/daemon.out" 2>"$work/daemon.log" &
   daemon_pid=$!

@@ -1,9 +1,9 @@
 // server::Service — the in-process analysis service behind aadlschedd
-// (DESIGN.md §11): cache hit/miss behavior, the conclusive-only caching
-// policy, the disk tier across a "restart", request coalescing, admission
-// order, protocol round trips, and a multi-threaded mixed workload whose
-// stats must stay monotonic. The concurrent tests run under the tsan ctest
-// label.
+// (DESIGN.md §11): cache hit/miss behavior, the exact-repeat memo, the
+// conclusive-only caching policy, the disk tier across a "restart", request
+// coalescing, admission order, protocol round trips, and multi-threaded
+// workloads whose stats must stay monotonic and conserved. The concurrent
+// tests run under the tsan ctest label.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -173,6 +173,172 @@ TEST(Service, FrontEndErrorIsImmediateAndUncached) {
   const auto s = stats_of(svc);
   EXPECT_EQ(stat(s, "analyses_run"), 0);  // never reached a worker
   EXPECT_EQ(stat(s, "outcomes", "error"), 1);
+}
+
+// --- exact-repeat memo (cache.hpp) --------------------------------------
+
+/// tiny_model(2, 10, 10) plus a second root, Root.slow, whose thread
+/// overruns its period: one text, two roots, two verdicts.
+std::string two_root_model() {
+  std::string text = tiny_model(2, 10, 10);
+  text.insert(text.rfind("end Tiny;"),
+              "  thread implementation T.slow\n  properties\n"
+              "    Dispatch_Protocol => Periodic;\n    Period => 10 ms;\n"
+              "    Compute_Execution_Time => 12 ms .. 12 ms;\n"
+              "    Deadline => 10 ms;\n  end T.slow;\n"
+              "  system implementation Root.slow\n  subcomponents\n"
+              "    t : thread T.slow;\n    cpu : processor CPU;\n"
+              "  properties\n"
+              "    Actual_Processor_Binding => reference (cpu) applies to t;\n"
+              "  end Root.slow;\n");
+  return text;
+}
+
+/// A response line with its served_ms value cut out: the one field two
+/// answers from the same cache entry may differ in.
+std::string without_served_ms(std::string line) {
+  const std::string field = "\"served_ms\": ";
+  const std::size_t at = line.find(field);
+  if (at == std::string::npos) return line;
+  const std::size_t from = at + field.size();
+  return line.erase(from, line.find_first_of(",}", from) - from);
+}
+
+TEST(Service, ExactRepeatSkipsTheFrontEndWithSlowPathBytes) {
+  Service svc;
+  const std::string model = tiny_model(2, 10, 10);
+  const std::string exact = server::render_request(analyze(model, "w"));
+  const std::string commented =
+      server::render_request(analyze(model + "-- saved again\n", "w"));
+  svc.handle_line(exact);                             // cold
+  const std::string slow = svc.handle_line(commented);  // new bytes: front end
+  const std::string memo = svc.handle_line(exact);      // repeat: no front end
+  ASSERT_NE(slow.find("\"cache_tier\": \"memory\""), std::string::npos)
+      << slow;
+  EXPECT_EQ(without_served_ms(memo), without_served_ms(slow));
+  const auto s = stats_of(svc);
+  EXPECT_EQ(stat(s, "analyses_run"), 1);
+  EXPECT_EQ(stat(s, "cache", "hits_memory"), 2);
+  EXPECT_EQ(stat(s, "cache", "misses"), 1);
+  EXPECT_EQ(stat(s, "cache", "front_end_skips"), 1);
+}
+
+TEST(Service, WhitespaceEditHitsThroughTheFrontEndThenThroughTheMemo) {
+  Service svc;
+  const std::string model = tiny_model(2, 10, 10);
+  std::string edited = model;
+  edited.insert(edited.find("  thread T\n"), "\n\n    ");
+  const Response cold = svc.handle(analyze(model));
+  const Response first = svc.handle(analyze(edited));
+  EXPECT_TRUE(first.cached);
+  EXPECT_EQ(stat(stats_of(svc), "cache", "front_end_skips"), 0);
+  const Response repeat = svc.handle(analyze(edited));
+  EXPECT_TRUE(repeat.cached);
+  EXPECT_EQ(repeat.cache_tier, "memory");
+  EXPECT_EQ(stat(stats_of(svc), "cache", "front_end_skips"), 1);
+  EXPECT_EQ(repeat.fingerprint, cold.fingerprint);
+  EXPECT_EQ(repeat.result_json, cold.result_json);
+}
+
+TEST(Service, SameTextUnderAnotherRootNeverSharesAnEntry) {
+  EXPECT_NE(server::front_end_digest("A", "Bx"),
+            server::front_end_digest("AB", "x"));
+  Service svc;
+  const std::string text = two_root_model();
+  const Response fast = svc.handle(analyze(text, "", "Root.impl"));
+  const Response slow = svc.handle(analyze(text, "", "Root.slow"));
+  EXPECT_EQ(fast.outcome, core::Outcome::Schedulable);
+  EXPECT_EQ(slow.outcome, core::Outcome::NotSchedulable);
+  EXPECT_FALSE(slow.cached);
+  EXPECT_NE(slow.fingerprint, fast.fingerprint);
+  // Each repeat comes back through the memo with its own verdict.
+  const Response fast2 = svc.handle(analyze(text, "", "Root.impl"));
+  const Response slow2 = svc.handle(analyze(text, "", "Root.slow"));
+  EXPECT_TRUE(fast2.cached && slow2.cached);
+  EXPECT_EQ(fast2.result_json, fast.result_json);
+  EXPECT_EQ(slow2.result_json, slow.result_json);
+  const auto s = stats_of(svc);
+  EXPECT_EQ(stat(s, "analyses_run"), 2);
+  EXPECT_EQ(stat(s, "cache", "front_end_skips"), 2);
+}
+
+TEST(Service, FrontEndErrorIsNeverMemoized) {
+  Service svc;
+  const std::string model = tiny_model(2, 10, 10);
+  for (const char* id : {"e1", "e2"}) {
+    const Response r = svc.handle(analyze(model, id, "Missing.impl"));
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.outcome, core::Outcome::Error);
+    EXPECT_FALSE(r.cached);
+    EXPECT_EQ(r.cache_tier, "none");
+    // The diagnostics name the request that sent the model, so an error
+    // response is rebuilt for every request.
+    EXPECT_NE(r.result_json.find(id), std::string::npos) << r.result_json;
+  }
+  const auto s = stats_of(svc);
+  EXPECT_EQ(stat(s, "analyses_run"), 0);
+  EXPECT_EQ(stat(s, "cache", "misses"), 0);
+  EXPECT_EQ(stat(s, "cache", "front_end_skips"), 0);
+  EXPECT_EQ(stat(s, "outcomes", "error"), 2);
+  // The error left nothing behind: the good root still runs cold.
+  EXPECT_FALSE(svc.handle(analyze(model)).cached);
+}
+
+TEST(Service, NoCacheSkipsTheMemo) {
+  Service svc;
+  Request req = analyze(tiny_model(2, 10, 10));
+  ASSERT_FALSE(svc.handle(req).cached);
+  req.no_cache = true;
+  EXPECT_FALSE(svc.handle(req).cached);
+  const auto s = stats_of(svc);
+  EXPECT_EQ(stat(s, "analyses_run"), 2);
+  EXPECT_EQ(stat(s, "cache", "front_end_skips"), 0);
+}
+
+TEST(Service, MemoHitWithAnEvictedResultTakesTheFullPath) {
+  // One memory slot: the memo keeps the text's fingerprint while the two
+  // quanta's results evict each other.
+  ServiceConfig cfg;
+  cfg.cache.memory_capacity = 1;
+  Service svc(cfg);
+  const Request coarse = analyze(tiny_model(2, 10, 10));
+  Request fine = coarse;
+  fine.options.quantum_ns = 2'000'000;
+  const Response c1 = svc.handle(coarse);
+  const Response f1 = svc.handle(fine);    // memo hit, no result: full path
+  const Response c2 = svc.handle(coarse);  // memo hit, result evicted
+  EXPECT_FALSE(f1.cached);
+  EXPECT_FALSE(c2.cached);
+  EXPECT_EQ(c2.outcome, core::Outcome::Schedulable);
+  EXPECT_EQ(c2.fingerprint, c1.fingerprint);
+  auto s = stats_of(svc);
+  EXPECT_EQ(stat(s, "analyses_run"), 3);
+  EXPECT_EQ(stat(s, "cache", "misses"), 3);
+  EXPECT_EQ(stat(s, "cache", "front_end_skips"), 0);
+  // The entry that is there is served through the memo.
+  const Response c3 = svc.handle(coarse);
+  EXPECT_TRUE(c3.cached);
+  EXPECT_EQ(c3.result_json, c2.result_json);
+  EXPECT_EQ(stat(stats_of(svc), "cache", "front_end_skips"), 1);
+}
+
+TEST(Service, ZeroMemoryCapacityNeverServesFromTheMemo) {
+  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ServiceConfig cfg;
+  cfg.cache.memory_capacity = 0;
+  cfg.cache.disk_dir = dir;
+  {
+    Service svc(cfg);
+    const Request req = analyze(tiny_model(2, 10, 10));
+    EXPECT_FALSE(svc.handle(req).cached);
+    for (int i = 0; i < 2; ++i) EXPECT_EQ(svc.handle(req).cache_tier, "disk");
+    const auto s = stats_of(svc);
+    EXPECT_EQ(stat(s, "cache", "hits_disk"), 2);
+    EXPECT_EQ(stat(s, "cache", "front_end_skips"), 0);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Service, DiskTierSurvivesRestart) {
@@ -1061,6 +1227,68 @@ TEST(Service, ConcurrentMixedWorkload) {
   const auto fin = stats_of(svc);
   EXPECT_EQ(stat(fin, "in_flight"), 0);
   EXPECT_EQ(stat(fin, "queue_depth"), 0);
+}
+
+TEST(Service, ConcurrentRepeatsAndEditsThroughTheMemo) {
+  // Exact repeats, whitespace edits and a second root of one text race
+  // through the memo while two memory slots keep evicting both the memo
+  // and the results under them.
+  struct Variant {
+    std::string text, root;
+    core::Outcome expect;
+    std::string fingerprint;  // from a cold no_cache run
+  };
+  const std::string two = two_root_model();
+  std::vector<Variant> variants = {
+      {tiny_model(2, 10, 10), "Root.impl", core::Outcome::Schedulable, ""},
+      {tiny_model(2, 10, 10) + "\n\n", "Root.impl",
+       core::Outcome::Schedulable, ""},
+      {tiny_model(12, 10, 10), "Root.impl", core::Outcome::NotSchedulable, ""},
+      {"-- edited\n" + tiny_model(12, 10, 10), "Root.impl",
+       core::Outcome::NotSchedulable, ""},
+      {two, "Root.impl", core::Outcome::Schedulable, ""},
+      {two, "Root.slow", core::Outcome::NotSchedulable, ""},
+  };
+  {
+    Service ref;
+    for (Variant& v : variants) {
+      Request req = analyze(v.text, "", v.root);
+      req.no_cache = true;
+      v.fingerprint = ref.handle(req).fingerprint;
+    }
+  }
+
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.cache.memory_capacity = 2;
+  Service svc(cfg);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 24;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const Variant& v =
+            variants[static_cast<std::size_t>(t + i * (t + 1)) % variants.size()];
+        const Response resp = svc.handle(analyze(v.text, "", v.root));
+        if (!resp.ok || resp.outcome != v.expect ||
+            resp.fingerprint != v.fingerprint)
+          ++wrong;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(wrong.load(), 0);
+
+  const auto s = stats_of(svc);
+  // Every request was served by exactly one of a hit, a coalesced run or
+  // its own exploration; memo answers are a subset of the hits.
+  const std::int64_t hits =
+      stat(s, "cache", "hits_memory") + stat(s, "cache", "hits_disk");
+  EXPECT_EQ(hits + stat(s, "coalesced") + stat(s, "analyses_run"),
+            kThreads * kIters);
+  EXPECT_LE(stat(s, "cache", "front_end_skips"), hits);
 }
 
 }  // namespace

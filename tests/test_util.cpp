@@ -75,6 +75,20 @@ TEST(Hash, Fnv1aMatchesKnownVector) {
   EXPECT_EQ(u::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
 }
 
+TEST(Hash, Fnv1a128IsTwoSeededFnv1aLanes) {
+  const std::string bytes("with\0nul\xff", 9);
+  for (const std::string_view s :
+       {std::string_view(""), std::string_view("a"),
+        std::string_view("package Tiny\npublic\nend Tiny;\n"),
+        std::string_view(bytes)}) {
+    const u::Hash128 h = u::fnv1a_128(s);
+    EXPECT_EQ(h.hi, u::fnv1a(s)) << s;
+    EXPECT_EQ(h.lo, u::fnv1a(s, 0x9ae16a3b2f90404fULL)) << s;
+  }
+  // Chaining through `seed` hashes the concatenation.
+  EXPECT_EQ(u::fnv1a_128("def", u::fnv1a_128("abc")), u::fnv1a_128("abcdef"));
+}
+
 TEST(Numeric, Gcd) {
   EXPECT_EQ(u::gcd64(12, 18), 6);
   EXPECT_EQ(u::gcd64(7, 13), 1);
