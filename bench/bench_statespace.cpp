@@ -2,8 +2,14 @@
 //   * states and wall time vs number of threads (the scaling the paper's
 //     future-work section worries about);
 //   * successor-fan memoization on/off;
-//   * ordered instants (canonical dispatch ordering) on/off.
+//   * ordered instants (canonical dispatch ordering) on/off;
+// plus the preemption layer alone: one prioritized() call on cruise
+// control's largest 2 ms fan (BM_PrioritizeLargestFan).
 #include <chrono>
+#include <deque>
+#include <fstream>
+#include <sstream>
+#include <unordered_set>
 
 #include "bench_common.hpp"
 
@@ -126,6 +132,74 @@ void BM_WithMemoization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WithMemoization);
+
+/// Cruise control at 2 ms, translated once, with the state whose
+/// prioritized fan has the most candidates (the first one where every
+/// thread is ready at once).
+struct LargestFan {
+  acsr::Context ctx;
+  std::optional<acsr::Semantics> sem;
+  acsr::TermId state = acsr::kNil;
+  std::uint64_t candidates = 0;
+
+  LargestFan() {
+    std::ifstream in(std::string(AADLSCHED_MODELS_DIR) +
+                     "/cruise_control.aadl");
+    std::ostringstream src;
+    src << in.rdbuf();
+    util::DiagnosticEngine diags("cruise_control.aadl");
+    aadl::Model model;
+    aadl::parse_aadl(model, src.str(), diags);
+    auto inst = aadl::instantiate(model, "CruiseControlSystem.impl", diags);
+    translate::TranslateOptions topts;
+    topts.quantum_ns = 2'000'000;
+    auto tr = inst ? translate::translate(ctx, *inst, diags, topts)
+                   : std::nullopt;
+    if (!tr) {
+      std::fprintf(stderr, "%s", diags.render_all().c_str());
+      return;
+    }
+    sem.emplace(ctx);
+    std::unordered_set<acsr::TermId> seen{tr->initial};
+    std::deque<acsr::TermId> frontier{tr->initial};
+    std::vector<acsr::Transition> fan;
+    while (!frontier.empty()) {
+      const acsr::TermId s = frontier.front();
+      frontier.pop_front();
+      const std::uint64_t before = sem->stats().candidates;
+      sem->prioritized(s, fan);
+      if (sem->stats().candidates - before > candidates) {
+        candidates = sem->stats().candidates - before;
+        state = s;
+      }
+      for (const acsr::Transition& t : fan)
+        if (seen.insert(t.target).second) frontier.push_back(t.target);
+    }
+  }
+};
+
+void BM_PrioritizeLargestFan(benchmark::State& state) {
+  static LargestFan fixture;
+  if (!fixture.sem) {
+    state.SkipWithError("cruise_control.aadl did not translate");
+    return;
+  }
+  acsr::Semantics& sem = *fixture.sem;
+  std::vector<acsr::Transition> out;
+  const acsr::Semantics::Stats before = sem.stats();
+  for (auto _ : state) {
+    sem.prioritized(fixture.state, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  const double calls = static_cast<double>(state.iterations());
+  state.counters["candidates"] = static_cast<double>(fixture.candidates);
+  state.counters["kept"] = static_cast<double>(out.size());
+  state.counters["preempt_checks_per_call"] =
+      static_cast<double>(sem.stats().preempt_checks -
+                          before.preempt_checks) /
+      calls;
+}
+BENCHMARK(BM_PrioritizeLargestFan)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "acsr/preemption.hpp"
-
 namespace aadlsched::acsr {
 
 namespace {
@@ -35,9 +33,17 @@ constexpr EventSetId kNoRestriction = static_cast<EventSetId>(-1);
 }  // namespace
 
 std::size_t Semantics::approx_bytes() const {
-  std::size_t bytes = memo_.approx_bytes();
+  std::size_t bytes = memo_.approx_bytes() + skyline_.approx_bytes();
   for (const std::vector<Transition>& b : blocks_)
     bytes += b.capacity() * sizeof(Transition);
+  bytes += out_.capacity() * sizeof(Transition) +
+           kid_fans_.capacity() * sizeof(Fan) +
+           cand_labels_.capacity() * sizeof(Label) +
+           (cand_rows_.capacity() + fold_rows_.capacity() +
+            next_rows_.capacity()) * sizeof(TermId) +
+           (fold_actions_.capacity() + next_actions_.capacity()) *
+               sizeof(ActionId) +
+           keep_.capacity();
   return bytes;
 }
 
@@ -68,7 +74,7 @@ std::vector<Transition> Semantics::transitions(TermId t) {
   return {f.begin(), f.end()};
 }
 
-void Semantics::prioritized(TermId t, std::vector<Transition>& out) {
+bool Semantics::prioritized(TermId t, std::vector<Transition>& out) {
   out.clear();
   if (!memoize_) rewind();
   TermTable& tt = ctx_.terms();
@@ -79,8 +85,9 @@ void Semantics::prioritized(TermId t, std::vector<Transition>& out) {
     // Labels first: prioritize the candidates, intern survivors only.
     const TermId par = restricted ? node.b : t;
     const EventSetId fset = restricted ? node.a : kNoRestriction;
-    parallel_candidates(par, fset);
-    mark_survivors(ctx_.actions(), cand_labels_, keep_);
+    if (!parallel_candidates(par, fset, true)) return false;
+    stats_.preempt_checks +=
+        mark_survivors(ctx_.actions(), cand_labels_, keep_, skyline_);
     const std::size_t n = tt.payload(par).size();
     for (std::size_t k = 0; k < cand_labels_.size(); ++k) {
       if (!keep_[k]) continue;
@@ -96,12 +103,14 @@ void Semantics::prioritized(TermId t, std::vector<Transition>& out) {
     const Fan f = fan(t);
     cand_labels_.clear();
     for (const Transition& tr : f) cand_labels_.push_back(tr.label);
-    mark_survivors(ctx_.actions(), cand_labels_, keep_);
+    stats_.preempt_checks +=
+        mark_survivors(ctx_.actions(), cand_labels_, keep_, skyline_);
     for (std::size_t k = 0; k < f.size(); ++k)
       if (keep_[k]) out.push_back(f[k]);
     stats_.candidates += f.size();
     stats_.kept += out.size();
   }
+  return true;
 }
 
 Semantics::Fan Semantics::fan(TermId t) {
@@ -147,7 +156,7 @@ void Semantics::compute(TermId t) {
       break;
 
     case TermKind::Parallel: {
-      parallel_candidates(t, kNoRestriction);
+      parallel_candidates(t, kNoRestriction, false);
       const std::size_t n = tt.payload(t).size();
       for (std::size_t k = 0; k < cand_labels_.size(); ++k)
         out_.push_back(Transition{
@@ -209,7 +218,8 @@ void Semantics::compute(TermId t) {
   }
 }
 
-void Semantics::parallel_candidates(TermId par, EventSetId restricted) {
+bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
+                                    bool interruptible) {
   ActionTable& actions = ctx_.actions();
   const auto kids = ctx_.terms().payload(par);
   const std::size_t n = kids.size();
@@ -273,6 +283,8 @@ void Semantics::parallel_candidates(TermId par, EventSetId restricted) {
   // the components; partial p is fold_actions_[p] plus the n-wide row p of
   // fold_rows_, whose first i entries are chosen. If any component offers
   // no timed step, time cannot advance in the composition.
+  const bool poll = interruptible && budget_ != nullptr;
+  std::size_t until_poll = kPollPartials;
   fold_actions_.assign(1, kIdleAction);
   fold_rows_.assign(kids.begin(), kids.end());
   for (std::size_t i = 0; i < n && !fold_actions_.empty(); ++i) {
@@ -288,6 +300,14 @@ void Semantics::parallel_candidates(TermId par, EventSetId restricted) {
         next_rows_.insert(next_rows_.end(), row,
                           row + static_cast<std::ptrdiff_t>(n));
         next_rows_[next_rows_.size() - n + i] = tr.target;
+        if (poll && --until_poll == 0) {
+          until_poll = kPollPartials;
+          interruption_ = budget_->check_mid_expansion();
+          if (interruption_.signal != util::BudgetSignal::Proceed) {
+            kid_fans_.resize(base);
+            return false;
+          }
+        }
       }
     }
     fold_actions_.swap(next_actions_);
@@ -300,6 +320,7 @@ void Semantics::parallel_candidates(TermId par, EventSetId restricted) {
                       row + static_cast<std::ptrdiff_t>(n));
   }
   kid_fans_.resize(base);
+  return true;
 }
 
 }  // namespace aadlsched::acsr

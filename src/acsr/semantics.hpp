@@ -28,6 +28,11 @@
 // choices, drops the preempted ones, and interns targets only for the
 // survivors. transitions() runs the same candidate generator and interns
 // every candidate (DESIGN.md §13).
+//
+// One expansion can be huge: the Par3 fold is exponential in the number of
+// components offering several timed steps. With a budget attached, the
+// labels-first fold polls it every kPollPartials partials and abandons the
+// expansion on a trip (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +41,8 @@
 
 #include "acsr/context.hpp"
 #include "acsr/label.hpp"
+#include "acsr/preemption.hpp"
+#include "util/budget.hpp"
 #include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
@@ -51,7 +58,12 @@ class Semantics {
     // generated before preemption, and targets kept (interned) after it.
     std::uint64_t candidates = 0;
     std::uint64_t kept = 0;
+    // Pairwise preemption tests mark_survivors() made for those states.
+    std::uint64_t preempt_checks = 0;
   };
+
+  /// Partials the labels-first Par3 fold builds between two budget polls.
+  static constexpr std::size_t kPollPartials = 4096;
 
   /// memoize=false exists only for the ablation bench; exploration with it
   /// is identical but recomputes every fan.
@@ -66,8 +78,10 @@ class Semantics {
 
   /// Prioritized fan into `out` (cleared first): unprioritized minus
   /// preempted transitions, in canonical order. Reusing `out` across calls
-  /// makes a warm call allocation-free.
-  void prioritized(TermId t, std::vector<Transition>& out);
+  /// makes a warm call allocation-free. Returns false, with `out` empty,
+  /// when the attached budget tripped mid-expansion; interruption() says
+  /// why. The memo is unaffected, so the same call can be repeated.
+  bool prioritized(TermId t, std::vector<Transition>& out);
   std::vector<Transition> prioritized(TermId t) {
     std::vector<Transition> out;
     prioritized(t, out);
@@ -77,9 +91,16 @@ class Semantics {
   const Stats& stats() const { return stats_; }
   Context& context() { return ctx_; }
 
-  /// Approximate footprint of the fan memo (fan blocks + index). The memory
-  /// budget estimate adds this on top of Context::approx_bytes(); before it
-  /// did, memo-heavy runs under-counted by the whole fan table.
+  /// Budget polled inside one labels-first expansion (not owned; null
+  /// detaches). BudgetTracker::check_mid_expansion() decides.
+  void set_budget(util::BudgetTracker* budget) { budget_ = budget; }
+  /// The poll that made the last prioritized() call return false.
+  const util::BudgetStatus& interruption() const { return interruption_; }
+
+  /// Approximate footprint of the fan memo (fan blocks + index) and of the
+  /// candidate, fold and skyline scratch. The memory budget estimate adds
+  /// this on top of Context::approx_bytes(); before it did, memo-heavy runs
+  /// under-counted by the whole fan table.
   std::size_t approx_bytes() const;
 
  private:
@@ -87,13 +108,19 @@ class Semantics {
 
   Fan fan(TermId t);
   void compute(TermId t);
-  void parallel_candidates(TermId par, EventSetId restricted);
+  /// False when the budget tripped inside the fold (only when
+  /// `interruptible`: a nested Parallel's fan is memoized, so it must be
+  /// built whole).
+  bool parallel_candidates(TermId par, EventSetId restricted,
+                           bool interruptible);
   Fan store(Fan f);
   void rewind();
 
   Context& ctx_;
   bool memoize_;
   Stats stats_;
+  util::BudgetTracker* budget_ = nullptr;
+  util::BudgetStatus interruption_;
 
   // Fans live in blocks that are never reallocated, so a Fan view stays
   // valid while more fans are stored; the memo maps a term to its view.
@@ -116,6 +143,7 @@ class Semantics {
   std::vector<ActionId> fold_actions_, next_actions_;  // Par3 partials
   std::vector<TermId> fold_rows_, next_rows_;
   std::vector<std::uint8_t> keep_;  // mark_survivors() output
+  SkylineScratch skyline_;
 };
 
 }  // namespace aadlsched::acsr

@@ -175,6 +175,7 @@ void apply_exploration(AnalysisResult& result,
   result.memo_hits = er.sem_stats.memo_hits;
   result.fan_candidates = er.sem_stats.candidates;
   result.fan_kept = er.sem_stats.kept;
+  result.preempt_checks = er.sem_stats.preempt_checks;
 }
 
 /// Serialize the captured wavefront when the run is worth resuming later:
@@ -334,7 +335,8 @@ std::string AnalysisResult::summary() const {
   os << "\nexploration: " << std::fixed << std::setprecision(2) << explore_ms
      << " ms, peak frontier " << peak_frontier << ", fan memo "
      << memo_hits << " hits / " << fans_computed << " computed, successors "
-     << fan_kept << " kept / " << fan_candidates << " candidates";
+     << fan_kept << " kept / " << fan_candidates << " candidates, "
+     << preempt_checks << " preempt checks";
   return os.str();
 }
 

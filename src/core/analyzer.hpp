@@ -144,6 +144,8 @@ struct AnalysisResult {
   /// before preemption, and targets kept after it (acsr::Semantics::Stats).
   std::uint64_t fan_candidates = 0;
   std::uint64_t fan_kept = 0;
+  /// Pairwise preemption tests made to find the kept ones.
+  std::uint64_t preempt_checks = 0;
 
   /// Engine that produced (or would have produced) the verdict: never
   /// Auto. Part of the canonical result JSON (as to_string(engine)) — the

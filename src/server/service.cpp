@@ -256,11 +256,13 @@ std::future<Response> Service::submit(Request req) {
   // before, so the cache key is known without the front end. When its
   // result entry is gone, the full path below runs as if the memo missed.
   std::optional<util::Hash128> digest;
+  std::optional<aadl::Fingerprint> recalled;
   if (!req.no_cache) {
     digest = front_end_digest(req.root, req.model);
-    if (const auto fp = cache_.recall(*digest))
-      if (auto hit = cache_.lookup(cache_key(*fp, req.options)))
-        return answer_hit(*fp, std::move(*hit), true);
+    recalled = cache_.recall(*digest);
+    if (recalled)
+      if (auto hit = cache_.lookup(cache_key(*recalled, req.options)))
+        return answer_hit(*recalled, std::move(*hit), true);
   }
 
   // Front end on the submitting thread: parse + instantiate + fingerprint
@@ -287,8 +289,11 @@ std::future<Response> Service::submit(Request req) {
 
   if (digest) {
     cache_.remember(*digest, fp);
-    if (auto hit = cache_.lookup(key))
-      return answer_hit(fp, std::move(*hit), false);
+    // A recalled fingerprint that the front end confirms names the key
+    // the memo path just missed on: do not read the disk for it again.
+    if (recalled != fp)
+      if (auto hit = cache_.lookup(key))
+        return answer_hit(fp, std::move(*hit), false);
     metrics_.record_miss();
   }
 

@@ -172,11 +172,20 @@ BudgetStatus BudgetTracker::full_check(std::uint64_t states) {
       return {BudgetSignal::Stop, injected};
     }
   }
+  return limits(injector_);
+}
+
+BudgetStatus BudgetTracker::check_mid_expansion() {
+  if (budget_.cancel && budget_.cancel->cancelled())
+    return {BudgetSignal::Stop, StopReason::Cancelled};
+  return limits(nullptr);
+}
+
+BudgetStatus BudgetTracker::limits(FaultInjector* injector) {
   if (budget_.deadline_ms > 0 && Clock::now() >= deadline_)
     return {BudgetSignal::Stop, StopReason::Deadline};
-
   const bool probe_faulted =
-      injector_ != nullptr && injector_->trip_memory_probe();
+      injector != nullptr && injector->trip_memory_probe();
   if (budget_.memory_bytes != 0 || probe_faulted) {
     if (memory_fn_) last_memory_ = memory_fn_();
     const bool over = probe_faulted ||

@@ -121,6 +121,11 @@ class FaultInjector {
            StopReason reason = StopReason::Fault, std::uint64_t count = 1);
   void disarm();
   bool armed() const { return site_ != Site::None; }
+  /// Probes of the armed site since arm(), tripped or not. Armed to trip
+  /// at a probe that never comes, a site counts its calls.
+  std::uint64_t probes() const {
+    return calls_.load(std::memory_order_relaxed);
+  }
 
   /// Budget-check hook: returns the reason to fake, or StopReason::None.
   StopReason trip_budget_check() noexcept;
@@ -178,6 +183,11 @@ class BudgetTracker {
   BudgetStatus check(std::uint64_t states);
   /// Full check (clock + memory) regardless of the stride.
   BudgetStatus check_now(std::uint64_t states);
+  /// Poll from inside one state expansion (the Par3 fold, every few
+  /// thousand partials): cancel, clock and memory, same signals as check().
+  /// It is not a budget check for the FaultInjector, so fault specs count
+  /// the same checks whatever the models' fan sizes.
+  BudgetStatus check_mid_expansion();
 
   /// The engine degraded (dropped trace recording); the next sustained
   /// memory-pressure signal becomes a Stop instead of another degradation.
@@ -191,6 +201,9 @@ class BudgetTracker {
 
  private:
   BudgetStatus full_check(std::uint64_t states);
+  /// Clock, then memory; a memory probe `injector` faults reads as over
+  /// the ceiling.
+  BudgetStatus limits(FaultInjector* injector);
 
   RunBudget budget_;
   MemoryFn memory_fn_;

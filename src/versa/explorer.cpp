@@ -112,6 +112,13 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
            frontier.size() * sizeof(TermId);
   };
   util::BudgetTracker tracker(opts.budget, approx_memory);
+  // The fold inside one expansion polls the same tracker; detach it on
+  // every way out, since the tracker dies with this call.
+  struct Detach {
+    acsr::Semantics& sem;
+    ~Detach() { sem.set_budget(nullptr); }
+  } detach{sem};
+  if (!opts.budget.unlimited()) sem.set_budget(&tracker);
 
   const auto finish = [&] {
     const acsr::Semantics::Stats& now = sem.stats();
@@ -119,6 +126,8 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.sem_stats.memo_hits = now.memo_hits - stats_before.memo_hits;
     result.sem_stats.candidates = now.candidates - stats_before.candidates;
     result.sem_stats.kept = now.kept - stats_before.kept;
+    result.sem_stats.preempt_checks =
+        now.preempt_checks - stats_before.preempt_checks;
     // Reported even when no memory budget probed it: BM_StormBytesPerState
     // reads bytes/state off any run.
     result.approx_memory_bytes = approx_memory();
@@ -150,17 +159,8 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     w.first_deadlock = result.first_deadlock;
   };
 
-  std::vector<Transition> fan;  // reused: a warm expansion allocates nothing
-  while (!frontier.empty()) {
-    // The state cap is enforced here (not mid-fan) so a capped run stops on
-    // a state boundary with a consistent wavefront for checkpointing.
-    if (result.states >= opts.max_states) {
-      result.stop = util::StopReason::MaxStates;
-      capture_wavefront();
-      finish();
-      return result;  // complete stays false: partial result
-    }
-    const util::BudgetStatus budget = tracker.check(result.states);
+  // Act on a budget signal; false means stop (result.stop is set).
+  const auto within_budget = [&](const util::BudgetStatus& budget) {
     if (budget.signal == util::BudgetSignal::MemoryPressure && recording) {
       // Graceful degradation: give the run a second life by releasing the
       // parent links (usually the largest non-essential structure) before
@@ -171,12 +171,29 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
       tracker.note_degraded();
     } else if (budget.signal != util::BudgetSignal::Proceed) {
       result.stop = budget.reason;
+      return false;
+    }
+    return true;
+  };
+
+  std::vector<Transition> fan;  // reused: a warm expansion allocates nothing
+  while (!frontier.empty()) {
+    // The state cap is enforced here (not mid-fan) so a capped run stops on
+    // a state boundary with a consistent wavefront for checkpointing.
+    if (result.states >= opts.max_states) {
+      result.stop = util::StopReason::MaxStates;
+      capture_wavefront();
+      finish();
+      return result;  // complete stays false: partial result
+    }
+    if (!within_budget(tracker.check(result.states))) {
       capture_wavefront();
       finish();
       return result;  // complete stays false: partial result
     }
 
-    if (level_remaining == 0) {
+    const bool new_level = level_remaining == 0;
+    if (new_level) {
       ++result.depth;
       level_remaining = next_level;
       next_level = 0;
@@ -185,7 +202,22 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     frontier.pop_front();
     --level_remaining;
 
-    sem.prioritized(state, fan);
+    if (!sem.prioritized(state, fan)) {
+      // The budget tripped inside the expansion: put the state back so the
+      // loop top sees the same frontier, depth and level counts as before
+      // it was popped, then act on the trip as on a loop-top check.
+      frontier.push_front(state);
+      ++level_remaining;
+      if (new_level) {
+        --result.depth;
+        next_level = level_remaining;
+        level_remaining = 0;
+      }
+      if (within_budget(sem.interruption())) continue;
+      capture_wavefront();
+      finish();
+      return result;
+    }
     ++result.expanded;
     if (is_stuck(state, fan)) {
       ++result.deadlock_count;

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "aadl/parser.hpp"
 #include "core/analyzer.hpp"
@@ -387,6 +388,111 @@ TEST(BudgetExplore, MemoryEstimateIncludesSemanticsCaches) {
                                1'000'000),
                  opts);
   EXPECT_LT(bare.approx_bytes(), sem.approx_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// Budget inside one expansion: the Par3 fold of a single state can be
+// exponential, so the labels-first fold polls the budget itself.
+
+TEST(BudgetExplore, FoldAbandonsOnCancelAndRepeatsCleanly) {
+  std::ifstream in(std::string(AADLSCHED_CORPUS_DIR) + "/../wide_fold.aadl");
+  ASSERT_TRUE(in);
+  std::ostringstream os;
+  os << in.rdbuf();
+  // Sixteen of the twenty threads keep the fold at 2^16 partials: drop
+  // every line naming t16..t19 or their processors.
+  std::string src;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    bool dropped = false;
+    for (int t = 16; t < 20; ++t)
+      dropped |= line.find("t" + std::to_string(t)) != std::string::npos ||
+                 line.find("cpu" + std::to_string(t)) != std::string::npos;
+    if (!dropped) src += line + "\n";
+  }
+  acsr::Context ctx;
+  acsr::Semantics sem(ctx);
+  // Walk the dispatch path to the first state whose fold is wide.
+  acsr::TermId state = build_initial(ctx, src, "WideFold.impl", 1'000'000);
+  std::vector<acsr::Transition> fan;
+  for (int step = 0; step < 64; ++step) {
+    const std::uint64_t before = sem.stats().candidates;
+    ASSERT_TRUE(sem.prioritized(state, fan));
+    if (sem.stats().candidates - before >= (1u << 16)) break;
+    ASSERT_FALSE(fan.empty());
+    state = fan.front().target;
+  }
+  const std::vector<acsr::Transition> whole = fan;
+  ASSERT_EQ(whole.size(), 1u);  // everybody computes
+
+  CancelToken tok;
+  tok.cancel();
+  RunBudget b;
+  b.cancel = &tok;
+  BudgetTracker tracker(b, {}, nullptr);
+  sem.set_budget(&tracker);
+  const acsr::Semantics::Stats before = sem.stats();
+  EXPECT_FALSE(sem.prioritized(state, fan));
+  EXPECT_TRUE(fan.empty());
+  EXPECT_EQ(sem.interruption().signal, BudgetSignal::Stop);
+  EXPECT_EQ(sem.interruption().reason, StopReason::Cancelled);
+  EXPECT_EQ(sem.stats().candidates, before.candidates);  // nothing counted
+
+  tok.reset();
+  EXPECT_TRUE(sem.prioritized(state, fan));
+  EXPECT_EQ(fan, whole);
+  sem.set_budget(nullptr);
+}
+
+TEST(BudgetExplore, MemoryTripInsideFoldResumesLikeCold) {
+  // Cruise control at 1 ms folds ~20k partial actions in one early state.
+  // A ceiling just above the starting footprint is first exceeded inside
+  // that fold: the explorer degrades, retries the state, trips again and
+  // stops, with the unexpanded state at the head of the wavefront.
+  const std::string src = read_model("cruise_control.aadl");
+  acsr::Context ctx;
+  acsr::Semantics sem(ctx);
+  const acsr::TermId init =
+      build_initial(ctx, src, "CruiseControlSystem.impl", 1'000'000);
+  versa::Wavefront wave;
+  ExploreOptions opts;
+  opts.budget.memory_bytes =
+      ctx.approx_bytes() + sem.approx_bytes() + (256u << 10);
+  opts.capture = &wave;
+  const ExploreResult cut = versa::explore(sem, init, opts);
+  EXPECT_EQ(cut.stop, StopReason::MemoryBudget);
+  EXPECT_TRUE(cut.trace_dropped);
+  // The loop top samples memory on its 1st and 257th check only, so an
+  // earlier stop came from inside an expansion.
+  EXPECT_LT(cut.expanded, util::BudgetTracker::kStride);
+  ASSERT_FALSE(wave.empty());
+
+  // The head of the wavefront is the state whose fold tripped (it lands in
+  // next_frontier when it opened a BFS level).
+  const acsr::TermId head = wave.frontier.empty() ? wave.next_frontier.front()
+                                                  : wave.frontier.front();
+  std::vector<acsr::Transition> fan;
+  const std::uint64_t before = sem.stats().candidates;
+  ASSERT_TRUE(sem.prioritized(head, fan));
+  EXPECT_GE(sem.stats().candidates - before,
+            acsr::Semantics::kPollPartials);
+
+  ExploreOptions resume;
+  resume.resume = &wave;
+  const ExploreResult warm = versa::explore(sem, init, resume);
+  acsr::Context c2;
+  acsr::Semantics s2(c2);
+  const ExploreResult cold = versa::explore(
+      s2, build_initial(c2, src, "CruiseControlSystem.impl", 1'000'000), {});
+  EXPECT_TRUE(cold.complete);
+  EXPECT_EQ(warm.stop, StopReason::None);
+  EXPECT_EQ(warm.complete, cold.complete);
+  EXPECT_EQ(warm.deadlock_found, cold.deadlock_found);
+  EXPECT_EQ(warm.states, cold.states);
+  EXPECT_EQ(warm.transitions, cold.transitions);
+  EXPECT_EQ(warm.depth, cold.depth);
+  EXPECT_EQ(warm.peak_frontier, cold.peak_frontier);
+  EXPECT_EQ(cut.expanded + warm.expanded, cold.expanded);
 }
 
 // ---------------------------------------------------------------------------

@@ -136,6 +136,27 @@ TEST(CruiseControl, FinerQuantumGrowsStateSpace) {
   EXPECT_GT(rf.states, rc.states);
 }
 
+// The preemption pass tests each label against the surviving ones only.
+// Its first ready-at-once state folds into thousands of candidate actions
+// (3,240 at 2 ms, 19,965 at 1 ms); an all-pairs loop made ~243 and ~630
+// tests per explored state.
+TEST(CruiseControl, PreemptChecksStayNearLinear) {
+  for (const std::int64_t quantum_ns : {2'000'000, 1'000'000}) {
+    AnalyzerOptions opts;
+    opts.translation.quantum_ns = quantum_ns;
+    const auto r =
+        analyze_source(model_source(), "CruiseControlSystem.impl", opts);
+    ASSERT_TRUE(r.schedulable) << r.summary();
+    ASSERT_GT(r.states, 0u);
+    const double per_state = static_cast<double>(r.preempt_checks) /
+                             static_cast<double>(r.states);
+    EXPECT_GT(r.preempt_checks, 0u);
+    EXPECT_LE(per_state, 100.0)
+        << r.preempt_checks << " preempt checks for " << r.states
+        << " states at " << quantum_ns << " ns";
+  }
+}
+
 TEST(CruiseControl, AcsrDumpIsSelfContained) {
   // The printed ACSR module ends in a "System" definition; parsing it back
   // into a fresh context and exploring System reproduces the verdict —

@@ -4,9 +4,13 @@
 // terms instead of polluting actions — DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "acsr/builder.hpp"
 #include "acsr/preemption.hpp"
 #include "acsr/semantics.hpp"
+#include "util/rng.hpp"
 
 using namespace aadlsched;
 using namespace aadlsched::acsr;
@@ -114,6 +118,117 @@ TEST_F(PreemptionTest, PrioritizeOnEmptyAndSingleton) {
   std::vector<Transition> one{{act(kIdleAction), kNil}};
   prioritize(ctx.actions(), one);
   EXPECT_EQ(one.size(), 1u);
+}
+
+// The all-pairs preemption loop mark_survivors() replaced, kept as the
+// reference the skyline pass is checked against: a label survives iff no
+// label of the whole set preempts it.
+std::vector<std::uint8_t> all_pairs_survivors(const ActionTable& actions,
+                                              std::span<const Label> labels) {
+  std::vector<std::uint8_t> keep(labels.size(), 1);
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    for (std::size_t j = 0; j < labels.size(); ++j)
+      if (i != j && preempted_by(actions, labels[i], labels[j])) {
+        keep[i] = 0;
+        break;
+      }
+  return keep;
+}
+
+std::vector<std::uint8_t> skyline_survivors(const ActionTable& actions,
+                                            std::span<const Label> labels) {
+  std::vector<std::uint8_t> keep;
+  SkylineScratch scratch;
+  mark_survivors(actions, labels, keep, scratch);
+  return keep;
+}
+
+TEST_F(PreemptionTest, PlainPrioritySumIsNotMonotone) {
+  // {} ≺ {(r1,-5),(r2,1)} although Σp orders them the other way (0 > -4):
+  // ordering the skyline by Σp would test the idle action first and keep
+  // it. K = Σ max(p, 0) orders them 0 < 1.
+  const std::vector<Label> labels{act(kIdleAction),
+                                  act(action({{"r1", -5}, {"r2", 1}}))};
+  ASSERT_TRUE(preempted_by(ctx.actions(), labels[0], labels[1]));
+  EXPECT_EQ(skyline_survivors(ctx.actions(), labels),
+            (std::vector<std::uint8_t>{0, 1}));
+}
+
+TEST_F(PreemptionTest, NegativePriorityPreemptionWithinOneKeyGroup) {
+  // {(r,-5)} ≺ {(r,-1)} ≺ {(r,0)}, and all three have K = 0: only the
+  // own-group test can see it.
+  const std::vector<Label> labels{act(action({{"r", -5}})),
+                                  act(action({{"r", 0}})),
+                                  act(action({{"r", -1}}))};
+  EXPECT_EQ(skyline_survivors(ctx.actions(), labels),
+            (std::vector<std::uint8_t>{0, 1, 0}));
+  EXPECT_EQ(skyline_survivors(ctx.actions(), labels),
+            all_pairs_survivors(ctx.actions(), labels));
+}
+
+TEST_F(PreemptionTest, PositiveTauPreemptsEveryAction) {
+  const std::vector<Label> labels{act(action({{"cpu", 9}})),
+                                  Label::make_tau(ctx.event("a"), 1),
+                                  act(kIdleAction)};
+  std::vector<std::uint8_t> keep;
+  SkylineScratch scratch;
+  // No action-vs-action test runs once a positive tau is seen.
+  EXPECT_EQ(mark_survivors(ctx.actions(), labels, keep, scratch), 0u);
+  EXPECT_EQ(keep, (std::vector<std::uint8_t>{0, 1, 0}));
+}
+
+// Differential check: on seeded random label sets the skyline pass keeps
+// exactly what the all-pairs loop keeps. The sets mix kinds, repeat labels,
+// overlap resources, and use zero, negative and extreme int32 priorities —
+// for taus too, and with and without a positive tau.
+TEST_F(PreemptionTest, SkylineMatchesAllPairsOnRandomFans) {
+  constexpr Priority kMin = std::numeric_limits<Priority>::min();
+  constexpr Priority kMax = std::numeric_limits<Priority>::max();
+  const Priority palette[] = {kMin, kMin + 1, -7, -1, 0, 0, 1, 2, 3,
+                              kMax - 1, kMax};
+  const Resource resources[] = {ctx.resource("r0"), ctx.resource("r1"),
+                                ctx.resource("r2"), ctx.resource("r3")};
+  const Event events[] = {ctx.event("e0"), ctx.event("e1")};
+  util::Xoshiro256 rng(20261018);
+  const auto pick = [&](auto& array) -> auto& {
+    return array[rng.uniform_int(0, std::size(array) - 1)];
+  };
+  // Small-range priorities make ties and dominations common; the palette
+  // reaches the int32 extremes.
+  const auto priority = [&](bool extreme) {
+    return extreme ? pick(palette)
+                   : static_cast<Priority>(rng.uniform_int(0, 6)) - 3;
+  };
+
+  std::vector<std::uint8_t> keep;
+  SkylineScratch scratch;  // reused across sets, as Semantics does
+  for (int trial = 0; trial < 4000; ++trial) {
+    const bool extreme = trial % 2 == 1;
+    const std::uint64_t tau_share = rng.uniform_int(0, 2);  // 0: no taus
+    const std::size_t n = rng.uniform_int(0, 48);
+    std::vector<Label> labels;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!labels.empty() && rng.uniform() < 0.15) {
+        labels.push_back(labels[rng.uniform_int(0, labels.size() - 1)]);
+        continue;
+      }
+      const std::uint64_t roll = rng.uniform_int(0, 9);
+      if (roll < tau_share) {
+        labels.push_back(Label::make_tau(pick(events), priority(extreme)));
+      } else if (roll < 3) {
+        labels.push_back(Label::make_event(pick(events), rng.uniform() < 0.5,
+                                           priority(extreme)));
+      } else {
+        std::vector<ResourceUse> uses;
+        for (const Resource r : resources)
+          if (rng.uniform() < 0.5) uses.push_back({r, priority(extreme)});
+        labels.push_back(act(ctx.actions().intern(uses)));
+      }
+    }
+    mark_survivors(ctx.actions(), labels, keep, scratch);
+    ASSERT_EQ(keep, all_pairs_survivors(ctx.actions(), labels))
+        << "trial " << trial << ", " << labels.size() << " labels";
+  }
 }
 
 // Property-style sweep: preemption must be irreflexive and asymmetric on a

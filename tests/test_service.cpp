@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 
 #include "server/service.hpp"
 #include "server/tcp.hpp"
+#include "util/budget.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -320,6 +322,36 @@ TEST(Service, MemoHitWithAnEvictedResultTakesTheFullPath) {
   EXPECT_TRUE(c3.cached);
   EXPECT_EQ(c3.result_json, c2.result_json);
   EXPECT_EQ(stat(stats_of(svc), "cache", "front_end_skips"), 1);
+}
+
+TEST(Service, MemoHitWithoutAResultReadsTheDiskOnce) {
+  // An Inconclusive result is never stored, so its repeat recalls the
+  // fingerprint, misses memory and disk, and runs the front end. The front
+  // end confirms the recalled fingerprint: the same key is not looked up
+  // on disk a second time.
+  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ServiceConfig cfg;
+  cfg.cache.disk_dir = dir;
+  auto& faults = util::FaultInjector::global();
+  {
+    Service svc(cfg);
+    Request req = analyze(storm_text(), "", "Storm.impl");
+    req.options.max_states = 200;
+    EXPECT_EQ(svc.handle(req).outcome, core::Outcome::Inconclusive);
+    // Count result-store disk reads: armed at a probe that never comes.
+    faults.arm(util::FaultInjector::Site::CacheRead,
+               std::numeric_limits<std::uint64_t>::max());
+    const Response again = svc.handle(req);
+    const std::uint64_t reads = faults.probes();
+    faults.disarm();
+    EXPECT_EQ(again.outcome, core::Outcome::Inconclusive);
+    EXPECT_FALSE(again.cached);
+    EXPECT_EQ(reads, 1u);
+    EXPECT_EQ(stat(stats_of(svc), "cache", "misses"), 2);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Service, ZeroMemoryCapacityNeverServesFromTheMemo) {
