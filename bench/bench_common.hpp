@@ -86,6 +86,7 @@ inline void print_header(const char* experiment, const char* claim) {
 ///   --json <out>   write the google-benchmark JSON report to <out>
 ///   --smoke        CI smoke mode: skip the experiment table (it reruns the
 ///                  full workloads) and cut benchmark repetitions to ~10 ms
+///                  unless the caller passes its own --benchmark_min_time
 ///
 /// Everything else is forwarded to google-benchmark untouched.
 inline int run_main(int argc, char** argv, void (*print_table)()) {
@@ -105,7 +106,9 @@ inline int run_main(int argc, char** argv, void (*print_table)()) {
     forwarded.push_back("--benchmark_out=" + json_out);
     forwarded.push_back("--benchmark_out_format=json");
   }
-  if (smoke) forwarded.push_back("--benchmark_min_time=0.01");
+  // Right after argv[0], so a --benchmark_min_time the caller passes wins.
+  if (smoke)
+    forwarded.insert(forwarded.begin() + 1, "--benchmark_min_time=0.01");
 
   if (!smoke && print_table) print_table();
 

@@ -480,24 +480,26 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   return result;
 }
 
+std::unique_ptr<LoadedModel> load_model(
+    std::span<const std::string_view> sources, std::string_view root_impl,
+    util::DiagnosticEngine& diags) {
+  auto loaded = std::make_unique<LoadedModel>();
+  for (const std::string_view source : sources)
+    if (!aadl::parse_aadl(loaded->model, source, diags)) return nullptr;
+  loaded->instance = aadl::instantiate(loaded->model, root_impl, diags);
+  if (!loaded->instance || diags.has_errors()) return nullptr;
+  return loaded;
+}
+
 AnalysisResult analyze_source(std::string_view aadl_source,
                               std::string_view root_impl,
                               const AnalyzerOptions& opts) {
-  AnalysisResult result;
   util::DiagnosticEngine diags("<aadl>");
-  aadl::Model model;
-  if (!aadl::parse_aadl(model, aadl_source, diags)) {
-    result.diagnostics = diags.render_all();
-    return result;
-  }
-  auto instance = aadl::instantiate(model, root_impl, diags);
-  if (!instance || diags.has_errors()) {
-    result.diagnostics = diags.render_all();
-    return result;
-  }
-  AnalysisResult r = analyze_instance(*instance, opts);
-  r.diagnostics = diags.render_all() + r.diagnostics;
-  return r;
+  const auto loaded = load_model({&aadl_source, 1}, root_impl, diags);
+  AnalysisResult result;
+  if (loaded) result = analyze_instance(*loaded->instance, opts);
+  result.diagnostics = diags.render_all() + result.diagnostics;
+  return result;
 }
 
 AnalysisResult analyze_file(const std::string& path,
@@ -518,18 +520,13 @@ std::string render_acsr(std::string_view aadl_source,
                         std::string_view root_impl, std::string& diagnostics,
                         const translate::TranslateOptions& opts) {
   util::DiagnosticEngine diags("<aadl>");
-  aadl::Model model;
-  if (!aadl::parse_aadl(model, aadl_source, diags)) {
-    diagnostics = diags.render_all();
-    return {};
-  }
-  auto instance = aadl::instantiate(model, root_impl, diags);
-  if (!instance || diags.has_errors()) {
+  const auto loaded = load_model({&aadl_source, 1}, root_impl, diags);
+  if (!loaded) {
     diagnostics = diags.render_all();
     return {};
   }
   acsr::Context ctx;
-  auto tr = translate::translate(ctx, *instance, diags, opts);
+  auto tr = translate::translate(ctx, *loaded->instance, diags, opts);
   diagnostics = diags.render_all();
   if (!tr) return {};
   acsr::Printer printer(ctx);

@@ -8,7 +8,9 @@
 // quantum run/preempted status) and rendered as a time line (§5).
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -166,6 +168,21 @@ struct AnalysisResult {
 
   std::string summary() const;
 };
+
+/// A parsed model and the instance of its root, kept together: the instance
+/// points into the model's declarations.
+struct LoadedModel {
+  aadl::Model model;
+  std::unique_ptr<aadl::InstanceModel> instance;
+};
+
+/// The front end every entry point shares: parse each source into one model
+/// (multi-file packages) and instantiate `root_impl`. Null when a source
+/// fails to parse or the instance has errors; `diags` holds the diagnostics
+/// either way, warnings included.
+std::unique_ptr<LoadedModel> load_model(
+    std::span<const std::string_view> sources, std::string_view root_impl,
+    util::DiagnosticEngine& diags);
 
 /// Analyze a parsed-and-instantiated model.
 AnalysisResult analyze_instance(const aadl::InstanceModel& instance,

@@ -158,8 +158,13 @@ std::optional<ExperimentSpec> parse_experiment_spec(const std::string& text,
     spec.run_lint = v->as_bool();
   if (const JsonValue* v = doc->get("bin_width"); v && v->is_number())
     spec.bin_width = v->as_double();
-  if (const JsonValue* v = doc->get("workers"); v && v->is_int())
+  if (const JsonValue* v = doc->get("workers"); v && v->is_int()) {
+    if (v->as_int() < 0 || v->as_int() > 65536) {  // the --workers range
+      error = "'workers' must lie in [0, 65536]";
+      return std::nullopt;
+    }
     spec.workers = static_cast<std::size_t>(v->as_int());
+  }
 
   // --- semantic validation ------------------------------------------------
   for (const std::string& p : spec.policies)

@@ -307,11 +307,4 @@ Report run(const aadl::InstanceModel& instance, const Options& opts) {
   return run_subject(std::move(subject), opts);
 }
 
-Report run_acsr(const acsr::Context& ctx, const Options& opts) {
-  Subject subject;
-  subject.acsr = &ctx;
-  subject.topts = opts.translation;
-  return run_subject(subject, opts);
-}
-
 }  // namespace aadlsched::lint

@@ -160,9 +160,9 @@ struct Report {
   std::string render_json() const;
 };
 
-/// What a pass may look at. `instance` is null for ACSR-only runs
-/// (lint::run_acsr); `acsr`/`translation` are null when translation failed
-/// or was not attempted.
+/// What a pass may look at. `instance` is null for ACSR-only runs (a
+/// hand-built context); `acsr`/`translation` are null when translation
+/// failed or was not attempted.
 struct Subject {
   const aadl::InstanceModel* instance = nullptr;
   const acsr::Context* acsr = nullptr;
@@ -253,10 +253,8 @@ struct Options {
 /// Report::skipped (the hygiene passes explain why).
 Report run(const aadl::InstanceModel& instance, const Options& opts = {});
 
-/// Lint a hand-built ACSR context (ACSR-tier passes only).
-Report run_acsr(const acsr::Context& ctx, const Options& opts = {});
-
-/// Lint an explicit subject (power users / tests).
+/// Lint an explicit subject (power users / tests; ACSR-only subjects run
+/// the ACSR-tier passes and record the rest as skipped).
 Report run_subject(Subject subject, const Options& opts = {});
 
 }  // namespace aadlsched::lint

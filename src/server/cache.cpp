@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "core/result_json.hpp"
-#include "util/budget.hpp"
-#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace aadlsched::server {
@@ -27,12 +25,12 @@ using util::FaultInjector;
 /// write site emits only a prefix of the bytes and reports failure — the
 /// torn file a kill -9 mid-write leaves behind, for the sweeper (and the
 /// digest check, should the torn file somehow get renamed) to deal with.
-bool write_tmp_file(const std::string& tmp_path, const std::string& body,
-                    FaultInjector::Site site) {
+bool write_tmp_file(const std::string& tmp_path, std::string_view body,
+                    Site site) {
   std::ofstream out(tmp_path, std::ios::trunc | std::ios::binary);
   if (!out) return false;
   if (FaultInjector::global().trip_io(site)) {
-    out << std::string_view(body).substr(0, body.size() / 2);
+    out << body.substr(0, body.size() / 2);
     return false;  // tmp file deliberately left behind, torn
   }
   out << body;
@@ -40,14 +38,26 @@ bool write_tmp_file(const std::string& tmp_path, const std::string& body,
   return out.good();
 }
 
-std::optional<std::string> read_file(const std::string& path,
-                                     FaultInjector::Site site) {
+std::optional<std::string> read_file(const std::string& path, Site site) {
   if (FaultInjector::global().trip_io(site)) return std::nullopt;
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The `ext` files in `dir`, each with its mtime.
+std::vector<std::pair<fs::file_time_type, fs::path>> list_files(
+    const std::string& dir, std::string_view ext) {
+  std::vector<std::pair<fs::file_time_type, fs::path>> files;
+  std::error_code ec;
+  for (const auto& ent : fs::directory_iterator(dir, ec)) {
+    std::error_code fe;
+    if (ent.is_regular_file(fe) && ent.path().extension() == ext)
+      files.emplace_back(ent.last_write_time(fe), ent.path());
+  }
+  return files;
 }
 
 }  // namespace
@@ -58,221 +68,128 @@ util::Hash128 front_end_digest(std::string_view root, std::string_view model) {
   return util::fnv1a_128(model, h);
 }
 
-ResultCache::ResultCache(CacheConfig cfg)
-    : cfg_(std::move(cfg)),
-      memory_(cfg_.memory_capacity),
-      front_end_memo_(cfg_.memory_capacity) {
-  if (!cfg_.disk_dir.empty()) {
+std::optional<ResultKind::Value> ResultKind::decode(std::string_view body,
+                                                    std::string& /*sealed*/) {
+  while (!body.empty() && (body.back() == '\n' || body.back() == '\r'))
+    body.remove_suffix(1);
+  const auto doc = util::parse_json(body);
+  if (!doc || !doc->is_object()) return std::nullopt;
+  const auto* outcome = doc->get("outcome");
+  if (!outcome || !outcome->is_string()) return std::nullopt;
+  const auto parsed = core::outcome_from_string(outcome->as_string());
+  if (!parsed || !cacheable(*parsed)) return std::nullopt;
+  return Value{*parsed, std::string(body)};
+}
+
+// --- TwoTierStore ----------------------------------------------------------
+
+template <class Kind>
+TwoTierStore<Kind>::TwoTierStore(std::size_t memory_capacity, std::string dir,
+                                 std::size_t file_cap)
+    : dir_(std::move(dir)), file_cap_(file_cap), memory_(memory_capacity) {
+  if (has_disk_tier()) {
+    // A failed create degrades to memory-only: lookups miss, stores fail
+    // and are counted (the daemon stats the directory at startup). Tmp
+    // leftovers are the DiskJanitor's to sweep.
     std::error_code ec;
-    fs::create_directories(cfg_.disk_dir, ec);
-    // A failed create degrades to memory-only: lookups will miss, stores
-    // will fail (and be counted). The daemon surfaces the misconfiguration
-    // at startup instead (it stats the directory). Tmp leftovers are the
-    // DiskJanitor's: its startup sweep is the one scan of the directory.
+    fs::create_directories(dir_, ec);
   }
 }
 
-std::string ResultCache::disk_path(const std::string& key) const {
-  // Keys are hex digests — already safe as file names.
-  return cfg_.disk_dir + "/" + key + ".json";
+template <class Kind>
+std::string TwoTierStore<Kind>::disk_path(const std::string& key) const {
+  return dir_ + "/" + key + std::string(Kind::kExt);
 }
 
-void ResultCache::note_store_failure(const std::string& path,
-                                     const char* what) {
+template <class Kind>
+void TwoTierStore<Kind>::note_store_failure(const std::string& path,
+                                            const char* what) {
   disk_store_failures_.fetch_add(1, std::memory_order_relaxed);
   if (!store_diag_emitted_.exchange(true, std::memory_order_relaxed))
     std::fprintf(stderr,
-                 "aadlschedd: warning: result cache disk store failed (%s: "
-                 "%s); entries stay memory-only until the disk recovers "
+                 "aadlschedd: warning: %s disk store failed (%s: %s); %s "
                  "(counted in stats as disk_store_failures)\n",
-                 what, path.c_str());
+                 Kind::kNoun.data(), what, path.c_str(), Kind::kLoss.data());
 }
 
-std::optional<ResultCache::Entry> ResultCache::disk_load(
-    const std::string& key) const {
-  // A failed read (I/O error, injected cache.read fault) is a plain miss —
-  // the file may be fine; only *verified-present-but-invalid* bytes are
-  // quarantined.
-  auto raw = read_file(disk_path(key), FaultInjector::Site::CacheRead);
+template <class Kind>
+std::optional<typename Kind::Value> TwoTierStore<Kind>::disk_load(
+    const std::string& key) {
+  // A failed read (I/O error, injected read fault) is a plain miss — the
+  // file may be fine; only present-but-invalid bytes are quarantined.
+  auto raw = read_file(disk_path(key), Kind::kReadSite);
   if (!raw || raw->empty()) return std::nullopt;
-  // A rejected file is quarantined (deleted) so the damage costs exactly
-  // one miss: the re-run stores a fresh copy instead of tripping over the
-  // same bytes forever.
-  const auto quarantine = [&]() -> std::optional<Entry> {
+  // The seal catches torn, truncated, bit-rotted or pre-digest-era files
+  // byte-exactly; the kind then rejects sealed bytes that are foreign.
+  std::optional<Value> value;
+  if (const auto body = util::strip_trailing_digest(*raw))
+    value = Kind::decode(*body, *raw);
+  if (!value) {
     std::error_code ec;
     fs::remove(disk_path(key), ec);
     corrupt_evictions_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  };
-  // Gate 1: the trailing content digest (DESIGN.md §15) — catches torn,
-  // truncated, bit-rotted, or pre-digest-era files byte-exactly.
-  const auto body = util::strip_trailing_digest(*raw);
-  if (!body) return quarantine();
-  std::string json(*body);
-  while (!json.empty() && (json.back() == '\n' || json.back() == '\r'))
-    json.pop_back();
-  // Gate 2: the payload *is* the canonical result object; recover the
-  // outcome from its "outcome" field and reject anything foreign.
-  const auto doc = util::parse_json(json);
-  if (!doc || !doc->is_object()) return quarantine();
-  const auto* outcome = doc->get("outcome");
-  if (!outcome || !outcome->is_string()) return quarantine();
-  const auto parsed = core::outcome_from_string(outcome->as_string());
-  if (!parsed || !cacheable(*parsed)) return quarantine();
-  return Entry{*parsed, std::move(json)};
+  }
+  return value;
 }
 
-std::optional<ResultCache::Hit> ResultCache::lookup(const std::string& key) {
-  {
-    std::lock_guard lock(mu_);
-    if (auto entry = memory_.get(key))
-      return Hit{entry->outcome, std::move(entry->result_json), false};
-  }
-  if (cfg_.disk_dir.empty()) return std::nullopt;
-  // Disk I/O outside the lock; a racing store of the same key is benign
-  // (same bytes by construction — keys are content hashes).
-  auto entry = disk_load(key);
-  if (!entry) return std::nullopt;
-  {
-    std::lock_guard lock(mu_);
-    memory_.put(key, *entry);
-  }
-  return Hit{entry->outcome, std::move(entry->result_json), true};
-}
-
-void ResultCache::store(const std::string& key, core::Outcome outcome,
-                        const std::string& result_json) {
-  if (!cacheable(outcome)) return;
-  {
-    std::lock_guard lock(mu_);
-    memory_.put(key, Entry{outcome, result_json});
-  }
-  if (cfg_.disk_dir.empty()) return;
+template <class Kind>
+void TwoTierStore<Kind>::disk_write(const std::string& key,
+                                    const Value& value) {
   const std::string final_path = disk_path(key);
   const std::string tmp_path =
       final_path + ".tmp." + std::to_string(::getpid());
-  std::string body = result_json;
-  body += '\n';
-  util::append_digest(body);
-  if (!write_tmp_file(tmp_path, body, FaultInjector::Site::CacheWrite)) {
+  decltype(auto) bytes = Kind::payload(value);
+  if constexpr (!Kind::kValueIsSealed) util::append_digest(bytes);
+  if (!write_tmp_file(tmp_path, bytes, Kind::kWriteSite)) {
     note_store_failure(final_path, "write");
     return;  // torn tmp (if any) is left for the liveness-aware sweeper
   }
-  if (FaultInjector::global().trip_io(FaultInjector::Site::CacheRename)) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    note_store_failure(final_path, "rename (injected)");
-    return;
-  }
   std::error_code ec;
+  if constexpr (Kind::kRenameSite.has_value()) {
+    if (FaultInjector::global().trip_io(*Kind::kRenameSite)) {
+      fs::remove(tmp_path, ec);
+      note_store_failure(final_path, "rename (injected)");
+      return;
+    }
+  }
   fs::rename(tmp_path, final_path, ec);
   if (ec) {
     fs::remove(tmp_path, ec);
     note_store_failure(final_path, "rename");
+    return;
   }
+  if (file_cap_ > 0) enforce_file_cap();
 }
 
-std::optional<aadl::Fingerprint> ResultCache::recall(
-    const util::Hash128& digest) {
-  std::lock_guard lock(mu_);
-  return front_end_memo_.get(digest);
-}
-
-void ResultCache::remember(const util::Hash128& digest,
-                           const aadl::Fingerprint& fp) {
-  std::lock_guard lock(mu_);
-  front_end_memo_.put(digest, fp);
-}
-
-std::uint64_t ResultCache::evictions() const {
-  std::lock_guard lock(mu_);
-  return memory_.evictions();
-}
-
-std::uint64_t ResultCache::entries() const {
-  std::lock_guard lock(mu_);
-  return memory_.size();
-}
-
-// --- CheckpointStore -------------------------------------------------------
-
-CheckpointStore::CheckpointStore(std::size_t memory_capacity,
-                                 std::size_t disk_cap, std::string disk_dir)
-    : disk_cap_(disk_cap),
-      disk_dir_(std::move(disk_dir)),
-      memory_(memory_capacity) {
-  if (has_disk_tier()) {
-    std::error_code ec;
-    fs::create_directories(disk_dir_, ec);
-  }
-}
-
-std::string CheckpointStore::disk_path(const std::string& key) const {
-  return disk_dir_ + "/" + key + ".ckpt";
-}
-
-void CheckpointStore::note_store_failure(const std::string& path,
-                                         const char* what) {
-  disk_store_failures_.fetch_add(1, std::memory_order_relaxed);
-  if (!store_diag_emitted_.exchange(true, std::memory_order_relaxed))
-    std::fprintf(stderr,
-                 "aadlschedd: warning: checkpoint disk store failed (%s: "
-                 "%s); warm re-exploration will not survive a restart "
-                 "(counted in stats as disk_store_failures)\n",
-                 what, path.c_str());
-}
-
-std::optional<std::string> CheckpointStore::lookup(const std::string& key) {
+template <class Kind>
+std::optional<typename TwoTierStore<Kind>::Found> TwoTierStore<Kind>::lookup(
+    const std::string& key) {
   {
     std::lock_guard lock(mu_);
-    if (auto blob = memory_.get(key)) return blob;
+    if (auto value = memory_.get(key)) return Found{std::move(*value), false};
   }
   if (!has_disk_tier()) return std::nullopt;
-  auto blob = read_file(disk_path(key), FaultInjector::Site::CkptRead);
-  if (!blob || blob->empty()) return std::nullopt;
-  // serialize_checkpoint seals every blob with the same trailing digest
-  // line (util::append_digest); verify it here (without stripping — it is
-  // part of the blob format parse_checkpoint expects) so a torn .ckpt is
-  // quarantined instead of burning a restore attempt.
-  if (!util::strip_trailing_digest(*blob)) {
-    std::error_code ec;
-    fs::remove(disk_path(key), ec);
-    corrupt_evictions_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  // Disk I/O outside the lock; a racing store of the same key is benign
+  // (same bytes by construction — keys are content hashes).
+  auto value = disk_load(key);
+  if (!value) return std::nullopt;
   {
     std::lock_guard lock(mu_);
-    memory_.put(key, *blob);
+    memory_.put(key, *value);
   }
-  return blob;
+  return Found{std::move(*value), true};
 }
 
-void CheckpointStore::store(const std::string& key,
-                            const std::string& checkpoint) {
-  if (checkpoint.empty()) return;
-  {
-    std::lock_guard lock(mu_);
-    memory_.put(key, checkpoint);
-  }
-  if (!has_disk_tier()) return;
-  const std::string final_path = disk_path(key);
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  if (!write_tmp_file(tmp_path, checkpoint, FaultInjector::Site::CkptWrite)) {
-    note_store_failure(final_path, "write");
-    return;
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    note_store_failure(final_path, "rename");
-    return;
-  }
-  enforce_disk_cap();
+template <class Kind>
+void TwoTierStore<Kind>::store(const std::string& key, Value value) {
+  // Disk first, so the value can then move into memory.
+  if (has_disk_tier()) disk_write(key, value);
+  std::lock_guard lock(mu_);
+  memory_.put(key, std::move(value));
 }
 
-void CheckpointStore::erase(const std::string& key) {
+template <class Kind>
+void TwoTierStore<Kind>::erase(const std::string& key) {
   {
     std::lock_guard lock(mu_);
     memory_.erase(key);
@@ -282,50 +199,68 @@ void CheckpointStore::erase(const std::string& key) {
   fs::remove(disk_path(key), ec);
 }
 
-void CheckpointStore::enforce_disk_cap() {
-  std::vector<std::pair<fs::file_time_type, fs::path>> files;
-  std::error_code ec;
-  for (const auto& ent : fs::directory_iterator(disk_dir_, ec)) {
-    if (!ent.is_regular_file(ec)) continue;
-    if (ent.path().extension() != ".ckpt") continue;
-    std::error_code mt;
-    files.emplace_back(ent.last_write_time(mt), ent.path());
-  }
-  if (files.size() <= disk_cap_) return;
+template <class Kind>
+void TwoTierStore<Kind>::enforce_file_cap() {
+  auto files = list_files(dir_, Kind::kExt);
+  if (files.size() <= file_cap_) return;
   std::sort(files.begin(), files.end());
-  const std::size_t excess = files.size() - disk_cap_;
   std::uint64_t removed = 0;
-  for (std::size_t i = 0; i < excess; ++i) {
+  for (std::size_t i = 0; i < files.size() - file_cap_; ++i) {
     // Cap-based eviction is GC too: same gc.remove fault site as the
     // size-budgeted sweep, so the soak can starve it deterministically.
-    if (FaultInjector::global().trip_io(FaultInjector::Site::GcRemove))
-      continue;
+    if (FaultInjector::global().trip_io(Site::GcRemove)) continue;
     std::error_code rm;
     if (fs::remove(files[i].second, rm)) ++removed;
   }
   std::lock_guard lock(mu_);
-  disk_evictions_ += removed;
+  cap_evictions_ += removed;
 }
 
-std::uint64_t CheckpointStore::evictions() const {
+template <class Kind>
+std::uint64_t TwoTierStore<Kind>::evictions() const {
   std::lock_guard lock(mu_);
-  return memory_.evictions() + disk_evictions_;
+  return memory_.evictions() + cap_evictions_;
 }
 
-std::uint64_t CheckpointStore::entries() const {
-  if (has_disk_tier()) {
-    // The disk tier is the authoritative set (memory is a subset of it);
-    // the cap keeps this scan trivially small.
-    std::uint64_t n = 0;
-    std::error_code ec;
-    for (const auto& ent : fs::directory_iterator(disk_dir_, ec)) {
-      std::error_code rf;
-      if (ent.is_regular_file(rf) && ent.path().extension() == ".ckpt") ++n;
-    }
-    return n;
-  }
+template <class Kind>
+std::uint64_t TwoTierStore<Kind>::entries() const {
+  if (Kind::kEntriesCountFiles && has_disk_tier())
+    return list_files(dir_, Kind::kExt).size();
   std::lock_guard lock(mu_);
   return memory_.size();
+}
+
+template class TwoTierStore<ResultKind>;
+template class TwoTierStore<CheckpointKind>;
+
+// --- ResultCache -----------------------------------------------------------
+
+ResultCache::ResultCache(const CacheConfig& cfg)
+    : TwoTierStore(cfg.memory_capacity, cfg.disk_dir),
+      memo_(cfg.memory_capacity) {}
+
+std::optional<ResultCache::Hit> ResultCache::lookup(const std::string& key) {
+  auto found = TwoTierStore::lookup(key);
+  if (!found) return std::nullopt;
+  return Hit{found->value.outcome, std::move(found->value.result_json),
+             found->from_disk};
+}
+
+void ResultCache::store(const std::string& key, core::Outcome outcome,
+                        const std::string& result_json) {
+  if (cacheable(outcome)) TwoTierStore::store(key, {outcome, result_json});
+}
+
+std::optional<aadl::Fingerprint> ResultCache::recall(
+    const util::Hash128& digest) {
+  std::lock_guard lock(memo_mu_);
+  return memo_.get(digest);
+}
+
+void ResultCache::remember(const util::Hash128& digest,
+                           const aadl::Fingerprint& fp) {
+  std::lock_guard lock(memo_mu_);
+  memo_.put(digest, fp);
 }
 
 }  // namespace aadlsched::server

@@ -6,6 +6,17 @@
 
 namespace aadlsched::server {
 
+namespace {
+
+void render_store(util::JsonWriter& w, const StoreGauges& g) {
+  w.key("evictions").value(g.evictions);
+  w.key("corrupt_evictions").value(g.corrupt_evictions);
+  w.key("disk_store_failures").value(g.disk_store_failures);
+  w.key("entries").value(g.entries);
+}
+
+}  // namespace
+
 std::string StatsSnapshot::render_json() const {
   util::JsonWriter w;
   w.begin_object();
@@ -18,30 +29,24 @@ std::string StatsSnapshot::render_json() const {
   w.key("misses").value(cache_misses);
   w.key("front_end_skips").value(cache_front_end_skips);
   w.key("stores").value(cache_stores);
-  w.key("evictions").value(cache_evictions);
-  w.key("corrupt_evictions").value(cache_corrupt_evictions);
-  w.key("disk_store_failures").value(cache_disk_store_failures);
-  w.key("entries").value(cache_entries);
+  render_store(w, disk.cache);
   w.end_object();
   w.key("checkpoints").begin_object();
   w.key("hits").value(checkpoint_hits);
   w.key("misses").value(checkpoint_misses);
   w.key("stores").value(checkpoint_stores);
   w.key("resume_failures").value(checkpoint_resume_failures);
-  w.key("evictions").value(checkpoint_evictions);
-  w.key("corrupt_evictions").value(checkpoint_corrupt_evictions);
-  w.key("disk_store_failures").value(checkpoint_disk_store_failures);
-  w.key("entries").value(checkpoint_entries);
+  render_store(w, disk.checkpoints);
   w.end_object();
   w.key("gc").begin_object();
-  w.key("runs").value(gc_runs);
-  w.key("removed_files").value(gc_removed_files);
-  w.key("removed_bytes").value(gc_removed_bytes);
-  w.key("remove_failures").value(gc_remove_failures);
-  w.key("tmp_swept").value(gc_tmp_swept);
+  w.key("runs").value(disk.gc.runs);
+  w.key("removed_files").value(disk.gc.removed_files);
+  w.key("removed_bytes").value(disk.gc.removed_bytes);
+  w.key("remove_failures").value(disk.gc.remove_failures);
+  w.key("tmp_swept").value(disk.gc.tmp_swept);
   w.end_object();
   w.key("shared").begin_object();
-  w.key("instances").value(shared_instances);
+  w.key("instances").value(disk.shared_instances);
   w.end_object();
   w.key("symbolic").begin_object();
   w.key("runs").value(symbolic_runs);
@@ -76,15 +81,15 @@ std::string StatsSnapshot::render_json() const {
   return std::move(w).str();
 }
 
+void Metrics::count(std::uint64_t StatsSnapshot::*counter) {
+  std::lock_guard lock(mu_);
+  ++(s_.*counter);
+}
+
 void Metrics::record_request(Op op) {
   std::lock_guard lock(mu_);
   ++s_.requests;
   if (op == Op::Analyze) ++s_.analyze_requests;
-}
-
-void Metrics::record_analysis_run() {
-  std::lock_guard lock(mu_);
-  ++s_.analyses_run;
 }
 
 void Metrics::record_protocol_error() {
@@ -107,36 +112,6 @@ void Metrics::record_hit(bool disk_tier, bool front_end_skipped) {
   if (front_end_skipped) ++s_.cache_front_end_skips;
 }
 
-void Metrics::record_miss() {
-  std::lock_guard lock(mu_);
-  ++s_.cache_misses;
-}
-
-void Metrics::record_store() {
-  std::lock_guard lock(mu_);
-  ++s_.cache_stores;
-}
-
-void Metrics::record_checkpoint_hit() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_hits;
-}
-
-void Metrics::record_checkpoint_miss() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_misses;
-}
-
-void Metrics::record_checkpoint_store() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_stores;
-}
-
-void Metrics::record_checkpoint_resume_failure() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_resume_failures;
-}
-
 void Metrics::record_symbolic_run(std::uint64_t zones,
                                   std::uint64_t subsumptions,
                                   std::uint64_t dbm_dimension) {
@@ -146,11 +121,6 @@ void Metrics::record_symbolic_run(std::uint64_t zones,
   s_.symbolic_subsumptions += subsumptions;
   s_.symbolic_max_dbm_dimension =
       std::max(s_.symbolic_max_dbm_dimension, dbm_dimension);
-}
-
-void Metrics::record_coalesced() {
-  std::lock_guard lock(mu_);
-  ++s_.coalesced;
 }
 
 void Metrics::record_latency_ms(double ms) {
@@ -178,21 +148,7 @@ void Metrics::queue_depth_delta(int d) {
 StatsSnapshot Metrics::snapshot(const CacheGauges& gauges) const {
   std::lock_guard lock(mu_);
   StatsSnapshot out = s_;
-  out.cache_evictions = gauges.cache_evictions;
-  out.cache_entries = gauges.cache_entries;
-  out.cache_corrupt_evictions = gauges.cache_corrupt_evictions;
-  out.cache_disk_store_failures = gauges.cache_disk_store_failures;
-  out.checkpoint_evictions = gauges.checkpoint_evictions;
-  out.checkpoint_entries = gauges.checkpoint_entries;
-  out.checkpoint_corrupt_evictions = gauges.checkpoint_corrupt_evictions;
-  out.checkpoint_disk_store_failures = gauges.checkpoint_disk_store_failures;
-  out.gc_runs = gauges.gc_runs;
-  out.gc_removed_files = gauges.gc_removed_files;
-  out.gc_removed_bytes = gauges.gc_removed_bytes;
-  out.gc_remove_failures = gauges.gc_remove_failures;
-  out.gc_tmp_swept = gauges.gc_tmp_swept;
-  out.shared_instances = gauges.shared_instances;
-  out.analyses_run = s_.analyses_run;
+  out.disk = gauges;
   out.latency_samples = latency_total_;
   out.latency_window = latency_ring_.size();
   out.max_ms = latency_max_;

@@ -16,9 +16,34 @@
 #include <vector>
 
 #include "core/analyzer.hpp"
+#include "server/diskstore.hpp"
 #include "server/protocol.hpp"
 
 namespace aadlsched::server {
+
+/// The gauges one two-tier store owns (cache.hpp). Rendered as the last four
+/// keys of its stats object.
+struct StoreGauges {
+  std::uint64_t evictions = 0;
+  /// Disk files quarantined on load (cache self-healing).
+  std::uint64_t corrupt_evictions = 0;
+  /// Disk writes that never landed (tmp write or rename failed).
+  std::uint64_t disk_store_failures = 0;
+  std::uint64_t entries = 0;
+};
+
+/// Numbers the stores and the shared-directory janitor own, sampled at
+/// snapshot time.
+struct CacheGauges {
+  StoreGauges cache;        // the result store
+  StoreGauges checkpoints;  // the checkpoint store
+  /// Size-budgeted GC plus tmp hygiene (DESIGN.md §15), accumulated by the
+  /// DiskJanitor across sweeps.
+  GcStats gc;
+  /// Live daemons registered on this cache directory (self included; 0
+  /// when the disk tier is off).
+  std::uint64_t shared_instances = 0;
+};
 
 struct StatsSnapshot {
   // Counters.
@@ -32,26 +57,11 @@ struct StatsSnapshot {
   /// (a subset of hits_memory + hits_disk).
   std::uint64_t cache_front_end_skips = 0;
   std::uint64_t cache_stores = 0;
-  std::uint64_t cache_evictions = 0;
-  /// Corrupt disk-cache files quarantined on load (cache self-healing).
-  std::uint64_t cache_corrupt_evictions = 0;
-  /// Result-store disk writes that never landed (tmp write/rename failed).
-  std::uint64_t cache_disk_store_failures = 0;
   // Warm re-exploration (checkpoint tier, DESIGN.md §12).
   std::uint64_t checkpoint_hits = 0;    // resume requests served a checkpoint
   std::uint64_t checkpoint_misses = 0;  // resume requested, none available
   std::uint64_t checkpoint_stores = 0;  // budget-bound runs checkpointed
   std::uint64_t checkpoint_resume_failures = 0;  // restore rejected; ran cold
-  std::uint64_t checkpoint_evictions = 0;
-  std::uint64_t checkpoint_corrupt_evictions = 0;  // digest-failed .ckpt files
-  std::uint64_t checkpoint_disk_store_failures = 0;
-  // Shared-directory maintenance (DESIGN.md §15): size-budgeted GC plus
-  // tmp hygiene, accumulated by the DiskJanitor across sweeps.
-  std::uint64_t gc_runs = 0;
-  std::uint64_t gc_removed_files = 0;
-  std::uint64_t gc_removed_bytes = 0;
-  std::uint64_t gc_remove_failures = 0;
-  std::uint64_t gc_tmp_swept = 0;
   // Symbolic engine (DESIGN.md §16): runs that used the state-class engine,
   // cumulative zones/subsumptions across them, and the largest DBM seen.
   std::uint64_t symbolic_runs = 0;
@@ -64,11 +74,7 @@ struct StatsSnapshot {
   // Gauges.
   std::uint64_t in_flight = 0;    // analyses executing right now
   std::uint64_t queue_depth = 0;  // admitted but not yet executing
-  std::uint64_t cache_entries = 0;
-  std::uint64_t checkpoint_entries = 0;
-  /// Live daemons registered on this cache directory (self included; 0
-  /// when the disk tier is off).
-  std::uint64_t shared_instances = 0;
+  CacheGauges disk;
   // Latency of served analyze requests (submit -> response), milliseconds.
   // `latency_samples` counts every sample ever recorded; the percentiles
   // are computed over only the most recent `latency_window` samples (the
@@ -91,41 +97,18 @@ class Metrics {
  public:
   Metrics() : start_(std::chrono::steady_clock::now()) {}
 
+  /// Add one to a plain counter, e.g. count(&StatsSnapshot::cache_misses).
+  void count(std::uint64_t StatsSnapshot::*counter);
   void record_request(Op op);
-  void record_analysis_run();
   void record_protocol_error();
   void record_outcome(core::Outcome o);
   void record_hit(bool disk_tier, bool front_end_skipped);
-  void record_miss();
-  void record_store();
-  void record_checkpoint_hit();
-  void record_checkpoint_miss();
-  void record_checkpoint_store();
-  void record_checkpoint_resume_failure();
   void record_symbolic_run(std::uint64_t zones, std::uint64_t subsumptions,
                            std::uint64_t dbm_dimension);
-  void record_coalesced();
   void record_latency_ms(double ms);
   void in_flight_delta(int d);
   void queue_depth_delta(int d);
 
-  /// Numbers the caches own, sampled at snapshot time.
-  struct CacheGauges {
-    std::uint64_t cache_evictions = 0;
-    std::uint64_t cache_entries = 0;
-    std::uint64_t cache_corrupt_evictions = 0;
-    std::uint64_t cache_disk_store_failures = 0;
-    std::uint64_t checkpoint_evictions = 0;
-    std::uint64_t checkpoint_entries = 0;
-    std::uint64_t checkpoint_corrupt_evictions = 0;
-    std::uint64_t checkpoint_disk_store_failures = 0;
-    std::uint64_t gc_runs = 0;
-    std::uint64_t gc_removed_files = 0;
-    std::uint64_t gc_removed_bytes = 0;
-    std::uint64_t gc_remove_failures = 0;
-    std::uint64_t gc_tmp_swept = 0;
-    std::uint64_t shared_instances = 0;
-  };
   StatsSnapshot snapshot(const CacheGauges& gauges) const;
 
  private:

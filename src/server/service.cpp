@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "aadl/fingerprint.hpp"
-#include "aadl/parser.hpp"
 #include "core/result_json.hpp"
 #include "lint/lint.hpp"
 #include "util/hash.hpp"
@@ -47,32 +46,6 @@ std::string options_key(const RequestOptions& ro) {
 /// is also the disk entry's file name stem.
 std::string cache_key(const aadl::Fingerprint& fp, const RequestOptions& ro) {
   return fp.hex() + "-" + options_key(ro);
-}
-
-/// Everything that must stay alive for the instance to be analyzable: the
-/// declarative model (the instance tree points into its types/impls) plus
-/// the instance itself.
-struct Parsed {
-  aadl::Model model;
-  std::unique_ptr<aadl::InstanceModel> instance;
-  std::string front_end_output;  // rendered diagnostics (warnings on success)
-};
-
-std::unique_ptr<Parsed> parse_request_model(const Request& req,
-                                            std::string& error) {
-  auto parsed = std::make_unique<Parsed>();
-  util::DiagnosticEngine diags(req.id.empty() ? "<request>" : req.id);
-  if (!aadl::parse_aadl(parsed->model, req.model, diags)) {
-    error = diags.render_all();
-    return nullptr;
-  }
-  parsed->instance = aadl::instantiate(parsed->model, req.root, diags);
-  if (!parsed->instance || diags.has_errors()) {
-    error = diags.render_all();
-    return nullptr;
-  }
-  parsed->front_end_output = diags.render_all();
-  return parsed;
 }
 
 }  // namespace
@@ -122,18 +95,22 @@ struct Service::Job {
   Request req;  // the first submitter's request (runs with its options)
   std::string key;
   std::string fingerprint;
-  std::unique_ptr<Parsed> parsed;
+  std::unique_ptr<core::LoadedModel> loaded;
+  std::string front_end_output;  // rendered diagnostics (warnings)
   std::vector<Waiter> waiters;  // guarded by Service::mu_
 };
 
 Service::Service(ServiceConfig cfg)
     : cfg_(cfg),
       cache_(cfg.cache),
-      // checkpoints=false zeroes both tiers: stores drop, lookups miss.
-      checkpoints_(cfg.cache.checkpoints ? cfg.cache.checkpoint_memory_capacity
-                                         : 0,
-                   cfg.cache.checkpoints ? cfg.cache.checkpoint_disk_cap : 0,
-                   cfg.cache.disk_dir),
+      // checkpoints=false zeroes both tiers: stores drop, lookups miss. A
+      // file cap of 0 turns the checkpoint disk tier off.
+      checkpoints_(
+          cfg.cache.checkpoints ? cfg.cache.checkpoint_memory_capacity : 0,
+          cfg.cache.checkpoints && cfg.cache.checkpoint_disk_cap > 0
+              ? cfg.cache.disk_dir
+              : std::string(),
+          cfg.cache.checkpoint_disk_cap),
       admission_(std::max<std::size_t>(1, cfg.small_burst)) {
   if (!cfg_.cache.disk_dir.empty()) {
     DiskJanitor::Config jc;
@@ -268,11 +245,12 @@ std::future<Response> Service::submit(Request req) {
   // Front end on the submitting thread: parse + instantiate + fingerprint
   // are microseconds against an exploration, and the fingerprint is needed
   // before any scheduling decision (it IS the cache key).
-  std::string front_end_error;
-  auto parsed = parse_request_model(req, front_end_error);
-  if (!parsed) {
+  util::DiagnosticEngine diags(req.id.empty() ? "<request>" : req.id);
+  const std::string_view source = req.model;
+  auto loaded = core::load_model({&source, 1}, req.root, diags);
+  if (!loaded) {
     core::AnalysisResult err;
-    err.diagnostics = front_end_error;
+    err.diagnostics = diags.render_all();
     resp.ok = true;  // protocol-level success; the analysis outcome is Error
     resp.outcome = core::Outcome::Error;
     resp.cached = false;
@@ -284,7 +262,7 @@ std::future<Response> Service::submit(Request req) {
     return immediate(std::move(resp));
   }
 
-  const aadl::Fingerprint fp = aadl::instance_fingerprint(*parsed->instance);
+  const aadl::Fingerprint fp = aadl::instance_fingerprint(*loaded->instance);
   const std::string key = cache_key(fp, req.options);
 
   if (digest) {
@@ -294,9 +272,10 @@ std::future<Response> Service::submit(Request req) {
     if (recalled != fp)
       if (auto hit = cache_.lookup(key))
         return answer_hit(fp, std::move(*hit), false);
-    metrics_.record_miss();
+    metrics_.count(&StatsSnapshot::cache_misses);
   }
 
+  std::string front_end_output = diags.render_all();
   const bool small = req.model.size() < cfg_.small_model_bytes;
   std::future<Response> fut;
   {
@@ -316,7 +295,7 @@ std::future<Response> Service::submit(Request req) {
         w.t0 = t0;
         fut = w.promise.get_future();
         it->second->waiters.push_back(std::move(w));
-        metrics_.record_coalesced();
+        metrics_.count(&StatsSnapshot::coalesced);
         return fut;
       }
     }
@@ -324,7 +303,8 @@ std::future<Response> Service::submit(Request req) {
     job->req = std::move(req);
     job->key = key;
     job->fingerprint = fp.hex();
-    job->parsed = std::move(parsed);
+    job->loaded = std::move(loaded);
+    job->front_end_output = std::move(front_end_output);
     Job::Waiter w;
     w.id = job->req.id;
     w.t0 = t0;
@@ -375,7 +355,7 @@ void Service::worker_loop() {
 
 void Service::run_job(const std::shared_ptr<Job>& job) {
   metrics_.in_flight_delta(+1);
-  metrics_.record_analysis_run();
+  metrics_.count(&StatsSnapshot::analyses_run);
 
   core::AnalyzerOptions opts = analyzer_options(job->req.options);
 
@@ -391,20 +371,20 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   if (use_checkpoints) {
     opts.checkpoint_out = &checkpoint_out;
     if (job->req.resume) {
-      if (auto blob = checkpoints_.lookup(job->key)) {
-        resume_blob = std::move(*blob);
+      if (auto found = checkpoints_.lookup(job->key)) {
+        resume_blob = std::move(found->value);
         opts.resume_checkpoint = &resume_blob;
         resume_attempted = true;
-        metrics_.record_checkpoint_hit();
+        metrics_.count(&StatsSnapshot::checkpoint_hits);
       } else {
-        metrics_.record_checkpoint_miss();
+        metrics_.count(&StatsSnapshot::checkpoint_misses);
       }
     }
   }
 
   core::AnalysisResult result =
-      core::analyze_instance(*job->parsed->instance, opts);
-  result.diagnostics = job->parsed->front_end_output + result.diagnostics;
+      core::analyze_instance(*job->loaded->instance, opts);
+  result.diagnostics = job->front_end_output + result.diagnostics;
   const std::string result_json = core::render_result_json(result);
 
   if (result.engine == core::Engine::Symbolic)
@@ -414,18 +394,18 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   if (resume_attempted && !result.resumed) {
     // The blob failed restore validation (analyze_instance fell back to a
     // cold run). Drop it — retrying the same bytes cannot succeed.
-    metrics_.record_checkpoint_resume_failure();
+    metrics_.count(&StatsSnapshot::checkpoint_resume_failures);
     checkpoints_.erase(job->key);
   }
   if (use_checkpoints && result.checkpoint_captured &&
       !checkpoint_out.empty()) {
-    checkpoints_.store(job->key, checkpoint_out);
-    metrics_.record_checkpoint_store();
+    checkpoints_.store(job->key, std::move(checkpoint_out));
+    metrics_.count(&StatsSnapshot::checkpoint_stores);
   }
 
   if (!job->req.no_cache && cacheable(result.outcome)) {
     cache_.store(job->key, result.outcome, result_json);
-    metrics_.record_store();
+    metrics_.count(&StatsSnapshot::cache_stores);
     // A conclusive verdict supersedes any partial wavefront for this key.
     checkpoints_.erase(job->key);
   }
@@ -474,22 +454,11 @@ std::string Service::handle_line(std::string_view line) {
 }
 
 std::string Service::stats_json() {
-  Metrics::CacheGauges g;
-  g.cache_evictions = cache_.evictions();
-  g.cache_entries = cache_.entries();
-  g.cache_corrupt_evictions = cache_.corrupt_evictions();
-  g.cache_disk_store_failures = cache_.disk_store_failures();
-  g.checkpoint_evictions = checkpoints_.evictions();
-  g.checkpoint_entries = checkpoints_.entries();
-  g.checkpoint_corrupt_evictions = checkpoints_.corrupt_evictions();
-  g.checkpoint_disk_store_failures = checkpoints_.disk_store_failures();
+  CacheGauges g;
+  g.cache = cache_.gauges();
+  g.checkpoints = checkpoints_.gauges();
   if (janitor_) {
-    const GcStats gc = janitor_->gc_stats();
-    g.gc_runs = gc.runs;
-    g.gc_removed_files = gc.removed_files;
-    g.gc_removed_bytes = gc.removed_bytes;
-    g.gc_remove_failures = gc.remove_failures;
-    g.gc_tmp_swept = gc.tmp_swept;
+    g.gc = janitor_->gc_stats();
     g.shared_instances = janitor_->instances_gauge();
   }
   return metrics_.snapshot(g).render_json();

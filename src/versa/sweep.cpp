@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
+#include <thread>
 
 #include "util/budget.hpp"
 
@@ -13,7 +14,10 @@ SweepReport parallel_sweep(std::size_t jobs,
                            std::size_t workers) {
   SweepReport report;
   std::mutex mu;
-  util::ThreadPool pool(workers);
+  // A thread per job at most: surplus workers would only sit idle.
+  if (workers == 0)
+    workers = std::max(1u, std::thread::hardware_concurrency());
+  util::ThreadPool pool(std::max<std::size_t>(1, std::min(workers, jobs)));
   pool.parallel_for(jobs, [&](std::size_t i) {
     // Isolation boundary: ThreadPool terminates the process if a task
     // escapes with an exception, so every job runs under try/catch and

@@ -2,8 +2,10 @@
 // cache (DESIGN.md §15): the trailing content digest sealed into every disk
 // artifact, pid-liveness-aware tmp hygiene, the advisory directory lock,
 // size-budgeted GC with its gc.remove fault site, the DiskJanitor's instance
-// registry, and a fork-based multi-process stress run proving N writers and
-// M readers on ONE directory never observe torn bytes.
+// registry, both kinds of the two-tier store driven directly (fault sites,
+// quarantine, promotion, the checkpoint file cap), and a fork-based
+// multi-process stress run proving N writers and M readers on ONE directory
+// never observe torn bytes.
 #include <gtest/gtest.h>
 
 #include <sys/time.h>
@@ -330,6 +332,88 @@ TEST(DiskStore, InjectedWriteFailureLeavesATornTmpForTheSweeper) {
   EXPECT_EQ(server::sweep_stale_tmp_files(dir, 3600), 0u);
   age_file(tmp, 4000);
   EXPECT_EQ(server::sweep_stale_tmp_files(dir, 3600), 1u);
+  fs::remove_all(dir);
+}
+
+// --- the checkpoint kind --------------------------------------------------
+
+/// A blob sealed the way versa::serialize_checkpoint seals one; the store
+/// checks only the seal, never the wavefront inside.
+std::string sealed_blob(const std::string& payload) {
+  std::string blob = payload + "\n";
+  util::append_digest(blob);
+  return blob;
+}
+
+TEST(CheckpointStore, TornFileIsQuarantinedAndCountedOnce) {
+  const std::string dir = make_temp_dir();
+  const std::string blob = sealed_blob("wavefront " + std::string(200, 'w'));
+  server::CheckpointStore(4, dir, 16).store("k1", blob);
+  const std::string path = dir + "/k1.ckpt";
+  ASSERT_TRUE(fs::exists(path));
+  write_file(path, blob.substr(0, blob.size() / 2));  // a killed writer
+
+  server::CheckpointStore store(4, dir, 16);  // cold memory tier
+  EXPECT_FALSE(store.lookup("k1").has_value());
+  EXPECT_EQ(store.corrupt_evictions(), 1u);
+  EXPECT_FALSE(fs::exists(path));
+  // The quarantined file is gone: the next lookup is a plain miss.
+  EXPECT_FALSE(store.lookup("k1").has_value());
+  EXPECT_EQ(store.corrupt_evictions(), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointStore, DiskHitIsPromotedIntoMemory) {
+  const std::string dir = make_temp_dir();
+  const std::string blob = sealed_blob("wavefront");
+  server::CheckpointStore(4, dir, 16).store("k1", blob);
+
+  server::CheckpointStore store(4, dir, 16);
+  const auto cold = store.lookup("k1");
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_TRUE(cold->from_disk);
+  EXPECT_EQ(cold->value, blob);  // the seal stays: parse_checkpoint wants it
+
+  fs::remove(dir + "/k1.ckpt");
+  const auto warm = store.lookup("k1");
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_FALSE(warm->from_disk);
+  EXPECT_EQ(warm->value, blob);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointStore, FileCapEvictsOldestFirst) {
+  const std::string dir = make_temp_dir();
+  server::CheckpointStore store(4, dir, 2);
+  store.store("old", sealed_blob("old"));
+  age_file(dir + "/old.ckpt", 300);
+  store.store("mid", sealed_blob("mid"));
+  age_file(dir + "/mid.ckpt", 200);
+  store.store("new", sealed_blob("new"));
+
+  EXPECT_FALSE(fs::exists(dir + "/old.ckpt"));
+  EXPECT_TRUE(fs::exists(dir + "/mid.ckpt"));
+  EXPECT_TRUE(fs::exists(dir + "/new.ckpt"));
+  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_EQ(store.entries(), 2u);  // the files, not the 3 memory entries
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointStore, InjectedWriteFailureIsCountedAndMemoryStillServes) {
+  const std::string dir = make_temp_dir();
+  server::CheckpointStore store(4, dir, 16);
+  const std::string blob = sealed_blob("wavefront");
+
+  FaultInjector::global().arm(FaultInjector::Site::CkptWrite, 1);
+  store.store("k1", blob);
+  FaultInjector::global().disarm();
+
+  EXPECT_EQ(store.disk_store_failures(), 1u);
+  EXPECT_FALSE(fs::exists(dir + "/k1.ckpt"));
+  const auto hit = store.lookup("k1");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(hit->from_disk);
+  EXPECT_EQ(hit->value, blob);
   fs::remove_all(dir);
 }
 

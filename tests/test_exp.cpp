@@ -106,6 +106,22 @@ TEST(ExpSpec, WallClockBudgetsAreRefused) {
   EXPECT_NE(error.find("max_states"), std::string::npos) << error;
 }
 
+// A worker count outside the --workers range is a load error. Before the
+// check, -1 became SIZE_MAX threads for both the Service pool and the sweep;
+// the specs are only parsed here, never run.
+TEST(ExpSpec, OutOfRangeWorkerCountsAreRefused) {
+  for (const char* workers : {"-1", "65537"}) {
+    std::string error;
+    const std::string doc = std::string(R"({"workers": )") + workers + "}";
+    EXPECT_FALSE(exp::parse_experiment_spec(doc, error).has_value()) << doc;
+    EXPECT_NE(error.find("'workers'"), std::string::npos) << error;
+  }
+  std::string error;
+  const auto spec = exp::parse_experiment_spec(R"({"workers": 0})", error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->workers, 0u);
+}
+
 TEST(ExpGrid, ExpansionIsDeterministicPolicyOutermost) {
   exp::ExperimentSpec spec;
   spec.policies = {"rm", "edf"};

@@ -96,7 +96,6 @@
 #include <vector>
 
 #include "acsr/printer.hpp"
-#include "aadl/parser.hpp"
 #include "core/analyzer.hpp"
 #include "core/result_json.hpp"
 #include "core/taskset_extract.hpp"
@@ -212,29 +211,25 @@ std::optional<std::vector<BatchEntry>> read_batch_list(
   return entries;
 }
 
-/// The front end of every local run: parse all `files` into `model`
-/// (multi-file packages supported) and instantiate `root`. On failure
-/// returns null with the text to report in `error`.
-std::unique_ptr<aadl::InstanceModel> load_instance(
+/// The front end of every local run: read all `files` (multi-file packages
+/// supported) and load `root` from them. On failure returns null with the
+/// text to report in `error`.
+std::unique_ptr<core::LoadedModel> load_files(
     const std::vector<std::string>& files, const std::string& root,
-    aadl::Model& model, util::DiagnosticEngine& diags, std::string& error) {
+    util::DiagnosticEngine& diags, std::string& error) {
+  std::vector<std::string> texts;
   for (const std::string& f : files) {
-    const auto text = read_file(f);
+    auto text = read_file(f);
     if (!text) {
       error = "cannot open '" + f + "'\n";
       return nullptr;
     }
-    if (!aadl::parse_aadl(model, *text, diags)) {
-      error = diags.render_all();
-      return nullptr;
-    }
+    texts.push_back(std::move(*text));
   }
-  auto instance = aadl::instantiate(model, root, diags);
-  if (!instance || diags.has_errors()) {
-    error = diags.render_all();
-    return nullptr;
-  }
-  return instance;
+  const std::vector<std::string_view> sources(texts.begin(), texts.end());
+  auto loaded = core::load_model(sources, root, diags);
+  if (!loaded) error = diags.render_all();
+  return loaded;
 }
 
 /// Parse + instantiate + analyze one entry. Never throws for front-end
@@ -244,11 +239,10 @@ core::AnalysisResult analyze_entry(const BatchEntry& entry,
                                    const core::AnalyzerOptions& opts) {
   core::AnalysisResult result;
   util::DiagnosticEngine diags(entry.files.front());
-  aadl::Model model;
-  const auto instance =
-      load_instance(entry.files, entry.root, model, diags, result.diagnostics);
-  if (!instance) return result;
-  result = core::analyze_instance(*instance, opts);
+  const auto loaded =
+      load_files(entry.files, entry.root, diags, result.diagnostics);
+  if (!loaded) return result;
+  result = core::analyze_instance(*loaded->instance, opts);
   result.diagnostics = diags.render_all() + result.diagnostics;
   return result;
 }
@@ -633,26 +627,25 @@ int main(int argc, char** argv) {
   }
 
   util::DiagnosticEngine diags(files.front());
-  aadl::Model model;
   std::string front_end_error;
-  const auto instance =
-      load_instance(files, root, model, diags, front_end_error);
-  if (!instance) {
+  const auto loaded = load_files(files, root, diags, front_end_error);
+  if (!loaded) {
     std::cerr << front_end_error;
     return 2;
   }
+  const aadl::InstanceModel& instance = *loaded->instance;
 
   if (lint_only) {
     lint::Options lopts;
     lopts.translation = opts.translation;
-    const lint::Report report = lint::run(*instance, lopts);
+    const lint::Report report = lint::run(instance, lopts);
     std::cout << (lint_json ? report.render_json() : report.render_text());
     return report.errors() == 0 ? 0 : 1;
   }
 
   if (dump_acsr) {
     acsr::Context ctx;
-    auto tr = translate::translate(ctx, *instance, diags, opts.translation);
+    auto tr = translate::translate(ctx, instance, diags, opts.translation);
     if (!tr) {
       std::cerr << diags.render_all();
       return 2;
@@ -665,7 +658,7 @@ int main(int argc, char** argv) {
   if (classical) {
     util::DiagnosticEngine ediags("extract");
     const auto extracted = core::extract_taskset(
-        *instance, opts.translation.quantum_ns, ediags);
+        instance, opts.translation.quantum_ns, ediags);
     if (!extracted) {
       std::cerr << ediags.render_all();
       return 2;
@@ -730,7 +723,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const core::AnalysisResult result = core::analyze_instance(*instance, opts);
+  const core::AnalysisResult result = core::analyze_instance(instance, opts);
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
   if (result.checkpoint_captured && !checkpoint_blob.empty()) {
     std::ofstream out(checkpoint_file, std::ios::trunc | std::ios::binary);
