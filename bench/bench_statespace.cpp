@@ -3,8 +3,9 @@
 //     future-work section worries about);
 //   * successor-fan memoization on/off;
 //   * ordered instants (canonical dispatch ordering) on/off;
-// plus the preemption layer alone: one prioritized() call on cruise
-// control's largest 2 ms fan (BM_PrioritizeLargestFan).
+// plus the successor layer alone: one prioritized() call on cruise
+// control's largest 2 ms fan (BM_PrioritizeLargestFan), and one per
+// reachable 2 ms state (BM_ExpandCruise2ms).
 #include <chrono>
 #include <deque>
 #include <fstream>
@@ -133,16 +134,18 @@ void BM_WithMemoization(benchmark::State& state) {
 }
 BENCHMARK(BM_WithMemoization);
 
-/// Cruise control at 2 ms, translated once, with the state whose
-/// prioritized fan has the most candidates (the first one where every
-/// thread is ready at once).
-struct LargestFan {
+/// Cruise control at 2 ms, translated once and explored once (warm fan
+/// memo and hash-cons tables), with every reachable state in BFS order and
+/// the state whose prioritized fan has the most candidates (the first one
+/// where every thread is ready at once).
+struct Cruise2ms {
   acsr::Context ctx;
   std::optional<acsr::Semantics> sem;
-  acsr::TermId state = acsr::kNil;
+  std::vector<acsr::TermId> states;
+  acsr::TermId largest = acsr::kNil;
   std::uint64_t candidates = 0;
 
-  LargestFan() {
+  Cruise2ms() {
     std::ifstream in(std::string(AADLSCHED_MODELS_DIR) +
                      "/cruise_control.aadl");
     std::ostringstream src;
@@ -161,25 +164,29 @@ struct LargestFan {
     }
     sem.emplace(ctx);
     std::unordered_set<acsr::TermId> seen{tr->initial};
-    std::deque<acsr::TermId> frontier{tr->initial};
+    states.push_back(tr->initial);
     std::vector<acsr::Transition> fan;
-    while (!frontier.empty()) {
-      const acsr::TermId s = frontier.front();
-      frontier.pop_front();
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      const acsr::TermId s = states[i];
       const std::uint64_t before = sem->stats().candidates;
       sem->prioritized(s, fan);
       if (sem->stats().candidates - before > candidates) {
         candidates = sem->stats().candidates - before;
-        state = s;
+        largest = s;
       }
       for (const acsr::Transition& t : fan)
-        if (seen.insert(t.target).second) frontier.push_back(t.target);
+        if (seen.insert(t.target).second) states.push_back(t.target);
     }
   }
 };
 
+Cruise2ms& cruise_2ms() {
+  static Cruise2ms fixture;
+  return fixture;
+}
+
 void BM_PrioritizeLargestFan(benchmark::State& state) {
-  static LargestFan fixture;
+  Cruise2ms& fixture = cruise_2ms();
   if (!fixture.sem) {
     state.SkipWithError("cruise_control.aadl did not translate");
     return;
@@ -188,7 +195,7 @@ void BM_PrioritizeLargestFan(benchmark::State& state) {
   std::vector<acsr::Transition> out;
   const acsr::Semantics::Stats before = sem.stats();
   for (auto _ : state) {
-    sem.prioritized(fixture.state, out);
+    sem.prioritized(fixture.largest, out);
     benchmark::DoNotOptimize(out.data());
   }
   const double calls = static_cast<double>(state.iterations());
@@ -200,6 +207,35 @@ void BM_PrioritizeLargestFan(benchmark::State& state) {
       calls;
 }
 BENCHMARK(BM_PrioritizeLargestFan)->Unit(benchmark::kMicrosecond);
+
+/// The explorer's hot loop without the explorer: one prioritized() per
+/// reachable state of cruise control at 2 ms, on a Context a full
+/// exploration has already warmed (so no state's fan is new to the memo).
+void BM_ExpandCruise2ms(benchmark::State& state) {
+  Cruise2ms& fixture = cruise_2ms();
+  if (!fixture.sem) {
+    state.SkipWithError("cruise_control.aadl did not translate");
+    return;
+  }
+  acsr::Semantics& sem = *fixture.sem;
+  std::vector<acsr::Transition> out;
+  const acsr::Semantics::Stats before = sem.stats();
+  for (auto _ : state) {
+    for (const acsr::TermId s : fixture.states) {
+      sem.prioritized(s, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  const double expanded = static_cast<double>(state.iterations()) *
+                          static_cast<double>(fixture.states.size());
+  state.counters["states"] = static_cast<double>(fixture.states.size());
+  state.counters["states_per_s"] = benchmark::Counter(
+      expanded, benchmark::Counter::kIsRate);
+  state.counters["fold_partials_per_state"] =
+      static_cast<double>(sem.stats().fold_partials - before.fold_partials) /
+      expanded;
+}
+BENCHMARK(BM_ExpandCruise2ms)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -39,11 +39,10 @@ std::size_t Semantics::approx_bytes() const {
   bytes += out_.capacity() * sizeof(Transition) +
            kid_fans_.capacity() * sizeof(Fan) +
            cand_labels_.capacity() * sizeof(Label) +
-           (cand_rows_.capacity() + fold_rows_.capacity() +
-            next_rows_.capacity()) * sizeof(TermId) +
-           (fold_actions_.capacity() + next_actions_.capacity()) *
-               sizeof(ActionId) +
-           keep_.capacity();
+           cand_rows_.capacity() * sizeof(TermId) +
+           partials_.capacity() * sizeof(Partial) +
+           level_kid_.capacity() * sizeof(std::uint32_t) +
+           offers_.capacity() * sizeof(Offers) + keep_.capacity();
   return bytes;
 }
 
@@ -219,7 +218,7 @@ void Semantics::compute(TermId t) {
 }
 
 bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
-                                    bool interruptible) {
+                                    bool labels_first) {
   ActionTable& actions = ctx_.actions();
   const auto kids = ctx_.terms().payload(par);
   const std::size_t n = kids.size();
@@ -232,6 +231,17 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
     kid_fans_.push_back(f);
   }
   const Fan* fans = kid_fans_.data() + base;
+
+  // A canonical fan lists timed steps, then events, then taus.
+  offers_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t t = 0;
+    while (t < fans[i].size() && fans[i][t].label.is_timed()) ++t;
+    std::uint32_t e = t;
+    while (e < fans[i].size() && fans[i][e].label.kind == Label::Kind::Event)
+      ++e;
+    offers_.push_back(Offers{t, e});
+  }
 
   cand_labels_.clear();
   cand_rows_.clear();
@@ -248,8 +258,7 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
   // Par1/Par2: events and taus of one component interleave. An event the
   // restriction around this Parallel would block is not a candidate.
   for (std::size_t i = 0; i < n; ++i) {
-    for (const Transition& tr : fans[i]) {
-      if (tr.label.is_timed()) continue;
+    for (const Transition& tr : fans[i].subspan(offers_[i].timed_end)) {
       if (restricted != kNoRestriction &&
           tr.label.kind == Label::Kind::Event &&
           ctx_.event_sets().contains(restricted, tr.label.event))
@@ -260,12 +269,15 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
 
   // Par4: matching send/receive pairs synchronize into tau. The tau's
   // priority is the sum of the two offers; it remembers the event label.
+  const auto events = [&](std::size_t i) {
+    return fans[i].subspan(offers_[i].timed_end,
+                           offers_[i].events_end - offers_[i].timed_end);
+  };
   for (std::size_t i = 0; i < n; ++i) {
+    if (events(i).empty()) continue;
     for (std::size_t j = i + 1; j < n; ++j) {
-      for (const Transition& ti : fans[i]) {
-        if (ti.label.kind != Label::Kind::Event) continue;
-        for (const Transition& tj : fans[j]) {
-          if (tj.label.kind != Label::Kind::Event) continue;
+      for (const Transition& ti : events(i)) {
+        for (const Transition& tj : events(j)) {
           if (ti.label.event != tj.label.event ||
               ti.label.send == tj.label.send)
             continue;
@@ -280,26 +292,37 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
 
   // Par3: one global timed action combining a timed step of *every*
   // component, resource sets pairwise disjoint. Built as a left fold over
-  // the components; partial p is fold_actions_[p] plus the n-wide row p of
-  // fold_rows_, whose first i entries are chosen. If any component offers
-  // no timed step, time cannot advance in the composition.
-  const bool poll = interruptible && budget_ != nullptr;
+  // the components, one level per component, each partial linked to the
+  // partial it extends; rows are written only for the last level. A
+  // component whose only timed step is idle extends every partial by
+  // itself (combine() with idle interns nothing), so it opens no level and
+  // just moves in the base row. If any component offers no timed step,
+  // time cannot advance in the composition. combine() interns new unions,
+  // so the order of its calls fixes every later ActionId: level by level,
+  // partial by partial, step by step, until a level comes out empty, and
+  // no partial pruned (DESIGN.md §13).
+  const bool poll = labels_first && budget_ != nullptr;
   std::size_t until_poll = kPollPartials;
-  fold_actions_.assign(1, kIdleAction);
-  fold_rows_.assign(kids.begin(), kids.end());
-  for (std::size_t i = 0; i < n && !fold_actions_.empty(); ++i) {
-    next_actions_.clear();
-    next_rows_.clear();
-    for (std::size_t p = 0; p < fold_actions_.size(); ++p) {
-      for (const Transition& tr : fans[i]) {
-        if (!tr.label.is_timed()) continue;
-        if (!actions.disjoint(fold_actions_[p], tr.label.action)) continue;
-        next_actions_.push_back(
-            actions.merge(fold_actions_[p], tr.label.action));
-        const auto row = fold_rows_.begin() + static_cast<std::ptrdiff_t>(p * n);
-        next_rows_.insert(next_rows_.end(), row,
-                          row + static_cast<std::ptrdiff_t>(n));
-        next_rows_[next_rows_.size() - n + i] = tr.target;
+  const std::size_t row = cand_rows_.size();
+  cand_rows_.insert(cand_rows_.end(), kids.begin(), kids.end());  // base
+  partials_.assign(1, Partial{kIdleAction, 0, kNil});
+  level_kid_.clear();
+  std::size_t level = 0;  // first partial of the last level
+  for (std::size_t i = 0; i < n && level < partials_.size(); ++i) {
+    const Fan timed = fans[i].first(offers_[i].timed_end);
+    if (timed.size() == 1 && timed[0].label.action == kIdleAction) {
+      cand_rows_[row + i] = timed[0].target;
+      continue;
+    }
+    const std::size_t end = partials_.size();
+    level_kid_.push_back(static_cast<std::uint32_t>(i));
+    for (std::size_t p = level; p < end; ++p) {
+      const ActionId a = partials_[p].action;
+      for (const Transition& tr : timed) {
+        const ActionId u = actions.combine(a, tr.label.action);
+        if (u == ActionTable::kOverlap) continue;
+        partials_.push_back(
+            Partial{u, static_cast<std::uint32_t>(p), tr.target});
         if (poll && --until_poll == 0) {
           until_poll = kPollPartials;
           interruption_ = budget_->check_mid_expansion();
@@ -310,14 +333,21 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
         }
       }
     }
-    fold_actions_.swap(next_actions_);
-    fold_rows_.swap(next_rows_);
+    level = end;
   }
-  for (std::size_t p = 0; p < fold_actions_.size(); ++p) {
-    cand_labels_.push_back(Label::make_action(fold_actions_[p]));
-    const auto row = fold_rows_.begin() + static_cast<std::ptrdiff_t>(p * n);
-    cand_rows_.insert(cand_rows_.end(), row,
-                      row + static_cast<std::ptrdiff_t>(n));
+  if (labels_first) stats_.fold_partials += partials_.size() - 1;
+  const std::size_t finals = partials_.size() - level;
+  cand_rows_.resize(row + finals * n);
+  for (std::size_t f = 0; f < finals; ++f)
+    cand_labels_.push_back(Label::make_action(partials_[level + f].action));
+  // Last row first: every other row starts as a copy of the base row,
+  // which the first final overwrites in place.
+  for (std::size_t f = finals; f-- > 0;) {
+    TermId* r = cand_rows_.data() + row + f * n;
+    if (f > 0) std::copy_n(cand_rows_.data() + row, n, r);
+    std::size_t p = level + f;
+    for (std::size_t l = level_kid_.size(); l-- > 0; p = partials_[p].parent)
+      r[level_kid_[l]] = partials_[p].target;
   }
   kid_fans_.resize(base);
   return true;

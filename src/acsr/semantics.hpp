@@ -60,6 +60,9 @@ class Semantics {
     std::uint64_t kept = 0;
     // Pairwise preemption tests mark_survivors() made for those states.
     std::uint64_t preempt_checks = 0;
+    // Par3 partials their folds built (a component offering exactly one
+    // idle step opens no level and builds none).
+    std::uint64_t fold_partials = 0;
   };
 
   /// Partials the labels-first Par3 fold builds between two budget polls.
@@ -108,11 +111,12 @@ class Semantics {
 
   Fan fan(TermId t);
   void compute(TermId t);
-  /// False when the budget tripped inside the fold (only when
-  /// `interruptible`: a nested Parallel's fan is memoized, so it must be
-  /// built whole).
+  /// `labels_first`: called by prioritized() for the expanded state, so
+  /// the fold polls the budget and counts its partials. False when the
+  /// budget tripped inside the fold (never for a nested Parallel: its fan
+  /// is memoized, so it must be built whole).
   bool parallel_candidates(TermId par, EventSetId restricted,
-                           bool interruptible);
+                           bool labels_first);
   Fan store(Fan f);
   void rewind();
 
@@ -140,8 +144,24 @@ class Semantics {
   std::vector<Fan> kid_fans_;
   std::vector<Label> cand_labels_;  // candidate k's label ...
   std::vector<TermId> cand_rows_;   // ... and its n-wide component row
-  std::vector<ActionId> fold_actions_, next_actions_;  // Par3 partials
-  std::vector<TermId> fold_rows_, next_rows_;
+  // A Par3 partial: the union of the timed steps chosen so far, the
+  // partial of the previous level it extends, and the target its own
+  // level's component moves to. Levels lie back to back in partials_.
+  struct Partial {
+    ActionId action;
+    std::uint32_t parent;
+    TermId target;
+  };
+  std::vector<Partial> partials_;
+  std::vector<std::uint32_t> level_kid_;  // component of each fold level
+  // Per component of the Parallel being expanded: where its fan's timed
+  // steps end and where its event offers end (fans are canonical, so
+  // actions, events and taus are contiguous in that order).
+  struct Offers {
+    std::uint32_t timed_end;
+    std::uint32_t events_end;
+  };
+  std::vector<Offers> offers_;
   std::vector<std::uint8_t> keep_;  // mark_survivors() output
   SkylineScratch skyline_;
 };

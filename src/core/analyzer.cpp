@@ -176,6 +176,7 @@ void apply_exploration(AnalysisResult& result,
   result.fan_candidates = er.sem_stats.candidates;
   result.fan_kept = er.sem_stats.kept;
   result.preempt_checks = er.sem_stats.preempt_checks;
+  result.fold_partials = er.sem_stats.fold_partials;
 }
 
 /// Serialize the captured wavefront when the run is worth resuming later:
@@ -336,7 +337,8 @@ std::string AnalysisResult::summary() const {
      << " ms, peak frontier " << peak_frontier << ", fan memo "
      << memo_hits << " hits / " << fans_computed << " computed, successors "
      << fan_kept << " kept / " << fan_candidates << " candidates, "
-     << preempt_checks << " preempt checks";
+     << preempt_checks << " preempt checks, " << fold_partials
+     << " fold partials";
   return os.str();
 }
 

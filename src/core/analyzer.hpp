@@ -148,6 +148,8 @@ struct AnalysisResult {
   std::uint64_t fan_kept = 0;
   /// Pairwise preemption tests made to find the kept ones.
   std::uint64_t preempt_checks = 0;
+  /// Par3 partials the labels-first folds built for those states.
+  std::uint64_t fold_partials = 0;
 
   /// Engine that produced (or would have produced) the verdict: never
   /// Auto. Part of the canonical result JSON (as to_string(engine)) — the

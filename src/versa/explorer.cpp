@@ -128,6 +128,8 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.sem_stats.kept = now.kept - stats_before.kept;
     result.sem_stats.preempt_checks =
         now.preempt_checks - stats_before.preempt_checks;
+    result.sem_stats.fold_partials =
+        now.fold_partials - stats_before.fold_partials;
     // Reported even when no memory budget probed it: BM_StormBytesPerState
     // reads bytes/state off any run.
     result.approx_memory_bytes = approx_memory();

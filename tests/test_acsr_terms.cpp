@@ -133,11 +133,19 @@ TEST_F(TermTest, DisjointnessAndMerge) {
   const ActionId b = action({{"bus", 2}});
   const ActionId c = action({{"cpu", 3}, {"net", 1}});
   auto& at = ctx.actions();
-  EXPECT_TRUE(at.disjoint(a, b));
-  EXPECT_FALSE(at.disjoint(a, c));
-  EXPECT_TRUE(at.disjoint(kIdleAction, c));
-  EXPECT_EQ(at.merge(a, b), action({{"cpu", 1}, {"bus", 2}}));
-  EXPECT_EQ(at.merge(kIdleAction, a), a);
+  EXPECT_EQ(at.combine(a, c), ActionTable::kOverlap);
+  EXPECT_EQ(at.combine(kIdleAction, c), c);
+  EXPECT_EQ(at.combine(a, kIdleAction), a);
+  // The first combine of a pair interns the union as the next id; repeats,
+  // in either order, return it without interning anything.
+  const std::size_t before = at.size();
+  const ActionId ab = at.combine(a, b);
+  EXPECT_EQ(ab, before);
+  EXPECT_EQ(at.combine(a, b), ab);
+  EXPECT_EQ(at.combine(b, a), ab);
+  EXPECT_EQ(at.combine(a, c), ActionTable::kOverlap);
+  EXPECT_EQ(at.size(), before + 1);
+  EXPECT_EQ(ab, action({{"cpu", 1}, {"bus", 2}}));
 }
 
 TEST_F(TermTest, PreemptionOrderOnActions) {

@@ -249,7 +249,9 @@ TEST(Checkpoint, ChainedResumesConverge) {
     const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
     ASSERT_EQ(r.outcome, core::Outcome::Inconclusive);
     ASSERT_TRUE(r.checkpoint_captured);
-    if (round > 0) EXPECT_TRUE(r.resumed);
+    if (round > 0) {
+      EXPECT_TRUE(r.resumed);
+    }
     blob = next;
   }
 
@@ -393,7 +395,7 @@ TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
                   .checkpoint_captured);
 
-  for (const std::string bad :
+  for (const std::string& bad :
        {blob.substr(0, blob.size() / 3), std::string("not a checkpoint"),
         std::string("aadlsched-checkpoint v1\nkey -\n")}) {
     core::AnalyzerOptions warm = base_options();

@@ -186,9 +186,10 @@ TEST_P(EdfAgreement, QpaMatchesFullDemandAnalysis) {
       ASSERT_EQ(qpa.overflow_point.has_value(),
                 full.overflow_point.has_value())
           << "seed " << GetParam() << " U=" << u << " df=" << df;
-      if (qpa.overflow_point)
+      if (qpa.overflow_point) {
         EXPECT_EQ(*qpa.overflow_point, *full.overflow_point)
             << "seed " << GetParam() << " U=" << u << " df=" << df;
+      }
     }
   }
 }
