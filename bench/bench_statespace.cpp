@@ -4,8 +4,10 @@
 //   * successor-fan memoization on/off;
 //   * ordered instants (canonical dispatch ordering) on/off;
 // plus the successor layer alone: one prioritized() call on cruise
-// control's largest 2 ms fan (BM_PrioritizeLargestFan), and one per
-// reachable 2 ms state (BM_ExpandCruise2ms).
+// control's largest 2 ms fan, served from the shape memo
+// (BM_PrioritizeLargestFan) and folded in full by a memo-free Semantics
+// (BM_FoldLargestFan), and one call per reachable 2 ms state
+// (BM_ExpandCruise2ms).
 #include <chrono>
 #include <deque>
 #include <fstream>
@@ -205,12 +207,39 @@ void BM_PrioritizeLargestFan(benchmark::State& state) {
       static_cast<double>(sem.stats().preempt_checks -
                           before.preempt_checks) /
       calls;
+  state.counters["shape_hits_per_call"] =
+      static_cast<double>(sem.stats().shape_hits - before.shape_hits) / calls;
 }
 BENCHMARK(BM_PrioritizeLargestFan)->Unit(benchmark::kMicrosecond);
 
+/// The miss path on the same state: a memo-free Semantics over the warmed
+/// Context runs Par1/2/4, the Par3 fold and the skyline on every call (and
+/// recomputes the twelve child fans, which the memoized path looks up).
+void BM_FoldLargestFan(benchmark::State& state) {
+  Cruise2ms& fixture = cruise_2ms();
+  if (!fixture.sem) {
+    state.SkipWithError("cruise_control.aadl did not translate");
+    return;
+  }
+  acsr::Semantics sem(fixture.ctx, /*memoize=*/false);
+  std::vector<acsr::Transition> out;
+  for (auto _ : state) {
+    sem.prioritized(fixture.largest, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  const double calls = static_cast<double>(state.iterations());
+  state.counters["kept"] = static_cast<double>(out.size());
+  state.counters["fold_partials_per_call"] =
+      static_cast<double>(sem.stats().fold_partials) / calls;
+  state.counters["preempt_checks_per_call"] =
+      static_cast<double>(sem.stats().preempt_checks) / calls;
+}
+BENCHMARK(BM_FoldLargestFan)->Unit(benchmark::kMicrosecond);
+
 /// The explorer's hot loop without the explorer: one prioritized() per
 /// reachable state of cruise control at 2 ms, on a Context a full
-/// exploration has already warmed (so no state's fan is new to the memo).
+/// exploration has already warmed (so no child fan is new to the fan memo
+/// and every state's shape is in the shape memo).
 void BM_ExpandCruise2ms(benchmark::State& state) {
   Cruise2ms& fixture = cruise_2ms();
   if (!fixture.sem) {
@@ -233,6 +262,9 @@ void BM_ExpandCruise2ms(benchmark::State& state) {
       expanded, benchmark::Counter::kIsRate);
   state.counters["fold_partials_per_state"] =
       static_cast<double>(sem.stats().fold_partials - before.fold_partials) /
+      expanded;
+  state.counters["shape_hits_per_state"] =
+      static_cast<double>(sem.stats().shape_hits - before.shape_hits) /
       expanded;
 }
 BENCHMARK(BM_ExpandCruise2ms)->Unit(benchmark::kMillisecond);

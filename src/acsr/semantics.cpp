@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "util/hash.hpp"
+
 namespace aadlsched::acsr {
 
 namespace {
@@ -30,16 +32,48 @@ constexpr std::size_t kBlockTransitions = 4096;
 /// parallel_candidates() argument for a Parallel with no Restrict around it.
 constexpr EventSetId kNoRestriction = static_cast<EventSetId>(-1);
 
+/// A recorded choice row stores positions as 16 bits; 0xFFFF is "stays".
+constexpr std::size_t kNarrowStays = 0xFFFF;
+
+std::uint64_t hash_labels(std::span<const Transition> fan) {
+  std::uint64_t h = 0x2545f4914f6cdd1dULL;
+  for (const Transition& tr : fan) {
+    const Label& l = tr.label;
+    h = util::hash_combine(h, static_cast<std::uint64_t>(l.kind) << 33 |
+                                  static_cast<std::uint64_t>(l.send) << 32 |
+                                  l.action);
+    h = util::hash_combine(h, static_cast<std::uint64_t>(l.event) << 32 |
+                                  static_cast<std::uint32_t>(l.priority));
+  }
+  return h;
+}
+
+bool same_labels(std::span<const Transition> a, std::span<const Transition> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Transition& x, const Transition& y) {
+                      return x.label == y.label;
+                    });
+}
+
 }  // namespace
 
 std::size_t Semantics::approx_bytes() const {
-  std::size_t bytes = memo_.approx_bytes() + skyline_.approx_bytes();
+  std::size_t bytes = memo_.approx_bytes() + skyline_.approx_bytes() +
+                      signature_index_.approx_bytes() +
+                      shape_index_.approx_bytes();
   for (const std::vector<Transition>& b : blocks_)
     bytes += b.capacity() * sizeof(Transition);
+  bytes += signatures_.capacity() * sizeof(Fan) +
+           shapes_.capacity() * sizeof(Shape) +
+           shape_keys_.capacity() * sizeof(std::uint32_t) +
+           kept_labels_.capacity() * sizeof(Label) +
+           kept_choices_.capacity() * sizeof(std::uint16_t);
   bytes += out_.capacity() * sizeof(Transition) +
            kid_fans_.capacity() * sizeof(Fan) +
            cand_labels_.capacity() * sizeof(Label) +
-           cand_rows_.capacity() * sizeof(TermId) +
+           cand_choices_.capacity() * sizeof(std::uint32_t) +
+           row_.capacity() * sizeof(TermId) +
+           shape_key_.capacity() * sizeof(std::uint32_t) +
            partials_.capacity() * sizeof(Partial) +
            level_kid_.capacity() * sizeof(std::uint32_t) +
            offers_.capacity() * sizeof(Offers) + keep_.capacity();
@@ -80,25 +114,7 @@ bool Semantics::prioritized(TermId t, std::vector<Transition>& out) {
   const TermNode& node = tt.node(t);
   const bool restricted = node.kind == TermKind::Restrict &&
                           tt.kind(node.b) == TermKind::Parallel;
-  if (restricted || node.kind == TermKind::Parallel) {
-    // Labels first: prioritize the candidates, intern survivors only.
-    const TermId par = restricted ? node.b : t;
-    const EventSetId fset = restricted ? node.a : kNoRestriction;
-    if (!parallel_candidates(par, fset, true)) return false;
-    stats_.preempt_checks +=
-        mark_survivors(ctx_.actions(), cand_labels_, keep_, skyline_);
-    const std::size_t n = tt.payload(par).size();
-    for (std::size_t k = 0; k < cand_labels_.size(); ++k) {
-      if (!keep_[k]) continue;
-      ++stats_.kept;
-      TermId target = tt.parallel(
-          std::span<const TermId>(cand_rows_.data() + k * n, n));
-      if (restricted) target = tt.restrict(fset, target);
-      out.push_back(Transition{cand_labels_[k], target});
-    }
-    stats_.candidates += cand_labels_.size();
-    canonicalize(out, 0);
-  } else {
+  if (!restricted && node.kind != TermKind::Parallel) {
     const Fan f = fan(t);
     cand_labels_.clear();
     for (const Transition& tr : f) cand_labels_.push_back(tr.label);
@@ -108,15 +124,129 @@ bool Semantics::prioritized(TermId t, std::vector<Transition>& out) {
       if (keep_[k]) out.push_back(f[k]);
     stats_.candidates += f.size();
     stats_.kept += out.size();
+    return true;
   }
+
+  // Labels first: prioritize the candidates, intern survivors only. The
+  // shape key (restriction, one signature per child fan) finds an earlier
+  // expansion with the same candidates and survivors.
+  const TermId par = restricted ? node.b : t;
+  const EventSetId fset = restricted ? node.a : kNoRestriction;
+  const auto kids = tt.payload(par);
+  const std::size_t n = kids.size();
+  const std::size_t base = kid_fans_.size();
+  bool narrow = memoize_;  // a shape can be looked up and recorded
+  shape_key_.assign(1, fset);
+  for (const TermId k : kids) {
+    std::uint32_t signature = kNoSignature;
+    const Fan f = fan(k, memoize_ ? &signature : nullptr);
+    kid_fans_.push_back(f);
+    shape_key_.push_back(signature);
+    narrow = narrow && f.size() < kNarrowStays;
+  }
+  const Fan* fans = kid_fans_.data() + base;
+  const auto abandon = [&] {
+    kid_fans_.resize(base);
+    return false;
+  };
+
+  std::uint64_t hash = 0;
+  std::uint32_t found = util::kFlatEmptySlot;
+  if (narrow) {
+    hash = util::hash_span<std::uint32_t>(shape_key_, 0x8cb92ba72f3d8dd7ULL);
+    found = shape_index_.find(hash, [&](std::uint32_t s) {
+      const auto key = shape_keys_.begin() +
+                       static_cast<std::ptrdiff_t>(shapes_[s].key_at);
+      return shapes_[s].width == n &&
+             std::equal(shape_key_.begin(), shape_key_.end(), key);
+    });
+  }
+  if (found != util::kFlatEmptySlot) {
+    // The fold this skips would make only memoized combine() calls; but a
+    // long one would have polled the budget, so poll once.
+    if (shapes_[found].poll && budget_ != nullptr && !poll_budget())
+      return abandon();
+    ++stats_.shape_hits;
+    stats_.candidates += shapes_[found].candidates;
+    stats_.kept += shapes_[found].kept;
+  } else {
+    if (!parallel_candidates(fans, n, fset, true)) return abandon();
+    stats_.preempt_checks +=
+        mark_survivors(ctx_.actions(), cand_labels_, keep_, skyline_);
+    // Survivors to the front, in candidate order.
+    const std::size_t candidates = cand_labels_.size();
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < candidates; ++k) {
+      if (!keep_[k]) continue;
+      cand_labels_[kept] = cand_labels_[k];
+      std::copy_n(cand_choices_.data() + k * n, n,
+                  cand_choices_.data() + kept * n);
+      ++kept;
+    }
+    cand_labels_.resize(kept);
+    cand_choices_.resize(kept * n);
+    stats_.candidates += candidates;
+    stats_.kept += kept;
+    if (narrow) found = record_shape(hash, n, candidates);
+  }
+  // Hits and recorded misses build their targets from the shape, with the
+  // same survivors in the same order as the fold's.
+  if (found != util::kFlatEmptySlot) {
+    const Shape& sh = shapes_[found];
+    materialize(kids, fans, fset,
+                std::span<const Label>(kept_labels_).subspan(sh.kept_at,
+                                                             sh.kept),
+                kept_choices_.data() + sh.choices_at, out);
+  } else {
+    materialize(kids, fans, fset, cand_labels_, cand_choices_.data(), out);
+  }
+  kid_fans_.resize(base);
+  canonicalize(out, 0);
   return true;
 }
 
-Semantics::Fan Semantics::fan(TermId t) {
+std::uint32_t Semantics::record_shape(std::uint64_t hash, std::size_t n,
+                                      std::size_t candidates) {
+  const std::size_t kept = cand_labels_.size();
+  const auto fits = [](std::size_t at, std::size_t more) {
+    return at + more < util::kFlatEmptySlot;
+  };
+  if (!fits(candidates, 0) || !fits(shapes_.size(), 1) ||
+      !fits(shape_keys_.size(), n + 1) || !fits(kept_labels_.size(), kept) ||
+      !fits(kept_choices_.size(), kept * n))
+    return util::kFlatEmptySlot;
+  const auto u32 = [](std::size_t v) { return static_cast<std::uint32_t>(v); };
+  const std::uint32_t id = u32(shapes_.size());
+  shapes_.push_back(Shape{u32(shape_keys_.size()), u32(kept_labels_.size()),
+                          u32(kept_choices_.size()), u32(candidates),
+                          u32(kept), u32(n),
+                          partials_.size() - 1 >= kPollPartials});
+  shape_index_.insert(hash, id);
+  shape_keys_.insert(shape_keys_.end(), shape_key_.begin(), shape_key_.end());
+  kept_labels_.insert(kept_labels_.end(), cand_labels_.begin(),
+                      cand_labels_.end());
+  static_assert(static_cast<std::uint16_t>(kStays) == kNarrowStays);
+  const std::size_t at = kept_choices_.size();
+  kept_choices_.resize(at + cand_choices_.size());
+  std::transform(cand_choices_.begin(), cand_choices_.end(),
+                 kept_choices_.begin() + static_cast<std::ptrdiff_t>(at),
+                 [](std::uint32_t c) {
+                   return static_cast<std::uint16_t>(c);
+                 });
+  return id;
+}
+
+Semantics::Fan Semantics::fan(TermId t, std::uint32_t* signature) {
   if (memoize_) {
-    if (const Fan* hit = memo_.find(t)) {
+    if (FanEntry* hit = memo_.find(t)) {
       ++stats_.memo_hits;
-      return *hit;
+      const Fan f(hit->data, hit->size);
+      if (signature != nullptr) {
+        if (hit->signature == kNoSignature)
+          hit->signature = intern_signature(f);
+        *signature = hit->signature;
+      }
+      return f;
     }
   }
   ++stats_.computed;
@@ -125,8 +255,51 @@ Semantics::Fan Semantics::fan(TermId t) {
   canonicalize(out_, base);
   const Fan f = store(Fan(out_).subspan(base));
   out_.resize(base);
-  if (memoize_) memo_.emplace(t, f);
+  if (memoize_) {
+    const std::uint32_t s =
+        signature != nullptr ? intern_signature(f) : kNoSignature;
+    if (signature != nullptr) *signature = s;
+    memo_.emplace(t, FanEntry{f.data(), static_cast<std::uint32_t>(f.size()),
+                              s});
+  }
   return f;
+}
+
+std::uint32_t Semantics::intern_signature(Fan f) {
+  const std::uint64_t hash = hash_labels(f);
+  std::uint32_t id = signature_index_.find(
+      hash, [&](std::uint32_t s) { return same_labels(signatures_[s], f); });
+  if (id == util::kFlatEmptySlot) {
+    id = static_cast<std::uint32_t>(signatures_.size());
+    signatures_.push_back(f);
+    signature_index_.insert(hash, id);
+  }
+  return id;
+}
+
+bool Semantics::poll_budget() {
+  interruption_ = budget_->check_mid_expansion();
+  return interruption_.signal == util::BudgetSignal::Proceed;
+}
+
+template <typename Choice>
+void Semantics::materialize(std::span<const TermId> kids, const Fan* fans,
+                            EventSetId restricted,
+                            std::span<const Label> labels,
+                            const Choice* choices,
+                            std::vector<Transition>& out) {
+  TermTable& tt = ctx_.terms();
+  const std::size_t n = kids.size();
+  row_.resize(n);
+  for (std::size_t k = 0; k < labels.size(); ++k, choices += n) {
+    for (std::size_t i = 0; i < n; ++i)
+      row_[i] = choices[i] == static_cast<Choice>(kStays)
+                    ? kids[i]
+                    : fans[i][choices[i]].target;
+    TermId target = tt.parallel(row_);
+    if (restricted != kNoRestriction) target = tt.restrict(restricted, target);
+    out.push_back(Transition{labels[k], target});
+  }
 }
 
 void Semantics::compute(TermId t) {
@@ -155,13 +328,17 @@ void Semantics::compute(TermId t) {
       break;
 
     case TermKind::Parallel: {
-      parallel_candidates(t, kNoRestriction, false);
-      const std::size_t n = tt.payload(t).size();
-      for (std::size_t k = 0; k < cand_labels_.size(); ++k)
-        out_.push_back(Transition{
-            cand_labels_[k],
-            tt.parallel(
-                std::span<const TermId>(cand_rows_.data() + k * n, n))});
+      const auto kids = tt.payload(t);
+      const std::size_t base = kid_fans_.size();
+      for (const TermId k : kids) {
+        const Fan f = fan(k);
+        kid_fans_.push_back(f);
+      }
+      const Fan* fans = kid_fans_.data() + base;
+      parallel_candidates(fans, kids.size(), kNoRestriction, false);
+      materialize(kids, fans, kNoRestriction, cand_labels_,
+                  cand_choices_.data(), out_);
+      kid_fans_.resize(base);
       break;
     }
 
@@ -217,20 +394,10 @@ void Semantics::compute(TermId t) {
   }
 }
 
-bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
+bool Semantics::parallel_candidates(const Fan* fans, std::size_t n,
+                                    EventSetId restricted,
                                     bool labels_first) {
   ActionTable& actions = ctx_.actions();
-  const auto kids = ctx_.terms().payload(par);
-  const std::size_t n = kids.size();
-
-  // Child fans first: computing one can recurse into this function for a
-  // nested Parallel, which reuses the candidate buffers below.
-  const std::size_t base = kid_fans_.size();
-  for (const TermId k : kids) {
-    const Fan f = fan(k);
-    kid_fans_.push_back(f);
-  }
-  const Fan* fans = kid_fans_.data() + base;
 
   // A canonical fan lists timed steps, then events, then taus.
   offers_.clear();
@@ -244,47 +411,48 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
   }
 
   cand_labels_.clear();
-  cand_rows_.clear();
-  // New candidate: its label, and a row of the components' current terms
-  // for the caller to overwrite with the moving components' targets. The
-  // row pointer is valid until the next call.
+  cand_choices_.clear();
+  // New candidate: its label, and a choice row in which every component
+  // stays, for the caller to overwrite with the moving components'
+  // positions. The row pointer is valid until the next call.
   const auto add = [&](const Label& label) {
     cand_labels_.push_back(label);
-    const std::size_t at = cand_rows_.size();
-    cand_rows_.insert(cand_rows_.end(), kids.begin(), kids.end());
-    return cand_rows_.data() + at;
+    const std::size_t at = cand_choices_.size();
+    cand_choices_.resize(at + n, kStays);
+    return cand_choices_.data() + at;
+  };
+  const auto position = [](std::size_t p) {
+    return static_cast<std::uint32_t>(p);
   };
 
   // Par1/Par2: events and taus of one component interleave. An event the
   // restriction around this Parallel would block is not a candidate.
   for (std::size_t i = 0; i < n; ++i) {
-    for (const Transition& tr : fans[i].subspan(offers_[i].timed_end)) {
-      if (restricted != kNoRestriction &&
-          tr.label.kind == Label::Kind::Event &&
-          ctx_.event_sets().contains(restricted, tr.label.event))
+    for (std::size_t p = offers_[i].timed_end; p < fans[i].size(); ++p) {
+      const Label& label = fans[i][p].label;
+      if (restricted != kNoRestriction && label.kind == Label::Kind::Event &&
+          ctx_.event_sets().contains(restricted, label.event))
         continue;
-      add(tr.label)[i] = tr.target;
+      add(label)[i] = position(p);
     }
   }
 
   // Par4: matching send/receive pairs synchronize into tau. The tau's
   // priority is the sum of the two offers; it remembers the event label.
-  const auto events = [&](std::size_t i) {
-    return fans[i].subspan(offers_[i].timed_end,
-                           offers_[i].events_end - offers_[i].timed_end);
-  };
   for (std::size_t i = 0; i < n; ++i) {
-    if (events(i).empty()) continue;
+    if (offers_[i].timed_end == offers_[i].events_end) continue;
     for (std::size_t j = i + 1; j < n; ++j) {
-      for (const Transition& ti : events(i)) {
-        for (const Transition& tj : events(j)) {
-          if (ti.label.event != tj.label.event ||
-              ti.label.send == tj.label.send)
-            continue;
-          TermId* row = add(Label::make_tau(
-              ti.label.event, ti.label.priority + tj.label.priority));
-          row[i] = ti.target;
-          row[j] = tj.target;
+      for (std::size_t p = offers_[i].timed_end; p < offers_[i].events_end;
+           ++p) {
+        const Label& li = fans[i][p].label;
+        for (std::size_t q = offers_[j].timed_end; q < offers_[j].events_end;
+             ++q) {
+          const Label& lj = fans[j][q].label;
+          if (li.event != lj.event || li.send == lj.send) continue;
+          std::uint32_t* row =
+              add(Label::make_tau(li.event, li.priority + lj.priority));
+          row[i] = position(p);
+          row[j] = position(q);
         }
       }
     }
@@ -303,33 +471,29 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
   // no partial pruned (DESIGN.md §13).
   const bool poll = labels_first && budget_ != nullptr;
   std::size_t until_poll = kPollPartials;
-  const std::size_t row = cand_rows_.size();
-  cand_rows_.insert(cand_rows_.end(), kids.begin(), kids.end());  // base
-  partials_.assign(1, Partial{kIdleAction, 0, kNil});
+  const std::size_t row = cand_choices_.size();
+  cand_choices_.resize(row + n, kStays);  // base
+  partials_.assign(1, Partial{kIdleAction, 0, 0});
   level_kid_.clear();
   std::size_t level = 0;  // first partial of the last level
   for (std::size_t i = 0; i < n && level < partials_.size(); ++i) {
     const Fan timed = fans[i].first(offers_[i].timed_end);
     if (timed.size() == 1 && timed[0].label.action == kIdleAction) {
-      cand_rows_[row + i] = timed[0].target;
+      cand_choices_[row + i] = 0;
       continue;
     }
     const std::size_t end = partials_.size();
     level_kid_.push_back(static_cast<std::uint32_t>(i));
     for (std::size_t p = level; p < end; ++p) {
       const ActionId a = partials_[p].action;
-      for (const Transition& tr : timed) {
-        const ActionId u = actions.combine(a, tr.label.action);
+      for (std::size_t c = 0; c < timed.size(); ++c) {
+        const ActionId u = actions.combine(a, timed[c].label.action);
         if (u == ActionTable::kOverlap) continue;
         partials_.push_back(
-            Partial{u, static_cast<std::uint32_t>(p), tr.target});
+            Partial{u, static_cast<std::uint32_t>(p), position(c)});
         if (poll && --until_poll == 0) {
           until_poll = kPollPartials;
-          interruption_ = budget_->check_mid_expansion();
-          if (interruption_.signal != util::BudgetSignal::Proceed) {
-            kid_fans_.resize(base);
-            return false;
-          }
+          if (!poll_budget()) return false;
         }
       }
     }
@@ -337,19 +501,18 @@ bool Semantics::parallel_candidates(TermId par, EventSetId restricted,
   }
   if (labels_first) stats_.fold_partials += partials_.size() - 1;
   const std::size_t finals = partials_.size() - level;
-  cand_rows_.resize(row + finals * n);
+  cand_choices_.resize(row + finals * n);
   for (std::size_t f = 0; f < finals; ++f)
     cand_labels_.push_back(Label::make_action(partials_[level + f].action));
   // Last row first: every other row starts as a copy of the base row,
   // which the first final overwrites in place.
   for (std::size_t f = finals; f-- > 0;) {
-    TermId* r = cand_rows_.data() + row + f * n;
-    if (f > 0) std::copy_n(cand_rows_.data() + row, n, r);
+    std::uint32_t* r = cand_choices_.data() + row + f * n;
+    if (f > 0) std::copy_n(cand_choices_.data() + row, n, r);
     std::size_t p = level + f;
     for (std::size_t l = level_kid_.size(); l-- > 0; p = partials_[p].parent)
-      r[level_kid_[l]] = partials_[p].target;
+      r[level_kid_[l]] = partials_[p].choice;
   }
-  kid_fans_.resize(base);
   return true;
 }
 

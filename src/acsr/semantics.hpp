@@ -29,10 +29,20 @@
 // survivors. transitions() runs the same candidate generator and interns
 // every candidate (DESIGN.md §13).
 //
+// Shape memo: which candidates such a state has, and which survive, depends
+// only on the restriction and on the label sequence of each component's
+// fan — its signature, interned once per fan. prioritized() keys each
+// expansion by (restriction, signatures) and records the survivors' labels
+// with their choices: per component, the position of the transition it
+// takes in its fan, or "stays". A repeat shape skips the Par1/2/4
+// generator, the Par3 fold and the skyline, and builds the same targets
+// through the same calls (DESIGN.md §13).
+//
 // One expansion can be huge: the Par3 fold is exponential in the number of
 // components offering several timed steps. With a budget attached, the
 // labels-first fold polls it every kPollPartials partials and abandons the
-// expansion on a trip (DESIGN.md §10).
+// expansion on a trip; a shape hit whose fold built that many polls once
+// (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -51,25 +61,31 @@ class Semantics {
  public:
   struct Stats {
     // Memoized fans: terms whose fan was computed, and fans served from
-    // the memo. A labels-first expansion is not memoized; its children are.
+    // the memo. A labels-first expansion is not in the fan memo; its
+    // children are.
     std::uint64_t computed = 0;
     std::uint64_t memo_hits = 0;
     // Hot-loop fan sizes of the states prioritized() expanded: labels
     // generated before preemption, and targets kept (interned) after it.
+    // A shape hit adds the counts its shape recorded, so these describe
+    // the fans whether or not the fold ran, and candidates >= kept.
     std::uint64_t candidates = 0;
     std::uint64_t kept = 0;
-    // Pairwise preemption tests mark_survivors() made for those states.
+    // Work only shape misses do: pairwise preemption tests made by
+    // mark_survivors(), and Par3 partials built by the fold (a component
+    // offering exactly one idle step opens no level and builds none).
     std::uint64_t preempt_checks = 0;
-    // Par3 partials their folds built (a component offering exactly one
-    // idle step opens no level and builds none).
     std::uint64_t fold_partials = 0;
+    // Labels-first expansions served from the shape memo.
+    std::uint64_t shape_hits = 0;
   };
 
   /// Partials the labels-first Par3 fold builds between two budget polls.
   static constexpr std::size_t kPollPartials = 4096;
 
-  /// memoize=false exists only for the ablation bench; exploration with it
-  /// is identical but recomputes every fan.
+  /// memoize=false exists for the ablation bench and the differential
+  /// tests: exploration with it is identical, but it recomputes every fan
+  /// and folds every expansion (no fan memo, no shape memo).
   explicit Semantics(Context& ctx, bool memoize = true)
       : ctx_(ctx), memoize_(memoize) {}
   // The memo holds views into this object's own fan blocks.
@@ -100,23 +116,43 @@ class Semantics {
   /// The poll that made the last prioritized() call return false.
   const util::BudgetStatus& interruption() const { return interruption_; }
 
-  /// Approximate footprint of the fan memo (fan blocks + index) and of the
-  /// candidate, fold and skyline scratch. The memory budget estimate adds
-  /// this on top of Context::approx_bytes(); before it did, memo-heavy runs
-  /// under-counted by the whole fan table.
+  /// Approximate footprint of the fan memo (fan blocks + index), of the
+  /// signature and shape tables, and of the candidate, fold and skyline
+  /// scratch. The memory budget estimate adds this on top of
+  /// Context::approx_bytes(), so the memos grow under its watch.
   std::size_t approx_bytes() const;
 
  private:
   using Fan = std::span<const Transition>;
+  /// A choice row entry: the component keeps its current term.
+  static constexpr std::uint32_t kStays = 0xFFFFFFFF;
+  static constexpr std::uint32_t kNoSignature = 0xFFFFFFFF;
 
-  Fan fan(TermId t);
+  /// `signature`: when non-null, receives the id of the fan's label
+  /// sequence (memoize only), computed once per fan memo entry.
+  Fan fan(TermId t, std::uint32_t* signature = nullptr);
   void compute(TermId t);
-  /// `labels_first`: called by prioritized() for the expanded state, so
-  /// the fold polls the budget and counts its partials. False when the
-  /// budget tripped inside the fold (never for a nested Parallel: its fan
-  /// is memoized, so it must be built whole).
-  bool parallel_candidates(TermId par, EventSetId restricted,
-                           bool labels_first);
+  std::uint32_t intern_signature(Fan f);
+  /// Candidates of a Parallel whose child fans are fans[0..n): fills
+  /// cand_labels_ and cand_choices_. `labels_first`: called by
+  /// prioritized() for the expanded state, so the fold polls the budget
+  /// and counts its partials. False when the budget tripped inside the
+  /// fold (never for a nested Parallel: its fan is memoized, so it must be
+  /// built whole).
+  bool parallel_candidates(const Fan* fans, std::size_t n,
+                           EventSetId restricted, bool labels_first);
+  /// Record the survivors of the last labels-first parallel_candidates()
+  /// call, compacted in cand_labels_/cand_choices_, under the key in
+  /// shape_key_; kFlatEmptySlot when an offset would not fit.
+  std::uint32_t record_shape(std::uint64_t hash, std::size_t n,
+                             std::size_t candidates);
+  /// Append one transition per label: the target moves each component of
+  /// `kids` as the label's n-wide choice row says (Choice(-1) = stays).
+  template <typename Choice>
+  void materialize(std::span<const TermId> kids, const Fan* fans,
+                   EventSetId restricted, std::span<const Label> labels,
+                   const Choice* choices, std::vector<Transition>& out);
+  bool poll_budget();
   Fan store(Fan f);
   void rewind();
 
@@ -127,12 +163,45 @@ class Semantics {
   util::BudgetStatus interruption_;
 
   // Fans live in blocks that are never reallocated, so a Fan view stays
-  // valid while more fans are stored; the memo maps a term to its view.
-  // Without the memo the blocks are rewound at every public call: a view
-  // only has to outlive the call that made it.
+  // valid while more fans are stored; the memo maps a term to its view and
+  // its signature. Without the memo the blocks are rewound at every public
+  // call: a view only has to outlive the call that made it.
   std::vector<std::vector<Transition>> blocks_;
   std::size_t block_ = 0;
-  util::FlatIdMap<Fan> memo_;
+  struct FanEntry {
+    const Transition* data = nullptr;
+    std::uint32_t size = 0;
+    std::uint32_t signature = kNoSignature;
+  };
+  static_assert(sizeof(FanEntry) == 16);
+  util::FlatIdMap<FanEntry> memo_;
+
+  // Signatures: signature s is the label sequence of signatures_[s], the
+  // first memoized fan that had it.
+  std::vector<Fan> signatures_;
+  util::FlatHashIndex signature_index_;
+
+  // Shapes: the key of shape s is shape_keys_[key_at, key_at + width + 1)
+  // = restriction, then one signature per component. Its survivors, in
+  // candidate order, are kept_labels_[kept_at, kept_at + kept), each with
+  // a width-wide choice row in kept_choices_ from choices_at (0xFFFF =
+  // stays). A shape is recorded only when every fan position and every
+  // offset fits.
+  struct Shape {
+    std::uint32_t key_at;
+    std::uint32_t kept_at;
+    std::uint32_t choices_at;
+    std::uint32_t candidates;  // labels the generator built
+    std::uint32_t kept;
+    std::uint32_t width : 31;
+    std::uint32_t poll : 1;  // the fold built >= kPollPartials partials
+  };
+  static_assert(sizeof(Shape) == 24);
+  std::vector<Shape> shapes_;
+  util::FlatHashIndex shape_index_;
+  std::vector<std::uint32_t> shape_keys_;
+  std::vector<Label> kept_labels_;
+  std::vector<std::uint16_t> kept_choices_;
 
   // Scratch reused across calls so a warm expansion allocates nothing.
   // out_ and kid_fans_ are stacks (nested fan() calls push above their
@@ -142,15 +211,18 @@ class Semantics {
   // with its fan's labels.
   std::vector<Transition> out_;
   std::vector<Fan> kid_fans_;
-  std::vector<Label> cand_labels_;  // candidate k's label ...
-  std::vector<TermId> cand_rows_;   // ... and its n-wide component row
+  std::vector<Label> cand_labels_;           // candidate k's label ...
+  std::vector<std::uint32_t> cand_choices_;  // ... and its n-wide choices
+  std::vector<TermId> row_;                  // materialize()'s target row
+  std::vector<std::uint32_t> shape_key_;     // the expanded state's key
   // A Par3 partial: the union of the timed steps chosen so far, the
-  // partial of the previous level it extends, and the target its own
-  // level's component moves to. Levels lie back to back in partials_.
+  // partial of the previous level it extends, and the position in its own
+  // level's component fan of the step it takes. Levels lie back to back
+  // in partials_.
   struct Partial {
     ActionId action;
     std::uint32_t parent;
-    TermId target;
+    std::uint32_t choice;
   };
   std::vector<Partial> partials_;
   std::vector<std::uint32_t> level_kid_;  // component of each fold level

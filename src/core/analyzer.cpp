@@ -177,6 +177,7 @@ void apply_exploration(AnalysisResult& result,
   result.fan_kept = er.sem_stats.kept;
   result.preempt_checks = er.sem_stats.preempt_checks;
   result.fold_partials = er.sem_stats.fold_partials;
+  result.shape_hits = er.sem_stats.shape_hits;
 }
 
 /// Serialize the captured wavefront when the run is worth resuming later:
@@ -338,7 +339,7 @@ std::string AnalysisResult::summary() const {
      << memo_hits << " hits / " << fans_computed << " computed, successors "
      << fan_kept << " kept / " << fan_candidates << " candidates, "
      << preempt_checks << " preempt checks, " << fold_partials
-     << " fold partials";
+     << " fold partials, " << shape_hits << " shape hits";
   return os.str();
 }
 

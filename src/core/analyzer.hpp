@@ -148,8 +148,10 @@ struct AnalysisResult {
   std::uint64_t fan_kept = 0;
   /// Pairwise preemption tests made to find the kept ones.
   std::uint64_t preempt_checks = 0;
-  /// Par3 partials the labels-first folds built for those states.
+  /// Par3 partials the labels-first folds built for those states; shape
+  /// hits expanded a state without a fold or a preemption pass.
   std::uint64_t fold_partials = 0;
+  std::uint64_t shape_hits = 0;
 
   /// Engine that produced (or would have produced) the verdict: never
   /// Auto. Part of the canonical result JSON (as to_string(engine)) — the

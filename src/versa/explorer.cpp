@@ -130,6 +130,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
         now.preempt_checks - stats_before.preempt_checks;
     result.sem_stats.fold_partials =
         now.fold_partials - stats_before.fold_partials;
+    result.sem_stats.shape_hits = now.shape_hits - stats_before.shape_hits;
     // Reported even when no memory budget probed it: BM_StormBytesPerState
     // reads bytes/state off any run.
     result.approx_memory_bytes = approx_memory();

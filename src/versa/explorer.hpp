@@ -115,7 +115,8 @@ struct ExploreResult {
   /// States expanded (successor fans requested) by this run; excludes
   /// expansions a resumed checkpoint already did.
   std::uint64_t expanded = 0;
-  /// Successor-fan memo effectiveness of the run's Semantics.
+  /// The run's Semantics counters: fan memo, fan sizes, preemption tests,
+  /// fold partials and shape memo hits.
   acsr::Semantics::Stats sem_stats;
 
   bool schedulable() const { return complete && !deadlock_found; }
