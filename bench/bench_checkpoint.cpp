@@ -76,7 +76,7 @@ void print_table() {
   core::AnalysisResult warm_r;
   const double resume_ms = run_ms(cruise_text(), root, warm, &warm_r);
 
-  const bool identical = warm_r.resumed &&
+  const bool identical = warm_r.stats.resumed &&
                          warm_r.outcome == cold_r.outcome &&
                          warm_r.states == cold_r.states &&
                          warm_r.transitions == cold_r.transitions;
@@ -89,7 +89,7 @@ void print_table() {
     std::fprintf(stderr,
                  "warm verdict diverged from cold: resumed=%d states %llu vs "
                  "%llu\n",
-                 warm_r.resumed ? 1 : 0,
+                 warm_r.stats.resumed ? 1 : 0,
                  static_cast<unsigned long long>(warm_r.states),
                  static_cast<unsigned long long>(cold_r.states));
 }

@@ -45,7 +45,8 @@ void print_table() {
                 static_cast<long long>(t.period),
                 static_cast<long long>(t.deadline), t.static_priority);
   std::printf("verdict: %s, states=%llu transitions=%llu\n\n",
-              r.schedulable ? "SCHEDULABLE" : "NOT SCHEDULABLE",
+              r.outcome == core::Outcome::Schedulable ? "SCHEDULABLE"
+                                                      : "NOT SCHEDULABLE",
               static_cast<unsigned long long>(r.states),
               static_cast<unsigned long long>(r.transitions));
 }

@@ -101,8 +101,10 @@ void BM_SymbolicSlowPeriodic(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.counters["zones"] = static_cast<double>(r.states);
-  state.counters["subsumptions"] = static_cast<double>(r.zone_subsumptions);
-  state.counters["schedulable"] = r.schedulable ? 1.0 : 0.0;
+  state.counters["subsumptions"] =
+      static_cast<double>(r.stats.zone_subsumptions);
+  state.counters["schedulable"] =
+      r.outcome == core::Outcome::Schedulable ? 1.0 : 0.0;
 }
 BENCHMARK(BM_SymbolicSlowPeriodic);
 
@@ -131,7 +133,9 @@ void BM_SymbolicDecidePortfolio(benchmark::State& state) {
     for (const auto& [src, root] : portfolio) {
       const auto r = core::analyze_source(
           src, root, engine_options(core::Engine::Symbolic));
-      if (r.ok && r.exhaustive) ++decided;
+      if (r.outcome == core::Outcome::Schedulable ||
+          r.outcome == core::Outcome::NotSchedulable)
+        ++decided;
       zones += static_cast<double>(r.states);
     }
     benchmark::DoNotOptimize(decided);

@@ -4,7 +4,9 @@
 // synthesized observer process (§5).
 //
 // Usage: avionics [path/to/avionics.aadl]
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "core/analyzer.hpp"
@@ -22,8 +24,11 @@ int main(int argc, char** argv) {
   opts.translation.latency_specs.push_back(
       {"law", "actuator", 15'000'000});
 
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
   const core::AnalysisResult result =
-      core::analyze_file(path, "Avionics.impl", opts);
+      core::analyze_source(buf.str(), "Avionics.impl", opts);
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
 
   std::cout << "Avionics system: EDF flight computer + RM I/O processor\n";
@@ -37,5 +42,5 @@ int main(int argc, char** argv) {
               << "\n";
   }
   std::cout << result.summary() << "\n";
-  return result.ok && result.schedulable ? 0 : 1;
+  return result.outcome == core::Outcome::Schedulable ? 0 : 1;
 }

@@ -28,15 +28,21 @@ int main(int argc, char** argv) {
   core::AnalyzerOptions opts;
   opts.translation.quantum_ns = 10'000'000;  // 10 ms quantum
 
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+
   if (dump_acsr) {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string diagnostics;
-    const std::string acsr = core::render_acsr(
-        buf.str(), "CruiseControlSystem.impl", diagnostics, opts.translation);
+    util::DiagnosticEngine diags(path);
+    const std::string_view source = text;
+    const auto loaded =
+        core::load_model({&source, 1}, "CruiseControlSystem.impl", diags);
+    const std::string acsr =
+        loaded ? core::render_acsr(*loaded->instance, opts.translation, diags)
+               : std::string();
     if (acsr.empty()) {
-      std::cerr << diagnostics;
+      std::cerr << diags.render_all();
       return 1;
     }
     std::cout << acsr;
@@ -44,7 +50,7 @@ int main(int argc, char** argv) {
   }
 
   const core::AnalysisResult result =
-      core::analyze_file(path, "CruiseControlSystem.impl", opts);
+      core::analyze_source(text, "CruiseControlSystem.impl", opts);
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
   std::cout << "Cruise control system (Fig. 1), quantum = 10 ms\n";
   std::cout << "threads:\n";
@@ -55,5 +61,5 @@ int main(int argc, char** argv) {
               << "\n";
   }
   std::cout << result.summary() << "\n";
-  return result.ok && result.schedulable ? 0 : 1;
+  return result.outcome == core::Outcome::Schedulable ? 0 : 1;
 }

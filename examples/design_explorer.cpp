@@ -73,7 +73,7 @@ int main() {
     const int wcet = wcets[k % wcets.size()];
     const auto r = core::analyze_source(with_params(base, period, wcet),
                                         "CruiseControlSystem.impl", opts);
-    verdicts[k] = r.ok && r.schedulable ? 1 : 0;
+    verdicts[k] = r.outcome == core::Outcome::Schedulable ? 1 : 0;
   });
 
   std::cout << "Schedulable region (rows: RefSpeed period; cols: Cruise1 "

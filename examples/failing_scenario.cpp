@@ -60,5 +60,5 @@ int main() {
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
   std::cout << result.summary() << "\n";
   // Exit 0: finding the violation IS the expected outcome of this demo.
-  return result.ok && !result.schedulable ? 0 : 1;
+  return result.outcome == core::Outcome::NotSchedulable ? 0 : 1;
 }

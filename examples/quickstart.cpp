@@ -56,5 +56,5 @@ int main() {
       core::analyze_source(kModel, "Board.impl", opts);
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
   std::cout << result.summary() << "\n";
-  return result.ok && result.schedulable ? 0 : 1;
+  return result.outcome == core::Outcome::Schedulable ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "acsr/action.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/hash.hpp"
 
@@ -60,8 +59,9 @@ ActionId ActionTable::intern_scratch() {
   return id;
 }
 
-ActionId ActionTable::combine_slow(ActionId a, ActionId b,
-                                   std::uint64_t key) {
+ActionId ActionTable::combine(ActionId a, ActionId b) {
+  if (a == kIdleAction) return b;
+  if (b == kIdleAction) return a;
   const std::vector<ResourceUse>& ua = actions_[a];
   const std::vector<ResourceUse>& ub = actions_[b];
   std::size_t i = 0, j = 0;
@@ -71,29 +71,10 @@ ActionId ActionTable::combine_slow(ActionId a, ActionId b,
     else
       ++j;
   }
-  ActionId result = kOverlap;
-  if (i == ua.size() || j == ub.size()) {  // no shared resource
-    scratch_.assign(ua.begin(), ua.end());
-    scratch_.insert(scratch_.end(), ub.begin(), ub.end());
-    result = intern_scratch();
-  }
-
-  const auto place = [&](const PairSlot& s) {
-    std::size_t at = util::mix64(s.key) & pair_mask_;
-    while (pairs_[at].key != kNoPair) at = (at + 1) & pair_mask_;
-    pairs_[at] = s;
-  };
-  if ((pair_count_ + 1) * 10 > pairs_.size() * 7) {
-    const std::vector<PairSlot> old = std::exchange(
-        pairs_, std::vector<PairSlot>(std::max<std::size_t>(
-                    256, pairs_.size() * 2)));
-    pair_mask_ = pairs_.size() - 1;
-    for (const PairSlot& s : old)
-      if (s.key != kNoPair) place(s);
-  }
-  place(PairSlot{key, result});
-  ++pair_count_;
-  return result;
+  if (i < ua.size() && j < ub.size()) return kOverlap;  // shared resource
+  scratch_.assign(ua.begin(), ua.end());
+  scratch_.insert(scratch_.end(), ub.begin(), ub.end());
+  return intern_scratch();
 }
 
 bool ActionTable::preempts(ActionId a, ActionId b) const {

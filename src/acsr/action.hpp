@@ -17,7 +17,6 @@
 #include "acsr/ids.hpp"
 #include "util/chunked_vector.hpp"
 #include "util/flat_set.hpp"
-#include "util/hash.hpp"
 
 namespace aadlsched::acsr {
 
@@ -53,24 +52,10 @@ class ActionTable {
   static constexpr ActionId kOverlap = 0xFFFFFFFFu;
 
   /// Par3's pair step: the union of a and b when their resource sets are
-  /// disjoint, kOverlap when they are not. The idle action short-circuits.
-  /// Any other pair is memoized by (a, b): the first call interns the union
-  /// exactly as intern(uses(a) ++ uses(b)) would, and every later call
-  /// returns that id, so ids are handed out in the same order with or
-  /// without the memo. A hit allocates nothing and touches no action.
-  ActionId combine(ActionId a, ActionId b) {
-    if (a == kIdleAction) return b;
-    if (b == kIdleAction) return a;
-    const std::uint64_t key = (std::uint64_t{a} << 32) | b;
-    if (!pairs_.empty()) {
-      for (std::size_t i = util::mix64(key) & pair_mask_;;
-           i = (i + 1) & pair_mask_) {
-        if (pairs_[i].key == key) return pairs_[i].result;
-        if (pairs_[i].key == kNoPair) break;
-      }
-    }
-    return combine_slow(a, b, key);
-  }
+  /// disjoint, kOverlap when they are not. The idle action short-circuits;
+  /// any other union is interned exactly as intern(uses(a) ++ uses(b))
+  /// would, so a repeat call returns the id the first one handed out.
+  ActionId combine(ActionId a, ActionId b);
 
   /// The paper's preemption order on actions: a ≺ b iff every resource of a
   /// occurs in b with >= priority and some resource of b is strictly higher
@@ -79,35 +64,19 @@ class ActionTable {
 
   std::size_t size() const { return actions_.size(); }
 
-  /// Approximate footprint (resource-use vectors + index + combine()
-  /// memo), for the resource-governance memory estimate.
+  /// Approximate footprint (resource-use vectors + index), for the
+  /// resource-governance memory estimate.
   std::size_t approx_bytes() const {
     return actions_.size() * (sizeof(std::vector<ResourceUse>) + 32) +
-           index_.approx_bytes() + pairs_.capacity() * sizeof(PairSlot);
+           index_.approx_bytes();
   }
 
  private:
   /// Canonicalize scratch_ in place and intern it.
   ActionId intern_scratch();
-  /// combine() on a pair the memo does not hold yet.
-  ActionId combine_slow(ActionId a, ActionId b, std::uint64_t key);
-
-  /// combine() memo slot: (a << 32 | b) and its result. Open addressing
-  /// with linear probing; no ordered pair of real ids is all ones.
-  static constexpr std::uint64_t kNoPair = ~std::uint64_t{0};
-  struct PairSlot {
-    std::uint64_t key = kNoPair;
-    ActionId result = kOverlap;
-  };
-
   util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
   util::FlatHashIndex index_;
   std::vector<ResourceUse> scratch_;
-  // Empty until the first combine() of two non-idle actions, so a Context
-  // that never folds allocates nothing for it.
-  std::vector<PairSlot> pairs_;
-  std::size_t pair_mask_ = 0;
-  std::size_t pair_count_ = 0;
 };
 
 /// Interned sorted sets of event labels, for the restriction operator.

@@ -162,8 +162,9 @@ bool Semantics::prioritized(TermId t, std::vector<Transition>& out) {
     });
   }
   if (found != util::kFlatEmptySlot) {
-    // The fold this skips would make only memoized combine() calls; but a
-    // long one would have polled the budget, so poll once.
+    // The fold this skips would intern only unions a first fold of this
+    // shape already interned; but a long one would have polled the budget,
+    // so poll once.
     if (shapes_[found].poll && budget_ != nullptr && !poll_budget())
       return abandon();
     ++stats_.shape_hits;

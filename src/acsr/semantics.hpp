@@ -78,6 +78,18 @@ class Semantics {
     std::uint64_t fold_partials = 0;
     // Labels-first expansions served from the shape memo.
     std::uint64_t shape_hits = 0;
+
+    /// The work done between two snapshots (`after - before`).
+    friend Stats operator-(Stats a, const Stats& b) {
+      a.computed -= b.computed;
+      a.memo_hits -= b.memo_hits;
+      a.candidates -= b.candidates;
+      a.kept -= b.kept;
+      a.preempt_checks -= b.preempt_checks;
+      a.fold_partials -= b.fold_partials;
+      a.shape_hits -= b.shape_hits;
+      return a;
+    }
   };
 
   /// Partials the labels-first Par3 fold builds between two budget polls.

@@ -1,6 +1,5 @@
 #include "core/analyzer.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -153,16 +152,12 @@ FailingScenario lift_back(acsr::Context& ctx,
 }
 
 /// Map an exploration outcome onto the result. A partial run is still a
-/// result: ok means "the engine answered", and the answer may be
-/// Inconclusive(stop_reason). A found deadlock is conclusive even when the
-/// budget cut the run short.
+/// result: the answer may be Inconclusive(stop_reason). A found deadlock is
+/// conclusive even when the budget cut the run short.
 void apply_exploration(AnalysisResult& result,
                        const versa::ExploreResult& er) {
   result.states = er.states;
   result.transitions = er.transitions;
-  result.exhaustive = er.complete;
-  result.schedulable = er.schedulable();
-  result.ok = true;
   result.outcome = er.deadlock_found ? Outcome::NotSchedulable
                    : er.complete     ? Outcome::Schedulable
                                      : Outcome::Inconclusive;
@@ -171,13 +166,7 @@ void apply_exploration(AnalysisResult& result,
   result.depth = er.depth;
   result.explore_ms = er.wall_ms;
   result.peak_frontier = er.peak_frontier;
-  result.fans_computed = er.sem_stats.computed;
-  result.memo_hits = er.sem_stats.memo_hits;
-  result.fan_candidates = er.sem_stats.candidates;
-  result.fan_kept = er.sem_stats.kept;
-  result.preempt_checks = er.sem_stats.preempt_checks;
-  result.fold_partials = er.sem_stats.fold_partials;
-  result.shape_hits = er.sem_stats.shape_hits;
+  result.stats.semantics = er.sem_stats;
 }
 
 /// Serialize the captured wavefront when the run is worth resuming later:
@@ -199,7 +188,7 @@ void maybe_capture_checkpoint(AnalysisResult& result,
       return;  // None (conclusive) or Fault (state may be inconsistent)
   }
   *opts.checkpoint_out = versa::serialize_checkpoint(ctx, wave);
-  result.checkpoint_captured = true;
+  result.stats.checkpoint_captured = true;
 }
 
 /// The symbolic analogue of apply_exploration: map a state-class run onto
@@ -214,20 +203,17 @@ void apply_symbolic(AnalysisResult& result,
   result.depth = sr.depth;
   result.explore_ms = sr.wall_ms;
   result.peak_frontier = sr.peak_frontier;
-  result.zone_subsumptions = sr.subsumptions;
-  result.dbm_dimension = sr.dbm_dimension;
+  result.stats.zone_subsumptions = sr.subsumptions;
+  result.stats.dbm_dimension = sr.dbm_dimension;
   if (sr.stop == util::StopReason::Fault) {
     // validate_model refused a model extract_symbolic accepted — a bug,
-    // not a verdict. Surface the reasons; ok stays false.
+    // not a verdict. Surface the reasons; the outcome stays Error.
     for (const std::string& r : sr.witness)
       result.diagnostics += "symbolic engine: " + r + "\n";
     return;
   }
-  result.ok = true;
   // A found miss is conclusive even on a truncated run, exactly like the
-  // enumerator's first deadlock under stop_at_first_deadlock.
-  result.exhaustive = sr.complete || sr.miss_found;
-  result.schedulable = sr.complete && !sr.miss_found;
+  // enumerator's first deadlock.
   result.outcome = sr.miss_found ? Outcome::NotSchedulable
                    : sr.complete ? Outcome::Schedulable
                                  : Outcome::Inconclusive;
@@ -287,12 +273,13 @@ std::string_view to_string(Outcome o) {
 
 std::string AnalysisResult::summary() const {
   std::ostringstream os;
-  if (!ok) {
+  if (outcome == Outcome::Error) {
     os << "ANALYSIS FAILED\n" << diagnostics;
     return os.str();
   }
   if (!decided_by.empty()) {
-    os << (schedulable ? "SCHEDULABLE" : "NOT SCHEDULABLE")
+    os << (outcome == Outcome::Schedulable ? "SCHEDULABLE"
+                                           : "NOT SCHEDULABLE")
        << " — decided statically by lint pass " << decided_by << " ("
        << states << " states explored)";
     if (lint_report && !lint_report->verdict_detail.empty())
@@ -325,21 +312,23 @@ std::string AnalysisResult::summary() const {
   }
   if (engine == Engine::Symbolic)
     os << "\nsymbolic: " << states << " zones explored, "
-       << zone_subsumptions << " subsumptions, DBM dimension "
-       << dbm_dimension;
-  if (resumed)
-    os << "\nresumed from depth " << resumed_from_depth << " ("
-       << resumed_from_states
+       << stats.zone_subsumptions << " subsumptions, DBM dimension "
+       << stats.dbm_dimension;
+  if (stats.resumed)
+    os << "\nresumed from depth " << stats.resumed_from_depth << " ("
+       << stats.resumed_from_states
        << " states already visited via warm checkpoint)";
-  if (checkpoint_captured)
+  if (stats.checkpoint_captured)
     os << "\ncheckpoint captured at depth " << depth
        << " — resubmit with a larger budget to resume";
+  const acsr::Semantics::Stats& sem = stats.semantics;
   os << "\nexploration: " << std::fixed << std::setprecision(2) << explore_ms
      << " ms, peak frontier " << peak_frontier << ", fan memo "
-     << memo_hits << " hits / " << fans_computed << " computed, successors "
-     << fan_kept << " kept / " << fan_candidates << " candidates, "
-     << preempt_checks << " preempt checks, " << fold_partials
-     << " fold partials, " << shape_hits << " shape hits";
+     << sem.memo_hits << " hits / " << sem.computed
+     << " computed, successors " << sem.kept << " kept / " << sem.candidates
+     << " candidates, " << sem.preempt_checks << " preempt checks, "
+     << sem.fold_partials << " fold partials, " << sem.shape_hits
+     << " shape hits";
   return os.str();
 }
 
@@ -362,7 +351,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     } else if (opts.engine == Engine::Symbolic) {
       result.diagnostics =
           "symbolic engine inapplicable: " + sx.why() + "\n";
-      return result;  // ok == false: the forced engine cannot analyze this
+      return result;  // Error: the forced engine cannot analyze this
     } else {
       resume_note = "symbolic engine inapplicable: " + sx.why() +
                     "; falling back to enumerative exploration\n";
@@ -401,19 +390,16 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     // exploration: the screening passes only decide when exploration would
     // provably agree (DESIGN.md §9).
     if (report.translated && report.verdict != lint::StaticVerdict::None) {
-      result.ok = true;
-      result.exhaustive = true;
-      result.schedulable =
-          report.verdict == lint::StaticVerdict::Schedulable;
-      result.outcome = result.schedulable ? Outcome::Schedulable
-                                          : Outcome::NotSchedulable;
+      result.outcome = report.verdict == lint::StaticVerdict::Schedulable
+                           ? Outcome::Schedulable
+                           : Outcome::NotSchedulable;
       result.decided_by = report.decided_by;
       result.diagnostics = resume_note + diags.render_all();
       return result;
     }
     if (report.fails(opts.lint.fail_on)) {
       result.diagnostics = resume_note + diags.render_all();
-      return result;  // ok == false: lint gate tripped
+      return result;  // Error: lint gate tripped
     }
   }
 
@@ -460,9 +446,9 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   versa::ExploreOptions eopts = opts.exploration;
   if (restored) {
     eopts.resume = &*restored;
-    result.resumed = true;
-    result.resumed_from_depth = restored->depth;
-    result.resumed_from_states = restored->states;
+    result.stats.resumed = true;
+    result.stats.resumed_from_depth = restored->depth;
+    result.stats.resumed_from_states = restored->states;
   }
   versa::Wavefront captured;
   if (opts.checkpoint_out) eopts.capture = &captured;
@@ -505,39 +491,16 @@ AnalysisResult analyze_source(std::string_view aadl_source,
   return result;
 }
 
-AnalysisResult analyze_file(const std::string& path,
-                            std::string_view root_impl,
-                            const AnalyzerOptions& opts) {
-  std::ifstream in(path);
-  if (!in) {
-    AnalysisResult result;
-    result.diagnostics = "cannot open '" + path + "'\n";
-    return result;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return analyze_source(buf.str(), root_impl, opts);
-}
-
-std::string render_acsr(std::string_view aadl_source,
-                        std::string_view root_impl, std::string& diagnostics,
-                        const translate::TranslateOptions& opts) {
-  util::DiagnosticEngine diags("<aadl>");
-  const auto loaded = load_model({&aadl_source, 1}, root_impl, diags);
-  if (!loaded) {
-    diagnostics = diags.render_all();
-    return {};
-  }
+std::string render_acsr(const aadl::InstanceModel& instance,
+                        const translate::TranslateOptions& opts,
+                        util::DiagnosticEngine& diags) {
   acsr::Context ctx;
-  auto tr = translate::translate(ctx, *loaded->instance, diags, opts);
-  diagnostics = diags.render_all();
+  const auto tr = translate::translate(ctx, instance, diags, opts);
   if (!tr) return {};
   acsr::Printer printer(ctx);
-  std::ostringstream os;
-  os << printer.module();
   // ACSR comments use '//'; the dump stays parseable by acsr::parse_module.
-  os << "// initial state: " << printer.ground_term(tr->initial) << "\n";
-  return os.str();
+  return printer.module() + "// initial state: " +
+         printer.ground_term(tr->initial) + "\n";
 }
 
 }  // namespace aadlsched::core

@@ -103,72 +103,62 @@ enum class Outcome : std::uint8_t {
 
 std::string_view to_string(Outcome o);
 
-struct AnalysisResult {
-  bool ok = false;            // analysis ran and produced a result (possibly
-                              // partial); false only for Outcome::Error
-  bool schedulable = false;   // deadlock-free <=> schedulable (§5)
-  bool exhaustive = false;    // full state space explored (or stopped at a
-                              // deadlock, which is conclusive)
+/// The canonical part of a run: exactly the fields the result JSON carries
+/// (core/result_json.hpp renders a Verdict and nothing else). A resumed run
+/// that reaches a verdict renders byte-identically to a cold run, so how
+/// the run went lives in RunStats, outside this type.
+struct Verdict {
   Outcome outcome = Outcome::Error;
   /// Why exploration stopped early (None unless outcome == Inconclusive).
   util::StopReason stop_reason = util::StopReason::None;
+  /// Engine that produced (or would have produced) the verdict: never
+  /// Auto. The cross-engine agreement suite normalizes it away alongside
+  /// the other engine-dependent fields.
+  Engine engine = Engine::Enumerative;
+  /// Explored states and transitions; the symbolic engine reports its
+  /// class graph here (states = classes).
+  std::uint64_t states = 0;
+  std::uint64_t transitions = 0;
+  /// Deepest fully-expanded BFS level ("no deadlock within depth d").
+  std::uint64_t depth = 0;
   /// Trace recording was dropped to relieve memory pressure; the verdict
   /// stands but no counterexample timeline is available.
   bool trace_dropped = false;
-  /// Deepest fully-expanded BFS level ("no deadlock within depth d").
-  std::uint64_t depth = 0;
-  std::uint64_t states = 0;
-  std::uint64_t transitions = 0;
-  std::optional<FailingScenario> scenario;
-  std::vector<translate::TranslatedThread> threads;
-  std::string diagnostics;  // rendered front-end/translation messages
-
-  /// Present when AnalyzerOptions::run_lint was set.
-  std::optional<lint::Report> lint_report;
+  double explore_ms = 0;
+  std::uint64_t peak_frontier = 0;
   /// Check id(s) that decided the verdict statically (empty when the
   /// verdict came from exploration).
   std::string decided_by;
+  /// Present when AnalyzerOptions::run_lint was set; its certificates back
+  /// a static verdict.
+  std::optional<lint::Report> lint_report;
+  std::string diagnostics;  // rendered front-end/translation messages
+};
 
-  // Warm re-exploration observability. These live OUTSIDE the canonical
-  // result JSON (core/result_json.cpp) on purpose: a resumed run that
-  // reaches a verdict must render byte-identically to a cold run.
+/// How a run went, beside its verdict and never rendered into the result
+/// JSON.
+struct RunStats {
+  // Warm re-exploration (DESIGN.md §12).
   bool resumed = false;                  // run continued a checkpoint
   std::uint64_t resumed_from_depth = 0;  // wavefront depth at resume
   std::uint64_t resumed_from_states = 0;
   bool checkpoint_captured = false;      // checkpoint_out was filled
-
-  // Exploration observability (see versa::ExploreResult).
-  double explore_ms = 0;
-  std::uint64_t peak_frontier = 0;
-  std::uint64_t fans_computed = 0;   // successor fans computed
-  std::uint64_t memo_hits = 0;       // fans served from a memo cache
-  /// Hot-loop fan sizes over the expanded states: successor labels built
-  /// before preemption, and targets kept after it (acsr::Semantics::Stats).
-  std::uint64_t fan_candidates = 0;
-  std::uint64_t fan_kept = 0;
-  /// Pairwise preemption tests made to find the kept ones.
-  std::uint64_t preempt_checks = 0;
-  /// Par3 partials the labels-first folds built for those states; shape
-  /// hits expanded a state without a fold or a preemption pass.
-  std::uint64_t fold_partials = 0;
-  std::uint64_t shape_hits = 0;
-
-  /// Engine that produced (or would have produced) the verdict: never
-  /// Auto. Part of the canonical result JSON (as to_string(engine)) — the
-  /// cross-engine agreement suite normalizes it away alongside the other
-  /// engine-observability counters.
-  Engine engine = Engine::Enumerative;
-
-  // Symbolic-engine observability (DESIGN.md §16). Zero on enumerative
-  // runs. `states`/`transitions`/`depth`/`peak_frontier` above are reused
-  // for the class graph; these add what has no enumerative analogue.
+  // Symbolic engine (DESIGN.md §16); zero on enumerative runs.
   std::uint64_t zone_subsumptions = 0;  // classes pruned by zone inclusion
   std::uint64_t dbm_dimension = 0;      // clocks + reference row
+  /// The explorer's hot-loop counters (versa::ExploreResult::sem_stats).
+  acsr::Semantics::Stats semantics;
+};
+
+struct AnalysisResult : Verdict {
+  std::optional<FailingScenario> scenario;
+  std::vector<translate::TranslatedThread> threads;
   /// Symbolic counterexample: the event trail to the missed deadline
   /// ("t=40ms: deadline check", ...). The enumerative engine renders its
   /// counterexample as `scenario` instead — a symbolic run has no quantum
   /// timeline to draw.
   std::vector<std::string> symbolic_witness;
+  RunStats stats;
 
   std::string summary() const;
 };
@@ -197,15 +187,11 @@ AnalysisResult analyze_source(std::string_view aadl_source,
                               std::string_view root_impl,
                               const AnalyzerOptions& opts = {});
 
-/// Read a file and analyze. Errors land in `diagnostics`.
-AnalysisResult analyze_file(const std::string& path,
-                            std::string_view root_impl,
-                            const AnalyzerOptions& opts = {});
-
-/// Render the translated ACSR module for a model (the paper's "input of the
-/// VERSA tool"); empty string + diagnostics on error.
-std::string render_acsr(std::string_view aadl_source,
-                        std::string_view root_impl, std::string& diagnostics,
-                        const translate::TranslateOptions& opts = {});
+/// Render the translated ACSR module of an instance (the paper's "input of
+/// the VERSA tool") followed by its initial state; empty when translation
+/// fails, with the reasons in `diags`.
+std::string render_acsr(const aadl::InstanceModel& instance,
+                        const translate::TranslateOptions& opts,
+                        util::DiagnosticEngine& diags);
 
 }  // namespace aadlsched::core

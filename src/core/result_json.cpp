@@ -15,7 +15,7 @@ namespace {
 /// The machine-checkable witnesses backing a static verdict, narrowed to
 /// the passes named in decided_by (other certificates stay available via
 /// --lint-format json). Shape mirrors lint::Report::render_json.
-void append_static_certificate(util::JsonWriter& w, const AnalysisResult& r) {
+void append_static_certificate(util::JsonWriter& w, const Verdict& r) {
   const lint::Report& report = *r.lint_report;
   w.key("static_certificate").begin_object();
   w.key("decided_by").value(r.decided_by);
@@ -52,13 +52,17 @@ void append_static_certificate(util::JsonWriter& w, const AnalysisResult& r) {
 
 }  // namespace
 
-void append_result_fields(util::JsonWriter& w, const AnalysisResult& r) {
+void append_result_fields(util::JsonWriter& w, const Verdict& r) {
   w.key("schema_version").value(kResultSchemaVersion);
   w.key("outcome").value(to_string(r.outcome));
   w.key("stop_reason").value(util::to_string(r.stop_reason));
   w.key("engine").value(to_string(r.engine));
-  w.key("schedulable").value(r.ok && r.schedulable);
-  w.key("exhaustive").value(r.exhaustive);
+  // Both flags are functions of the outcome. The explorer stops at its
+  // first deadlock, so a NotSchedulable run is as conclusive as a complete
+  // one.
+  w.key("schedulable").value(r.outcome == Outcome::Schedulable);
+  w.key("exhaustive").value(r.outcome == Outcome::Schedulable ||
+                            r.outcome == Outcome::NotSchedulable);
   w.key("states").value(r.states);
   w.key("transitions").value(r.transitions);
   w.key("depth").value(r.depth);
@@ -72,7 +76,7 @@ void append_result_fields(util::JsonWriter& w, const AnalysisResult& r) {
   if (r.outcome == Outcome::Error) w.key("error").value(r.diagnostics);
 }
 
-std::string render_result_json(const AnalysisResult& r) {
+std::string render_result_json(const Verdict& r) {
   util::JsonWriter w;
   w.begin_object();
   append_result_fields(w, r);

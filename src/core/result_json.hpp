@@ -6,7 +6,9 @@
 // stay byte-identical so downstream tooling can diff them and the daemon
 // can serve a cached CLI-rendered object verbatim. All three call
 // render_result_json()/append_result_fields(); nothing else in the repo
-// hand-renders an analysis result.
+// hand-renders an analysis result. Both take a core::Verdict, so the type
+// fixes what is canonical: AnalysisResult's RunStats, scenario and witness
+// never reach the object.
 //
 // The object shape is versioned: bump kResultSchemaVersion on any
 // field rename/removal/semantic change (additions are backward-compatible
@@ -31,10 +33,10 @@ std::optional<Outcome> outcome_from_string(std::string_view s);
 /// Append the canonical result fields to an open JSON object. The caller
 /// owns begin_object()/end_object() so the fields can be embedded in a
 /// larger record (a batch entry adds "files"/"root" first).
-void append_result_fields(util::JsonWriter& w, const AnalysisResult& r);
+void append_result_fields(util::JsonWriter& w, const Verdict& r);
 
 /// The standalone canonical result object:
 ///   {"schema_version": 1, "outcome": ..., "stop_reason": ..., ...}
-std::string render_result_json(const AnalysisResult& r);
+std::string render_result_json(const Verdict& r);
 
 }  // namespace aadlsched::core

@@ -15,6 +15,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Admission policy (service.hpp): models under kSmallModelBytes ride the
+/// small lane, served up to kSmallBurst per large request.
+constexpr std::size_t kSmallModelBytes = 16 * 1024;
+constexpr std::size_t kSmallBurst = 4;
+
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
@@ -111,7 +116,7 @@ Service::Service(ServiceConfig cfg)
               ? cfg.cache.disk_dir
               : std::string(),
           cfg.cache.checkpoint_disk_cap),
-      admission_(std::max<std::size_t>(1, cfg.small_burst)) {
+      admission_(kSmallBurst) {
   if (!cfg_.cache.disk_dir.empty()) {
     DiskJanitor::Config jc;
     jc.dir = cfg_.cache.disk_dir;
@@ -276,7 +281,7 @@ std::future<Response> Service::submit(Request req) {
   }
 
   std::string front_end_output = diags.render_all();
-  const bool small = req.model.size() < cfg_.small_model_bytes;
+  const bool small = req.model.size() < kSmallModelBytes;
   std::future<Response> fut;
   {
     std::lock_guard lock(mu_);
@@ -388,16 +393,17 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   const std::string result_json = core::render_result_json(result);
 
   if (result.engine == core::Engine::Symbolic)
-    metrics_.record_symbolic_run(result.states, result.zone_subsumptions,
-                                 result.dbm_dimension);
+    metrics_.record_symbolic_run(result.states,
+                                 result.stats.zone_subsumptions,
+                                 result.stats.dbm_dimension);
 
-  if (resume_attempted && !result.resumed) {
+  if (resume_attempted && !result.stats.resumed) {
     // The blob failed restore validation (analyze_instance fell back to a
     // cold run). Drop it — retrying the same bytes cannot succeed.
     metrics_.count(&StatsSnapshot::checkpoint_resume_failures);
     checkpoints_.erase(job->key);
   }
-  if (use_checkpoints && result.checkpoint_captured &&
+  if (use_checkpoints && result.stats.checkpoint_captured &&
       !checkpoint_out.empty()) {
     checkpoints_.store(job->key, std::move(checkpoint_out));
     metrics_.count(&StatsSnapshot::checkpoint_stores);
@@ -426,9 +432,9 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
     resp.fingerprint = job->fingerprint;
     resp.cached = false;
     resp.cache_tier = "none";
-    resp.resumed = result.resumed;
-    resp.resumed_depth = result.resumed_from_depth;
-    resp.checkpoint_captured = result.checkpoint_captured;
+    resp.resumed = result.stats.resumed;
+    resp.resumed_depth = result.stats.resumed_from_depth;
+    resp.checkpoint_captured = result.stats.checkpoint_captured;
     resp.result_json = result_json;
     resp.served_ms = ms_since(w.t0);
     metrics_.record_outcome(result.outcome);

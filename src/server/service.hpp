@@ -19,13 +19,13 @@
 //       - otherwise enqueued for a worker.
 //
 // Admission is fair FIFO with a small-model fast lane: requests whose
-// model text is under ServiceConfig::small_model_bytes go to the small
-// lane, and the scheduler serves up to small_burst small requests per
-// large one when both lanes are non-empty (weighted round-robin — an
-// interactive editor ping-ponging a 3-thread model is not stuck behind a
-// batch of avionics suites, and the batch still makes progress; within a
-// lane, strict FIFO). Per-request budgets are clamped to the service caps
-// before running, so one client cannot buy an unbounded exploration.
+// model text is under 16 KiB go to the small lane, and the scheduler
+// serves up to 4 small requests per large one when both lanes are
+// non-empty (weighted round-robin — an interactive editor ping-ponging a
+// 3-thread model is not stuck behind a batch of avionics suites, and the
+// batch still makes progress; within a lane, strict FIFO). Per-request
+// budgets are clamped to the service caps before running, so one client
+// cannot buy an unbounded exploration.
 #pragma once
 
 #include <condition_variable>
@@ -58,9 +58,6 @@ struct ServiceConfig {
   /// request's engine before cache-key computation, so forced and requested
   /// runs of the same engine share cache entries.
   std::optional<core::Engine> force_engine;
-  /// Admission policy (see file comment).
-  std::size_t small_model_bytes = 16 * 1024;
-  std::size_t small_burst = 4;
   // --- shared-directory maintenance (DESIGN.md §15) ---------------------
   /// Byte budget for disk artifacts (`.json` + `.ckpt`) in the cache dir;
   /// the maintenance sweep evicts oldest-atime-first when over it.

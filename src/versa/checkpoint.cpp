@@ -23,7 +23,7 @@ namespace {
 constexpr std::string_view kMagic = "aadlsched-checkpoint";
 // Blobs of an older version are rejected as stale rather than parsed with a
 // guessed layout.
-constexpr std::string_view kVersion = "v4";
+constexpr std::string_view kVersion = "v5";
 
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
 
@@ -122,9 +122,8 @@ class Reader {
            "'");
   }
 
-  std::int64_t num(std::string_view what) { return to_int(word(what), what); }
-
-  std::int64_t to_int(std::string_view t, std::string_view what) {
+  std::int64_t num(std::string_view what) {
+    const std::string_view t = word(what);
     std::int64_t v = 0;
     if (!ok_) return v;
     const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
@@ -169,7 +168,6 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
     }
   };
   push(wave.initial);
-  if (wave.deadlock_found) push(wave.first_deadlock);
   for (const TermId s : wave.visited) push(s);
   for (const TermId s : wave.frontier) push(s);
   for (const TermId s : wave.next_frontier) push(s);
@@ -197,8 +195,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
   std::ostringstream os;
   os << kMagic << ' ' << kVersion << '\n';
   os << "stats " << wave.states << ' ' << wave.transitions << ' '
-     << wave.depth << ' ' << wave.peak_frontier << ' ' << wave.deadlock_count
-     << ' ' << (wave.deadlock_found ? 1 : 0) << '\n';
+     << wave.depth << ' ' << wave.peak_frontier << '\n';
   os << "translation " << translation_digest(ctx) << '\n';
 
   // Resources, events and definitions are written as raw ids: the
@@ -273,10 +270,6 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
   }
 
   os << "initial " << dense[wave.initial] << '\n';
-  if (wave.deadlock_found)
-    os << "firstdeadlock " << dense[wave.first_deadlock] << '\n';
-  else
-    os << "firstdeadlock -\n";
 
   const auto emit_list = [&](std::string_view name,
                              const std::vector<TermId>& ids, bool sorted) {
@@ -328,8 +321,6 @@ std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
   w.transitions = r.unum("transitions");
   w.depth = r.unum("depth");
   w.peak_frontier = r.unum("peak_frontier");
-  w.deadlock_count = r.unum("deadlock_count");
-  w.deadlock_found = r.unum("deadlock_found") != 0;
 
   // Nothing is interned before the translation is known to match.
   r.expect("translation");
@@ -435,9 +426,6 @@ std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
 
   r.expect("initial");
   w.initial = term_at(r.num("initial index"));
-  r.expect("firstdeadlock");
-  if (const std::string_view t = r.word("first deadlock"); r.ok() && t != "-")
-    w.first_deadlock = term_at(r.to_int(t, "first deadlock"));
   if (r.ok() && w.initial != initial)
     return reject("initial state differs from this translation's");
 

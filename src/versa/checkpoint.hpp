@@ -49,7 +49,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
 /// from `ctx`'s, an out-of-range id, or a restored initial state other than
 /// `initial`. A rejected blob may already have interned part of itself into
 /// `ctx`, so a cold fallback must explore a fresh translation. Blobs in a
-/// stale format version (v1–v3) are rejected the same way, with a
+/// stale format version (v1–v4) are rejected the same way, with a
 /// diagnostic naming the stale version.
 std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
                                           acsr::TermId initial,

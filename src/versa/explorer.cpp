@@ -65,7 +65,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   util::FlatIdSet seen;
   std::deque<TermId> frontier;
 
-  bool recording = opts.record_trace;
+  bool recording = true;
 
   // Rolling level boundary so the partial verdict can say "no deadlock
   // within BFS depth d" (O(1) space: count nodes left in the current
@@ -93,9 +93,6 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.depth = w.depth;
     result.peak_frontier = std::max<std::uint64_t>(w.peak_frontier,
                                                    frontier.size());
-    result.deadlock_count = w.deadlock_count;
-    result.deadlock_found = w.deadlock_found;
-    result.first_deadlock = w.first_deadlock;
     recording = false;
   } else {
     seen.insert(result.initial);
@@ -121,16 +118,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   if (!opts.budget.unlimited()) sem.set_budget(&tracker);
 
   const auto finish = [&] {
-    const acsr::Semantics::Stats& now = sem.stats();
-    result.sem_stats.computed = now.computed - stats_before.computed;
-    result.sem_stats.memo_hits = now.memo_hits - stats_before.memo_hits;
-    result.sem_stats.candidates = now.candidates - stats_before.candidates;
-    result.sem_stats.kept = now.kept - stats_before.kept;
-    result.sem_stats.preempt_checks =
-        now.preempt_checks - stats_before.preempt_checks;
-    result.sem_stats.fold_partials =
-        now.fold_partials - stats_before.fold_partials;
-    result.sem_stats.shape_hits = now.shape_hits - stats_before.shape_hits;
+    result.sem_stats = sem.stats() - stats_before;
     // Reported even when no memory budget probed it: BM_StormBytesPerState
     // reads bytes/state off any run.
     result.approx_memory_bytes = approx_memory();
@@ -157,9 +145,6 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     w.transitions = result.transitions;
     w.depth = result.depth;
     w.peak_frontier = result.peak_frontier;
-    w.deadlock_count = result.deadlock_count;
-    w.deadlock_found = result.deadlock_found;
-    w.first_deadlock = result.first_deadlock;
   };
 
   // Act on a budget signal; false means stop (result.stop is set).
@@ -223,13 +208,9 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     }
     ++result.expanded;
     if (is_stuck(state, fan)) {
-      ++result.deadlock_count;
-      if (!result.deadlock_found) {
-        result.deadlock_found = true;
-        result.first_deadlock = state;
-      }
-      if (opts.stop_at_first_deadlock) break;
-      continue;
+      result.deadlock_found = true;
+      result.first_deadlock = state;
+      break;
     }
     for (const Transition& tr : fan) {
       ++result.transitions;
@@ -244,8 +225,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     }
   }
 
-  result.complete =
-      frontier.empty() || (result.deadlock_found && opts.stop_at_first_deadlock);
+  result.complete = true;  // the space is exhausted, or a deadlock decided
 
   if (result.deadlock_found && recording) reconstruct_trace(result, parent);
   finish();

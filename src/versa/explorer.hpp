@@ -27,7 +27,9 @@ namespace aadlsched::versa {
 /// reachable-but-unvisited state is reachable through `frontier` ++
 /// `next_frontier`, so seeding a fresh run with (visited, frontier,
 /// counters) continues the exact same BFS — same final verdict and, on a
-/// run that completes the space, the same state/transition counts.
+/// run that completes the space, the same state/transition counts. A
+/// wavefront is only captured before a deadlock is found (the run stops
+/// at its first one), so it carries no deadlock.
 struct Wavefront {
   acsr::TermId initial = acsr::kNil;
   /// Unexpanded remainder of the level being expanded when the run stopped
@@ -42,9 +44,6 @@ struct Wavefront {
   /// BFS depth of the level `frontier` belongs to.
   std::uint64_t depth = 0;
   std::uint64_t peak_frontier = 0;
-  std::uint64_t deadlock_count = 0;
-  bool deadlock_found = false;
-  acsr::TermId first_deadlock = acsr::kNil;
 
   bool empty() const { return frontier.empty() && next_frontier.empty(); }
 };
@@ -52,10 +51,6 @@ struct Wavefront {
 struct ExploreOptions {
   /// Stop after this many states (guards against runaway models).
   std::uint64_t max_states = 5'000'000;
-  /// Record parents for counterexample reconstruction.
-  bool record_trace = true;
-  /// Stop at the first deadlock instead of exploring the full space.
-  bool stop_at_first_deadlock = true;
   /// Resource envelope: wall-clock deadline, extra state cap, approximate
   /// memory ceiling, cooperative cancellation. Default = unlimited. The
   /// engine checks per expansion. Under memory pressure it degrades first
@@ -83,16 +78,17 @@ struct Step {
   acsr::TermId target = acsr::kNil;
 };
 
+/// The run stops at the first deadlock it reaches, which is conclusive.
 struct ExploreResult {
-  bool complete = false;        // whole reachable space visited within limits
+  bool complete = false;  // whole space visited, or stopped at a deadlock
   bool deadlock_found = false;
-  std::uint64_t states = 0;             // distinct states visited
-  std::uint64_t transitions = 0;        // prioritized transitions traversed
-  std::uint64_t deadlock_count = 0;     // deadlocks seen (>=1 if found)
+  std::uint64_t states = 0;       // distinct states visited
+  std::uint64_t transitions = 0;  // prioritized transitions traversed
   acsr::TermId initial = acsr::kNil;
   acsr::TermId first_deadlock = acsr::kNil;
   /// Shortest path (BFS) from the initial state to the first deadlock;
-  /// empty when schedulable or when record_trace was off.
+  /// empty when schedulable, after a resume, or when memory pressure
+  /// dropped the parent links.
   std::vector<Step> trace;
 
   // --- resource governance ---------------------------------------------

@@ -18,6 +18,7 @@
 
 #include "aadl/parser.hpp"
 #include "core/analyzer.hpp"
+#include "core/result_json.hpp"
 #include "core/taskset_aadl.hpp"
 #include "sched/workload.hpp"
 #include "translate/translator.hpp"
@@ -313,7 +314,7 @@ TEST(BudgetExplore, SerialMemoryPressureDegradesAndRunCompletes) {
   EXPECT_TRUE(r.complete);  // a found deadlock is conclusive
   EXPECT_EQ(r.stop, StopReason::None);
   EXPECT_EQ(r.states, base.states);
-  EXPECT_EQ(r.deadlock_count, base.deadlock_count);
+  EXPECT_EQ(r.transitions, base.transitions);
 }
 
 TEST(BudgetExplore, SerialPersistentMemoryPressureStops) {
@@ -333,7 +334,6 @@ TEST(BudgetExplore, GenerousBudgetsDoNotPerturbEquivalence) {
   // interference.
   const std::string src = read_model("cruise_control.aadl");
   ExploreOptions free_run;
-  free_run.stop_at_first_deadlock = false;
   ExploreOptions governed = free_run;
   governed.budget.deadline_ms = 600'000;
   governed.budget.max_states = 5'000'000;
@@ -549,11 +549,9 @@ TEST(BudgetAnalyzer, CappedRunIsInconclusiveNotSchedulable) {
   opts.exploration.budget.max_states = 200;
   const core::AnalysisResult r =
       core::analyze_source(read_model("storm.aadl"), "Storm.impl", opts);
-  EXPECT_TRUE(r.ok);  // the run produced a (partial) result
+  // The run produced a partial result, not a verdict.
   EXPECT_EQ(r.outcome, core::Outcome::Inconclusive);
   EXPECT_EQ(r.stop_reason, StopReason::MaxStates);
-  EXPECT_FALSE(r.schedulable);
-  EXPECT_FALSE(r.exhaustive);
   EXPECT_GT(r.depth, 0u);
   const std::string summary = r.summary();
   EXPECT_NE(summary.find("INCONCLUSIVE"), std::string::npos) << summary;
@@ -562,15 +560,13 @@ TEST(BudgetAnalyzer, CappedRunIsInconclusiveNotSchedulable) {
 }
 
 TEST(BudgetAnalyzer, DeadlockOnTruncatedRunStaysConclusive) {
-  // stop_at_first_deadlock + a found deadlock: conclusive NotSchedulable
-  // even though the space was not exhausted.
+  // A found deadlock stops the run: conclusive NotSchedulable even though
+  // the space was not exhausted.
   core::AnalyzerOptions opts;
   opts.translation.quantum_ns = 1'000'000;
   const core::AnalysisResult r =
       core::analyze_source(overloaded_src(), "Root.impl", opts);
-  EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
-  EXPECT_FALSE(r.schedulable);
   EXPECT_NE(r.summary().find("NOT SCHEDULABLE"), std::string::npos)
       << r.summary();
 }
@@ -582,12 +578,73 @@ TEST(BudgetAnalyzer, TraceDroppedIsReportedInSummary) {
   opts.translation.quantum_ns = 1'000'000;
   const core::AnalysisResult r =
       core::analyze_source(overloaded_src(), "Root.impl", opts);
-  EXPECT_TRUE(r.ok);
+  EXPECT_NE(r.outcome, core::Outcome::Error);
   EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
   EXPECT_TRUE(r.trace_dropped);
   EXPECT_FALSE(r.scenario.has_value());  // no timeline without a trace
   EXPECT_NE(r.summary().find("trace dropped"), std::string::npos)
       << r.summary();
+}
+
+// The canonical JSON of every outcome, byte for byte (explore_ms masked).
+// `schedulable` and `exhaustive` are rendered from the outcome; these bytes
+// pin them on the outcomes the explore goldens never reach: an Inconclusive
+// run, a front-end Error and a symbolic-engine Fault.
+TEST(BudgetAnalyzer, CanonicalJsonOfEveryOutcomeIsPinned) {
+  const auto masked = [](const core::AnalysisResult& r) {
+    std::string json = core::render_result_json(r);
+    const std::string key = "\"explore_ms\": ";
+    const auto pos = json.find(key) + key.size();
+    json.replace(pos, json.find(',', pos) - pos, "X");
+    return json;
+  };
+  core::AnalyzerOptions ms10;
+  ms10.translation.quantum_ns = 10'000'000;
+  core::AnalyzerOptions ms1;
+  ms1.translation.quantum_ns = 1'000'000;
+  core::AnalyzerOptions capped = ms1;
+  capped.exploration.budget.max_states = 200;
+  core::AnalyzerOptions symbolic;
+  symbolic.engine = core::Engine::Symbolic;
+
+  EXPECT_EQ(masked(core::analyze_source(read_model("cruise_control.aadl"),
+                                        "CruiseControlSystem.impl", ms10)),
+            R"({"schema_version": 1, "outcome": "schedulable")"
+            R"(, "stop_reason": "none", "engine": "enumerative")"
+            R"(, "schedulable": true, "exhaustive": true, "states": 197)"
+            R"(, "transitions": 255, "depth": 28, "trace_dropped": false)"
+            R"(, "explore_ms": X, "peak_frontier": 26})");
+  EXPECT_EQ(masked(core::analyze_source(overloaded_src(), "Root.impl", ms1)),
+            R"({"schema_version": 1, "outcome": "not-schedulable")"
+            R"(, "stop_reason": "none", "engine": "enumerative")"
+            R"(, "schedulable": false, "exhaustive": true, "states": 12)"
+            R"(, "transitions": 11, "depth": 11, "trace_dropped": false)"
+            R"(, "explore_ms": X, "peak_frontier": 1})");
+  EXPECT_EQ(masked(core::analyze_source(read_model("storm.aadl"),
+                                        "Storm.impl", capped)),
+            R"({"schema_version": 1, "outcome": "inconclusive")"
+            R"(, "stop_reason": "max-states", "engine": "enumerative")"
+            R"(, "schedulable": false, "exhaustive": false, "states": 200)"
+            R"(, "transitions": 210, "depth": 82, "trace_dropped": false)"
+            R"(, "explore_ms": X, "peak_frontier": 6})");
+  EXPECT_EQ(masked(core::analyze_source("package P public end Q;",
+                                        "Root.impl", ms1)),
+            R"({"schema_version": 1, "outcome": "error")"
+            R"(, "stop_reason": "none", "engine": "enumerative")"
+            R"(, "schedulable": false, "exhaustive": false, "states": 0)"
+            R"(, "transitions": 0, "depth": 0, "trace_dropped": false)"
+            R"(, "explore_ms": X, "peak_frontier": 0)"
+            R"(, "error": "<aadl>: error: root implementation )"
+            R"('Root.impl' not found\n"})");
+  InjectorGuard guard;
+  FaultInjector::global().arm(FaultInjector::Site::BudgetCheck, 1);
+  EXPECT_EQ(masked(core::analyze_source(read_model("slow_periodic.aadl"),
+                                        "SlowPeriodic.impl", symbolic)),
+            R"({"schema_version": 1, "outcome": "error")"
+            R"(, "stop_reason": "none", "engine": "symbolic")"
+            R"(, "schedulable": false, "exhaustive": false, "states": 1)"
+            R"(, "transitions": 0, "depth": 0, "trace_dropped": false)"
+            R"(, "explore_ms": X, "peak_frontier": 1, "error": ""})");
 }
 
 }  // namespace

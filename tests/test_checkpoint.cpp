@@ -166,12 +166,12 @@ TEST(Checkpoint, BudgetBoundRunCapturesACheckpoint) {
   opts.checkpoint_out = &blob;
 
   const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
-  ASSERT_TRUE(r.ok);
+  ASSERT_NE(r.outcome, core::Outcome::Error);
   EXPECT_EQ(r.outcome, core::Outcome::Inconclusive);
   EXPECT_EQ(r.stop_reason, util::StopReason::MaxStates);
-  EXPECT_TRUE(r.checkpoint_captured);
+  EXPECT_TRUE(r.stats.checkpoint_captured);
   EXPECT_FALSE(blob.empty());
-  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v4", 0), 0u);
+  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v5", 0), 0u);
   EXPECT_NE(r.summary().find("checkpoint captured at depth"),
             std::string::npos);
 }
@@ -183,7 +183,7 @@ TEST(Checkpoint, ConclusiveRunCapturesNothing) {
 
   const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
-  EXPECT_FALSE(r.checkpoint_captured);
+  EXPECT_FALSE(r.stats.checkpoint_captured);
   EXPECT_TRUE(blob.empty());
 }
 
@@ -194,7 +194,7 @@ TEST(Checkpoint, DeadlockedRunCapturesNothing) {
 
   const auto r = core::analyze_source(failing_model(), "Root.impl", opts);
   EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);  // conclusive
-  EXPECT_FALSE(r.checkpoint_captured);
+  EXPECT_FALSE(r.stats.checkpoint_captured);
   EXPECT_TRUE(blob.empty());
 }
 
@@ -210,15 +210,15 @@ TEST(Checkpoint, ResumedVerdictIsByteIdenticalToCold) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   core::AnalyzerOptions warm = base_options();
   warm.resume_checkpoint = &blob;
   const auto resumed = core::analyze_source(medium_model(), "Root.impl", warm);
 
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_GT(resumed.resumed_from_depth, 0u);
-  EXPECT_EQ(resumed.resumed_from_states, 40u);
+  EXPECT_TRUE(resumed.stats.resumed);
+  EXPECT_GT(resumed.stats.resumed_from_depth, 0u);
+  EXPECT_EQ(resumed.stats.resumed_from_states, 40u);
   EXPECT_NE(resumed.summary().find("resumed from depth"), std::string::npos);
 
   // The acceptance bar: verdict, counts and the whole canonical result
@@ -248,9 +248,9 @@ TEST(Checkpoint, ChainedResumesConverge) {
     if (!prev.empty()) opts.resume_checkpoint = &prev;
     const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
     ASSERT_EQ(r.outcome, core::Outcome::Inconclusive);
-    ASSERT_TRUE(r.checkpoint_captured);
+    ASSERT_TRUE(r.stats.checkpoint_captured);
     if (round > 0) {
-      EXPECT_TRUE(r.resumed);
+      EXPECT_TRUE(r.stats.resumed);
     }
     blob = next;
   }
@@ -259,8 +259,8 @@ TEST(Checkpoint, ChainedResumesConverge) {
   final_opts.resume_checkpoint = &blob;
   const auto last =
       core::analyze_source(medium_model(), "Root.impl", final_opts);
-  EXPECT_TRUE(last.resumed);
-  EXPECT_EQ(last.resumed_from_states, 60u);
+  EXPECT_TRUE(last.stats.resumed);
+  EXPECT_EQ(last.stats.resumed_from_states, 60u);
   EXPECT_EQ(last.outcome, cold.outcome);
   EXPECT_EQ(last.states, cold.states);
   EXPECT_EQ(last.transitions, cold.transitions);
@@ -283,7 +283,7 @@ TEST(Checkpoint, ResumeFindsDeadlockBeyondTheOldBudget) {
   warm.resume_checkpoint = &blob;
   const auto resumed =
       core::analyze_source(failing_model(), "Root.impl", warm);
-  EXPECT_TRUE(resumed.resumed);
+  EXPECT_TRUE(resumed.stats.resumed);
   EXPECT_EQ(resumed.outcome, core::Outcome::NotSchedulable);
   // A resumed run has no trace prefix (the parents predate the resume), so
   // the counterexample timeline is unavailable — but the verdict stands.
@@ -309,7 +309,7 @@ TEST(Checkpoint, LevelBoundaryWavefrontResumesToTheColdBytes) {
     std::string candidate;
     bound.checkpoint_out = &candidate;
     ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                    .checkpoint_captured)
+                    .stats.checkpoint_captured)
         << "cap " << cap;
     std::string error;
     const auto fresh = translate_fresh(medium_model());
@@ -326,7 +326,7 @@ TEST(Checkpoint, LevelBoundaryWavefrontResumesToTheColdBytes) {
   core::AnalyzerOptions warm = base_options();
   warm.resume_checkpoint = &blob;
   const auto resumed = core::analyze_source(medium_model(), "Root.impl", warm);
-  EXPECT_TRUE(resumed.resumed);
+  EXPECT_TRUE(resumed.stats.resumed);
   EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
             normalize_explore_ms(core::render_result_json(cold)));
 }
@@ -339,7 +339,7 @@ TEST(Checkpoint, CorruptBlobFallsBackToAColdRun) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   std::string corrupt = blob;
   corrupt[corrupt.size() / 2] ^= 0x20;  // flip one payload bit
@@ -347,7 +347,7 @@ TEST(Checkpoint, CorruptBlobFallsBackToAColdRun) {
   core::AnalyzerOptions warm = base_options();
   warm.resume_checkpoint = &corrupt;
   const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
-  EXPECT_FALSE(r.resumed);  // fell back
+  EXPECT_FALSE(r.stats.resumed);  // fell back
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);  // cold run still decides
   EXPECT_NE(r.diagnostics.find("checkpoint rejected"), std::string::npos);
   EXPECT_NE(r.diagnostics.find("falling back to a cold run"),
@@ -365,13 +365,13 @@ TEST(Checkpoint, ResumeRefusesAnotherTranslation) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   // Another model: the answer is the named model's, never the blob's.
   core::AnalyzerOptions warm = base_options();
   warm.resume_checkpoint = &blob;
   const auto other = core::analyze_source(failing_model(), "Root.impl", warm);
-  EXPECT_FALSE(other.resumed);
+  EXPECT_FALSE(other.stats.resumed);
   EXPECT_EQ(other.outcome, core::Outcome::NotSchedulable);
   EXPECT_NE(other.diagnostics.find("checkpoint rejected"), std::string::npos);
 
@@ -382,7 +382,7 @@ TEST(Checkpoint, ResumeRefusesAnotherTranslation) {
   coarse.resume_checkpoint = &blob;
   const auto resumed =
       core::analyze_source(medium_model(), "Root.impl", coarse);
-  EXPECT_FALSE(resumed.resumed);
+  EXPECT_FALSE(resumed.stats.resumed);
   EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
             normalize_explore_ms(core::render_result_json(cold)));
 }
@@ -393,7 +393,7 @@ TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   for (const std::string& bad :
        {blob.substr(0, blob.size() / 3), std::string("not a checkpoint"),
@@ -401,7 +401,7 @@ TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
     core::AnalyzerOptions warm = base_options();
     warm.resume_checkpoint = &bad;
     const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
-    EXPECT_FALSE(r.resumed);
+    EXPECT_FALSE(r.stats.resumed);
     EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   }
 }
@@ -412,16 +412,19 @@ TEST(Checkpoint, StaleFormatsAreRejectedWithADiagnostic) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
-  // Retired tags: v1 predates the reduction section, v2 carried it, and v3
-  // still carried its own printed module.
-  for (const std::string tag : {"v1", "v2", "v3"}) {
+  // Retired tags: v1 predates the reduction section, v2 carried it, v3
+  // still carried its own printed module, and v4 carried a deadlock count
+  // and first deadlock that a captured wavefront never has.
+  const auto cold =
+      core::analyze_source(medium_model(), "Root.impl", base_options());
+  for (const std::string tag : {"v1", "v2", "v3", "v4"}) {
     SCOPED_TRACE(tag);
     // Rewrite the header to the retired tag and re-seal the body, so the
     // only thing wrong with the blob is its format version.
     std::string stale = blob;
-    const auto vpos = stale.find(" v4\n");
+    const auto vpos = stale.find(" v5\n");
     ASSERT_NE(vpos, std::string::npos);
     stale.replace(vpos, 4, " " + tag + "\n");
     const auto dpos = stale.rfind("digest ");
@@ -440,8 +443,10 @@ TEST(Checkpoint, StaleFormatsAreRejectedWithADiagnostic) {
     core::AnalyzerOptions warm = base_options();
     warm.resume_checkpoint = &stale;
     const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
-    EXPECT_FALSE(r.resumed);  // cold fallback, with the reason surfaced
+    EXPECT_FALSE(r.stats.resumed);  // cold fallback, with the reason surfaced
     EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
+    EXPECT_EQ(normalize_explore_ms(core::render_result_json(r)),
+              normalize_explore_ms(core::render_result_json(cold)));
     EXPECT_NE(r.diagnostics.find("stale checkpoint format"),
               std::string::npos);
   }
@@ -459,10 +464,10 @@ TEST(Checkpoint, SymbolicRunRefusesToCheckpoint) {
   opts.checkpoint_out = &blob;
 
   const auto r = core::analyze_source(medium_model(), "Root.impl", opts);
-  ASSERT_TRUE(r.ok) << r.diagnostics;
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
-  EXPECT_FALSE(r.checkpoint_captured);
+  EXPECT_FALSE(r.stats.checkpoint_captured);
   EXPECT_TRUE(blob.empty());
   EXPECT_NE(
       r.diagnostics.find("checkpointing unsupported for symbolic engine"),
@@ -475,7 +480,7 @@ TEST(Checkpoint, SymbolicRunIgnoresAValidEnumerativeCheckpoint) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   // The blob is perfectly valid — but an enumerative wavefront cannot seed
   // a class graph, so the symbolic engine runs cold and says so.
@@ -483,8 +488,8 @@ TEST(Checkpoint, SymbolicRunIgnoresAValidEnumerativeCheckpoint) {
   warm.engine = core::Engine::Symbolic;
   warm.resume_checkpoint = &blob;
   const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_FALSE(r.resumed);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_FALSE(r.stats.resumed);
   EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_NE(r.diagnostics.find(
@@ -500,7 +505,7 @@ TEST(Checkpoint, VersaParseRoundTripPreservesTheWavefront) {
   std::string blob;
   bound.checkpoint_out = &blob;
   const auto r = core::analyze_source(medium_model(), "Root.impl", bound);
-  ASSERT_TRUE(r.checkpoint_captured);
+  ASSERT_TRUE(r.stats.checkpoint_captured);
 
   std::string error;
   const auto fresh = translate_fresh(medium_model());
@@ -534,7 +539,7 @@ TEST(Checkpoint, RestoreChecksTheInitialStateAndEveryId) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   // Same translation, but the caller's initial state is another term.
   std::string error;
@@ -562,7 +567,7 @@ TEST(Checkpoint, DigestMismatchIsRejectedBeforeParsing) {
   std::string blob;
   bound.checkpoint_out = &blob;
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
-                  .checkpoint_captured);
+                  .stats.checkpoint_captured);
 
   std::string corrupt = blob;
   corrupt[corrupt.find("stats ") + 6] ^= 1;  // damage a counter digit

@@ -30,12 +30,21 @@ AnalyzerOptions ten_ms() {
   return opts;
 }
 
+/// The `aadlsched --acsr` dump of the model at 10 ms.
+std::string acsr_dump(util::DiagnosticEngine& diags) {
+  const std::string text = model_source();
+  const std::string_view source = text;
+  const auto loaded =
+      load_model({&source, 1}, "CruiseControlSystem.impl", diags);
+  if (!loaded) return {};
+  return render_acsr(*loaded->instance, ten_ms().translation, diags);
+}
+
 TEST(CruiseControl, IsSchedulable) {
   const auto r = analyze_source(model_source(), "CruiseControlSystem.impl",
                                 ten_ms());
-  EXPECT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_TRUE(r.schedulable) << r.summary();
-  EXPECT_TRUE(r.exhaustive);
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable) << r.summary();
   EXPECT_GT(r.states, 10u);
   ASSERT_EQ(r.threads.size(), 6u);
 }
@@ -43,7 +52,7 @@ TEST(CruiseControl, IsSchedulable) {
 TEST(CruiseControl, RmPrioritiesFollowPeriods) {
   const auto r = analyze_source(model_source(), "CruiseControlSystem.impl",
                                 ten_ms());
-  ASSERT_TRUE(r.ok);
+  ASSERT_NE(r.outcome, core::Outcome::Error);
   const auto prio = [&](std::string_view path) {
     for (const auto& t : r.threads)
       if (t.path == path) return t.static_priority;
@@ -62,11 +71,9 @@ TEST(CruiseControl, TranslationMatchesPaperCounts) {
   // threads and six ACSR processes that represent dispatchers for each
   // thread. All connections in the example are data connections, thus no
   // queue processes are introduced."
-  std::string diagnostics;
-  const std::string acsr = render_acsr(
-      model_source(), "CruiseControlSystem.impl", diagnostics,
-      ten_ms().translation);
-  ASSERT_FALSE(acsr.empty()) << diagnostics;
+  util::DiagnosticEngine diagnostics("cruise_control.aadl");
+  const std::string acsr = acsr_dump(diagnostics);
+  ASSERT_FALSE(acsr.empty()) << diagnostics.render_all();
   int skeletons = 0, dispatchers = 0, queues = 0;
   std::istringstream is(acsr);
   std::string line;
@@ -104,8 +111,8 @@ TEST(CruiseControl, OverloadedVariantProducesScenario) {
               "  end Cruise1.impl;");
   const auto r =
       analyze_source(src, "CruiseControlSystem.impl", ten_ms());
-  EXPECT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_FALSE(r.schedulable);
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
   ASSERT_TRUE(r.scenario.has_value());
   // The failing scenario names a ccl thread.
   ASSERT_FALSE(r.scenario->missed_threads.empty());
@@ -129,10 +136,10 @@ TEST(CruiseControl, FinerQuantumGrowsStateSpace) {
       analyze_source(model_source(), "CruiseControlSystem.impl", coarse);
   const auto rf =
       analyze_source(model_source(), "CruiseControlSystem.impl", fine);
-  ASSERT_TRUE(rc.ok);
-  ASSERT_TRUE(rf.ok);
-  EXPECT_TRUE(rc.schedulable);
-  EXPECT_TRUE(rf.schedulable);
+  ASSERT_NE(rc.outcome, core::Outcome::Error);
+  ASSERT_NE(rf.outcome, core::Outcome::Error);
+  EXPECT_EQ(rc.outcome, core::Outcome::Schedulable);
+  EXPECT_EQ(rf.outcome, core::Outcome::Schedulable);
   EXPECT_GT(rf.states, rc.states);
 }
 
@@ -146,14 +153,15 @@ TEST(CruiseControl, PreemptChecksStayNearLinear) {
     opts.translation.quantum_ns = quantum_ns;
     const auto r =
         analyze_source(model_source(), "CruiseControlSystem.impl", opts);
-    ASSERT_TRUE(r.schedulable) << r.summary();
+    ASSERT_EQ(r.outcome, core::Outcome::Schedulable) << r.summary();
     ASSERT_GT(r.states, 0u);
-    const double per_state = static_cast<double>(r.preempt_checks) /
-                             static_cast<double>(r.states);
-    EXPECT_GT(r.preempt_checks, 0u);
+    const std::uint64_t checks = r.stats.semantics.preempt_checks;
+    const double per_state =
+        static_cast<double>(checks) / static_cast<double>(r.states);
+    EXPECT_GT(checks, 0u);
     EXPECT_LE(per_state, 100.0)
-        << r.preempt_checks << " preempt checks for " << r.states
-        << " states at " << quantum_ns << " ns";
+        << checks << " preempt checks for " << r.states << " states at "
+        << quantum_ns << " ns";
   }
 }
 
@@ -162,11 +170,9 @@ TEST(CruiseControl, AcsrDumpIsSelfContained) {
   // into a fresh context and exploring System reproduces the verdict —
   // printer, parser, semantics and explorer close the loop, exactly like
   // feeding the paper's generated model to VERSA.
-  std::string diagnostics;
-  const std::string acsr =
-      render_acsr(model_source(), "CruiseControlSystem.impl", diagnostics,
-                  ten_ms().translation);
-  ASSERT_FALSE(acsr.empty()) << diagnostics;
+  util::DiagnosticEngine diagnostics("cruise_control.aadl");
+  const std::string acsr = acsr_dump(diagnostics);
+  ASSERT_FALSE(acsr.empty()) << diagnostics.render_all();
 
   acsr::Context ctx;
   util::DiagnosticEngine diags("dump.acsr");

@@ -77,8 +77,8 @@ TEST(EventChains, ExplorationProvesChainSchedulable) {
   core::AnalyzerOptions opts;
   opts.translation.quantum_ns = 1'000'000;
   const auto r = core::analyze_source(kChain, "R.impl", opts);
-  ASSERT_TRUE(r.ok) << r.diagnostics << r.summary();
-  EXPECT_TRUE(r.schedulable)
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics << r.summary();
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable)
       << "the consumer is only released when the cpu has just become free";
 }
 
@@ -172,8 +172,8 @@ TEST(EventChains, TwoHopPipelineEndToEnd) {
   core::AnalyzerOptions opts;
   opts.translation.quantum_ns = 1'000'000;
   const auto r = core::analyze_source(src, "R.impl", opts);
-  ASSERT_TRUE(r.ok) << r.diagnostics << r.summary();
-  EXPECT_TRUE(r.schedulable) << r.summary();
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics << r.summary();
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable) << r.summary();
   EXPECT_GT(r.states, 5u);
 }
 
@@ -232,8 +232,8 @@ TEST(EventChains, TightenedMidDeadlineFails) {
   core::AnalyzerOptions opts;
   opts.translation.quantum_ns = 1'000'000;
   const auto r = core::analyze_source(src, "R.impl", opts);
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_FALSE(r.schedulable);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
   ASSERT_TRUE(r.scenario.has_value());
   EXPECT_FALSE(r.scenario->missed_threads.empty());
 }

@@ -97,23 +97,6 @@ TEST(Explorer, MaxStatesBailsOutIncomplete) {
   EXPECT_EQ(r.states, 100u);
 }
 
-TEST(Explorer, CountsAllDeadlocksWhenAsked) {
-  Context ctx;
-  Builder b(ctx);
-  // Two distinct dead ends reached by two distinct first events.
-  b.def("D", {},
-        b.pick({b.send("a", b.c(1), b.send("a2", b.c(1), b.nil())),
-                b.send("bb", b.c(1), b.send("b2", b.c(1), b.nil()))}));
-  Semantics sem(ctx);
-  ExploreOptions opts;
-  opts.stop_at_first_deadlock = false;
-  const auto r = explore(sem, b.start("D"), opts);
-  EXPECT_TRUE(r.complete);
-  // Both branches funnel into NIL, which is a single shared state.
-  EXPECT_EQ(r.deadlock_count, 1u);
-  EXPECT_TRUE(r.deadlock_found);
-}
-
 TEST(Explorer, TwoTasksFullUtilizationSchedulable) {
   Context ctx;
   Builder b(ctx);

@@ -833,15 +833,15 @@ TEST(LintExact, Al013AgreementWithExplorationBothWays) {
   // Refuted model: exploration finds the same miss.
   const core::AnalysisResult fast =
       core::analyze_source(kRtaMissModel, "S.impl", with_lint);
-  EXPECT_TRUE(fast.ok) << fast.diagnostics;
+  EXPECT_NE(fast.outcome, core::Outcome::Error) << fast.diagnostics;
   EXPECT_EQ(fast.states, 0u);
   EXPECT_EQ(fast.decided_by, "AL013");
-  EXPECT_FALSE(fast.schedulable);
+  EXPECT_EQ(fast.outcome, core::Outcome::NotSchedulable);
   const core::AnalysisResult full =
       core::analyze_source(kRtaMissModel, "S.impl", without_lint);
-  EXPECT_TRUE(full.ok) << full.diagnostics;
+  EXPECT_NE(full.outcome, core::Outcome::Error) << full.diagnostics;
   EXPECT_GT(full.states, 0u);
-  EXPECT_EQ(full.schedulable, fast.schedulable);
+  EXPECT_EQ(full.outcome, fast.outcome);
 }
 
 // --- AL014 edf-qpa -----------------------------------------------------------
@@ -926,9 +926,10 @@ TEST(LintExact, Al014AgreementWithExplorationOnRefutedModel) {
   opts.run_lint = false;
   const core::AnalysisResult full =
       core::analyze_source(kEdfOverflowModel, "S.impl", opts);
-  EXPECT_TRUE(full.ok) << full.diagnostics;
+  EXPECT_NE(full.outcome, core::Outcome::Error) << full.diagnostics;
   EXPECT_GT(full.states, 0u);
-  EXPECT_FALSE(full.schedulable);  // exploration confirms the overflow
+  // Exploration confirms the overflow.
+  EXPECT_EQ(full.outcome, core::Outcome::NotSchedulable);
 }
 
 // --- AL015 blocking-rta / AL016 shared-access-hazard -------------------------
@@ -989,9 +990,9 @@ TEST(LintExact, Al015AgreementWithExplorationOnSharedModel) {
   opts.run_lint = false;
   const core::AnalysisResult full =
       core::analyze_source(shared_pcp_source(), "Root.impl", opts);
-  EXPECT_TRUE(full.ok) << full.diagnostics;
+  EXPECT_NE(full.outcome, core::Outcome::Error) << full.diagnostics;
   EXPECT_GT(full.states, 0u);
-  EXPECT_TRUE(full.schedulable);
+  EXPECT_EQ(full.outcome, core::Outcome::Schedulable);
 }
 
 TEST(LintExact, Al016FlagsUnprotectedAndCrossProcessorSharing) {
@@ -1283,9 +1284,7 @@ TEST(LintAnalyzer, ConclusiveOverloadSkipsExploration) {
   opts.run_lint = true;
   const core::AnalysisResult r =
       core::analyze_source(kOverloadModel, "S.impl", opts);
-  EXPECT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_TRUE(r.exhaustive);
-  EXPECT_FALSE(r.schedulable);
+  EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable) << r.diagnostics;
   EXPECT_EQ(r.states, 0u);  // provably skipped exploration
   EXPECT_EQ(r.decided_by, "AL007");
   EXPECT_NE(r.summary().find("decided statically"), std::string::npos);
@@ -1297,9 +1296,10 @@ TEST(LintAnalyzer, DisablingLintRestoresFullExploration) {
   opts.run_lint = false;
   const core::AnalysisResult r =
       core::analyze_source(kOverloadModel, "S.impl", opts);
-  EXPECT_TRUE(r.ok) << r.diagnostics;
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_GT(r.states, 0u);
-  EXPECT_FALSE(r.schedulable);  // exploration agrees with the static verdict
+  // Exploration agrees with the static verdict.
+  EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
   EXPECT_TRUE(r.decided_by.empty());
 }
 
@@ -1309,17 +1309,17 @@ TEST(LintAnalyzer, ConclusiveScheduableVerdictAgreesWithExploration) {
   opts.run_lint = true;
   const core::AnalysisResult fast =
       core::analyze_source(kEdfExactModel, "S.impl", opts);
-  EXPECT_TRUE(fast.ok) << fast.diagnostics;
-  EXPECT_TRUE(fast.schedulable);
+  EXPECT_NE(fast.outcome, core::Outcome::Error) << fast.diagnostics;
+  EXPECT_EQ(fast.outcome, core::Outcome::Schedulable);
   EXPECT_EQ(fast.states, 0u);
   EXPECT_EQ(fast.decided_by, "AL009");
 
   opts.run_lint = false;
   const core::AnalysisResult full =
       core::analyze_source(kEdfExactModel, "S.impl", opts);
-  EXPECT_TRUE(full.ok) << full.diagnostics;
+  EXPECT_NE(full.outcome, core::Outcome::Error) << full.diagnostics;
   EXPECT_GT(full.states, 0u);
-  EXPECT_EQ(full.schedulable, fast.schedulable);
+  EXPECT_EQ(full.outcome, fast.outcome);
 }
 
 TEST(LintAnalyzer, StaticVerdictCarriesCertificateInResultJson) {
@@ -1328,7 +1328,7 @@ TEST(LintAnalyzer, StaticVerdictCarriesCertificateInResultJson) {
   opts.run_lint = true;
   const core::AnalysisResult r =
       core::analyze_source(kOverloadModel, "S.impl", opts);
-  EXPECT_TRUE(r.ok) << r.diagnostics;
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_EQ(r.decided_by, "AL007");
   ASSERT_TRUE(r.lint_report.has_value());
   EXPECT_EQ(witness::check_all(*r.lint_report), "");
@@ -1346,7 +1346,7 @@ TEST(LintAnalyzer, ExploredResultCarriesNoCertificate) {
   opts.run_lint = false;
   const core::AnalysisResult r =
       core::analyze_source(kOverloadModel, "S.impl", opts);
-  EXPECT_TRUE(r.ok) << r.diagnostics;
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_EQ(core::render_result_json(r).find("\"static_certificate\""),
             std::string::npos);
 }
@@ -1364,8 +1364,8 @@ TEST(LintAnalyzer, SymmetricExampleIsNowDecidedStatically) {
   opts.run_lint = true;
   const core::AnalysisResult r =
       core::analyze_source(src.str(), "Symmetric.impl", opts);
-  EXPECT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_TRUE(r.schedulable);
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_EQ(r.states, 0u);  // no exploration
   EXPECT_EQ(r.decided_by, "AL013");
   ASSERT_TRUE(r.lint_report.has_value());
@@ -1385,7 +1385,7 @@ TEST(LintAnalyzer, LintGateStopsAnalysisOnHygieneErrors) {
   opts.translation.quantum_ns = 1'000'000;
   opts.run_lint = true;
   const core::AnalysisResult r = core::analyze_source(src, "S.impl", opts);
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.outcome, core::Outcome::Error);
   EXPECT_NE(r.diagnostics.find("AL004"), std::string::npos) << r.diagnostics;
 }
 
@@ -1407,7 +1407,7 @@ TEST(LintAnalyzer, WarningsDoNotTripTheDefaultGate) {
   opts.translation.quantum_ns = 1'000'000;
   opts.run_lint = true;
   const core::AnalysisResult r = core::analyze_source(src, "S.impl", opts);
-  EXPECT_TRUE(r.ok) << r.diagnostics;
+  EXPECT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_GT(r.states, 0u);
   ASSERT_TRUE(r.lint_report.has_value());
   EXPECT_GT(r.lint_report->warnings(), 0u);

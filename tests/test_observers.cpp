@@ -37,8 +37,8 @@ TEST(LatencyObserver, ResponseTimeBoundHolds) {
   opts.translation.latency_specs.push_back(
       {"t0", "t0", 2 * 1'000'000});
   const auto r = analyze_source(one_task(2, 6), "Root.impl", opts);
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_TRUE(r.schedulable) << r.summary();
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable) << r.summary();
 }
 
 TEST(LatencyObserver, ResponseTimeBoundViolated) {
@@ -46,8 +46,8 @@ TEST(LatencyObserver, ResponseTimeBoundViolated) {
   opts.translation.latency_specs.push_back(
       {"t0", "t0", 1 * 1'000'000});  // response is 2 > 1
   const auto r = analyze_source(one_task(2, 6), "Root.impl", opts);
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_FALSE(r.schedulable);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
   ASSERT_TRUE(r.scenario.has_value());
   bool latency_named = false;
   for (const auto& m : r.scenario->missed_threads)
@@ -109,15 +109,15 @@ TEST(LatencyObserver, ChainLatency) {
     AnalyzerOptions opts = ms_opts();
     opts.translation.latency_specs.push_back({"p", "c", 2 * 1'000'000});
     const auto r = analyze_source(chain, "R.impl", opts);
-    ASSERT_TRUE(r.ok) << r.diagnostics;
-    EXPECT_TRUE(r.schedulable) << r.summary();
+    ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+    EXPECT_EQ(r.outcome, core::Outcome::Schedulable) << r.summary();
   }
   {
     AnalyzerOptions opts = ms_opts();
     opts.translation.latency_specs.push_back({"p", "c", 1 * 1'000'000});
     const auto r = analyze_source(chain, "R.impl", opts);
-    ASSERT_TRUE(r.ok) << r.diagnostics;
-    EXPECT_FALSE(r.schedulable);
+    ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+    EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
   }
 }
 
@@ -125,7 +125,7 @@ TEST(LatencyObserver, UnknownThreadReported) {
   AnalyzerOptions opts = ms_opts();
   opts.translation.latency_specs.push_back({"ghost", "t0", 1'000'000});
   const auto r = analyze_source(one_task(1, 4), "Root.impl", opts);
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.outcome, core::Outcome::Error);
   EXPECT_NE(r.diagnostics.find("unknown thread"), std::string::npos);
 }
 
@@ -137,7 +137,7 @@ TEST(LatencyObserver, ObserverDoesNotPerturbVerdict) {
       {"t0", "t0", 100 * 1'000'000});
   const auto a = analyze_source(one_task(2, 5), "Root.impl", plain);
   const auto b = analyze_source(one_task(2, 5), "Root.impl", observed);
-  EXPECT_EQ(a.schedulable, b.schedulable);
+  EXPECT_EQ(a.outcome, b.outcome);
 }
 
 TEST(DispatchOffset, PhasingResolvesContention) {
@@ -191,12 +191,13 @@ TEST(DispatchOffset, PhasingResolvesContention) {
   phased.replace(phased.find("%OFFSET%"), 8, "Dispatch_Offset => 1 ms;");
 
   const auto sync_r = analyze_source(synchronous, "R.impl", ms_opts());
-  ASSERT_TRUE(sync_r.ok) << sync_r.diagnostics;
-  EXPECT_FALSE(sync_r.schedulable) << "synchronous release must collide";
+  ASSERT_NE(sync_r.outcome, core::Outcome::Error) << sync_r.diagnostics;
+  EXPECT_EQ(sync_r.outcome, core::Outcome::NotSchedulable)
+      << "synchronous release must collide";
 
   const auto phased_r = analyze_source(phased, "R.impl", ms_opts());
-  ASSERT_TRUE(phased_r.ok) << phased_r.diagnostics;
-  EXPECT_TRUE(phased_r.schedulable) << phased_r.summary();
+  ASSERT_NE(phased_r.outcome, core::Outcome::Error) << phased_r.diagnostics;
+  EXPECT_EQ(phased_r.outcome, core::Outcome::Schedulable) << phased_r.summary();
 }
 
 TEST(DispatchOffset, OffsetEqualToPeriodActsLikeZero) {
@@ -228,8 +229,8 @@ TEST(DispatchOffset, OffsetEqualToPeriodActsLikeZero) {
     end P;
   )";
   const auto r = analyze_source(model, "R.impl", ms_opts());
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  EXPECT_TRUE(r.schedulable);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
 }
 
 }  // namespace

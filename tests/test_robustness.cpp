@@ -62,8 +62,7 @@ TEST(Robustness, AnalyzerReportsErrorNeverCrashes) {
   // structured Error with a rendered diagnostic, not a crash.
   for (const fs::path& p : corpus_files()) {
     const core::AnalysisResult r =
-        core::analyze_file(p.string(), "Broken.impl");
-    EXPECT_FALSE(r.ok) << p.filename();
+        core::analyze_source(read_file(p), "Broken.impl");
     EXPECT_EQ(r.outcome, core::Outcome::Error) << p.filename();
     EXPECT_FALSE(r.diagnostics.empty()) << p.filename();
   }
@@ -74,8 +73,7 @@ TEST(Robustness, AbsurdPropertyValuesAreCaughtNotAnalyzed) {
   // overflow-scale numbers must surface as diagnostics or lint findings
   // before any state space is built on nonsense timing.
   const fs::path p = fs::path(AADLSCHED_CORPUS_DIR) / "absurd_properties.aadl";
-  const core::AnalysisResult r = core::analyze_file(p.string(), "Root.impl");
-  EXPECT_FALSE(r.ok);
+  const auto r = core::analyze_source(read_file(p), "Root.impl");
   EXPECT_EQ(r.outcome, core::Outcome::Error);
   EXPECT_FALSE(r.diagnostics.empty() &&
                (!r.lint_report || r.lint_report->findings.empty()))
@@ -107,7 +105,7 @@ TEST(Robustness, CyclicExtendsTerminates) {
   // gtest's default timeout would not save us from a hang, so just reaching
   // the assertion below is the point.
   const fs::path p = fs::path(AADLSCHED_CORPUS_DIR) / "cyclic_extends.aadl";
-  const core::AnalysisResult r = core::analyze_file(p.string(), "Root.impl");
+  const auto r = core::analyze_source(read_file(p), "Root.impl");
   SUCCEED() << "terminated with outcome " << core::to_string(r.outcome);
 }
 

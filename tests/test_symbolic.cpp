@@ -378,13 +378,12 @@ TEST(SymbolicAnalyzer, SymbolicVerdictCarriesTheEngineObservability) {
   const auto r = core::analyze_source(
       read_model("quantum_ladder.aadl"), "QuantumLadder.impl",
       engine_options(core::Engine::Symbolic));
-  ASSERT_TRUE(r.ok) << r.diagnostics;
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
-  EXPECT_TRUE(r.exhaustive);
   EXPECT_GT(r.states, 0u);
-  EXPECT_GT(r.zone_subsumptions, 0u);
-  EXPECT_EQ(r.dbm_dimension, 3u);
+  EXPECT_GT(r.stats.zone_subsumptions, 0u);
+  EXPECT_EQ(r.stats.dbm_dimension, 3u);
   const std::string json = core::render_result_json(r);
   EXPECT_NE(json.find("\"engine\": \"symbolic\""), std::string::npos);
   EXPECT_NE(r.summary().find("symbolic:"), std::string::npos);
@@ -395,21 +394,21 @@ TEST(SymbolicAnalyzer, AutoFallsBackWithTheReasonsInDiagnostics) {
   const auto r = core::analyze_source(read_model("cruise_control.aadl"),
                                       "CruiseControlSystem.impl",
                                       engine_options(core::Engine::Auto));
-  ASSERT_TRUE(r.ok) << r.diagnostics;
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_EQ(r.engine, core::Engine::Enumerative);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
   EXPECT_NE(r.diagnostics.find("symbolic engine inapplicable"),
             std::string::npos);
   EXPECT_NE(r.diagnostics.find("falling back to enumerative"),
             std::string::npos);
-  EXPECT_EQ(r.zone_subsumptions, 0u);
+  EXPECT_EQ(r.stats.zone_subsumptions, 0u);
 }
 
 TEST(SymbolicAnalyzer, AutoUsesTheSymbolicEngineInsideTheFragment) {
   const auto r = core::analyze_source(
       read_model("quantum_ladder.aadl"), "QuantumLadder.impl",
       engine_options(core::Engine::Auto));
-  ASSERT_TRUE(r.ok) << r.diagnostics;
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
   EXPECT_EQ(r.engine, core::Engine::Symbolic);
   EXPECT_EQ(r.outcome, core::Outcome::Schedulable);
 }
@@ -418,7 +417,7 @@ TEST(SymbolicAnalyzer, ForcedSymbolicOutsideTheFragmentIsAnError) {
   const auto r = core::analyze_source(read_model("cruise_control.aadl"),
                                       "CruiseControlSystem.impl",
                                       engine_options(core::Engine::Symbolic));
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.outcome, core::Outcome::Error);
   EXPECT_EQ(r.outcome, core::Outcome::Error);
   EXPECT_NE(r.diagnostics.find("symbolic engine inapplicable"),
             std::string::npos);
@@ -472,10 +471,9 @@ end Overload;
 TEST(SymbolicAnalyzer, MissRendersTheWitnessTrailInTheSummary) {
   const auto sym = core::analyze_source(kOverloadModel, "Overload.impl",
                                         engine_options(core::Engine::Symbolic));
-  ASSERT_TRUE(sym.ok) << sym.diagnostics;
+  ASSERT_NE(sym.outcome, core::Outcome::Error) << sym.diagnostics;
+  // A found miss is conclusive.
   EXPECT_EQ(sym.outcome, core::Outcome::NotSchedulable);
-  EXPECT_TRUE(sym.exhaustive);  // a found miss is conclusive
-  EXPECT_FALSE(sym.schedulable);
   ASSERT_FALSE(sym.symbolic_witness.empty());
   const std::string summary = sym.summary();
   EXPECT_NE(summary.find("Counterexample event trail"), std::string::npos);
@@ -485,7 +483,7 @@ TEST(SymbolicAnalyzer, MissRendersTheWitnessTrailInTheSummary) {
   const auto en = core::analyze_source(
       kOverloadModel, "Overload.impl",
       engine_options(core::Engine::Enumerative));
-  ASSERT_TRUE(en.ok) << en.diagnostics;
+  ASSERT_NE(en.outcome, core::Outcome::Error) << en.diagnostics;
   EXPECT_EQ(en.outcome, core::Outcome::NotSchedulable);
   EXPECT_EQ(normalize_engine_observability(core::render_result_json(sym)),
             normalize_engine_observability(core::render_result_json(en)));
@@ -533,7 +531,7 @@ TEST(SymbolicAgreement, EveryApplicableModelAgreesByteForByte) {
     if (!m.applicable) {
       const auto forced = core::analyze_source(
           src, m.root, engine_options(core::Engine::Symbolic));
-      EXPECT_FALSE(forced.ok) << m.file;
+      EXPECT_EQ(forced.outcome, core::Outcome::Error) << m.file;
       EXPECT_NE(forced.diagnostics.find("symbolic engine inapplicable"),
                 std::string::npos)
           << m.file;
@@ -546,11 +544,11 @@ TEST(SymbolicAgreement, EveryApplicableModelAgreesByteForByte) {
 
     const auto r_en = core::analyze_source(src, m.root, en);
     const auto r_sy = core::analyze_source(src, m.root, sy);
-    ASSERT_TRUE(r_en.ok) << m.file << ": " << r_en.diagnostics;
-    ASSERT_TRUE(r_sy.ok) << m.file << ": " << r_sy.diagnostics;
+    ASSERT_NE(r_en.outcome, core::Outcome::Error)
+        << m.file << ": " << r_en.diagnostics;
+    ASSERT_NE(r_sy.outcome, core::Outcome::Error)
+        << m.file << ": " << r_sy.diagnostics;
     EXPECT_EQ(r_sy.outcome, r_en.outcome) << m.file;
-    EXPECT_EQ(r_sy.schedulable, r_en.schedulable) << m.file;
-    EXPECT_EQ(r_sy.exhaustive, r_en.exhaustive) << m.file;
     EXPECT_EQ(
         normalize_engine_observability(core::render_result_json(r_sy)),
         normalize_engine_observability(core::render_result_json(r_en)))
@@ -578,8 +576,10 @@ TEST_P(SymbolicProperty, GeneratedTasksetsAgreeAcrossAllThreeProcedures) {
       src, "Root.impl", engine_options(core::Engine::Enumerative));
   const auto sy = core::analyze_source(
       src, "Root.impl", engine_options(core::Engine::Symbolic));
-  ASSERT_TRUE(en.ok) << "seed " << seed << "\n" << en.diagnostics << src;
-  ASSERT_TRUE(sy.ok) << "seed " << seed << "\n" << sy.diagnostics << src;
+  ASSERT_NE(en.outcome, core::Outcome::Error)
+      << "seed " << seed << "\n" << en.diagnostics << src;
+  ASSERT_NE(sy.outcome, core::Outcome::Error)
+      << "seed " << seed << "\n" << sy.diagnostics << src;
   EXPECT_EQ(sy.engine, core::Engine::Symbolic);
 
   // Engine agreement, byte-for-byte on the canonical result.
@@ -591,7 +591,8 @@ TEST_P(SymbolicProperty, GeneratedTasksetsAgreeAcrossAllThreeProcedures) {
   // Closed-form agreement: exact RTA on the same task set.
   const bool rta = sched::response_time_analysis(ts).verdict ==
                    sched::Verdict::Schedulable;
-  EXPECT_EQ(sy.schedulable, rta) << "seed " << seed << "\n" << src;
+  EXPECT_EQ(sy.outcome == core::Outcome::Schedulable, rta)
+      << "seed " << seed << "\n" << src;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicProperty,
@@ -610,19 +611,17 @@ TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   core::AnalyzerOptions en = engine_options(core::Engine::Enumerative);
   en.exploration.budget.deadline_ms = kBudgetMs;
   const auto r_en = core::analyze_source(src, "SlowPeriodic.impl", en);
-  ASSERT_TRUE(r_en.ok) << r_en.diagnostics;
+  ASSERT_NE(r_en.outcome, core::Outcome::Error) << r_en.diagnostics;
   EXPECT_EQ(r_en.outcome, core::Outcome::Inconclusive);
   EXPECT_EQ(r_en.stop_reason, util::StopReason::Deadline);
-  EXPECT_FALSE(r_en.schedulable);
 
   // The symbolic engine under the same budget closes the class graph and
   // proves schedulability outright.
   core::AnalyzerOptions sy = engine_options(core::Engine::Symbolic);
   sy.exploration.budget.deadline_ms = kBudgetMs;
   const auto r_sy = core::analyze_source(src, "SlowPeriodic.impl", sy);
-  ASSERT_TRUE(r_sy.ok) << r_sy.diagnostics;
+  ASSERT_NE(r_sy.outcome, core::Outcome::Error) << r_sy.diagnostics;
   EXPECT_EQ(r_sy.outcome, core::Outcome::Schedulable);
-  EXPECT_TRUE(r_sy.exhaustive);
   EXPECT_LT(r_sy.explore_ms, kBudgetMs);
 }
 

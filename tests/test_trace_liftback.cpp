@@ -30,8 +30,8 @@ TEST(TraceLiftback, DeterministicMissTimeline) {
   const auto r = analyze_source(
       core::taskset_to_aadl(ts, sched::SchedulingPolicy::FixedPriority),
       "Root.impl", ms_opts());
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  ASSERT_FALSE(r.schedulable);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  ASSERT_EQ(r.outcome, core::Outcome::NotSchedulable);
   ASSERT_TRUE(r.scenario.has_value());
   const FailingScenario& fs = *r.scenario;
 
@@ -68,8 +68,8 @@ TEST(TraceLiftback, PreemptionVisibleInTimeline) {
   const auto r = analyze_source(
       core::taskset_to_aadl(ts, sched::SchedulingPolicy::FixedPriority),
       "Root.impl", ms_opts());
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  ASSERT_FALSE(r.schedulable);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  ASSERT_EQ(r.outcome, core::Outcome::NotSchedulable);
   ASSERT_TRUE(r.scenario.has_value());
   const FailingScenario& fs = *r.scenario;
 
@@ -146,8 +146,8 @@ TEST(TraceLiftback, QueueOverflowNamedInScenario) {
     end P;
   )";
   const auto r = analyze_source(src, "R.impl", ms_opts());
-  ASSERT_TRUE(r.ok) << r.diagnostics;
-  ASSERT_FALSE(r.schedulable);
+  ASSERT_NE(r.outcome, core::Outcome::Error) << r.diagnostics;
+  ASSERT_EQ(r.outcome, core::Outcome::NotSchedulable);
   ASSERT_TRUE(r.scenario.has_value());
   bool overflow_named = false;
   for (const auto& m : r.scenario->missed_threads)

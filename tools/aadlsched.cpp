@@ -4,7 +4,7 @@
 //   aadlsched --batch <list-file> [options]
 //
 //   --quantum <ms>         scheduling quantum (default 1 ms)
-//   --acsr                 dump the translated ACSR module and exit
+//   --acsr                 dump the ACSR module and initial state; exit
 //   --classical            also run RTA / EDF analysis / the simulator on
 //                          the extracted task view
 //   --latency <src> <sink> <ms>
@@ -95,7 +95,6 @@
 #include <sstream>
 #include <vector>
 
-#include "acsr/printer.hpp"
 #include "core/analyzer.hpp"
 #include "core/result_json.hpp"
 #include "core/taskset_extract.hpp"
@@ -644,14 +643,13 @@ int main(int argc, char** argv) {
   }
 
   if (dump_acsr) {
-    acsr::Context ctx;
-    auto tr = translate::translate(ctx, instance, diags, opts.translation);
-    if (!tr) {
+    const std::string acsr =
+        core::render_acsr(instance, opts.translation, diags);
+    if (acsr.empty()) {
       std::cerr << diags.render_all();
       return 2;
     }
-    acsr::Printer printer(ctx);
-    std::cout << printer.module();
+    std::cout << acsr;
     return 0;
   }
 
@@ -725,7 +723,7 @@ int main(int argc, char** argv) {
 
   const core::AnalysisResult result = core::analyze_instance(instance, opts);
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
-  if (result.checkpoint_captured && !checkpoint_blob.empty()) {
+  if (result.stats.checkpoint_captured && !checkpoint_blob.empty()) {
     std::ofstream out(checkpoint_file, std::ios::trunc | std::ios::binary);
     if (out) {
       out << checkpoint_blob;
@@ -737,8 +735,9 @@ int main(int argc, char** argv) {
   if (json_out) {
     // The resume note is part of summary(); --json output must stay the
     // canonical byte-identical object, so surface it on stderr instead.
-    if (result.resumed)
-      std::cerr << "resumed from depth " << result.resumed_from_depth << "\n";
+    if (result.stats.resumed)
+      std::cerr << "resumed from depth " << result.stats.resumed_from_depth
+                << "\n";
     std::cout << core::render_result_json(result) << "\n";
   } else {
     std::cout << result.summary() << "\n";
