@@ -1,10 +1,11 @@
 // E7b — throughput of analysis sweeps. A Context is single-threaded by
 // design, so parallelism lives at the sweep level: N independent analyses
-// (one model variant each) across a worker pool. Table: batch wall time vs
+// (one model variant each) across worker threads. Table: batch wall time vs
 // worker count. On a single-core host the speedup is ~1x by construction;
 // the bench still validates that the sweep scales with available
 // hardware_concurrency and adds no contention overhead.
 #include <chrono>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "versa/sweep.hpp"

@@ -26,7 +26,8 @@ sched::TaskSet n_tasks(std::size_t n) {
   const sched::Time periods[] = {4, 8, 8, 16, 16, 16, 16, 32};
   for (std::size_t i = 0; i < n; ++i) {
     sched::Task t;
-    t.name = "t" + std::to_string(i);
+    t.name = "t";
+    t.name += std::to_string(i);
     t.period = t.deadline = periods[i % 8];
     t.wcet = t.bcet = std::max<sched::Time>(1, t.period / 8);
     ts.tasks.push_back(t);

@@ -366,7 +366,7 @@ class Parser {
       sc.classifier = *cls;
       if (accept(TokKind::Dot)) {
         auto impl = ident();
-        if (impl) sc.classifier += "." + to_lower(*impl);
+        if (impl) sc.classifier += util::concat({".", to_lower(*impl)});
       }
     }
     // Optional "in modes (...)" — parsed and ignored (paper §4: modes are

@@ -46,8 +46,6 @@ class ActionTable {
     return actions_[id];
   }
 
-  bool is_idle(ActionId id) const { return actions_[id].empty(); }
-
   /// combine() result when the two actions share a resource.
   static constexpr ActionId kOverlap = 0xFFFFFFFFu;
 

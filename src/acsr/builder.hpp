@@ -87,11 +87,6 @@ class Builder {
     return ctx_.o_act(std::move(rs), cont);
   }
 
-  /// Pre-resolved variant.
-  OpenTermId act_res(std::vector<OpenResourceUse> uses, OpenTermId cont) {
-    return ctx_.o_act(std::move(uses), cont);
-  }
-
   /// Idling step: the empty timed action.
   OpenTermId idle(OpenTermId cont) { return ctx_.o_act({}, cont); }
 

@@ -77,7 +77,6 @@ class Context {
   DefId define(Definition def);
 
   const Definition& definition(DefId id) const { return defs_[id]; }
-  Definition& definition_mut(DefId id) { return defs_[id]; }
   std::optional<DefId> find_definition(std::string_view name) const;
   std::size_t definition_count() const { return defs_.size(); }
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/hash.hpp"
+#include "util/string_utils.hpp"
 
 namespace aadlsched::acsr {
 
@@ -160,7 +161,7 @@ std::string param_name(std::span<const std::string> names, std::int32_t i) {
   if (i >= 0 && static_cast<std::size_t>(i) < names.size() &&
       !names[static_cast<std::size_t>(i)].empty())
     return names[static_cast<std::size_t>(i)];
-  return "p" + std::to_string(i);
+  return util::concat({"p", std::to_string(i)});
 }
 }  // namespace
 
@@ -173,11 +174,11 @@ std::string ExprTable::render(ExprId id,
     case ExprKind::Param:
       return param_name(names, n.value);
     case ExprKind::Min:
-      return "min(" + render(n.lhs, names) + ", " + render(n.rhs, names) +
-             ")";
+      return util::concat(
+          {"min(", render(n.lhs, names), ", ", render(n.rhs, names), ")"});
     case ExprKind::Max:
-      return "max(" + render(n.lhs, names) + ", " + render(n.rhs, names) +
-             ")";
+      return util::concat(
+          {"max(", render(n.lhs, names), ", ", render(n.rhs, names), ")"});
     default:
       break;
   }
@@ -189,7 +190,8 @@ std::string ExprTable::render(ExprId id,
     case ExprKind::Div: op = " / "; break;
     default: break;
   }
-  return "(" + render(n.lhs, names) + op + render(n.rhs, names) + ")";
+  return util::concat(
+      {"(", render(n.lhs, names), op, render(n.rhs, names), ")"});
 }
 
 std::string ExprTable::render_cond(CondId id,
@@ -199,13 +201,13 @@ std::string ExprTable::render_cond(CondId id,
     case CondKind::True:
       return "true";
     case CondKind::And:
-      return "(" + render_cond(n.lhs, names) + " && " +
-             render_cond(n.rhs, names) + ")";
+      return util::concat({"(", render_cond(n.lhs, names), " && ",
+                           render_cond(n.rhs, names), ")"});
     case CondKind::Or:
-      return "(" + render_cond(n.lhs, names) + " || " +
-             render_cond(n.rhs, names) + ")";
+      return util::concat({"(", render_cond(n.lhs, names), " || ",
+                           render_cond(n.rhs, names), ")"});
     case CondKind::Not:
-      return "!(" + render_cond(n.lhs, names) + ")";
+      return util::concat({"!(", render_cond(n.lhs, names), ")"});
     default:
       break;
   }

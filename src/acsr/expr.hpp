@@ -71,7 +71,6 @@ class ExprTable {
   ExprId param(std::int32_t index);
   ExprId binary(ExprKind kind, ExprId lhs, ExprId rhs);
 
-  CondId cond_true() const { return kCondTrue; }
   CondId compare(CondKind kind, ExprId lhs, ExprId rhs);
   CondId logic(CondKind kind, CondId lhs, CondId rhs = 0);
 

@@ -380,11 +380,9 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
                               opts.translation);
 
   if (opts.run_lint) {
-    lint::Options lopts = opts.lint;
-    lopts.diags = &diags;
     const lint::Subject subject{&instance, tr ? &*context : nullptr,
-                                tr ? &*tr : nullptr, opts.translation};
-    result.lint_report = lint::run_subject(subject, lopts);
+                                tr ? &*tr : nullptr};
+    result.lint_report = lint::run_subject(subject, {opts.translation, &diags});
     const lint::Report& report = *result.lint_report;
     // A conclusive static verdict on a translatable model replaces
     // exploration: the screening passes only decide when exploration would
@@ -397,7 +395,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
       result.diagnostics = resume_note + diags.render_all();
       return result;
     }
-    if (report.fails(opts.lint.fail_on)) {
+    if (report.errors() > 0) {
       result.diagnostics = resume_note + diags.render_all();
       return result;  // Error: lint gate tripped
     }

@@ -43,10 +43,11 @@ struct AnalyzerOptions {
   /// Off by default at the library level (programmatic callers see
   /// unchanged behavior); tools/aadlsched enables it unless --no-lint.
   bool run_lint = false;
-  /// Lint policy. `lint.translation` is ignored: lint checks the one
-  /// translation made with `translation` that exploration uses. A conclusive
-  /// static verdict on a translatable model replaces exploration and
-  /// reports 0 states (DESIGN.md §9).
+  /// Ignored by analyze_instance: lint checks the one translation made with
+  /// `translation` that exploration uses, and mirrors its findings into the
+  /// run's diagnostics. A conclusive static verdict on a translatable model
+  /// replaces exploration and reports 0 states; an error-severity finding
+  /// stops the run (DESIGN.md §9). Only perfbench still reads this field.
   lint::Options lint;
 
   // --- warm re-exploration (DESIGN.md §12) -----------------------------

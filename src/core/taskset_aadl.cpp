@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/string_utils.hpp"
+
 namespace aadlsched::core {
 
 std::string_view protocol_property_name(sched::SchedulingPolicy policy) {
@@ -63,7 +65,7 @@ std::string render(const sched::TaskSet& ts, sched::SchedulingPolicy policy,
   for (const sched::Task& t : ts.tasks)
     max_cpu = std::max(max_cpu, t.processor);
 
-  os << "package " << opts.package << "\npublic\n\n";
+  os << "package Gen\npublic\n\n";
   os << "  processor GenCpu\n  properties\n    Scheduling_Protocol => "
      << protocol_property_name(policy) << ";\n  end GenCpu;\n\n";
 
@@ -85,7 +87,7 @@ std::string render(const sched::TaskSet& ts, sched::SchedulingPolicy policy,
 
   for (std::size_t i = 0; i < ts.tasks.size(); ++i) {
     const sched::Task& t = ts.tasks[i];
-    const std::string name = "T" + std::to_string(i);
+    const std::string name = util::concat({"T", std::to_string(i)});
     const bool triggered = t.kind == sched::DispatchKind::Sporadic ||
                            t.kind == sched::DispatchKind::Aperiodic;
     std::vector<std::size_t> used;
@@ -174,7 +176,7 @@ std::string render(const sched::TaskSet& ts, sched::SchedulingPolicy policy,
   for (const auto& [key, dur] : acc)
     os << "    Critical_Section_Time => " << ns(dur) << " applies to a"
        << key.first << "_" << key.second << ";\n";
-  os << "  end Root.impl;\n\nend " << opts.package << ";\n";
+  os << "  end Root.impl;\n\nend Gen;\n";
   return os.str();
 }
 

@@ -19,13 +19,12 @@ namespace aadlsched::core {
 /// Scheduling protocol names accepted by the AADL front end.
 std::string_view protocol_property_name(sched::SchedulingPolicy policy);
 
-/// Presentation knobs for the generated AADL text. The defaults reproduce
-/// the historical output byte for byte; the experiment harness overrides
-/// them so each generated model file is self-describing (which spec cell
-/// and seed produced it) without a side-channel manifest.
+/// Presentation knobs for the generated AADL text, always package "Gen"
+/// with root implementation "Root.impl". The defaults reproduce the
+/// historical output byte for byte; the experiment harness sets a header so
+/// each generated model file is self-describing (which spec cell and seed
+/// produced it) without a side-channel manifest.
 struct TasksetRenderOptions {
-  /// AADL package name; the root implementation is "<package>::Root.impl".
-  std::string package = "Gen";
   /// Free-text provenance rendered as leading "-- " comment lines (split on
   /// '\n'). Empty = no header. Comments are ignored by the parser, so two
   /// renders differing only here have identical analysis fingerprints only
@@ -37,14 +36,14 @@ struct TasksetRenderOptions {
 };
 
 /// Render the task set as a complete, bound AADL system (see
-/// TasksetRenderOptions for package naming). Sporadic tasks get a
+/// TasksetRenderOptions). Sporadic tasks get a
 /// device-driven incoming event connection (the device fires at the task's
 /// minimum separation).
 std::string taskset_to_aadl(const sched::TaskSet& ts,
                             sched::SchedulingPolicy policy,
                             const TasksetRenderOptions& opts);
 
-/// Back-compat shim: package "Gen", no header.
+/// Back-compat shim: no header.
 std::string taskset_to_aadl(const sched::TaskSet& ts,
                             sched::SchedulingPolicy policy,
                             std::int64_t quantum_ns = 1'000'000);
@@ -61,7 +60,7 @@ std::string taskset_to_aadl_shared(const sched::TaskSet& ts,
                                    const sched::ResourceModel& resources,
                                    const TasksetRenderOptions& opts);
 
-/// Back-compat shim: package "Gen", no header.
+/// Back-compat shim: no header.
 std::string taskset_to_aadl_shared(const sched::TaskSet& ts,
                                    sched::SchedulingPolicy policy,
                                    const sched::ResourceModel& resources,

@@ -10,6 +10,7 @@
 #include "sched/workload.hpp"
 #include "server/service.hpp"
 #include "util/json.hpp"
+#include "util/string_utils.hpp"
 #include "versa/sweep.hpp"
 
 namespace aadlsched::exp {
@@ -46,7 +47,8 @@ server::Request build_request(const ExperimentSpec& spec, const Cell& cell,
                               std::string model) {
   server::Request req;
   req.op = server::Op::Analyze;
-  req.id = "c" + std::to_string(cell_index) + "-s" + std::to_string(seed);
+  req.id = util::concat(
+      {"c", std::to_string(cell_index), "-s", std::to_string(seed)});
   req.model = std::move(model);
   req.root = "Root.impl";
   // Only deterministic budgets (spec.hpp): no deadline, no memory budget.

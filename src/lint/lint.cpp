@@ -1,6 +1,5 @@
 #include "lint/lint.hpp"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -43,12 +42,6 @@ std::size_t Report::count(util::Severity sev) const {
   for (const Finding& f : findings)
     if (f.severity == sev) ++n;
   return n;
-}
-
-bool Report::fails(util::Severity fail_on) const {
-  return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
-    return static_cast<int>(f.severity) >= static_cast<int>(fail_on);
-  });
 }
 
 std::string Report::render_text() const {
@@ -201,20 +194,15 @@ const Registry& Registry::builtin() {
 
 namespace {
 
-bool is_disabled(const Options& opts, const CheckInfo& info) {
-  for (const std::string& d : opts.disabled)
-    if (d == info.id || d == info.name) return true;
-  return false;
-}
-
 /// Combine per-processor Schedulable claims into a whole-model verdict: the
 /// classical abstraction must have been exact (translation succeeded, no
 /// latency observers) and every processor that carries threads must be
 /// vouched for by a screening pass.
-void finalize_verdict(const Subject& subject, Report& report) {
+void finalize_verdict(const Subject& subject, const Options& opts,
+                      Report& report) {
   if (report.verdict != StaticVerdict::None) return;
   if (!subject.instance || !subject.translation) return;
-  if (!subject.topts.latency_specs.empty()) return;
+  if (!opts.translation.latency_specs.empty()) return;
   if (report.errors() > 0) return;
 
   std::set<const aadl::ComponentInstance*> thread_bearing;
@@ -266,16 +254,14 @@ std::vector<CertTask> cert_rows(const ScreenCpu& sc, bool periodic_only,
 }
 
 Report run_subject(Subject subject, const Options& opts) {
+  subject.quantum_ns = opts.translation.quantum_ns;
   if (subject.instance)
-    subject.screen =
-        extract_screen_cpus(*subject.instance, subject.topts.quantum_ns);
+    subject.screen = extract_screen_cpus(*subject.instance, subject.quantum_ns);
   Report report;
   report.translated = subject.translation != nullptr;
   Sink sink(report, opts.diags);
-  const Registry& reg = opts.registry ? *opts.registry : Registry::builtin();
-  for (const auto& pass : reg.passes()) {
+  for (const auto& pass : Registry::builtin().passes()) {
     const CheckInfo& info = pass->info();
-    if (is_disabled(opts, info)) continue;
     if ((pass->needs_instance() && !subject.instance) ||
         (pass->needs_acsr() && !subject.acsr)) {
       report.skipped.emplace_back(info.id);
@@ -285,14 +271,13 @@ Report run_subject(Subject subject, const Options& opts) {
     pass->run(subject, sink);
   }
   sink.set_current(nullptr);
-  finalize_verdict(subject, report);
+  finalize_verdict(subject, opts, report);
   return report;
 }
 
 Report run(const aadl::InstanceModel& instance, const Options& opts) {
   Subject subject;
   subject.instance = &instance;
-  subject.topts = opts.translation;
 
   // Translate into a scratch context so the ACSR-tier passes can inspect
   // the generated process network. Translation diagnostics are discarded:

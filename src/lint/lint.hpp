@@ -152,8 +152,6 @@ struct Report {
   std::size_t count(util::Severity sev) const;
   std::size_t errors() const { return count(util::Severity::Error); }
   std::size_t warnings() const { return count(util::Severity::Warning); }
-  /// Any finding at or above the given severity?
-  bool fails(util::Severity fail_on) const;
 
   std::string render_text() const;
   /// Machine-readable report (stable shape; the CI-gate hook, ROADMAP).
@@ -167,8 +165,10 @@ struct Subject {
   const aadl::InstanceModel* instance = nullptr;
   const acsr::Context* acsr = nullptr;
   const translate::Translation* translation = nullptr;
-  translate::TranslateOptions topts;  // quantum etc. for screening passes
-  std::vector<ScreenCpu> screen = {};  // run_subject fills it
+  /// run_subject fills these: the quantum from Options::translation, and
+  /// the screen view of `instance` at that quantum.
+  std::int64_t quantum_ns = 0;
+  std::vector<ScreenCpu> screen = {};
 };
 
 class Sink {
@@ -234,18 +234,12 @@ class Registry {
 };
 
 struct Options {
-  /// Quantum and time model the screening passes mirror; also used by
-  /// lint::run to translate the model for the ACSR-tier passes.
+  /// Quantum and latency observers the screening passes mirror; also used
+  /// by lint::run to translate the model for the ACSR-tier passes.
   translate::TranslateOptions translation;
-  /// Severity at which Report::fails() trips (core::Analyzer aborts there).
-  util::Severity fail_on = util::Severity::Error;
-  /// Check ids or names to skip.
-  std::vector<std::string> disabled;
   /// Optional mirror: findings are also reported here as
   /// "[AL001 unbound-thread] message".
   util::DiagnosticEngine* diags = nullptr;
-  /// Pass catalogue override (default Registry::builtin()).
-  const Registry* registry = nullptr;
 };
 
 /// Lint an instance model. Translates into a scratch acsr::Context for the

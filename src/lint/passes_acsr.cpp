@@ -256,7 +256,7 @@ class InstantaneousCyclePass final : public Pass {
   }
   void run(const Subject& subject, Sink& sink) const override {
     const aadl::InstanceModel& m = *subject.instance;
-    const std::int64_t q = subject.topts.quantum_ns;
+    const std::int64_t q = subject.quantum_ns;
     if (q <= 0) return;
 
     // A thread can participate in an instantaneous dispatch cycle when it

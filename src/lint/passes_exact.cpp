@@ -301,7 +301,7 @@ class BlockingRtaPass final : public Pass {
     const aadl::SharedResourceModel srm =
         aadl::extract_shared_resources(*subject.instance);
     if (srm.resources.empty()) return;
-    const std::int64_t q = subject.topts.quantum_ns;
+    const std::int64_t q = subject.quantum_ns;
 
     for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol || !sc.priorities_ok) continue;
@@ -407,7 +407,7 @@ class SharedAccessHazardPass final : public Pass {
   void run(const Subject& subject, Sink& sink) const override {
     const aadl::InstanceModel& m = *subject.instance;
     const aadl::SharedResourceModel srm = extract_shared_resources(m);
-    const std::int64_t q = subject.topts.quantum_ns;
+    const std::int64_t q = subject.quantum_ns;
 
     for (const aadl::SharedResourceInfo& res : srm.resources) {
       std::set<const aadl::ComponentInstance*> users;

@@ -313,7 +313,7 @@ class InconsistentTimingPass final : public Pass {
   }
   void run(const Subject& subject, Sink& sink) const override {
     const InstanceModel& m = *subject.instance;
-    const std::int64_t q = subject.topts.quantum_ns;
+    const std::int64_t q = subject.quantum_ns;
     for (const ComponentInstance* t : m.threads) {
       const RawTiming rt = read_timing(m, *t);
       if (rt.cmin_ns && rt.cmax_ns && *rt.cmin_ns > *rt.cmax_ns)

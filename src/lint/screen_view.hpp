@@ -2,7 +2,7 @@
 // lint tiers and core::extract_taskset. Parameters and priorities come
 // from translate/timing.hpp, the translator's own rule, so static analyses
 // see exactly the parameters exploration would. Unlike the translator it
-// keeps going past incomplete threads and applies no max_quanta cap
+// keeps going past incomplete threads and applies no cap on quanta
 // (AL007 must still refute models the translator cannot take).
 // lint::run_subject builds the view once per run (Subject::screen).
 #pragma once

@@ -57,7 +57,7 @@ std::optional<TaskSet> try_generate_workload(const WorkloadSpec& spec,
         rng.uniform_int(0, spec.periods.size() - 1))];
     Time c = static_cast<Time>(
         std::llround(us[i] * static_cast<double>(t.period)));
-    if (spec.min_wcet_one) c = std::max<Time>(c, 1);
+    c = std::max<Time>(c, 1);
     c = std::min(c, t.period);
     t.wcet = c;
     t.bcet = c;

@@ -8,16 +8,17 @@
 // friendly set (keeps hyperperiods and therefore both the simulator horizon
 // and the ACSR state space bounded), deadlines uniform in [C, T].
 //
-// Utilization realism: quantizing C = llround(u*T) and clamping C >= 1
-// (min_wcet_one) shift the realized sum(C/T) away from the requested total —
-// UUniFast shares can even round to 0 and get bumped to C = 1. The
-// generator therefore records the requested total on the TaskSet
-// (TaskSet::requested_utilization) so consumers can bin acceptance curves
-// by the *realized* utilization (TaskSet::utilization()) instead of
-// silently attributing a drifted task set to the requested grid point.
+// Utilization realism: quantizing C = llround(u*T) and clamping C >= 1 shift
+// the realized sum(C/T) away from the requested total — UUniFast shares can
+// even round to 0 and get bumped to C = 1. The generator therefore records
+// the requested total on the TaskSet (TaskSet::requested_utilization) so
+// consumers can bin acceptance curves by the *realized* utilization
+// (TaskSet::utilization()) instead of silently attributing a drifted task
+// set to the requested grid point.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,16 +28,21 @@
 
 namespace aadlsched::sched {
 
+/// Default candidate periods, in quanta, chosen so hyperperiods stay small
+/// enough for exhaustive exploration. A static array rather than a braced
+/// list: g++ 12 reports the list's backing array as dangling
+/// (-Wdangling-pointer) wherever a WorkloadSpec is built inline.
+inline constexpr Time kDefaultPeriods[] = {4, 5, 8, 10, 16, 20};
+
 struct WorkloadSpec {
   std::size_t task_count = 3;
   double total_utilization = 0.7;
-  /// Candidate periods, in quanta. Defaults chosen so hyperperiods stay
-  /// small enough for exhaustive exploration.
-  std::vector<Time> periods = {4, 5, 8, 10, 16, 20};
-  /// D = C + fraction * (T - C); 1.0 = implicit deadlines.
+  /// Candidate periods, in quanta.
+  std::vector<Time> periods{std::begin(kDefaultPeriods),
+                            std::end(kDefaultPeriods)};
+  /// D = C + fraction * (T - C); 1.0 = implicit deadlines. Every task gets
+  /// wcet >= 1.
   double deadline_fraction = 1.0;
-  /// Ensure every task has wcet >= 1.
-  bool min_wcet_one = true;
 };
 
 /// UUniFast: split `total` into `n` unbiased utilization shares.

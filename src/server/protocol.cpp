@@ -231,7 +231,7 @@ std::string_view extract_trailing_object(std::string_view line,
   // the *last* marker occurrence so a model text containing the marker
   // string cannot confuse the client (requests embed models; responses
   // never re-embed them, but stay paranoid).
-  const std::string marker = "\"" + std::string(key) + "\": ";
+  const std::string marker = util::concat({"\"", key, "\": "});
   const auto pos = line.rfind(marker);
   if (pos == std::string_view::npos) return {};
   const std::size_t start = pos + marker.size();

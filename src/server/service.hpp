@@ -114,8 +114,6 @@ class Service {
   void shutdown();
   bool shutting_down() const;
 
-  const ServiceConfig& config() const { return cfg_; }
-
   /// The shared-directory maintenance agent; null when the disk tier is
   /// off. Exposed so the daemon can log cohabitants at startup and tests
   /// can force a sweep.

@@ -161,14 +161,9 @@ void TcpServer::connection_loop(int fd) {
     if (line.empty()) continue;  // tolerate keep-alive blank lines
     const std::string response = service_.handle_line(line);
     if (!send_all(fd, response) || !send_all(fd, "\n")) break;
-    // A shutdown request flips the service; wake the daemon's main thread
-    // after the ok response has been sent so the client sees the ack.
-    if (service_.shutting_down()) {
-      std::lock_guard lock(mu_);
-      shutdown_requested_ = true;
-      cv_shutdown_.notify_all();
-      break;
-    }
+    // A shutdown request flips the service; the connection ends after
+    // the ok response has been sent so the client sees the ack.
+    if (service_.shutting_down()) break;
   }
   // De-register before closing so stop() can never shut down a recycled
   // descriptor: an fd is either still listed (stop() pokes it under mu_) or
@@ -182,19 +177,8 @@ void TcpServer::connection_loop(int fd) {
   ::close(fd);
 }
 
-void TcpServer::wait_shutdown() {
-  std::unique_lock lock(mu_);
-  cv_shutdown_.wait(lock, [&] { return shutdown_requested_; });
-}
-
 void TcpServer::stop() {
-  bool was_stopping = stopping_.exchange(true);
-  {
-    std::lock_guard lock(mu_);
-    shutdown_requested_ = true;
-    cv_shutdown_.notify_all();
-  }
-  if (was_stopping) {
+  if (stopping_.exchange(true)) {
     // A second caller (destructor after explicit stop) has nothing to join.
     return;
   }

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -47,12 +46,9 @@ class TcpServer {
   /// Actual bound port (resolves port 0 after start()).
   std::uint16_t port() const { return port_; }
 
-  /// Block until a client's shutdown request (or stop()) ends the serve
-  /// loop. The daemon's main thread parks here.
-  void wait_shutdown();
-
   /// Close the listener and every live connection, join all threads.
-  /// Idempotent; also triggered by an Op::Shutdown request.
+  /// Idempotent. A client's shutdown request only flips the Service
+  /// (Service::shutting_down()); the daemon polls that and then calls this.
   void stop();
 
  private:
@@ -66,8 +62,6 @@ class TcpServer {
   std::atomic<bool> stopping_{false};
 
   std::mutex mu_;
-  std::condition_variable cv_shutdown_;
-  bool shutdown_requested_ = false;
   std::vector<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
   std::thread accept_thread_;

@@ -20,6 +20,10 @@ using acsr::DefRole;
 using acsr::ExprId;
 using acsr::OpenTermId;
 
+/// Cap on any time parameter after conversion, to protect the explorer
+/// from quantum settings that explode the state space.
+constexpr std::int64_t kMaxQuanta = 100'000;
+
 std::string mangle(std::string_view path) {
   std::string out;
   out.reserve(path.size());
@@ -126,7 +130,7 @@ class Translator {
   }
 
   /// The translator's policy on one quantized parameter: a warning when
-  /// rounding lost time, an error above the max_quanta cap.
+  /// rounding lost time, an error above kMaxQuanta.
   bool check_quanta(std::string_view what, const std::string& who,
                     std::int64_t ns, std::int64_t quanta) {
     const std::int64_t q = opts_.quantum_ns;
@@ -136,11 +140,11 @@ class Translator {
                              "of the quantum; rounded " +
                              (quanta > ns / q ? "up" : "down"));
     }
-    if (quanta > opts_.max_quanta) {
+    if (quanta > kMaxQuanta) {
       diags_.error({}, std::string(what) + " of '" + who + "' is " +
                            std::to_string(quanta) +
-                           " quanta, above the configured cap; increase the "
-                           "quantum");
+                           " quanta, above the translator's cap; increase "
+                           "the quantum");
       return false;
     }
     return true;
@@ -251,9 +255,9 @@ class Translator {
   void collect_connections() {
     int conn_index = 0;
     for (const SemanticConnection& sc : model_.connections) {
-      const std::string cm =
-          "c" + std::to_string(conn_index++) + "_" +
-          mangle(sc.source ? sc.source->name + "_" + sc.source_port : "env");
+      const std::string cm = util::concat(
+          {"c", std::to_string(conn_index++), "_",
+           mangle(sc.source ? sc.source->name + "_" + sc.source_port : "env")});
 
       ThreadCtx* dst = sc.destination ? thread_ctx(sc.destination) : nullptr;
       ThreadCtx* src = sc.source ? thread_ctx(sc.source) : nullptr;
@@ -393,33 +397,24 @@ class Translator {
     const bool committed =
         opts_.time_model == ExecutionTimeModel::CommittedDemand &&
         cmin < cmax;
-    // The "anytime" send policy adds a sent-flag parameter s so output
-    // events may be raised at any boundary during the dispatch, exactly
-    // once (keeps the model finite and Zeno-free, §4.4).
-    const bool anytime =
-        opts_.send_policy == EventSendPolicy::OncePerDispatchAnytime &&
-        !tc.completion_sends.empty() && !background;
-
-    // Parameter layout: e [, t] [, c] [, s].
+    // Parameter layout: e [, t] [, c].
     std::vector<std::string> params{"e"};
     if (!background) params.emplace_back("t");
     const std::int32_t idx_c =
         committed ? static_cast<std::int32_t>(params.size()) : -1;
     if (committed) params.emplace_back("c");
-    const std::int32_t idx_s =
-        anytime ? static_cast<std::int32_t>(params.size()) : -1;
-    if (anytime) params.emplace_back("s");
 
     const ExprId e = b_.p(0);
     const ExprId t = b_.p(1);  // meaningless for background threads
     const ExprId c_expr = committed ? b_.p(idx_c) : b_.c(cmax);
-    const ExprId s = anytime ? b_.p(idx_s) : b_.c(0);
     const ExprId prio = cpu_priority(tc);
 
+    // Data(-event) output is sent at completion (§4.4), at the start of the
+    // completion cascade.
     const auto send_chain = [&](OpenTermId cont) {
       for (auto it = tc.completion_sends.rbegin();
            it != tc.completion_sends.rend(); ++it)
-        cont = b_.send(*it, b_.c(anytime ? 0 : 1), cont);
+        cont = b_.send(*it, b_.c(1), cont);
       return cont;
     };
 
@@ -436,12 +431,10 @@ class Translator {
     std::vector<OpenTermId> alts;
 
     /// Arguments for a recursive Compute call.
-    const auto mk_args = [&](ExprId ae, ExprId at,
-                             ExprId as) -> std::vector<ExprId> {
+    const auto mk_args = [&](ExprId ae, ExprId at) -> std::vector<ExprId> {
       std::vector<ExprId> args{ae};
       if (!background) args.push_back(at);
       if (committed) args.push_back(c_expr);
-      if (anytime) args.push_back(as);
       return args;
     };
 
@@ -453,7 +446,7 @@ class Translator {
         for (const std::string& bus : tc.bus_resources)
           uses.emplace_back(bus, prio);
       return b_.act(std::move(uses),
-                    b_.call(compute_name, mk_args(next_e, next_t, s)));
+                    b_.call(compute_name, mk_args(next_e, next_t)));
     };
 
     const ExprId e1 = b_.add(e, b_.c(1));
@@ -484,7 +477,7 @@ class Translator {
     // empty here because access connections are outside the translation's
     // scope (§4).
     alts.push_back(b_.when(
-        can_run, b_.idle(b_.call(compute_name, mk_args(e, t1, s)))));
+        can_run, b_.idle(b_.call(compute_name, mk_args(e, t1)))));
 
     // Completion exit. Committed: exactly at the chosen demand (forced —
     // the thread has no timed step left). LateCompletion: any e >= cmin.
@@ -494,20 +487,7 @@ class Translator {
                          ? b_.eq(e, b_.c(cmax))  // degenerate range
                          : b_.ge(e, b_.c(cmin)));
 
-    if (anytime) {
-      // Raise the outputs at any boundary while executing, once (s: 0 -> 1).
-      alts.push_back(
-          b_.when(b_.eq(s, b_.c(0)),
-                  send_chain(b_.call(compute_name, mk_args(e, t, b_.c(1))))));
-      // Completion: send first if not sent yet.
-      alts.push_back(b_.when(b_.both(complete_guard, b_.eq(s, b_.c(0))),
-                             send_chain(done_only)));
-      alts.push_back(b_.when(b_.both(complete_guard, b_.eq(s, b_.c(1))),
-                             done_only));
-    } else {
-      // Default §4.4 behaviour: data(-event) output at completion.
-      alts.push_back(b_.when(complete_guard, send_chain(done_only)));
-    }
+    alts.push_back(b_.when(complete_guard, send_chain(done_only)));
 
     tc.info.compute_def =
         b_.def(compute_name, params, b_.pick(std::move(alts)),
@@ -530,7 +510,6 @@ class Translator {
         std::vector<ExprId> args{b_.c(0)};
         if (!background) args.push_back(b_.c(0));
         args.push_back(b_.c(demand));
-        if (anytime) args.push_back(b_.c(0));
         demand_branches.push_back(b_.call(compute_name, std::move(args)));
       }
       await_alts.push_back(
@@ -540,7 +519,7 @@ class Translator {
       await_alts.push_back(b_.recv(
           "dispatch_" + m, b_.c(1),
           with_obs_start(
-              b_.call(compute_name, mk_args(b_.c(0), b_.c(0), b_.c(0))))));
+              b_.call(compute_name, mk_args(b_.c(0), b_.c(0))))));
     }
     await_alts.push_back(b_.idle(b_.call(await_name)));
     tc.info.await_def =

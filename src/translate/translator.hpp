@@ -55,15 +55,6 @@ enum class ExecutionTimeModel : std::uint8_t {
   LateCompletion,
 };
 
-enum class EventSendPolicy : std::uint8_t {
-  /// Default of §4.4: data-event output is produced when the dispatch
-  /// completes (start of the completion cascade).
-  AtCompletion,
-  /// "Events can be raised at any time when the thread is executing":
-  /// bounded to once per dispatch to keep the model finite and Zeno-free.
-  OncePerDispatchAnytime,
-};
-
 /// End-to-end latency requirement over a flow from the dispatch of a
 /// source thread to the completion of a sink thread (§5: observer
 /// processes; exact for non-pipelined flows — the paper notes pipelined
@@ -79,16 +70,12 @@ struct TranslateOptions {
   /// times round up, periods and deadlines round down (conservative).
   std::int64_t quantum_ns = 10'000'000;  // 10 ms
   ExecutionTimeModel time_model = ExecutionTimeModel::CommittedDemand;
-  EventSendPolicy send_policy = EventSendPolicy::AtCompletion;
   /// Give each thread's dispatch event a distinct priority so the commuting
   /// dispatch taus of one instant happen in a canonical order instead of
   /// every interleaving. Sound (the taus touch disjoint components) and
   /// cuts the explored space roughly 2^n -> n per simultaneous-dispatch
   /// boundary; bench_statespace ablates it.
   bool ordered_instants = true;
-  /// Cap on any time parameter after conversion, to protect the explorer
-  /// from quantum settings that explode the state space.
-  std::int64_t max_quanta = 100'000;
   /// End-to-end latency observers to synthesize (§5).
   std::vector<LatencySpec> latency_specs;
 };

@@ -142,26 +142,21 @@ double BudgetTracker::elapsed_ms() const {
       .count();
 }
 
-BudgetStatus BudgetTracker::check(std::uint64_t states) {
+BudgetStatus BudgetTracker::check() {
   // Cancellation must be prompt: one relaxed load per expansion.
   if (budget_.cancel && budget_.cancel->cancelled())
     return {BudgetSignal::Stop, StopReason::Cancelled};
-  if (budget_.max_states != 0 && states >= budget_.max_states)
-    return {BudgetSignal::Stop, StopReason::MaxStates};
   if (++calls_ % kStride != 1) return {};
-  return full_check(states);
+  return full_check();
 }
 
-BudgetStatus BudgetTracker::check_now(std::uint64_t states) {
+BudgetStatus BudgetTracker::check_now() {
   if (budget_.cancel && budget_.cancel->cancelled())
     return {BudgetSignal::Stop, StopReason::Cancelled};
-  if (budget_.max_states != 0 && states >= budget_.max_states)
-    return {BudgetSignal::Stop, StopReason::MaxStates};
-  return full_check(states);
+  return full_check();
 }
 
-BudgetStatus BudgetTracker::full_check(std::uint64_t states) {
-  (void)states;
+BudgetStatus BudgetTracker::full_check() {
   if (injector_) {
     const StopReason injected = injector_->trip_budget_check();
     if (injected != StopReason::None) {

@@ -5,10 +5,11 @@
 // interruptible with usable partial results*, never a hung CLI or a dead
 // sweep pool. Three pieces implement that:
 //
-//   * RunBudget — the caller's resource envelope: a wall-clock deadline, a
-//     state cap, an approximate memory ceiling, and an optional CancelToken.
-//     A default-constructed budget is unlimited, so existing callers pay
-//     nothing.
+//   * RunBudget — the caller's resource envelope: a wall-clock deadline, an
+//     approximate memory ceiling, and an optional CancelToken. A
+//     default-constructed budget is unlimited, so existing callers pay
+//     nothing. The state cap is the engine's own (ExploreOptions::max_states,
+//     SymbolicOptions::max_classes).
 //   * BudgetTracker — the hot-loop governor. check() is called once per
 //     state expansion; it reads the cancel flag every call (one relaxed
 //     atomic load) but polls the clock and the caller's memory estimator
@@ -66,14 +67,11 @@ class CancelToken {
 /// numeric field, so a default RunBudget changes nothing.
 struct RunBudget {
   double deadline_ms = 0;          // wall-clock limit for the run
-  std::uint64_t max_states = 0;    // state cap (composes with the explorer's
-                                   // own ExploreOptions::max_states)
   std::uint64_t memory_bytes = 0;  // approximate memory ceiling
   CancelToken* cancel = nullptr;   // observed, not owned; may be null
 
   bool unlimited() const noexcept {
-    return deadline_ms <= 0 && max_states == 0 && memory_bytes == 0 &&
-           cancel == nullptr;
+    return deadline_ms <= 0 && memory_bytes == 0 && cancel == nullptr;
   }
 };
 
@@ -180,9 +178,9 @@ class BudgetTracker {
 
   /// Hot-path check, call once per expansion. Cancel is checked every call;
   /// clock/memory every kStride calls (and on the first).
-  BudgetStatus check(std::uint64_t states);
+  BudgetStatus check();
   /// Full check (clock + memory) regardless of the stride.
-  BudgetStatus check_now(std::uint64_t states);
+  BudgetStatus check_now();
   /// Poll from inside one state expansion (the Par3 fold, every few
   /// thousand partials): cancel, clock and memory, same signals as check().
   /// It is not a budget check for the FaultInjector, so fault specs count
@@ -200,7 +198,7 @@ class BudgetTracker {
   static constexpr std::uint64_t kStride = 256;
 
  private:
-  BudgetStatus full_check(std::uint64_t states);
+  BudgetStatus full_check();
   /// Clock, then memory; a memory probe `injector` faults reads as over
   /// the ceiling.
   BudgetStatus limits(FaultInjector* injector);

@@ -102,9 +102,12 @@ class JsonParser {
 
   std::optional<JsonValue> parse_object(int depth) {
     ++pos_;  // '{'
-    JsonValue::Object obj;
+    // Members go straight into the returned value: moving a finished
+    // Object into a fresh variant trips g++ 12's -Wmaybe-uninitialized.
+    std::optional<JsonValue> out(std::in_place);
+    auto& obj = out->data().emplace<JsonValue::Object>();
     skip_ws();
-    if (eat('}')) return JsonValue(JsonValue::Data(std::move(obj)));
+    if (eat('}')) return out;
     while (true) {
       skip_ws();
       auto key = parse_string();
@@ -120,7 +123,7 @@ class JsonParser {
       obj.insert_or_assign(std::move(*key), std::move(*val));
       skip_ws();
       if (eat(',')) continue;
-      if (eat('}')) return JsonValue(JsonValue::Data(std::move(obj)));
+      if (eat('}')) return out;
       fail("expected ',' or '}' in object");
       return std::nullopt;
     }

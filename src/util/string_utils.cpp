@@ -49,6 +49,12 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view p : parts) out += p;
+  return out;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -174,7 +174,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
       finish();
       return result;  // complete stays false: partial result
     }
-    if (!within_budget(tracker.check(result.states))) {
+    if (!within_budget(tracker.check())) {
       capture_wavefront();
       finish();
       return result;  // complete stays false: partial result

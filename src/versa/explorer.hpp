@@ -51,18 +51,18 @@ struct Wavefront {
 struct ExploreOptions {
   /// Stop after this many states (guards against runaway models).
   std::uint64_t max_states = 5'000'000;
-  /// Resource envelope: wall-clock deadline, extra state cap, approximate
-  /// memory ceiling, cooperative cancellation. Default = unlimited. The
-  /// engine checks per expansion. Under memory pressure it degrades first
-  /// — trace recording is dropped (ExploreResult::trace_dropped) — and
-  /// only stops when pressure persists. See DESIGN.md §10.
+  /// Resource envelope: wall-clock deadline, approximate memory ceiling,
+  /// cooperative cancellation. Default = unlimited. The engine checks per
+  /// expansion. Under memory pressure it degrades first — trace recording
+  /// is dropped (ExploreResult::trace_dropped) — and only stops when
+  /// pressure persists. See DESIGN.md §10.
   util::RunBudget budget;
 
   // --- warm re-exploration (checkpointing) -----------------------------
   /// When non-null and the run stops on a budget (Deadline / MemoryBudget /
-  /// MaxStates / Cancelled / the RunBudget state cap), the engine writes
-  /// the paused BFS here so the caller can serialize it. Left empty on a
-  /// conclusive run (complete, or stopped at a deadlock).
+  /// MaxStates / Cancelled), the engine writes the paused BFS here so the
+  /// caller can serialize it. Left empty on a conclusive run (complete, or
+  /// stopped at a deadlock).
   Wavefront* capture = nullptr;
   /// When non-null and non-empty, the run continues this wavefront instead
   /// of starting from `initial`: the visited set, both frontiers and all

@@ -1,6 +1,7 @@
 #include "versa/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -14,29 +15,34 @@ SweepReport parallel_sweep(std::size_t jobs,
                            std::size_t workers) {
   SweepReport report;
   std::mutex mu;
-  // A thread per job at most: surplus workers would only sit idle.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < jobs; i = next++) {
+      // Isolation boundary: an exception escaping a std::thread terminates
+      // the process, so every job runs under try/catch and failures become
+      // structured records. The fault-injection probe sits inside the
+      // guarded region — an injected job fault exercises exactly the path a
+      // real throwing job takes.
+      try {
+        util::FaultInjector::global().maybe_throw_job();
+        job(i);
+        std::lock_guard lk(mu);
+        ++report.completed;
+      } catch (const std::exception& e) {
+        std::lock_guard lk(mu);
+        report.failures.push_back(SweepFailure{i, e.what()});
+      } catch (...) {
+        std::lock_guard lk(mu);
+        report.failures.push_back(SweepFailure{i, "unknown exception"});
+      }
+    }
+  };
   if (workers == 0)
     workers = std::max(1u, std::thread::hardware_concurrency());
-  util::ThreadPool pool(std::max<std::size_t>(1, std::min(workers, jobs)));
-  pool.parallel_for(jobs, [&](std::size_t i) {
-    // Isolation boundary: ThreadPool terminates the process if a task
-    // escapes with an exception, so every job runs under try/catch and
-    // failures become structured records. The fault-injection probe sits
-    // inside the guarded region — an injected job fault exercises exactly
-    // the path a real throwing job takes.
-    try {
-      util::FaultInjector::global().maybe_throw_job();
-      job(i);
-      std::lock_guard lk(mu);
-      ++report.completed;
-    } catch (const std::exception& e) {
-      std::lock_guard lk(mu);
-      report.failures.push_back(SweepFailure{i, e.what()});
-    } catch (...) {
-      std::lock_guard lk(mu);
-      report.failures.push_back(SweepFailure{i, "unknown exception"});
-    }
-  });
+  // A thread per job at most: surplus workers would only sit idle.
+  std::vector<std::thread> threads(std::min(workers, jobs));
+  for (std::thread& t : threads) t = std::thread(work);
+  for (std::thread& t : threads) t.join();
   std::sort(report.failures.begin(), report.failures.end(),
             [](const SweepFailure& a, const SweepFailure& b) {
               return a.job < b.job;

@@ -2,7 +2,7 @@
 //
 // Parallelism in this codebase is across models: independent analyses —
 // one model variant per job, each with a private Context — run
-// concurrently on a thread pool, sharing nothing, so utilization sweeps
+// concurrently on their own threads, sharing nothing, so utilization sweeps
 // are embarrassingly parallel. Each single exploration stays on one
 // thread (DESIGN.md §8).
 #pragma once
@@ -12,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "util/thread_pool.hpp"
-
 namespace aadlsched::versa {
 
 /// A job that escaped with an exception (or was fault-injected, see
 /// util::FaultInjector Site::Job). The sweep records it and carries on —
-/// one poisoned model must not kill the whole pool.
+/// one poisoned model must not kill the whole sweep.
 struct SweepFailure {
   std::size_t job = 0;
   std::string error;  // exception::what(), or "unknown exception"
@@ -31,10 +29,11 @@ struct SweepReport {
   bool ok() const { return failures.empty(); }
 };
 
-/// Run `job(i)` for i in [0, jobs) across `workers` threads (0 = hardware
-/// concurrency). Each job must be self-contained (build its own Context)
-/// and is isolated: a throwing job becomes a SweepFailure record instead of
-/// terminating the pool (util::ThreadPool tasks must not throw). Callers
+/// Run `job(i)` for i in [0, jobs) on min(workers, jobs) threads (workers
+/// 0 = hardware concurrency; no thread when jobs is 0) that take indices
+/// from one shared counter. Each job must be self-contained (build its own
+/// Context) and is isolated: a throwing job becomes a SweepFailure record
+/// instead of terminating the process, and the other jobs still run. Callers
 /// that need per-job budgets attach a RunBudget inside the job itself —
 /// budgets are per-analysis, so isolation and governance compose.
 SweepReport parallel_sweep(std::size_t jobs,

@@ -119,8 +119,7 @@ struct Expansion {
 /// dispatches. A running job completing exactly at its deadline is on
 /// time (the translated dispatcher accepts `done` at t == Deadline); an
 /// active job with work left at its deadline instant is a miss.
-Expansion expand(const SymbolicModel& m, const ClassState& in,
-                 bool corner_demands) {
+Expansion expand(const SymbolicModel& m, const ClassState& in) {
   Expansion out;
   out.delta = next_delta(m, in);
 
@@ -168,7 +167,7 @@ Expansion expand(const SymbolicModel& m, const ClassState& in,
 
   std::vector<std::size_t> varying;  // dispatched tasks with cmin < cmax
   for (const std::size_t i : dispatched)
-    if (corner_demands && m.tasks[i].cmin_ns < m.tasks[i].cmax_ns)
+    if (m.tasks[i].cmin_ns < m.tasks[i].cmax_ns)
       varying.push_back(i);
   // Cap the corner fan: beyond 2^8 corners, the all-cmax corner alone
   // still decides the verdict (demand monotonicity, DESIGN.md §16).
@@ -288,7 +287,7 @@ SymbolicResult explore_symbolic(const SymbolicModel& m,
       finish(result);
       return result;
     }
-    const auto status = tracker.check(table.size());
+    const auto status = tracker.check();
     if (status.signal == util::BudgetSignal::Stop) {
       result.stop = status.reason;
       finish(result);
@@ -300,7 +299,7 @@ SymbolicResult explore_symbolic(const SymbolicModel& m,
     result.depth = std::max(result.depth, table[cur].depth);
 
     // expand() re-reads delta from the state; it matches table[cur].delta.
-    Expansion ex = expand(m, table[cur].state, opts.corner_demands);
+    Expansion ex = expand(m, table[cur].state);
     const std::int64_t t_event = table[cur].t_abs + ex.delta;
 
     if (ex.miss) {

@@ -62,10 +62,6 @@ struct SymbolicOptions {
   std::uint64_t max_classes = 1'000'000;
   /// Wall-clock / cancellation envelope, same governor as the enumerator.
   util::RunBudget budget;
-  /// Branch each dispatch over both demand endpoints {cmin, cmax}. Off
-  /// explores only the all-cmax corner — the verdict is identical (see
-  /// header), the class graph smaller.
-  bool corner_demands = true;
 };
 
 struct SymbolicResult {

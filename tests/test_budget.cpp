@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -190,19 +191,15 @@ TEST(Budget, FaultInjectorFilesystemSites) {
   EXPECT_FALSE(fi.arm("gc.remove:0"));   // nth must be >= 1
 }
 
-TEST(Budget, TrackerMaxStatesAndCancel) {
+TEST(Budget, TrackerCancel) {
   CancelToken tok;
   RunBudget b;
-  b.max_states = 10;
   b.cancel = &tok;
   BudgetTracker tracker(b, {}, nullptr);
-  EXPECT_EQ(tracker.check(9).signal, BudgetSignal::Proceed);
-  const BudgetStatus capped = tracker.check(10);
-  EXPECT_EQ(capped.signal, BudgetSignal::Stop);
-  EXPECT_EQ(capped.reason, StopReason::MaxStates);
+  EXPECT_EQ(tracker.check().signal, BudgetSignal::Proceed);
 
   tok.cancel();
-  const BudgetStatus cancelled = tracker.check(1);
+  const BudgetStatus cancelled = tracker.check();
   EXPECT_EQ(cancelled.signal, BudgetSignal::Stop);
   EXPECT_EQ(cancelled.reason, StopReason::Cancelled);
 }
@@ -212,7 +209,7 @@ TEST(Budget, TrackerDeadline) {
   b.deadline_ms = 0.5;
   BudgetTracker tracker(b, {}, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const BudgetStatus st = tracker.check_now(1);
+  const BudgetStatus st = tracker.check_now();
   EXPECT_EQ(st.signal, BudgetSignal::Stop);
   EXPECT_EQ(st.reason, StopReason::Deadline);
   EXPECT_GT(tracker.elapsed_ms(), 0.0);
@@ -222,7 +219,7 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
   RunBudget b;
   b.memory_bytes = 100;
   BudgetTracker tracker(b, [] { return std::uint64_t{200}; }, nullptr);
-  const BudgetStatus first = tracker.check_now(1);
+  const BudgetStatus first = tracker.check_now();
   EXPECT_EQ(first.signal, BudgetSignal::MemoryPressure);
   EXPECT_EQ(first.reason, StopReason::MemoryBudget);
   EXPECT_EQ(tracker.last_memory_bytes(), 200u);
@@ -231,7 +228,7 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
   tracker.note_degraded();
   EXPECT_TRUE(tracker.degraded());
   // ...and sustained pressure afterwards is a hard stop.
-  const BudgetStatus second = tracker.check_now(2);
+  const BudgetStatus second = tracker.check_now();
   EXPECT_EQ(second.signal, BudgetSignal::Stop);
   EXPECT_EQ(second.reason, StopReason::MemoryBudget);
 }
@@ -241,7 +238,7 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
 
 TEST(BudgetExplore, SerialMaxStates) {
   ExploreOptions opts;
-  opts.budget.max_states = 500;
+  opts.max_states = 500;
   const ExploreResult r = explore_storm(opts);
   EXPECT_EQ(r.stop, StopReason::MaxStates);
   EXPECT_FALSE(r.complete);
@@ -336,7 +333,6 @@ TEST(BudgetExplore, GenerousBudgetsDoNotPerturbEquivalence) {
   ExploreOptions free_run;
   ExploreOptions governed = free_run;
   governed.budget.deadline_ms = 600'000;
-  governed.budget.max_states = 5'000'000;
   governed.budget.memory_bytes = 8ull << 30;
 
   acsr::Context c1;
@@ -370,7 +366,7 @@ TEST(BudgetExplore, MemoryEstimateIncludesSemanticsCaches) {
   acsr::Context ctx;
   acsr::Semantics sem(ctx);
   ExploreOptions opts;
-  opts.budget.max_states = 5'000;
+  opts.max_states = 5'000;
   const ExploreResult r = versa::explore(
       sem, build_initial(ctx, src, "CruiseControlSystem.impl", 1'000'000),
       opts);
@@ -405,9 +401,11 @@ TEST(BudgetExplore, FoldAbandonsOnCancelAndRepeatsCleanly) {
   std::istringstream lines(os.str());
   for (std::string line; std::getline(lines, line);) {
     bool dropped = false;
-    for (int t = 16; t < 20; ++t)
-      dropped |= line.find("t" + std::to_string(t)) != std::string::npos ||
-                 line.find("cpu" + std::to_string(t)) != std::string::npos;
+    for (int t = 16; t < 20; ++t) {
+      const std::string n = std::to_string(t);
+      dropped |= line.find("t" + n) != std::string::npos ||
+                 line.find("cpu" + n) != std::string::npos;
+    }
     if (!dropped) src += line + "\n";
   }
   acsr::Context ctx;
@@ -530,6 +528,60 @@ TEST(BudgetSweep, InjectedJobFaultIsIsolated) {
             std::string::npos);
 }
 
+TEST(BudgetSweep, SurplusWorkersRunEveryIndexOnce) {
+  std::vector<std::atomic<int>> hits(5);
+  const versa::SweepReport report = versa::parallel_sweep(
+      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.completed, hits.size());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(BudgetSweep, OneWorkerRunsEveryIndexInOrderOnOneThread) {
+  std::vector<std::size_t> order;
+  std::set<std::thread::id> threads;
+  const versa::SweepReport report = versa::parallel_sweep(
+      64,
+      [&](std::size_t i) {
+        order.push_back(i);
+        threads.insert(std::this_thread::get_id());
+      },
+      1);
+  EXPECT_EQ(report.completed, 64u);
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(threads.size(), 1u);
+}
+
+TEST(BudgetSweep, NoJobsRunNothing) {
+  // min(workers, 0) threads: the sweep returns without starting any.
+  bool ran = false;
+  const versa::SweepReport report =
+      versa::parallel_sweep(0, [&](std::size_t) { ran = true; }, 8);
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.completed, 0u);
+}
+
+TEST(BudgetSweep, ThrowingJobsLeaveTheOthersRunning) {
+  std::vector<std::atomic<int>> hits(40);
+  const versa::SweepReport report = versa::parallel_sweep(
+      hits.size(),
+      [&](std::size_t i) {
+        if (i % 10 == 0) throw 42;  // not a std::exception
+        hits[i].fetch_add(1);
+      },
+      4);
+  EXPECT_EQ(report.completed, 36u);
+  ASSERT_EQ(report.failures.size(), 4u);
+  for (std::size_t k = 0; k < report.failures.size(); ++k) {
+    EXPECT_EQ(report.failures[k].job, 10 * k);  // sorted by job index
+    EXPECT_EQ(report.failures[k].error, "unknown exception");
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), i % 10 == 0 ? 0 : 1) << i;
+}
+
 TEST(BudgetSweep, NonThrowingSweepIsOk) {
   std::atomic<int> ran{0};
   const versa::SweepReport report =
@@ -546,7 +598,7 @@ TEST(BudgetSweep, NonThrowingSweepIsOk) {
 TEST(BudgetAnalyzer, CappedRunIsInconclusiveNotSchedulable) {
   core::AnalyzerOptions opts;
   opts.translation.quantum_ns = 1'000'000;
-  opts.exploration.budget.max_states = 200;
+  opts.exploration.max_states = 200;
   const core::AnalysisResult r =
       core::analyze_source(read_model("storm.aadl"), "Storm.impl", opts);
   // The run produced a partial result, not a verdict.
@@ -603,7 +655,7 @@ TEST(BudgetAnalyzer, CanonicalJsonOfEveryOutcomeIsPinned) {
   core::AnalyzerOptions ms1;
   ms1.translation.quantum_ns = 1'000'000;
   core::AnalyzerOptions capped = ms1;
-  capped.exploration.budget.max_states = 200;
+  capped.exploration.max_states = 200;
   core::AnalyzerOptions symbolic;
   symbolic.engine = core::Engine::Symbolic;
 

@@ -151,10 +151,10 @@ std::string normalize_explore_ms(std::string json) {
   const std::string key = "\"explore_ms\": ";
   const auto pos = json.find(key);
   if (pos == std::string::npos) return json;
-  auto end = pos + key.size();
+  const std::size_t start = pos + key.size();
+  std::size_t end = start;
   while (end < json.size() && json[end] != ',' && json[end] != '}') ++end;
-  json.replace(pos + key.size(), end - (pos + key.size()), "X");
-  return json;
+  return json.substr(0, start).append("X").append(json, end);
 }
 
 // --- capture ------------------------------------------------------------

@@ -231,25 +231,6 @@ TEST(SymbolicEngine, DispatchOffsetsShiftTheFirstWindow) {
   EXPECT_TRUE(versa::explore_symbolic(m).schedulable());
 }
 
-TEST(SymbolicEngine, CornerDemandsBranchWithoutChangingTheVerdict) {
-  // Interval demand on the high-priority task: the corner fan explores
-  // both {cmin, cmax}; the all-cmax corner alone decides identically
-  // (demand monotonicity, DESIGN.md §16).
-  versa::SymbolicModel m;
-  m.cpu_count = 1;
-  m.tasks = {task("hi", ms(10), ms(10), ms(2), ms(4), 2),
-             task("lo", ms(20), ms(20), ms(5), ms(5), 1)};
-  versa::SymbolicOptions corners;
-  corners.corner_demands = true;
-  versa::SymbolicOptions cmax_only;
-  cmax_only.corner_demands = false;
-  const auto with = versa::explore_symbolic(m, corners);
-  const auto without = versa::explore_symbolic(m, cmax_only);
-  EXPECT_TRUE(with.schedulable());
-  EXPECT_TRUE(without.schedulable());
-  EXPECT_GT(with.classes, without.classes);
-}
-
 TEST(SymbolicEngine, TwoProcessorsAreIndependent) {
   // Each cpu overloaded by the other's task if shared; partitioned fine.
   versa::SymbolicModel m;

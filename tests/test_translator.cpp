@@ -505,7 +505,8 @@ TEST(Translator, OrderedInstantsShrinkTheStateSpace) {
   sched::TaskSet ts;
   for (int i = 0; i < 3; ++i) {
     sched::Task t;
-    t.name = "t" + std::to_string(i);
+    t.name = "t";
+    t.name += std::to_string(i);
     t.wcet = t.bcet = 1;
     t.period = t.deadline = 4;
     t.priority = i + 1;
@@ -621,9 +622,9 @@ TEST(Translator, QueueDropProtocolToleratesOverflow) {
       << "DropNewest absorbs the burst; C=1 within D=4 always fits";
 }
 
-TEST(Translator, AnytimeSendPolicyStillSound) {
-  // Same model under both send policies: verdicts agree for a simple
-  // pipeline (the anytime policy only widens when events arrive).
+TEST(Translator, CompletionSendFeedsSporadicThread) {
+  // A periodic thread's completion raises the event that dispatches a
+  // sporadic thread (§4.4): the two-stage pipeline fits.
   sched::TaskSet ts;
   sched::Task src;
   src.name = "s";
@@ -654,19 +655,13 @@ TEST(Translator, AnytimeSendPolicyStillSound) {
   aadl_src.replace(tpos, tdecl.size(),
                    "thread T0\n  features\n    evt : out event port;\n");
 
-  for (EventSendPolicy policy :
-       {EventSendPolicy::AtCompletion,
-        EventSendPolicy::OncePerDispatchAnytime}) {
-    Pipeline p;
-    TranslateOptions opts = ms_quantum();
-    opts.send_policy = policy;
-    ASSERT_TRUE(p.load(aadl_src, "Root.impl", opts)) << p.diags.render_all();
-    acsr::Semantics sem(p.ctx);
-    const auto r = versa::explore(sem, p.translation->initial);
-    EXPECT_TRUE(r.complete);
-    EXPECT_FALSE(r.deadlock_found)
-        << "policy " << static_cast<int>(policy);
-  }
+  Pipeline p;
+  ASSERT_TRUE(p.load(aadl_src, "Root.impl", ms_quantum()))
+      << p.diags.render_all();
+  acsr::Semantics sem(p.ctx);
+  const auto r = versa::explore(sem, p.translation->initial);
+  EXPECT_TRUE(r.complete);
+  EXPECT_FALSE(r.deadlock_found);
 }
 
 TEST(Translator, BackgroundThreadRunsInSlackOnly) {

@@ -2,13 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "util/chunked_vector.hpp"
@@ -18,7 +16,6 @@
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
 #include "util/string_utils.hpp"
-#include "util/thread_pool.hpp"
 
 namespace u = aadlsched::util;
 
@@ -178,29 +175,6 @@ TEST(Diagnostics, InvalidLocOmitted) {
   u::DiagnosticEngine de("x");
   de.error({}, "no loc");
   EXPECT_EQ(de.render_all(), "x: error: no loc\n");
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  u::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  u::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAfterWait) {
-  u::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t) { ++count; });
-  pool.parallel_for(10, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 20);
 }
 
 TEST(ChunkedVector, StableAddressesAcrossGrowth) {

@@ -127,7 +127,7 @@ TEST(WorkloadValidation, StructuralInvariantsOfTheSpecItself) {
   EXPECT_EQ(ts->tasks.size(), ok.task_count);
 }
 
-// Property: WCET rounding plus the min_wcet_one clamp drift the realized
+// Property: WCET rounding plus the C >= 1 clamp drift the realized
 // sum(C/T) from the requested total by at most 1/T per task (|llround
 // error| <= 0.5 quantum; a 0 -> 1 bump or a clamp to T stays under one
 // quantum), so on the default period set (min period 4) the total drift is
@@ -173,7 +173,7 @@ TEST(WorkloadRealizedUtilization, UnsetRequestMeansZeroDrift) {
 
 TEST(Workload, UtilizationTracksTarget) {
   // Rounding WCETs distorts utilization; with generous periods the mean
-  // must stay close to the target (small periods + min_wcet_one bias up).
+  // must stay close to the target (small periods + C >= 1 bias it up).
   WorkloadSpec spec;
   spec.task_count = 4;
   spec.periods = {20, 25, 40, 50, 80, 100};
