@@ -199,7 +199,9 @@ TermId Context::instantiate(OpenTermId open_id,
 }
 
 TermId Context::unfold(TermId call_term) {
-  if (const TermId* hit = unfold_memo_.find(call_term)) return *hit;
+  if (call_term < unfold_memo_.size() &&
+      unfold_memo_[call_term] != kInvalidTerm)
+    return unfold_memo_[call_term];
   const TermNode& node = terms_.node(call_term);
   assert(node.kind == TermKind::Call);
   const DefId def_id = node.a;
@@ -211,20 +213,22 @@ TermId Context::unfold(TermId call_term) {
   for (std::size_t i = 0; i < raw.size(); ++i)
     params[i] = static_cast<ParamValue>(raw[i]);
   const TermId ground = instantiate(def.body, params);
-  unfold_memo_.emplace(call_term, ground);
+  if (call_term >= unfold_memo_.size())
+    unfold_memo_.resize(terms_.size(), kInvalidTerm);
+  unfold_memo_[call_term] = ground;
   return ground;
 }
 
 std::size_t Context::approx_bytes() const {
   // Rough per-entry constants stand in for hash-index and allocator
-  // overhead; the term table (nodes + payload arena) dominates on any
-  // non-trivial exploration, so precision elsewhere does not matter.
+  // overhead; explored states live in the explorer's state table, and the
+  // term table (nodes + payload arena) is most of what is left here.
   std::size_t bytes = terms_.approx_bytes() + actions_.approx_bytes();
   bytes += exprs_.expr_count() * (sizeof(ExprNode) + 48);
   bytes += (resources_.size() + events_.size()) * 64;
   bytes += open_terms_.size() * sizeof(OpenTermNode);
   bytes += defs_.size() * sizeof(Definition);
-  bytes += unfold_memo_.approx_bytes();
+  bytes += unfold_memo_.capacity() * sizeof(TermId);
   return bytes;
 }
 

@@ -21,7 +21,6 @@
 #include "acsr/expr.hpp"
 #include "acsr/open_term.hpp"
 #include "acsr/term.hpp"
-#include "util/flat_set.hpp"
 #include "util/interner.hpp"
 
 namespace aadlsched::acsr {
@@ -90,9 +89,9 @@ class Context {
 
   // --- resource governance ---------------------------------------------
   /// Approximate bytes held by the hash-cons tables (terms, actions,
-  /// expressions, interners). Dominated by the term table during
-  /// exploration; used with the visited-set footprint to enforce
-  /// RunBudget::memory_bytes (util/budget.hpp).
+  /// expressions, interners) and the unfold memo; used with the
+  /// explorer's state-table footprint to enforce RunBudget::memory_bytes
+  /// (util/budget.hpp).
   std::size_t approx_bytes() const;
 
  private:
@@ -107,7 +106,8 @@ class Context {
   std::deque<OpenTermNode> open_terms_;
   std::deque<Definition> defs_;
   std::unordered_map<std::string, DefId> def_index_;
-  util::FlatIdMap<TermId> unfold_memo_;
+  // Unfolded body of each Call, indexed by TermId (kInvalidTerm: not yet).
+  std::vector<TermId> unfold_memo_;
 };
 
 }  // namespace aadlsched::acsr

@@ -29,9 +29,6 @@ void canonicalize(std::vector<Transition>& ts, std::size_t from) {
 /// block of its own size).
 constexpr std::size_t kBlockTransitions = 4096;
 
-/// parallel_candidates() argument for a Parallel with no Restrict around it.
-constexpr EventSetId kNoRestriction = static_cast<EventSetId>(-1);
-
 /// A recorded choice row stores positions as 16 bits; 0xFFFF is "stays".
 constexpr std::size_t kNarrowStays = 0xFFFF;
 
@@ -55,10 +52,31 @@ bool same_labels(std::span<const Transition> a, std::span<const Transition> b) {
                     });
 }
 
+/// Interns each target row as a term: Parallel(row), inside Restrict(F, .)
+/// when F is set; [kNil] is NIL.
+class TermSink final : public Semantics::RowSink {
+ public:
+  TermSink(TermTable& tt, EventSetId restriction)
+      : tt_(tt), restriction_(restriction) {}
+
+  std::uint32_t intern(std::span<const TermId> row) override {
+    if (row.size() == 1) return row[0];
+    const TermId par = tt_.parallel(row);
+    return restriction_ == Semantics::kNoRestriction
+               ? par
+               : tt_.restrict(restriction_, par);
+  }
+
+ private:
+  TermTable& tt_;
+  EventSetId restriction_;
+};
+
 }  // namespace
 
 std::size_t Semantics::approx_bytes() const {
-  std::size_t bytes = memo_.approx_bytes() + skyline_.approx_bytes() +
+  std::size_t bytes = memo_.capacity() * sizeof(FanEntry) +
+                      skyline_.approx_bytes() +
                       signature_index_.approx_bytes() +
                       shape_index_.approx_bytes();
   for (const std::vector<Transition>& b : blocks_)
@@ -72,7 +90,7 @@ std::size_t Semantics::approx_bytes() const {
            kid_fans_.capacity() * sizeof(Fan) +
            cand_labels_.capacity() * sizeof(Label) +
            cand_choices_.capacity() * sizeof(std::uint32_t) +
-           row_.capacity() * sizeof(TermId) +
+           (row_.capacity() + flat_.capacity()) * sizeof(TermId) +
            shape_key_.capacity() * sizeof(std::uint32_t) +
            partials_.capacity() * sizeof(Partial) +
            level_kid_.capacity() * sizeof(std::uint32_t) +
@@ -108,31 +126,36 @@ std::vector<Transition> Semantics::transitions(TermId t) {
 }
 
 bool Semantics::prioritized(TermId t, std::vector<Transition>& out) {
-  out.clear();
-  if (!memoize_) rewind();
   TermTable& tt = ctx_.terms();
   const TermNode& node = tt.node(t);
   const bool restricted = node.kind == TermKind::Restrict &&
                           tt.kind(node.b) == TermKind::Parallel;
-  if (!restricted && node.kind != TermKind::Parallel) {
-    const Fan f = fan(t);
-    cand_labels_.clear();
-    for (const Transition& tr : f) cand_labels_.push_back(tr.label);
-    stats_.preempt_checks +=
-        mark_survivors(ctx_.actions(), cand_labels_, keep_, skyline_);
-    for (std::size_t k = 0; k < f.size(); ++k)
-      if (keep_[k]) out.push_back(f[k]);
-    stats_.candidates += f.size();
-    stats_.kept += out.size();
-    return true;
+  if (restricted || node.kind == TermKind::Parallel) {
+    const EventSetId fset = restricted ? node.a : kNoRestriction;
+    TermSink sink(tt, fset);
+    return expand_row(fset, tt.payload(restricted ? node.b : t), sink, out);
   }
+  out.clear();
+  if (!memoize_) rewind();
+  const Fan f = fan(t);
+  cand_labels_.clear();
+  for (const Transition& tr : f) cand_labels_.push_back(tr.label);
+  stats_.preempt_checks +=
+      mark_survivors(ctx_.actions(), cand_labels_, keep_, skyline_);
+  for (std::size_t k = 0; k < f.size(); ++k)
+    if (keep_[k]) out.push_back(f[k]);
+  stats_.candidates += f.size();
+  stats_.kept += out.size();
+  return true;
+}
 
-  // Labels first: prioritize the candidates, intern survivors only. The
+bool Semantics::expand_row(EventSetId fset, std::span<const TermId> kids,
+                           RowSink& sink, std::vector<Transition>& out) {
+  out.clear();
+  if (!memoize_) rewind();
+  // Labels first: prioritize the candidates, name survivors only. The
   // shape key (restriction, one signature per child fan) finds an earlier
   // expansion with the same candidates and survivors.
-  const TermId par = restricted ? node.b : t;
-  const EventSetId fset = restricted ? node.a : kNoRestriction;
-  const auto kids = tt.payload(par);
   const std::size_t n = kids.size();
   const std::size_t base = kid_fans_.size();
   bool narrow = memoize_;  // a shape can be looked up and recorded
@@ -194,12 +217,12 @@ bool Semantics::prioritized(TermId t, std::vector<Transition>& out) {
   // same survivors in the same order as the fold's.
   if (found != util::kFlatEmptySlot) {
     const Shape& sh = shapes_[found];
-    materialize(kids, fans, fset,
+    materialize(kids, fans,
                 std::span<const Label>(kept_labels_).subspan(sh.kept_at,
                                                              sh.kept),
-                kept_choices_.data() + sh.choices_at, out);
+                kept_choices_.data() + sh.choices_at, sink, out);
   } else {
-    materialize(kids, fans, fset, cand_labels_, cand_choices_.data(), out);
+    materialize(kids, fans, cand_labels_, cand_choices_.data(), sink, out);
   }
   kid_fans_.resize(base);
   canonicalize(out, 0);
@@ -238,17 +261,15 @@ std::uint32_t Semantics::record_shape(std::uint64_t hash, std::size_t n,
 }
 
 Semantics::Fan Semantics::fan(TermId t, std::uint32_t* signature) {
-  if (memoize_) {
-    if (FanEntry* hit = memo_.find(t)) {
-      ++stats_.memo_hits;
-      const Fan f(hit->data, hit->size);
-      if (signature != nullptr) {
-        if (hit->signature == kNoSignature)
-          hit->signature = intern_signature(f);
-        *signature = hit->signature;
-      }
-      return f;
+  if (memoize_ && t < memo_.size() && memo_[t].size != kNoFan) {
+    FanEntry& hit = memo_[t];
+    ++stats_.memo_hits;
+    const Fan f(hit.data, hit.size);
+    if (signature != nullptr) {
+      if (hit.signature == kNoSignature) hit.signature = intern_signature(f);
+      *signature = hit.signature;
     }
+    return f;
   }
   ++stats_.computed;
   const std::size_t base = out_.size();
@@ -260,8 +281,9 @@ Semantics::Fan Semantics::fan(TermId t, std::uint32_t* signature) {
     const std::uint32_t s =
         signature != nullptr ? intern_signature(f) : kNoSignature;
     if (signature != nullptr) *signature = s;
-    memo_.emplace(t, FanEntry{f.data(), static_cast<std::uint32_t>(f.size()),
-                              s});
+    // compute() may have interned terms above t: size the memo to the table.
+    if (t >= memo_.size()) memo_.resize(ctx_.terms().size());
+    memo_[t] = FanEntry{f.data(), static_cast<std::uint32_t>(f.size()), s};
   }
   return f;
 }
@@ -285,21 +307,41 @@ bool Semantics::poll_budget() {
 
 template <typename Choice>
 void Semantics::materialize(std::span<const TermId> kids, const Fan* fans,
-                            EventSetId restricted,
                             std::span<const Label> labels,
-                            const Choice* choices,
+                            const Choice* choices, RowSink& sink,
                             std::vector<Transition>& out) {
-  TermTable& tt = ctx_.terms();
+  const TermTable& tt = ctx_.terms();
   const std::size_t n = kids.size();
-  row_.resize(n);
   for (std::size_t k = 0; k < labels.size(); ++k, choices += n) {
-    for (std::size_t i = 0; i < n; ++i)
-      row_[i] = choices[i] == static_cast<Choice>(kStays)
-                    ? kids[i]
-                    : fans[i][choices[i]].target;
-    TermId target = tt.parallel(row_);
-    if (restricted != kNoRestriction) target = tt.restrict(restricted, target);
-    out.push_back(Transition{labels[k], target});
+    // The row TermTable::parallel would intern: a moved component that is
+    // itself a Parallel is flattened into its children; sorted; NIL when
+    // every component is.
+    row_.clear();
+    bool nested = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (choices[i] == static_cast<Choice>(kStays)) {
+        row_.push_back(kids[i]);
+        continue;
+      }
+      const TermId t = fans[i][choices[i]].target;
+      nested = nested || tt.kind(t) == TermKind::Parallel;
+      row_.push_back(t);
+    }
+    if (nested) {
+      flat_.clear();
+      for (const TermId t : row_) {
+        if (tt.kind(t) == TermKind::Parallel) {
+          const auto p = tt.payload(t);
+          flat_.insert(flat_.end(), p.begin(), p.end());
+        } else {
+          flat_.push_back(t);
+        }
+      }
+      row_.swap(flat_);
+    }
+    std::sort(row_.begin(), row_.end());
+    if (row_.back() == kNil) row_.assign(1, kNil);
+    out.push_back(Transition{labels[k], sink.intern(row_)});
   }
 }
 
@@ -337,8 +379,8 @@ void Semantics::compute(TermId t) {
       }
       const Fan* fans = kid_fans_.data() + base;
       parallel_candidates(fans, kids.size(), kNoRestriction, false);
-      materialize(kids, fans, kNoRestriction, cand_labels_,
-                  cand_choices_.data(), out_);
+      TermSink sink(tt, kNoRestriction);
+      materialize(kids, fans, cand_labels_, cand_choices_.data(), sink, out_);
       kid_fans_.resize(base);
       break;
     }

@@ -22,27 +22,33 @@
 // that is the relation the explorer walks, and the one for which
 // "deadlock <=> missed deadline" holds for translated AADL models (§5).
 //
-// Labels first: whether a step is preempted depends only on its label, so
-// on a Parallel state (or a Restrict around one — every translated model's
-// state) prioritized() builds the candidate labels with their per-component
-// choices, drops the preempted ones, and interns targets only for the
-// survivors. transitions() runs the same candidate generator and interns
-// every candidate (DESIGN.md §13).
+// Rows, labels first: every state of a translated model is
+// Restrict(F, Parallel(c₁…c_k)), and whether a step is preempted depends
+// only on its label. expand_row() takes such a state as its restriction and
+// its component row, builds the candidate labels with their per-component
+// choices, drops the preempted ones, and hands each survivor's target row
+// (flattened and sorted, as TermTable::parallel normalizes it) to a RowSink,
+// which names it: the explorer's state table gives it a state number
+// (versa/explorer.hpp), the term sink interns it as a Restrict/Parallel
+// term. prioritized() on a Parallel or Restrict(Parallel) term is
+// expand_row() with the term sink, and transitions() on a Parallel runs the
+// same candidate generator with every candidate kept, so the Par rules
+// exist once (DESIGN.md §13).
 //
 // Shape memo: which candidates such a state has, and which survive, depends
 // only on the restriction and on the label sequence of each component's
-// fan — its signature, interned once per fan. prioritized() keys each
+// fan — its signature, interned once per fan. expand_row() keys each
 // expansion by (restriction, signatures) and records the survivors' labels
 // with their choices: per component, the position of the transition it
 // takes in its fan, or "stays". A repeat shape skips the Par1/2/4
-// generator, the Par3 fold and the skyline, and builds the same targets
-// through the same calls (DESIGN.md §13).
+// generator, the Par3 fold and the skyline, and builds the same target rows
+// in the same order (DESIGN.md §13).
 //
 // One expansion can be huge: the Par3 fold is exponential in the number of
 // components offering several timed steps. With a budget attached, the
 // labels-first fold polls it every kPollPartials partials and abandons the
-// expansion on a trip; a shape hit whose fold built that many polls once
-// (DESIGN.md §10).
+// expansion on a trip, before any row reaches the sink; a shape hit whose
+// fold built that many polls once (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -95,6 +101,23 @@ class Semantics {
   /// Partials the labels-first Par3 fold builds between two budget polls.
   static constexpr std::size_t kPollPartials = 4096;
 
+  /// expand_row() restriction of a bare Parallel.
+  static constexpr EventSetId kNoRestriction = static_cast<EventSetId>(-1);
+
+  /// Names the target rows of expand_row(). A row is sorted and holds no
+  /// Parallel component; [kNil] stands for NIL, the target whose components
+  /// are all NIL. intern() is called once per survivor, in candidate order,
+  /// and must give equal rows equal ids. Targets with the same label sort by
+  /// id, so ids must grow in first-intern order for the fan to come out in
+  /// the order the term sink gives it.
+  class RowSink {
+   public:
+    virtual std::uint32_t intern(std::span<const TermId> row) = 0;
+
+   protected:
+    ~RowSink() = default;
+  };
+
   /// memoize=false exists for the ablation bench and the differential
   /// tests: exploration with it is identical, but it recomputes every fan
   /// and folds every expansion (no fan memo, no shape memo).
@@ -118,6 +141,15 @@ class Semantics {
     prioritized(t, out);
     return out;
   }
+
+  /// Prioritized fan of the state with components `row` (sorted, at least
+  /// two, none a Parallel) under `restriction` (kNoRestriction: a bare
+  /// Parallel), into `out` in canonical order, each target the id `sink`
+  /// gave its row. `row` must stay valid while the sink interns. Returns
+  /// false, having called the sink for no row, when the budget tripped;
+  /// otherwise as prioritized().
+  bool expand_row(EventSetId restriction, std::span<const TermId> row,
+                  RowSink& sink, std::vector<Transition>& out);
 
   const Stats& stats() const { return stats_; }
   Context& context() { return ctx_; }
@@ -158,12 +190,13 @@ class Semantics {
   /// shape_key_; kFlatEmptySlot when an offset would not fit.
   std::uint32_t record_shape(std::uint64_t hash, std::size_t n,
                              std::size_t candidates);
-  /// Append one transition per label: the target moves each component of
-  /// `kids` as the label's n-wide choice row says (Choice(-1) = stays).
+  /// Append one transition per label: the target row moves each component
+  /// of `kids` as the label's n-wide choice row says (Choice(-1) = stays),
+  /// and `sink` names it.
   template <typename Choice>
   void materialize(std::span<const TermId> kids, const Fan* fans,
-                   EventSetId restricted, std::span<const Label> labels,
-                   const Choice* choices, std::vector<Transition>& out);
+                   std::span<const Label> labels, const Choice* choices,
+                   RowSink& sink, std::vector<Transition>& out);
   bool poll_budget();
   Fan store(Fan f);
   void rewind();
@@ -175,18 +208,21 @@ class Semantics {
   util::BudgetStatus interruption_;
 
   // Fans live in blocks that are never reallocated, so a Fan view stays
-  // valid while more fans are stored; the memo maps a term to its view and
-  // its signature. Without the memo the blocks are rewound at every public
-  // call: a view only has to outlive the call that made it.
+  // valid while more fans are stored; the memo, indexed by TermId, holds a
+  // term's view and its signature. The term table holds components, not
+  // explored states, so a dense memo stays small. Without the memo the
+  // blocks are rewound at every public call: a view only has to outlive
+  // the call that made it.
   std::vector<std::vector<Transition>> blocks_;
   std::size_t block_ = 0;
+  static constexpr std::uint32_t kNoFan = 0xFFFFFFFF;
   struct FanEntry {
     const Transition* data = nullptr;
-    std::uint32_t size = 0;
+    std::uint32_t size = kNoFan;  // kNoFan: not computed yet
     std::uint32_t signature = kNoSignature;
   };
   static_assert(sizeof(FanEntry) == 16);
-  util::FlatIdMap<FanEntry> memo_;
+  std::vector<FanEntry> memo_;
 
   // Signatures: signature s is the label sequence of signatures_[s], the
   // first memoized fan that had it.
@@ -226,6 +262,7 @@ class Semantics {
   std::vector<Label> cand_labels_;           // candidate k's label ...
   std::vector<std::uint32_t> cand_choices_;  // ... and its n-wide choices
   std::vector<TermId> row_;                  // materialize()'s target row
+  std::vector<TermId> flat_;                 // ... and its flattening
   std::vector<std::uint32_t> shape_key_;     // the expanded state's key
   // A Par3 partial: the union of the timed steps chosen so far, the
   // partial of the previous level it extends, and the position in its own

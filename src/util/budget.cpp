@@ -150,12 +150,6 @@ BudgetStatus BudgetTracker::check() {
   return full_check();
 }
 
-BudgetStatus BudgetTracker::check_now() {
-  if (budget_.cancel && budget_.cancel->cancelled())
-    return {BudgetSignal::Stop, StopReason::Cancelled};
-  return full_check();
-}
-
 BudgetStatus BudgetTracker::full_check() {
   if (injector_) {
     const StopReason injected = injector_->trip_budget_check();

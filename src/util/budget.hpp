@@ -179,8 +179,6 @@ class BudgetTracker {
   /// Hot-path check, call once per expansion. Cancel is checked every call;
   /// clock/memory every kStride calls (and on the first).
   BudgetStatus check();
-  /// Full check (clock + memory) regardless of the stride.
-  BudgetStatus check_now();
   /// Poll from inside one state expansion (the Par3 fold, every few
   /// thousand partials): cancel, clock and memory, same signals as check().
   /// It is not a budget check for the FaultInjector, so fault specs count

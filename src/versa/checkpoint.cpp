@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "acsr/printer.hpp"
+#include "util/flat_set.hpp"
 #include "util/hash.hpp"
 
 namespace aadlsched::versa {
@@ -23,7 +24,7 @@ namespace {
 constexpr std::string_view kMagic = "aadlsched-checkpoint";
 // Blobs of an older version are rejected as stale rather than parsed with a
 // guessed layout.
-constexpr std::string_view kVersion = "v5";
+constexpr std::string_view kVersion = "v6";
 
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
 
@@ -168,9 +169,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
     }
   };
   push(wave.initial);
-  for (const TermId s : wave.visited) push(s);
-  for (const TermId s : wave.frontier) push(s);
-  for (const TermId s : wave.next_frontier) push(s);
+  for (const TermId c : wave.rows) push(c);
   while (!stack.empty()) {
     const TermId id = stack.back();
     stack.pop_back();
@@ -271,20 +270,23 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
 
   os << "initial " << dense[wave.initial] << '\n';
 
+  // The state table, one row per line in state-number order, then the
+  // lists of state numbers.
+  os << "states " << wave.row_ends.size() << '\n';
+  for (std::uint32_t s = 0; s < wave.row_ends.size(); ++s) {
+    const auto row = wave.row(s);
+    os << row.size();
+    for (const TermId c : row) os << ' ' << dense[c];
+    os << '\n';
+  }
   const auto emit_list = [&](std::string_view name,
-                             const std::vector<TermId>& ids, bool sorted) {
-    std::vector<std::uint32_t> out;
-    out.reserve(ids.size());
-    for (const TermId s : ids) out.push_back(dense[s]);
-    if (sorted) std::sort(out.begin(), out.end());
-    os << name << ' ' << out.size() << '\n';
-    emit_ids(os, out);
+                             const std::vector<std::uint32_t>& ids) {
+    os << name << ' ' << ids.size() << '\n';
+    emit_ids(os, ids);
   };
-  emit_list("frontier", wave.frontier, false);
-  emit_list("next", wave.next_frontier, false);
-  // The visited set is sorted so serialization does not depend on the
-  // enumeration order of the engine's seen-set (byte-stable checkpoints).
-  emit_list("visited", wave.visited, true);
+  emit_list("frontier", wave.frontier);
+  emit_list("next", wave.next_frontier);
+  emit_list("visited", wave.visited);
 
   std::string body = os.str();
   util::append_digest(body);
@@ -429,11 +431,37 @@ std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
   if (r.ok() && w.initial != initial)
     return reject("initial state differs from this translation's");
 
+  // Rows hold mapped TermIds, re-sorted as TermTable::parallel would (the
+  // restored ids need not keep the captured order). A duplicate row would
+  // renumber every later state, so it is refused.
+  r.expect("states");
+  const std::uint64_t nstates = r.unum("state count");
+  util::FlatHashIndex rows_seen;
+  for (std::uint64_t s = 0; r.ok() && s < nstates; ++s) {
+    const std::uint64_t len = r.unum("row length");
+    if (r.ok() && (len == 0 || len > kMaxRowWidth)) r.fail("bad row length");
+    const std::size_t from = w.rows.size();
+    for (std::uint64_t k = 0; r.ok() && k < len; ++k)
+      w.rows.push_back(term_at(r.num("row entry")));
+    if (!r.ok()) break;
+    const auto row = w.rows.begin() + static_cast<std::ptrdiff_t>(from);
+    std::sort(row, w.rows.end());
+    w.row_ends.push_back(static_cast<std::uint32_t>(w.rows.size()));
+    const auto id = static_cast<std::uint32_t>(s);
+    const std::uint64_t hash = util::hash_span<TermId>(w.row(id), 0);
+    const auto same = [&](std::uint32_t o) {
+      const auto a = w.row(o), b = w.row(id);
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    if (rows_seen.find(hash, same) != util::kFlatEmptySlot)
+      return reject("duplicate state row");
+    rows_seen.insert(hash, id);
+  }
   const auto read_list = [&](std::string_view name,
-                             std::vector<TermId>& into) {
+                             std::vector<std::uint32_t>& into) {
     r.expect(name);
     for (std::uint64_t i = r.unum("list length"); r.ok() && i > 0; --i)
-      into.push_back(term_at(r.num("list entry")));
+      into.push_back(r.id(nstates, "state number"));
   };
   read_list("frontier", w.frontier);
   read_list("next", w.next_frontier);

@@ -10,13 +10,15 @@
 //   * a translation digest (FNV-1a over Printer::module() plus the resource
 //     and event names in id order). Every raw resource, event and
 //     definition id below is meaningful only under that digest;
-//   * the action, event-set and term tables reachable from the wavefront,
-//     terms in ascending TermId order. Hash-consing appends children before
-//     parents, so an ascending walk re-interns every node through the
-//     normal ground constructors with all children already mapped;
-//   * the wavefront (frontier, next level, visited set), with the visited
-//     set sorted so serialization is byte-stable regardless of the
-//     enumeration order of the engine's seen-set;
+//   * the action, event-set and term tables reachable from the initial
+//     state and the state rows, terms in ascending TermId order.
+//     Hash-consing appends children before parents, so an ascending walk
+//     re-interns every node through the normal ground constructors with all
+//     children already mapped. Explored states are not terms: the table
+//     holds their components;
+//   * the explorer's state table, one component row per state in
+//     state-number order, then the frontier, the next level and the
+//     visited states as state numbers (format v6);
 //   * a trailing FNV-1a digest over everything above, verified first.
 //
 // Soundness of resuming (DESIGN.md §12): at any stop point the explorer
@@ -47,10 +49,11 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
 /// Returns std::nullopt (with a human-readable reason in `error`) on a
 /// digest mismatch, a malformed section, a translation digest that differs
 /// from `ctx`'s, an out-of-range id, or a restored initial state other than
-/// `initial`. A rejected blob may already have interned part of itself into
-/// `ctx`, so a cold fallback must explore a fresh translation. Blobs in a
-/// stale format version (v1–v4) are rejected the same way, with a
-/// diagnostic naming the stale version.
+/// `initial`, a duplicate state row, or an out-of-range state number. A
+/// rejected blob may already have interned part of itself into `ctx`, so a
+/// cold fallback must explore a fresh translation. Blobs in a stale format
+/// version (v1–v5) are rejected the same way, with a diagnostic naming the
+/// stale version.
 std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
                                           acsr::TermId initial,
                                           std::string_view text,

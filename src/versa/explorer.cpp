@@ -1,27 +1,27 @@
 #include "versa/explorer.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <deque>
 
+#include "util/chunked_vector.hpp"
 #include "util/flat_set.hpp"
+#include "util/hash.hpp"
 
 namespace aadlsched::versa {
 
-using acsr::Label;
+using acsr::EventSetId;
+using acsr::Semantics;
 using acsr::TermId;
+using acsr::TermKind;
 using acsr::Transition;
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Parent link for counterexample reconstruction, stored flat (one packed
-/// entry per discovered state instead of an unordered_map node).
-struct ParentLink {
-  TermId source = acsr::kNil;
-  Label label;
-};
+constexpr std::uint32_t kNoParent = 0xFFFFFFFF;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -30,42 +30,145 @@ double ms_since(Clock::time_point t0) {
 /// Stuck: no transitions at all, or nothing but instantaneous self-loops
 /// (e.g. a full drop-protocol queue absorbing environment events while time
 /// is frozen) — time can never progress again.
-bool is_stuck(TermId state, const std::vector<Transition>& fan) {
+bool is_stuck(std::uint32_t state, const std::vector<Transition>& fan) {
   bool stuck = true;
   for (const Transition& tr : fan)
     stuck &= !tr.label.is_timed() && tr.target == state;
   return stuck;
 }
 
-void reconstruct_trace(ExploreResult& result,
-                       const util::FlatIdMap<ParentLink>& parent) {
-  std::vector<Step> rev;
-  TermId cur = result.first_deadlock;
-  while (cur != result.initial) {
-    const ParentLink* link = parent.find(cur);
-    if (!link) break;  // initial state itself deadlocked
-    rev.push_back(Step{link->label, cur});
-    cur = link->source;
+/// The explored states: each a component row in one flat arena, numbered in
+/// first-intern order, with a flag for the states the BFS has discovered
+/// (the others were only ranked). As the RowSink of Semantics::expand_row()
+/// it names every target row. Rows never move once appended, so a row
+/// being expanded stays valid while its targets are interned.
+class StateTable final : public Semantics::RowSink {
+ public:
+  std::uint32_t intern(std::span<const TermId> row) override {
+    const std::uint64_t hash =
+        util::hash_span<TermId>(row, 0x5851f42d4c957f2dULL);
+    const std::uint32_t hit = index_.find(hash, [&](std::uint32_t s) {
+      const auto r = this->row(s);
+      return std::equal(r.begin(), r.end(), row.begin(), row.end());
+    });
+    if (hit != util::kFlatEmptySlot) return hit;
+    const auto id = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(Entry{static_cast<std::uint32_t>(arena_.append_span(row)),
+                             static_cast<std::uint32_t>(row.size()), 0});
+    index_.insert(hash, id);
+    return id;
   }
-  std::reverse(rev.begin(), rev.end());
-  result.trace = std::move(rev);
-}
+
+  std::span<const TermId> row(std::uint32_t s) const {
+    const Entry& e = entries_[s];
+    return arena_.view(e.at, e.len);
+  }
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(entries_.size());
+  }
+  bool seen(std::uint32_t s) const { return entries_[s].seen != 0; }
+  void mark_seen(std::uint32_t s) { entries_[s].seen = 1; }
+
+  std::size_t approx_bytes() const {
+    return arena_.size() * sizeof(TermId) + entries_.size() * sizeof(Entry) +
+           index_.approx_bytes();
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t at;
+    std::uint32_t len : 31;
+    std::uint32_t seen : 1;
+  };
+  static_assert(sizeof(Entry) == 8);
+  util::ChunkedVector<TermId, 14> arena_;
+  static_assert(decltype(arena_)::kChunkSize == kMaxRowWidth);
+  util::ChunkedVector<Entry, 12> entries_;
+  util::FlatHashIndex index_;
+};
 
 }  // namespace
 
-ExploreResult explore(acsr::Semantics& sem, TermId initial,
+EventSetId row_restriction(acsr::Context& ctx, TermId initial) {
+  const acsr::TermTable& tt = ctx.terms();
+  TermId body = initial;
+  while (tt.kind(body) == TermKind::Call) body = ctx.unfold(body);
+  const acsr::TermNode& node = tt.node(body);
+  return node.kind == TermKind::Restrict &&
+                 tt.kind(node.b) == TermKind::Parallel
+             ? node.a
+             : Semantics::kNoRestriction;
+}
+
+TermId row_term(acsr::Context& ctx, EventSetId restriction,
+                std::span<const TermId> row) {
+  if (row.size() == 1) return row[0];
+  acsr::TermTable& tt = ctx.terms();
+  const TermId par = tt.parallel(row);
+  return restriction == Semantics::kNoRestriction
+             ? par
+             : tt.restrict(restriction, par);
+}
+
+ExploreResult explore(Semantics& sem, TermId initial,
                       const ExploreOptions& opts) {
   const auto t0 = Clock::now();
-  const acsr::Semantics::Stats stats_before = sem.stats();
+  const Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
+  const Wavefront* resume =
+      opts.resume && !opts.resume->empty() ? opts.resume : nullptr;
+  result.initial = resume ? resume->initial : initial;
 
-  result.initial = initial;
+  acsr::Context& ctx = sem.context();
+  const acsr::TermTable& tt = ctx.terms();
+  const EventSetId fset = row_restriction(ctx, result.initial);
 
-  util::FlatIdMap<ParentLink> parent;
-  util::FlatIdSet seen;
-  std::deque<TermId> frontier;
+  StateTable table;
+  // parent[s]: the state whose expansion discovered s (kNoParent for the
+  // initial state and for states only ranked). The label is recovered by
+  // expanding the parent again, for the trace's states only.
+  std::vector<std::uint32_t> parent;
+  std::deque<std::uint32_t> frontier;
+  std::vector<std::uint32_t> order;  // discovery order, for opts.discovered
+  bool recording = !resume;
 
-  bool recording = true;
+  // The Parallel inside a row-shaped term (Restrict(F, Parallel) under F,
+  // a bare Parallel when there is no F), else kInvalidTerm.
+  const auto parallel_of = [&](TermId t) {
+    const acsr::TermNode& n = tt.node(t);
+    if (fset == Semantics::kNoRestriction)
+      return n.kind == TermKind::Parallel ? t : acsr::kInvalidTerm;
+    return n.kind == TermKind::Restrict && n.a == fset &&
+                   tt.kind(n.b) == TermKind::Parallel
+               ? n.b
+               : acsr::kInvalidTerm;
+  };
+  const auto state_of = [&](TermId t) {
+    const TermId par = parallel_of(t);
+    return par != acsr::kInvalidTerm
+               ? table.intern(tt.payload(par))
+               : table.intern(std::span<const TermId>(&t, 1));
+  };
+  // Rank NIL and every row-shaped term in TermId order, as the term-based
+  // relation ranks them; called again after each term-path expansion.
+  TermId ranked = 0;
+  const auto rank_terms = [&] {
+    for (; ranked < tt.size(); ++ranked) {
+      const TermId par = parallel_of(ranked);
+      if (par != acsr::kInvalidTerm) table.intern(tt.payload(par));
+    }
+  };
+
+  // The prioritized fan of state s, targets as state numbers, in the order
+  // the term-based relation gives them.
+  const auto expand = [&](std::uint32_t s, std::vector<Transition>& fan) {
+    const auto row = table.row(s);
+    if (row.size() > 1) return sem.expand_row(fset, row, table, fan);
+    if (!sem.prioritized(row[0], fan)) return false;
+    rank_terms();
+    for (Transition& tr : fan) tr.target = state_of(tr.target);
+    return true;
+  };
 
   // Rolling level boundary so the partial verdict can say "no deadlock
   // within BFS depth d" (O(1) space: count nodes left in the current
@@ -73,16 +176,24 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   std::uint64_t level_remaining = 1;
   std::uint64_t next_level = 0;
 
-  if (opts.resume && !opts.resume->empty()) {
-    // Warm start: seed the visited set, both frontiers and every counter
-    // from the paused run. The deque layout below (current-level remainder
-    // followed by the next level) is exactly the loop invariant, so the
-    // resumed BFS is indistinguishable from one that never stopped — except
-    // that parent links are gone, so no trace can be recorded.
-    const Wavefront& w = *opts.resume;
-    result.initial = w.initial;
-    seen.reserve(w.visited.size());
-    for (const TermId s : w.visited) seen.insert(s);
+  // A resumed run restores the paused table first, so its state numbers
+  // hold; ranking then finds what it ranked before.
+  if (resume) {
+    for (std::uint32_t s = 0; s < resume->row_ends.size(); ++s)
+      table.intern(resume->row(s));
+    for (const std::uint32_t s : resume->visited) table.mark_seen(s);
+  }
+  table.intern(std::span<const TermId>(&acsr::kNil, 1));
+  rank_terms();
+  const std::uint32_t root = state_of(result.initial);
+
+  if (resume) {
+    // Warm start: seed both frontiers and every counter from the paused
+    // run. The deque layout below (current-level remainder followed by the
+    // next level) is exactly the loop invariant, so the resumed BFS is
+    // indistinguishable from one that never stopped — except that parent
+    // links are gone, so no trace can be recorded.
+    const Wavefront& w = *resume;
     frontier.insert(frontier.end(), w.frontier.begin(), w.frontier.end());
     frontier.insert(frontier.end(), w.next_frontier.begin(),
                     w.next_frontier.end());
@@ -93,34 +204,32 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.depth = w.depth;
     result.peak_frontier = std::max<std::uint64_t>(w.peak_frontier,
                                                    frontier.size());
-    recording = false;
   } else {
-    seen.insert(result.initial);
-    frontier.push_back(result.initial);
+    table.mark_seen(root);
+    frontier.push_back(root);
+    if (opts.discovered) order.push_back(root);
     result.states = 1;
     result.peak_frontier = 1;
   }
 
-  // Hash-cons tables + fan memo + flat visited/parent tables + frontier.
-  // The flat tables report their actual footprint, not a per-node guess.
+  // Hash-cons tables + fan and shape memos + state table + parent vector +
+  // frontier. Every part reports its actual footprint, not a per-node guess.
   const auto approx_memory = [&]() -> std::uint64_t {
     return sem.context().approx_bytes() + sem.approx_bytes() +
-           seen.approx_bytes() + parent.approx_bytes() +
-           frontier.size() * sizeof(TermId);
+           table.approx_bytes() +
+           (parent.capacity() + order.capacity()) * sizeof(std::uint32_t) +
+           frontier.size() * sizeof(std::uint32_t);
   };
   util::BudgetTracker tracker(opts.budget, approx_memory);
   // The fold inside one expansion polls the same tracker; detach it on
   // every way out, since the tracker dies with this call.
   struct Detach {
-    acsr::Semantics& sem;
+    Semantics& sem;
     ~Detach() { sem.set_budget(nullptr); }
   } detach{sem};
   if (!opts.budget.unlimited()) sem.set_budget(&tracker);
 
   const auto finish = [&] {
-    result.sem_stats = sem.stats() - stats_before;
-    // Reported even when no memory budget probed it: BM_StormBytesPerState
-    // reads bytes/state off any run.
     result.approx_memory_bytes = approx_memory();
     result.wall_ms = ms_since(t0);
   };
@@ -133,26 +242,34 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     Wavefront& w = *opts.capture;
     w = {};
     w.initial = result.initial;
-    w.frontier.assign(frontier.begin(),
-                      frontier.begin() + static_cast<std::ptrdiff_t>(
-                                             level_remaining));
-    w.next_frontier.assign(frontier.begin() + static_cast<std::ptrdiff_t>(
-                                                  level_remaining),
-                           frontier.end());
-    w.visited.reserve(seen.size());
-    seen.for_each([&](std::uint32_t s) { w.visited.push_back(s); });
+    for (std::uint32_t s = 0; s < table.size(); ++s) {
+      const auto row = table.row(s);
+      w.rows.insert(w.rows.end(), row.begin(), row.end());
+      w.row_ends.push_back(static_cast<std::uint32_t>(w.rows.size()));
+      if (table.seen(s)) w.visited.push_back(s);
+    }
+    const auto split =
+        frontier.begin() + static_cast<std::ptrdiff_t>(level_remaining);
+    w.frontier.assign(frontier.begin(), split);
+    w.next_frontier.assign(split, frontier.end());
     w.states = result.states;
     w.transitions = result.transitions;
     w.depth = result.depth;
     w.peak_frontier = result.peak_frontier;
+  };
+  const auto stop_early = [&] {
+    result.sem_stats = sem.stats() - stats_before;
+    capture_wavefront();
+    finish();
+    return result;  // complete stays false: partial result
   };
 
   // Act on a budget signal; false means stop (result.stop is set).
   const auto within_budget = [&](const util::BudgetStatus& budget) {
     if (budget.signal == util::BudgetSignal::MemoryPressure && recording) {
       // Graceful degradation: give the run a second life by releasing the
-      // parent links (usually the largest non-essential structure) before
-      // giving up on the verdict itself.
+      // parent vector (the largest non-essential structure) before giving
+      // up on the verdict itself.
       parent = {};
       recording = false;
       result.trace_dropped = true;
@@ -164,21 +281,16 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     return true;
   };
 
+  std::uint32_t deadlock = 0;
   std::vector<Transition> fan;  // reused: a warm expansion allocates nothing
   while (!frontier.empty()) {
     // The state cap is enforced here (not mid-fan) so a capped run stops on
     // a state boundary with a consistent wavefront for checkpointing.
     if (result.states >= opts.max_states) {
       result.stop = util::StopReason::MaxStates;
-      capture_wavefront();
-      finish();
-      return result;  // complete stays false: partial result
+      return stop_early();
     }
-    if (!within_budget(tracker.check())) {
-      capture_wavefront();
-      finish();
-      return result;  // complete stays false: partial result
-    }
+    if (!within_budget(tracker.check())) return stop_early();
 
     const bool new_level = level_remaining == 0;
     if (new_level) {
@@ -186,11 +298,11 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
       level_remaining = next_level;
       next_level = 0;
     }
-    const TermId state = frontier.front();
+    const std::uint32_t state = frontier.front();
     frontier.pop_front();
     --level_remaining;
 
-    if (!sem.prioritized(state, fan)) {
+    if (!expand(state, fan)) {
       // The budget tripped inside the expansion: put the state back so the
       // loop top sees the same frontier, depth and level counts as before
       // it was popped, then act on the trip as on a loop-top check.
@@ -202,38 +314,68 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
         level_remaining = 0;
       }
       if (within_budget(sem.interruption())) continue;
-      capture_wavefront();
-      finish();
-      return result;
+      return stop_early();
     }
     ++result.expanded;
     if (is_stuck(state, fan)) {
       result.deadlock_found = true;
-      result.first_deadlock = state;
+      deadlock = state;
       break;
     }
+    if (recording) parent.resize(table.size(), kNoParent);
     for (const Transition& tr : fan) {
       ++result.transitions;
-      if (seen.insert(tr.target)) {
-        if (recording) parent.emplace(tr.target, ParentLink{state, tr.label});
-        ++result.states;
-        ++next_level;
-        frontier.push_back(tr.target);
-        result.peak_frontier =
-            std::max<std::uint64_t>(result.peak_frontier, frontier.size());
-      }
+      if (table.seen(tr.target)) continue;
+      table.mark_seen(tr.target);
+      if (recording) parent[tr.target] = state;
+      if (opts.discovered) order.push_back(tr.target);
+      ++result.states;
+      ++next_level;
+      frontier.push_back(tr.target);
+      result.peak_frontier =
+          std::max<std::uint64_t>(result.peak_frontier, frontier.size());
     }
   }
 
   result.complete = true;  // the space is exhausted, or a deadlock decided
+  result.sem_stats = sem.stats() - stats_before;
+  sem.set_budget(nullptr);  // the trace's re-expansions are not budgeted
 
-  if (result.deadlock_found && recording) reconstruct_trace(result, parent);
+  if (result.deadlock_found) {
+    result.first_deadlock = row_term(ctx, fset, table.row(deadlock));
+    if (recording) {
+      // Walk the parent links back to the initial state, then expand each
+      // step's source again for the label of its first transition into
+      // the step's target: the transition that discovered it.
+      std::vector<std::uint32_t> path;
+      for (std::uint32_t s = deadlock; s != root && parent[s] != kNoParent;
+           s = parent[s])
+        path.push_back(s);
+      std::uint32_t from = root;
+      for (auto it = path.rbegin(); it != path.rend(); ++it) {
+        expand(from, fan);
+        const auto step = std::find_if(
+            fan.begin(), fan.end(),
+            [&](const Transition& tr) { return tr.target == *it; });
+        assert(step != fan.end());
+        result.trace.push_back(
+            Step{step->label, row_term(ctx, fset, table.row(*it))});
+        from = *it;
+      }
+    }
+  }
+  if (opts.discovered && !resume) {
+    std::vector<TermId> terms(table.size());
+    for (std::uint32_t s = 0; s < table.size(); ++s)
+      terms[s] = row_term(ctx, fset, table.row(s));
+    opts.discovered->clear();
+    for (const std::uint32_t s : order) opts.discovered->push_back(terms[s]);
+  }
   finish();
   return result;
 }
 
-Lts build_lts(acsr::Semantics& sem, TermId initial,
-              std::uint64_t max_states) {
+Lts build_lts(Semantics& sem, TermId initial, std::uint64_t max_states) {
   Lts lts;
   lts.states.push_back(initial);
   lts.index.emplace(initial, 0);

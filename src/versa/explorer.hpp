@@ -6,13 +6,37 @@
 // exactly a timing violation (§5); BFS order means the reported failing
 // scenario is a shortest one.
 //
+// States are rows, not terms. Every successor of a translated model's
+// unfolded initial state is Restrict(F, Parallel(c₁…c_k)) with the same F,
+// so the explorer keeps each state as its sorted component row in a state
+// table: one flat arena of rows, a hash index over them (looking a row up
+// or inserting it is the visited check) and a dense parent vector indexed
+// by state number. acsr::Semantics::expand_row() hands it the survivors'
+// rows; no explored state enters the term table, which holds only
+// component terms. A state that is not of that shape (the initial Call,
+// NIL, or any state of a hand-built term) is a one-entry row holding its
+// term, expanded through Semantics::prioritized(TermId). Only the states
+// of the reported trace are interned as terms, after the run, so
+// ExploreResult speaks in TermIds (DESIGN.md §13).
+//
+// State numbers are first-intern order. Canonical fan order breaks label
+// ties by target, and the term-based relation ranks targets by TermId, the
+// order in which they were first interned. The table reproduces it: every
+// run first ranks NIL and each Restrict(F, Parallel) term already in the
+// term table (after an expansion through the term path, the new ones too),
+// in TermId order, then ranks each new row when expand_row() first names
+// it. So BFS order, the first deadlock and its trace are those of the
+// term-based exploration (`versa::build_lts`, which still interns every
+// state).
+//
 // One model is explored by one thread: the engine owns its Semantics,
-// visited set and frontier outright and takes no lock. Parallelism lives
+// state table and frontier outright and takes no lock. Parallelism lives
 // across models (versa/sweep.hpp, the server's worker pool); DESIGN.md §8
 // gives the measurement behind that split.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -21,24 +45,45 @@
 
 namespace aadlsched::versa {
 
+/// The restriction F of a run's row states: F when `initial`, its Calls
+/// unfolded, is Restrict(F, Parallel(...)), else
+/// Semantics::kNoRestriction (bare Parallel states are rows then). May
+/// unfold `initial`, as its first expansion would.
+acsr::EventSetId row_restriction(acsr::Context& ctx, acsr::TermId initial);
+
+/// The term of a state row under `restriction`: a one-entry row is its
+/// term, a longer one (Restrict F) Parallel(row). Interns it.
+acsr::TermId row_term(acsr::Context& ctx, acsr::EventSetId restriction,
+                      std::span<const acsr::TermId> row);
+
+/// Most components a state row may have (the state table's arena chunk).
+inline constexpr std::size_t kMaxRowWidth = std::size_t{1} << 14;
+
 /// A paused BFS: everything needed to continue an exploration later,
 /// possibly in a different process, restored into a fresh copy of the same
 /// translation (see versa/checkpoint.hpp). The invariant the engine maintains is that every
 /// reachable-but-unvisited state is reachable through `frontier` ++
-/// `next_frontier`, so seeding a fresh run with (visited, frontier,
+/// `next_frontier`, so seeding a fresh run with (state table, frontiers,
 /// counters) continues the exact same BFS — same final verdict and, on a
 /// run that completes the space, the same state/transition counts. A
 /// wavefront is only captured before a deadlock is found (the run stops
 /// at its first one), so it carries no deadlock.
 struct Wavefront {
   acsr::TermId initial = acsr::kNil;
+  /// The state table in state-number (first-intern) order: state s is the
+  /// row rows[row_ends[s - 1], row_ends[s]) (from 0 for s = 0), read under
+  /// row_restriction(initial). It includes the states ranked but never
+  /// reached.
+  std::vector<acsr::TermId> rows;
+  std::vector<std::uint32_t> row_ends;
   /// Unexpanded remainder of the level being expanded when the run stopped
-  /// (in level order; may be empty when the stop fell on a level boundary).
-  std::vector<acsr::TermId> frontier;
+  /// (in level order; may be empty when the stop fell on a level boundary),
+  /// as state numbers.
+  std::vector<std::uint32_t> frontier;
   /// States already discovered for the following level.
-  std::vector<acsr::TermId> next_frontier;
-  /// Every state ever discovered (includes the two frontiers).
-  std::vector<acsr::TermId> visited;
+  std::vector<std::uint32_t> next_frontier;
+  /// Every state ever discovered (includes the two frontiers), ascending.
+  std::vector<std::uint32_t> visited;
   std::uint64_t states = 0;
   std::uint64_t transitions = 0;
   /// BFS depth of the level `frontier` belongs to.
@@ -46,6 +91,11 @@ struct Wavefront {
   std::uint64_t peak_frontier = 0;
 
   bool empty() const { return frontier.empty() && next_frontier.empty(); }
+  std::span<const acsr::TermId> row(std::uint32_t s) const {
+    const std::uint32_t from = s == 0 ? 0 : row_ends[s - 1];
+    return std::span<const acsr::TermId>(rows).subspan(from,
+                                                       row_ends[s] - from);
+  }
 };
 
 struct ExploreOptions {
@@ -65,11 +115,16 @@ struct ExploreOptions {
   /// stopped at a deadlock).
   Wavefront* capture = nullptr;
   /// When non-null and non-empty, the run continues this wavefront instead
-  /// of starting from `initial`: the visited set, both frontiers and all
+  /// of starting from `initial`: the state table, both frontiers and all
   /// counters are seeded from it. A resumed run never records a trace (the
   /// parent links of the original run are gone), so a deadlock found after
   /// a resume reports without a counterexample timeline.
   const Wavefront* resume = nullptr;
+
+  /// When non-null (tests only), a cold run ends by interning every row of
+  /// its state table as a term, in state-number order, and writes here the
+  /// terms of the states it discovered, in BFS order.
+  std::vector<acsr::TermId>* discovered = nullptr;
 };
 
 /// One step of a counterexample: the label taken and the state reached.
@@ -88,7 +143,8 @@ struct ExploreResult {
   acsr::TermId first_deadlock = acsr::kNil;
   /// Shortest path (BFS) from the initial state to the first deadlock;
   /// empty when schedulable, after a resume, or when memory pressure
-  /// dropped the parent links.
+  /// dropped the parent vector. Its states and the first deadlock are the
+  /// only explored states interned as terms.
   std::vector<Step> trace;
 
   // --- resource governance ---------------------------------------------
@@ -123,7 +179,9 @@ ExploreResult explore(acsr::Semantics& sem, acsr::TermId initial,
                       const ExploreOptions& opts = {});
 
 /// A fully materialized labelled transition system, for tests and the
-/// playground example (small models only).
+/// playground example (small models only). Every state is a term, expanded
+/// through Semantics::prioritized(TermId): the term-based oracle the state
+/// table is compared with.
 struct Lts {
   std::vector<acsr::TermId> states;  // BFS discovery order; [0] = initial
   // edges[i]: prioritized transitions out of states[i]

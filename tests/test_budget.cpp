@@ -209,7 +209,8 @@ TEST(Budget, TrackerDeadline) {
   b.deadline_ms = 0.5;
   BudgetTracker tracker(b, {}, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const BudgetStatus st = tracker.check_now();
+  // The first check() is a full one (clock and memory).
+  const BudgetStatus st = tracker.check();
   EXPECT_EQ(st.signal, BudgetSignal::Stop);
   EXPECT_EQ(st.reason, StopReason::Deadline);
   EXPECT_GT(tracker.elapsed_ms(), 0.0);
@@ -219,7 +220,7 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
   RunBudget b;
   b.memory_bytes = 100;
   BudgetTracker tracker(b, [] { return std::uint64_t{200}; }, nullptr);
-  const BudgetStatus first = tracker.check_now();
+  const BudgetStatus first = tracker.check();  // the first check is full
   EXPECT_EQ(first.signal, BudgetSignal::MemoryPressure);
   EXPECT_EQ(first.reason, StopReason::MemoryBudget);
   EXPECT_EQ(tracker.last_memory_bytes(), 200u);
@@ -227,8 +228,11 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
   // The engine degrades (drops trace recording)...
   tracker.note_degraded();
   EXPECT_TRUE(tracker.degraded());
-  // ...and sustained pressure afterwards is a hard stop.
-  const BudgetStatus second = tracker.check_now();
+  // ...and sustained pressure afterwards is a hard stop, at the next full
+  // check, kStride checks after the first.
+  for (std::uint64_t i = 1; i < BudgetTracker::kStride; ++i)
+    ASSERT_EQ(tracker.check().signal, BudgetSignal::Proceed);
+  const BudgetStatus second = tracker.check();
   EXPECT_EQ(second.signal, BudgetSignal::Stop);
   EXPECT_EQ(second.reason, StopReason::MemoryBudget);
 }
@@ -467,8 +471,12 @@ TEST(BudgetExplore, MemoryTripInsideFoldResumesLikeCold) {
 
   // The head of the wavefront is the state whose fold tripped (it lands in
   // next_frontier when it opened a BFS level).
-  const acsr::TermId head = wave.frontier.empty() ? wave.next_frontier.front()
-                                                  : wave.frontier.front();
+  const std::uint32_t head_state = wave.frontier.empty()
+                                      ? wave.next_frontier.front()
+                                      : wave.frontier.front();
+  const acsr::TermId head =
+      versa::row_term(ctx, versa::row_restriction(ctx, init),
+                      wave.row(head_state));
   std::vector<acsr::Transition> fan;
   const std::uint64_t before = sem.stats().candidates;
   ASSERT_TRUE(sem.prioritized(head, fan));

@@ -171,7 +171,7 @@ TEST(Checkpoint, BudgetBoundRunCapturesACheckpoint) {
   EXPECT_EQ(r.stop_reason, util::StopReason::MaxStates);
   EXPECT_TRUE(r.stats.checkpoint_captured);
   EXPECT_FALSE(blob.empty());
-  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v5", 0), 0u);
+  EXPECT_EQ(blob.rfind("aadlsched-checkpoint v6", 0), 0u);
   EXPECT_NE(r.summary().find("checkpoint captured at depth"),
             std::string::npos);
 }
@@ -415,16 +415,17 @@ TEST(Checkpoint, StaleFormatsAreRejectedWithADiagnostic) {
                   .stats.checkpoint_captured);
 
   // Retired tags: v1 predates the reduction section, v2 carried it, v3
-  // still carried its own printed module, and v4 carried a deadlock count
-  // and first deadlock that a captured wavefront never has.
+  // still carried its own printed module, v4 carried a deadlock count
+  // and first deadlock that a captured wavefront never has, and v5 kept
+  // explored states as terms instead of state-table rows.
   const auto cold =
       core::analyze_source(medium_model(), "Root.impl", base_options());
-  for (const std::string tag : {"v1", "v2", "v3", "v4"}) {
+  for (const std::string tag : {"v1", "v2", "v3", "v4", "v5"}) {
     SCOPED_TRACE(tag);
     // Rewrite the header to the retired tag and re-seal the body, so the
     // only thing wrong with the blob is its format version.
     std::string stale = blob;
-    const auto vpos = stale.find(" v5\n");
+    const auto vpos = stale.find(" v6\n");
     ASSERT_NE(vpos, std::string::npos);
     stale.replace(vpos, 4, " " + tag + "\n");
     const auto dpos = stale.rfind("digest ");
@@ -559,6 +560,47 @@ TEST(Checkpoint, RestoreChecksTheInitialStateAndEveryId) {
   EXPECT_FALSE(versa::parse_checkpoint(other->ctx, other->initial, bad, error)
                    .has_value());
   EXPECT_NE(error.find("out-of-range term reference"), std::string::npos);
+}
+
+TEST(Checkpoint, RestoreRefusesABadStateTable) {
+  core::AnalyzerOptions bound = base_options();
+  bound.exploration.max_states = 40;
+  std::string blob;
+  bound.checkpoint_out = &blob;
+  ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
+                  .stats.checkpoint_captured);
+
+  // The state rows follow the "states N" line, one per line.
+  const auto spos = blob.find("\nstates ");
+  ASSERT_NE(spos, std::string::npos);
+  const auto row0 = blob.find('\n', spos + 1) + 1;
+  const auto row1 = blob.find('\n', row0) + 1;
+  const auto row2 = blob.find('\n', row1) + 1;
+  const auto reject = [&](std::string bad, const std::string& why) {
+    bad.erase(bad.rfind("digest "));
+    util::append_digest(bad);
+    std::string error;
+    const auto fresh = translate_fresh(medium_model());
+    EXPECT_FALSE(versa::parse_checkpoint(fresh->ctx, fresh->initial, bad,
+                                         error)
+                     .has_value())
+        << why;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  };
+  // A second copy of a row would renumber every later state.
+  std::string dup = blob;
+  dup.replace(row1, row2 - row1, blob.substr(row0, row1 - row0));
+  reject(dup, "duplicate state row");
+  std::string empty = blob;
+  empty.replace(row1, row2 - row1, "0\n");
+  reject(empty, "bad row length");
+  // A visited state past the table.
+  std::string far = blob;
+  const auto fpos = far.find("\nvisited ");
+  ASSERT_NE(fpos, std::string::npos);
+  const auto first = far.find('\n', fpos + 1) + 1;
+  far.replace(first, far.find_first_of(" \n", first) - first, "999999999");
+  reject(far, "out-of-range state number");
 }
 
 TEST(Checkpoint, DigestMismatchIsRejectedBeforeParsing) {

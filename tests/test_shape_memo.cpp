@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "aadl/instance.hpp"
@@ -21,7 +22,6 @@
 #include "random_parallel.hpp"
 #include "translate/translator.hpp"
 #include "util/budget.hpp"
-#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 
 using namespace aadlsched;
@@ -50,7 +50,7 @@ std::size_t lockstep_walk(Semantics& memo, Semantics& plain,
                           bool stop_at_deadlock) {
   Context& mc = memo.context();
   Context& pc = plain.context();
-  util::FlatIdSet seen;
+  std::unordered_set<TermId> seen;
   for (const TermId s : states) seen.insert(s);
   std::vector<Transition> fm, fp;
   for (std::size_t i = 0; i < states.size() && i < max_states; ++i) {
@@ -68,7 +68,7 @@ std::size_t lockstep_walk(Semantics& memo, Semantics& plain,
     }
     if (fm.empty() && stop_at_deadlock) return i + 1;
     for (const Transition& tr : fm)
-      if (seen.insert(tr.target)) states.push_back(tr.target);
+      if (seen.insert(tr.target).second) states.push_back(tr.target);
   }
   return std::min(states.size(), max_states);
 }
@@ -293,12 +293,12 @@ std::vector<TermId> cruise_2ms_states(
   std::vector<TermId> states;
   if (initial == kInvalidTerm) return states;
   states.push_back(initial);
-  util::FlatIdSet seen;
+  std::unordered_set<TermId> seen;
   seen.insert(initial);
   for (std::size_t i = 0; i < states.size(); ++i) {
     fans.push_back(sem.prioritized(states[i]));
     for (const Transition& tr : fans.back())
-      if (seen.insert(tr.target)) states.push_back(tr.target);
+      if (seen.insert(tr.target).second) states.push_back(tr.target);
   }
   return states;
 }

@@ -583,11 +583,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicProperty,
 
 TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   const std::string src = read_model("slow_periodic.aadl");
-  // The enumerator needs ~0.5 s for the 255,255 states of slow_periodic at
-  // 1 ms on a 4-core x86-64 host; the symbolic engine needs ~6 ms.
-  constexpr double kBudgetMs = 200;
+  // The enumerator needs ~110 ms for the 255,255 states of slow_periodic at
+  // 1 ms on a 4-core x86-64 host (Release); the symbolic engine needs
+  // ~4-7 ms.
+  constexpr double kBudgetMs = 30;
 
-  // The enumerator at the CLI-default 1 ms quantum against a 200 ms
+  // The enumerator at the CLI-default 1 ms quantum against a 30 ms
   // wall-clock budget: the 252 s hyperperiod leaves it inconclusive.
   core::AnalyzerOptions en = engine_options(core::Engine::Enumerative);
   en.exploration.budget.deadline_ms = kBudgetMs;
