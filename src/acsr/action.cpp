@@ -2,34 +2,9 @@
 
 #include <algorithm>
 
-#include "util/hash.hpp"
-
 namespace aadlsched::acsr {
 
-namespace {
-
-std::uint64_t hash_uses(std::span<const ResourceUse> uses) {
-  std::uint64_t h = 0x9ae16a3b2f90404fULL;
-  for (const ResourceUse& u : uses) {
-    h = util::hash_combine(h, u.resource);
-    h = util::hash_combine(h, static_cast<std::uint32_t>(u.priority));
-  }
-  return h;
-}
-
-std::uint64_t hash_events(std::span<const Event> es) {
-  std::uint64_t h = 0xc3a5c85c97cb3127ULL;
-  for (Event e : es) h = util::hash_combine(h, e);
-  return h;
-}
-
-}  // namespace
-
-ActionTable::ActionTable() {
-  // ActionId 0: the empty (idling) action.
-  actions_.push_back({});
-  index_.insert(hash_uses(actions_[0]), kIdleAction);
-}
+ActionTable::ActionTable() { actions_.intern({}); }  // 0: the idle action
 
 ActionId ActionTable::intern(std::span<const ResourceUse> uses) {
   scratch_.assign(uses.begin(), uses.end());
@@ -49,21 +24,14 @@ ActionId ActionTable::intern_scratch() {
     }
   }
   uses.resize(w);
-
-  const std::uint64_t h = hash_uses(uses);
-  const ActionId hit =
-      index_.find(h, [&](ActionId id) { return actions_[id] == uses; });
-  if (hit != util::kFlatEmptySlot) return hit;
-  const ActionId id = static_cast<ActionId>(actions_.push_back(uses));
-  index_.insert(h, id);
-  return id;
+  return actions_.intern(uses);
 }
 
 ActionId ActionTable::combine(ActionId a, ActionId b) {
   if (a == kIdleAction) return b;
   if (b == kIdleAction) return a;
-  const std::vector<ResourceUse>& ua = actions_[a];
-  const std::vector<ResourceUse>& ub = actions_[b];
+  const std::span<const ResourceUse> ua = actions_[a];
+  const std::span<const ResourceUse> ub = actions_[b];
   std::size_t i = 0, j = 0;
   while (i < ua.size() && j < ub.size() && ua[i].resource != ub[j].resource) {
     if (ua[i].resource < ub[j].resource)
@@ -79,8 +47,8 @@ ActionId ActionTable::combine(ActionId a, ActionId b) {
 
 bool ActionTable::preempts(ActionId a, ActionId b) const {
   if (a == b) return false;
-  const auto& ua = actions_[a];
-  const auto& ub = actions_[b];
+  const std::span<const ResourceUse> ua = actions_[a];
+  const std::span<const ResourceUse> ub = actions_[b];
   // Condition 1: every resource of a appears in b with >= priority.
   // Condition 2: some resource of b has strictly greater priority than its
   // priority in a (0 when absent from a).
@@ -102,28 +70,18 @@ bool ActionTable::preempts(ActionId a, ActionId b) const {
   return strictly_greater;
 }
 
-EventSetTable::EventSetTable() {
-  sets_.push_back({});
-  index_.insert(hash_events(sets_[0]), 0);
-}
+EventSetTable::EventSetTable() { sets_.intern({}); }
 
 EventSetId EventSetTable::intern(std::span<const Event> events) {
   std::vector<Event>& set = scratch_;
   set.assign(events.begin(), events.end());
   std::sort(set.begin(), set.end());
   set.erase(std::unique(set.begin(), set.end()), set.end());
-  const std::uint64_t h = hash_events(set);
-  const EventSetId hit =
-      index_.find(h, [&](EventSetId id) { return sets_[id] == set; });
-  if (hit != util::kFlatEmptySlot) return hit;
-  const EventSetId id = static_cast<EventSetId>(sets_.push_back(set));
-  index_.insert(h, id);
-  return id;
+  return sets_.intern(set);
 }
 
 bool EventSetTable::contains(EventSetId id, Event e) const {
-  const auto& s = sets_[id];
-  return std::binary_search(s.begin(), s.end(), e);
+  return std::ranges::binary_search(sets_[id], e);
 }
 
 }  // namespace aadlsched::acsr

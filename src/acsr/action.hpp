@@ -5,7 +5,8 @@
 // (§3). The empty action is the idling step. Actions are canonicalized
 // (sorted by resource, unique resources) and interned so the preemption
 // relation and the Par3 disjointness check run over small sorted arrays
-// identified by a u32.
+// identified by a u32. Both tables are util::SpanTables, so a span from
+// uses() or events() stays valid while the table grows.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,7 @@
 #include <vector>
 
 #include "acsr/ids.hpp"
-#include "util/chunked_vector.hpp"
-#include "util/flat_set.hpp"
+#include "util/span_table.hpp"
 
 namespace aadlsched::acsr {
 
@@ -42,7 +42,7 @@ class ActionTable {
     return intern(std::span<const ResourceUse>(uses.begin(), uses.size()));
   }
 
-  const std::vector<ResourceUse>& uses(ActionId id) const {
+  std::span<const ResourceUse> uses(ActionId id) const {
     return actions_[id];
   }
 
@@ -62,18 +62,13 @@ class ActionTable {
 
   std::size_t size() const { return actions_.size(); }
 
-  /// Approximate footprint (resource-use vectors + index), for the
-  /// resource-governance memory estimate.
-  std::size_t approx_bytes() const {
-    return actions_.size() * (sizeof(std::vector<ResourceUse>) + 32) +
-           index_.approx_bytes();
-  }
+  /// Footprint of the table, for the resource-governance memory estimate.
+  std::size_t approx_bytes() const { return actions_.approx_bytes(); }
 
  private:
   /// Canonicalize scratch_ in place and intern it.
   ActionId intern_scratch();
-  util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
-  util::FlatHashIndex index_;
+  util::SpanTable<ResourceUse, 12> actions_;
   std::vector<ResourceUse> scratch_;
 };
 
@@ -88,13 +83,12 @@ class EventSetTable {
   EventSetId intern(std::initializer_list<Event> events) {
     return intern(std::span<const Event>(events.begin(), events.size()));
   }
-  const std::vector<Event>& events(EventSetId id) const { return sets_[id]; }
+  std::span<const Event> events(EventSetId id) const { return sets_[id]; }
   bool contains(EventSetId id, Event e) const;
   std::size_t size() const { return sets_.size(); }
 
  private:
-  util::ChunkedVector<std::vector<Event>, 8> sets_;
-  util::FlatHashIndex index_;
+  util::SpanTable<Event, 14> sets_;
   std::vector<Event> scratch_;
 };
 

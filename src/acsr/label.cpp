@@ -10,7 +10,8 @@ namespace aadlsched::acsr {
 std::string render_action(const Context& ctx, ActionId action) {
   // Sort by resource *name* so renderings are independent of interning
   // order (resource ids are assigned in first-seen order).
-  std::vector<ResourceUse> uses = ctx.actions().uses(action);
+  const std::span<const ResourceUse> interned = ctx.actions().uses(action);
+  std::vector<ResourceUse> uses(interned.begin(), interned.end());
   std::sort(uses.begin(), uses.end(),
             [&](const ResourceUse& a, const ResourceUse& b) {
               return ctx.resource_name(a.resource) <

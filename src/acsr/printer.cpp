@@ -132,7 +132,7 @@ std::string Printer::ground_term(TermId id) const {
       break;
     }
     case TermKind::Restrict: {
-      const auto& es = ctx_.event_sets().events(n.a);
+      const std::span<const Event> es = ctx_.event_sets().events(n.a);
       os << '(' << ground_term(n.b) << ") \\ {";
       for (std::size_t i = 0; i < es.size(); ++i) {
         if (i != 0) os << ',';

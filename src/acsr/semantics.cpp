@@ -1,6 +1,7 @@
 #include "acsr/semantics.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <tuple>
 
 #include "util/hash.hpp"
@@ -78,12 +79,11 @@ std::size_t Semantics::approx_bytes() const {
   std::size_t bytes = memo_.capacity() * sizeof(FanEntry) +
                       skyline_.approx_bytes() +
                       signature_index_.approx_bytes() +
-                      shape_index_.approx_bytes();
+                      shape_keys_.approx_bytes();
   for (const std::vector<Transition>& b : blocks_)
     bytes += b.capacity() * sizeof(Transition);
   bytes += signatures_.capacity() * sizeof(Fan) +
            shapes_.capacity() * sizeof(Shape) +
-           shape_keys_.capacity() * sizeof(std::uint32_t) +
            kept_labels_.capacity() * sizeof(Label) +
            kept_choices_.capacity() * sizeof(std::uint16_t);
   bytes += out_.capacity() * sizeof(Transition) +
@@ -173,17 +173,8 @@ bool Semantics::expand_row(EventSetId fset, std::span<const TermId> kids,
     return false;
   };
 
-  std::uint64_t hash = 0;
-  std::uint32_t found = util::kFlatEmptySlot;
-  if (narrow) {
-    hash = util::hash_span<std::uint32_t>(shape_key_, 0x8cb92ba72f3d8dd7ULL);
-    found = shape_index_.find(hash, [&](std::uint32_t s) {
-      const auto key = shape_keys_.begin() +
-                       static_cast<std::ptrdiff_t>(shapes_[s].key_at);
-      return shapes_[s].width == n &&
-             std::equal(shape_key_.begin(), shape_key_.end(), key);
-    });
-  }
+  std::uint32_t found =
+      narrow ? shape_keys_.find(shape_key_) : util::kFlatEmptySlot;
   if (found != util::kFlatEmptySlot) {
     // The fold this skips would intern only unions a first fold of this
     // shape already interned; but a long one would have polled the budget,
@@ -211,7 +202,7 @@ bool Semantics::expand_row(EventSetId fset, std::span<const TermId> kids,
     cand_choices_.resize(kept * n);
     stats_.candidates += candidates;
     stats_.kept += kept;
-    if (narrow) found = record_shape(hash, n, candidates);
+    if (narrow) found = record_shape(n, candidates);
   }
   // Hits and recorded misses build their targets from the shape, with the
   // same survivors in the same order as the fold's.
@@ -229,24 +220,23 @@ bool Semantics::expand_row(EventSetId fset, std::span<const TermId> kids,
   return true;
 }
 
-std::uint32_t Semantics::record_shape(std::uint64_t hash, std::size_t n,
+std::uint32_t Semantics::record_shape(std::size_t n,
                                       std::size_t candidates) {
   const std::size_t kept = cand_labels_.size();
   const auto fits = [](std::size_t at, std::size_t more) {
     return at + more < util::kFlatEmptySlot;
   };
-  if (!fits(candidates, 0) || !fits(shapes_.size(), 1) ||
-      !fits(shape_keys_.size(), n + 1) || !fits(kept_labels_.size(), kept) ||
+  if (shape_key_.size() > decltype(shape_keys_)::kMaxSpan ||
+      candidates >> 31 != 0 || !fits(shapes_.size(), 1) ||
+      !fits(kept_labels_.size(), kept) ||
       !fits(kept_choices_.size(), kept * n))
     return util::kFlatEmptySlot;
   const auto u32 = [](std::size_t v) { return static_cast<std::uint32_t>(v); };
-  const std::uint32_t id = u32(shapes_.size());
-  shapes_.push_back(Shape{u32(shape_keys_.size()), u32(kept_labels_.size()),
-                          u32(kept_choices_.size()), u32(candidates),
-                          u32(kept), u32(n),
+  const std::uint32_t id = shape_keys_.intern(shape_key_);
+  assert(id == shapes_.size());
+  shapes_.push_back(Shape{u32(kept_labels_.size()), u32(kept_choices_.size()),
+                          u32(candidates), u32(kept),
                           partials_.size() - 1 >= kPollPartials});
-  shape_index_.insert(hash, id);
-  shape_keys_.insert(shape_keys_.end(), shape_key_.begin(), shape_key_.end());
   kept_labels_.insert(kept_labels_.end(), cand_labels_.begin(),
                       cand_labels_.end());
   static_assert(static_cast<std::uint16_t>(kStays) == kNarrowStays);

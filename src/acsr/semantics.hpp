@@ -60,6 +60,7 @@
 #include "acsr/preemption.hpp"
 #include "util/budget.hpp"
 #include "util/flat_set.hpp"
+#include "util/span_table.hpp"
 
 namespace aadlsched::acsr {
 
@@ -187,9 +188,8 @@ class Semantics {
                            EventSetId restricted, bool labels_first);
   /// Record the survivors of the last labels-first parallel_candidates()
   /// call, compacted in cand_labels_/cand_choices_, under the key in
-  /// shape_key_; kFlatEmptySlot when an offset would not fit.
-  std::uint32_t record_shape(std::uint64_t hash, std::size_t n,
-                             std::size_t candidates);
+  /// shape_key_; kFlatEmptySlot when the key or an offset would not fit.
+  std::uint32_t record_shape(std::size_t n, std::size_t candidates);
   /// Append one transition per label: the target row moves each component
   /// of `kids` as the label's n-wide choice row says (Choice(-1) = stays),
   /// and `sink` names it.
@@ -229,25 +229,22 @@ class Semantics {
   std::vector<Fan> signatures_;
   util::FlatHashIndex signature_index_;
 
-  // Shapes: the key of shape s is shape_keys_[key_at, key_at + width + 1)
-  // = restriction, then one signature per component. Its survivors, in
-  // candidate order, are kept_labels_[kept_at, kept_at + kept), each with
-  // a width-wide choice row in kept_choices_ from choices_at (0xFFFF =
-  // stays). A shape is recorded only when every fan position and every
-  // offset fits.
+  // Shapes: the key of shape s is shape_keys_[s] = restriction, then one
+  // signature per component. Its survivors, in candidate order, are
+  // kept_labels_[kept_at, kept_at + kept), each with a one-per-component
+  // choice row in kept_choices_ from choices_at (0xFFFF = stays). A shape
+  // is recorded only when its key fits a chunk and every fan position and
+  // every offset fits.
   struct Shape {
-    std::uint32_t key_at;
     std::uint32_t kept_at;
     std::uint32_t choices_at;
     std::uint32_t candidates;  // labels the generator built
-    std::uint32_t kept;
-    std::uint32_t width : 31;
+    std::uint32_t kept : 31;
     std::uint32_t poll : 1;  // the fold built >= kPollPartials partials
   };
-  static_assert(sizeof(Shape) == 24);
+  static_assert(sizeof(Shape) == 16);
+  util::SpanTable<std::uint32_t> shape_keys_;
   std::vector<Shape> shapes_;
-  util::FlatHashIndex shape_index_;
-  std::vector<std::uint32_t> shape_keys_;
   std::vector<Label> kept_labels_;
   std::vector<std::uint16_t> kept_choices_;
 

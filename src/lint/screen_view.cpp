@@ -13,8 +13,6 @@ using aadl::ComponentInstance;
 using aadl::DispatchProtocol;
 using aadl::InstanceModel;
 
-using I128 = __int128;
-
 }  // namespace
 
 std::vector<ScreenCpu> extract_screen_cpus(const InstanceModel& m,
@@ -59,28 +57,15 @@ std::vector<ScreenCpu> extract_screen_cpus(const InstanceModel& m,
 
 std::optional<int> utilization_vs_one(const std::vector<ScreenTask>& tasks,
                                       bool periodic_only) {
-  // Accumulate num/den with gcd reduction; bail out near the 128-bit edge.
-  constexpr I128 kCap = static_cast<I128>(1) << 100;
-  I128 num = 0, den = 1;
+  util::ExactUtilization exact;
   for (const ScreenTask& t : tasks) {
     if (periodic_only && t.dispatch != DispatchProtocol::Periodic) continue;
     if (t.dispatch == DispatchProtocol::Aperiodic ||
         t.dispatch == DispatchProtocol::Background)
       continue;  // no utilization bound
-    if (t.quanta.period <= 0) continue;  // AL005 flags this
-    if (den > kCap / t.quanta.period) return std::nullopt;
-    num = num * t.quanta.period + static_cast<I128>(t.quanta.cmax) * den;
-    den = den * t.quanta.period;
-    const I128 g = util::gcd128(num, den);
-    if (g > 1) {
-      num /= g;
-      den /= g;
-    }
-    if (num > kCap) return std::nullopt;
+    exact.add(t.quanta.cmax, t.quanta.period);  // period <= 0: AL005 flags it
   }
-  if (num > den) return 1;
-  if (num < den) return -1;
-  return 0;
+  return exact.vs_one();
 }
 
 double utilization_double(const std::vector<ScreenTask>& tasks,

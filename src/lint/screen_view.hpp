@@ -43,8 +43,8 @@ std::vector<ScreenCpu> extract_screen_cpus(const aadl::InstanceModel& m,
                                            std::int64_t quantum_ns);
 
 /// Exact utilization comparison over the quantized view: returns the sign
-/// of (sum cmax/period) - 1 as -1/0/+1, or nullopt when the exact
-/// accumulation would overflow 128-bit.
+/// of (sum cmax/period) - 1 as -1/0/+1, or nullopt when the fraction
+/// outgrows util::ExactUtilization's cap.
 std::optional<int> utilization_vs_one(const std::vector<ScreenTask>& tasks,
                                       bool periodic_only);
 

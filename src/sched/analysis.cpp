@@ -10,34 +10,15 @@ namespace aadlsched::sched {
 
 namespace {
 
-using I128 = __int128;
-
-/// Sign of (sum of wcet/period) - 1, compared exactly over the integer
-/// periods: a double sum rounds exact-U = 1 sets such as C = 1,
-/// T = {20,10,4,8,20,8,5,10} to 1.0000000000000002. Tasks with a
-/// non-positive period contribute nothing, as in Task::utilization. The
-/// reduced fraction stays within 2^60 so no product leaves 128 bits; a set
-/// whose fraction outgrows that falls back to the double sum.
+/// Sign of (sum of wcet/period) - 1, exact over the integer periods while
+/// the fraction stays within util::ExactUtilization's cap, else from the
+/// double sum.
 int utilization_vs_one(const TaskSet& ts) {
-  const auto by_double = [&ts] {
-    const double u = ts.utilization();
-    return (u > 1.0) - (u < 1.0);
-  };
-  constexpr I128 kCap = I128{1} << 60;
-  I128 num = 0;
-  I128 den = 1;
-  for (const Task& t : ts.tasks) {
-    if (t.period <= 0) continue;
-    if (den > kCap / t.period) return by_double();
-    num = num * t.period + I128{t.wcet} * den;
-    den *= t.period;
-    if (const I128 g = util::gcd128(num, den); g > 1) {
-      num /= g;
-      den /= g;
-    }
-    if (num > kCap || num < -kCap) return by_double();
-  }
-  return (num > den) - (num < den);
+  util::ExactUtilization exact;
+  for (const Task& t : ts.tasks) exact.add(t.wcet, t.period);
+  if (const auto sign = exact.vs_one()) return *sign;
+  const double u = ts.utilization();
+  return (u > 1.0) - (u < 1.0);
 }
 
 }  // namespace

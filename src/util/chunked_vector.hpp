@@ -75,7 +75,10 @@ class ChunkedVector {
     if (c >= MaxChunks)
       throw std::length_error("ChunkedVector: capacity exhausted");
     if (c >= spine_.size()) spine_.resize(c + 1);
-    if (!spine_[c]) spine_[c] = std::make_unique<T[]>(kChunkSize);
+    // Left uninitialized: every slot is written before it is read, and
+    // pages a chunk never uses are never touched.
+    if (!spine_[c])
+      spine_[c] = std::make_unique_for_overwrite<T[]>(kChunkSize);
   }
 
   std::vector<std::unique_ptr<T[]>> spine_;

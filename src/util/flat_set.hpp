@@ -1,7 +1,7 @@
 // Open-addressing hash index over dense 32-bit ids.
 //
-// The hash-cons tables (terms, actions, event sets, expressions), the
-// Semantics' signature and shape memos and the explorer's state table all
+// The hash-cons tables (terms, expressions, every util::SpanTable: actions,
+// event sets, shape keys, state rows) and the Semantics' signature memo
 // keep their keys in their own flat storage and need only an index from a
 // hash to the ids stored under it. A node-based std::unordered_map costs
 // ~48-64 bytes of heap per entry plus a pointer chase per probe;
@@ -24,7 +24,7 @@ namespace aadlsched::util {
 inline constexpr std::uint32_t kFlatEmptySlot = 0xFFFFFFFFu;
 
 /// Append-only index for hash-consing tables whose keys live elsewhere (term
-/// nodes, action and event-set entries): it maps a caller-computed 64-bit
+/// nodes, SpanTable entries): it maps a caller-computed 64-bit
 /// hash to the ids stored under it, and the caller decides equality. Each
 /// slot keeps 32 bits of its id's hash next to the id, so a probe calls the
 /// equality predicate only on a tag match and a rehash never calls back
@@ -52,8 +52,6 @@ class FlatHashIndex {
     place(Slot{id, tag_of(hash)});
     ++size_;
   }
-
-  std::size_t size() const { return size_; }
 
   std::size_t approx_bytes() const { return slots_.size() * sizeof(Slot); }
 

@@ -100,12 +100,4 @@ constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
   return seed ^ (mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-/// Hash a span of trivially hashable integers.
-template <typename T>
-constexpr std::uint64_t hash_span(std::span<const T> xs, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const T& x : xs) h = hash_combine(h, static_cast<std::uint64_t>(x));
-  return h;
-}
-
 }  // namespace aadlsched::util

@@ -29,6 +29,24 @@ constexpr __int128 gcd128(__int128 a, __int128 b) {
   return a < 0 ? -a : a;
 }
 
+/// Exact sum of wcet/period ratios compared with 1, for the utilization
+/// tests of sched and lint: a double sum rounds exact-U = 1 sets such as
+/// C = 1, T = {20,10,4,8,20,8,5,10} to 1.0000000000000002. The reduced
+/// fraction stays within 2^60, so no product with a 64-bit operand leaves
+/// 128 bits; a sum that outgrows the cap gives up.
+class ExactUtilization {
+ public:
+  /// Add wcet/period; a non-positive period adds nothing.
+  void add(std::int64_t wcet, std::int64_t period);
+  /// Sign of (sum - 1) as -1/0/+1; nullopt once the sum outgrew the cap.
+  std::optional<int> vs_one() const;
+
+ private:
+  __int128 num_ = 0;
+  __int128 den_ = 1;
+  bool overflow_ = false;
+};
+
 /// lcm that reports overflow instead of wrapping; nullopt on overflow.
 std::optional<std::int64_t> checked_lcm(std::int64_t a, std::int64_t b);
 

@@ -6,10 +6,10 @@
 #include <limits>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "acsr/printer.hpp"
-#include "util/flat_set.hpp"
 #include "util/hash.hpp"
 
 namespace aadlsched::versa {
@@ -168,8 +168,10 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
       stack.push_back(id);
     }
   };
+  const StateStore& store = wave.store;
   push(wave.initial);
-  for (const TermId c : wave.rows) push(c);
+  for (std::uint32_t s = 0; s < store.size(); ++s)
+    for (const TermId c : store.row(s)) push(c);
   while (!stack.empty()) {
     const TermId id = stack.back();
     stack.pop_back();
@@ -203,7 +205,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
      << '\n';
   for (acsr::ActionId a = 0; a < at.size(); ++a) {
     if (!used_actions[a]) continue;
-    const auto& uses = at.uses(a);
+    const std::span<const acsr::ResourceUse> uses = at.uses(a);
     os << uses.size();
     for (const acsr::ResourceUse& u : uses)
       os << ' ' << u.resource << ' ' << u.priority;
@@ -213,7 +215,7 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
      << '\n';
   for (acsr::EventSetId e = 0; e < est.size(); ++e) {
     if (!used_sets[e]) continue;
-    const auto& events = est.events(e);
+    const std::span<const acsr::Event> events = est.events(e);
     os << events.size();
     for (const acsr::Event x : events) os << ' ' << x;
     os << '\n';
@@ -272,12 +274,14 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
 
   // The state table, one row per line in state-number order, then the
   // lists of state numbers.
-  os << "states " << wave.row_ends.size() << '\n';
-  for (std::uint32_t s = 0; s < wave.row_ends.size(); ++s) {
-    const auto row = wave.row(s);
+  os << "states " << store.size() << '\n';
+  std::vector<std::uint32_t> visited;
+  for (std::uint32_t s = 0; s < store.size(); ++s) {
+    const auto row = store.row(s);
     os << row.size();
     for (const TermId c : row) os << ' ' << dense[c];
     os << '\n';
+    if (store.seen(s)) visited.push_back(s);
   }
   const auto emit_list = [&](std::string_view name,
                              const std::vector<std::uint32_t>& ids) {
@@ -286,9 +290,9 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
   };
   emit_list("frontier", wave.frontier);
   emit_list("next", wave.next_frontier);
-  emit_list("visited", wave.visited);
+  emit_list("visited", visited);
 
-  std::string body = os.str();
+  std::string body = std::move(os).str();
   util::append_digest(body);
   return body;
 }
@@ -432,40 +436,33 @@ std::optional<Wavefront> parse_checkpoint(acsr::Context& ctx,
     return reject("initial state differs from this translation's");
 
   // Rows hold mapped TermIds, re-sorted as TermTable::parallel would (the
-  // restored ids need not keep the captured order). A duplicate row would
-  // renumber every later state, so it is refused.
+  // restored ids need not keep the captured order), and are interned
+  // straight into the wavefront's store. A row that gets an earlier state
+  // number is a duplicate; it would renumber every later state, so it is
+  // refused.
   r.expect("states");
   const std::uint64_t nstates = r.unum("state count");
-  util::FlatHashIndex rows_seen;
+  std::vector<TermId> row;
   for (std::uint64_t s = 0; r.ok() && s < nstates; ++s) {
     const std::uint64_t len = r.unum("row length");
     if (r.ok() && (len == 0 || len > kMaxRowWidth)) r.fail("bad row length");
-    const std::size_t from = w.rows.size();
+    row.clear();
     for (std::uint64_t k = 0; r.ok() && k < len; ++k)
-      w.rows.push_back(term_at(r.num("row entry")));
+      row.push_back(term_at(r.num("row entry")));
     if (!r.ok()) break;
-    const auto row = w.rows.begin() + static_cast<std::ptrdiff_t>(from);
-    std::sort(row, w.rows.end());
-    w.row_ends.push_back(static_cast<std::uint32_t>(w.rows.size()));
-    const auto id = static_cast<std::uint32_t>(s);
-    const std::uint64_t hash = util::hash_span<TermId>(w.row(id), 0);
-    const auto same = [&](std::uint32_t o) {
-      const auto a = w.row(o), b = w.row(id);
-      return std::equal(a.begin(), a.end(), b.begin(), b.end());
-    };
-    if (rows_seen.find(hash, same) != util::kFlatEmptySlot)
-      return reject("duplicate state row");
-    rows_seen.insert(hash, id);
+    std::sort(row.begin(), row.end());
+    if (w.store.intern(row) != s) return reject("duplicate state row");
   }
-  const auto read_list = [&](std::string_view name,
-                             std::vector<std::uint32_t>& into) {
+  const auto read_list = [&](std::string_view name, const auto& take) {
     r.expect(name);
-    for (std::uint64_t i = r.unum("list length"); r.ok() && i > 0; --i)
-      into.push_back(r.id(nstates, "state number"));
+    for (std::uint64_t i = r.unum("list length"); r.ok() && i > 0; --i) {
+      const std::uint32_t s = r.id(nstates, "state number");
+      if (r.ok()) take(s);
+    }
   };
-  read_list("frontier", w.frontier);
-  read_list("next", w.next_frontier);
-  read_list("visited", w.visited);
+  read_list("frontier", [&](std::uint32_t s) { w.frontier.push_back(s); });
+  read_list("next", [&](std::uint32_t s) { w.next_frontier.push_back(s); });
+  read_list("visited", [&](std::uint32_t s) { w.store.mark_seen(s); });
 
   if (!r.ok()) return reject(r.error());
   return w;

@@ -14,19 +14,15 @@
 //     state and the state rows, terms in ascending TermId order.
 //     Hash-consing appends children before parents, so an ascending walk
 //     re-interns every node through the normal ground constructors with all
-//     children already mapped. Explored states are not terms: the table
-//     holds their components;
-//   * the explorer's state table, one component row per state in
+//     children already mapped;
+//   * the wavefront's state store, one component row per state in
 //     state-number order, then the frontier, the next level and the
-//     visited states as state numbers (format v6);
+//     visited states as state numbers (format v6). Serializing reads the
+//     store in place; restoring interns each row straight into a fresh
+//     store, which the resumed run then takes over: no copy of the rows;
 //   * a trailing FNV-1a digest over everything above, verified first.
 //
-// Soundness of resuming (DESIGN.md §12): at any stop point the explorer
-// maintains the BFS invariant that every reachable-but-unvisited state is
-// reachable through frontier ++ next_frontier. Seeding a fresh run with
-// (visited, frontiers, counters) therefore continues the exact same BFS:
-// the verdict is identical to an uninterrupted run, and on a run that
-// completes the space the state/transition counts are identical too.
+// Soundness of resuming (DESIGN.md §12): see versa::Wavefront.
 #pragma once
 
 #include <optional>
@@ -45,7 +41,8 @@ std::string serialize_checkpoint(const acsr::Context& ctx,
                                  const Wavefront& wave);
 
 /// Restore a checkpoint into `ctx`, which must already hold the caller's
-/// translation with initial state `initial`, and return its wavefront.
+/// translation with initial state `initial`, and return its wavefront,
+/// ready for ExploreOptions::resume.
 /// Returns std::nullopt (with a human-readable reason in `error`) on a
 /// digest mismatch, a malformed section, a translation digest that differs
 /// from `ctx`'s, an out-of-range id, or a restored initial state other than

@@ -4,10 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <deque>
-
-#include "util/chunked_vector.hpp"
-#include "util/flat_set.hpp"
-#include "util/hash.hpp"
+#include <utility>
 
 namespace aadlsched::versa {
 
@@ -37,56 +34,6 @@ bool is_stuck(std::uint32_t state, const std::vector<Transition>& fan) {
   return stuck;
 }
 
-/// The explored states: each a component row in one flat arena, numbered in
-/// first-intern order, with a flag for the states the BFS has discovered
-/// (the others were only ranked). As the RowSink of Semantics::expand_row()
-/// it names every target row. Rows never move once appended, so a row
-/// being expanded stays valid while its targets are interned.
-class StateTable final : public Semantics::RowSink {
- public:
-  std::uint32_t intern(std::span<const TermId> row) override {
-    const std::uint64_t hash =
-        util::hash_span<TermId>(row, 0x5851f42d4c957f2dULL);
-    const std::uint32_t hit = index_.find(hash, [&](std::uint32_t s) {
-      const auto r = this->row(s);
-      return std::equal(r.begin(), r.end(), row.begin(), row.end());
-    });
-    if (hit != util::kFlatEmptySlot) return hit;
-    const auto id = static_cast<std::uint32_t>(entries_.size());
-    entries_.push_back(Entry{static_cast<std::uint32_t>(arena_.append_span(row)),
-                             static_cast<std::uint32_t>(row.size()), 0});
-    index_.insert(hash, id);
-    return id;
-  }
-
-  std::span<const TermId> row(std::uint32_t s) const {
-    const Entry& e = entries_[s];
-    return arena_.view(e.at, e.len);
-  }
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(entries_.size());
-  }
-  bool seen(std::uint32_t s) const { return entries_[s].seen != 0; }
-  void mark_seen(std::uint32_t s) { entries_[s].seen = 1; }
-
-  std::size_t approx_bytes() const {
-    return arena_.size() * sizeof(TermId) + entries_.size() * sizeof(Entry) +
-           index_.approx_bytes();
-  }
-
- private:
-  struct Entry {
-    std::uint32_t at;
-    std::uint32_t len : 31;
-    std::uint32_t seen : 1;
-  };
-  static_assert(sizeof(Entry) == 8);
-  util::ChunkedVector<TermId, 14> arena_;
-  static_assert(decltype(arena_)::kChunkSize == kMaxRowWidth);
-  util::ChunkedVector<Entry, 12> entries_;
-  util::FlatHashIndex index_;
-};
-
 }  // namespace
 
 EventSetId row_restriction(acsr::Context& ctx, TermId initial) {
@@ -115,7 +62,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
   const auto t0 = Clock::now();
   const Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
-  const Wavefront* resume =
+  Wavefront* resume =
       opts.resume && !opts.resume->empty() ? opts.resume : nullptr;
   result.initial = resume ? resume->initial : initial;
 
@@ -123,7 +70,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
   const acsr::TermTable& tt = ctx.terms();
   const EventSetId fset = row_restriction(ctx, result.initial);
 
-  StateTable table;
+  StateStore table;
   // parent[s]: the state whose expansion discovered s (kNoParent for the
   // initial state and for states only ranked). The label is recovered by
   // expanding the parent again, for the trace's states only.
@@ -176,13 +123,9 @@ ExploreResult explore(Semantics& sem, TermId initial,
   std::uint64_t level_remaining = 1;
   std::uint64_t next_level = 0;
 
-  // A resumed run restores the paused table first, so its state numbers
+  // A resumed run takes over the paused store first, so its state numbers
   // hold; ranking then finds what it ranked before.
-  if (resume) {
-    for (std::uint32_t s = 0; s < resume->row_ends.size(); ++s)
-      table.intern(resume->row(s));
-    for (const std::uint32_t s : resume->visited) table.mark_seen(s);
-  }
+  if (resume) table = std::move(resume->store);
   table.intern(std::span<const TermId>(&acsr::kNil, 1));
   rank_terms();
   const std::uint32_t root = state_of(result.initial);
@@ -204,6 +147,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
     result.depth = w.depth;
     result.peak_frontier = std::max<std::uint64_t>(w.peak_frontier,
                                                    frontier.size());
+    *resume = {};  // consumed
   } else {
     table.mark_seen(root);
     frontier.push_back(root);
@@ -212,7 +156,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
     result.peak_frontier = 1;
   }
 
-  // Hash-cons tables + fan and shape memos + state table + parent vector +
+  // Hash-cons tables + fan and shape memos + state store + parent vector +
   // frontier. Every part reports its actual footprint, not a per-node guess.
   const auto approx_memory = [&]() -> std::uint64_t {
     return sem.context().approx_bytes() + sem.approx_bytes() +
@@ -234,20 +178,16 @@ ExploreResult explore(Semantics& sem, TermId initial,
     result.wall_ms = ms_since(t0);
   };
 
-  // Snapshot the paused BFS for a later warm resume. Only meaningful at the
-  // loop top, where the frontier deque is exactly [current-level remainder]
-  // ++ [next level] — both early returns below sit there.
+  // Hand the paused BFS over for a later warm resume: the state store moves
+  // out, so this is the run's last use of it. Only meaningful at the loop
+  // top, where the frontier deque is exactly [current-level remainder] ++
+  // [next level] — both early returns below sit there.
   const auto capture_wavefront = [&] {
     if (!opts.capture) return;
     Wavefront& w = *opts.capture;
     w = {};
     w.initial = result.initial;
-    for (std::uint32_t s = 0; s < table.size(); ++s) {
-      const auto row = table.row(s);
-      w.rows.insert(w.rows.end(), row.begin(), row.end());
-      w.row_ends.push_back(static_cast<std::uint32_t>(w.rows.size()));
-      if (table.seen(s)) w.visited.push_back(s);
-    }
+    w.store = std::move(table);
     const auto split =
         frontier.begin() + static_cast<std::ptrdiff_t>(level_remaining);
     w.frontier.assign(frontier.begin(), split);
@@ -259,8 +199,8 @@ ExploreResult explore(Semantics& sem, TermId initial,
   };
   const auto stop_early = [&] {
     result.sem_stats = sem.stats() - stats_before;
+    finish();  // measures the store before the capture moves it out
     capture_wavefront();
-    finish();
     return result;  // complete stays false: partial result
   };
 

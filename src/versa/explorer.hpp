@@ -8,12 +8,10 @@
 //
 // States are rows, not terms. Every successor of a translated model's
 // unfolded initial state is Restrict(F, Parallel(c₁…c_k)) with the same F,
-// so the explorer keeps each state as its sorted component row in a state
-// table: one flat arena of rows, a hash index over them (looking a row up
-// or inserting it is the visited check) and a dense parent vector indexed
-// by state number. acsr::Semantics::expand_row() hands it the survivors'
-// rows; no explored state enters the term table, which holds only
-// component terms. A state that is not of that shape (the initial Call,
+// so the explorer keeps each state as its sorted component row in a
+// StateStore, with a dense parent vector indexed by state number.
+// acsr::Semantics::expand_row() hands it the survivors' rows; no explored
+// state enters the term table, which holds only component terms. A state that is not of that shape (the initial Call,
 // NIL, or any state of a hand-built term) is a one-entry row holding its
 // term, expanded through Semantics::prioritized(TermId). Only the states
 // of the reported trace are interned as terms, after the run, so
@@ -30,7 +28,7 @@
 // state).
 //
 // One model is explored by one thread: the engine owns its Semantics,
-// state table and frontier outright and takes no lock. Parallelism lives
+// state store and frontier outright and takes no lock. Parallelism lives
 // across models (versa/sweep.hpp, the server's worker pool); DESIGN.md §8
 // gives the measurement behind that split.
 #pragma once
@@ -42,6 +40,7 @@
 
 #include "acsr/semantics.hpp"
 #include "util/budget.hpp"
+#include "util/span_table.hpp"
 
 namespace aadlsched::versa {
 
@@ -56,34 +55,56 @@ acsr::EventSetId row_restriction(acsr::Context& ctx, acsr::TermId initial);
 acsr::TermId row_term(acsr::Context& ctx, acsr::EventSetId restriction,
                       std::span<const acsr::TermId> row);
 
-/// Most components a state row may have (the state table's arena chunk).
+/// Most components a state row may have (the state store's arena chunk).
 inline constexpr std::size_t kMaxRowWidth = std::size_t{1} << 14;
+
+/// The explored states: sorted component rows numbered in first-intern
+/// order (interning a row is the visited check), each flagged once the BFS
+/// discovers it (the others were only ranked); the RowSink of
+/// Semantics::expand_row(). Rows never move, so a row being expanded stays
+/// valid while its targets are interned. A running exploration owns its
+/// store; capture moves it into a Wavefront and resume moves it back.
+class StateStore final : public acsr::Semantics::RowSink {
+ public:
+  std::uint32_t intern(std::span<const acsr::TermId> row) override {
+    const std::uint32_t s = rows_.intern(row);
+    if (s == seen_.size()) seen_.push_back(false);
+    return s;
+  }
+  std::span<const acsr::TermId> row(std::uint32_t s) const { return rows_[s]; }
+  std::uint32_t size() const { return rows_.size(); }
+  bool seen(std::uint32_t s) const { return seen_[s]; }
+  void mark_seen(std::uint32_t s) { seen_[s] = true; }
+
+  std::size_t approx_bytes() const {
+    return rows_.approx_bytes() + seen_.capacity() / 8;
+  }
+
+ private:
+  util::SpanTable<acsr::TermId, 14, 12> rows_;
+  static_assert(decltype(rows_)::kMaxSpan == kMaxRowWidth);
+  std::vector<bool> seen_;
+};
 
 /// A paused BFS: everything needed to continue an exploration later,
 /// possibly in a different process, restored into a fresh copy of the same
-/// translation (see versa/checkpoint.hpp). The invariant the engine maintains is that every
-/// reachable-but-unvisited state is reachable through `frontier` ++
-/// `next_frontier`, so seeding a fresh run with (state table, frontiers,
-/// counters) continues the exact same BFS — same final verdict and, on a
-/// run that completes the space, the same state/transition counts. A
-/// wavefront is only captured before a deadlock is found (the run stops
-/// at its first one), so it carries no deadlock.
+/// translation (see versa/checkpoint.hpp). Every reachable-but-unvisited
+/// state is reachable through `frontier` ++ `next_frontier`, so seeding a
+/// fresh run with (state store, frontiers, counters) continues the exact
+/// same BFS: same verdict and, on a run that completes the space, the same
+/// counts. It is captured only before a deadlock, and is moved, never
+/// copied: it owns the only copy of the rows.
 struct Wavefront {
   acsr::TermId initial = acsr::kNil;
-  /// The state table in state-number (first-intern) order: state s is the
-  /// row rows[row_ends[s - 1], row_ends[s]) (from 0 for s = 0), read under
-  /// row_restriction(initial). It includes the states ranked but never
-  /// reached.
-  std::vector<acsr::TermId> rows;
-  std::vector<std::uint32_t> row_ends;
+  /// Every state, read under row_restriction(initial); seen on every state
+  /// ever discovered (the two frontiers included).
+  StateStore store;
   /// Unexpanded remainder of the level being expanded when the run stopped
   /// (in level order; may be empty when the stop fell on a level boundary),
   /// as state numbers.
   std::vector<std::uint32_t> frontier;
   /// States already discovered for the following level.
   std::vector<std::uint32_t> next_frontier;
-  /// Every state ever discovered (includes the two frontiers), ascending.
-  std::vector<std::uint32_t> visited;
   std::uint64_t states = 0;
   std::uint64_t transitions = 0;
   /// BFS depth of the level `frontier` belongs to.
@@ -91,11 +112,6 @@ struct Wavefront {
   std::uint64_t peak_frontier = 0;
 
   bool empty() const { return frontier.empty() && next_frontier.empty(); }
-  std::span<const acsr::TermId> row(std::uint32_t s) const {
-    const std::uint32_t from = s == 0 ? 0 : row_ends[s - 1];
-    return std::span<const acsr::TermId>(rows).subspan(from,
-                                                       row_ends[s] - from);
-  }
 };
 
 struct ExploreOptions {
@@ -110,16 +126,17 @@ struct ExploreOptions {
 
   // --- warm re-exploration (checkpointing) -----------------------------
   /// When non-null and the run stops on a budget (Deadline / MemoryBudget /
-  /// MaxStates / Cancelled), the engine writes the paused BFS here so the
-  /// caller can serialize it. Left empty on a conclusive run (complete, or
-  /// stopped at a deadlock).
+  /// MaxStates / Cancelled), the engine moves the paused BFS, state store
+  /// included, here so the caller can serialize it. Left empty on a
+  /// conclusive run (complete, or stopped at a deadlock).
   Wavefront* capture = nullptr;
   /// When non-null and non-empty, the run continues this wavefront instead
-  /// of starting from `initial`: the state table, both frontiers and all
-  /// counters are seeded from it. A resumed run never records a trace (the
-  /// parent links of the original run are gone), so a deadlock found after
-  /// a resume reports without a counterexample timeline.
-  const Wavefront* resume = nullptr;
+  /// of starting from `initial`: it takes over the state store and seeds
+  /// both frontiers and all counters from it, leaving the wavefront empty.
+  /// A resumed run never records a trace (the parent links of the original
+  /// run are gone), so a deadlock found after a resume reports without a
+  /// counterexample timeline.
+  Wavefront* resume = nullptr;
 
   /// When non-null (tests only), a cold run ends by interning every row of
   /// its state table as a term, in state-number order, and writes here the

@@ -476,7 +476,7 @@ TEST(BudgetExplore, MemoryTripInsideFoldResumesLikeCold) {
                                       : wave.frontier.front();
   const acsr::TermId head =
       versa::row_term(ctx, versa::row_restriction(ctx, init),
-                      wave.row(head_state));
+                      wave.store.row(head_state));
   std::vector<acsr::Transition> fan;
   const std::uint64_t before = sem.stats().candidates;
   ASSERT_TRUE(sem.prioritized(head, fan));

@@ -500,6 +500,12 @@ TEST(Checkpoint, SymbolicRunIgnoresAValidEnumerativeCheckpoint) {
 
 // --- versa-level round trip ---------------------------------------------
 
+std::uint64_t seen_states(const versa::StateStore& store) {
+  std::uint64_t n = 0;
+  for (std::uint32_t s = 0; s < store.size(); ++s) n += store.seen(s);
+  return n;
+}
+
 TEST(Checkpoint, VersaParseRoundTripPreservesTheWavefront) {
   core::AnalyzerOptions bound = base_options();
   bound.exploration.max_states = 40;
@@ -516,7 +522,7 @@ TEST(Checkpoint, VersaParseRoundTripPreservesTheWavefront) {
   EXPECT_EQ(restored->states, r.states);
   EXPECT_EQ(restored->transitions, r.transitions);
   EXPECT_EQ(restored->depth, r.depth);
-  EXPECT_EQ(restored->visited.size(), r.states);
+  EXPECT_EQ(seen_states(restored->store), r.states);
   EXPECT_FALSE(restored->empty());
   EXPECT_NE(restored->initial, acsr::kInvalidTerm);
 
@@ -529,7 +535,7 @@ TEST(Checkpoint, VersaParseRoundTripPreservesTheWavefront) {
       versa::parse_checkpoint(other->ctx, other->initial, again, error2);
   ASSERT_TRUE(twice.has_value()) << error2;
   EXPECT_EQ(twice->states, restored->states);
-  EXPECT_EQ(twice->visited.size(), restored->visited.size());
+  EXPECT_EQ(seen_states(twice->store), seen_states(restored->store));
   EXPECT_EQ(twice->frontier.size(), restored->frontier.size());
   EXPECT_EQ(twice->next_frontier.size(), restored->next_frontier.size());
 }

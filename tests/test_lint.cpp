@@ -695,6 +695,75 @@ TEST(LintScreen, Al009VouchesForEdfAtExactlyFullUtilization) {
   EXPECT_EQ(r.decided_by, "AL009");
 }
 
+/// One EDF processor whose exact utilization fraction outgrows 128-bit
+/// arithmetic: a 2^43-quanta WCET every quantum, then two slow threads
+/// whose periods multiply the denominator past 2^86. U is about 8.8e12.
+constexpr const char* kEdfHugeFractionModel = R"(
+package P
+public
+  processor Cpu
+  properties
+    Scheduling_Protocol => EDF_PROTOCOL;
+  end Cpu;
+
+  thread A
+  end A;
+
+  thread implementation A.impl
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 1 ms;
+    Compute_Execution_Time => 8796093022208 ms .. 8796093022208 ms;
+  end A.impl;
+
+  thread B
+  end B;
+
+  thread implementation B.impl
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 8796093022207 ms;
+    Compute_Execution_Time => 1 ms .. 1 ms;
+  end B.impl;
+
+  thread C
+  end C;
+
+  thread implementation C.impl
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 8796093022201 ms;
+    Compute_Execution_Time => 1 ms .. 1 ms;
+  end C.impl;
+
+  system S
+  end S;
+
+  system implementation S.impl
+  subcomponents
+    a : thread A.impl;
+    b : thread B.impl;
+    c : thread C.impl;
+    cpu : processor Cpu;
+  properties
+    Actual_Processor_Binding => reference (cpu) applies to a;
+    Actual_Processor_Binding => reference (cpu) applies to b;
+    Actual_Processor_Binding => reference (cpu) applies to c;
+  end S.impl;
+end P;
+)";
+
+TEST(LintScreen, Al009AbstainsWhenTheExactFractionOutgrowsItsCap) {
+  // The exact sum gives up past its cap instead of overflowing __int128
+  // (a ubsan build reports the overflow) and reading U ~ 8.8e12 as <= 1.
+  const lint::Report r = lint_source(kEdfHugeFractionModel);
+  EXPECT_EQ(first_check(r, "AL009"), nullptr) << r.render_text();
+  EXPECT_EQ(first_certificate(r, "AL009"), nullptr);
+  for (const lint::ProcessorVerdict& v : r.processor_verdicts)
+    EXPECT_FALSE(v.schedulable) << v.processor;
+  EXPECT_NE(r.verdict, lint::StaticVerdict::Schedulable);
+}
+
 TEST(LintScreen, Al009AbstainsOnConstrainedDeadlines) {
   // Deadline < period: U <= 1 is no longer sufficient, so AL009 stays
   // silent. QPA (AL014) covers the constrained fragment exactly.

@@ -50,7 +50,7 @@ bool disjoint(const ActionTable& at, ActionId a, ActionId b) {
 ActionId merge(ActionTable& at, ActionId a, ActionId b) {
   if (a == kIdleAction) return b;
   if (b == kIdleAction) return a;
-  std::vector<ResourceUse> u = at.uses(a);
+  std::vector<ResourceUse> u(at.uses(a).begin(), at.uses(a).end());
   u.insert(u.end(), at.uses(b).begin(), at.uses(b).end());
   return at.intern(u);
 }
@@ -188,7 +188,8 @@ std::vector<Transition> reference_prioritized(Context& ctx, TermId state) {
 void expect_same_tables(const Context& a, const Context& b, int trial) {
   ASSERT_EQ(a.actions().size(), b.actions().size()) << "trial " << trial;
   for (ActionId id = 0; id < a.actions().size(); ++id)
-    ASSERT_EQ(a.actions().uses(id), b.actions().uses(id))
+    ASSERT_TRUE(
+        std::ranges::equal(a.actions().uses(id), b.actions().uses(id)))
         << "trial " << trial << ", action " << id;
   ASSERT_EQ(a.terms().size(), b.terms().size()) << "trial " << trial;
 }

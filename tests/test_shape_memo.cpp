@@ -34,7 +34,8 @@ void expect_same_tables(const Context& a, const Context& b,
                         const std::string& where) {
   ASSERT_EQ(a.actions().size(), b.actions().size()) << where;
   for (ActionId id = 0; id < a.actions().size(); ++id)
-    ASSERT_EQ(a.actions().uses(id), b.actions().uses(id))
+    ASSERT_TRUE(
+        std::ranges::equal(a.actions().uses(id), b.actions().uses(id)))
         << where << ", action " << id;
   ASSERT_EQ(a.terms().size(), b.terms().size()) << where;
 }

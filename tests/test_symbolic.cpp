@@ -583,28 +583,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicProperty,
 
 TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   const std::string src = read_model("slow_periodic.aadl");
-  // The enumerator needs ~110 ms for the 255,255 states of slow_periodic at
-  // 1 ms on a 4-core x86-64 host (Release); the symbolic engine needs
-  // ~4-7 ms.
-  constexpr double kBudgetMs = 30;
+  // The enumerator needs 255,255 states for slow_periodic at 1 ms; the
+  // symbolic engine closes its class graph in 2,218 classes. One state cap
+  // between the two bounds both engines the same way on any host.
+  constexpr std::uint64_t kMaxStates = 20'000;
 
-  // The enumerator at the CLI-default 1 ms quantum against a 30 ms
-  // wall-clock budget: the 252 s hyperperiod leaves it inconclusive.
+  // The enumerator at the CLI-default 1 ms quantum: the 252 s hyperperiod
+  // leaves it inconclusive at the cap.
   core::AnalyzerOptions en = engine_options(core::Engine::Enumerative);
-  en.exploration.budget.deadline_ms = kBudgetMs;
+  en.exploration.max_states = kMaxStates;
   const auto r_en = core::analyze_source(src, "SlowPeriodic.impl", en);
   ASSERT_NE(r_en.outcome, core::Outcome::Error) << r_en.diagnostics;
   EXPECT_EQ(r_en.outcome, core::Outcome::Inconclusive);
-  EXPECT_EQ(r_en.stop_reason, util::StopReason::Deadline);
+  EXPECT_EQ(r_en.stop_reason, util::StopReason::MaxStates);
 
-  // The symbolic engine under the same budget closes the class graph and
+  // The symbolic engine under the same cap closes the class graph and
   // proves schedulability outright.
   core::AnalyzerOptions sy = engine_options(core::Engine::Symbolic);
-  sy.exploration.budget.deadline_ms = kBudgetMs;
+  sy.exploration.max_states = kMaxStates;
   const auto r_sy = core::analyze_source(src, "SlowPeriodic.impl", sy);
   ASSERT_NE(r_sy.outcome, core::Outcome::Error) << r_sy.diagnostics;
   EXPECT_EQ(r_sy.outcome, core::Outcome::Schedulable);
-  EXPECT_LT(r_sy.explore_ms, kBudgetMs);
+  EXPECT_LT(r_sy.states, kMaxStates);
 }
 
 // --- concurrency: symbolic analyses under parallel_sweep (tsan) ----------
