@@ -3,9 +3,11 @@
 // (forced exploration) and warm (memory-tier hit) and compare served
 // latencies; the acceptance bar is a >= 10x cheaper warm serve. The warm
 // DISK path (every load digest-verified, DESIGN.md §15) is benchmarked
-// separately with the cache-integrity counters attached. The table rows
-// land in EXPERIMENTS.md; the BM_ timings feed BENCH_service.json via
-// tools/run_benches.sh.
+// separately with the cache-integrity counters attached. The hit path is
+// timed layer by layer on the cruise-control request line: in-process
+// (BM_HandleLineHit) and over loopback TCP with the client's decode
+// (BM_TcpHitRoundtrip). The table rows land in EXPERIMENTS.md; the BM_
+// timings feed BENCH_service.json via tools/run_benches.sh.
 #include <unistd.h>
 
 #include <chrono>
@@ -17,6 +19,7 @@
 #include "aadl/fingerprint.hpp"
 #include "bench_common.hpp"
 #include "server/service.hpp"
+#include "server/tcp.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -185,6 +188,65 @@ void BM_Fingerprint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fingerprint)->Unit(benchmark::kMicrosecond);
+
+/// The cruise-control request line an editor session repeats (the request
+/// perfbench's serve_edit sends, at its 5 ms quantum), and a Service that
+/// has already answered it once, so every later answer is a memory hit.
+struct CruiseHit {
+  server::Service svc;
+  std::string line;
+
+  CruiseHit() {
+    server::Request req;
+    req.op = server::Op::Analyze;
+    req.id = "e1";
+    req.model = slurp(std::string(AADLSCHED_MODELS_DIR) +
+                      "/cruise_control.aadl");
+    req.root = "CruiseControlSystem.impl";
+    req.options.quantum_ns = 5'000'000;
+    line = server::render_request(req);
+    svc.handle_line(line);  // the cold run that fills the cache
+  }
+};
+
+/// A repeat decoded, looked up and rendered in-process: the daemon's share
+/// of a hit (protocol decode, request digest, memo and memory tier, render).
+void BM_HandleLineHit(benchmark::State& state) {
+  CruiseHit hit;
+  for (auto _ : state) benchmark::DoNotOptimize(hit.svc.handle_line(hit.line));
+  // Every timed call should skip the front end through the memo.
+  const auto stats = util::parse_json(hit.svc.stats_json());
+  const util::JsonValue* cache = stats ? stats->get("cache") : nullptr;
+  const util::JsonValue* skips =
+      cache ? cache->get("front_end_skips") : nullptr;
+  state.counters["front_end_skips"] =
+      benchmark::Counter(skips ? static_cast<double>(skips->as_int()) : -1);
+}
+BENCHMARK(BM_HandleLineHit)->Unit(benchmark::kMicrosecond);
+
+/// The same repeat as `aadlsched --connect` sees it: one Client roundtrip
+/// over loopback TCP plus the client's parse_response.
+void BM_TcpHitRoundtrip(benchmark::State& state) {
+  CruiseHit hit;
+  server::TcpServer tcp(hit.svc, server::TcpConfig{});
+  server::Client client;
+  std::string error;
+  if (!tcp.start(error) || !client.connect("127.0.0.1", tcp.port(), error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  std::string response;
+  for (auto _ : state) {
+    if (!client.roundtrip(hit.line, response, error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(server::parse_response(response, error));
+  }
+  client.close();
+  tcp.stop();
+}
+BENCHMARK(BM_TcpHitRoundtrip)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

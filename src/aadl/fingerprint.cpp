@@ -121,11 +121,10 @@ void render_component(std::ostream& os, const ComponentInstance& inst) {
 }  // namespace
 
 std::string Fingerprint::hex() const {
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
-  return buf;
+  std::string out;
+  util::append_hex(out, hi);
+  util::append_hex(out, lo);
+  return out;
 }
 
 std::string canonical_instance_text(const InstanceModel& model) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -60,12 +61,43 @@ std::vector<std::pair<fs::file_time_type, fs::path>> list_files(
   return files;
 }
 
+/// Absorbs `bytes` into both lanes of `h`, eight bytes at a time; the tail
+/// is zero-padded into one last word. Each lane xors a word in, multiplies
+/// by its own odd constant and xor-shifts: every step is a bijection of the
+/// lane, so two inputs of one length that differ in a single word always
+/// leave different lanes. The length goes into a final mix64, which keeps
+/// "x" apart from "x\0" (same padded words) and a root from the model that
+/// follows it.
+util::Hash128 absorb_words(std::string_view bytes, util::Hash128 h) {
+  constexpr std::uint64_t kMulHi = 0x9e3779b97f4a7c15ULL;
+  constexpr std::uint64_t kMulLo = 0xc2b2ae3d27d4eb4fULL;
+  const auto step = [&h](std::uint64_t w) {
+    h.hi = (h.hi ^ w) * kMulHi;
+    h.hi ^= h.hi >> 32;
+    h.lo = (h.lo ^ w) * kMulLo;
+    h.lo ^= h.lo >> 29;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + i, 8);
+    step(w);
+  }
+  if (i < bytes.size()) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + i, bytes.size() - i);
+    step(w);
+  }
+  h.hi = util::mix64(h.hi ^ bytes.size());
+  h.lo = util::mix64(h.lo + bytes.size() * kMulLo);
+  return h;
+}
+
 }  // namespace
 
 util::Hash128 front_end_digest(std::string_view root, std::string_view model) {
-  util::Hash128 h = util::fnv1a_128(root);
-  h = util::fnv1a_128(std::string_view("\0", 1), h);
-  return util::fnv1a_128(model, h);
+  constexpr util::Hash128 kSeed{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
+  return absorb_words(model, absorb_words(root, kSeed));
 }
 
 std::optional<ResultKind::Value> ResultKind::decode(std::string_view body,

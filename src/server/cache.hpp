@@ -36,15 +36,15 @@
 // bigger envelope. cacheable() encodes this.
 //
 // In front of both result tiers sits the exact-repeat memo: a request digest
-// (the root, a NUL byte and the exact model bytes, front_end_digest) mapped
-// to the fingerprint the full front end computed for those bytes. A repeat
-// names its cache key without parse, instantiate or fingerprint. It is
-// sound because:
+// (the root and the exact model bytes, front_end_digest) mapped to the
+// fingerprint the full front end computed for those bytes. A repeat names
+// its cache key without parse, instantiate or fingerprint. It is sound
+// because:
 //   * the front end is a pure function of the root and the model bytes,
 //     and the digest covers exactly those, so the digest of one request
-//     cannot stand for a different instance (up to a collision of the
-//     same two-lane 128-bit FNV-1a the fingerprint itself trusts as the
-//     cache key — the memo adds no new collision class);
+//     cannot stand for a different instance up to a collision of its two
+//     64-bit lanes (DESIGN.md §11 gives the argument). Requests of one
+//     length that differ in a single 8-byte word never collide;
 //   * only successful front ends are remembered: an error response
 //     carries diagnostics rendered with the request id, so it is rebuilt
 //     every time;
@@ -92,8 +92,11 @@ inline bool cacheable(core::Outcome o) {
   return o == core::Outcome::Schedulable || o == core::Outcome::NotSchedulable;
 }
 
-/// The exact-repeat memo's key: FNV-1a 128 over `root`, a NUL byte and
-/// `model`. The NUL keeps root "A" + model "Bx" apart from "AB" + "x".
+/// The exact-repeat memo's key: a two-lane 128-bit digest that reads
+/// `root` and then `model` a word (8 bytes) at a time and folds each one's
+/// length in after it, which keeps root "A" + model "Bx" apart from
+/// "AB" + "x". It lives only in memory, so it is free to differ from
+/// util::fnv1a_128, which names fingerprints and disk entries.
 util::Hash128 front_end_digest(std::string_view root, std::string_view model);
 
 using Site = util::FaultInjector::Site;

@@ -88,7 +88,7 @@ core::AnalyzerOptions to_analyzer_options(const RequestOptions& ro) {
 
 std::optional<Request> parse_request(std::string_view line,
                                      std::string& error) {
-  const auto doc = util::parse_json(line, &error);
+  auto doc = util::parse_json(line, &error);
   if (!doc) return std::nullopt;
   if (!doc->is_object()) {
     error = "request must be a JSON object";
@@ -114,8 +114,8 @@ std::optional<Request> parse_request(std::string_view line,
   if (const auto* id = doc->get("id")) req.id = id->as_string();
   if (req.op != Op::Analyze) return req;
 
-  const auto* model = doc->get("model");
-  const auto* root = doc->get("root");
+  auto* model = doc->get("model");
+  auto* root = doc->get("root");
   if (!model || !model->is_string() || model->as_string().empty()) {
     error = "analyze request needs a non-empty \"model\"";
     return std::nullopt;
@@ -124,8 +124,9 @@ std::optional<Request> parse_request(std::string_view line,
     error = "analyze request needs a non-empty \"root\"";
     return std::nullopt;
   }
-  req.model = model->as_string();
-  req.root = root->as_string();
+  // The document is ours: move its strings, the ~5 KB model above all.
+  req.model = model->take_string();
+  req.root = root->take_string();
   if (const auto* nc = doc->get("no_cache")) req.no_cache = nc->as_bool();
   if (const auto* r = doc->get("resume")) req.resume = r->as_bool();
   if (const auto* nk = doc->get("no_checkpoint"))

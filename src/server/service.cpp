@@ -41,10 +41,9 @@ std::string options_key(const RequestOptions& ro) {
     h = util::hash_combine(h, static_cast<std::uint64_t>(spec.get(ro)));
   }
   h = util::hash_combine(h, static_cast<std::uint64_t>(lint::kLintPassVersion));
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
+  std::string hex;
+  util::append_hex(hex, h);
+  return hex;
 }
 
 /// The result-cache key: the model's fingerprint and the options hash. It

@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,14 +20,34 @@ namespace aadlsched::server {
 
 namespace {
 
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+/// Largest read one recv asks for: a whole cruise-control request line
+/// (~5.6 KB) arrives in one call, and a 16 MiB line in 256.
+constexpr std::size_t kRecvBytes = std::size_t{64} << 10;
+
+/// Send `line` and its newline in one sendmsg, so under TCP_NODELAY the
+/// pair leaves as one segment and the reader wakes up once for it. A short
+/// send resumes where it stopped.
+bool send_line(int fd, std::string_view line) {
+  char newline = '\n';
+  iovec iov[2] = {{const_cast<char*>(line.data()), line.size()},
+                  {&newline, 1}};
+  std::size_t first = 0;  // the first iovec with bytes left to send
+  while (first < 2) {
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = 2 - first;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
     }
-    data.remove_prefix(static_cast<std::size_t>(n));
+    auto sent = static_cast<std::size_t>(n);
+    while (first < 2 && sent >= iov[first].iov_len)
+      sent -= iov[first++].iov_len;
+    if (first < 2) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
   }
   return true;
 }
@@ -37,27 +58,42 @@ enum class RecvStatus : std::uint8_t {
   TooLong,  // the pending line exceeds kMaxLineBytes
 };
 
-/// Read up to the next '\n' into `line` (newline stripped), buffering any
-/// overshoot in `buffer`. Only newly received bytes are scanned, so a long
-/// line costs linear time.
-RecvStatus recv_line(int fd, std::string& buffer, std::string& line) {
-  std::size_t scanned = 0;
+/// Read up to the next '\n' into `line` (newline stripped), keeping any
+/// overshoot in `rx` for the next call. recv writes straight into the
+/// buffer's spare room, and only newly received bytes are scanned, so a
+/// long line costs linear time; the line is copied out once.
+RecvStatus recv_line(int fd, RxBuffer& rx, std::string& line) {
+  std::size_t scanned = rx.begin;
   while (true) {
-    const auto nl = buffer.find('\n', scanned);
-    if (nl != std::string::npos) {
-      if (nl > kMaxLineBytes) return RecvStatus::TooLong;
-      line.assign(buffer, 0, nl);
-      buffer.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+    const char* base = rx.bytes.data();
+    const void* nl = std::memchr(base + scanned, '\n', rx.end - scanned);
+    if (nl != nullptr) {
+      const auto at =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - base);
+      std::size_t len = at - rx.begin;
+      if (len > kMaxLineBytes) return RecvStatus::TooLong;
+      if (len > 0 && base[at - 1] == '\r') --len;
+      line.assign(base + rx.begin, len);
+      rx.begin = at + 1;
+      if (rx.begin == rx.end) rx.begin = rx.end = 0;  // nothing pending
       return RecvStatus::Line;
     }
-    if (buffer.size() > kMaxLineBytes) return RecvStatus::TooLong;
-    scanned = buffer.size();
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (rx.end - rx.begin > kMaxLineBytes) return RecvStatus::TooLong;
+    if (rx.bytes.size() - rx.end < kRecvBytes && rx.begin > 0) {
+      // Make room: move the pending bytes to the front.
+      std::memmove(rx.bytes.data(), base + rx.begin, rx.end - rx.begin);
+      rx.end -= rx.begin;
+      rx.begin = 0;
+    }
+    // The string never shrinks, so growing it zeroes each byte only once.
+    if (rx.bytes.size() - rx.end < kRecvBytes)
+      rx.bytes.resize(rx.end + kRecvBytes);
+    scanned = rx.end;
+    const ssize_t n =
+        ::recv(fd, rx.bytes.data() + rx.end, rx.bytes.size() - rx.end, 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return RecvStatus::Closed;
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    rx.end += static_cast<std::size_t>(n);
   }
 }
 
@@ -134,20 +170,36 @@ void TcpServer::accept_loop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::lock_guard lock(mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> done;
+    {
+      std::lock_guard lock(mu_);
+      if (stopping_.load(std::memory_order_relaxed)) {
+        ::close(fd);
+        break;
+      }
+      // Reap the connections that ended since the last accept: an unjoined
+      // thread keeps its stack mapped.
+      const auto ended = std::partition(
+          conn_threads_.begin(), conn_threads_.end(), [&](const auto& t) {
+            return std::find(finished_.begin(), finished_.end(),
+                             t.get_id()) == finished_.end();
+          });
+      done.assign(std::make_move_iterator(ended),
+                  std::make_move_iterator(conn_threads_.end()));
+      conn_threads_.erase(ended, conn_threads_.end());
+      finished_.clear();
+      conn_fds_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    for (std::thread& t : done) t.join();
   }
 }
 
 void TcpServer::connection_loop(int fd) {
-  std::string buffer, line;
+  RxBuffer rx;
+  std::string line;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const RecvStatus status = recv_line(fd, buffer, line);
+    const RecvStatus status = recv_line(fd, rx, line);
     if (status == RecvStatus::Closed) break;
     if (status == RecvStatus::TooLong) {
       // The rest of the line cannot be skipped without reading it, so the
@@ -155,12 +207,11 @@ void TcpServer::connection_loop(int fd) {
       Response resp;
       resp.error = "request line exceeds " +
                    std::to_string(kMaxLineBytes >> 20) + " MiB";
-      send_all(fd, render_response(resp) + "\n");
+      send_line(fd, render_response(resp));
       break;
     }
     if (line.empty()) continue;  // tolerate keep-alive blank lines
-    const std::string response = service_.handle_line(line);
-    if (!send_all(fd, response) || !send_all(fd, "\n")) break;
+    if (!send_line(fd, service_.handle_line(line))) break;
     // A shutdown request flips the service; the connection ends after
     // the ok response has been sent so the client sees the ack.
     if (service_.shutting_down()) break;
@@ -175,6 +226,9 @@ void TcpServer::connection_loop(int fd) {
   }
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
+  // Last: the accept loop may join this thread as soon as it is listed.
+  std::lock_guard lock(mu_);
+  finished_.push_back(std::this_thread::get_id());
 }
 
 void TcpServer::stop() {
@@ -281,11 +335,11 @@ bool Client::roundtrip(const std::string& request_line,
     error = "not connected";
     return false;
   }
-  if (!send_all(fd_, request_line) || !send_all(fd_, "\n")) {
+  if (!send_line(fd_, request_line)) {
     error = std::string("send: ") + std::strerror(errno);
     return false;
   }
-  switch (recv_line(fd_, rx_buffer_, response_line)) {
+  switch (recv_line(fd_, rx_, response_line)) {
     case RecvStatus::Line:
       break;
     case RecvStatus::TooLong:
@@ -307,7 +361,7 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  rx_buffer_.clear();
+  rx_.begin = rx_.end = 0;
 }
 
 }  // namespace aadlsched::server

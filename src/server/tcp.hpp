@@ -7,7 +7,13 @@
 // Service (its admission queue and worker pool); the TCP layer only has to
 // keep slow readers from blocking each other, which per-connection threads
 // do at the traffic levels an analysis daemon sees (requests carry whole
-// AADL models — this is not a 100k-connections workload).
+// AADL models — this is not a 100k-connections workload). A connection
+// thread that has finished is joined at the next accept, so a daemon that
+// serves one connection per request keeps only its live threads.
+//
+// Framing: each side sends a line and its newline in one call (one
+// segment under TCP_NODELAY, one wake-up for the reader) and reads up to
+// 64 KiB per recv straight into its receive buffer.
 #pragma once
 
 #include <atomic>
@@ -63,8 +69,18 @@ class TcpServer {
 
   std::mutex mu_;
   std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<std::thread> conn_threads_;  // live, or finished and unjoined
+  std::vector<std::thread::id> finished_;  // connection_loop has returned
   std::thread accept_thread_;
+};
+
+/// Bytes received on a connection and not yet handed out as a line:
+/// `bytes[begin, end)`. `bytes` never shrinks, so recv writes into its
+/// spare room without zeroing it first.
+struct RxBuffer {
+  std::string bytes;
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
 /// Blocking line-oriented client for the --connect mode and the smoke
@@ -92,7 +108,7 @@ class Client {
 
  private:
   int fd_ = -1;
-  std::string rx_buffer_;
+  RxBuffer rx_;
   Timeouts timeouts_;
 };
 

@@ -58,12 +58,18 @@ constexpr Hash128 fnv1a_128(
   return {hi, lo};
 }
 
+/// Appends `v` as 16 lowercase hex digits (what "%016llx" prints, without
+/// the cost of printf).
+inline void append_hex(std::string& out, std::uint64_t v) {
+  char hex[16];
+  for (int i = 15; i >= 0; --i, v >>= 4) hex[i] = "0123456789abcdef"[v & 0xf];
+  out.append(hex, sizeof hex);
+}
+
 /// FNV-1a of `bytes` as 16 lowercase hex digits.
 inline std::string hex_digest(std::string_view bytes) {
-  std::uint64_t h = fnv1a(bytes);
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i, h >>= 4)
-    hex[static_cast<std::size_t>(i)] = "0123456789abcdef"[h & 0xf];
+  std::string hex;
+  append_hex(hex, fnv1a(bytes));
   return hex;
 }
 

@@ -1,8 +1,10 @@
 #include "util/json.hpp"
 
+#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/string_utils.hpp"
 
@@ -11,7 +13,7 @@ namespace aadlsched::util {
 const JsonValue* JsonValue::get(std::string_view key) const {
   if (!is_object()) return nullptr;
   const Object& obj = std::get<Object>(data_);
-  const auto it = obj.find(std::string(key));
+  const auto it = obj.find(key);
   return it == obj.end() ? nullptr : &it->second;
 }
 
@@ -20,6 +22,44 @@ const JsonValue* JsonValue::get(std::string_view key) const {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Nonzero when one of the eight bytes of `w` ends a plain string run: a
+/// '"', a '\\' or a control byte (< 0x20). Bit hacks from Anderson's "Bit
+/// Twiddling Hacks" (haszero, hasless): a borrow can flag a byte only above
+/// a true match, so the test is exact for "any byte in the word".
+constexpr std::uint64_t run_stoppers(std::uint64_t w) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+  const auto zero_byte = [](std::uint64_t x) {
+    return (x - kOnes) & ~x & kHighs;
+  };
+  const std::uint64_t below_space = (w - kOnes * 0x20) & ~w & kHighs;
+  return below_space | zero_byte(w ^ (kOnes * '"')) |
+         zero_byte(w ^ (kOnes * '\\'));
+}
+
+/// Length of the run of plain string bytes at the start of `s`: every byte
+/// before the first '"', '\\' or control byte (all of `s` if none). Eight
+/// bytes at a time; byte by byte only in a tail shorter than a word, or in
+/// the word that stops the run on a big-endian host.
+std::size_t plain_run(std::string_view s) {
+  std::size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, s.data() + i, 8);
+    const std::uint64_t stops = run_stoppers(w);
+    if (stops == 0) continue;
+    // Little-endian: the lowest flagged byte is the first true match.
+    if constexpr (std::endian::native == std::endian::little)
+      return i + static_cast<std::size_t>(std::countr_zero(stops)) / 8;
+    break;
+  }
+  for (; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+  }
+  return i;
+}
 
 class JsonParser {
  public:
@@ -153,16 +193,16 @@ class JsonParser {
       return std::nullopt;
     }
     std::string out;
-    while (pos_ < text_.size()) {
+    while (true) {
+      const std::size_t run = plain_run(text_.substr(pos_));
+      out.append(text_.data() + pos_, run);
+      pos_ += run;
+      if (pos_ >= text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) {
-          fail("unescaped control character in string");
-          return std::nullopt;
-        }
-        out.push_back(c);
-        continue;
+        fail("unescaped control character in string");
+        return std::nullopt;
       }
       if (pos_ >= text_.size()) break;
       const char esc = text_[pos_++];

@@ -6,8 +6,15 @@
 // multiplying.
 //
 // Deliberately small: no streaming, no comments, no trailing commas, UTF-8
-// passed through verbatim (\uXXXX escapes are decoded for BMP code points).
-// Numbers that look integral parse as int64; everything else as double.
+// passed through verbatim (\uXXXX escapes are decoded, surrogate pairs
+// included). Numbers that look integral parse as int64; everything else as
+// double. Duplicate object keys are accepted and the last value wins.
+//
+// Request lines carry whole models (kilobytes of text in one string), so
+// the parser copies each run of plain string bytes in one append, object
+// keys are looked up without building a std::string, and a caller that
+// owns the document can move a string out of it (take_string) instead of
+// copying it.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -24,7 +32,8 @@ class JsonValue {
  public:
   using Array = std::vector<JsonValue>;
   /// std::map keeps object keys sorted — renders canonically, diffs cleanly.
-  using Object = std::map<std::string, JsonValue>;
+  /// std::less<> lets get() find a std::string_view key as it is.
+  using Object = std::map<std::string, JsonValue, std::less<>>;
   using Data = std::variant<std::nullptr_t, bool, std::int64_t, double,
                             std::string, Array, Object>;
 
@@ -68,6 +77,16 @@ class JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* get(std::string_view key) const;
+  JsonValue* get(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).get(key));
+  }
+
+  /// The string, moved out (this value is left holding ""); "" when this
+  /// is not a string.
+  std::string take_string() {
+    return is_string() ? std::exchange(std::get<std::string>(data_), {})
+                       : std::string();
+  }
 
   Data& data() { return data_; }
   const Data& data() const { return data_; }

@@ -5,7 +5,9 @@
 // stand on these).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "util/json.hpp"
 #include "util/lru_cache.hpp"
@@ -97,6 +99,140 @@ TEST(JsonParse, RejectsMalformed) {
   // Trailing garbage is an error, not silently ignored.
   EXPECT_FALSE(parse_json("{} x", &err));
   EXPECT_FALSE(err.empty());
+}
+
+// Strictness pin: each malformed document keeps its error message and byte
+// offset. The expected strings were recorded with the byte-at-a-time string
+// parser that preceded the run copy; the documents put the fault at the
+// start, middle and end of long plain runs, where the run scan hands over
+// to the escape and control-byte checks.
+struct Malformed {
+  const char* name;
+  std::string doc;
+  const char* error;
+};
+
+std::string run_of(std::size_t n) { return std::string(n, 'a'); }
+
+std::vector<Malformed> malformed_table() {
+  return {
+      {"control byte at the start of a long run",
+       "\"\x01" + run_of(100) + "\"",
+       "unescaped control character in string at byte 2"},
+      {"control byte in the middle of a long run",
+       "\"" + run_of(50) + "\x1f" + run_of(50) + "\"",
+       "unescaped control character in string at byte 52"},
+      {"control byte at the end of a long run",
+       "\"" + run_of(100) + "\n\"",
+       "unescaped control character in string at byte 102"},
+      {"control byte as the last byte of the input",
+       "\"" + run_of(100) + "\x02",
+       "unescaped control character in string at byte 102"},
+      {"control byte in a key after a run",
+       "{\"" + run_of(30) + "\x05\": 1}",
+       "unescaped control character in string at byte 33"},
+      {"control byte after multibyte UTF-8",
+       "\"" + std::string(40, '\xc3') + "\x10\"",
+       "unescaped control character in string at byte 42"},
+      {"escape as the last byte of the input",
+       "\"" + run_of(100) + "\\",
+       "unterminated string at byte 102"},
+      {"escape as the last byte of a key", "{\"" + run_of(20) + "\\",
+       "unterminated string at byte 23"},
+      {"unterminated 10 KiB string", "\"" + run_of(10240),
+       "unterminated string at byte 10241"},
+      {"unterminated 10 KiB value with escaped newlines",
+       "{\"model\": \"" + [] {
+         std::string lines;
+         for (int i = 0; i < 1500; ++i) lines += "line \\n";
+         return lines;
+       }(),
+       "unterminated string at byte 10511"},
+      {"lone high surrogate after a long run",
+       "\"" + run_of(100) + "\\uD83D\"",
+       "lone high surrogate in \\u escape at byte 107"},
+      {"lone low surrogate after a long run",
+       "\"" + run_of(100) + "\\uDE00\"",
+       "lone low surrogate in \\u escape at byte 107"},
+      {"high surrogate then a non-low escape after a long run",
+       "\"" + run_of(100) + "\\uD83D\\u0041\"",
+       "high surrogate not followed by a low surrogate at byte 113"},
+      {"truncated \\u escape after a long run",
+       "\"" + run_of(100) + "\\u12",
+       "truncated \\u escape at byte 103"},
+      {"unknown escape after a long run", "\"" + run_of(100) + "\\x\"",
+       "unknown escape sequence at byte 103"},
+  };
+}
+
+TEST(JsonParse, MalformedDocumentsKeepTheirErrorAndOffset) {
+  for (const Malformed& m : malformed_table()) {
+    std::string err;
+    EXPECT_FALSE(parse_json(m.doc, &err).has_value()) << m.name;
+    EXPECT_EQ(err, m.error) << m.name;
+  }
+}
+
+TEST(JsonParse, FaultAtEveryOffsetOfARunIsFound) {
+  // One stop byte at each offset of a 40-byte run, across three words.
+  for (std::size_t at = 0; at < 40; ++at) {
+    std::string body = run_of(40);
+    body[at] = '\x1f';
+    std::string err;
+    EXPECT_FALSE(parse_json("\"" + body + "\"", &err).has_value()) << at;
+    EXPECT_EQ(err, "unescaped control character in string at byte " +
+                       std::to_string(at + 2));
+    body[at] = '"';
+    err.clear();
+    EXPECT_FALSE(parse_json("\"" + body + "\"", &err).has_value()) << at;
+    EXPECT_EQ(err, "trailing characters after JSON document at byte " +
+                       std::to_string(at + 2));
+    body[at] = 'b';
+    const auto v = parse_json("\"" + body + "\"");
+    ASSERT_TRUE(v.has_value()) << at;
+    EXPECT_EQ(v->as_string(), body);
+  }
+}
+
+TEST(JsonParse, DuplicateKeyIsAcceptedAndTheLastValueWins) {
+  const auto v = parse_json(R"({"a": 1, "b": "x", "a": 2})");
+  ASSERT_TRUE(v && v->is_object());
+  EXPECT_EQ(v->as_object().size(), 2u);
+  EXPECT_EQ(v->get("a")->as_int(), 2);
+}
+
+TEST(JsonValue, TakeStringMovesTheStringOut) {
+  auto v = parse_json(R"({"model": "text", "n": 1})");
+  ASSERT_TRUE(v);
+  EXPECT_EQ(v->get("model")->take_string(), "text");
+  EXPECT_EQ(v->get("model")->as_string(), "");
+  EXPECT_EQ(v->get("n")->take_string(), "");
+  EXPECT_EQ(v->get("n")->as_int(), 1);
+}
+
+TEST(JsonWriter, LongStringsRoundTripWithEscapesAtRunBoundaries) {
+  // Escaped and multibyte characters at word and run edges, in strings up
+  // to 64 KiB: the writer's output parses back to the same bytes.
+  const std::string specials[] = {"\"", "\\", "\n", "\x01", "\x1f", "\t",
+                                  "\xc3\xa9", "\x7f", "/"};
+  for (const std::size_t size :
+       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 4096u, 65535u, 65536u}) {
+    for (std::size_t k = 0; k < std::size(specials); ++k) {
+      std::string s = run_of(size);
+      // A special at each end and every 8 + k bytes in between.
+      for (std::size_t at = 0; at < size; at += 8 + k)
+        s.replace(at, 1, specials[(at + k) % std::size(specials)]);
+      if (!s.empty()) s.back() = '\n';
+      JsonWriter w;
+      w.begin_object();
+      w.key(s).value(s);
+      w.end_object();
+      const auto v = parse_json(w.str());
+      ASSERT_TRUE(v && v->is_object()) << size << "/" << k;
+      ASSERT_NE(v->get(s), nullptr) << size << "/" << k;
+      EXPECT_EQ(v->get(s)->as_string(), s) << size << "/" << k;
+    }
+  }
 }
 
 TEST(JsonParse, DepthLimited) {

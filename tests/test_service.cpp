@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "server/cache.hpp"
 #include "server/service.hpp"
 #include "server/tcp.hpp"
 #include "util/budget.hpp"
@@ -262,6 +264,29 @@ TEST(Service, SameTextUnderAnotherRootNeverSharesAnEntry) {
   const auto s = stats_of(svc);
   EXPECT_EQ(stat(s, "analyses_run"), 2);
   EXPECT_EQ(stat(s, "cache", "front_end_skips"), 2);
+}
+
+TEST(Service, RequestDigestSeparatesEveryOneByteEdit) {
+  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/cruise_control.aadl");
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string text = os.str();
+  ASSERT_GT(text.size(), 1000u);
+  const std::string root = "CruiseControlSystem.impl";
+  const util::Hash128 base = server::front_end_digest(root, text);
+  EXPECT_EQ(server::front_end_digest(root, text), base);
+  std::string edited = text;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    edited[i] = static_cast<char>(text[i] ^ 0x01);
+    EXPECT_NE(server::front_end_digest(root, edited), base) << "byte " << i;
+    edited[i] = text[i];
+  }
+  const std::string nul(1, '\0');
+  EXPECT_NE(server::front_end_digest(root, text + nul), base);
+  EXPECT_NE(server::front_end_digest(root + nul, text), base);
+  EXPECT_NE(server::front_end_digest("x", ""),
+            server::front_end_digest("x", nul));
+  // SameTextUnderAnotherRootNeverSharesAnEntry checks the root/model split.
 }
 
 TEST(Service, FrontEndErrorIsNeverMemoized) {
@@ -935,6 +960,147 @@ TEST(Service, OversizedRequestLineIsRefusedOverTcp) {
   ASSERT_TRUE(pong.has_value()) << err;
   EXPECT_TRUE(pong->ok);
   client.close();
+  tcp.stop();
+}
+
+// --- line framing and connection threads (tcp.hpp) ----------------------
+
+/// A raw blocking loopback socket to `port`, with Nagle off so each send
+/// leaves as its own segment; -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return fd;
+}
+
+/// Sends `bytes` with one send call per `piece` bytes.
+bool send_in_pieces(int fd, std::string_view bytes, std::size_t piece) {
+  while (!bytes.empty()) {
+    const std::string_view part = bytes.substr(0, piece);
+    std::size_t sent = 0;
+    while (sent < part.size()) {
+      const ssize_t n = ::send(fd, part.data() + sent, part.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    bytes.remove_prefix(part.size());
+  }
+  return true;
+}
+
+/// Everything the peer sends until it closes the connection.
+std::string read_to_eof(int fd) {
+  std::string out;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;)
+    out.append(buf, static_cast<std::size_t>(n));
+  return out;
+}
+
+TEST(Service, LineFramingSurvivesAnySegmentationOverTcp) {
+  Service svc;
+  server::TcpServer tcp(svc, server::TcpConfig{});
+  std::string err;
+  ASSERT_TRUE(tcp.start(err)) << err;
+
+  const std::string small =
+      server::render_request(analyze(tiny_model(2, 10, 10), "small"));
+  // A comment pushes this line past one 64 KiB read.
+  const std::string big = server::render_request(analyze(
+      tiny_model(2, 10, 10) + "-- " + std::string(100'000, 'x') + "\n",
+      "big"));
+  ASSERT_GT(big.size(), std::size_t{1} << 16);
+  // Answered once in-process first, so every answer below is a memory hit
+  // with handle_line's bytes (up to served_ms).
+  svc.handle_line(small);
+  svc.handle_line(big);
+
+  struct Case {
+    const char* name;
+    std::string bytes;
+    std::size_t piece;
+    std::vector<const std::string*> requests;
+  };
+  const Case cases[] = {
+      {"1-byte pieces", small + "\n", 1, {&small}},
+      {"7-byte pieces", small + "\n", 7, {&small}},
+      {"pieces straddling the 64 KiB read", big + "\n", 40'000, {&big}},
+      {"two requests in one write", small + "\n" + big + "\n",
+       small.size() + big.size() + 2, {&small, &big}},
+  };
+  for (const Case& c : cases) {
+    const int fd = connect_raw(tcp.port());
+    ASSERT_GE(fd, 0) << c.name;
+    ASSERT_TRUE(send_in_pieces(fd, c.bytes, c.piece)) << c.name;
+    ::shutdown(fd, SHUT_WR);  // the server answers, then sees EOF
+    const std::string received = read_to_eof(fd);
+    ::close(fd);
+    std::string_view reply = received;
+    for (const std::string* request : c.requests) {
+      const auto nl = reply.find('\n');
+      ASSERT_NE(nl, std::string_view::npos) << c.name << ": response missing";
+      EXPECT_EQ(without_served_ms(std::string(reply.substr(0, nl))),
+                without_served_ms(svc.handle_line(*request)))
+          << c.name;
+      reply.remove_prefix(nl + 1);
+    }
+    EXPECT_TRUE(reply.empty()) << c.name << ": extra bytes " << reply;
+  }
+  tcp.stop();
+}
+
+/// This process's VmSize in kB (/proc/self/status), or -1.
+long vm_size_kb() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+TEST(Service, FinishedConnectionThreadsAreJoined) {
+  // One connection per request is how `aadlsched --connect` talks to the
+  // daemon. A finished connection thread left unjoined keeps its stack
+  // mapped (8 MB each by default), so 200 of them would add ~1.7 GB.
+  Service svc;
+  server::TcpServer tcp(svc, server::TcpConfig{});
+  std::string err;
+  ASSERT_TRUE(tcp.start(err)) << err;
+  Request ping;
+  ping.op = Op::Ping;
+  const std::string line = server::render_request(ping);
+  std::string response;
+  const auto ping_over = [&](server::Client& client) {
+    return client.connect("127.0.0.1", tcp.port(), err) &&
+           client.roundtrip(line, response, err);
+  };
+  {
+    // Eight connections at once first. glibc gives a thread that allocates
+    // while every free arena is taken a new 64 MB one, and keeps it for
+    // reuse; two sequential connections can briefly overlap, so without
+    // these spares one unlucky overlap would read as a leak.
+    server::Client warm[8];
+    for (server::Client& client : warm) ASSERT_TRUE(ping_over(client)) << err;
+  }
+  const auto one_connection = [&] {
+    server::Client client;
+    return ping_over(client);
+  };
+  const long before = vm_size_kb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(one_connection()) << i << err;
+  const long growth_kb = vm_size_kb() - before;
+  EXPECT_LT(growth_kb, 64 * 1024) << "VmSize grew " << growth_kb << " kB";
   tcp.stop();
 }
 
