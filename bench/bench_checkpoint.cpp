@@ -67,6 +67,7 @@ void print_table() {
   core::AnalysisResult bound_r;
   const double bound_ms = run_ms(cruise_text(), kCruiseRoot, bound, &bound_r);
 
+  const std::size_t ckpt_bytes = blob.size();  // resuming consumes blob
   core::AnalyzerOptions warm = base_options();
   warm.resume_checkpoint = &blob;
   core::AnalysisResult warm_r;
@@ -79,7 +80,7 @@ void print_table() {
   std::printf("# %-22s %10s %10s %10s %12s %10s\n", "model", "cold_ms",
               "bound_ms", "resume_ms", "ckpt_bytes", "identical");
   std::printf("# %-22s %10.1f %10.1f %10.1f %12zu %10s\n",
-              "cruise_control.aadl", cold, bound_ms, resume_ms, blob.size(),
+              "cruise_control.aadl", cold, bound_ms, resume_ms, ckpt_bytes,
               identical ? "yes" : "NO");
   if (!identical)
     std::fprintf(stderr,
@@ -169,8 +170,10 @@ void BM_ColdFullExploration(benchmark::State& state) {
 BENCHMARK(BM_ColdFullExploration)->Unit(benchmark::kMillisecond);
 
 void BM_ResumedExploration(benchmark::State& state) {
-  const std::string& blob = captured();
   for (auto _ : state) {
+    state.PauseTiming();
+    std::string blob = captured();  // resuming consumes its copy
+    state.ResumeTiming();
     core::AnalyzerOptions warm = base_options();
     warm.resume_checkpoint = &blob;
     core::AnalysisResult r;

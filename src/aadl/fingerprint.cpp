@@ -1,14 +1,14 @@
 #include "aadl/fingerprint.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <set>
-#include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "aadl/resources.hpp"
 #include "util/hash.hpp"
-#include "util/string_utils.hpp"
 
 namespace aadlsched::aadl {
 
@@ -23,6 +23,10 @@ std::string_view direction_tag(Direction d) {
   return "?";
 }
 
+std::string_view path_or_unknown(const ComponentInstance* inst) {
+  return inst ? std::string_view(inst->path) : "?";
+}
+
 std::string_view feature_kind_tag(FeatureKind k) {
   switch (k) {
     case FeatureKind::DataPort: return "data";
@@ -34,88 +38,154 @@ std::string_view feature_kind_tag(FeatureKind k) {
   return "?";
 }
 
-void render_value(std::ostream& os, const PropertyValue& v);
-
-void render_int(std::ostream& os, const IntWithUnit& v) {
-  os << v.value;
-  if (!v.unit.empty()) os << ' ' << v.unit;
+void append_lower(std::string& out, std::string_view s) {
+  for (const char c : s)
+    out.push_back(
+        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
 }
 
-void render_value(std::ostream& os, const PropertyValue& v) {
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_joined(std::string& out, const std::vector<std::string>& parts) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i) out += '.';
+    out += parts[i];
+  }
+}
+
+void render_int(std::string& out, const IntWithUnit& v) {
+  append_int(out, v.value);
+  if (!v.unit.empty()) (out += ' ') += v.unit;
+}
+
+void render_value(std::string& out, const PropertyValue& v) {
   if (const auto* i = std::get_if<IntWithUnit>(&v.data)) {
-    render_int(os, *i);
+    render_int(out, *i);
   } else if (const auto* r = std::get_if<RangeValue>(&v.data)) {
-    render_int(os, r->lo);
-    os << " .. ";
-    render_int(os, r->hi);
+    render_int(out, r->lo);
+    out += " .. ";
+    render_int(out, r->hi);
   } else if (const auto* s = std::get_if<std::string>(&v.data)) {
     // AADL identifiers/enums are case-insensitive; fold so RATE_MONOTONIC
     // and Rate_Monotonic fingerprint identically.
-    os << util::to_lower(*s);
+    append_lower(out, *s);
   } else if (const auto* ref = std::get_if<ReferenceValue>(&v.data)) {
-    os << "ref(" << util::join(ref->path, ".") << ')';
+    out += "ref(";
+    append_joined(out, ref->path);
+    out += ')';
   } else if (const auto* list = std::get_if<ListValue>(&v.data)) {
-    os << '(';  // list order is semantic (e.g. binding lists) — preserved
+    out += '(';  // list order is semantic (e.g. binding lists) — preserved
     for (std::size_t i = 0; i < list->items.size(); ++i) {
-      if (i) os << ", ";
-      render_value(os, list->items[i]);
+      if (i) out += ", ";
+      render_value(out, list->items[i]);
     }
-    os << ')';
+    out += ')';
   } else if (const auto* d = std::get_if<double>(&v.data)) {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", *d);
-    os << buf;
+    out.append(buf, static_cast<std::size_t>(
+                        std::snprintf(buf, sizeof buf, "%.17g", *d)));
   } else if (const auto* b = std::get_if<bool>(&v.data)) {
-    os << (*b ? "true" : "false");
+    out += *b ? "true" : "false";
   }
 }
+
+/// One section of the canonical text: lines appended to one buffer, then
+/// emitted in sorted order. Reused across sections, so a rendering
+/// allocates a few buffers instead of a string per line.
+class LineSet {
+ public:
+  /// Appends to text() form the current line until end_line(). The line's
+  /// dedup key is the text up to `key_end` (a text() size), or all of it.
+  std::string& text() { return buf_; }
+  void end_line(std::size_t key_end = std::string::npos) {
+    lines_.push_back({begin_, std::min(key_end, buf_.size()), buf_.size()});
+    begin_ = buf_.size();
+  }
+
+  /// Keep only the first line of each key.
+  void dedup_keys() {
+    std::stable_sort(lines_.begin(), lines_.end(), [&](auto& a, auto& b) {
+      return view(a.begin, a.key_end) < view(b.begin, b.key_end);
+    });
+    lines_.erase(std::unique(lines_.begin(), lines_.end(),
+                             [&](auto& a, auto& b) {
+                               return view(a.begin, a.key_end) ==
+                                      view(b.begin, b.key_end);
+                             }),
+                 lines_.end());
+  }
+
+  /// Append the lines sorted, each with its newline, and start empty.
+  void flush_sorted(std::string& out) {
+    std::sort(lines_.begin(), lines_.end(), [&](auto& a, auto& b) {
+      return view(a.begin, a.end) < view(b.begin, b.end);
+    });
+    for (const Line& l : lines_) (out += view(l.begin, l.end)) += '\n';
+    lines_.clear();
+    buf_.clear();
+    begin_ = 0;
+  }
+
+ private:
+  struct Line {
+    std::size_t begin, key_end, end;
+  };
+  std::string_view view(std::size_t begin, std::size_t end) const {
+    return std::string_view(buf_).substr(begin, end - begin);
+  }
+
+  std::string buf_;
+  std::vector<Line> lines_;
+  std::size_t begin_ = 0;
+};
 
 /// Render one declared property list, mirroring find_property's
 /// first-match-wins resolution: a later association that repeats an earlier
 /// (name, applies-to target) is unreachable and must not perturb the hash.
 /// The reachable survivors are then sorted, so re-ordering *distinct*
 /// associations — a pure layout edit — is invisible.
-void render_properties(std::ostream& os,
+void render_properties(std::string& out, LineSet& lines,
                        const std::vector<PropertyAssociation>& props) {
-  std::set<std::string> seen;  // dedup keys, first wins
-  std::vector<std::string> lines;
+  std::string& t = lines.text();
+  const auto line = [&](const PropertyAssociation& pa,
+                        const std::vector<std::string>* target) {
+    (t += "  prop ") += pa.name;
+    if (target) append_joined(t += " @ ", *target);
+    const std::size_t key_end = t.size();
+    t += " = ";
+    render_value(t, pa.value);
+    lines.end_line(key_end);
+  };
   for (const PropertyAssociation& pa : props) {
-    const std::string& name = pa.name;
-    std::ostringstream val;
-    render_value(val, pa.value);
-    if (pa.applies_to.empty()) {
-      if (!seen.insert(name).second) continue;
-      lines.push_back("  prop " + name + " = " + val.str());
-      continue;
-    }
-    for (const auto& target : pa.applies_to) {
-      const std::string tpath = util::join(target, ".");
-      if (!seen.insert(name + " @ " + tpath).second) continue;
-      lines.push_back("  prop " + name + " @ " + tpath + " = " + val.str());
-    }
+    if (pa.applies_to.empty()) line(pa, nullptr);
+    for (const auto& target : pa.applies_to) line(pa, &target);
   }
-  std::sort(lines.begin(), lines.end());
-  for (const std::string& l : lines) os << l << '\n';
+  lines.dedup_keys();
+  lines.flush_sorted(out);
 }
 
-void render_component(std::ostream& os, const ComponentInstance& inst) {
-  os << "component " << to_string(inst.category) << " \"" << inst.path
-     << "\"\n";
+void render_component(std::string& out, LineSet& lines,
+                      const ComponentInstance& inst) {
+  ((out += "component ") += to_string(inst.category)) += " \"";
+  (out += inst.path) += "\"\n";
   if (inst.type) {
-    std::vector<std::string> feats;
+    std::string& t = lines.text();
     for (const Feature& f : inst.type->features) {
-      std::ostringstream fs;
-      fs << "  feature " << util::to_lower(f.name) << ' '
-         << direction_tag(f.direction) << ' ' << feature_kind_tag(f.kind);
-      if (f.provides) fs << " provides";
-      if (!f.classifier.empty()) fs << ' ' << util::to_lower(f.classifier);
-      feats.push_back(fs.str());
+      t += "  feature ";
+      append_lower(t, f.name);
+      ((t += ' ') += direction_tag(f.direction)) += ' ';
+      t += feature_kind_tag(f.kind);
+      if (f.provides) t += " provides";
+      if (!f.classifier.empty()) append_lower(t += ' ', f.classifier);
+      lines.end_line();
     }
-    std::sort(feats.begin(), feats.end());
-    for (const std::string& f : feats) os << f << '\n';
-    render_properties(os, inst.type->properties);
+    lines.flush_sorted(out);
+    render_properties(out, lines, inst.type->properties);
   }
-  if (inst.impl) render_properties(os, inst.impl->properties);
+  if (inst.impl) render_properties(out, lines, inst.impl->properties);
 }
 
 }  // namespace
@@ -128,8 +198,8 @@ std::string Fingerprint::hex() const {
 }
 
 std::string canonical_instance_text(const InstanceModel& model) {
-  std::ostringstream os;
-  os << "aadlsched-instance-v1\n";
+  std::string out = "aadlsched-instance-v1\n";
+  LineSet lines;
 
   // Component instances in sorted path order. The tree shape is implied by
   // the dotted paths, so a flat sorted listing is canonical.
@@ -143,53 +213,53 @@ std::string canonical_instance_text(const InstanceModel& model) {
             [](const ComponentInstance* a, const ComponentInstance* b) {
               return a->path < b->path;
             });
-  for (const ComponentInstance* inst : all) render_component(os, *inst);
+  for (const ComponentInstance* inst : all)
+    render_component(out, lines, *inst);
 
   // Semantic connections, sorted; the syntactic `via` chain is a naming
   // artifact and deliberately excluded.
-  std::vector<std::string> conns;
+  std::string& t = lines.text();
   for (const SemanticConnection& c : model.connections) {
-    std::ostringstream cs;
-    cs << "connection " << feature_kind_tag(c.kind) << " \""
-       << (c.source ? c.source->path : "?") << '.' << c.source_port
-       << "\" -> \"" << (c.destination ? c.destination->path : "?") << '.'
-       << c.destination_port << '"';
-    if (c.bus) cs << " bus \"" << c.bus->path << '"';
-    conns.push_back(cs.str());
+    ((t += "connection ") += feature_kind_tag(c.kind)) += " \"";
+    ((t += path_or_unknown(c.source)) += '.') += c.source_port;
+    t += "\" -> \"";
+    ((t += path_or_unknown(c.destination)) += '.') +=
+        c.destination_port;
+    t += '"';
+    if (c.bus) ((t += " bus \"") += c.bus->path) += '"';
+    lines.end_line();
   }
-  std::sort(conns.begin(), conns.end());
-  for (const std::string& c : conns) os << c << '\n';
+  lines.flush_sorted(out);
 
   // Shared-resource accesses (data access connections are not semantic
   // connections, but the static-analysis tier reads them, so they must
   // invalidate cached results). Models without access connections emit
   // nothing here and keep their pre-existing fingerprints.
   const SharedResourceModel srm = extract_shared_resources(model);
-  std::vector<std::string> accs;
   for (const SharedResourceInfo& res : srm.resources) {
     for (const ResourceAccess& a : res.accesses) {
-      std::ostringstream as;
-      as << "access \"" << (a.thread ? a.thread->path : "?") << '.'
-         << a.feature << "\" -> \"" << res.data->path << "\" protocol "
-         << to_string(res.protocol) << " section " << a.section_ns;
-      accs.push_back(as.str());
+      ((t += "access \"") += path_or_unknown(a.thread)) += '.';
+      ((t += a.feature) += "\" -> \"") += res.data->path;
+      ((t += "\" protocol ") += to_string(res.protocol)) += " section ";
+      append_int(t, a.section_ns);
+      lines.end_line();
     }
   }
-  for (const std::string& u : srm.unresolved)
-    accs.push_back("access-unresolved \"" + u + '"');
-  std::sort(accs.begin(), accs.end());
-  for (const std::string& a : accs) os << a << '\n';
+  for (const std::string& u : srm.unresolved) {
+    ((t += "access-unresolved \"") += u) += '"';
+    lines.end_line();
+  }
+  lines.flush_sorted(out);
 
   // Processor bindings, sorted by thread path.
-  std::vector<std::string> binds;
   for (const auto& [thread, proc] : model.bindings) {
-    binds.push_back("binding \"" + thread->path + "\" -> \"" + proc->path +
-                    "\"");
+    ((t += "binding \"") += thread->path) += "\" -> \"";
+    (t += proc->path) += '"';
+    lines.end_line();
   }
-  std::sort(binds.begin(), binds.end());
-  for (const std::string& b : binds) os << b << '\n';
+  lines.flush_sorted(out);
 
-  return os.str();
+  return out;
 }
 
 Fingerprint instance_fingerprint(const InstanceModel& model) {

@@ -428,6 +428,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     std::string why;
     restored = versa::parse_checkpoint(*context, tr->initial,
                                        *opts.resume_checkpoint, why);
+    std::string().swap(*opts.resume_checkpoint);  // release its buffer
     if (!restored) {
       resume_note += why + "; falling back to a cold run\n";
       util::DiagnosticEngine again("<model>");

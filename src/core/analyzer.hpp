@@ -60,8 +60,10 @@ struct AnalyzerOptions {
   /// cold run, and exploration skips the already-explored prefix. A
   /// checkpoint from another translation, or one that fails any other
   /// validation, falls back to a cold run (the reason lands in
-  /// AnalysisResult::diagnostics).
-  const std::string* resume_checkpoint = nullptr;
+  /// AnalysisResult::diagnostics). The text is consumed: analyze_instance
+  /// frees it as soon as it is parsed, restored or not, so a resumed run
+  /// does not hold the serialized wavefront for its whole exploration.
+  std::string* resume_checkpoint = nullptr;
 };
 
 /// Per-thread status in one quantum of a failing scenario.

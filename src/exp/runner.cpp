@@ -148,10 +148,10 @@ ExperimentResult run_experiment(
     result.cells.push_back(std::move(cr));
   }
 
-  // In-process backend: the daemon minus the socket. The Service owns the
-  // analysis worker pool, so the sweep threads only generate models and
-  // block on handle(); sizing both pools identically keeps every analysis
-  // worker fed without oversubscription.
+  // In-process backend: the daemon minus the socket. Each sweep thread
+  // generates a model and runs its analysis itself inside handle(); giving
+  // the Service one slot per sweep thread means no thread ever waits for a
+  // slot.
   std::unique_ptr<server::Service> service;
   if (!daemon) {
     server::ServiceConfig cfg;

@@ -3,7 +3,8 @@
 //
 // Two backends, one contract:
 //   * in-process — a server::Service (the daemon minus the socket) owned by
-//     the runner, with `spec.workers` analysis workers;
+//     the runner, with `spec.workers` sweep threads that each run their
+//     analyses inside it;
 //   * daemon — requests submitted over TCP to a running aadlschedd through
 //     the shared retry/backoff client (server/client.hpp), `spec.workers`
 //     concurrent connections via versa::parallel_sweep.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 
 #include "aadl/fingerprint.hpp"
 #include "core/result_json.hpp"
@@ -96,12 +97,63 @@ struct Service::Job {
     Clock::time_point t0;
   };
 
-  Request req;  // the first submitter's request (runs with its options)
+  Request req;  // the runner's request (the run uses its options)
   std::string key;
   std::string fingerprint;
   std::unique_ptr<core::LoadedModel> loaded;
   std::string front_end_output;  // rendered diagnostics (warnings)
-  std::vector<Waiter> waiters;  // guarded by Service::mu_
+  std::vector<Waiter> waiters;   // coalesced requests; guarded by mu_
+  /// What every caller of this run is told, id and served_ms aside; set
+  /// when the analysis completes.
+  std::optional<Response> answer;
+};
+
+/// Holds the slot its caller was admitted to and gives it back when the
+/// analysis ends, by return or by throw: the job leaves pending_, its
+/// coalesced waiters are answered (with an error when the run threw) and
+/// the next queued callers are admitted. Without it a throwing analysis
+/// would keep its slot and every later caller would wait forever.
+class Service::SlotGuard {
+ public:
+  SlotGuard(Service& svc, Job& job) : svc_(svc), job_(job) {
+    svc_.metrics_.in_flight_delta(+1);
+  }
+  SlotGuard(const SlotGuard&) = delete;
+  SlotGuard& operator=(const SlotGuard&) = delete;
+
+  ~SlotGuard() {
+    // Leave in_flight before the slot is free, so it never reads above the
+    // slot count.
+    svc_.metrics_.in_flight_delta(-1);
+    std::vector<Job::Waiter> waiters;
+    {
+      std::lock_guard lock(svc_.mu_);
+      waiters = std::move(job_.waiters);
+      if (!job_.req.no_cache) svc_.pending_.erase(job_.key);
+      --svc_.running_;
+      svc_.admit_locked();
+    }
+    svc_.cv_.notify_all();
+    for (Job::Waiter& w : waiters) {
+      Response resp;
+      if (job_.answer) {
+        resp = *job_.answer;
+        svc_.metrics_.record_outcome(resp.outcome);
+      } else {
+        resp.op = Op::Analyze;
+        resp.ok = false;
+        resp.error = "the analysis this request was coalesced with failed";
+      }
+      resp.id = w.id;
+      resp.served_ms = ms_since(w.t0);
+      svc_.metrics_.record_latency_ms(resp.served_ms);
+      w.promise.set_value(std::move(resp));
+    }
+  }
+
+ private:
+  Service& svc_;
+  Job& job_;
 };
 
 Service::Service(ServiceConfig cfg)
@@ -115,6 +167,9 @@ Service::Service(ServiceConfig cfg)
               ? cfg.cache.disk_dir
               : std::string(),
           cfg.cache.checkpoint_disk_cap),
+      slots_(cfg.workers > 0 ? cfg.workers
+                             : std::max<std::size_t>(
+                                   1, std::thread::hardware_concurrency())),
       admission_(kSmallBurst) {
   if (!cfg_.cache.disk_dir.empty()) {
     DiskJanitor::Config jc;
@@ -125,18 +180,18 @@ Service::Service(ServiceConfig cfg)
     // behind before serving the first request.
     janitor_->sweep();
   }
-  std::size_t n = cfg_.workers;
-  if (n == 0)
-    n = std::max<unsigned>(1, std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
   if (janitor_ && cfg_.maintenance_interval_ms > 0)
     maintenance_ = std::thread([this] { maintenance_loop(); });
 }
 
 Service::~Service() {
   shutdown();
-  for (std::thread& t : workers_) t.join();
+  {
+    // Callers still inside handle() use this object. Queued ones are
+    // admitted as the running ones finish, so the wait ends.
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return callers_ == 0; });
+  }
   if (maintenance_.joinable()) maintenance_.join();
 }
 
@@ -145,7 +200,6 @@ void Service::shutdown() {
     std::lock_guard lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
   {
     std::lock_guard lock(maint_mu_);
     maint_stop_ = true;
@@ -174,16 +228,31 @@ core::AnalyzerOptions Service::analyzer_options(
   return opts;
 }
 
-std::future<Response> Service::submit(Request req) {
-  const Clock::time_point t0 = Clock::now();
-  metrics_.record_request(req.op);
+void Service::admit_locked() {
+  while (running_ < slots_) {
+    const auto ticket = admission_.pop();
+    if (!ticket) return;
+    admitted_.push_back(*ticket);
+    ++running_;
+  }
+}
 
-  const auto immediate = [&](Response resp) {
-    std::promise<Response> p;
-    auto fut = p.get_future();
-    p.set_value(std::move(resp));
-    return fut;
-  };
+Response Service::handle(Request req) {
+  const Clock::time_point t0 = Clock::now();
+  bool stopped;
+  {
+    std::lock_guard lock(mu_);
+    ++callers_;
+    stopped = stop_;
+  }
+  struct Leave {
+    Service& svc;
+    ~Leave() {
+      std::lock_guard lock(svc.mu_);
+      if (--svc.callers_ == 0 && svc.stop_) svc.cv_.notify_all();
+    }
+  } leave{*this};
+  metrics_.record_request(req.op);
 
   Response resp;
   resp.op = req.op;
@@ -192,24 +261,25 @@ std::future<Response> Service::submit(Request req) {
   switch (req.op) {
     case Op::Ping:
       resp.ok = true;
-      return immediate(std::move(resp));
+      return resp;
     case Op::Stats:
       resp.ok = true;
       resp.stats_json = stats_json();
-      return immediate(std::move(resp));
+      return resp;
     case Op::Shutdown:
       resp.ok = true;
       shutdown();
-      return immediate(std::move(resp));
+      return resp;
     case Op::Analyze:
       break;
   }
 
-  if (shutting_down()) {
+  const auto refuse = [&] {
     resp.ok = false;
     resp.error = "service is shutting down";
-    return immediate(std::move(resp));
-  }
+    return resp;
+  };
+  if (stopped) return refuse();
 
   // A daemon-level engine override rewrites the request *before* the cache
   // key is computed — same discipline as the options themselves, so forced
@@ -230,7 +300,7 @@ std::future<Response> Service::submit(Request req) {
     metrics_.record_hit(hit.from_disk, front_end_skipped);
     metrics_.record_outcome(hit.outcome);
     metrics_.record_latency_ms(resp.served_ms);
-    return immediate(std::move(resp));
+    return resp;
   };
 
   // Exact repeat (cache.hpp): these root and model bytes were fingerprinted
@@ -246,9 +316,9 @@ std::future<Response> Service::submit(Request req) {
         return answer_hit(*recalled, std::move(*hit), true);
   }
 
-  // Front end on the submitting thread: parse + instantiate + fingerprint
-  // are microseconds against an exploration, and the fingerprint is needed
-  // before any scheduling decision (it IS the cache key).
+  // Front end: parse + instantiate + fingerprint are microseconds against
+  // an exploration, and the fingerprint is needed before any scheduling
+  // decision (it IS the cache key).
   util::DiagnosticEngine diags(req.id.empty() ? "<request>" : req.id);
   const std::string_view source = req.model;
   auto loaded = core::load_model({&source, 1}, req.root, diags);
@@ -263,11 +333,11 @@ std::future<Response> Service::submit(Request req) {
     resp.served_ms = ms_since(t0);
     metrics_.record_outcome(core::Outcome::Error);
     metrics_.record_latency_ms(resp.served_ms);
-    return immediate(std::move(resp));
+    return resp;
   }
 
   const aadl::Fingerprint fp = aadl::instance_fingerprint(*loaded->instance);
-  const std::string key = cache_key(fp, req.options);
+  std::string key = cache_key(fp, req.options);
 
   if (digest) {
     cache_.remember(*digest, fp);
@@ -279,49 +349,50 @@ std::future<Response> Service::submit(Request req) {
     metrics_.count(&StatsSnapshot::cache_misses);
   }
 
-  std::string front_end_output = diags.render_all();
   const bool small = req.model.size() < kSmallModelBytes;
-  std::future<Response> fut;
+  std::string front_end_output = diags.render_all();
+  Job job;
+  std::future<Response> coalesced;
   {
-    std::lock_guard lock(mu_);
-    if (stop_) {
-      resp.ok = false;
-      resp.error = "service is shutting down";
-      return immediate(std::move(resp));
+    std::unique_lock lock(mu_);
+    if (stop_) return refuse();
+    const auto it = req.no_cache ? pending_.end() : pending_.find(key);
+    if (it != pending_.end()) {
+      // Coalesce onto an identical running or queued job: one
+      // exploration, many responses.
+      Job::Waiter w;
+      w.id = req.id;
+      w.t0 = t0;
+      coalesced = w.promise.get_future();
+      it->second->waiters.push_back(std::move(w));
+      metrics_.count(&StatsSnapshot::coalesced);
+    } else {
+      job.req = std::move(req);
+      job.key = std::move(key);
+      job.fingerprint = fp.hex();
+      job.loaded = std::move(loaded);
+      job.front_end_output = std::move(front_end_output);
+      if (!job.req.no_cache) pending_.emplace(job.key, &job);
+      const std::uint64_t ticket = next_ticket_++;
+      admission_.push(ticket, small);
+      metrics_.queue_depth_delta(+1);
+      admit_locked();
+      cv_.wait(lock, [&] { return std::erase(admitted_, ticket) > 0; });
+      metrics_.queue_depth_delta(-1);
     }
-    if (!req.no_cache) {
-      // Coalesce onto an identical in-flight run: one exploration, many
-      // responses.
-      const auto it = pending_.find(key);
-      if (it != pending_.end()) {
-        Job::Waiter w;
-        w.id = req.id;
-        w.t0 = t0;
-        fut = w.promise.get_future();
-        it->second->waiters.push_back(std::move(w));
-        metrics_.count(&StatsSnapshot::coalesced);
-        return fut;
-      }
-    }
-    auto job = std::make_shared<Job>();
-    job->req = std::move(req);
-    job->key = key;
-    job->fingerprint = fp.hex();
-    job->loaded = std::move(loaded);
-    job->front_end_output = std::move(front_end_output);
-    Job::Waiter w;
-    w.id = job->req.id;
-    w.t0 = t0;
-    fut = w.promise.get_future();
-    job->waiters.push_back(std::move(w));
-    const std::uint64_t ticket = next_ticket_++;
-    admission_.push(ticket, small);
-    queued_.emplace(ticket, job);
-    if (!job->req.no_cache) pending_.emplace(key, job);
-    metrics_.queue_depth_delta(+1);
   }
-  cv_.notify_one();
-  return fut;
+  if (coalesced.valid()) return coalesced.get();
+
+  {
+    const SlotGuard slot(*this, job);
+    run_job(job);
+  }
+  resp = std::move(*job.answer);
+  resp.id = job.req.id;
+  resp.served_ms = ms_since(t0);
+  metrics_.record_outcome(resp.outcome);
+  metrics_.record_latency_ms(resp.served_ms);
+  return resp;
 }
 
 void Service::maintenance_loop() {
@@ -337,45 +408,24 @@ void Service::maintenance_loop() {
   }
 }
 
-void Service::worker_loop() {
-  while (true) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || admission_.size() > 0; });
-      const auto ticket = admission_.pop();
-      if (!ticket) {
-        if (stop_) return;  // drained
-        continue;
-      }
-      const auto it = queued_.find(*ticket);
-      job = it->second;
-      queued_.erase(it);
-      metrics_.queue_depth_delta(-1);
-    }
-    run_job(job);
-  }
-}
-
-void Service::run_job(const std::shared_ptr<Job>& job) {
-  metrics_.in_flight_delta(+1);
+void Service::run_job(Job& job) {
   metrics_.count(&StatsSnapshot::analyses_run);
 
-  core::AnalyzerOptions opts = analyzer_options(job->req.options);
+  core::AnalyzerOptions opts = analyzer_options(job.req.options);
 
   // Warm re-exploration (DESIGN.md §12). no_cache means "forced cold
   // re-run", so it opts out of the checkpoint tier entirely — the --no-cache
   // control run in a cold-vs-resumed comparison must neither resume nor
   // clobber the stored wavefront.
   const bool use_checkpoints = cfg_.cache.checkpoints &&
-                               !job->req.no_checkpoint && !job->req.no_cache;
+                               !job.req.no_checkpoint && !job.req.no_cache;
   std::string checkpoint_out;
   std::string resume_blob;
   bool resume_attempted = false;
   if (use_checkpoints) {
     opts.checkpoint_out = &checkpoint_out;
-    if (job->req.resume) {
-      if (auto found = checkpoints_.lookup(job->key)) {
+    if (job.req.resume) {
+      if (auto found = checkpoints_.lookup(job.key)) {
         resume_blob = std::move(found->value);
         opts.resume_checkpoint = &resume_blob;
         resume_attempted = true;
@@ -387,9 +437,8 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   }
 
   core::AnalysisResult result =
-      core::analyze_instance(*job->loaded->instance, opts);
-  result.diagnostics = job->front_end_output + result.diagnostics;
-  const std::string result_json = core::render_result_json(result);
+      core::analyze_instance(*job.loaded->instance, opts);
+  result.diagnostics = job.front_end_output + result.diagnostics;
 
   if (result.engine == core::Engine::Symbolic)
     metrics_.record_symbolic_run(result.states,
@@ -400,50 +449,34 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
     // The blob failed restore validation (analyze_instance fell back to a
     // cold run). Drop it — retrying the same bytes cannot succeed.
     metrics_.count(&StatsSnapshot::checkpoint_resume_failures);
-    checkpoints_.erase(job->key);
+    checkpoints_.erase(job.key);
   }
   if (use_checkpoints && result.stats.checkpoint_captured &&
       !checkpoint_out.empty()) {
-    checkpoints_.store(job->key, std::move(checkpoint_out));
+    checkpoints_.store(job.key, std::move(checkpoint_out));
     metrics_.count(&StatsSnapshot::checkpoint_stores);
   }
 
-  if (!job->req.no_cache && cacheable(result.outcome)) {
-    cache_.store(job->key, result.outcome, result_json);
+  std::string result_json = core::render_result_json(result);
+  if (!job.req.no_cache && cacheable(result.outcome)) {
+    cache_.store(job.key, result.outcome, result_json);
     metrics_.count(&StatsSnapshot::cache_stores);
     // A conclusive verdict supersedes any partial wavefront for this key.
-    checkpoints_.erase(job->key);
+    checkpoints_.erase(job.key);
   }
 
-  std::vector<Job::Waiter> waiters;
-  {
-    std::lock_guard lock(mu_);
-    waiters = std::move(job->waiters);
-    job->waiters.clear();
-    if (!job->req.no_cache) pending_.erase(job->key);
-  }
-  for (Job::Waiter& w : waiters) {
-    Response resp;
-    resp.op = Op::Analyze;
-    resp.ok = true;
-    resp.id = w.id;
-    resp.outcome = result.outcome;
-    resp.fingerprint = job->fingerprint;
-    resp.cached = false;
-    resp.cache_tier = "none";
-    resp.resumed = result.stats.resumed;
-    resp.resumed_depth = result.stats.resumed_from_depth;
-    resp.checkpoint_captured = result.stats.checkpoint_captured;
-    resp.result_json = result_json;
-    resp.served_ms = ms_since(w.t0);
-    metrics_.record_outcome(result.outcome);
-    metrics_.record_latency_ms(resp.served_ms);
-    w.promise.set_value(std::move(resp));
-  }
-  metrics_.in_flight_delta(-1);
+  Response& resp = job.answer.emplace();
+  resp.op = Op::Analyze;
+  resp.ok = true;
+  resp.outcome = result.outcome;
+  resp.fingerprint = job.fingerprint;
+  resp.cached = false;
+  resp.cache_tier = "none";
+  resp.resumed = result.stats.resumed;
+  resp.resumed_depth = result.stats.resumed_from_depth;
+  resp.checkpoint_captured = result.stats.checkpoint_captured;
+  resp.result_json = std::move(result_json);
 }
-
-Response Service::handle(Request req) { return submit(std::move(req)).get(); }
 
 std::string Service::handle_line(std::string_view line) {
   std::string error;

@@ -1,37 +1,41 @@
 // The in-process analysis service: the daemon minus the socket.
 //
-// A Service owns a worker pool, an admission queue, a two-tier result
-// cache, a checkpoint store for warm re-exploration (DESIGN.md §12) and a
-// metrics block. submit() classifies the request:
+// A Service owns a set of analysis slots, an admission queue, a two-tier
+// result cache, a checkpoint store for warm re-exploration (DESIGN.md §12)
+// and a metrics block. It has no threads of its own for analyses: every
+// request runs on the thread that calls handle() (a daemon connection, a
+// sweep thread, a test). handle() classifies the request:
 //
 //   * stats / ping / shutdown are answered inline (they must stay
-//     responsive while every worker grinds on a storm model);
+//     responsive while every slot grinds on a storm model);
 //   * analyze whose exact root and model bytes were fingerprinted before
 //     (the exact-repeat memo, cache.hpp) is served from the cache with no
 //     parse, instantiate or fingerprint when its result entry is there;
 //   * any other analyze runs the front end (parse, instantiate,
-//     fingerprint) on the submitting thread — cheap next to exploration —
-//     then is
+//     fingerprint) — cheap next to exploration — then is
 //       - served from cache immediately on a hit (hits never queue behind
 //         a running exploration — the whole point of the cache),
 //       - coalesced onto an identical in-flight run on a pending-key match
-//         (a thundering herd of identical edits runs the exploration once),
-//       - otherwise enqueued for a worker.
+//         (a thundering herd of identical edits runs the exploration once;
+//         the coalesced callers wait for that run's result),
+//       - otherwise queued for a slot, and run by the caller itself once
+//         admitted.
 //
-// Admission is fair FIFO with a small-model fast lane: requests whose
-// model text is under 16 KiB go to the small lane, and the scheduler
-// serves up to 4 small requests per large one when both lanes are
-// non-empty (weighted round-robin — an interactive editor ping-ponging a
-// 3-thread model is not stuck behind a batch of avionics suites, and the
-// batch still makes progress; within a lane, strict FIFO). Per-request
-// budgets are clamped to the service caps before running, so one client
-// cannot buy an unbounded exploration.
+// A slot is the right to run one analysis; ServiceConfig::workers is the
+// number of slots, so at most that many analyses run at once however many
+// threads call handle(). Admission is fair FIFO with a small-model fast
+// lane: requests whose model text is under 16 KiB go to the small lane,
+// and the scheduler admits up to 4 small requests per large one when both
+// lanes are non-empty (weighted round-robin — an interactive editor
+// ping-ponging a 3-thread model is not stuck behind a batch of avionics
+// suites, and the batch still makes progress; within a lane, strict FIFO).
+// Per-request budgets are clamped to the service caps before running, so
+// one client cannot buy an unbounded exploration.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,7 +51,8 @@
 namespace aadlsched::server {
 
 struct ServiceConfig {
-  /// Analysis worker threads. 0 = hardware concurrency (min 1).
+  /// Analysis slots: how many analyses run at once, each on the thread
+  /// that asked for it. 0 = hardware concurrency (min 1).
   std::size_t workers = 1;
   CacheConfig cache;
   /// Server-side caps clamped onto every request's budget; 0 = uncapped.
@@ -95,11 +100,11 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Non-blocking for stats/ping/shutdown and for analyze cache hits; an
-  /// analyze miss resolves when a worker finishes the exploration.
-  std::future<Response> submit(Request req);
-
-  /// submit() + wait. The convenience path for tests and the TCP layer.
+  /// Answer one request. Stats/ping/shutdown and analyze cache hits return
+  /// at once; an analyze miss waits for a slot and runs the analysis on the
+  /// calling thread (a coalesced one waits for the run it joined). An
+  /// exception from the analysis propagates to this caller; the slot is
+  /// freed and any coalesced callers are answered with an error.
   Response handle(Request req);
 
   /// Parse a request line, execute it, render the response line. The whole
@@ -109,8 +114,9 @@ class Service {
   /// Rendered stats object (also reachable via an Op::Stats request).
   std::string stats_json();
 
-  /// Stop accepting new work; queued and in-flight analyses complete and
-  /// their futures resolve. Idempotent.
+  /// Stop accepting new work; analyses already queued for a slot or running
+  /// complete and their callers get their results. Idempotent. The
+  /// destructor also waits until no caller is left inside handle().
   void shutdown();
   bool shutting_down() const;
 
@@ -121,11 +127,14 @@ class Service {
 
  private:
   struct Job;
+  class SlotGuard;
 
   core::AnalyzerOptions analyzer_options(const RequestOptions& ro) const;
-  void worker_loop();
   void maintenance_loop();
-  void run_job(const std::shared_ptr<Job>& job);
+  /// Hand free slots to queued tickets in admission order. The caller
+  /// holds mu_.
+  void admit_locked();
+  void run_job(Job& job);
 
   ServiceConfig cfg_;
   ResultCache cache_;
@@ -133,17 +142,24 @@ class Service {
   std::unique_ptr<DiskJanitor> janitor_;  // disk tier only
   Metrics metrics_;
 
+  const std::size_t slots_;
+
   mutable std::mutex mu_;
+  /// Signalled when queued tickets are admitted, and when the last caller
+  /// leaves a stopped service (the destructor waits for that).
   std::condition_variable cv_;
   bool stop_ = false;
+  std::size_t callers_ = 0;  // threads inside handle()
   std::uint64_t next_ticket_ = 0;
   AdmissionQueue admission_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Job>> queued_;
-  /// cache-key -> in-flight job accepting coalesced waiters.
-  std::unordered_map<std::string, std::shared_ptr<Job>> pending_;
-  std::vector<std::thread> workers_;
+  std::size_t running_ = 0;  // slots taken
+  /// Tickets given a slot whose caller has not yet seen it.
+  std::vector<std::uint64_t> admitted_;
+  /// cache-key -> queued or running job accepting coalesced waiters. The
+  /// job lives in its runner's handle() frame and leaves this map first.
+  std::unordered_map<std::string, Job*> pending_;
   // The maintenance thread has its own mutex/cv: it must never consume a
-  // cv_ notify meant to hand a worker a queued job.
+  // notify meant to admit a queued caller.
   std::mutex maint_mu_;
   std::condition_variable maint_cv_;
   bool maint_stop_ = false;

@@ -3,8 +3,9 @@
 // by `aadlsched --connect`.
 //
 // Deliberately boring networking: one accept thread, one thread per
-// connection, blocking reads. Concurrency and scheduling live in the
-// Service (its admission queue and worker pool); the TCP layer only has to
+// connection, blocking reads. A connection thread runs its own analyses;
+// how many run at once, and in what order, is the Service's (its slots and
+// admission queue). The TCP layer only has to
 // keep slow readers from blocking each other, which per-connection threads
 // do at the traffic levels an analysis daemon sees (requests carry whole
 // AADL models — this is not a 100k-connections workload). A connection

@@ -267,6 +267,37 @@ TEST(Checkpoint, ChainedResumesConverge) {
   EXPECT_EQ(last.depth, cold.depth);
 }
 
+TEST(Checkpoint, ResumeFreesTheCheckpointText) {
+  // The serialized wavefront is dead weight once restored: a resumed run
+  // must not hold it for its whole exploration, and neither must one that
+  // rejected it.
+  const auto cold =
+      core::analyze_source(medium_model(), "Root.impl", base_options());
+  core::AnalyzerOptions bound = base_options();
+  bound.exploration.max_states = 40;
+  std::string blob;
+  bound.checkpoint_out = &blob;
+  ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
+                  .stats.checkpoint_captured);
+  std::string rejected = blob;
+
+  core::AnalyzerOptions warm = base_options();
+  warm.resume_checkpoint = &blob;
+  const auto resumed = core::analyze_source(medium_model(), "Root.impl", warm);
+  EXPECT_TRUE(resumed.stats.resumed);
+  EXPECT_TRUE(blob.empty());
+  EXPECT_EQ(blob.capacity(), std::string().capacity());
+  EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
+            normalize_explore_ms(core::render_result_json(cold)));
+
+  core::AnalyzerOptions other = base_options();
+  other.resume_checkpoint = &rejected;
+  const auto r = core::analyze_source(failing_model(), "Root.impl", other);
+  EXPECT_FALSE(r.stats.resumed);
+  EXPECT_EQ(r.outcome, core::Outcome::NotSchedulable);
+  EXPECT_TRUE(rejected.empty());
+}
+
 TEST(Checkpoint, ResumeFindsDeadlockBeyondTheOldBudget) {
   // The failing model deadlocks within a handful of states; bound the first
   // run below that, then resume — the violation must still be found.
@@ -368,8 +399,10 @@ TEST(Checkpoint, ResumeRefusesAnotherTranslation) {
                   .stats.checkpoint_captured);
 
   // Another model: the answer is the named model's, never the blob's.
+  // Resuming consumes the text, so this attempt gets its own copy.
+  std::string copy = blob;
   core::AnalyzerOptions warm = base_options();
-  warm.resume_checkpoint = &blob;
+  warm.resume_checkpoint = &copy;
   const auto other = core::analyze_source(failing_model(), "Root.impl", warm);
   EXPECT_FALSE(other.stats.resumed);
   EXPECT_EQ(other.outcome, core::Outcome::NotSchedulable);
@@ -395,7 +428,7 @@ TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
   ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
                   .stats.checkpoint_captured);
 
-  for (const std::string& bad :
+  for (std::string bad :
        {blob.substr(0, blob.size() / 3), std::string("not a checkpoint"),
         std::string("aadlsched-checkpoint v1\nkey -\n")}) {
     core::AnalyzerOptions warm = base_options();

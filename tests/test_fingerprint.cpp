@@ -18,6 +18,7 @@
 #include "aadl/fingerprint.hpp"
 #include "aadl/instance.hpp"
 #include "aadl/parser.hpp"
+#include "exp/runner.hpp"
 
 namespace {
 
@@ -271,6 +272,63 @@ TEST(Fingerprint, CanonicalTextIsVersioned) {
   EXPECT_NE(canon.find("aadlsched-instance-v1"), std::string::npos);
   // Canonical text is itself deterministic.
   EXPECT_EQ(canon, aadl::canonical_instance_text(*inst));
+}
+
+
+// Fingerprints are cache keys and disk entry names that outlive a daemon
+// version, so the canonical rendering may change how it is built but never
+// a byte of what it builds: a changed value here orphans every entry of
+// every shared cache directory.
+TEST(Fingerprint, PinnedAcrossRenderingRewrites) {
+  struct Pin {
+    const char* file;
+    const char* root;
+    const char* hex;
+  };
+  const Pin shipped[] = {
+      {"avionics.aadl", "Avionics.impl",
+       "11973ceccc99efa148759fbee5dd185f"},
+      {"cruise_control.aadl", "CruiseControlSystem.impl",
+       "9f71f3468813d273a7fa63ad367d33b1"},
+      {"dual_rig.aadl", "DualRig.impl",
+       "386347ce65816b10919004d6fa99c95a"},
+      {"quantum_ladder.aadl", "QuantumLadder.impl",
+       "40e4e950aae68054b36b2a26dd732326"},
+      {"slow_periodic.aadl", "SlowPeriodic.impl",
+       "84d88be1cbe63481936cecafcbaf15db"},
+      {"storm.aadl", "Storm.impl",
+       "117935300a750f82bd76313518af6b24"},
+      {"symmetric.aadl", "Symmetric.impl",
+       "ebdcedacedca79b7b27f3e34100a584d"},
+  };
+  for (const Pin& p : shipped)
+    EXPECT_EQ(fingerprint_of(slurp(p.file), p.root).hex(), p.hex) << p.file;
+
+  // Generated experiment models: one cell per policy, with unequal
+  // deadlines and two processors among them.
+  struct Generated {
+    exp::Cell cell;
+    std::uint64_t seed;
+    const char* hex;
+  };
+  const Generated generated[] = {
+      {{"rm", 0.7, 5, 1.0, 1, "enumerative", 2}, 11,
+       "61d287a252bcd45b7acf81cb98007955"},
+      {{"dm", 0.9, 8, 0.8, 1, "enumerative", 1}, 12,
+       "ca413560c835a623086ef84a7e5ad855"},
+      {{"edf", 0.5, 3, 1.0, 1, "enumerative", 1}, 13,
+       "d1640d21477b6de073a5df2c7e894de2"},
+  };
+  exp::ExperimentSpec spec;
+  spec.name = "pins";
+  for (std::size_t i = 0; i < std::size(generated); ++i) {
+    const Generated& g = generated[i];
+    std::string error;
+    const auto text = exp::render_model(spec, g.cell, i, g.seed, error);
+    ASSERT_TRUE(text.has_value()) << error;
+    EXPECT_EQ(fingerprint_of(*text, "Root.impl").hex(), g.hex)
+        << g.cell.policy;
+  }
 }
 
 }  // namespace

@@ -811,17 +811,24 @@ TEST(Service, IdenticalInFlightRequestsCoalesce) {
   cfg.workers = 1;
   Service svc(cfg);
 
-  // Occupy the single worker with a big (bounded) storm run, then submit
-  // the same tiny model twice. Whatever the timing, the tiny exploration
-  // must run exactly once: the duplicate either coalesces onto the
-  // in-flight job or hits the cache the first run stored.
+  // Occupy the single slot with a big (bounded) storm run, then send the
+  // same tiny model from two more threads. Whatever the timing, the tiny
+  // exploration must run exactly once: the duplicate either coalesces onto
+  // the queued or running job or hits the cache the first run stored.
   Request blocker = analyze(storm_text(), "", "Storm.impl");
   blocker.options.max_states = 20'000;
-  auto f0 = svc.submit(blocker);
-  auto f1 = svc.submit(analyze(tiny_model(2, 10, 10), "a"));
-  auto f2 = svc.submit(analyze(tiny_model(2, 10, 10), "b"));
+  Response r0, r1, r2;
+  std::thread t0([&] { r0 = svc.handle(blocker); });
+  // Let the blocker take the slot first (it is free, so it takes it at
+  // once); the test holds either way.
+  for (int i = 0; i < 200 && stat(stats_of(svc), "in_flight") == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::thread t1([&] { r1 = svc.handle(analyze(tiny_model(2, 10, 10), "a")); });
+  std::thread t2([&] { r2 = svc.handle(analyze(tiny_model(2, 10, 10), "b")); });
+  t0.join();
+  t1.join();
+  t2.join();
 
-  const Response r0 = f0.get(), r1 = f1.get(), r2 = f2.get();
   ASSERT_TRUE(r0.ok && r1.ok && r2.ok);
   EXPECT_EQ(r1.id, "a");
   EXPECT_EQ(r2.id, "b");
@@ -830,6 +837,98 @@ TEST(Service, IdenticalInFlightRequestsCoalesce) {
   const auto s = stats_of(svc);
   EXPECT_EQ(stat(s, "analyses_run"), 2);  // storm + ONE tiny run
   EXPECT_EQ(stat(s, "coalesced") + stat(s, "cache", "hits_memory"), 1);
+}
+
+/// storm.aadl with Worker_A's deadline moved: a different fingerprint per
+/// `deadline_ms`, and an exploration far beyond any small state budget.
+std::string storm_variant(int deadline_ms) {
+  std::string text = storm_text();
+  const std::string from = "Deadline => 14 ms;";
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos)
+    text.replace(at, from.size(),
+                 "Deadline => " + std::to_string(deadline_ms) + " ms;");
+  return text;
+}
+
+TEST(Service, SlotsBoundConcurrentAnalyses) {
+  // Six callers, two slots, six distinct models that each stop on their
+  // state budget: every caller runs its own analysis, never more than two
+  // at once.
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  Service svc(cfg);
+  constexpr int kCallers = 6;
+  std::atomic<int> returned{0};
+  std::atomic<std::int64_t> max_in_flight{0};
+  std::thread poller([&] {
+    while (returned.load() < kCallers) {
+      const std::int64_t n = stat(stats_of(svc), "in_flight");
+      std::int64_t seen = max_in_flight.load();
+      while (n > seen && !max_in_flight.compare_exchange_weak(seen, n)) {
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::vector<Response> answers(kCallers);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i)
+    callers.emplace_back([&, i] {
+      Request req = analyze(storm_variant(20 + i), std::to_string(i),
+                            "Storm.impl");
+      req.options.max_states = 3'000;
+      answers[i] = svc.handle(req);
+      returned.fetch_add(1);
+    });
+  for (auto& c : callers) c.join();
+  poller.join();
+
+  for (int i = 0; i < kCallers; ++i) {
+    ASSERT_TRUE(answers[i].ok) << answers[i].error;
+    EXPECT_EQ(answers[i].id, std::to_string(i));
+    EXPECT_EQ(answers[i].outcome, core::Outcome::Inconclusive);
+    EXPECT_FALSE(answers[i].cached);
+  }
+  EXPECT_LE(max_in_flight.load(), 2);
+  EXPECT_GE(max_in_flight.load(), 1);
+  const auto s = stats_of(svc);
+  EXPECT_EQ(stat(s, "analyses_run"), kCallers);
+  EXPECT_EQ(stat(s, "in_flight"), 0);
+  EXPECT_EQ(stat(s, "queue_depth"), 0);
+}
+
+TEST(Service, ShutdownLetsQueuedCallersRun) {
+  // One slot, held by a storm run on a deadline; two callers queue behind
+  // it. shutdown() refuses new work but must not strand the queued: both
+  // get their analysis, not a refusal.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  Service svc(cfg);
+  Request blocker = analyze(storm_text(), "blocker", "Storm.impl");
+  blocker.options.deadline_ms = 500;
+  std::thread holder([&] { svc.handle(blocker); });
+  for (int i = 0; i < 2'000 && stat(stats_of(svc), "in_flight") == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  Response a, b;
+  std::thread ta([&] { a = svc.handle(analyze(tiny_model(2, 10, 10), "a")); });
+  std::thread tb([&] { b = svc.handle(analyze(tiny_model(3, 20, 20), "b")); });
+  for (int i = 0; i < 2'000 && stat(stats_of(svc), "queue_depth") < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(stat(stats_of(svc), "queue_depth"), 2);
+  svc.shutdown();
+  const Response refused = svc.handle(analyze(tiny_model(4, 40, 40), "c"));
+  EXPECT_FALSE(refused.ok);
+  holder.join();
+  ta.join();
+  tb.join();
+
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(a.outcome, core::Outcome::Schedulable);
+  EXPECT_EQ(b.outcome, core::Outcome::Schedulable);
+  EXPECT_EQ(stat(stats_of(svc), "analyses_run"), 3);
 }
 
 // --- control ops and the wire loop --------------------------------------

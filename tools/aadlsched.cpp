@@ -711,9 +711,9 @@ int main(int argc, char** argv) {
   if (!checkpoint_file.empty() && !no_checkpoint)
     opts.checkpoint_out = &checkpoint_blob;
   if (resume) {
-    const auto text = read_file(checkpoint_file);
+    auto text = read_file(checkpoint_file);
     if (text) {
-      resume_blob = *text;
+      resume_blob = std::move(*text);
       opts.resume_checkpoint = &resume_blob;
     } else {
       std::cerr << "cannot read checkpoint '" << checkpoint_file

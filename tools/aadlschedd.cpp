@@ -6,7 +6,8 @@
 //
 //   --host <addr>            bind address (default 127.0.0.1)
 //   --port <n>               TCP port; 0 picks an ephemeral port (default 0)
-//   --workers <n>            analysis worker threads (0 = hardware
+//   --workers <n>            analyses run at once, each on the connection
+//                            thread that asked for it (0 = hardware
 //                            concurrency; default 1)
 //   --cache-capacity <n>     in-memory result cache entries (default 1024;
 //                            0 disables the memory tier)
