@@ -19,8 +19,7 @@
 // the parameters of the enclosing definition by name.
 //
 // It reads whole modules only: the tests and the `--acsr` dump contract
-// rely on Printer output parsing back. Checkpoints never go through it;
-// they restore into the caller's own translation (versa/checkpoint.hpp).
+// rely on Printer output parsing back.
 #pragma once
 
 #include <string_view>

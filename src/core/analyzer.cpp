@@ -8,7 +8,6 @@
 #include "acsr/printer.hpp"
 #include "acsr/semantics.hpp"
 #include "core/symbolic_extract.hpp"
-#include "versa/checkpoint.hpp"
 #include "versa/inspection.hpp"
 #include "versa/symbolic.hpp"
 #include "util/string_utils.hpp"
@@ -169,28 +168,6 @@ void apply_exploration(AnalysisResult& result,
   result.stats.semantics = er.sem_stats;
 }
 
-/// Serialize the captured wavefront when the run is worth resuming later:
-/// stopped on a budget, no verdict yet, frontier non-empty. Conclusive runs
-/// (including a found deadlock) leave `checkpoint_out` untouched.
-void maybe_capture_checkpoint(AnalysisResult& result,
-                              const versa::ExploreResult& er,
-                              const versa::Wavefront& wave,
-                              const acsr::Context& ctx,
-                              const AnalyzerOptions& opts) {
-  if (!opts.checkpoint_out || er.deadlock_found || wave.empty()) return;
-  switch (er.stop) {
-    case util::StopReason::MaxStates:
-    case util::StopReason::Deadline:
-    case util::StopReason::MemoryBudget:
-    case util::StopReason::Cancelled:
-      break;
-    default:
-      return;  // None (conclusive) or Fault (state may be inconsistent)
-  }
-  *opts.checkpoint_out = versa::serialize_checkpoint(ctx, wave);
-  result.stats.checkpoint_captured = true;
-}
-
 /// The symbolic analogue of apply_exploration: map a state-class run onto
 /// the result. The class graph reuses the generic exploration counters
 /// (states = classes, depth = event-chain length) so downstream rendering —
@@ -314,13 +291,6 @@ std::string AnalysisResult::summary() const {
     os << "\nsymbolic: " << states << " zones explored, "
        << stats.zone_subsumptions << " subsumptions, DBM dimension "
        << stats.dbm_dimension;
-  if (stats.resumed)
-    os << "\nresumed from depth " << stats.resumed_from_depth << " ("
-       << stats.resumed_from_states
-       << " states already visited via warm checkpoint)";
-  if (stats.checkpoint_captured)
-    os << "\ncheckpoint captured at depth " << depth
-       << " — resubmit with a larger budget to resume";
   const acsr::Semantics::Stats& sem = stats.semantics;
   os << "\nexploration: " << std::fixed << std::setprecision(2) << explore_ms
      << " ms, peak frontier " << peak_frontier << ", fan memo "
@@ -342,7 +312,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   // enumeration with the same reasons as a note.
   SymbolicExtraction sx;
   bool use_symbolic = false;
-  std::string resume_note;
+  std::string engine_note;
   if (opts.engine != Engine::Enumerative) {
     sx = extract_symbolic(instance, opts.translation);
     if (sx.applicable) {
@@ -353,19 +323,9 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
           "symbolic engine inapplicable: " + sx.why() + "\n";
       return result;  // Error: the forced engine cannot analyze this
     } else {
-      resume_note = "symbolic engine inapplicable: " + sx.why() +
+      engine_note = "symbolic engine inapplicable: " + sx.why() +
                     "; falling back to enumerative exploration\n";
     }
-  }
-
-  // The symbolic engine has no wavefront format: a resume request is noted
-  // and ignored.
-  bool resume = opts.resume_checkpoint && !opts.resume_checkpoint->empty();
-  if (resume && use_symbolic) {
-    resume_note +=
-        "checkpoint resume is unsupported for the symbolic engine; running "
-        "cold\n";
-    resume = false;
   }
 
   // One translation serves lint's ACSR-tier passes and exploration. Its
@@ -392,77 +352,39 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
                            ? Outcome::Schedulable
                            : Outcome::NotSchedulable;
       result.decided_by = report.decided_by;
-      result.diagnostics = resume_note + diags.render_all();
+      result.diagnostics = engine_note + diags.render_all();
       return result;
     }
     if (report.errors() > 0) {
-      result.diagnostics = resume_note + diags.render_all();
+      result.diagnostics = engine_note + diags.render_all();
       return result;  // Error: lint gate tripped
     }
   }
 
   if (use_symbolic) {
-    // The state-class engine never serializes a wavefront: a checkpoint
-    // request must fail loudly, not produce a silently empty artifact.
-    if (opts.checkpoint_out)
-      resume_note +=
-          "checkpointing unsupported for symbolic engine; no checkpoint "
-          "will be captured\n";
     versa::SymbolicOptions sopts;
     sopts.max_classes = opts.exploration.max_states;
     sopts.budget = opts.exploration.budget;
     const versa::SymbolicResult sr = versa::explore_symbolic(sx.model, sopts);
     apply_symbolic(result, sr);
-    result.diagnostics = resume_note + diags.render_all() + result.diagnostics;
+    result.diagnostics = engine_note + diags.render_all() + result.diagnostics;
     return result;
   }
 
-  // Warm resume: a valid checkpoint seeds exploration with the prefix it
-  // already visited in this very translation. A checkpoint that fails
-  // validation (digest, another translation, any id out of range)
-  // downgrades to a cold run — resuming is an optimization, never a
-  // correctness risk. The rejected blob may have interned part of itself,
-  // so the cold run explores a fresh translation it never touched.
-  std::optional<versa::Wavefront> restored;
-  if (resume && tr) {
-    std::string why;
-    restored = versa::parse_checkpoint(*context, tr->initial,
-                                       *opts.resume_checkpoint, why);
-    std::string().swap(*opts.resume_checkpoint);  // release its buffer
-    if (!restored) {
-      resume_note += why + "; falling back to a cold run\n";
-      util::DiagnosticEngine again("<model>");
-      tr = translate::translate(context.emplace(), instance, again,
-                                opts.translation);
-    }
-  }
-
-  result.diagnostics = resume_note + diags.render_all() + tdiags.render_all();
+  result.diagnostics = engine_note + diags.render_all() + tdiags.render_all();
   if (!tr) return result;
   result.threads = tr->threads;
   acsr::Context& ctx = *context;
 
-  versa::ExploreOptions eopts = opts.exploration;
-  if (restored) {
-    eopts.resume = &*restored;
-    result.stats.resumed = true;
-    result.stats.resumed_from_depth = restored->depth;
-    result.stats.resumed_from_states = restored->states;
-  }
-  versa::Wavefront captured;
-  if (opts.checkpoint_out) eopts.capture = &captured;
-
   versa::ExploreResult er;
-  {  // the fan memo is freed before checkpoint capture and lift-back
+  {  // the fan memo is freed before lift-back
     acsr::Semantics sem(ctx);
-    er = versa::explore(sem, tr->initial, eopts);
+    er = versa::explore(sem, tr->initial, opts.exploration);
   }
   apply_exploration(result, er);
-  maybe_capture_checkpoint(result, er, captured, ctx, opts);
   // No timeline without a trace: when recording was dropped under memory
   // pressure, lifting would produce an empty "0 quanta" scenario that reads
-  // like a real counterexample. A resumed run has no trace either (the
-  // parent links predate the resume).
+  // like a real counterexample.
   if (er.deadlock_found && !er.trace.empty())
     result.scenario = lift_back(ctx, *tr, er);
   return result;

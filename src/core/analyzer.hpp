@@ -49,21 +49,6 @@ struct AnalyzerOptions {
   /// replaces exploration and reports 0 states; an error-severity finding
   /// stops the run (DESIGN.md §9). Only perfbench still reads this field.
   lint::Options lint;
-
-  // --- warm re-exploration (DESIGN.md §12) -----------------------------
-  /// When non-null and exploration stops on a budget without reaching a
-  /// verdict, a serialized versa checkpoint (the BFS wavefront, bound to
-  /// this translation) is written here so a later run can resume it.
-  std::string* checkpoint_out = nullptr;
-  /// When non-null and non-empty, try to restore this checkpoint into this
-  /// run's own translation and resume: translation and lint run as on a
-  /// cold run, and exploration skips the already-explored prefix. A
-  /// checkpoint from another translation, or one that fails any other
-  /// validation, falls back to a cold run (the reason lands in
-  /// AnalysisResult::diagnostics). The text is consumed: analyze_instance
-  /// frees it as soon as it is parsed, restored or not, so a resumed run
-  /// does not hold the serialized wavefront for its whole exploration.
-  std::string* resume_checkpoint = nullptr;
 };
 
 /// Per-thread status in one quantum of a failing scenario.
@@ -107,9 +92,8 @@ enum class Outcome : std::uint8_t {
 std::string_view to_string(Outcome o);
 
 /// The canonical part of a run: exactly the fields the result JSON carries
-/// (core/result_json.hpp renders a Verdict and nothing else). A resumed run
-/// that reaches a verdict renders byte-identically to a cold run, so how
-/// the run went lives in RunStats, outside this type.
+/// (core/result_json.hpp renders a Verdict and nothing else). How the run
+/// went lives in RunStats, outside this type.
 struct Verdict {
   Outcome outcome = Outcome::Error;
   /// Why exploration stopped early (None unless outcome == Inconclusive).
@@ -141,11 +125,6 @@ struct Verdict {
 /// How a run went, beside its verdict and never rendered into the result
 /// JSON.
 struct RunStats {
-  // Warm re-exploration (DESIGN.md §12).
-  bool resumed = false;                  // run continued a checkpoint
-  std::uint64_t resumed_from_depth = 0;  // wavefront depth at resume
-  std::uint64_t resumed_from_states = 0;
-  bool checkpoint_captured = false;      // checkpoint_out was filled
   // Symbolic engine (DESIGN.md §16); zero on enumerative runs.
   std::uint64_t zone_subsumptions = 0;  // classes pruned by zone inclusion
   std::uint64_t dbm_dimension = 0;      // clocks + reference row

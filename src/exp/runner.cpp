@@ -61,7 +61,6 @@ server::Request build_request(const ExperimentSpec& spec, const Cell& cell,
   // daemon's cache freely: conclusive cached verdicts are budget-invariant,
   // so cache hits cannot change verdict data, only timing.
   req.no_cache = false;
-  req.no_checkpoint = true;  // thousands of tiny models; skip the store
   return req;
 }
 

@@ -2,16 +2,15 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "core/result_json.hpp"
+#include "util/budget.hpp"
 #include "util/json.hpp"
 
 namespace aadlsched::server {
@@ -21,16 +20,16 @@ namespace fs = std::filesystem;
 namespace {
 
 using util::FaultInjector;
+using Site = FaultInjector::Site;
 
-/// Write `body` to `tmp_path`, honoring the `site` fault hook: a tripped
-/// write site emits only a prefix of the bytes and reports failure — the
+/// Write `body` to `tmp_path`, honoring the cache.write fault hook: a tripped
+/// write emits only a prefix of the bytes and reports failure — the
 /// torn file a kill -9 mid-write leaves behind, for the sweeper (and the
 /// digest check, should the torn file somehow get renamed) to deal with.
-bool write_tmp_file(const std::string& tmp_path, std::string_view body,
-                    Site site) {
+bool write_tmp_file(const std::string& tmp_path, std::string_view body) {
   std::ofstream out(tmp_path, std::ios::trunc | std::ios::binary);
   if (!out) return false;
-  if (FaultInjector::global().trip_io(site)) {
+  if (FaultInjector::global().trip_io(Site::CacheWrite)) {
     out << body.substr(0, body.size() / 2);
     return false;  // tmp file deliberately left behind, torn
   }
@@ -39,26 +38,13 @@ bool write_tmp_file(const std::string& tmp_path, std::string_view body,
   return out.good();
 }
 
-std::optional<std::string> read_file(const std::string& path, Site site) {
-  if (FaultInjector::global().trip_io(site)) return std::nullopt;
+std::optional<std::string> read_file(const std::string& path) {
+  if (FaultInjector::global().trip_io(Site::CacheRead)) return std::nullopt;
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-/// The `ext` files in `dir`, each with its mtime.
-std::vector<std::pair<fs::file_time_type, fs::path>> list_files(
-    const std::string& dir, std::string_view ext) {
-  std::vector<std::pair<fs::file_time_type, fs::path>> files;
-  std::error_code ec;
-  for (const auto& ent : fs::directory_iterator(dir, ec)) {
-    std::error_code fe;
-    if (ent.is_regular_file(fe) && ent.path().extension() == ext)
-      files.emplace_back(ent.last_write_time(fe), ent.path());
-  }
-  return files;
 }
 
 /// Absorbs `bytes` into both lanes of `h`, eight bytes at a time; the tail
@@ -100,25 +86,10 @@ util::Hash128 front_end_digest(std::string_view root, std::string_view model) {
   return absorb_words(model, absorb_words(root, kSeed));
 }
 
-std::optional<ResultKind::Value> ResultKind::decode(std::string_view body,
-                                                    std::string& /*sealed*/) {
-  while (!body.empty() && (body.back() == '\n' || body.back() == '\r'))
-    body.remove_suffix(1);
-  const auto doc = util::parse_json(body);
-  if (!doc || !doc->is_object()) return std::nullopt;
-  const auto* outcome = doc->get("outcome");
-  if (!outcome || !outcome->is_string()) return std::nullopt;
-  const auto parsed = core::outcome_from_string(outcome->as_string());
-  if (!parsed || !cacheable(*parsed)) return std::nullopt;
-  return Value{*parsed, std::string(body)};
-}
-
-// --- TwoTierStore ----------------------------------------------------------
-
-template <class Kind>
-TwoTierStore<Kind>::TwoTierStore(std::size_t memory_capacity, std::string dir,
-                                 std::size_t file_cap)
-    : dir_(std::move(dir)), file_cap_(file_cap), memory_(memory_capacity) {
+ResultCache::ResultCache(const CacheConfig& cfg)
+    : dir_(cfg.disk_dir),
+      memory_(cfg.memory_capacity),
+      memo_(cfg.memory_capacity) {
   if (has_disk_tier()) {
     // A failed create degrades to memory-only: lookups miss, stores fail
     // and are counted (the daemon stats the directory at startup). Tmp
@@ -128,159 +99,106 @@ TwoTierStore<Kind>::TwoTierStore(std::size_t memory_capacity, std::string dir,
   }
 }
 
-template <class Kind>
-std::string TwoTierStore<Kind>::disk_path(const std::string& key) const {
-  return dir_ + "/" + key + std::string(Kind::kExt);
+std::string ResultCache::disk_path(const std::string& key) const {
+  return dir_ + "/" + key + ".json";
 }
 
-template <class Kind>
-void TwoTierStore<Kind>::note_store_failure(const std::string& path,
-                                            const char* what) {
+void ResultCache::note_store_failure(const std::string& path,
+                                     const char* what) {
   disk_store_failures_.fetch_add(1, std::memory_order_relaxed);
   if (!store_diag_emitted_.exchange(true, std::memory_order_relaxed))
     std::fprintf(stderr,
-                 "aadlschedd: warning: %s disk store failed (%s: %s); %s "
+                 "aadlschedd: warning: result cache disk store failed (%s: "
+                 "%s); entries stay memory-only until the disk recovers "
                  "(counted in stats as disk_store_failures)\n",
-                 Kind::kNoun.data(), what, path.c_str(), Kind::kLoss.data());
+                 what, path.c_str());
 }
 
-template <class Kind>
-std::optional<typename Kind::Value> TwoTierStore<Kind>::disk_load(
+std::optional<ResultCache::Entry> ResultCache::disk_load(
     const std::string& key) {
   // A failed read (I/O error, injected read fault) is a plain miss — the
   // file may be fine; only present-but-invalid bytes are quarantined.
-  auto raw = read_file(disk_path(key), Kind::kReadSite);
+  const auto raw = read_file(disk_path(key));
   if (!raw || raw->empty()) return std::nullopt;
   // The seal catches torn, truncated, bit-rotted or pre-digest-era files
-  // byte-exactly; the kind then rejects sealed bytes that are foreign.
-  std::optional<Value> value;
-  if (const auto body = util::strip_trailing_digest(*raw))
-    value = Kind::decode(*body, *raw);
-  if (!value) {
+  // byte-exactly. The body *is* the canonical result object: its "outcome"
+  // field must name a cacheable outcome, or the file is foreign.
+  std::optional<Entry> entry;
+  if (auto body = util::strip_trailing_digest(*raw)) {
+    while (!body->empty() && (body->back() == '\n' || body->back() == '\r'))
+      body->remove_suffix(1);
+    const auto doc = util::parse_json(*body);
+    const auto* outcome =
+        doc && doc->is_object() ? doc->get("outcome") : nullptr;
+    if (outcome && outcome->is_string()) {
+      const auto parsed = core::outcome_from_string(outcome->as_string());
+      if (parsed && cacheable(*parsed))
+        entry = Entry{*parsed, std::string(*body)};
+    }
+  }
+  if (!entry) {
     std::error_code ec;
     fs::remove(disk_path(key), ec);
     corrupt_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  return value;
+  return entry;
 }
 
-template <class Kind>
-void TwoTierStore<Kind>::disk_write(const std::string& key,
-                                    const Value& value) {
+void ResultCache::disk_write(const std::string& key, const Entry& entry) {
   const std::string final_path = disk_path(key);
   const std::string tmp_path =
       final_path + ".tmp." + std::to_string(::getpid());
-  decltype(auto) bytes = Kind::payload(value);
-  if constexpr (!Kind::kValueIsSealed) util::append_digest(bytes);
-  if (!write_tmp_file(tmp_path, bytes, Kind::kWriteSite)) {
+  std::string bytes = entry.result_json + '\n';
+  util::append_digest(bytes);
+  if (!write_tmp_file(tmp_path, bytes)) {
     note_store_failure(final_path, "write");
     return;  // torn tmp (if any) is left for the liveness-aware sweeper
   }
   std::error_code ec;
-  if constexpr (Kind::kRenameSite.has_value()) {
-    if (FaultInjector::global().trip_io(*Kind::kRenameSite)) {
-      fs::remove(tmp_path, ec);
-      note_store_failure(final_path, "rename (injected)");
-      return;
-    }
+  if (FaultInjector::global().trip_io(Site::CacheRename)) {
+    fs::remove(tmp_path, ec);
+    note_store_failure(final_path, "rename (injected)");
+    return;
   }
   fs::rename(tmp_path, final_path, ec);
   if (ec) {
     fs::remove(tmp_path, ec);
     note_store_failure(final_path, "rename");
-    return;
   }
-  if (file_cap_ > 0) enforce_file_cap();
 }
 
-template <class Kind>
-std::optional<typename TwoTierStore<Kind>::Found> TwoTierStore<Kind>::lookup(
-    const std::string& key) {
+std::optional<ResultCache::Hit> ResultCache::lookup(const std::string& key) {
   {
     std::lock_guard lock(mu_);
-    if (auto value = memory_.get(key)) return Found{std::move(*value), false};
+    if (auto entry = memory_.get(key))
+      return Hit{entry->outcome, std::move(entry->result_json), false};
   }
   if (!has_disk_tier()) return std::nullopt;
   // Disk I/O outside the lock; a racing store of the same key is benign
   // (same bytes by construction — keys are content hashes).
-  auto value = disk_load(key);
-  if (!value) return std::nullopt;
+  auto entry = disk_load(key);
+  if (!entry) return std::nullopt;
   {
     std::lock_guard lock(mu_);
-    memory_.put(key, *value);
+    memory_.put(key, *entry);
   }
-  return Found{std::move(*value), true};
-}
-
-template <class Kind>
-void TwoTierStore<Kind>::store(const std::string& key, Value value) {
-  // Disk first, so the value can then move into memory.
-  if (has_disk_tier()) disk_write(key, value);
-  std::lock_guard lock(mu_);
-  memory_.put(key, std::move(value));
-}
-
-template <class Kind>
-void TwoTierStore<Kind>::erase(const std::string& key) {
-  {
-    std::lock_guard lock(mu_);
-    memory_.erase(key);
-  }
-  if (!has_disk_tier()) return;
-  std::error_code ec;
-  fs::remove(disk_path(key), ec);
-}
-
-template <class Kind>
-void TwoTierStore<Kind>::enforce_file_cap() {
-  auto files = list_files(dir_, Kind::kExt);
-  if (files.size() <= file_cap_) return;
-  std::sort(files.begin(), files.end());
-  std::uint64_t removed = 0;
-  for (std::size_t i = 0; i < files.size() - file_cap_; ++i) {
-    // Cap-based eviction is GC too: same gc.remove fault site as the
-    // size-budgeted sweep, so the soak can starve it deterministically.
-    if (FaultInjector::global().trip_io(Site::GcRemove)) continue;
-    std::error_code rm;
-    if (fs::remove(files[i].second, rm)) ++removed;
-  }
-  std::lock_guard lock(mu_);
-  cap_evictions_ += removed;
-}
-
-template <class Kind>
-std::uint64_t TwoTierStore<Kind>::evictions() const {
-  std::lock_guard lock(mu_);
-  return memory_.evictions() + cap_evictions_;
-}
-
-template <class Kind>
-std::uint64_t TwoTierStore<Kind>::entries() const {
-  if (Kind::kEntriesCountFiles && has_disk_tier())
-    return list_files(dir_, Kind::kExt).size();
-  std::lock_guard lock(mu_);
-  return memory_.size();
-}
-
-template class TwoTierStore<ResultKind>;
-template class TwoTierStore<CheckpointKind>;
-
-// --- ResultCache -----------------------------------------------------------
-
-ResultCache::ResultCache(const CacheConfig& cfg)
-    : TwoTierStore(cfg.memory_capacity, cfg.disk_dir),
-      memo_(cfg.memory_capacity) {}
-
-std::optional<ResultCache::Hit> ResultCache::lookup(const std::string& key) {
-  auto found = TwoTierStore::lookup(key);
-  if (!found) return std::nullopt;
-  return Hit{found->value.outcome, std::move(found->value.result_json),
-             found->from_disk};
+  return Hit{entry->outcome, std::move(entry->result_json), true};
 }
 
 void ResultCache::store(const std::string& key, core::Outcome outcome,
                         const std::string& result_json) {
-  if (cacheable(outcome)) TwoTierStore::store(key, {outcome, result_json});
+  if (!cacheable(outcome)) return;
+  Entry entry{outcome, result_json};
+  // Disk first, so the entry can then move into memory.
+  if (has_disk_tier()) disk_write(key, entry);
+  std::lock_guard lock(mu_);
+  memory_.put(key, std::move(entry));
+}
+
+StoreGauges ResultCache::gauges() const {
+  std::lock_guard lock(mu_);
+  return {memory_.evictions(), corrupt_evictions(), disk_store_failures(),
+          memory_.size()};
 }
 
 std::optional<aadl::Fingerprint> ResultCache::recall(

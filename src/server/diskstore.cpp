@@ -148,6 +148,10 @@ GcStats run_disk_gc(const std::string& dir, std::uint64_t cap_bytes) {
   for (const auto& ent : fs::directory_iterator(dir, ec)) {
     if (!ent.is_regular_file(ec)) continue;
     const auto ext = ent.path().extension();
+    // Daemons older than the removal of warm re-exploration (DESIGN.md §12)
+    // left `.ckpt` files in directories this one may share. Nothing reads
+    // them any more, so they count against the budget and are evicted
+    // like any other artifact.
     if (ext != ".json" && ext != ".ckpt") continue;
     std::error_code sz;
     const std::uint64_t size = ent.file_size(sz);

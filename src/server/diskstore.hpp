@@ -1,6 +1,6 @@
 // Crash-safety primitives for the shared on-disk cache (DESIGN.md §15).
 //
-// The result and checkpoint stores (cache.hpp) write one file per key via
+// The result store (cache.hpp) writes one file per key via
 // tmp + rename. That alone survives a single daemon's crash, but ROADMAP
 // item 4 wants N `aadlschedd` processes pointed at ONE cache directory; this
 // file adds the pieces that make that safe:
@@ -115,10 +115,11 @@ struct GcStats {
   std::uint64_t tmp_swept = 0;        // stale tmp leftovers reaped
 };
 
-/// One GC pass over `dir`: when the summed size of `.json` + `.ckpt`
-/// artifacts exceeds `cap_bytes`, delete oldest-first (atime, mtime
-/// fallback) until under the cap. Caller holds the directory lock. Every
-/// removal goes through the `gc.remove` fault-injection site.
+/// One GC pass over `dir`: when the summed size of its artifacts (`.json`,
+/// and the `.ckpt` files older daemons left) exceeds `cap_bytes`, delete
+/// oldest-first (atime, mtime fallback) until under the cap. Caller holds
+/// the directory lock. Every removal goes through the `gc.remove`
+/// fault-injection site.
 GcStats run_disk_gc(const std::string& dir, std::uint64_t cap_bytes);
 
 // --- the janitor ------------------------------------------------------------

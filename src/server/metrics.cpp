@@ -6,17 +6,6 @@
 
 namespace aadlsched::server {
 
-namespace {
-
-void render_store(util::JsonWriter& w, const StoreGauges& g) {
-  w.key("evictions").value(g.evictions);
-  w.key("corrupt_evictions").value(g.corrupt_evictions);
-  w.key("disk_store_failures").value(g.disk_store_failures);
-  w.key("entries").value(g.entries);
-}
-
-}  // namespace
-
 std::string StatsSnapshot::render_json() const {
   util::JsonWriter w;
   w.begin_object();
@@ -29,14 +18,10 @@ std::string StatsSnapshot::render_json() const {
   w.key("misses").value(cache_misses);
   w.key("front_end_skips").value(cache_front_end_skips);
   w.key("stores").value(cache_stores);
-  render_store(w, disk.cache);
-  w.end_object();
-  w.key("checkpoints").begin_object();
-  w.key("hits").value(checkpoint_hits);
-  w.key("misses").value(checkpoint_misses);
-  w.key("stores").value(checkpoint_stores);
-  w.key("resume_failures").value(checkpoint_resume_failures);
-  render_store(w, disk.checkpoints);
+  w.key("evictions").value(disk.cache.evictions);
+  w.key("corrupt_evictions").value(disk.cache.corrupt_evictions);
+  w.key("disk_store_failures").value(disk.cache.disk_store_failures);
+  w.key("entries").value(disk.cache.entries);
   w.end_object();
   w.key("gc").begin_object();
   w.key("runs").value(disk.gc.runs);

@@ -21,8 +21,8 @@
 
 namespace aadlsched::server {
 
-/// The gauges one two-tier store owns (cache.hpp). Rendered as the last four
-/// keys of its stats object.
+/// The gauges the result store owns (cache.hpp). Rendered as the last four
+/// keys of the `cache` stats object.
 struct StoreGauges {
   std::uint64_t evictions = 0;
   /// Disk files quarantined on load (cache self-healing).
@@ -32,11 +32,10 @@ struct StoreGauges {
   std::uint64_t entries = 0;
 };
 
-/// Numbers the stores and the shared-directory janitor own, sampled at
-/// snapshot time.
+/// Numbers the result store and the shared-directory janitor own, sampled
+/// at snapshot time.
 struct CacheGauges {
-  StoreGauges cache;        // the result store
-  StoreGauges checkpoints;  // the checkpoint store
+  StoreGauges cache;  // the result store
   /// Size-budgeted GC plus tmp hygiene (DESIGN.md §15), accumulated by the
   /// DiskJanitor across sweeps.
   GcStats gc;
@@ -57,11 +56,6 @@ struct StatsSnapshot {
   /// (a subset of hits_memory + hits_disk).
   std::uint64_t cache_front_end_skips = 0;
   std::uint64_t cache_stores = 0;
-  // Warm re-exploration (checkpoint tier, DESIGN.md §12).
-  std::uint64_t checkpoint_hits = 0;    // resume requests served a checkpoint
-  std::uint64_t checkpoint_misses = 0;  // resume requested, none available
-  std::uint64_t checkpoint_stores = 0;  // budget-bound runs checkpointed
-  std::uint64_t checkpoint_resume_failures = 0;  // restore rejected; ran cold
   // Symbolic engine (DESIGN.md §16): runs that used the state-class engine,
   // cumulative zones/subsumptions across them, and the largest DBM seen.
   std::uint64_t symbolic_runs = 0;

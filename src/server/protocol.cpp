@@ -128,9 +128,6 @@ std::optional<Request> parse_request(std::string_view line,
   req.model = model->take_string();
   req.root = root->take_string();
   if (const auto* nc = doc->get("no_cache")) req.no_cache = nc->as_bool();
-  if (const auto* r = doc->get("resume")) req.resume = r->as_bool();
-  if (const auto* nk = doc->get("no_checkpoint"))
-    req.no_checkpoint = nk->as_bool();
   if (const auto* opts = doc->get("options"); opts && opts->is_object()) {
     for (const OptionSpec& spec : kOptionTable) {
       // The legacy key first, so the wire-unit key wins when both are set.
@@ -170,8 +167,6 @@ std::string render_request(const Request& req) {
     w.key("model").value(req.model);
     w.key("root").value(req.root);
     if (req.no_cache) w.key("no_cache").value(true);
-    if (req.resume) w.key("resume").value(true);
-    if (req.no_checkpoint) w.key("no_checkpoint").value(true);
     w.key("options").begin_object();
     for (const OptionSpec& spec : kOptionTable) {
       const std::int64_t v = spec.get(req.options);
@@ -208,11 +203,6 @@ std::string render_response(const Response& resp) {
       w.key("cached").value(resp.cached);
       w.key("cache_tier").value(resp.cache_tier);
       w.key("served_ms").value(resp.served_ms);
-      if (resp.resumed) {
-        w.key("resumed").value(true);
-        w.key("resumed_depth").value(resp.resumed_depth);
-      }
-      if (resp.checkpoint_captured) w.key("checkpoint_captured").value(true);
       w.key("result").raw(resp.result_json);  // must stay the last field
       break;
     case Op::Stats:
@@ -271,11 +261,6 @@ std::optional<Response> parse_response(std::string_view line,
   if (const auto* c = doc->get("cached")) resp.cached = c->as_bool();
   if (const auto* t = doc->get("cache_tier")) resp.cache_tier = t->as_string();
   if (const auto* s = doc->get("served_ms")) resp.served_ms = s->as_double();
-  if (const auto* r = doc->get("resumed")) resp.resumed = r->as_bool();
-  if (const auto* d = doc->get("resumed_depth"))
-    resp.resumed_depth = static_cast<std::uint64_t>(d->as_int());
-  if (const auto* c = doc->get("checkpoint_captured"))
-    resp.checkpoint_captured = c->as_bool();
   resp.result_json = std::string(extract_trailing_object(line, "result"));
   resp.stats_json = std::string(extract_trailing_object(line, "stats"));
   return resp;

@@ -10,25 +10,22 @@
 //                "deadline_ms": 0, "memory_budget_mb": 0,
 //                "late_completion": false, "lint": true,
 //                "engine": "enumerative"},
-//    "no_cache": false, "resume": false, "no_checkpoint": false}
+//    "no_cache": false}
 //   Each option is a row of kOptionTable below (defaults: RequestOptions).
 //   Integers must lie in the row's [min, max]: quantum_ns [1, 10^15]
 //   (the legacy "quantum_ms" takes [1, 10^9] ms), max_states [1, 2^63-1],
 //   deadline_ms [0, 2^31-1], memory_budget_mb [0, 10^9], where 0 = no
 //   limit. Anything else is a protocol error naming options.<key>.
-//   Unknown option keys are ignored, so older clients that still send a
-//   retired option such as "workers" are served unchanged.
+//   Unknown keys are ignored, so older clients that still send a retired
+//   option such as "workers", or a top-level switch of the retired warm
+//   re-exploration (DESIGN.md §12), are served unchanged.
 // Request (stats | ping | shutdown):
 //   {"v": 1, "op": "stats"}
 //
 // Response (analyze):
 //   {"v": 1, "op": "analyze", "id": "r1", "ok": true,
 //    "fingerprint": "<32 hex>", "cached": true, "cache_tier": "memory",
-//    "served_ms": 0.31, "resumed": true, "resumed_depth": 7,
-//    "checkpoint_captured": true, "result": {<render_result_json object>}}
-//   ("resumed"/"resumed_depth"/"checkpoint_captured" appear only when set —
-//   they live outside "result" so cold and resumed runs that reach the same
-//   verdict render byte-identical result objects.)
+//    "served_ms": 0.31, "result": {<render_result_json object>}}
 // Response (stats):
 //   {"v": 1, "op": "stats", "ok": true, "stats": {...}}
 // Response (protocol error):
@@ -154,9 +151,6 @@ struct Request {
   std::string root;   // root implementation, e.g. "Root.impl" (analyze)
   RequestOptions options;
   bool no_cache = false;  // bypass cache lookup AND store (forced re-run)
-  // Warm re-exploration (DESIGN.md §12):
-  bool resume = false;         // resume from a stored checkpoint if one exists
-  bool no_checkpoint = false;  // never capture a checkpoint for this run
 };
 
 struct Response {
@@ -170,11 +164,6 @@ struct Response {
   bool cached = false;
   std::string cache_tier;  // "memory" | "disk" | "none"
   double served_ms = 0;
-  // Warm re-exploration observability (kept OUT of result_json so cold and
-  // resumed runs stay byte-identical there):
-  bool resumed = false;              // run continued a stored checkpoint
-  std::uint64_t resumed_depth = 0;   // wavefront depth the run resumed from
-  bool checkpoint_captured = false;  // a checkpoint was stored for this key
   std::string result_json;  // canonical result object (render_result_json)
   // stats:
   std::string stats_json;

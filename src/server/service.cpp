@@ -159,14 +159,6 @@ class Service::SlotGuard {
 Service::Service(ServiceConfig cfg)
     : cfg_(cfg),
       cache_(cfg.cache),
-      // checkpoints=false zeroes both tiers: stores drop, lookups miss. A
-      // file cap of 0 turns the checkpoint disk tier off.
-      checkpoints_(
-          cfg.cache.checkpoints ? cfg.cache.checkpoint_memory_capacity : 0,
-          cfg.cache.checkpoints && cfg.cache.checkpoint_disk_cap > 0
-              ? cfg.cache.disk_dir
-              : std::string(),
-          cfg.cache.checkpoint_disk_cap),
       slots_(cfg.workers > 0 ? cfg.workers
                              : std::max<std::size_t>(
                                    1, std::thread::hardware_concurrency())),
@@ -411,33 +403,8 @@ void Service::maintenance_loop() {
 void Service::run_job(Job& job) {
   metrics_.count(&StatsSnapshot::analyses_run);
 
-  core::AnalyzerOptions opts = analyzer_options(job.req.options);
-
-  // Warm re-exploration (DESIGN.md §12). no_cache means "forced cold
-  // re-run", so it opts out of the checkpoint tier entirely — the --no-cache
-  // control run in a cold-vs-resumed comparison must neither resume nor
-  // clobber the stored wavefront.
-  const bool use_checkpoints = cfg_.cache.checkpoints &&
-                               !job.req.no_checkpoint && !job.req.no_cache;
-  std::string checkpoint_out;
-  std::string resume_blob;
-  bool resume_attempted = false;
-  if (use_checkpoints) {
-    opts.checkpoint_out = &checkpoint_out;
-    if (job.req.resume) {
-      if (auto found = checkpoints_.lookup(job.key)) {
-        resume_blob = std::move(found->value);
-        opts.resume_checkpoint = &resume_blob;
-        resume_attempted = true;
-        metrics_.count(&StatsSnapshot::checkpoint_hits);
-      } else {
-        metrics_.count(&StatsSnapshot::checkpoint_misses);
-      }
-    }
-  }
-
-  core::AnalysisResult result =
-      core::analyze_instance(*job.loaded->instance, opts);
+  core::AnalysisResult result = core::analyze_instance(
+      *job.loaded->instance, analyzer_options(job.req.options));
   result.diagnostics = job.front_end_output + result.diagnostics;
 
   if (result.engine == core::Engine::Symbolic)
@@ -445,24 +412,10 @@ void Service::run_job(Job& job) {
                                  result.stats.zone_subsumptions,
                                  result.stats.dbm_dimension);
 
-  if (resume_attempted && !result.stats.resumed) {
-    // The blob failed restore validation (analyze_instance fell back to a
-    // cold run). Drop it — retrying the same bytes cannot succeed.
-    metrics_.count(&StatsSnapshot::checkpoint_resume_failures);
-    checkpoints_.erase(job.key);
-  }
-  if (use_checkpoints && result.stats.checkpoint_captured &&
-      !checkpoint_out.empty()) {
-    checkpoints_.store(job.key, std::move(checkpoint_out));
-    metrics_.count(&StatsSnapshot::checkpoint_stores);
-  }
-
   std::string result_json = core::render_result_json(result);
   if (!job.req.no_cache && cacheable(result.outcome)) {
     cache_.store(job.key, result.outcome, result_json);
     metrics_.count(&StatsSnapshot::cache_stores);
-    // A conclusive verdict supersedes any partial wavefront for this key.
-    checkpoints_.erase(job.key);
   }
 
   Response& resp = job.answer.emplace();
@@ -472,9 +425,6 @@ void Service::run_job(Job& job) {
   resp.fingerprint = job.fingerprint;
   resp.cached = false;
   resp.cache_tier = "none";
-  resp.resumed = result.stats.resumed;
-  resp.resumed_depth = result.stats.resumed_from_depth;
-  resp.checkpoint_captured = result.stats.checkpoint_captured;
   resp.result_json = std::move(result_json);
 }
 
@@ -494,7 +444,6 @@ std::string Service::handle_line(std::string_view line) {
 std::string Service::stats_json() {
   CacheGauges g;
   g.cache = cache_.gauges();
-  g.checkpoints = checkpoints_.gauges();
   if (janitor_) {
     g.gc = janitor_->gc_stats();
     g.shared_instances = janitor_->instances_gauge();

@@ -1,10 +1,9 @@
 // The in-process analysis service: the daemon minus the socket.
 //
 // A Service owns a set of analysis slots, an admission queue, a two-tier
-// result cache, a checkpoint store for warm re-exploration (DESIGN.md §12)
-// and a metrics block. It has no threads of its own for analyses: every
-// request runs on the thread that calls handle() (a daemon connection, a
-// sweep thread, a test). handle() classifies the request:
+// result cache and a metrics block. It has no threads of its own for
+// analyses: every request runs on the thread that calls handle() (a daemon
+// connection, a sweep thread, a test). handle() classifies the request:
 //
 //   * stats / ping / shutdown are answered inline (they must stay
 //     responsive while every slot grinds on a storm model);
@@ -64,9 +63,9 @@ struct ServiceConfig {
   /// runs of the same engine share cache entries.
   std::optional<core::Engine> force_engine;
   // --- shared-directory maintenance (DESIGN.md §15) ---------------------
-  /// Byte budget for disk artifacts (`.json` + `.ckpt`) in the cache dir;
-  /// the maintenance sweep evicts oldest-atime-first when over it.
-  /// 0 = no size budget.
+  /// Byte budget for disk artifacts (`.json`, and `.ckpt` files older
+  /// daemons left) in the cache dir; the maintenance sweep evicts
+  /// oldest-atime-first when over it. 0 = no size budget.
   std::uint64_t cache_disk_cap_bytes = 0;
   /// Period of the background maintenance sweep (tmp hygiene, instance
   /// registry reaping, size-budgeted GC). 0 disables the thread; a startup
@@ -138,7 +137,6 @@ class Service {
 
   ServiceConfig cfg_;
   ResultCache cache_;
-  CheckpointStore checkpoints_;
   std::unique_ptr<DiskJanitor> janitor_;  // disk tier only
   Metrics metrics_;
 

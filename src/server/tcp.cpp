@@ -26,7 +26,7 @@ constexpr std::size_t kRecvBytes = std::size_t{64} << 10;
 
 /// Send `line` and its newline in one sendmsg, so under TCP_NODELAY the
 /// pair leaves as one segment and the reader wakes up once for it. A short
-/// send resumes where it stopped.
+/// send continues where it stopped.
 bool send_line(int fd, std::string_view line) {
   char newline = '\n';
   iovec iov[2] = {{const_cast<char*>(line.data()), line.size()},

@@ -18,8 +18,6 @@ std::optional<FaultInjector::Site> parse_site(std::string_view s) {
   if (s == "cache.write") return FaultInjector::Site::CacheWrite;
   if (s == "cache.rename") return FaultInjector::Site::CacheRename;
   if (s == "cache.read") return FaultInjector::Site::CacheRead;
-  if (s == "ckpt.write") return FaultInjector::Site::CkptWrite;
-  if (s == "ckpt.read") return FaultInjector::Site::CkptRead;
   if (s == "gc.remove") return FaultInjector::Site::GcRemove;
   return std::nullopt;
 }

@@ -97,8 +97,6 @@ class FaultInjector {
     CacheWrite,   // result store: writing the tmp file fails partway
     CacheRename,  // result store: the tmp -> final rename fails
     CacheRead,    // result store: reading a disk entry fails
-    CkptWrite,    // checkpoint store: writing the tmp file fails partway
-    CkptRead,     // checkpoint store: reading a .ckpt fails
     GcRemove,     // GC/eviction: fs::remove fails
   };
 
@@ -110,7 +108,7 @@ class FaultInjector {
   ///   memory-probe:1:fault:1000   — pressure persists for 1000 probes
   ///   job:2                       — 2nd sweep job throws
   ///   cache.rename:1:fault:1000   — every result-store rename fails
-  ///   ckpt.read:2                 — 2nd checkpoint disk read fails
+  ///   cache.read:2                — 2nd result-store disk read fails
   /// Empty spec disarms. Returns false (and disarms) on a malformed spec.
   bool arm(std::string_view spec);
   /// Arm programmatically: trip `count` consecutive probes starting with

@@ -74,8 +74,8 @@ inline std::string hex_digest(std::string_view bytes) {
 }
 
 /// Seal `body` (which must end in '\n') with a trailing line
-/// "digest <16 hex>\n" over every preceding byte. Checkpoints and the
-/// daemon's disk cache entries share this seal.
+/// "digest <16 hex>\n" over every preceding byte: the seal of the daemon's
+/// disk cache entries.
 inline void append_digest(std::string& body) {
   body += "digest " + hex_digest(body) + "\n";
 }

@@ -62,9 +62,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
   const auto t0 = Clock::now();
   const Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
-  Wavefront* resume =
-      opts.resume && !opts.resume->empty() ? opts.resume : nullptr;
-  result.initial = resume ? resume->initial : initial;
+  result.initial = initial;
 
   acsr::Context& ctx = sem.context();
   const acsr::TermTable& tt = ctx.terms();
@@ -77,7 +75,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
   std::vector<std::uint32_t> parent;
   std::deque<std::uint32_t> frontier;
   std::vector<std::uint32_t> order;  // discovery order, for opts.discovered
-  bool recording = !resume;
+  bool recording = true;
 
   // The Parallel inside a row-shaped term (Restrict(F, Parallel) under F,
   // a bare Parallel when there is no F), else kInvalidTerm.
@@ -123,38 +121,14 @@ ExploreResult explore(Semantics& sem, TermId initial,
   std::uint64_t level_remaining = 1;
   std::uint64_t next_level = 0;
 
-  // A resumed run takes over the paused store first, so its state numbers
-  // hold; ranking then finds what it ranked before.
-  if (resume) table = std::move(resume->store);
   table.intern(std::span<const TermId>(&acsr::kNil, 1));
   rank_terms();
-  const std::uint32_t root = state_of(result.initial);
-
-  if (resume) {
-    // Warm start: seed both frontiers and every counter from the paused
-    // run. The deque layout below (current-level remainder followed by the
-    // next level) is exactly the loop invariant, so the resumed BFS is
-    // indistinguishable from one that never stopped — except that parent
-    // links are gone, so no trace can be recorded.
-    const Wavefront& w = *resume;
-    frontier.insert(frontier.end(), w.frontier.begin(), w.frontier.end());
-    frontier.insert(frontier.end(), w.next_frontier.begin(),
-                    w.next_frontier.end());
-    level_remaining = w.frontier.size();
-    next_level = w.next_frontier.size();
-    result.states = w.states;
-    result.transitions = w.transitions;
-    result.depth = w.depth;
-    result.peak_frontier = std::max<std::uint64_t>(w.peak_frontier,
-                                                   frontier.size());
-    *resume = {};  // consumed
-  } else {
-    table.mark_seen(root);
-    frontier.push_back(root);
-    if (opts.discovered) order.push_back(root);
-    result.states = 1;
-    result.peak_frontier = 1;
-  }
+  const std::uint32_t root = state_of(initial);
+  table.mark_seen(root);
+  frontier.push_back(root);
+  if (opts.discovered) order.push_back(root);
+  result.states = 1;
+  result.peak_frontier = 1;
 
   // Hash-cons tables + fan and shape memos + state store + parent vector +
   // frontier. Every part reports its actual footprint, not a per-node guess.
@@ -178,32 +152,6 @@ ExploreResult explore(Semantics& sem, TermId initial,
     result.wall_ms = ms_since(t0);
   };
 
-  // Hand the paused BFS over for a later warm resume: the state store moves
-  // out, so this is the run's last use of it. Only meaningful at the loop
-  // top, where the frontier deque is exactly [current-level remainder] ++
-  // [next level] — both early returns below sit there.
-  const auto capture_wavefront = [&] {
-    if (!opts.capture) return;
-    Wavefront& w = *opts.capture;
-    w = {};
-    w.initial = result.initial;
-    w.store = std::move(table);
-    const auto split =
-        frontier.begin() + static_cast<std::ptrdiff_t>(level_remaining);
-    w.frontier.assign(frontier.begin(), split);
-    w.next_frontier.assign(split, frontier.end());
-    w.states = result.states;
-    w.transitions = result.transitions;
-    w.depth = result.depth;
-    w.peak_frontier = result.peak_frontier;
-  };
-  const auto stop_early = [&] {
-    result.sem_stats = sem.stats() - stats_before;
-    finish();  // measures the store before the capture moves it out
-    capture_wavefront();
-    return result;  // complete stays false: partial result
-  };
-
   // Act on a budget signal; false means stop (result.stop is set).
   const auto within_budget = [&](const util::BudgetStatus& budget) {
     if (budget.signal == util::BudgetSignal::MemoryPressure && recording) {
@@ -225,12 +173,12 @@ ExploreResult explore(Semantics& sem, TermId initial,
   std::vector<Transition> fan;  // reused: a warm expansion allocates nothing
   while (!frontier.empty()) {
     // The state cap is enforced here (not mid-fan) so a capped run stops on
-    // a state boundary with a consistent wavefront for checkpointing.
+    // a state boundary.
     if (result.states >= opts.max_states) {
       result.stop = util::StopReason::MaxStates;
-      return stop_early();
+      break;
     }
-    if (!within_budget(tracker.check())) return stop_early();
+    if (!within_budget(tracker.check())) break;
 
     const bool new_level = level_remaining == 0;
     if (new_level) {
@@ -254,7 +202,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
         level_remaining = 0;
       }
       if (within_budget(sem.interruption())) continue;
-      return stop_early();
+      break;
     }
     ++result.expanded;
     if (is_stuck(state, fan)) {
@@ -277,8 +225,12 @@ ExploreResult explore(Semantics& sem, TermId initial,
     }
   }
 
-  result.complete = true;  // the space is exhausted, or a deadlock decided
   result.sem_stats = sem.stats() - stats_before;
+  if (result.stop != util::StopReason::None) {
+    finish();
+    return result;  // complete stays false: partial result
+  }
+  result.complete = true;  // the space is exhausted, or a deadlock decided
   sem.set_budget(nullptr);  // the trace's re-expansions are not budgeted
 
   if (result.deadlock_found) {
@@ -304,7 +256,7 @@ ExploreResult explore(Semantics& sem, TermId initial,
       }
     }
   }
-  if (opts.discovered && !resume) {
+  if (opts.discovered) {
     std::vector<TermId> terms(table.size());
     for (std::uint32_t s = 0; s < table.size(); ++s)
       terms[s] = row_term(ctx, fset, table.row(s));

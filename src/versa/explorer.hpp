@@ -62,8 +62,7 @@ inline constexpr std::size_t kMaxRowWidth = std::size_t{1} << 14;
 /// order (interning a row is the visited check), each flagged once the BFS
 /// discovers it (the others were only ranked); the RowSink of
 /// Semantics::expand_row(). Rows never move, so a row being expanded stays
-/// valid while its targets are interned. A running exploration owns its
-/// store; capture moves it into a Wavefront and resume moves it back.
+/// valid while its targets are interned.
 class StateStore final : public acsr::Semantics::RowSink {
  public:
   std::uint32_t intern(std::span<const acsr::TermId> row) override {
@@ -86,34 +85,6 @@ class StateStore final : public acsr::Semantics::RowSink {
   std::vector<bool> seen_;
 };
 
-/// A paused BFS: everything needed to continue an exploration later,
-/// possibly in a different process, restored into a fresh copy of the same
-/// translation (see versa/checkpoint.hpp). Every reachable-but-unvisited
-/// state is reachable through `frontier` ++ `next_frontier`, so seeding a
-/// fresh run with (state store, frontiers, counters) continues the exact
-/// same BFS: same verdict and, on a run that completes the space, the same
-/// counts. It is captured only before a deadlock, and is moved, never
-/// copied: it owns the only copy of the rows.
-struct Wavefront {
-  acsr::TermId initial = acsr::kNil;
-  /// Every state, read under row_restriction(initial); seen on every state
-  /// ever discovered (the two frontiers included).
-  StateStore store;
-  /// Unexpanded remainder of the level being expanded when the run stopped
-  /// (in level order; may be empty when the stop fell on a level boundary),
-  /// as state numbers.
-  std::vector<std::uint32_t> frontier;
-  /// States already discovered for the following level.
-  std::vector<std::uint32_t> next_frontier;
-  std::uint64_t states = 0;
-  std::uint64_t transitions = 0;
-  /// BFS depth of the level `frontier` belongs to.
-  std::uint64_t depth = 0;
-  std::uint64_t peak_frontier = 0;
-
-  bool empty() const { return frontier.empty() && next_frontier.empty(); }
-};
-
 struct ExploreOptions {
   /// Stop after this many states (guards against runaway models).
   std::uint64_t max_states = 5'000'000;
@@ -124,23 +95,10 @@ struct ExploreOptions {
   /// pressure persists. See DESIGN.md §10.
   util::RunBudget budget;
 
-  // --- warm re-exploration (checkpointing) -----------------------------
-  /// When non-null and the run stops on a budget (Deadline / MemoryBudget /
-  /// MaxStates / Cancelled), the engine moves the paused BFS, state store
-  /// included, here so the caller can serialize it. Left empty on a
-  /// conclusive run (complete, or stopped at a deadlock).
-  Wavefront* capture = nullptr;
-  /// When non-null and non-empty, the run continues this wavefront instead
-  /// of starting from `initial`: it takes over the state store and seeds
-  /// both frontiers and all counters from it, leaving the wavefront empty.
-  /// A resumed run never records a trace (the parent links of the original
-  /// run are gone), so a deadlock found after a resume reports without a
-  /// counterexample timeline.
-  Wavefront* resume = nullptr;
-
-  /// When non-null (tests only), a cold run ends by interning every row of
-  /// its state table as a term, in state-number order, and writes here the
-  /// terms of the states it discovered, in BFS order.
+  /// When non-null (tests only), a run that no budget cuts short ends by
+  /// interning every row of its state table as a term, in state-number
+  /// order, and writes here the terms of the states it discovered, in BFS
+  /// order.
   std::vector<acsr::TermId>* discovered = nullptr;
 };
 
@@ -159,9 +117,9 @@ struct ExploreResult {
   acsr::TermId initial = acsr::kNil;
   acsr::TermId first_deadlock = acsr::kNil;
   /// Shortest path (BFS) from the initial state to the first deadlock;
-  /// empty when schedulable, after a resume, or when memory pressure
-  /// dropped the parent vector. Its states and the first deadlock are the
-  /// only explored states interned as terms.
+  /// empty when schedulable, or when memory pressure dropped the parent
+  /// vector. Its states and the first deadlock are the only explored
+  /// states interned as terms.
   std::vector<Step> trace;
 
   // --- resource governance ---------------------------------------------
@@ -181,8 +139,7 @@ struct ExploreResult {
   // --- observability ---------------------------------------------------
   double wall_ms = 0;                 // exploration wall time
   std::uint64_t peak_frontier = 0;    // largest BFS frontier/level seen
-  /// States expanded (successor fans requested) by this run; excludes
-  /// expansions a resumed checkpoint already did.
+  /// States expanded (successor fans requested) by this run.
   std::uint64_t expanded = 0;
   /// The run's Semantics counters: fan memo, fan sizes, preemption tests,
   /// fold partials and shape memo hits.

@@ -17,8 +17,8 @@
 #      file planted in the dir — the entry is quarantined (one miss, then
 #      self-heals), the tmp is swept, verdicts stay golden
 #   4. fault matrix via $AADLSCHED_FAULT: cache.write / cache.rename /
-#      cache.read / ckpt.write / ckpt.read each armed persistently in a
-#      fresh daemon; verdicts stay golden, failures land in stats counters
+#      cache.read each armed persistently in a fresh daemon; verdicts stay
+#      golden, failures land in stats counters
 #   5. size-budgeted GC: --cache-disk-cap evicts planted oldest artifacts at
 #      startup; with gc.remove armed the eviction fails, is counted, and the
 #      files survive
@@ -87,7 +87,7 @@ stop_daemon() {  # stop_daemon <tag> — protocol shutdown, expect exit 0
 }
 
 # field <endpoint> <object> <name> — integer "name" inside the one-line
-# stats sub-object ("cache", "checkpoints", "gc", "shared").
+# stats sub-object ("cache", "gc", "shared").
 field() {
   "$cli" --connect "$1" --stats 2>/dev/null \
     | sed -n "s/.*\"$2\": {\([^}]*\)}.*/\1/p" \
@@ -111,8 +111,7 @@ norm() { sed 's/"explore_ms": [0-9.]*/"explore_ms": X/' "$1"; }
 # submit <endpoint> <name> <round> [extra-cli-args...] — returns the CLI's
 # exit code, leaves stdout/stderr in $work/<name>.<round>.{json,err}.
 # Always --no-lint: the static screens would decide the tiny fixtures
-# without exploring, and the soak needs real exploration so budget bounds
-# and checkpoints engage.
+# without exploring, and the soak needs real exploration.
 submit() {
   local ep=$1 name=$2 round=$3
   shift 3
@@ -285,42 +284,6 @@ submit "$endpoint_f" tiny read_dark
 check_golden tiny read_dark
 grep -q "cached" "$work/tiny.read_dark.err" \
   && fail "cache.read: an unreadable entry was somehow served"
-stop_daemon f
-
-# ckpt.write: the bounded run cannot persist its checkpoint; the resume
-# after a restart falls back cold and still concludes.
-dir=$work/fault_ckpt_write
-AADLSCHED_FAULT="ckpt.write:1:fault:1000000" \
-  start_daemon f --cache-dir "$dir"
-submit "$endpoint_f" tiny bound --max-states 5
-rc=$?
-[ "$rc" -eq 3 ] || fail "ckpt.write: bounded run exited $rc, want 3"
-[ "$(field "$endpoint_f" checkpoints disk_store_failures)" -ge 1 ] \
-  || fail "ckpt.write: store failure was not counted"
-stop_daemon f
-start_daemon f --cache-dir "$dir"
-submit "$endpoint_f" tiny resume_cold --resume
-rc=$?
-[ "$rc" -eq 0 ] || fail "ckpt.write: cold fallback resume exited $rc"
-grep -q "resumed from depth" "$work/tiny.resume_cold.err" \
-  && fail "ckpt.write: a never-persisted checkpoint was resumed"
-check_golden tiny resume_cold
-stop_daemon f
-
-# ckpt.read: the checkpoint IS on disk but unreadable; same cold fallback.
-dir=$work/fault_ckpt_read
-start_daemon f --cache-dir "$dir"
-submit "$endpoint_f" tiny bound2 --max-states 5
-stop_daemon f
-[ -n "$(ls "$dir"/*.ckpt 2>/dev/null)" ] || fail "no checkpoint persisted"
-AADLSCHED_FAULT="ckpt.read:1:fault:1000000" \
-  start_daemon f --cache-dir "$dir"
-submit "$endpoint_f" tiny resume_dark --resume
-rc=$?
-[ "$rc" -eq 0 ] || fail "ckpt.read: cold fallback resume exited $rc"
-grep -q "resumed from depth" "$work/tiny.resume_dark.err" \
-  && fail "ckpt.read: an unreadable checkpoint was resumed"
-check_golden tiny resume_dark
 stop_daemon f
 
 echo "=== 5: size-budgeted GC ==="

@@ -9,10 +9,6 @@
 #   4. shut the daemon down over the protocol
 #   5. start a SECOND daemon on the same --cache-dir and submit again: the
 #      verdicts must come from the disk tier without re-exploring
-#   6. budget-bound a model so it stops Inconclusive with a stored
-#      checkpoint, restart the daemon, and `--resume` with a larger budget:
-#      the resumed verdict must be conclusive, report the resumed depth, and
-#      match a cold uncached run byte-for-byte (explore_ms aside)
 #
 # Usage: service_smoke.sh <aadlschedd-binary> <aadlsched-binary> <models-dir>
 set -u
@@ -67,14 +63,6 @@ stop_daemon() {
 
 stat_field() {  # stat_field <name> — first integer value of "name" in stats
   "$cli" --connect "$endpoint" --stats 2>/dev/null \
-    | grep -o "\"$1\": [0-9]*" | head -n1 | grep -o '[0-9]*$'
-}
-
-ckpt_field() {  # ckpt_field <name> — value of "name" inside "checkpoints"
-  # "stores"/"misses"/"entries" also appear in the "cache" object, so pull
-  # the checkpoints sub-object out before matching.
-  "$cli" --connect "$endpoint" --stats 2>/dev/null \
-    | sed -n 's/.*"checkpoints": {\([^}]*\)}.*/\1/p' \
     | grep -o "\"$1\": [0-9]*" | head -n1 | grep -o '[0-9]*$'
 }
 
@@ -163,47 +151,4 @@ for n in "${names[@]}"; do
 done
 stop_daemon
 
-echo "=== round 4: budget-bound run resumes across a daemon restart ==="
-# A fresh cache dir so round 3's cached cruise_control verdict cannot serve
-# the request — this round must actually explore, bound, checkpoint, resume.
-rm -rf "$work/cache"
-start_daemon
-
-# cruise_control has 65k reachable states; a 20k bound stops Inconclusive.
-"$cli" --connect "$endpoint" --max-states 20000 \
-  "$models/cruise_control.aadl" CruiseControlSystem.impl \
-  2>"$work/cruise.bound.err" >"$work/cruise.bound.json"
-rc=$?
-[ "$rc" -eq 3 ] || fail "bounded run: expected exit 3 (inconclusive), got $rc"
-grep -q "checkpoint captured" "$work/cruise.bound.err" \
-  || fail "bounded run did not report a captured checkpoint"
-stores=$(ckpt_field stores)
-[ "${stores:-0}" -ge 1 ] || fail "expected >= 1 checkpoint store, got '$stores'"
-
-stop_daemon
-
-start_daemon
-"$cli" --connect "$endpoint" --resume \
-  "$models/cruise_control.aadl" CruiseControlSystem.impl \
-  2>"$work/cruise.resumed.err" >"$work/cruise.resumed.json"
-rc=$?
-[ "$rc" -eq 0 ] || fail "resumed run: expected exit 0 (schedulable), got $rc"
-grep -q "resumed from depth" "$work/cruise.resumed.err" \
-  || fail "resumed run did not report the resume depth"
-hits=$(ckpt_field hits)
-[ "${hits:-x}" = 1 ] || fail "expected 1 checkpoint hit after resume, got '$hits'"
-entries=$(ckpt_field entries)
-[ "${entries:-x}" = 0 ] \
-  || fail "conclusive resume should erase the checkpoint, got $entries entries"
-
-# The resumed verdict must equal a cold uncached run up to explore_ms.
-"$cli" --connect "$endpoint" --no-cache \
-  "$models/cruise_control.aadl" CruiseControlSystem.impl \
-  2>"$work/cruise.cold4.err" >"$work/cruise.cold4.json"
-[ $? -eq 0 ] || fail "cold control run failed"
-norm() { sed 's/"explore_ms": [0-9.]*/"explore_ms": X/' "$1"; }
-[ "$(norm "$work/cruise.resumed.json")" = "$(norm "$work/cruise.cold4.json")" ] \
-  || fail "resumed verdict differs from the cold run beyond explore_ms"
-stop_daemon
-
-echo "PASS: cache hits on resubmit, byte-identical results, disk tier survives restart, budget-bound runs resume across restart"
+echo "PASS: cache hits on resubmit, byte-identical results, disk tier survives restart"

@@ -17,9 +17,11 @@ trap 'rm -f "$tmp"' EXIT
 "$bin" "$model" "$root" --no-lint >"$tmp" 2>&1 &
 pid=$!
 
-# Let exploration get going, then interrupt it mid-run. storm.aadl takes
-# tens of seconds to exhaust, so one second guarantees we land mid-run.
-sleep 1
+# Let exploration get going, then interrupt it mid-run. storm.aadl at
+# 1 ms explores ~1.5M states in about a second on a fast host, so a
+# one-second wait could find it finished; 0.3 s lands mid-run, and load
+# only slows the run down.
+sleep 0.3
 kill -INT "$pid"
 wait "$pid"
 rc=$?

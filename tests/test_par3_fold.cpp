@@ -3,7 +3,7 @@
 // partial, disjointness test then merge, all-pairs Par4 over whole fans).
 //
 // ActionIds and TermIds are handed out in intern order, and canonical
-// transition order, BFS order, traces and checkpoints all sort by them. So
+// transition order, BFS order and traces all sort by them. So
 // a faster fold must intern exactly what the reference interns, in the same
 // order: the differential test compares whole ActionTables entry by entry,
 // and the pin test hashes the tables every shipped model leaves behind.

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -166,6 +167,27 @@ TEST(Service, InconclusiveOutcomesAreNeverCached) {
   EXPECT_EQ(stat(s, "analyses_run"), 2);
   EXPECT_EQ(stat(s, "cache", "stores"), 0);
   EXPECT_EQ(stat(s, "outcomes", "inconclusive"), 2);
+}
+
+TEST(Service, DeadlineBoundRunReturnsWithinItsDeadline) {
+  // Storm at 1 ms runs for about a second; a 300 ms deadline must cut it
+  // and hand the answer back soon after. Everything the service does once
+  // exploration stops (freeing the run, rendering the result) counts
+  // against the client's wait, so the whole handle() call is timed.
+  Service svc;
+  Request req = analyze(storm_text(), "", "Storm.impl");
+  req.options.deadline_ms = 300;
+  const auto t0 = std::chrono::steady_clock::now();
+  const Response resp = svc.handle(req);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  ASSERT_TRUE(resp.ok);
+  EXPECT_EQ(resp.outcome, core::Outcome::Inconclusive);
+  EXPECT_NE(resp.result_json.find("\"stop_reason\": \"deadline\""),
+            std::string::npos)
+      << resp.result_json;
+  EXPECT_LT(ms, 1.5 * 300) << "handle() took " << ms << " ms";
 }
 
 TEST(Service, FrontEndErrorIsImmediateAndUncached) {
@@ -522,9 +544,10 @@ TEST(Service, StaleTmpFilesAreSweptOnConstruction) {
   const std::string dead_pid = std::to_string(dead);
 
   // Leftovers of a writer that died between the tmp write and the rename —
-  // one per cache tier — plus a legitimate final file that must survive,
-  // plus a fresh tmp file owned by THIS (live) process: a sibling daemon
-  // mid-write, which the sweep must leave alone.
+  // a result and the `.ckpt` an older daemon was writing — plus a
+  // legitimate final file that must survive, plus a fresh tmp file owned
+  // by THIS (live) process: a sibling daemon mid-write, which the sweep
+  // must leave alone.
   std::ofstream(dir + "/deadbeef.json.tmp." + dead_pid) << "{\"torn\":";
   std::ofstream(dir + "/deadbeef.ckpt.tmp." + dead_pid) << "partial";
   std::ofstream(dir + "/keepme.json") << "{\"outcome\": \"schedulable\"}";
@@ -578,230 +601,6 @@ TEST(Service, CorruptDiskEntriesAreQuarantinedOnLoad) {
   Service third(cfg);
   EXPECT_TRUE(third.handle(analyze(tiny_model(2, 10, 10))).cached);
   EXPECT_EQ(stat(stats_of(third), "cache", "corrupt_evictions"), 0);
-
-  std::filesystem::remove_all(dir);
-}
-
-// --- warm re-exploration (checkpoint tier) ------------------------------
-
-/// tiny_model(2, 10, 10) explores 13 states cold; a 5-state budget
-/// truncates it mid-space.
-Request bounded(const std::string& model, std::uint64_t max_states) {
-  Request req = analyze(model);
-  req.options.max_states = max_states;
-  return req;
-}
-
-TEST(Service, BudgetBoundRunStoresACheckpointAndResumeFinishes) {
-  Service svc;
-  const std::string model = tiny_model(2, 10, 10);
-
-  const Response bound = svc.handle(bounded(model, 5));
-  ASSERT_TRUE(bound.ok);
-  EXPECT_EQ(bound.outcome, core::Outcome::Inconclusive);
-  EXPECT_TRUE(bound.checkpoint_captured);
-  EXPECT_FALSE(bound.resumed);
-  {
-    const auto s = stats_of(svc);
-    EXPECT_EQ(stat(s, "checkpoints", "stores"), 1);
-    EXPECT_EQ(stat(s, "checkpoints", "entries"), 1);
-  }
-
-  Request again = analyze(model);
-  again.resume = true;
-  const Response warm = svc.handle(again);
-  ASSERT_TRUE(warm.ok);
-  EXPECT_EQ(warm.outcome, core::Outcome::Schedulable);
-  EXPECT_TRUE(warm.resumed);
-  EXPECT_GT(warm.resumed_depth, 0u);
-
-  const auto s = stats_of(svc);
-  EXPECT_EQ(stat(s, "checkpoints", "hits"), 1);
-  EXPECT_EQ(stat(s, "checkpoints", "resume_failures"), 0);
-  // The conclusive verdict superseded the wavefront.
-  EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);
-
-  // The resumed verdict is cached like any other conclusive result.
-  EXPECT_TRUE(svc.handle(analyze(model)).cached);
-}
-
-TEST(Service, ResumeWithoutACheckpointRunsColdAndCountsAMiss) {
-  Service svc;
-  Request req = analyze(tiny_model(2, 10, 10));
-  req.resume = true;
-  const Response resp = svc.handle(req);
-  ASSERT_TRUE(resp.ok);
-  EXPECT_EQ(resp.outcome, core::Outcome::Schedulable);
-  EXPECT_FALSE(resp.resumed);
-  const auto s = stats_of(svc);
-  EXPECT_EQ(stat(s, "checkpoints", "misses"), 1);
-  EXPECT_EQ(stat(s, "checkpoints", "hits"), 0);
-}
-
-TEST(Service, NoCheckpointRequestSkipsTheCapture) {
-  Service svc;
-  const std::string model = tiny_model(2, 10, 10);
-  Request req = bounded(model, 5);
-  req.no_checkpoint = true;
-  EXPECT_EQ(svc.handle(req).outcome, core::Outcome::Inconclusive);
-  EXPECT_FALSE(svc.handle(req).checkpoint_captured);
-  const auto s = stats_of(svc);
-  EXPECT_EQ(stat(s, "checkpoints", "stores"), 0);
-  EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);
-}
-
-TEST(Service, CheckpointsDisabledServiceWideNeverStore) {
-  ServiceConfig cfg;
-  cfg.cache.checkpoints = false;
-  Service svc(cfg);
-  const std::string model = tiny_model(2, 10, 10);
-  EXPECT_FALSE(svc.handle(bounded(model, 5)).checkpoint_captured);
-  Request again = analyze(model);
-  again.resume = true;
-  EXPECT_FALSE(svc.handle(again).resumed);
-  const auto s = stats_of(svc);
-  EXPECT_EQ(stat(s, "checkpoints", "stores"), 0);
-  EXPECT_EQ(stat(s, "checkpoints", "hits"), 0);
-}
-
-TEST(Service, CheckpointsSurviveADaemonRestart) {
-  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-
-  ServiceConfig cfg;
-  cfg.cache.disk_dir = dir;
-  const std::string model = tiny_model(2, 10, 10);
-  {
-    Service first(cfg);
-    ASSERT_TRUE(first.handle(bounded(model, 5)).checkpoint_captured);
-  }  // "daemon restart"
-
-  Service second(cfg);
-  Request again = analyze(model);
-  again.resume = true;
-  const Response warm = second.handle(again);
-  ASSERT_TRUE(warm.ok);
-  EXPECT_TRUE(warm.resumed);
-  EXPECT_EQ(warm.outcome, core::Outcome::Schedulable);
-  EXPECT_EQ(stat(stats_of(second), "checkpoints", "hits"), 1);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Service, CorruptCheckpointOnDiskFallsBackColdAndIsErased) {
-  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-
-  ServiceConfig cfg;
-  cfg.cache.disk_dir = dir;
-  const std::string model = tiny_model(2, 10, 10);
-  std::string ckpt_path;
-  {
-    Service first(cfg);
-    ASSERT_TRUE(first.handle(bounded(model, 5)).checkpoint_captured);
-    for (const auto& ent : std::filesystem::directory_iterator(dir))
-      if (ent.path().extension() == ".ckpt") ckpt_path = ent.path();
-    ASSERT_FALSE(ckpt_path.empty());
-  }
-  std::ofstream(ckpt_path, std::ios::trunc) << "garbage, not a checkpoint";
-
-  Service second(cfg);
-  Request again = analyze(model);
-  again.resume = true;
-  const Response resp = second.handle(again);
-  ASSERT_TRUE(resp.ok);
-  // The store's digest check quarantined the blob at lookup — the corrupt
-  // bytes were never served; the run fell back cold and still reached the
-  // verdict.
-  EXPECT_FALSE(resp.resumed);
-  EXPECT_EQ(resp.outcome, core::Outcome::Schedulable);
-  const auto s = stats_of(second);
-  EXPECT_EQ(stat(s, "checkpoints", "hits"), 0);
-  EXPECT_EQ(stat(s, "checkpoints", "misses"), 1);
-  EXPECT_EQ(stat(s, "checkpoints", "corrupt_evictions"), 1);
-  EXPECT_EQ(stat(s, "checkpoints", "resume_failures"), 0);
-  EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);  // quarantined == erased
-  EXPECT_FALSE(std::filesystem::exists(ckpt_path));
-
-  std::filesystem::remove_all(dir);
-}
-
-// A sealed checkpoint under the right key but from another translation (a
-// binary whose translator differs wrote it) is refused and erased, never
-// resumed against the request's model.
-TEST(Service, CheckpointFromAnotherTranslationIsRefusedAndErased) {
-  const auto only_ckpt = [](const std::string& dir) {
-    std::string path;
-    for (const auto& ent : std::filesystem::directory_iterator(dir))
-      if (ent.path().extension() == ".ckpt") path = ent.path();
-    return path;
-  };
-  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  char other_tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
-  ASSERT_NE(::mkdtemp(other_tmpl), nullptr);
-  const std::string other_dir = other_tmpl;
-
-  ServiceConfig cfg;
-  cfg.cache.disk_dir = dir;
-  ServiceConfig other_cfg;
-  other_cfg.cache.disk_dir = other_dir;
-  const std::string model = tiny_model(2, 10, 10);
-  {
-    Service first(cfg);
-    ASSERT_TRUE(first.handle(bounded(model, 5)).checkpoint_captured);
-    Service other(other_cfg);
-    ASSERT_TRUE(other.handle(bounded(tiny_model(2, 20, 20), 5))
-                    .checkpoint_captured);
-  }
-  const std::string ckpt_path = only_ckpt(dir);
-  ASSERT_FALSE(ckpt_path.empty());
-  std::filesystem::copy_file(
-      only_ckpt(other_dir), ckpt_path,
-      std::filesystem::copy_options::overwrite_existing);
-
-  Service second(cfg);
-  Request again = analyze(model);
-  again.resume = true;
-  const Response resp = second.handle(again);
-  ASSERT_TRUE(resp.ok);
-  EXPECT_FALSE(resp.resumed);
-  EXPECT_EQ(resp.outcome, core::Outcome::Schedulable);
-  const auto s = stats_of(second);
-  EXPECT_EQ(stat(s, "checkpoints", "hits"), 1);
-  EXPECT_EQ(stat(s, "checkpoints", "resume_failures"), 1);
-  EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);
-  EXPECT_FALSE(std::filesystem::exists(ckpt_path));
-
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(other_dir);
-}
-
-TEST(Service, CheckpointDiskCapEvictsOldestFirst) {
-  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-
-  ServiceConfig cfg;
-  cfg.cache.disk_dir = dir;
-  cfg.cache.checkpoint_disk_cap = 2;
-  Service svc(cfg);
-  // Three distinct models, three budget-bound runs: the cap keeps two.
-  for (int period : {10, 20, 40})
-    ASSERT_TRUE(
-        svc.handle(bounded(tiny_model(2, period, period), 5))
-            .checkpoint_captured);
-  std::size_t ckpt_files = 0;
-  for (const auto& ent : std::filesystem::directory_iterator(dir))
-    if (ent.path().extension() == ".ckpt") ++ckpt_files;
-  EXPECT_EQ(ckpt_files, 2u);
-  const auto s = stats_of(svc);
-  EXPECT_EQ(stat(s, "checkpoints", "stores"), 3);
-  EXPECT_EQ(stat(s, "checkpoints", "entries"), 2);
-  EXPECT_GE(stat(s, "checkpoints", "evictions"), 1);
 
   std::filesystem::remove_all(dir);
 }
@@ -1009,6 +808,46 @@ TEST(Service, RetiredWorkersOptionKeepsTheKeyAndTheBytes) {
   EXPECT_TRUE(again->cached);  // same cache key: a memory hit
   EXPECT_EQ(again->result_json, cold->result_json);
   EXPECT_EQ(stat(stats_of(svc), "cache", "entries"), 1);
+
+  // The same holds for the top-level "resume" and "no_checkpoint"
+  // switches of the retired warm re-exploration, and the response carries
+  // none of the fields that went with them, on a conclusive run or on one
+  // a budget cut short.
+  const auto with_old_switches = [&](std::string line) {
+    line.insert(line.find(key), "\"resume\": true, \"no_checkpoint\": true, ");
+    return line;
+  };
+  const std::string old_line = svc.handle_line(with_old_switches(plain));
+  const auto old_client = server::parse_response(old_line, err);
+  ASSERT_TRUE(old_client.has_value()) << err;
+  ASSERT_TRUE(old_client->ok) << old_client->error;
+  EXPECT_TRUE(old_client->cached);
+  EXPECT_EQ(old_client->result_json, cold->result_json);
+  EXPECT_EQ(stat(stats_of(svc), "cache", "entries"), 1);
+
+  Request bound = analyze(tiny_model(2, 10, 10), "w");
+  bound.options.max_states = 5;  // 13 states cold
+  bound.no_cache = true;  // past the conclusive entry the budget cannot split
+  const std::string bound_plain = server::render_request(bound);
+  const std::string cut_line = svc.handle_line(with_old_switches(bound_plain));
+  const auto cut = server::parse_response(cut_line, err);
+  ASSERT_TRUE(cut.has_value()) << err;
+  ASSERT_TRUE(cut->ok) << cut->error;
+  EXPECT_EQ(cut->outcome, core::Outcome::Inconclusive);
+  const auto cut_plain =
+      server::parse_response(svc.handle_line(bound_plain), err);
+  ASSERT_TRUE(cut_plain.has_value()) << err;
+  // Two runs differ in their timing only.
+  const auto untimed = [](std::string json) {
+    const std::string field = "\"explore_ms\": ";
+    const std::size_t from = json.find(field) + field.size();
+    return json.erase(from, json.find_first_of(",}", from) - from);
+  };
+  EXPECT_EQ(untimed(cut->result_json), untimed(cut_plain->result_json));
+  for (const std::string& line : {old_line, cut_line})
+    for (const char* retired :
+         {"\"resumed\"", "\"resumed_depth\"", "\"checkpoint_captured\""})
+      EXPECT_EQ(line.find(retired), std::string::npos) << line;
 }
 
 TEST(Service, OversizedRequestLineIsRefusedOverTcp) {

@@ -50,8 +50,8 @@
 //                          object (implies --json), same exit codes. With
 //                          --stats / --shutdown, query or stop the daemon.
 //                          Local-only flags (--latency, --acsr,
-//                          --classical, --lint, --checkpoint-file) are a
-//                          usage error with --connect.
+//                          --classical, --lint) are a usage error with
+//                          --connect.
 //   --no-cache             (with --connect) force a fresh exploration,
 //                          bypassing the daemon's result cache
 //   --connect-timeout-ms <n>
@@ -64,17 +64,6 @@
 //                          (connection refused, timeout, truncated
 //                          response) with exponential backoff + jitter
 //                          before giving up (default 3; 0 = fail fast)
-//   --checkpoint-file <f>  (local) when a budget truncates the run, save a
-//                          warm-restart checkpoint (the BFS wavefront,
-//                          bound to this translation, DESIGN.md §12) to <f>
-//   --resume               resume a budget-bound run: locally, restore the
-//                          --checkpoint-file wavefront instead of starting
-//                          cold; with --connect, ask the daemon for its
-//                          stored checkpoint. A checkpoint from another
-//                          model or other analysis options, or one that
-//                          fails validation, falls back to a cold run.
-//   --no-checkpoint        never capture a checkpoint (locally: even with
-//                          --checkpoint-file; daemon: skip the store)
 //
 // SIGINT flips the cooperative CancelToken: the run stops at the next
 // budget check and still prints the partial summary (exit 3). A second
@@ -118,14 +107,13 @@ int usage() {
       "usage: aadlsched <model.aadl>... <Root.impl> [analysis options]\n"
       "                 [--acsr] [--classical] [--latency src sink ms]\n"
       "                 [--lint] [--lint-format text|json] [--explain AL0NN]\n"
-      "                 [--json] [--checkpoint-file f] [--resume]\n"
-      "                 [--no-checkpoint]\n"
+      "                 [--json]\n"
       "       aadlsched --batch <list> [--batch-workers n] [--keep-going]\n"
       "                 [--report file] [analysis options]\n"
       "       aadlsched --connect <host:port> <model.aadl>... <Root.impl>\n"
-      "                 [--no-cache] [--resume] [--no-checkpoint]\n"
-      "                 [--connect-timeout-ms n] [--io-timeout-ms n]\n"
-      "                 [--connect-retries n] [analysis options]\n"
+      "                 [--no-cache] [--connect-timeout-ms n]\n"
+      "                 [--io-timeout-ms n] [--connect-retries n]\n"
+      "                 [analysis options]\n"
       "       aadlsched --connect <host:port> --stats | --shutdown\n"
       "analysis options:\n";
   for (const server::OptionSpec& spec : server::kOptionTable)
@@ -304,8 +292,7 @@ constexpr int kExitUnreachable = 4;
 int run_connect(const std::string& endpoint,
                 const std::vector<std::string>& files, const std::string& root,
                 const server::RequestOptions& options, bool no_cache,
-                bool resume, bool no_checkpoint, bool want_stats,
-                bool want_shutdown,
+                bool want_stats, bool want_shutdown,
                 const server::RetryPolicy& policy) {
   std::string host;
   std::uint16_t port = 0;
@@ -324,8 +311,6 @@ int run_connect(const std::string& endpoint,
     req.op = server::Op::Analyze;
     req.root = root;
     req.no_cache = no_cache;
-    req.resume = resume;
-    req.no_checkpoint = no_checkpoint;
     req.options = options;
     // The daemon parses one text; AADL packages concatenate cleanly, so a
     // multi-file model becomes one request body.
@@ -370,13 +355,7 @@ int run_connect(const std::string& endpoint,
   std::cerr << "served in " << resp->served_ms << " ms ("
             << (resp->cached ? ("cached: " + resp->cache_tier)
                              : std::string("explored"))
-            << ", fingerprint " << resp->fingerprint << ")";
-  if (resp->resumed)
-    std::cerr << ", resumed from depth " << resp->resumed_depth;
-  if (resp->checkpoint_captured)
-    std::cerr << ", checkpoint captured (resubmit with --resume and a larger "
-                 "budget to continue)";
-  std::cerr << "\n";
+            << ", fingerprint " << resp->fingerprint << ")\n";
   std::cout << resp->result_json << "\n";
   return exit_code_for(resp->outcome);
 }
@@ -455,9 +434,6 @@ int main(int argc, char** argv) {
   bool no_cache = false;
   server::RetryPolicy connect_policy;
   bool connect_policy_set = false;
-  std::string checkpoint_file;
-  bool resume = false;
-  bool no_checkpoint = false;
   std::string explain_id;
 
   for (int i = 1; i < argc; ++i) {
@@ -516,12 +492,6 @@ int main(int argc, char** argv) {
       if (!n) return usage();
       connect_policy.retries = static_cast<unsigned>(*n);
       connect_policy_set = true;
-    } else if (arg == "--checkpoint-file" && i + 1 < argc) {
-      checkpoint_file = argv[++i];
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--no-checkpoint") {
-      no_checkpoint = true;
     } else if (arg == "--explain" && i + 1 < argc) {
       explain_id = argv[++i];
     } else if (arg == "--lint") {
@@ -573,10 +543,9 @@ int main(int argc, char** argv) {
       std::cerr << "--connect and --batch are mutually exclusive\n";
       return usage();
     }
-    // The wire carries only the options table (and the daemon keeps its
-    // own checkpoint store): a daemon run would silently ignore these.
+    // The wire carries only the options table: a daemon run would silently
+    // ignore these.
     const std::pair<bool, const char*> local_only[] = {
-        {!checkpoint_file.empty(), "--checkpoint-file"},
         {!latency.empty(), "--latency"},
         {dump_acsr, "--acsr"},
         {classical, "--classical"},
@@ -592,9 +561,8 @@ int main(int argc, char** argv) {
     } else if (files.empty() || root.empty()) {
       return usage();
     }
-    return run_connect(connect_endpoint, files, root, request, no_cache, resume,
-                       no_checkpoint, connect_stats, connect_shutdown,
-                       connect_policy);
+    return run_connect(connect_endpoint, files, root, request, no_cache,
+                       connect_stats, connect_shutdown, connect_policy);
   }
   if (connect_stats || connect_shutdown || no_cache || connect_policy_set) {
     std::cerr << "--stats/--shutdown/--no-cache/--connect-timeout-ms/"
@@ -611,19 +579,10 @@ int main(int argc, char** argv) {
       std::cerr << "--batch takes its models from the list file\n";
       return usage();
     }
-    if (!checkpoint_file.empty() || resume || no_checkpoint) {
-      std::cerr << "checkpoint flags are per-model; they do not compose "
-                   "with --batch\n";
-      return usage();
-    }
     return run_batch(batch_list, batch_workers, keep_going, report_path,
                      opts);
   }
   if (files.empty() || root.empty()) return usage();
-  if (resume && checkpoint_file.empty()) {
-    std::cerr << "--resume needs --checkpoint-file (or --connect)\n";
-    return usage();
-  }
 
   util::DiagnosticEngine diags(files.front());
   std::string front_end_error;
@@ -702,42 +661,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Warm re-exploration (DESIGN.md §12): wire the checkpoint file into the
-  // analyzer. Capture and resume are independent — a resumed run that hits
-  // the (larger) budget again re-captures, so very large spaces can be
-  // chipped away across invocations.
-  std::string checkpoint_blob;
-  std::string resume_blob;
-  if (!checkpoint_file.empty() && !no_checkpoint)
-    opts.checkpoint_out = &checkpoint_blob;
-  if (resume) {
-    auto text = read_file(checkpoint_file);
-    if (text) {
-      resume_blob = std::move(*text);
-      opts.resume_checkpoint = &resume_blob;
-    } else {
-      std::cerr << "cannot read checkpoint '" << checkpoint_file
-                << "'; running cold\n";
-    }
-  }
-
   const core::AnalysisResult result = core::analyze_instance(instance, opts);
   if (!result.diagnostics.empty()) std::cerr << result.diagnostics;
-  if (result.stats.checkpoint_captured && !checkpoint_blob.empty()) {
-    std::ofstream out(checkpoint_file, std::ios::trunc | std::ios::binary);
-    if (out) {
-      out << checkpoint_blob;
-      std::cerr << "checkpoint written to " << checkpoint_file << "\n";
-    } else {
-      std::cerr << "cannot write checkpoint '" << checkpoint_file << "'\n";
-    }
-  }
   if (json_out) {
-    // The resume note is part of summary(); --json output must stay the
-    // canonical byte-identical object, so surface it on stderr instead.
-    if (result.stats.resumed)
-      std::cerr << "resumed from depth " << result.stats.resumed_from_depth
-                << "\n";
     std::cout << core::render_result_json(result) << "\n";
   } else {
     std::cout << result.summary() << "\n";

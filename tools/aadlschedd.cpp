@@ -18,17 +18,10 @@
 //                            applied to requests that ask for no limit
 //   --max-states <n>         cap on any request's state budget
 //   --memory-budget-mb <n>   cap on any request's memory budget
-//   --no-checkpoint          disable the warm re-exploration checkpoint
-//                            store (DESIGN.md §12); budget-bound runs are
-//                            not checkpointed and "resume" requests miss
 //   --engine <e>             force every request onto one exploration
 //                            engine (enumerative | symbolic | auto,
 //                            DESIGN.md §16), overriding per-request
 //                            options before cache-key computation
-//   --checkpoint-capacity <n> in-memory checkpoint entries (default 4 —
-//                            checkpoints are large)
-//   --checkpoint-disk-cap <n> max .ckpt files kept in --cache-dir
-//                            (default 16; oldest evicted first)
 //   --cache-disk-cap <mb>    byte budget for --cache-dir artifacts; the
 //                            maintenance sweep evicts oldest-atime-first
 //                            when over it (default 0 = unlimited)
@@ -74,8 +67,7 @@ int usage() {
       "usage: aadlschedd [--host addr] [--port n] [--workers n]\n"
       "                  [--cache-capacity n] [--cache-dir dir]\n"
       "                  [--max-deadline-ms n] [--max-states n]\n"
-      "                  [--memory-budget-mb n] [--no-checkpoint]\n"
-      "                  [--checkpoint-capacity n] [--checkpoint-disk-cap n]\n"
+      "                  [--memory-budget-mb n]\n"
       "                  [--cache-disk-cap mb] [--maintenance-interval-ms n]\n"
       "                  [--engine enumerative|symbolic|auto]\n";
   return 2;
@@ -129,23 +121,11 @@ int main(int argc, char** argv) {
                                   1'000'000'000);
       if (!n) return usage();
       cfg.memory_budget_mb_cap = static_cast<std::uint64_t>(*n);
-    } else if (arg == "--no-checkpoint") {
-      cfg.cache.checkpoints = false;
     } else if (arg == "--engine" && i + 1 < argc) {
       server::RequestOptions forced;  // the request flag's values and checks
       if (!server::parse_flag(*server::find_flag(arg), argv[++i], forced))
         return usage();
       cfg.force_engine = forced.engine;
-    } else if (arg == "--checkpoint-capacity" && i + 1 < argc) {
-      const auto n = parse_option("--checkpoint-capacity", argv[++i], 0,
-                                  1'000'000);
-      if (!n) return usage();
-      cfg.cache.checkpoint_memory_capacity = static_cast<std::size_t>(*n);
-    } else if (arg == "--checkpoint-disk-cap" && i + 1 < argc) {
-      const auto n = parse_option("--checkpoint-disk-cap", argv[++i], 0,
-                                  1'000'000);
-      if (!n) return usage();
-      cfg.cache.checkpoint_disk_cap = static_cast<std::size_t>(*n);
     } else if (arg == "--cache-disk-cap" && i + 1 < argc) {
       const auto n = parse_option("--cache-disk-cap", argv[++i], 0,
                                   1'000'000'000);

@@ -61,12 +61,6 @@ def warm_serve_disk_us(reports):
                        "BM_ServeCachedDisk")) * 1e6 / 2.0
 
 
-def resume_ratio(reports):
-    r = reports["BENCH_checkpoint.json"]
-    return seconds(row(r, "BM_ResumedExploration")) / seconds(
-        row(r, "BM_ColdFullExploration"))
-
-
 def storm_bytes_per_state(reports):
     return row(reports["BENCH_reduction.json"],
                "BM_StormBytesPerState")["bytes_per_state"]
@@ -114,7 +108,7 @@ class Metric:
 
 
 # The gated metrics (ROADMAP perf item): exploration throughput, the warm
-# serve path, how much cheaper a resume is than a cold run, bytes/state on
+# serve path, bytes/state on
 # storm (it tracks the storage representation), and the static screening numbers (DESIGN.md §14: the decide rate must not
 # drop — a pass silently losing its fragment pushes models back to
 # exploration — and the per-model screen must stay in microseconds).
@@ -128,8 +122,6 @@ METRICS = [
     # memory path's.
     Metric("warm_serve_disk_us", warm_serve_disk_us,
            higher_is_better=False, floor=50.0, unit="us"),
-    Metric("resume_ratio", resume_ratio,
-           higher_is_better=False, floor=0.05, unit="x"),
     Metric("storm_bytes_per_state", storm_bytes_per_state,
            higher_is_better=False, floor=64.0, unit="B"),
     Metric("lint_static_decide_rate", lint_static_decide_rate,

@@ -5,7 +5,6 @@
 #
 #   BENCH_explore.json     state-space exploration timings  (bench_statespace)
 #   BENCH_service.json     service serve-path timings       (bench_service)
-#   BENCH_checkpoint.json  checkpoint capture/resume timings (bench_checkpoint)
 #   BENCH_reduction.json   storm bytes per stored state     (bench_reduction)
 #   BENCH_lint.json        static screening decide rate/cost (bench_lint)
 #   BENCH_symbolic.json    symbolic engine zones/decide rate (bench_symbolic)
@@ -52,7 +51,6 @@ EOF
 
 run bench_statespace BENCH_explore.json
 run bench_service BENCH_service.json
-run bench_checkpoint BENCH_checkpoint.json
 run bench_reduction BENCH_reduction.json
 run bench_lint BENCH_lint.json
 run bench_symbolic BENCH_symbolic.json
