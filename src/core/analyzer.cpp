@@ -328,21 +328,19 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
     }
   }
 
-  // One translation serves lint's ACSR-tier passes and exploration. Its
-  // diagnostics are reported only when exploration runs, after lint's
-  // findings: when lint decides or gates, its hygiene passes already name
-  // the same preconditions with check ids.
-  std::optional<acsr::Context> context;  // an empty Context is not free
+  // Translation's validation step runs once: lint reads whether it
+  // passed, and exploration builds the ACSR network from its plan. No
+  // Context exists unless exploration runs. Validation's diagnostics are
+  // reported only then, after lint's findings: when lint decides or gates,
+  // its hygiene passes already name the same preconditions with check ids.
   util::DiagnosticEngine tdiags("<model>");
-  std::optional<translate::Translation> tr;
+  std::optional<translate::Plan> plan;
   if (opts.run_lint || !use_symbolic)
-    tr = translate::translate(context.emplace(), instance, tdiags,
-                              opts.translation);
+    plan = translate::validate(instance, tdiags, opts.translation);
 
   if (opts.run_lint) {
-    const lint::Subject subject{&instance, tr ? &*context : nullptr,
-                                tr ? &*tr : nullptr};
-    result.lint_report = lint::run_subject(subject, {opts.translation, &diags});
+    result.lint_report =
+        lint::run(instance, plan.has_value(), {opts.translation, &diags});
     const lint::Report& report = *result.lint_report;
     // A conclusive static verdict on a translatable model replaces
     // exploration: the screening passes only decide when exploration would
@@ -372,21 +370,22 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   }
 
   result.diagnostics = engine_note + diags.render_all() + tdiags.render_all();
-  if (!tr) return result;
-  result.threads = tr->threads;
-  acsr::Context& ctx = *context;
+  if (!plan) return result;
+  acsr::Context ctx;
+  const translate::Translation tr = translate::build(ctx, std::move(*plan));
+  result.threads = tr.threads;
 
   versa::ExploreResult er;
   {  // the fan memo is freed before lift-back
     acsr::Semantics sem(ctx);
-    er = versa::explore(sem, tr->initial, opts.exploration);
+    er = versa::explore(sem, tr.initial, opts.exploration);
   }
   apply_exploration(result, er);
   // No timeline without a trace: when recording was dropped under memory
   // pressure, lifting would produce an empty "0 quanta" scenario that reads
   // like a real counterexample.
   if (er.deadlock_found && !er.trace.empty())
-    result.scenario = lift_back(ctx, *tr, er);
+    result.scenario = lift_back(ctx, tr, er);
   return result;
 }
 

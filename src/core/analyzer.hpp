@@ -6,6 +6,12 @@
 // level of the original AADL model: every step of the trace is re-expressed
 // in terms of AADL components (dispatches, completions, per-thread per-
 // quantum run/preempted status) and rendered as a time line (§5).
+//
+// Translation is split in two (translate::validate, translate::build). A
+// request validates once, lints the AADL model if asked, and builds the
+// ACSR network only when enumerative exploration runs: a request that lint
+// decides or gates, or that the symbolic engine takes, never creates an
+// acsr::Context.
 #pragma once
 
 #include <memory>
@@ -43,11 +49,12 @@ struct AnalyzerOptions {
   /// Off by default at the library level (programmatic callers see
   /// unchanged behavior); tools/aadlsched enables it unless --no-lint.
   bool run_lint = false;
-  /// Ignored by analyze_instance: lint checks the one translation made with
-  /// `translation` that exploration uses, and mirrors its findings into the
-  /// run's diagnostics. A conclusive static verdict on a translatable model
-  /// replaces exploration and reports 0 states; an error-severity finding
-  /// stops the run (DESIGN.md §9). Only perfbench still reads this field.
+  /// Ignored by analyze_instance: lint runs with `translation`, on the
+  /// outcome of the one validation that exploration builds from, and
+  /// mirrors its findings into the run's diagnostics. A conclusive static
+  /// verdict on a translatable model replaces exploration and reports 0
+  /// states; an error-severity finding stops the run (DESIGN.md §9). Only
+  /// perfbench still reads this field.
   lint::Options lint;
 };
 

@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "acsr/context.hpp"
 #include "lint/passes.hpp"
 #include "util/string_utils.hpp"
 
@@ -114,10 +113,8 @@ std::string Report::render_json() const {
     os << (c.tasks.empty() ? "]}" : "\n    ]}");
   }
   os << (certificates.empty() ? "]" : "\n  ]") << ",\n";
-  os << "  \"skipped\": [";
-  for (std::size_t i = 0; i < skipped.size(); ++i)
-    os << (i ? ", " : "") << '"' << skipped[i] << '"';
-  os << "]\n}\n";
+  // Every pass runs on every model; the key stays for schema v1 readers.
+  os << "  \"skipped\": []\n}\n";
   return os.str();
 }
 
@@ -198,15 +195,15 @@ namespace {
 /// classical abstraction must have been exact (translation succeeded, no
 /// latency observers) and every processor that carries threads must be
 /// vouched for by a screening pass.
-void finalize_verdict(const Subject& subject, const Options& opts,
-                      Report& report) {
+void finalize_verdict(const aadl::InstanceModel& instance,
+                      const Options& opts, Report& report) {
   if (report.verdict != StaticVerdict::None) return;
-  if (!subject.instance || !subject.translation) return;
+  if (!report.translated) return;
   if (!opts.translation.latency_specs.empty()) return;
   if (report.errors() > 0) return;
 
   std::set<const aadl::ComponentInstance*> thread_bearing;
-  for (const auto& [thread, cpu] : subject.instance->bindings)
+  for (const auto& [thread, cpu] : instance.bindings)
     thread_bearing.insert(cpu);
   if (thread_bearing.empty()) return;
 
@@ -253,43 +250,28 @@ std::vector<CertTask> cert_rows(const ScreenCpu& sc, bool periodic_only,
   return rows;
 }
 
-Report run_subject(Subject subject, const Options& opts) {
-  subject.quantum_ns = opts.translation.quantum_ns;
-  if (subject.instance)
-    subject.screen = extract_screen_cpus(*subject.instance, subject.quantum_ns);
+Report run(const aadl::InstanceModel& instance, bool translated,
+           const Options& opts) {
+  const Subject subject{
+      instance, opts.translation.quantum_ns,
+      extract_screen_cpus(instance, opts.translation.quantum_ns)};
   Report report;
-  report.translated = subject.translation != nullptr;
+  report.translated = translated;
   Sink sink(report, opts.diags);
   for (const auto& pass : Registry::builtin().passes()) {
-    const CheckInfo& info = pass->info();
-    if ((pass->needs_instance() && !subject.instance) ||
-        (pass->needs_acsr() && !subject.acsr)) {
-      report.skipped.emplace_back(info.id);
-      continue;
-    }
-    sink.set_current(&info);
+    sink.set_current(&pass->info());
     pass->run(subject, sink);
   }
   sink.set_current(nullptr);
-  finalize_verdict(subject, opts, report);
+  finalize_verdict(instance, opts, report);
   return report;
 }
 
 Report run(const aadl::InstanceModel& instance, const Options& opts) {
-  Subject subject;
-  subject.instance = &instance;
-
-  // Translate into a scratch context so the ACSR-tier passes can inspect
-  // the generated process network. Translation diagnostics are discarded:
-  // the hygiene passes report the same preconditions with check ids.
-  acsr::Context ctx;
   util::DiagnosticEngine scratch("<lint>");
-  auto tr = translate::translate(ctx, instance, scratch, opts.translation);
-  if (tr) {
-    subject.acsr = &ctx;
-    subject.translation = &*tr;
-  }
-  return run_subject(std::move(subject), opts);
+  const bool translated =
+      translate::validate(instance, scratch, opts.translation).has_value();
+  return run(instance, translated, opts);
 }
 
 }  // namespace aadlsched::lint

@@ -1,11 +1,13 @@
-// aadllint — static analysis over AADL instance models and translated ACSR
-// terms (the production front door: answer cheap questions before paying for
+// aadllint — static analysis over AADL instance models (the production front
+// door: answer cheap questions before paying for translation and
 // state-space exploration).
 //
-// A lint run walks a Subject (instance model + optionally the ACSR
-// translation) with every registered Pass. Passes emit structured Findings
-// with stable check IDs (AL001..) through a Sink, and screening passes may
-// additionally record *conclusive* schedulability verdicts:
+// A lint run walks a Subject (the instance model and its screen view) with
+// every registered Pass. No pass reads ACSR: the run only needs to know
+// whether the model passes translate::validate (Report::translated).
+// Passes emit structured Findings with stable check IDs (AL001..) through a
+// Sink, and screening passes may additionally record *conclusive*
+// schedulability verdicts:
 //
 //   * NotSchedulable  — a guaranteed counterexample exists (per-processor
 //     utilization > 1 over periodic threads, or a periodic thread whose
@@ -30,27 +32,25 @@
 #include "translate/translator.hpp"
 #include "util/diagnostics.hpp"
 
-namespace aadlsched::acsr {
-class Context;
-}
-
 namespace aadlsched::lint {
 
 enum class Tier : std::uint8_t {
   ModelHygiene,        // instance-model structural/property checks
   Screening,           // fast analytical verdicts reusing src/sched
-  AcsrWellFormedness,  // checks over the translated process algebra
+  AcsrWellFormedness,  // livelocks the ACSR network would have (AL012)
 };
 
 std::string_view to_string(Tier t);
 
 /// Version of the built-in pass catalogue and its verdict semantics. Bumped
-/// whenever passes are added/removed or their conclusions change, so cached
-/// service results computed by an older catalogue are not served as fresh
-/// (the daemon folds this into its options cache key).
+/// when a change can alter a result the service caches, so results computed
+/// by an older catalogue are not served as fresh (the daemon folds this into
+/// its options cache key).
 ///   v1: AL001..AL012 (PR 2/3).
 ///   v2: exact screens AL013/AL014, blocking-aware AL015, hazard AL016,
-///       machine-checkable certificates.
+///       machine-checkable certificates. AL010/AL011 later left the
+///       catalogue without a bump: they decided nothing and fired on no
+///       translatable model, so no cached result changed.
 inline constexpr int kLintPassVersion = 2;
 
 /// Shape version of Report::render_json() output. Additions are
@@ -143,10 +143,9 @@ struct Report {
   std::string decided_by;  // check id(s) that produced the verdict
   std::string verdict_detail;
   std::vector<ProcessorVerdict> processor_verdicts;
-  std::vector<std::string> skipped;  // check ids not run (missing subject)
-  /// Did the model translate to ACSR? core::Analyzer only honors conclusive
-  /// verdicts on translatable models (otherwise exploration could not have
-  /// produced a verdict to agree with).
+  /// Does the model pass translate::validate? core::Analyzer only honors
+  /// conclusive verdicts on translatable models (otherwise exploration
+  /// could not have produced a verdict to agree with).
   bool translated = false;
 
   std::size_t count(util::Severity sev) const;
@@ -158,15 +157,10 @@ struct Report {
   std::string render_json() const;
 };
 
-/// What a pass may look at. `instance` is null for ACSR-only runs (a
-/// hand-built context); `acsr`/`translation` are null when translation
-/// failed or was not attempted.
+/// What a pass may look at: the instance model, the quantum from
+/// Options::translation, and the screen view of `instance` at that quantum.
 struct Subject {
-  const aadl::InstanceModel* instance = nullptr;
-  const acsr::Context* acsr = nullptr;
-  const translate::Translation* translation = nullptr;
-  /// run_subject fills these: the quantum from Options::translation, and
-  /// the screen view of `instance` at that quantum.
+  const aadl::InstanceModel& instance;
   std::int64_t quantum_ns = 0;
   std::vector<ScreenCpu> screen = {};
 };
@@ -212,10 +206,6 @@ class Pass {
  public:
   virtual ~Pass() = default;
   virtual const CheckInfo& info() const = 0;
-  /// Does the pass read the AADL instance model? (default yes)
-  virtual bool needs_instance() const { return true; }
-  /// Does the pass read the translated ACSR context? (default no)
-  virtual bool needs_acsr() const { return false; }
   virtual void run(const Subject& subject, Sink& sink) const = 0;
 };
 
@@ -234,21 +224,22 @@ class Registry {
 };
 
 struct Options {
-  /// Quantum and latency observers the screening passes mirror; also used
-  /// by lint::run to translate the model for the ACSR-tier passes.
+  /// Quantum and latency observers the screening passes mirror; lint::run
+  /// also validates the model's translation with them (Report::translated).
   translate::TranslateOptions translation;
   /// Optional mirror: findings are also reported here as
   /// "[AL001 unbound-thread] message".
   util::DiagnosticEngine* diags = nullptr;
 };
 
-/// Lint an instance model. Translates into a scratch acsr::Context for the
-/// ACSR-tier passes; when translation fails those passes are recorded in
-/// Report::skipped (the hygiene passes explain why).
+/// Lint an instance model. Runs translate::validate on it (validation
+/// diagnostics are discarded: the hygiene passes report the same
+/// preconditions with check ids) to fill Report::translated.
 Report run(const aadl::InstanceModel& instance, const Options& opts = {});
 
-/// Lint an explicit subject (power users / tests; ACSR-only subjects run
-/// the ACSR-tier passes and record the rest as skipped).
-Report run_subject(Subject subject, const Options& opts = {});
+/// Lint an instance model whose translation the caller already validated
+/// with `opts.translation`; `translated` is that validation's outcome.
+Report run(const aadl::InstanceModel& instance, bool translated,
+           const Options& opts);
 
 }  // namespace aadlsched::lint

@@ -18,6 +18,6 @@ std::vector<CertTask> cert_rows(
 void register_model_passes(Registry& reg);      // AL001..AL006
 void register_screening_passes(Registry& reg);  // AL007..AL009
 void register_exact_passes(Registry& reg);      // AL013..AL016
-void register_acsr_passes(Registry& reg);       // AL010..AL012
+void register_acsr_passes(Registry& reg);       // AL012
 
 }  // namespace aadlsched::lint

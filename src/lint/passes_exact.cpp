@@ -112,7 +112,7 @@ class ExactRtaPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    if (!model_is_pure(*subject.instance)) return;
+    if (!model_is_pure(subject.instance)) return;
     for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol || !sc.priorities_ok) continue;
       if (!fixed_priority_protocol(*sc.protocol)) continue;
@@ -202,7 +202,7 @@ class EdfQpaPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    if (!model_is_pure(*subject.instance)) return;
+    if (!model_is_pure(subject.instance)) return;
     for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol) continue;
       if (*sc.protocol != SchedulingProtocol::Edf &&
@@ -297,9 +297,9 @@ class BlockingRtaPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    if (!model_is_pure(*subject.instance)) return;
+    if (!model_is_pure(subject.instance)) return;
     const aadl::SharedResourceModel srm =
-        aadl::extract_shared_resources(*subject.instance);
+        aadl::extract_shared_resources(subject.instance);
     if (srm.resources.empty()) return;
     const std::int64_t q = subject.quantum_ns;
 
@@ -405,7 +405,7 @@ class SharedAccessHazardPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    const aadl::InstanceModel& m = *subject.instance;
+    const aadl::InstanceModel& m = subject.instance;
     const aadl::SharedResourceModel srm = extract_shared_resources(m);
     const std::int64_t q = subject.quantum_ns;
 

@@ -104,7 +104,7 @@ class UnboundThreadPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    const InstanceModel& m = *subject.instance;
+    const InstanceModel& m = subject.instance;
     for (const ComponentInstance* t : m.threads) {
       if (!m.bindings.count(t))
         sink.error(t->path,
@@ -127,7 +127,7 @@ class UnresolvedEndpointPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    for_each_instance(subject.instance->root.get(),
+    for_each_instance(subject.instance.root.get(),
                       [&](const ComponentInstance& inst) {
                         if (!inst.impl) return;
                         for (const ConnectionDecl& cd : inst.impl->connections)
@@ -205,7 +205,7 @@ class DeadEndConnectionPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    const InstanceModel& m = *subject.instance;
+    const InstanceModel& m = subject.instance;
     std::set<std::pair<const ComponentInstance*, std::string>> sem_src,
         sem_dst;
     for (const aadl::SemanticConnection& sc : m.connections) {
@@ -262,7 +262,7 @@ class MissingPropertyPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    const InstanceModel& m = *subject.instance;
+    const InstanceModel& m = subject.instance;
     for (const ComponentInstance* t : m.threads) {
       const RawTiming rt = read_timing(m, *t);
       if (!aadl::find_property(m, *t, "dispatch_protocol")) {
@@ -312,7 +312,7 @@ class InconsistentTimingPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    const InstanceModel& m = *subject.instance;
+    const InstanceModel& m = subject.instance;
     const std::int64_t q = subject.quantum_ns;
     for (const ComponentInstance* t : m.threads) {
       const RawTiming rt = read_timing(m, *t);
@@ -395,7 +395,7 @@ class QueueMisconfigPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    const InstanceModel& m = *subject.instance;
+    const InstanceModel& m = subject.instance;
     for (const aadl::SemanticConnection& sc : m.connections) {
       const aadl::PropertyValue* qs =
           aadl::find_connection_property(m, sc, "queue_size");

@@ -103,7 +103,7 @@ class RmUtilizationBoundPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    if (!model_is_pure(*subject.instance)) return;
+    if (!model_is_pure(subject.instance)) return;
     for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol) continue;
       if (*sc.protocol != SchedulingProtocol::RateMonotonic &&
@@ -164,7 +164,7 @@ class EdfUtilizationPass final : public Pass {
     return kInfo;
   }
   void run(const Subject& subject, Sink& sink) const override {
-    if (!model_is_pure(*subject.instance)) return;
+    if (!model_is_pure(subject.instance)) return;
     for (const ScreenCpu& sc : subject.screen) {
       if (!sc.complete || !sc.protocol) continue;
       if (*sc.protocol != SchedulingProtocol::Edf &&

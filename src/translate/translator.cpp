@@ -75,33 +75,44 @@ struct GeneratorCtx {
   std::string aadl_path;
 };
 
-class Translator {
- public:
-  Translator(acsr::Context& ctx, const aadl::InstanceModel& model,
-             util::DiagnosticEngine& diags, const TranslateOptions& opts)
-      : b_(ctx), model_(model), diags_(diags), opts_(opts) {}
+}  // namespace
 
-  std::optional<Translation> run() {
-    if (!validate_structure()) return std::nullopt;
-    if (!collect_threads()) return std::nullopt;
+/// Everything validation works out and the build consumes: the checked,
+/// quantized threads with their priorities, the queues, generators and
+/// observers, and the restricted events named so far.
+struct Plan::Data {
+  TranslateOptions opts_;
+  std::vector<ThreadCtx> threads_;
+  std::vector<QueueCtx> queues_;
+  std::vector<GeneratorCtx> generators_;
+  std::vector<ObserverCtx> observers_;
+  std::vector<std::string> restricted_;
+};
+
+namespace {
+
+/// The first step: every check that can refuse a model. It reads the
+/// instance model only and reports to `diags`; nothing here touches a
+/// Context.
+class Validator : public Plan::Data {
+ public:
+  Validator(const aadl::InstanceModel& model, util::DiagnosticEngine& diags,
+            const TranslateOptions& opts)
+      : model_(model), diags_(diags) {
+    opts_ = opts;
+  }
+
+  bool run() {
+    if (!validate_structure()) return false;
+    if (!collect_threads()) return false;
     if (opts_.ordered_instants) {
       int dp = 1;
       for (ThreadCtx& tc : threads_) tc.dispatch_prio = dp++;
     }
-    if (!assign_priorities()) return std::nullopt;
+    if (!assign_priorities()) return false;
     collect_connections();
-    if (!check_trigger_preconditions()) return std::nullopt;
-    if (!collect_observers()) return std::nullopt;
-
-    for (ThreadCtx& tc : threads_) {
-      build_thread_skeleton(tc);
-      build_dispatcher(tc);
-    }
-    for (QueueCtx& qc : queues_) build_queue(qc);
-    for (GeneratorCtx& gc : generators_) build_generator(gc);
-    for (ObserverCtx& oc : observers_) build_observer(oc);
-
-    return compose();
+    if (!check_trigger_preconditions()) return false;
+    return collect_observers();
   }
 
  private:
@@ -341,6 +352,70 @@ class Translator {
     return ok;
   }
 
+  // --- latency observers (§5) ---------------------------------------------
+
+  bool collect_observers() {
+    int index = 0;
+    for (const LatencySpec& spec : opts_.latency_specs) {
+      ThreadCtx* src = nullptr;
+      ThreadCtx* sink = nullptr;
+      for (ThreadCtx& tc : threads_) {
+        if (tc.info.path == spec.source_path) src = &tc;
+        if (tc.info.path == spec.sink_path) sink = &tc;
+      }
+      if (!src || !sink) {
+        diags_.error({}, "latency spec references unknown thread '" +
+                             (src ? spec.sink_path : spec.source_path) +
+                             "'");
+        return false;
+      }
+      const std::int64_t latency = spec.max_latency_ns / opts_.quantum_ns;
+      if (!check_quanta("latency bound",
+                        spec.source_path + "->" + spec.sink_path,
+                        spec.max_latency_ns, latency))
+        return false;
+      ObserverCtx oc;
+      oc.info.source_path = spec.source_path;
+      oc.info.sink_path = spec.sink_path;
+      oc.info.latency = latency;
+      oc.info.description = spec.source_path + " -> " + spec.sink_path +
+                            " within " + std::to_string(latency) +
+                            " quanta";
+      oc.start_event = "obs_start_" + std::to_string(index);
+      oc.end_event = "obs_end_" + std::to_string(index);
+      src->observe_starts.push_back(oc.start_event);
+      sink->observe_ends.push_back(oc.end_event);
+      restricted_.push_back(oc.start_event);
+      restricted_.push_back(oc.end_event);
+      observers_.push_back(std::move(oc));
+      ++index;
+    }
+    return true;
+  }
+
+  const aadl::InstanceModel& model_;
+  util::DiagnosticEngine& diags_;
+};
+
+/// The second step: the ACSR network of a validated plan. It cannot fail.
+class NetworkBuilder : Plan::Data {
+ public:
+  NetworkBuilder(acsr::Context& ctx, Plan::Data&& plan)
+      : Plan::Data(std::move(plan)), b_(ctx) {}
+
+  Translation run() {
+    for (ThreadCtx& tc : threads_) {
+      build_thread_skeleton(tc);
+      build_dispatcher(tc);
+    }
+    for (QueueCtx& qc : queues_) build_queue(qc);
+    for (GeneratorCtx& gc : generators_) build_generator(gc);
+    for (ObserverCtx& oc : observers_) build_observer(oc);
+
+    return compose();
+  }
+
+ private:
   // --- thread skeleton (Fig. 4/5) --------------------------------------
 
   /// Priority expression for the cpu access of a thread. Parameters of the
@@ -688,45 +763,6 @@ class Translator {
 
   // --- latency observers (§5) ---------------------------------------------
 
-  bool collect_observers() {
-    int index = 0;
-    for (const LatencySpec& spec : opts_.latency_specs) {
-      ThreadCtx* src = nullptr;
-      ThreadCtx* sink = nullptr;
-      for (ThreadCtx& tc : threads_) {
-        if (tc.info.path == spec.source_path) src = &tc;
-        if (tc.info.path == spec.sink_path) sink = &tc;
-      }
-      if (!src || !sink) {
-        diags_.error({}, "latency spec references unknown thread '" +
-                             (src ? spec.sink_path : spec.source_path) +
-                             "'");
-        return false;
-      }
-      const std::int64_t latency = spec.max_latency_ns / opts_.quantum_ns;
-      if (!check_quanta("latency bound",
-                        spec.source_path + "->" + spec.sink_path,
-                        spec.max_latency_ns, latency))
-        return false;
-      ObserverCtx oc;
-      oc.info.source_path = spec.source_path;
-      oc.info.sink_path = spec.sink_path;
-      oc.info.latency = latency;
-      oc.info.description = spec.source_path + " -> " + spec.sink_path +
-                            " within " + std::to_string(latency) +
-                            " quanta";
-      oc.start_event = "obs_start_" + std::to_string(index);
-      oc.end_event = "obs_end_" + std::to_string(index);
-      src->observe_starts.push_back(oc.start_event);
-      sink->observe_ends.push_back(oc.end_event);
-      restricted_.push_back(oc.start_event);
-      restricted_.push_back(oc.end_event);
-      observers_.push_back(std::move(oc));
-      ++index;
-    }
-    return true;
-  }
-
   void build_observer(ObserverCtx& oc) {
     // O      = (start?).Wait[0] + (end?).O + {}:O
     //          (stray ends — a sink completion with no measurement open —
@@ -788,15 +824,6 @@ class Translator {
   }
 
   Builder b_;
-  const aadl::InstanceModel& model_;
-  util::DiagnosticEngine& diags_;
-  TranslateOptions opts_;
-
-  std::vector<ThreadCtx> threads_;
-  std::vector<QueueCtx> queues_;
-  std::vector<GeneratorCtx> generators_;
-  std::vector<ObserverCtx> observers_;
-  std::vector<std::string> restricted_;
   /// Initial dispatcher/queue/generator/observer states, recorded as
   /// (definition, arguments) so the composition can be emitted both as a
   /// ground term and as a reparseable "System" definition.
@@ -813,14 +840,30 @@ const TranslatedThread* Translation::thread_by_path(
   return nullptr;
 }
 
+Plan::Plan(std::unique_ptr<Data> data) : data_(std::move(data)) {}
+Plan::Plan(Plan&&) noexcept = default;
+Plan& Plan::operator=(Plan&&) noexcept = default;
+Plan::~Plan() = default;
+
+std::optional<Plan> validate(const aadl::InstanceModel& model,
+                             util::DiagnosticEngine& diags,
+                             const TranslateOptions& opts) {
+  Validator v(model, diags, opts);
+  if (!v.run() || diags.has_errors()) return std::nullopt;
+  return Plan(std::make_unique<Plan::Data>(std::move(v)));
+}
+
+Translation build(acsr::Context& ctx, Plan plan) {
+  return NetworkBuilder(ctx, std::move(*plan.data_)).run();
+}
+
 std::optional<Translation> translate(acsr::Context& ctx,
                                      const aadl::InstanceModel& model,
                                      util::DiagnosticEngine& diags,
                                      const TranslateOptions& opts) {
-  Translator tr(ctx, model, diags, opts);
-  auto result = tr.run();
-  if (diags.has_errors()) return std::nullopt;
-  return result;
+  auto plan = validate(model, diags, opts);
+  if (!plan) return std::nullopt;
+  return build(ctx, std::move(*plan));
 }
 
 }  // namespace aadlsched::translate

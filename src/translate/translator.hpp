@@ -28,6 +28,7 @@
 //     may or may not produce an event at any boundary.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -118,10 +119,41 @@ struct Translation {
   const TranslatedThread* thread_by_path(std::string_view path) const;
 };
 
-/// Translate a bound AADL instance model into an ACSR process network in
-/// `ctx`. Validates the paper's §4.1 preconditions (at least one thread and
-/// one processor, every thread bound, mandatory properties present) and
-/// reports violations to `diags`. Returns nullopt on error.
+/// A model that passed validate(): its threads quantized and prioritized,
+/// its queues, device generators and latency observers resolved. It holds
+/// no acsr::Context. Only build() reads it.
+class Plan {
+ public:
+  struct Data;
+  Plan(Plan&&) noexcept;
+  Plan& operator=(Plan&&) noexcept;
+  ~Plan();
+
+ private:
+  explicit Plan(std::unique_ptr<Data> data);
+  std::unique_ptr<Data> data_;
+
+  friend std::optional<Plan> validate(const aadl::InstanceModel& model,
+                                      util::DiagnosticEngine& diags,
+                                      const TranslateOptions& opts);
+  friend Translation build(acsr::Context& ctx, Plan plan);
+};
+
+/// The first step of translate(), and the only one that can fail: checks
+/// the paper's §4.1 preconditions (at least one thread and one processor,
+/// every thread bound, mandatory properties present) and the translator's
+/// own limits on the instance model alone, reporting violations and every
+/// rounded time to `diags`. Returns nullopt on error.
+std::optional<Plan> validate(const aadl::InstanceModel& model,
+                             util::DiagnosticEngine& diags,
+                             const TranslateOptions& opts = {});
+
+/// The second step: the ACSR process network of a validated model, in
+/// `ctx`. Reports nothing.
+Translation build(acsr::Context& ctx, Plan plan);
+
+/// validate() then build(): translate a bound AADL instance model into an
+/// ACSR process network in `ctx`. Returns nullopt on error.
 std::optional<Translation> translate(acsr::Context& ctx,
                                      const aadl::InstanceModel& model,
                                      util::DiagnosticEngine& diags,

@@ -29,8 +29,9 @@
 //
 // One model is explored by one thread: the engine owns its Semantics,
 // state store and frontier outright and takes no lock. Parallelism lives
-// across models (versa/sweep.hpp, the server's worker pool); DESIGN.md §8
-// gives the measurement behind that split.
+// across models (versa/sweep.hpp, and the service's analysis slots, each
+// run on the connection thread that asked); DESIGN.md §8 gives the
+// measurement behind that split.
 #pragma once
 
 #include <cstdint>

@@ -23,13 +23,22 @@ std::atomic<std::size_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+namespace {
+
+// Both replaced operator new forms call this, so gcc sees malloc behind
+// them and pairs it with the free in operator delete; one form forwarding
+// to the other reads as a mismatched new/free (-Wmismatched-new-delete).
+void* counted_malloc(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_malloc(n); }
+void* operator new[](std::size_t n) { return counted_malloc(n); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

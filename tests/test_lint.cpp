@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "acsr_invariants.hpp"
 #include "acsr/builder.hpp"
 #include "acsr/context.hpp"
 #include "acsr/semantics.hpp"
@@ -52,14 +53,6 @@ lint::Report lint_source(const std::string& src,
   lint::Report report = lint::run(*inst, opts);
   EXPECT_EQ(witness::check_all(report), "") << report.render_json();
   return report;
-}
-
-/// Lint a hand-built ACSR context: an ACSR-only subject, so the passes
-/// that need the instance model are recorded as skipped.
-lint::Report lint_acsr(const acsr::Context& ctx) {
-  lint::Subject subject;
-  subject.acsr = &ctx;
-  return lint::run_subject(subject, ms_options());
 }
 
 const lint::StaticCertificate* first_certificate(const lint::Report& r,
@@ -285,7 +278,7 @@ end P;
 
 TEST(LintRegistry, BuiltinHasAllPassesWithUniqueStableIds) {
   const lint::Registry& reg = lint::Registry::builtin();
-  EXPECT_GE(reg.passes().size(), 16u);
+  EXPECT_EQ(reg.passes().size(), 14u);
   std::set<std::string_view> ids, names;
   for (const auto& p : reg.passes()) {
     EXPECT_TRUE(ids.insert(p->info().id).second)
@@ -294,10 +287,12 @@ TEST(LintRegistry, BuiltinHasAllPassesWithUniqueStableIds) {
     EXPECT_FALSE(p->info().contract.empty());
   }
   for (const char* id : {"AL001", "AL002", "AL003", "AL004", "AL005",
-                         "AL006", "AL007", "AL008", "AL009", "AL010",
-                         "AL011", "AL012", "AL013", "AL014", "AL015",
-                         "AL016"})
+                         "AL006", "AL007", "AL008", "AL009", "AL012",
+                         "AL013", "AL014", "AL015", "AL016"})
     EXPECT_TRUE(ids.count(id)) << "missing check " << id;
+  // Retired ids are never reused: AL010/AL011 are translator invariants.
+  EXPECT_FALSE(ids.count("AL010"));
+  EXPECT_FALSE(ids.count("AL011"));
 }
 
 TEST(LintRegistry, ConclusivePassesDocumentTheirContract) {
@@ -321,7 +316,7 @@ TEST(LintRegistry, FindsByIdAndByName) {
   EXPECT_EQ(reg.find("utilization-overload"), by_id);
   EXPECT_EQ(by_id->info().tier, lint::Tier::Screening);
   EXPECT_EQ(reg.find("AL001")->info().tier, lint::Tier::ModelHygiene);
-  EXPECT_EQ(reg.find("AL010")->info().tier, lint::Tier::AcsrWellFormedness);
+  EXPECT_EQ(reg.find("AL012")->info().tier, lint::Tier::AcsrWellFormedness);
   EXPECT_EQ(reg.find("AL999"), nullptr);
 }
 
@@ -1224,22 +1219,21 @@ end P;
             std::string::npos);
 }
 
-// --- AL010 unguarded-recursion ----------------------------------------------
+// --- AL010 unguarded-recursion / AL011 par3-conflict -----------------------
+//
+// No longer lint passes: no model the translator accepts can trip them, so
+// they are invariants of its output (tests/acsr_invariants.hpp), checked
+// over every shipped model, the corpus and generated fleets in
+// test_translator. These fixtures keep the two checks able to fire on
+// hand-built networks.
+
+namespace inv = aadlsched::acsr_invariants;
 
 TEST(LintAcsr, Al010FlagsUnguardedSelfRecursion) {
   acsr::Context ctx;
   acsr::Builder b(ctx);
   b.def("P", {}, b.pick({b.call("P"), b.idle(b.nil())}));
-  const lint::Report r = lint_acsr(ctx);
-  const lint::Finding* f = first_check(r, "AL010");
-  ASSERT_NE(f, nullptr) << r.render_text();
-  EXPECT_EQ(f->severity, util::Severity::Error);
-  EXPECT_EQ(f->component, "P");
-  // Passes that need the instance model are recorded as skipped.
-  EXPECT_NE(std::find(r.skipped.begin(), r.skipped.end(), "AL001"),
-            r.skipped.end());
-  EXPECT_NE(std::find(r.skipped.begin(), r.skipped.end(), "AL012"),
-            r.skipped.end());
+  EXPECT_EQ(inv::unguarded_recursion(ctx), std::vector<std::string>{"P"});
 }
 
 TEST(LintAcsr, Al010FlagsMutualUnguardedRecursion) {
@@ -1247,8 +1241,7 @@ TEST(LintAcsr, Al010FlagsMutualUnguardedRecursion) {
   acsr::Builder b(ctx);
   b.def("P", {}, b.call("Q"));
   b.def("Q", {}, b.call("P"));
-  const lint::Report r = lint_acsr(ctx);
-  EXPECT_EQ(count_check(r, "AL010"), 2u) << r.render_text();
+  EXPECT_EQ(inv::unguarded_recursion(ctx).size(), 2u);
 }
 
 TEST(LintAcsr, Al010AcceptsGuardedRecursion) {
@@ -1256,11 +1249,8 @@ TEST(LintAcsr, Al010AcceptsGuardedRecursion) {
   acsr::Builder b(ctx);
   b.def("Q", {}, b.act({{"cpu", b.c(0)}}, b.call("Q")));
   b.def("R", {}, b.recv("go", b.c(1), b.call("R")));
-  const lint::Report r = lint_acsr(ctx);
-  EXPECT_EQ(count_check(r, "AL010"), 0u) << r.render_text();
+  EXPECT_TRUE(inv::unguarded_recursion(ctx).empty());
 }
-
-// --- AL011 par3-conflict ----------------------------------------------------
 
 TEST(LintAcsr, Al011FlagsSiblingsThatAlwaysShareAResource) {
   acsr::Context ctx;
@@ -1268,12 +1258,10 @@ TEST(LintAcsr, Al011FlagsSiblingsThatAlwaysShareAResource) {
   b.def("A", {}, b.act({{"r", b.c(0)}}, b.call("A")));
   b.def("B", {}, b.act({{"r", b.c(1)}}, b.call("B")));
   b.def("Sys", {}, b.par({b.call("A"), b.call("B")}));
-  const lint::Report r = lint_acsr(ctx);
-  const lint::Finding* f = first_check(r, "AL011");
-  ASSERT_NE(f, nullptr) << r.render_text();
-  EXPECT_EQ(f->severity, util::Severity::Warning);
-  EXPECT_EQ(f->component, "Sys");
-  EXPECT_NE(f->message.find("'r'"), std::string::npos);
+  const auto conflicts = inv::par3_conflicts(ctx);
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_EQ(conflicts[0].definition, "Sys");
+  EXPECT_EQ(conflicts[0].resource, "r");
 }
 
 TEST(LintAcsr, Al011AcceptsDisjointResources) {
@@ -1282,21 +1270,19 @@ TEST(LintAcsr, Al011AcceptsDisjointResources) {
   b.def("A", {}, b.act({{"r", b.c(0)}}, b.call("A")));
   b.def("B", {}, b.act({{"s", b.c(1)}}, b.call("B")));
   b.def("Sys", {}, b.par({b.call("A"), b.call("B")}));
-  const lint::Report r = lint_acsr(ctx);
-  EXPECT_EQ(count_check(r, "AL011"), 0u) << r.render_text();
+  EXPECT_TRUE(inv::par3_conflicts(ctx).empty());
 }
 
 TEST(LintAcsr, Al011AcceptsChoiceThatCanAvoidTheSharedResource) {
   // A's must-use set is the intersection over its alternatives — empty, so
-  // no conflict is certain and the pass stays silent (under-approximation).
+  // no conflict is certain and the check stays silent (under-approximation).
   acsr::Context ctx;
   acsr::Builder b(ctx);
   b.def("A", {}, b.pick({b.act({{"r", b.c(0)}}, b.call("A")),
                          b.act({{"s", b.c(0)}}, b.call("A"))}));
   b.def("B", {}, b.act({{"r", b.c(1)}}, b.call("B")));
   b.def("Sys", {}, b.par({b.call("A"), b.call("B")}));
-  const lint::Report r = lint_acsr(ctx);
-  EXPECT_EQ(count_check(r, "AL011"), 0u) << r.render_text();
+  EXPECT_TRUE(inv::par3_conflicts(ctx).empty());
 }
 
 // --- AL012 instantaneous-cycle ----------------------------------------------
@@ -1468,6 +1454,84 @@ TEST(LintAnalyzer, WarningsDoNotTripTheDefaultGate) {
   EXPECT_GT(r.states, 0u);
   ASSERT_TRUE(r.lint_report.has_value());
   EXPECT_GT(r.lint_report->warnings(), 0u);
+}
+
+namespace {
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+bool is_rounding_warning(const std::string& line) {
+  return line.find("; rounded ") != std::string::npos;
+}
+
+}  // namespace
+
+TEST(LintAnalyzer, TranslationWarningsFollowLintFindingsOnce) {
+  // Translation's validation runs once per request. Its warnings are
+  // reported only when exploration runs, each once, after lint's findings.
+  core::AnalyzerOptions opts;
+  opts.translation.quantum_ns = 2'000'000;  // 3 ms times round at 2 ms
+  opts.run_lint = true;
+  // Equal priorities whose tie-pessimistic RTA fails (2 + 2 quanta against
+  // a 3-quantum deadline): no pass decides, so exploration runs.
+  const std::string tie_props =
+      "    Dispatch_Protocol => Periodic;\n    Period => 10 ms;\n"
+      "    Compute_Execution_Time => 3 ms .. 3 ms;\n    Deadline => 6 ms;\n"
+      "    Priority => 5;\n";
+  const std::string src = two_thread_model(
+      "    a_out : out data port;", "    b_in : in data port;",
+      "    c1 : port b.b_in -> a.a_out;", tie_props, tie_props, {},
+      "HIGHEST_PRIORITY_FIRST");
+  const core::AnalysisResult r = core::analyze_source(src, "S.impl", opts);
+  ASSERT_GT(r.states, 0u) << r.diagnostics;  // explored, not decided
+  const std::vector<std::string> lines = lines_of(r.diagnostics);
+  std::size_t last_lint = 0, first_rounding = lines.size(), rounding = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find("[AL") != std::string::npos) last_lint = i + 1;
+    if (is_rounding_warning(lines[i])) {
+      first_rounding = std::min(first_rounding, i);
+      ++rounding;
+    }
+  }
+  EXPECT_GT(last_lint, 0u) << r.diagnostics;  // AL002's direction warning
+  EXPECT_EQ(rounding, 4u) << r.diagnostics;   // cmin and cmax of a and b
+  EXPECT_GE(first_rounding, last_lint) << r.diagnostics;
+
+  // Storm: at 2 ms it is explored and reports each of the 15 warnings
+  // validation alone reports, exactly once; at 10 ms lint decides it and
+  // no translation warning is reported.
+  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/storm.aadl");
+  std::stringstream storm;
+  storm << in.rdbuf();
+  aadl::Model model;
+  util::DiagnosticEngine fdiags("<storm>");
+  ASSERT_TRUE(aadl::parse_aadl(model, storm.str(), fdiags));
+  const auto inst = aadl::instantiate(model, "Storm.impl", fdiags);
+  ASSERT_NE(inst, nullptr) << fdiags.render_all();
+  util::DiagnosticEngine vdiags("<model>");
+  ASSERT_TRUE(translate::validate(*inst, vdiags, opts.translation));
+  std::vector<std::string> expected;
+  for (const std::string& line : lines_of(vdiags.render_all()))
+    if (is_rounding_warning(line)) expected.push_back(line);
+  ASSERT_EQ(expected.size(), 15u) << vdiags.render_all();
+
+  const core::AnalysisResult explored = core::analyze_instance(*inst, opts);
+  ASSERT_TRUE(explored.decided_by.empty());
+  std::vector<std::string> reported;
+  for (const std::string& line : lines_of(explored.diagnostics))
+    if (is_rounding_warning(line)) reported.push_back(line);
+  EXPECT_EQ(reported, expected) << explored.diagnostics;
+
+  opts.translation.quantum_ns = 10'000'000;
+  const core::AnalysisResult decided = core::analyze_instance(*inst, opts);
+  ASSERT_EQ(decided.decided_by, "AL007") << decided.diagnostics;
+  for (const std::string& line : lines_of(decided.diagnostics))
+    EXPECT_FALSE(is_rounding_warning(line)) << line;
 }
 
 // --- cross-validation: conclusive lint verdicts match exploration -----------

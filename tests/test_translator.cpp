@@ -1,13 +1,19 @@
 // Tests for the AADL -> ACSR translation: skeleton structure (Fig. 4/5),
 // dispatcher behaviour per protocol (Fig. 6), queue processes (§4.4), bus
-// refinement (§4.2), priority encodings (§5) and the §4.1 precondition
-// checks.
+// refinement (§4.2), priority encodings (§5), the §4.1 precondition
+// checks, and two invariants of every network the translator builds (no
+// unguarded recursion, no certain Par3 conflict).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "aadl/parser.hpp"
+#include "acsr_invariants.hpp"
 #include "acsr/printer.hpp"
 #include "acsr/semantics.hpp"
 #include "core/taskset_aadl.hpp"
+#include "exp/runner.hpp"
 #include "translate/translator.hpp"
 #include "versa/explorer.hpp"
 #include "versa/inspection.hpp"
@@ -687,6 +693,140 @@ TEST(Translator, BackgroundThreadRunsInSlackOnly) {
   const auto r = versa::explore(sem, p.translation->initial);
   EXPECT_TRUE(r.complete);
   EXPECT_FALSE(r.deadlock_found) << "background threads have no deadline";
+}
+
+// --- invariants of the translator's output ----------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Translate `src` and check both invariants of the network; returns
+/// whether it translated. A failed translation must leave the Context
+/// untouched: validation refuses a model before anything is built.
+bool translates_well_formed(const std::string& src, std::string_view root,
+                            const TranslateOptions& opts,
+                            const std::string& what) {
+  Pipeline p;
+  if (!aadl::parse_aadl(p.model, src, p.diags)) return false;
+  p.instance = aadl::instantiate(p.model, root, p.diags);
+  if (!p.instance || p.diags.has_errors()) return false;
+  const std::size_t defs_before = p.ctx.definition_count();
+  p.translation = translate::translate(p.ctx, *p.instance, p.diags, opts);
+  if (!p.translation) {
+    EXPECT_EQ(p.ctx.definition_count(), defs_before) << what;
+    return false;
+  }
+  EXPECT_EQ(acsr_invariants::unguarded_recursion(p.ctx),
+            std::vector<std::string>{})
+      << what;
+  const auto conflicts = acsr_invariants::par3_conflicts(p.ctx);
+  EXPECT_TRUE(conflicts.empty())
+      << what << ": " << conflicts.front().definition << " shares '"
+      << conflicts.front().resource << "'";
+  return true;
+}
+
+const std::pair<const char*, const char*> kShippedModels[] = {
+    {"cruise_control.aadl", "CruiseControlSystem.impl"},
+    {"avionics.aadl", "Avionics.impl"},
+    {"storm.aadl", "Storm.impl"},
+    {"symmetric.aadl", "Symmetric.impl"},
+    {"quantum_ladder.aadl", "QuantumLadder.impl"},
+    {"slow_periodic.aadl", "SlowPeriodic.impl"},
+    {"dual_rig.aadl", "DualRig.impl"}};
+
+TEST(TranslatorInvariants, ShippedModelsAndCorpusAreWellFormed) {
+  const std::string corpus = std::string(AADLSCHED_CORPUS_DIR) + "/..";
+  std::vector<std::pair<std::string, std::string>> models;
+  for (const auto& [file, root] : kShippedModels)
+    models.emplace_back(std::string(AADLSCHED_MODELS_DIR) + "/" + file, root);
+  models.emplace_back(corpus + "/sub_quantum_period.aadl", "Root.impl");
+  models.emplace_back(corpus + "/wide_fold.aadl", "WideFold.impl");
+  std::size_t translated = 0;
+  for (const auto& [path, root] : models) {
+    const std::string src = read_file(path);
+    ASSERT_FALSE(src.empty()) << path;
+    for (const std::int64_t q_ms : {1, 2, 5, 10}) {
+      for (const ExecutionTimeModel tm :
+           {ExecutionTimeModel::CommittedDemand,
+            ExecutionTimeModel::LateCompletion}) {
+        TranslateOptions opts;
+        opts.quantum_ns = q_ms * 1'000'000;
+        opts.time_model = tm;
+        translated += translates_well_formed(
+            src, root, opts, path + " @ " + std::to_string(q_ms) + " ms");
+      }
+    }
+  }
+  // Every shipped model translates at every quantum.
+  EXPECT_GE(translated, 2u * 4u * std::size(kShippedModels));
+}
+
+TEST(TranslatorInvariants, LatencyObserversAreWellFormed) {
+  TranslateOptions opts;
+  opts.quantum_ns = 2'000'000;
+  opts.latency_specs.push_back({"hci.refspeed", "ccl.cruise1", 40'000'000});
+  EXPECT_TRUE(translates_well_formed(
+      read_file(std::string(AADLSCHED_MODELS_DIR) + "/cruise_control.aadl"),
+      "CruiseControlSystem.impl", opts, "cruise control with an observer"));
+}
+
+TEST(TranslatorInvariants, GeneratedFleetIsWellFormed) {
+  exp::ExperimentSpec spec;
+  spec.policies = {"rm", "dm", "edf"};
+  spec.utilizations = {0.5, 0.9, 1.1};
+  spec.task_counts = {3, 5, 8};
+  spec.deadline_fractions = {1.0, 0.8};
+  spec.processors = {1, 2};
+  spec.seed_count = 2;
+  const std::vector<exp::Cell> cells = exp::expand_grid(spec);
+  std::size_t translated = 0;
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    for (std::uint64_t seed = spec.seed_begin;
+         seed < spec.seed_begin + spec.seed_count; ++seed) {
+      std::string error;
+      const auto text = exp::render_model(spec, cells[ci], ci, seed, error);
+      ASSERT_TRUE(text) << error;
+      TranslateOptions opts;
+      opts.quantum_ns = cells[ci].quantum_ms * 1'000'000;
+      translated += translates_well_formed(
+          *text, "Root.impl", opts,
+          "fleet cell " + std::to_string(ci) + " seed " +
+              std::to_string(seed));
+    }
+  }
+  EXPECT_GE(translated, 200u);
+}
+
+TEST(Translator, ValidateReportsExactlyWhatTranslateReports) {
+  // One code path: translate() is validate() then build(), and build()
+  // reports nothing.
+  const std::string corpus = std::string(AADLSCHED_CORPUS_DIR) + "/..";
+  const std::pair<std::string, const char*> models[] = {
+      {std::string(AADLSCHED_MODELS_DIR) + "/storm.aadl", "Storm.impl"},
+      {std::string(AADLSCHED_MODELS_DIR) + "/avionics.aadl", "Avionics.impl"},
+      {corpus + "/sub_quantum_period.aadl", "Root.impl"}};
+  for (const auto& [path, root] : models) {
+    Pipeline p;
+    ASSERT_TRUE(aadl::parse_aadl(p.model, read_file(path), p.diags)) << path;
+    p.instance = aadl::instantiate(p.model, root, p.diags);
+    ASSERT_NE(p.instance, nullptr) << path;
+    for (const std::int64_t q_ms : {1, 2, 5, 10}) {
+      TranslateOptions opts;
+      opts.quantum_ns = q_ms * 1'000'000;
+      util::DiagnosticEngine vdiags("m"), tdiags("m");
+      const auto plan = validate(*p.instance, vdiags, opts);
+      acsr::Context ctx;
+      const auto tr = translate::translate(ctx, *p.instance, tdiags, opts);
+      EXPECT_EQ(plan.has_value(), tr.has_value()) << path << " @ " << q_ms;
+      EXPECT_EQ(vdiags.render_all(), tdiags.render_all())
+          << path << " @ " << q_ms;
+    }
+  }
 }
 
 TEST(Translator, RenderedAcsrMentionsPaperArtifacts) {
