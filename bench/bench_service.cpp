@@ -5,8 +5,8 @@
 // DISK path (every load digest-verified, DESIGN.md §15) is benchmarked
 // separately with the cache-integrity counters attached. The hit path is
 // timed layer by layer on the cruise-control request line: in-process
-// (BM_HandleLineHit) and over loopback TCP with the client's decode
-// (BM_TcpHitRoundtrip). The table rows land in EXPERIMENTS.md; the BM_
+// (BM_HandleLineHit), the client's decode alone (BM_ParseResponseHit) and
+// over loopback TCP with the client's decode (BM_TcpHitRoundtrip). The table rows land in EXPERIMENTS.md; the BM_
 // timings feed BENCH_service.json via tools/run_benches.sh.
 #include <unistd.h>
 
@@ -223,6 +223,19 @@ void BM_HandleLineHit(benchmark::State& state) {
       benchmark::Counter(skips ? static_cast<double>(skips->as_int()) : -1);
 }
 BENCHMARK(BM_HandleLineHit)->Unit(benchmark::kMicrosecond);
+
+/// The client's decode of that hit's answer alone: parse_response on the
+/// response line, result object copied out byte for byte.
+void BM_ParseResponseHit(benchmark::State& state) {
+  CruiseHit hit;
+  const std::string line = hit.svc.handle_line(hit.line);
+  std::string error;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(server::parse_response(line, error));
+  state.counters["line_bytes"] =
+      benchmark::Counter(static_cast<double>(line.size()));
+}
+BENCHMARK(BM_ParseResponseHit)->Unit(benchmark::kMicrosecond);
 
 /// The same repeat as `aadlsched --connect` sees it: one Client roundtrip
 /// over loopback TCP plus the client's parse_response.

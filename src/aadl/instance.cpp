@@ -91,6 +91,8 @@ class Instantiator {
     im->root = build(impl->category, impl->type_name, impl, "", "", nullptr, 0);
     if (!im->root) return nullptr;
     collect(im->root.get());
+    scatter_contained(im->root.get());
+    append_own(im->root.get());
     resolve_connections();
     resolve_processor_bindings();
     return im;
@@ -151,6 +153,45 @@ class Instantiator {
       default: break;
     }
     for (auto& c : inst->children) collect(c.get());
+  }
+
+  // --- property index (ComponentInstance::properties) -----------------------
+
+  static AppliedProperty applied(const PropertyAssociation& pa) {
+    const std::string_view name = pa.name;
+    const auto pos = name.rfind("::");
+    return {name, pos == std::string_view::npos ? name : name.substr(pos + 2),
+            &pa.value};
+  }
+
+  // Each `applies to` target is resolved once, at its declaring scope. The
+  // walk is post-order, so every scope below an ancestor has scattered
+  // before it: the nearest declaration lands first in a target's list.
+  void scatter_contained(ComponentInstance* scope) {
+    for (auto& c : scope->children) scatter_contained(c.get());
+    if (!scope->impl) return;
+    for (const PropertyAssociation& pa : scope->impl->properties) {
+      for (const auto& path : pa.applies_to) {
+        // resolve() only descends, so only an empty path names the scope
+        // itself; an association never applies to its own declarer.
+        ComponentInstance* target = scope->resolve(path);
+        if (target && target != scope)
+          target->properties.push_back(applied(pa));
+      }
+    }
+  }
+
+  // After every contained association: the implementation overrides the
+  // type, and both yield to any ancestor's `applies to`.
+  void append_own(ComponentInstance* inst) {
+    for (const auto* props :
+         {inst->impl ? &inst->impl->properties : nullptr,
+          inst->type ? &inst->type->properties : nullptr}) {
+      if (!props) continue;
+      for (const PropertyAssociation& pa : *props)
+        if (pa.applies_to.empty()) inst->properties.push_back(applied(pa));
+    }
+    for (auto& c : inst->children) append_own(c.get());
   }
 
   // --- semantic connections ------------------------------------------------
@@ -471,38 +512,11 @@ const PropertyValue* find_connection_property(
   return w.found;
 }
 
-const PropertyValue* find_property(const InstanceModel& model,
+const PropertyValue* find_property(const InstanceModel& /*model*/,
                                    const ComponentInstance& inst,
                                    std::string_view lowered_name) {
-  const auto matches = [&](const PropertyAssociation& pa) {
-    if (pa.name == lowered_name) return true;
-    const auto pos = pa.name.rfind("::");
-    return pos != std::string::npos && pa.name.substr(pos + 2) == lowered_name;
-  };
-
-  // 1) Contained associations on ancestors targeting this instance; the
-  //    nearest (deepest) declaring ancestor wins.
-  for (const ComponentInstance* scope = inst.parent; scope;
-       scope = scope->parent) {
-    if (!scope->impl) continue;
-    for (const PropertyAssociation& pa : scope->impl->properties) {
-      if (!matches(pa)) continue;
-      for (const auto& target : pa.applies_to) {
-        if (scope->resolve(target) == &inst) return &pa.value;
-      }
-    }
-  }
-  // 2) Own implementation associations (no applies_to).
-  if (inst.impl) {
-    for (const PropertyAssociation& pa : inst.impl->properties)
-      if (matches(pa) && pa.applies_to.empty()) return &pa.value;
-  }
-  // 3) Own type associations.
-  if (inst.type) {
-    for (const PropertyAssociation& pa : inst.type->properties)
-      if (matches(pa) && pa.applies_to.empty()) return &pa.value;
-  }
-  (void)model;
+  for (const AppliedProperty& p : inst.properties)
+    if (p.name == lowered_name || p.last == lowered_name) return p.value;
   return nullptr;
 }
 

@@ -13,12 +13,22 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "aadl/ast.hpp"
 #include "util/diagnostics.hpp"
 
 namespace aadlsched::aadl {
+
+/// One property association that applies to an instance, as find_property
+/// matches it.
+struct AppliedProperty {
+  std::string_view name;  // as declared, e.g. "timing_properties::period"
+  std::string_view last;  // the part after the last "::" (name if none)
+  const PropertyValue* value = nullptr;
+};
 
 struct ComponentInstance {
   Category category = Category::System;
@@ -28,12 +38,24 @@ struct ComponentInstance {
   const ComponentImpl* impl = nullptr;  // may be null (type-only classifier)
   ComponentInstance* parent = nullptr;
   std::vector<std::unique_ptr<ComponentInstance>> children;
+  /// Every association that applies here, in find_property's precedence
+  /// order (the first match wins); instantiate fills it once:
+  ///   1. contained (`applies to`) associations naming this instance, the
+  ///      nearest declaring ancestor first, declaration order within one
+  ///      ancestor;
+  ///   2. the own implementation's associations without `applies to`;
+  ///   3. the own type's associations without `applies to`.
+  /// Views into the Model, which must outlive the instance tree.
+  std::vector<AppliedProperty> properties;
 
   const ComponentInstance* find_child(std::string_view lowered) const;
   ComponentInstance* find_child(std::string_view lowered);
   /// Resolve a dotted path relative to this instance.
   const ComponentInstance* resolve(
       const std::vector<std::string>& path) const;
+  ComponentInstance* resolve(const std::vector<std::string>& path) {
+    return const_cast<ComponentInstance*>(std::as_const(*this).resolve(path));
+  }
   bool is_thread_or_device() const {
     return category == Category::Thread || category == Category::Device;
   }
@@ -71,10 +93,9 @@ struct InstanceModel {
       const ComponentInstance* processor) const;
 };
 
-/// Property lookup on an instance: nearest enclosing association wins.
-/// Searches, in order: `applies to` associations on ancestors whose path
-/// matches this instance, then the instance's own implementation and type
-/// properties (implementation overrides type). Returns nullptr if absent.
+/// Property lookup on an instance: the first of inst.properties whose
+/// declared name is `lowered_name` or ends in "::" + `lowered_name` (so a
+/// qualified name matches only itself). Returns nullptr if absent.
 const PropertyValue* find_property(const InstanceModel& model,
                                    const ComponentInstance& inst,
                                    std::string_view lowered_name);

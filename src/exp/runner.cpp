@@ -68,27 +68,35 @@ server::Request build_request(const ExperimentSpec& spec, const Cell& cell,
 /// canonical result object is the source of truth: outcome, the static
 /// decided_by ids and the engine are read back from it rather than being
 /// re-derived, so the report can never disagree with the per-model JSON.
-void record_response(const server::Response& resp, RunOutcome& out) {
+void record_response(server::Response resp, RunOutcome& out) {
   out.latency_ms = resp.served_ms;
   out.cached = resp.cached;
   if (!resp.ok) {
     out.outcome = "error";
     out.decided_by_class = "error";
-    out.error = resp.error;
+    out.error = std::move(resp.error);
     return;
   }
-  out.result_json = resp.result_json;
-  const auto doc = util::parse_json(resp.result_json);
-  const util::JsonValue* outcome = doc ? doc->get("outcome") : nullptr;
-  out.outcome = outcome ? outcome->as_string() : "error";
-  const util::JsonValue* decided = doc ? doc->get("decided_by") : nullptr;
-  if (decided && !decided->as_string().empty()) {
+  std::string_view outcome, decided, engine;
+  const auto scan = util::scan_json_members(
+      resp.result_json, [&](const util::JsonMember& m) {
+        if (m.key == "outcome") outcome = m.raw;
+        else if (m.key == "decided_by") decided = m.raw;
+        else if (m.key == "engine") engine = m.raw;
+      });
+  if (scan != util::JsonScan::Object) outcome = decided = engine = {};
+  out.outcome =
+      outcome.empty() ? "error" : util::json_member_value(outcome).take_string();
+  std::string decided_ids = util::json_member_value(decided).take_string();
+  if (!decided_ids.empty()) {
     out.decided_by_class = "static";
-    out.decided_by_ids = decided->as_string();
+    out.decided_by_ids = std::move(decided_ids);
   } else {
-    const util::JsonValue* engine = doc ? doc->get("engine") : nullptr;
-    out.decided_by_class = engine ? engine->as_string() : "error";
+    out.decided_by_class =
+        engine.empty() ? "error" : util::json_member_value(engine).take_string();
   }
+  // Last: the views above point into the result's bytes.
+  out.result_json = std::move(resp.result_json);
 }
 
 }  // namespace
@@ -189,7 +197,7 @@ ExperimentResult run_experiment(
             record_response(service->handle(std::move(req)), out);
           } else {
             std::string terror;
-            const auto resp = server::request_with_retry(
+            auto resp = server::request_with_retry(
                 daemon->host, daemon->port, req, daemon->retry, terror);
             if (!resp) {
               out.transport_failed = true;
@@ -198,7 +206,7 @@ ExperimentResult run_experiment(
               out.error = terror;
               transport_failures.fetch_add(1, std::memory_order_relaxed);
             } else {
-              record_response(*resp, out);
+              record_response(std::move(*resp), out);
             }
           }
         }

@@ -127,11 +127,16 @@ std::optional<ResultCache::Entry> ResultCache::disk_load(
   if (auto body = util::strip_trailing_digest(*raw)) {
     while (!body->empty() && (body->back() == '\n' || body->back() == '\r'))
       body->remove_suffix(1);
-    const auto doc = util::parse_json(*body);
-    const auto* outcome =
-        doc && doc->is_object() ? doc->get("outcome") : nullptr;
-    if (outcome && outcome->is_string()) {
-      const auto parsed = core::outcome_from_string(outcome->as_string());
+    std::string_view outcome;
+    const auto scan =
+        util::scan_json_members(*body, [&](const util::JsonMember& m) {
+          if (m.key == "outcome") outcome = m.raw;
+        });
+    const auto value = scan == util::JsonScan::Object
+                           ? util::json_member_value(outcome)
+                           : util::JsonValue();
+    if (value.is_string()) {
+      const auto parsed = core::outcome_from_string(value.as_string());
       if (parsed && cacheable(*parsed))
         entry = Entry{*parsed, std::string(*body)};
     }

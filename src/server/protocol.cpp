@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "core/result_json.hpp"
 #include "util/json.hpp"
@@ -203,10 +204,10 @@ std::string render_response(const Response& resp) {
       w.key("cached").value(resp.cached);
       w.key("cache_tier").value(resp.cache_tier);
       w.key("served_ms").value(resp.served_ms);
-      w.key("result").raw(resp.result_json);  // must stay the last field
+      w.key("result").raw(resp.result_json);
       break;
     case Op::Stats:
-      w.key("stats").raw(resp.stats_json);  // must stay the last field
+      w.key("stats").raw(resp.stats_json);
       break;
     case Op::Ping:
     case Op::Shutdown:
@@ -216,53 +217,61 @@ std::string render_response(const Response& resp) {
   return std::move(w).str();
 }
 
-std::string_view extract_trailing_object(std::string_view line,
-                                         std::string_view key) {
-  // The renderer guarantees `"key": {...}}` is the tail of the line; find
-  // the *last* marker occurrence so a model text containing the marker
-  // string cannot confuse the client (requests embed models; responses
-  // never re-embed them, but stay paranoid).
-  const std::string marker = util::concat({"\"", key, "\": "});
-  const auto pos = line.rfind(marker);
-  if (pos == std::string_view::npos) return {};
-  const std::size_t start = pos + marker.size();
-  if (start >= line.size() || line[start] != '{') return {};
-  // Trim the single closing brace of the enclosing response object.
-  std::string_view tail = line.substr(start);
-  while (!tail.empty() && (tail.back() == '\n' || tail.back() == '\r'))
-    tail.remove_suffix(1);
-  if (tail.empty() || tail.back() != '}') return {};
-  tail.remove_suffix(1);
-  return tail;
-}
-
 std::optional<Response> parse_response(std::string_view line,
                                        std::string& error) {
-  const auto doc = util::parse_json(line, &error);
-  if (!doc) return std::nullopt;
-  if (!doc->is_object()) {
+  // Raw member bytes, the last occurrence winning as in parse_json's tree.
+  std::string_view op, id, ok, err, outcome, fingerprint, cached, tier,
+      served, result, stats;
+  const std::pair<std::string_view, std::string_view*> fields[] = {
+      {"op", &op},
+      {"id", &id},
+      {"ok", &ok},
+      {"error", &err},
+      {"outcome", &outcome},
+      {"fingerprint", &fingerprint},
+      {"cached", &cached},
+      {"cache_tier", &tier},
+      {"served_ms", &served},
+      {"result", &result},
+      {"stats", &stats},
+  };
+  const auto scan = util::scan_json_members(
+      line,
+      [&](const util::JsonMember& m) {
+        for (const auto& [key, raw] : fields) {
+          if (m.key == key) {
+            *raw = m.raw;
+            break;
+          }
+        }
+      },
+      &error);
+  if (scan == util::JsonScan::Invalid) return std::nullopt;
+  if (scan == util::JsonScan::NotObject) {
     error = "response must be a JSON object";
     return std::nullopt;
   }
+  using util::json_member_value;
+  // The embedded objects are kept byte for byte: a parse/re-render round
+  // trip would break the byte-identical-result guarantee.
+  const auto object_bytes = [](std::string_view raw) {
+    return raw.starts_with('{') ? std::string(raw) : std::string();
+  };
   Response resp;
-  if (const auto* op = doc->get("op")) {
-    if (const auto parsed = op_from_string(op->as_string()))
-      resp.op = *parsed;
-  }
-  if (const auto* id = doc->get("id")) resp.id = id->as_string();
-  resp.ok = doc->get("ok") && doc->get("ok")->as_bool();
-  if (const auto* err = doc->get("error")) resp.error = err->as_string();
-  if (const auto* out = doc->get("outcome")) {
-    if (const auto parsed = core::outcome_from_string(out->as_string()))
-      resp.outcome = *parsed;
-  }
-  if (const auto* fp = doc->get("fingerprint"))
-    resp.fingerprint = fp->as_string();
-  if (const auto* c = doc->get("cached")) resp.cached = c->as_bool();
-  if (const auto* t = doc->get("cache_tier")) resp.cache_tier = t->as_string();
-  if (const auto* s = doc->get("served_ms")) resp.served_ms = s->as_double();
-  resp.result_json = std::string(extract_trailing_object(line, "result"));
-  resp.stats_json = std::string(extract_trailing_object(line, "stats"));
+  if (const auto parsed = op_from_string(json_member_value(op).as_string()))
+    resp.op = *parsed;
+  resp.id = json_member_value(id).take_string();
+  resp.ok = json_member_value(ok).as_bool();
+  resp.error = json_member_value(err).take_string();
+  if (const auto parsed =
+          core::outcome_from_string(json_member_value(outcome).as_string()))
+    resp.outcome = *parsed;
+  resp.fingerprint = json_member_value(fingerprint).take_string();
+  resp.cached = json_member_value(cached).as_bool();
+  resp.cache_tier = json_member_value(tier).take_string();
+  resp.served_ms = json_member_value(served).as_double();
+  resp.result_json = object_bytes(result);
+  resp.stats_json = object_bytes(stats);
   return resp;
 }
 

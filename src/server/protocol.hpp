@@ -31,10 +31,10 @@
 // Response (protocol error):
 //   {"v": 1, "op": "error", "ok": false, "error": "..."}
 //
-// The "result"/"stats" member is always the *last* field, so the client
-// can recover the embedded object byte-for-byte (extract_trailing_object)
-// without a parse/re-render round trip that would break the
-// byte-identical-result guarantee.
+// The client recovers the embedded "result"/"stats" object byte for byte
+// from a validating member scan (util::scan_json_members), without a
+// parse/re-render round trip that would break the byte-identical-result
+// guarantee.
 #pragma once
 
 #include <cstdint>
@@ -180,13 +180,8 @@ std::string render_request(const Request& req);
 /// Render a response line. No trailing newline.
 std::string render_response(const Response& resp);
 /// Parse a response line (client side). The embedded result/stats object is
-/// extracted verbatim into result_json/stats_json.
+/// copied verbatim into result_json/stats_json.
 std::optional<Response> parse_response(std::string_view line,
                                        std::string& error);
-
-/// The raw bytes of the object value of `key` when it is the final member
-/// of a one-line JSON object: ... "key": {<bytes>}}\n. Empty when absent.
-std::string_view extract_trailing_object(std::string_view line,
-                                         std::string_view key);
 
 }  // namespace aadlsched::server

@@ -65,6 +65,13 @@ class JsonParser {
  public:
   JsonParser(std::string_view text, std::string* error)
       : text_(text), error_(error) {}
+  /// A validating scan: the same grammar, but no value is built (strings,
+  /// arrays and objects come back empty) and each member of a top-level
+  /// object goes to `sink` as it is read.
+  JsonParser(std::string_view text, std::string* error,
+             detail::JsonMemberSink sink, void* sink_ctx)
+      : text_(text), error_(error), build_(false), sink_(sink),
+        sink_ctx_(sink_ctx) {}
 
   std::optional<JsonValue> run() {
     skip_ws();
@@ -121,7 +128,7 @@ class JsonParser {
       case '{': return parse_object(depth);
       case '[': return parse_array(depth);
       case '"': {
-        auto s = parse_string();
+        auto s = parse_string(build_);
         if (!s) return std::nullopt;
         return JsonValue(JsonValue::Data(std::move(*s)));
       }
@@ -150,7 +157,8 @@ class JsonParser {
     if (eat('}')) return out;
     while (true) {
       skip_ws();
-      auto key = parse_string();
+      const bool sink_member = sink_ && depth == 0;
+      auto key = parse_string(build_ || sink_member);
       if (!key) return std::nullopt;
       skip_ws();
       if (!eat(':')) {
@@ -158,9 +166,14 @@ class JsonParser {
         return std::nullopt;
       }
       skip_ws();
+      const std::size_t value_begin = pos_;
       auto val = parse_value(depth + 1);
       if (!val) return std::nullopt;
-      obj.insert_or_assign(std::move(*key), std::move(*val));
+      if (build_)
+        obj.insert_or_assign(std::move(*key), std::move(*val));
+      else if (sink_member)
+        sink_(sink_ctx_,
+              JsonMember{*key, text_.substr(value_begin, pos_ - value_begin)});
       skip_ws();
       if (eat(',')) continue;
       if (eat('}')) return out;
@@ -178,7 +191,7 @@ class JsonParser {
       skip_ws();
       auto val = parse_value(depth + 1);
       if (!val) return std::nullopt;
-      arr.push_back(std::move(*val));
+      if (build_) arr.push_back(std::move(*val));
       skip_ws();
       if (eat(',')) continue;
       if (eat(']')) return JsonValue(JsonValue::Data(std::move(arr)));
@@ -187,15 +200,19 @@ class JsonParser {
     }
   }
 
-  std::optional<std::string> parse_string() {
+  /// A string, decoded into the result only when `keep` (else "").
+  std::optional<std::string> parse_string(bool keep) {
     if (!eat('"')) {
       fail("expected string");
       return std::nullopt;
     }
     std::string out;
+    const auto put = [&](char c) {
+      if (keep) out.push_back(c);
+    };
     while (true) {
       const std::size_t run = plain_run(text_.substr(pos_));
-      out.append(text_.data() + pos_, run);
+      if (keep) out.append(text_.data() + pos_, run);
       pos_ += run;
       if (pos_ >= text_.size()) break;
       const char c = text_[pos_++];
@@ -207,14 +224,14 @@ class JsonParser {
       if (pos_ >= text_.size()) break;
       const char esc = text_[pos_++];
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': put('"'); break;
+        case '\\': put('\\'); break;
+        case '/': put('/'); break;
+        case 'b': put('\b'); break;
+        case 'f': put('\f'); break;
+        case 'n': put('\n'); break;
+        case 'r': put('\r'); break;
+        case 't': put('\t'); break;
         case 'u': {
           const auto hex4 = [&](unsigned& value) {
             if (pos_ + 4 > text_.size()) {
@@ -262,19 +279,19 @@ class JsonParser {
             return std::nullopt;
           }
           if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
+            put(static_cast<char>(cp));
           } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            put(static_cast<char>(0xC0 | (cp >> 6)));
+            put(static_cast<char>(0x80 | (cp & 0x3F)));
           } else if (cp < 0x10000) {
-            out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            put(static_cast<char>(0xE0 | (cp >> 12)));
+            put(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+            put(static_cast<char>(0x80 | (cp & 0x3F)));
           } else {
-            out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            put(static_cast<char>(0xF0 | (cp >> 18)));
+            put(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+            put(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+            put(static_cast<char>(0x80 | (cp & 0x3F)));
           }
           break;
         }
@@ -332,6 +349,9 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::string* error_;
+  bool build_ = true;
+  detail::JsonMemberSink sink_ = nullptr;
+  void* sink_ctx_ = nullptr;
 };
 
 }  // namespace
@@ -340,6 +360,20 @@ std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error) {
   if (error) error->clear();
   return JsonParser(text, error).run();
+}
+
+JsonScan detail::scan_json_members(std::string_view text, JsonMemberSink sink,
+                                   void* sink_ctx, std::string* error) {
+  if (error) error->clear();
+  const auto doc = JsonParser(text, error, sink, sink_ctx).run();
+  if (!doc) return JsonScan::Invalid;
+  return doc->is_object() ? JsonScan::Object : JsonScan::NotObject;
+}
+
+JsonValue json_member_value(std::string_view raw) {
+  if (raw.empty()) return {};
+  auto v = parse_json(raw);
+  return v ? std::move(*v) : JsonValue();
 }
 
 // ---------------------------------------------------------------------------

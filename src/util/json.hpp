@@ -1,6 +1,8 @@
 // Minimal JSON support for the analysis service layer: a strict
 // recursive-descent parser into a JsonValue tree (the daemon's request
-// decoding, the client's response decoding, tests reading stats) and a
+// decoding, tests reading stats), the same parser run as a validating
+// top-level member scan that builds no tree (the client's response
+// decoding, the disk cache, the experiment runner), and a
 // stateful JsonWriter that gets commas, escaping and number formatting
 // right once so the many hand-rolled `os << "{\"k\": ..."` renderers stop
 // multiplying.
@@ -22,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -100,6 +103,42 @@ class JsonValue {
 /// `error` is non-null, a human-readable reason with byte offset.
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error = nullptr);
+
+/// One member of a top-level JSON object: its decoded key and the raw bytes
+/// of its value as they stand in the document (a string keeps its quotes
+/// and escapes).
+struct JsonMember {
+  std::string_view key;
+  std::string_view raw;
+};
+
+enum class JsonScan : std::uint8_t { Invalid, NotObject, Object };
+
+namespace detail {
+using JsonMemberSink = void (*)(void* ctx, const JsonMember& member);
+JsonScan scan_json_members(std::string_view text, JsonMemberSink sink,
+                           void* sink_ctx, std::string* error);
+}  // namespace detail
+
+/// Strict top-level member scan: checks `text` with parse_json's grammar
+/// and depth limit, accepting and rejecting exactly what it does (with the
+/// same `error`), but builds no tree. Calls visit(const JsonMember&) for
+/// each member of a top-level object, in document order, as it is read:
+/// a caller that gets Invalid back must discard what it saw. A repeated
+/// key is visited each time; keep the last to agree with parse_json.
+template <class Visit>
+JsonScan scan_json_members(std::string_view text, Visit&& visit,
+                           std::string* error = nullptr) {
+  using F = std::remove_reference_t<Visit>;
+  return detail::scan_json_members(
+      text,
+      [](void* f, const JsonMember& m) { (*static_cast<F*>(f))(m); },
+      const_cast<void*>(static_cast<const void*>(&visit)), error);
+}
+
+/// The value of a member that scan_json_members yielded, decoded with
+/// parse_json; null for an empty view (the member was absent).
+JsonValue json_member_value(std::string_view raw);
 
 /// Append-only JSON renderer with automatic comma placement. Usage:
 ///

@@ -25,7 +25,7 @@ std::atomic<std::size_t> g_allocations{0};
 
 namespace {
 
-// Both replaced operator new forms call this, so gcc sees malloc behind
+// Every replaced operator new form calls this, so gcc sees malloc behind
 // them and pairs it with the free in operator delete; one form forwarding
 // to the other reads as a mismatched new/free (-Wmismatched-new-delete).
 void* counted_malloc(std::size_t n) {
@@ -35,14 +35,34 @@ void* counted_malloc(std::size_t n) {
   throw std::bad_alloc();
 }
 
+void* counted_malloc_or_null(std::size_t n) noexcept {
+  try {
+    return counted_malloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 }  // namespace
 
+// The nothrow forms too: left to the runtime, they would allocate with
+// its own operator new and be freed here (ASan's alloc-dealloc-mismatch).
 void* operator new(std::size_t n) { return counted_malloc(n); }
 void* operator new[](std::size_t n) { return counted_malloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc_or_null(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc_or_null(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -517,11 +517,13 @@ int main(int argc, char** argv) {
   }
 
   if (!explain_id.empty()) {
-    const lint::Pass* pass = lint::Registry::builtin().find(explain_id);
+    const lint::Registry& registry = lint::Registry::builtin();
+    const lint::Pass* pass = registry.find(explain_id);
     if (!pass) {
-      std::cerr << "unknown lint check '" << explain_id
-                << "' (ids run AL001..; try --lint-format json for the "
-                   "full catalogue)\n";
+      std::cerr << "unknown lint check '" << explain_id << "'; known checks:";
+      for (const auto& known : registry.passes())
+        std::cerr << ' ' << known->info().id;
+      std::cerr << "\n";
       return 2;
     }
     const lint::CheckInfo& info = pass->info();
