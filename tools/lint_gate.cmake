@@ -1,7 +1,7 @@
 # Lint CI gate (ROADMAP item): diff the machine-readable lint report for a
-# shipped model against its checked-in baseline, failing on ANY change —
-# new findings on existing models must be acknowledged by regenerating the
-# baseline, never slipped in silently.
+# shipped or corpus model against its checked-in baseline, failing on ANY
+# change — new findings on existing models must be acknowledged by
+# regenerating the baseline, never slipped in silently.
 #
 # Usage (wired as ctest cases by tools/CMakeLists.txt):
 #   cmake -DAADLSCHED_BIN=<tool> -DMODEL=<m.aadl> -DROOT=<Root.impl>
@@ -10,6 +10,8 @@
 # Regenerate a baseline after an intentional change with:
 #   aadlsched <m.aadl> <Root.impl> --lint --lint-format json > \
 #       tests/baselines/<m>.lint.json
+# (corpus models under tests/corpus/lint keep theirs in
+# tests/baselines/lint/).
 
 foreach(var AADLSCHED_BIN MODEL ROOT BASELINE)
   if(NOT DEFINED ${var})
