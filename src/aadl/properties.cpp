@@ -60,8 +60,6 @@ std::optional<std::int64_t> time_to_ns(const IntWithUnit& v,
   return ns;
 }
 
-namespace {
-
 std::optional<std::int64_t> time_property(const InstanceModel& model,
                                           const ComponentInstance& inst,
                                           std::string_view name,
@@ -74,6 +72,16 @@ std::optional<std::int64_t> time_property(const InstanceModel& model,
                       "' is not a time value");
   return std::nullopt;
 }
+
+std::optional<DispatchProtocol> parse_dispatch_protocol(std::string_view name) {
+  if (util::iequals(name, "periodic")) return DispatchProtocol::Periodic;
+  if (util::iequals(name, "sporadic")) return DispatchProtocol::Sporadic;
+  if (util::iequals(name, "aperiodic")) return DispatchProtocol::Aperiodic;
+  if (util::iequals(name, "background")) return DispatchProtocol::Background;
+  return std::nullopt;
+}
+
+namespace {
 
 std::optional<std::pair<std::int64_t, std::int64_t>> time_range_property(
     const InstanceModel& model, const ComponentInstance& inst,
@@ -116,19 +124,13 @@ std::optional<ThreadProperties> thread_properties(
                         "' must be an identifier");
     return std::nullopt;
   }
-  if (util::iequals(*proto, "periodic"))
-    tp.dispatch = DispatchProtocol::Periodic;
-  else if (util::iequals(*proto, "sporadic"))
-    tp.dispatch = DispatchProtocol::Sporadic;
-  else if (util::iequals(*proto, "aperiodic"))
-    tp.dispatch = DispatchProtocol::Aperiodic;
-  else if (util::iequals(*proto, "background"))
-    tp.dispatch = DispatchProtocol::Background;
-  else {
+  const auto dispatch = parse_dispatch_protocol(*proto);
+  if (!dispatch) {
     diags.error({}, "unsupported Dispatch_Protocol '" + *proto + "' on '" +
                         thread.path + "'");
     return std::nullopt;
   }
+  tp.dispatch = *dispatch;
 
   const auto cet =
       time_range_property(model, thread, "compute_execution_time", diags);

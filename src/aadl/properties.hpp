@@ -61,6 +61,17 @@ std::optional<std::int64_t> time_to_ns(const IntWithUnit& v,
                                        util::DiagnosticEngine& diags,
                                        util::SourceLoc loc);
 
+/// A time-valued property in nanoseconds; nullopt when it is absent. A value
+/// that is not a time, or that time_to_ns rejects, is reported to `diags`.
+std::optional<std::int64_t> time_property(const InstanceModel& model,
+                                          const ComponentInstance& inst,
+                                          std::string_view name,
+                                          util::DiagnosticEngine& diags);
+
+/// The protocol a Dispatch_Protocol identifier names (case-insensitive), or
+/// nullopt for an unsupported one.
+std::optional<DispatchProtocol> parse_dispatch_protocol(std::string_view name);
+
 /// Extract thread timing/dispatch properties; reports missing mandatory
 /// properties (paper §4.1: Dispatch_Protocol, Compute_Execution_Time and a
 /// deadline are required; Period is required for periodic/sporadic).

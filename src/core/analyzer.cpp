@@ -332,7 +332,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
   // passed, and exploration builds the ACSR network from its plan. No
   // Context exists unless exploration runs. Validation's diagnostics are
   // reported only then, after lint's findings: when lint decides or gates,
-  // its hygiene passes already name the same preconditions with check ids.
+  // its hygiene checks already name the same preconditions with check ids.
   util::DiagnosticEngine tdiags("<model>");
   std::optional<translate::Plan> plan;
   if (opts.run_lint || !use_symbolic)
@@ -343,7 +343,7 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
         lint::run(instance, plan.has_value(), {opts.translation, &diags});
     const lint::Report& report = *result.lint_report;
     // A conclusive static verdict on a translatable model replaces
-    // exploration: the screening passes only decide when exploration would
+    // exploration: the screening checks only decide when exploration would
     // provably agree (DESIGN.md §9).
     if (report.translated && report.verdict != lint::StaticVerdict::None) {
       result.outcome = report.verdict == lint::StaticVerdict::Schedulable

@@ -13,7 +13,7 @@ std::optional<Outcome> outcome_from_string(std::string_view s) {
 namespace {
 
 /// The machine-checkable witnesses backing a static verdict, narrowed to
-/// the passes named in decided_by (other certificates stay available via
+/// the checks named in decided_by (other certificates stay available via
 /// --lint-format json). Shape mirrors lint::Report::render_json.
 void append_static_certificate(util::JsonWriter& w, const Verdict& r) {
   const lint::Report& report = *r.lint_report;

@@ -1,7 +1,6 @@
 #include "core/symbolic_extract.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "aadl/properties.hpp"
 #include "translate/timing.hpp"
@@ -92,12 +91,13 @@ SymbolicExtraction extract_symbolic(
 
   // Priorities per processor by the translator's rule over nanosecond keys,
   // which order as quanta do whenever the quantum divides every key
-  // (DESIGN.md §16). Group members keep model order; the map need not.
-  std::map<const aadl::ComponentInstance*, std::vector<Extracted*>> per_cpu;
-  for (Extracted& e : threads) per_cpu[e.cpu].push_back(&e);
-
+  // (DESIGN.md §16). Processors and group members keep model order.
   std::vector<const aadl::ComponentInstance*> cpus;
-  for (auto& [cpu, group] : per_cpu) {
+  for (const aadl::ComponentInstance* cpu : instance.processors) {
+    std::vector<Extracted*> group;
+    for (Extracted& e : threads)
+      if (e.cpu == cpu) group.push_back(&e);
+    if (group.empty()) continue;
     cpus.push_back(cpu);
     auto proto = aadl::scheduling_protocol(instance, *cpu, scratch);
     if (!proto) {

@@ -54,7 +54,7 @@ std::string taskset_to_aadl(const sched::TaskSet& ts,
 /// access connection per critical section, and a Critical_Section_Time
 /// association per connection. Durations are multiples of `quantum_ns`.
 /// This drives the shared-resource agreement experiments (EXPERIMENTS.md
-/// E12) through the same front end the AL015/AL016 passes read.
+/// E12) through the same front end the AL015/AL016 checks read.
 std::string taskset_to_aadl_shared(const sched::TaskSet& ts,
                                    sched::SchedulingPolicy policy,
                                    const sched::ResourceModel& resources,

@@ -41,32 +41,13 @@ std::optional<ExtractedTaskSet> extract_taskset(
     const auto cpu = processor_index(binding->second);
     if (!cpu) return std::nullopt;
 
-    const lint::ScreenTask& st = *view.at(thread);
-    sched::Task task;
-    task.name = thread->path;
-    task.wcet = st.quanta.cmax;
-    task.bcet = st.quanta.cmin;
-    task.period = st.quanta.period;
-    task.deadline = st.quanta.deadline;
-    task.priority = st.priority;
+    sched::Task task = lint::to_task(*view.at(thread));
     task.processor = *cpu;
-    switch (props->dispatch) {
-      case aadl::DispatchProtocol::Periodic:
-        task.kind = sched::DispatchKind::Periodic;
-        break;
-      case aadl::DispatchProtocol::Sporadic:
-        task.kind = sched::DispatchKind::Sporadic;
-        break;
-      case aadl::DispatchProtocol::Aperiodic:
-        task.kind = sched::DispatchKind::Aperiodic;
-        // No arrival bound: the classical view has to pick one; use the
-        // deadline as a (lossy) minimum separation.
-        task.period = task.deadline;
-        out.lossy = true;
-        break;
-      case aadl::DispatchProtocol::Background:
-        task.kind = sched::DispatchKind::Background;
-        break;
+    if (task.kind == sched::DispatchKind::Aperiodic) {
+      // No arrival bound: the classical view has to pick one; use the
+      // deadline as a (lossy) minimum separation.
+      task.period = task.deadline;
+      out.lossy = true;
     }
     // A period below one quantum is refused, as lint's AL005 and the
     // translator refuse it; the classical analyses would divide by it.

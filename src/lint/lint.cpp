@@ -4,7 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "lint/passes.hpp"
+#include "lint/checks.hpp"
 #include "util/string_utils.hpp"
 
 namespace aadlsched::lint {
@@ -113,7 +113,7 @@ std::string Report::render_json() const {
     os << (c.tasks.empty() ? "]}" : "\n    ]}");
   }
   os << (certificates.empty() ? "]" : "\n  ]") << ",\n";
-  // Every pass runs on every model; the key stays for schema v1 readers.
+  // Every check runs on every model; the key stays for schema v1 readers.
   os << "  \"skipped\": []\n}\n";
   return os.str();
 }
@@ -121,8 +121,8 @@ std::string Report::render_json() const {
 void Sink::report(util::Severity sev, util::SourceLoc loc,
                   std::string component, std::string message) {
   Finding f;
-  f.check_id = std::string(current_ ? current_->id : "AL???");
-  f.check_name = std::string(current_ ? current_->name : "");
+  f.check_id = std::string(check_.id);
+  f.check_name = std::string(check_.name);
   f.severity = sev;
   f.loc = loc;
   f.component = std::move(component);
@@ -145,12 +145,12 @@ void Sink::conclusive(StaticVerdict v, std::string detail) {
       v != StaticVerdict::NotSchedulable)
     return;
   report_.verdict = v;
-  report_.decided_by = std::string(current_ ? current_->id : "?");
+  report_.decided_by = std::string(check_.id);
   report_.verdict_detail = std::move(detail);
 }
 
 void Sink::certificate(StaticCertificate cert) {
-  cert.check_id = std::string(current_ ? current_->id : "?");
+  cert.check_id = std::string(check_.id);
   report_.certificates.push_back(std::move(cert));
 }
 
@@ -158,43 +158,28 @@ void Sink::processor_verdict(std::string processor, bool schedulable,
                              std::string detail) {
   ProcessorVerdict pv;
   pv.processor = std::move(processor);
-  pv.check_id = std::string(current_ ? current_->id : "?");
+  pv.check_id = std::string(check_.id);
   pv.schedulable = schedulable;
   pv.detail = std::move(detail);
   report_.processor_verdicts.push_back(std::move(pv));
 }
 
-void Registry::add(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-}
-
-const Pass* Registry::find(std::string_view id_or_name) const {
-  for (const auto& p : passes_)
-    if (p->info().id == id_or_name || p->info().name == id_or_name)
-      return p.get();
-  return nullptr;
-}
-
-const Registry& Registry::builtin() {
-  // Explicit registration (not self-registering statics: those would be
-  // dropped when linking the static library).
-  static const Registry* reg = [] {
-    auto* r = new Registry;
-    register_model_passes(*r);
-    register_screening_passes(*r);
-    register_exact_passes(*r);
-    register_acsr_passes(*r);
-    return r;
-  }();
-  return *reg;
-}
-
 namespace {
+
+// The run order (lint.hpp): model hygiene, utilization screens, exact
+// screens, then the instantaneous-cycle check.
+constexpr const Check* kCatalogue[] = {
+    &kUnboundThread,       &kUnresolvedEndpoint, &kDeadEndConnection,
+    &kMissingProperty,     &kInconsistentTiming, &kQueueMisconfig,
+    &kUtilizationOverload, &kRmUtilizationBound, &kEdfUtilization,
+    &kExactRta,            &kEdfQpa,             &kBlockingRta,
+    &kSharedAccessHazard,  &kInstantaneousCycle,
+};
 
 /// Combine per-processor Schedulable claims into a whole-model verdict: the
 /// classical abstraction must have been exact (translation succeeded, no
 /// latency observers) and every processor that carries threads must be
-/// vouched for by a screening pass.
+/// vouched for by a screening check.
 void finalize_verdict(const aadl::InstanceModel& instance,
                       const Options& opts, Report& report) {
   if (report.verdict != StaticVerdict::None) return;
@@ -229,6 +214,15 @@ void finalize_verdict(const aadl::InstanceModel& instance,
 
 }  // namespace
 
+std::span<const Check* const> catalogue() { return kCatalogue; }
+
+const Check* find_check(std::string_view id_or_name) {
+  for (const Check* check : kCatalogue)
+    if (check->info.id == id_or_name || check->info.name == id_or_name)
+      return check;
+  return nullptr;
+}
+
 std::vector<CertTask> cert_rows(const ScreenCpu& sc, bool periodic_only,
                                 const std::vector<std::int64_t>* blocking,
                                 const std::vector<std::int64_t>* response) {
@@ -257,12 +251,10 @@ Report run(const aadl::InstanceModel& instance, bool translated,
       extract_screen_cpus(instance, opts.translation.quantum_ns)};
   Report report;
   report.translated = translated;
-  Sink sink(report, opts.diags);
-  for (const auto& pass : Registry::builtin().passes()) {
-    sink.set_current(&pass->info());
-    pass->run(subject, sink);
+  for (const Check* check : kCatalogue) {
+    Sink sink(report, opts.diags, check->info);
+    check->run(subject, sink);
   }
-  sink.set_current(nullptr);
   finalize_verdict(instance, opts, report);
   return report;
 }

@@ -2,11 +2,11 @@
 // door: answer cheap questions before paying for translation and
 // state-space exploration).
 //
-// A lint run walks a Subject (the instance model and its screen view) with
-// every registered Pass. No pass reads ACSR: the run only needs to know
-// whether the model passes translate::validate (Report::translated).
-// Passes emit structured Findings with stable check IDs (AL001..) through a
-// Sink, and screening passes may additionally record *conclusive*
+// A lint run calls every check of the catalogue on a Subject (the instance
+// model and its screen view). No check reads ACSR: the run only needs to
+// know whether the model passes translate::validate (Report::translated).
+// Checks emit structured Findings with stable check IDs (AL001..) through a
+// Sink, and screening checks may additionally record *conclusive*
 // schedulability verdicts:
 //
 //   * NotSchedulable  — a guaranteed counterexample exists (per-processor
@@ -21,8 +21,8 @@
 // The screening-vs-exploration contract is documented in DESIGN.md §9.
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +42,7 @@ enum class Tier : std::uint8_t {
 
 std::string_view to_string(Tier t);
 
-/// Version of the built-in pass catalogue and its verdict semantics. Bumped
+/// Version of the built-in check catalogue and its verdict semantics. Bumped
 /// when a change can alter a result the service caches, so results computed
 /// by an older catalogue are not served as fresh (the daemon folds this into
 /// its options cache key).
@@ -62,7 +62,7 @@ struct CheckInfo {
   std::string_view name;     // kebab-case, e.g. "unbound-thread"
   std::string_view summary;  // one line for the catalogue
   Tier tier = Tier::ModelHygiene;
-  /// What the pass' verdicts mean: "advisory" (findings only),
+  /// What the check's verdicts mean: "advisory" (findings only),
   /// "sufficient" (may vouch Schedulable, never refutes), or "exact"
   /// (conclusive either way within its stated fragment).
   std::string_view contract = "advisory";
@@ -86,7 +86,7 @@ enum class StaticVerdict : std::uint8_t { None, Schedulable, NotSchedulable };
 
 std::string_view to_string(StaticVerdict v);
 
-/// A sufficient per-processor claim from a screening pass; the driver
+/// A sufficient per-processor claim from a screening check; the driver
 /// combines them into a whole-model Schedulable verdict only when every
 /// thread-bearing processor is vouched for (see finalize logic in lint.cpp).
 struct ProcessorVerdict {
@@ -124,7 +124,7 @@ struct CertTask {
 ///   "edf-utilization"       — sum wcet_q/period_q <= 1 (implicit deadlines)
 ///   "wcet-exceeds-deadline" — single task with wcet_q > deadline_q
 struct StaticCertificate {
-  std::string check_id;   // emitting pass
+  std::string check_id;   // emitting check
   std::string kind;
   std::string processor;  // instance path ("" for single-thread witnesses)
   bool schedulable = false;
@@ -157,7 +157,7 @@ struct Report {
   std::string render_json() const;
 };
 
-/// What a pass may look at: the instance model, the quantum from
+/// What a check may look at: the instance model, the quantum from
 /// Options::translation, and the screen view of `instance` at that quantum.
 struct Subject {
   const aadl::InstanceModel& instance;
@@ -165,12 +165,12 @@ struct Subject {
   std::vector<ScreenCpu> screen = {};
 };
 
+/// Where one check reports: every finding, verdict and certificate it
+/// emits carries that check's id.
 class Sink {
  public:
-  Sink(Report& report, util::DiagnosticEngine* mirror)
-      : report_(report), mirror_(mirror) {}
-
-  void set_current(const CheckInfo* info) { current_ = info; }
+  Sink(Report& report, util::DiagnosticEngine* mirror, const CheckInfo& check)
+      : report_(report), mirror_(mirror), check_(check) {}
 
   void report(util::Severity sev, util::SourceLoc loc, std::string component,
               std::string message);
@@ -187,44 +187,36 @@ class Sink {
   }
 
   /// Record a conclusive whole-model verdict. NotSchedulable wins over
-  /// Schedulable; the first pass to decide names `decided_by`.
+  /// Schedulable; the first check to decide names `decided_by`.
   void conclusive(StaticVerdict v, std::string detail);
   /// Record a sufficient per-processor schedulability claim.
   void processor_verdict(std::string processor, bool schedulable,
                          std::string detail);
-  /// Attach a machine-checkable witness (check_id is filled in from the
-  /// running pass).
+  /// Attach a machine-checkable witness (check_id is filled in).
   void certificate(StaticCertificate cert);
 
  private:
   Report& report_;
   util::DiagnosticEngine* mirror_;
-  const CheckInfo* current_ = nullptr;
+  const CheckInfo& check_;
 };
 
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual const CheckInfo& info() const = 0;
-  virtual void run(const Subject& subject, Sink& sink) const = 0;
+/// A catalogue entry: the check's card and the function that runs it.
+struct Check {
+  CheckInfo info;
+  void (*run)(const Subject& subject, Sink& sink);
 };
 
-class Registry {
- public:
-  void add(std::unique_ptr<Pass> pass);
-  const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
-  /// Look up by check id ("AL007") or name ("utilization-overload").
-  const Pass* find(std::string_view id_or_name) const;
+/// The built-in checks in run order: AL001..AL006, AL007..AL009,
+/// AL013..AL016, then AL012. The order is part of the output contract:
+/// findings, `decided_by`, processor verdicts and certificates follow it.
+std::span<const Check* const> catalogue();
 
-  /// The built-in pass catalogue (constructed once, immutable).
-  static const Registry& builtin();
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
+/// Look a check up by id ("AL007") or name ("utilization-overload").
+const Check* find_check(std::string_view id_or_name);
 
 struct Options {
-  /// Quantum and latency observers the screening passes mirror; lint::run
+  /// Quantum and latency observers the screening checks mirror; lint::run
   /// also validates the model's translation with them (Report::translated).
   translate::TranslateOptions translation;
   /// Optional mirror: findings are also reported here as
@@ -233,7 +225,7 @@ struct Options {
 };
 
 /// Lint an instance model. Runs translate::validate on it (validation
-/// diagnostics are discarded: the hygiene passes report the same
+/// diagnostics are discarded: the hygiene checks report the same
 /// preconditions with check ids) to fill Report::translated.
 Report run(const aadl::InstanceModel& instance, const Options& opts = {});
 

@@ -55,6 +55,31 @@ std::vector<ScreenCpu> extract_screen_cpus(const InstanceModel& m,
   return cpus;
 }
 
+sched::Task to_task(const ScreenTask& t) {
+  sched::Task task;
+  task.name = t.inst->path;
+  task.wcet = t.quanta.cmax;
+  task.bcet = t.quanta.cmin;
+  task.period = t.quanta.period;
+  task.deadline = t.quanta.deadline;
+  task.priority = t.priority;
+  switch (t.dispatch) {
+    case DispatchProtocol::Periodic:
+      task.kind = sched::DispatchKind::Periodic;
+      break;
+    case DispatchProtocol::Sporadic:
+      task.kind = sched::DispatchKind::Sporadic;
+      break;
+    case DispatchProtocol::Aperiodic:
+      task.kind = sched::DispatchKind::Aperiodic;
+      break;
+    case DispatchProtocol::Background:
+      task.kind = sched::DispatchKind::Background;
+      break;
+  }
+  return task;
+}
+
 std::optional<int> utilization_vs_one(const std::vector<ScreenTask>& tasks,
                                       bool periodic_only) {
   util::ExactUtilization exact;

@@ -4,7 +4,7 @@
 // see exactly the parameters exploration would. Unlike the translator it
 // keeps going past incomplete threads and applies no cap on quanta
 // (AL007 must still refute models the translator cannot take).
-// lint::run_subject builds the view once per run (Subject::screen).
+// lint::run builds the view once per run (Subject::screen).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 
 #include "aadl/instance.hpp"
 #include "aadl/properties.hpp"
+#include "sched/task.hpp"
 #include "translate/timing.hpp"
 
 namespace aadlsched::lint {
@@ -42,6 +43,10 @@ struct ScreenCpu {
 std::vector<ScreenCpu> extract_screen_cpus(const aadl::InstanceModel& m,
                                            std::int64_t quantum_ns);
 
+/// The classical task of a screen task: its path, quantized timing,
+/// effective priority and dispatch kind, on processor 0.
+sched::Task to_task(const ScreenTask& t);
+
 /// Exact utilization comparison over the quantized view: returns the sign
 /// of (sum cmax/period) - 1 as -1/0/+1, or nullopt when the fraction
 /// outgrows util::ExactUtilization's cap.
@@ -57,7 +62,7 @@ std::string utilization_string(const std::vector<ScreenTask>& tasks,
 /// Is the whole model free of features the classical per-processor task
 /// abstraction cannot express (event chains, bus contention)? Data access
 /// connections do not count against purity: exploration ignores them, and
-/// the blocking-aware passes over-approximate them.
+/// the blocking-aware checks over-approximate them.
 bool model_is_pure(const aadl::InstanceModel& m);
 
 /// All tasks periodic with implicit deadlines (deadline == period) after

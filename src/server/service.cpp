@@ -30,7 +30,7 @@ double ms_since(Clock::time_point t0) {
 /// (conclusive) outcomes are cached (see cache.hpp).
 std::string options_key(const RequestOptions& ro) {
   // The cache_key rows of kOptionTable (RequestOptions says why each is
-  // there), then the lint pass catalogue version: a new or changed pass
+  // there), then the lint check catalogue version: a new or changed check
   // can turn an explored model into a statically decided one, so results
   // from an older catalogue must not be served. v2 added no_reduction, v3
   // the catalogue version, v4 the engine.

@@ -1,7 +1,6 @@
 #include "translate/translator.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "translate/timing.hpp"
 #include "util/string_utils.hpp"
@@ -223,11 +222,13 @@ class Validator : public Plan::Data {
   }
 
   bool assign_priorities() {
-    // Group threads per processor and apply the Scheduling_Protocol.
-    std::map<const ComponentInstance*, std::vector<ThreadCtx*>> per_cpu;
-    for (ThreadCtx& tc : threads_) per_cpu[tc.processor].push_back(&tc);
-
-    for (auto& [cpu, group] : per_cpu) {
+    // Group threads per processor, in model order, and apply the
+    // Scheduling_Protocol.
+    for (const ComponentInstance* cpu : model_.processors) {
+      std::vector<ThreadCtx*> group;
+      for (ThreadCtx& tc : threads_)
+        if (tc.processor == cpu) group.push_back(&tc);
+      if (group.empty()) continue;
       auto proto = aadl::scheduling_protocol(model_, *cpu, diags_);
       if (!proto) return false;
       std::int64_t dmax = 0;

@@ -1,5 +1,5 @@
-// aadllint: one positive and one negative fixture per pass (AL001..AL016),
-// framework/registry behavior, and the Analyzer integration contract —
+// aadllint: one positive and one negative fixture per check (AL001..AL016),
+// framework/catalogue behavior, and the Analyzer integration contract —
 // a conclusive screening verdict provably skips exploration (0 states) and
 // always agrees with the verdict exploration would have produced. Every
 // certificate any fixture emits is replayed by the independent witness
@@ -274,50 +274,51 @@ end P;
 
 }  // namespace
 
-// --- framework / registry -------------------------------------------------
+// --- framework / catalogue ------------------------------------------------
 
-TEST(LintRegistry, BuiltinHasAllPassesWithUniqueStableIds) {
-  const lint::Registry& reg = lint::Registry::builtin();
-  EXPECT_EQ(reg.passes().size(), 14u);
-  std::set<std::string_view> ids, names;
-  for (const auto& p : reg.passes()) {
-    EXPECT_TRUE(ids.insert(p->info().id).second)
-        << "duplicate check id " << p->info().id;
-    EXPECT_TRUE(names.insert(p->info().name).second);
-    EXPECT_FALSE(p->info().contract.empty());
+TEST(LintCatalogue, RunsEveryCheckInOrderWithUniqueStableIds) {
+  // The run order is part of the output contract: findings, decided_by,
+  // processor verdicts and certificates follow it.
+  std::vector<std::string_view> order;
+  std::set<std::string_view> names;
+  for (const lint::Check* check : lint::catalogue()) {
+    order.push_back(check->info.id);
+    EXPECT_TRUE(names.insert(check->info.name).second)
+        << "duplicate check name " << check->info.name;
+    EXPECT_FALSE(check->info.contract.empty());
+    EXPECT_NE(check->run, nullptr);
   }
-  for (const char* id : {"AL001", "AL002", "AL003", "AL004", "AL005",
-                         "AL006", "AL007", "AL008", "AL009", "AL012",
-                         "AL013", "AL014", "AL015", "AL016"})
-    EXPECT_TRUE(ids.count(id)) << "missing check " << id;
+  const std::vector<std::string_view> expected = {
+      "AL001", "AL002", "AL003", "AL004", "AL005", "AL006", "AL007",
+      "AL008", "AL009", "AL013", "AL014", "AL015", "AL016", "AL012"};
+  EXPECT_EQ(order, expected);
   // Retired ids are never reused: AL010/AL011 are translator invariants.
-  EXPECT_FALSE(ids.count("AL010"));
-  EXPECT_FALSE(ids.count("AL011"));
+  EXPECT_EQ(lint::find_check("AL010"), nullptr);
+  EXPECT_EQ(lint::find_check("AL011"), nullptr);
 }
 
-TEST(LintRegistry, ConclusivePassesDocumentTheirContract) {
-  const lint::Registry& reg = lint::Registry::builtin();
-  // The passes able to decide a verdict must state their soundness
+TEST(LintCatalogue, ConclusiveChecksDocumentTheirContract) {
+  // The checks able to decide a verdict must state their soundness
   // argument (surfaced by `aadlsched --explain AL0NN`).
   for (const char* id : {"AL005", "AL007", "AL008", "AL009", "AL013",
                          "AL014", "AL015"}) {
-    const lint::Pass* p = reg.find(id);
-    ASSERT_NE(p, nullptr) << id;
-    EXPECT_FALSE(p->info().rationale.empty()) << id;
-    EXPECT_NE(p->info().contract, "advisory") << id;
+    const lint::Check* check = lint::find_check(id);
+    ASSERT_NE(check, nullptr) << id;
+    EXPECT_FALSE(check->info.rationale.empty()) << id;
+    EXPECT_NE(check->info.contract, "advisory") << id;
   }
-  EXPECT_EQ(reg.find("AL016")->info().contract, "advisory");
+  EXPECT_EQ(lint::find_check("AL016")->info.contract, "advisory");
 }
 
-TEST(LintRegistry, FindsByIdAndByName) {
-  const lint::Registry& reg = lint::Registry::builtin();
-  const lint::Pass* by_id = reg.find("AL007");
+TEST(LintCatalogue, FindsByIdAndByName) {
+  const lint::Check* by_id = lint::find_check("AL007");
   ASSERT_NE(by_id, nullptr);
-  EXPECT_EQ(reg.find("utilization-overload"), by_id);
-  EXPECT_EQ(by_id->info().tier, lint::Tier::Screening);
-  EXPECT_EQ(reg.find("AL001")->info().tier, lint::Tier::ModelHygiene);
-  EXPECT_EQ(reg.find("AL012")->info().tier, lint::Tier::AcsrWellFormedness);
-  EXPECT_EQ(reg.find("AL999"), nullptr);
+  EXPECT_EQ(lint::find_check("utilization-overload"), by_id);
+  EXPECT_EQ(by_id->info.tier, lint::Tier::Screening);
+  EXPECT_EQ(lint::find_check("AL001")->info.tier, lint::Tier::ModelHygiene);
+  EXPECT_EQ(lint::find_check("AL012")->info.tier,
+            lint::Tier::AcsrWellFormedness);
+  EXPECT_EQ(lint::find_check("AL999"), nullptr);
 }
 
 TEST(LintFramework, CleanModelHasNoFindingsAboveNote) {
@@ -349,7 +350,7 @@ TEST(LintFramework, RenderJsonCarriesVerdictAndFindings) {
 TEST(LintFramework, RenderJsonPinsSchemaAndCatalogueVersions) {
   // The JSON shape is versioned for downstream tooling: schema_version
   // pins the field layout (bump on rename/removal only), lint_pass_version
-  // identifies the pass catalogue (also folded into the daemon cache key).
+  // identifies the check catalogue (also folded into the daemon cache key).
   const std::string json = lint_source(base_model()).render_json();
   EXPECT_EQ(json.find("{\n  \"schema_version\": 1,\n"
                       "  \"lint_pass_version\": 2,"),
@@ -642,7 +643,7 @@ TEST(LintScreen, Al008VouchesForLowUtilizationRmProcessor) {
   const lint::Report r = lint_source(base_model());
   ASSERT_NE(first_check(r, "AL008"), nullptr) << r.render_text();
   // AL013's exact RTA vouches for the same processor; the first verdict
-  // per processor (registration order) decides.
+  // per processor (catalogue order) decides.
   ASSERT_GE(r.processor_verdicts.size(), 1u);
   EXPECT_EQ(r.processor_verdicts[0].check_id, "AL008");
   EXPECT_TRUE(r.processor_verdicts[0].schedulable);
@@ -863,7 +864,7 @@ TEST(LintExact, Al013AbstainsFromRefutingUnderPriorityTies) {
   // declaration order), so genuine ties only arise under HPF with equal
   // declared Priority values. There the tie-pessimistic vouch fails
   // (R = 10 > D = 8) and the refutation leg is unsound — exploration may
-  // resolve the tie either way — so the pass must leave the verdict open.
+  // resolve the tie either way — so the check must leave the verdict open.
   const std::string props =
       "    Dispatch_Protocol => Periodic;\n    Period => 10 ms;\n"
       "    Compute_Execution_Time => 5 ms .. 5 ms;\n    Deadline => 8 ms;\n"
@@ -1478,7 +1479,7 @@ TEST(LintAnalyzer, TranslationWarningsFollowLintFindingsOnce) {
   opts.translation.quantum_ns = 2'000'000;  // 3 ms times round at 2 ms
   opts.run_lint = true;
   // Equal priorities whose tie-pessimistic RTA fails (2 + 2 quanta against
-  // a 3-quantum deadline): no pass decides, so exploration runs.
+  // a 3-quantum deadline): no check decides, so exploration runs.
   const std::string tie_props =
       "    Dispatch_Protocol => Periodic;\n    Period => 10 ms;\n"
       "    Compute_Execution_Time => 3 ms .. 3 ms;\n    Deadline => 6 ms;\n"

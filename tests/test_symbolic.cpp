@@ -334,6 +334,45 @@ TEST(SymbolicExtract, SymmetricSharedPrioritiesAreRefused) {
   EXPECT_NE(sx.why().find("HPF priority"), std::string::npos) << sx.why();
 }
 
+TEST(SymbolicExtract, RefusalReasonsFollowProcessorModelOrder) {
+  // Both processors are refused; the reasons list them in model order
+  // ('zeta' is declared before 'alpha'), whatever their addresses.
+  const std::string src = R"(
+package P
+public
+  processor Cpu
+  properties
+    Scheduling_Protocol => EDF_PROTOCOL;
+  end Cpu;
+  thread T
+  end T;
+  thread implementation T.impl
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 10 ms;
+    Compute_Execution_Time => 1 ms .. 1 ms;
+  end T.impl;
+  system S
+  end S;
+  system implementation S.impl
+  subcomponents
+    t_zeta : thread T.impl;
+    t_alpha : thread T.impl;
+    zeta : processor Cpu;
+    alpha : processor Cpu;
+  properties
+    Actual_Processor_Binding => reference (zeta) applies to t_zeta;
+    Actual_Processor_Binding => reference (alpha) applies to t_alpha;
+  end S.impl;
+end P;
+)";
+  const auto sx = extract(src, "S.impl");
+  EXPECT_FALSE(sx.applicable);
+  ASSERT_EQ(sx.reasons.size(), 2u) << sx.why();
+  EXPECT_NE(sx.reasons[0].find("'zeta'"), std::string::npos) << sx.why();
+  EXPECT_NE(sx.reasons[1].find("'alpha'"), std::string::npos) << sx.why();
+}
+
 // --- analyzer wiring -----------------------------------------------------
 
 core::AnalyzerOptions engine_options(core::Engine engine) {

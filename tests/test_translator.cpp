@@ -277,6 +277,55 @@ TEST(Translator, RequiresBinding) {
   EXPECT_NE(p.diags.render_all().find("not bound"), std::string::npos);
 }
 
+TEST(Translator, ProcessorErrorsFollowModelOrder) {
+  // Two processors fail the same precondition; the translator stops at the
+  // first in model order ('zeta' is declared before 'alpha'), whatever the
+  // processors' addresses.
+  const auto first_error = [](const std::string& protocol) {
+    const std::string src = R"(
+package P
+public
+  processor Cpu
+  properties
+    Scheduling_Protocol => )" + protocol + R"(;
+  end Cpu;
+  thread T
+  end T;
+  thread implementation T.impl
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 10 ms;
+    Compute_Execution_Time => 1 ms .. 1 ms;
+  end T.impl;
+  system S
+  end S;
+  system implementation S.impl
+  subcomponents
+    t_zeta : thread T.impl;
+    t_alpha : thread T.impl;
+    zeta : processor Cpu;
+    alpha : processor Cpu;
+  properties
+    Actual_Processor_Binding => reference (zeta) applies to t_zeta;
+    Actual_Processor_Binding => reference (alpha) applies to t_alpha;
+  end S.impl;
+end P;
+)";
+    Pipeline p;
+    EXPECT_FALSE(p.load(src, "S.impl", ms_quantum()));
+    return p.diags.render_all();
+  };
+  // An unknown protocol: the scheduling-protocol error names 'zeta'.
+  const std::string unknown = first_error("ROUND_ROBIN_PROTOCOL");
+  EXPECT_NE(unknown.find("on 'zeta'"), std::string::npos) << unknown;
+  EXPECT_EQ(unknown.find("alpha"), std::string::npos) << unknown;
+  // HPF without Priority: the error names zeta's thread.
+  const std::string hpf = first_error("HPF_PROTOCOL");
+  EXPECT_NE(hpf.find("HPF scheduling on 'zeta'"), std::string::npos) << hpf;
+  EXPECT_NE(hpf.find("'t_zeta'"), std::string::npos) << hpf;
+  EXPECT_EQ(hpf.find("alpha"), std::string::npos) << hpf;
+}
+
 TEST(Translator, RequiresTriggerForSporadic) {
   sched::TaskSet ts;
   sched::Task t;

@@ -517,16 +517,15 @@ int main(int argc, char** argv) {
   }
 
   if (!explain_id.empty()) {
-    const lint::Registry& registry = lint::Registry::builtin();
-    const lint::Pass* pass = registry.find(explain_id);
-    if (!pass) {
+    const lint::Check* check = lint::find_check(explain_id);
+    if (!check) {
       std::cerr << "unknown lint check '" << explain_id << "'; known checks:";
-      for (const auto& known : registry.passes())
-        std::cerr << ' ' << known->info().id;
+      for (const lint::Check* known : lint::catalogue())
+        std::cerr << ' ' << known->info.id;
       std::cerr << "\n";
       return 2;
     }
-    const lint::CheckInfo& info = pass->info();
+    const lint::CheckInfo& info = check->info;
     std::cout << info.id << "  " << info.name << "\n"
               << "  tier:     " << lint::to_string(info.tier) << "\n"
               << "  contract: " << info.contract << "\n"
