@@ -6,8 +6,9 @@
 // plus the successor layer alone: one prioritized() call on cruise
 // control's largest 2 ms fan, served from the shape memo
 // (BM_PrioritizeLargestFan) and folded in full by a memo-free Semantics
-// (BM_FoldLargestFan), and one call per reachable 2 ms state
-// (BM_ExpandCruise2ms).
+// (BM_FoldLargestFan), one call per reachable 2 ms state
+// (BM_ExpandCruise2ms), and a whole cold exploration at 2 ms in a fresh
+// Context (BM_ExploreCruise2msCold).
 #include <chrono>
 #include <deque>
 #include <fstream>
@@ -269,6 +270,46 @@ void BM_ExpandCruise2ms(benchmark::State& state) {
       expanded;
 }
 BENCHMARK(BM_ExpandCruise2ms)->Unit(benchmark::kMillisecond);
+
+/// What a fresh request pays: each iteration translates cruise control at
+/// 2 ms into a new Context and explores it with a new Semantics, so every
+/// unfolding, fan, shape and state is a first visit. Parsing and
+/// instantiation happen once, outside the timed loop.
+void BM_ExploreCruise2msCold(benchmark::State& state) {
+  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/cruise_control.aadl");
+  std::ostringstream src;
+  src << in.rdbuf();
+  util::DiagnosticEngine diags("cruise_control.aadl");
+  aadl::Model model;
+  aadl::parse_aadl(model, src.str(), diags);
+  const auto inst =
+      aadl::instantiate(model, "CruiseControlSystem.impl", diags);
+  if (!inst) {
+    state.SkipWithError("cruise_control.aadl did not instantiate");
+    return;
+  }
+  translate::TranslateOptions topts;
+  topts.quantum_ns = 2'000'000;
+  std::uint64_t states = 0;
+  for (auto _ : state) {
+    util::DiagnosticEngine request_diags("cruise_control.aadl");
+    acsr::Context ctx;
+    const auto tr = translate::translate(ctx, *inst, request_diags, topts);
+    if (!tr) {
+      state.SkipWithError("cruise_control.aadl did not translate");
+      return;
+    }
+    acsr::Semantics sem(ctx);
+    const versa::ExploreResult r = versa::explore(sem, tr->initial);
+    states = r.states;
+    benchmark::DoNotOptimize(r.states);
+  }
+  state.counters["states"] = static_cast<double>(states);
+  state.counters["states_per_s"] = benchmark::Counter(
+      static_cast<double>(states) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ExploreCruise2msCold)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

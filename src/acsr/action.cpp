@@ -6,13 +6,9 @@ namespace aadlsched::acsr {
 
 ActionTable::ActionTable() { actions_.intern({}); }  // 0: the idle action
 
-ActionId ActionTable::intern(std::span<const ResourceUse> uses) {
-  scratch_.assign(uses.begin(), uses.end());
-  return intern_scratch();
-}
-
-ActionId ActionTable::intern_scratch() {
+ActionId ActionTable::intern(std::span<const ResourceUse> in) {
   std::vector<ResourceUse>& uses = scratch_;
+  uses.assign(in.begin(), in.end());
   std::sort(uses.begin(), uses.end());
   // Collapse duplicate resources, keeping the highest priority.
   std::size_t w = 0;
@@ -40,9 +36,11 @@ ActionId ActionTable::combine(ActionId a, ActionId b) {
       ++j;
   }
   if (i < ua.size() && j < ub.size()) return kOverlap;  // shared resource
-  scratch_.assign(ua.begin(), ua.end());
-  scratch_.insert(scratch_.end(), ub.begin(), ub.end());
-  return intern_scratch();
+  // Both are canonical and their resources disjoint, so their merge is
+  // already the canonical union.
+  scratch_.resize(ua.size() + ub.size());
+  std::merge(ua.begin(), ua.end(), ub.begin(), ub.end(), scratch_.begin());
+  return actions_.intern(scratch_);
 }
 
 bool ActionTable::preempts(ActionId a, ActionId b) const {

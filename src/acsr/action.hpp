@@ -66,8 +66,6 @@ class ActionTable {
   std::size_t approx_bytes() const { return actions_.approx_bytes(); }
 
  private:
-  /// Canonicalize scratch_ in place and intern it.
-  ActionId intern_scratch();
   util::SpanTable<ResourceUse, 12> actions_;
   std::vector<ResourceUse> scratch_;
 };

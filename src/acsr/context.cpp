@@ -123,24 +123,28 @@ std::optional<DefId> Context::find_definition(std::string_view name) const {
 
 TermId Context::instantiate(OpenTermId open_id,
                             std::span<const ParamValue> params) {
-  // Copy the node: instantiation below constructs new open terms never, but
-  // recursing while holding a deque reference is safe anyway; the copy keeps
-  // the invariant obvious.
-  const OpenTermNode n = open_terms_[open_id];
+  // Instantiation never adds open terms, and a deque never moves its
+  // elements anyway. Uses, alternatives and arguments go on the scratch
+  // stacks above the caller's entries and are popped after their node; a
+  // span into a stack is taken only once the recursion has returned, since
+  // it may reallocate the stack.
+  const OpenTermNode& n = open_terms_[open_id];
   switch (n.kind) {
     case OpenKind::Nil:
       return kNil;
     case OpenKind::Act: {
-      std::vector<ResourceUse> uses;
-      uses.reserve(n.action.size());
+      const std::size_t base = use_stack_.size();
       for (const OpenResourceUse& u : n.action) {
         const std::int64_t p = exprs_.eval(u.priority, params);
-        uses.push_back(ResourceUse{
+        use_stack_.push_back(ResourceUse{
             u.resource,
             static_cast<Priority>(p < 0 ? 0 : p)});
       }
       const TermId cont = instantiate(n.cont, params);
-      return terms_.act(actions_.intern(std::move(uses)), cont);
+      const ActionId action = actions_.intern(
+          std::span<const ResourceUse>(use_stack_).subspan(base));
+      use_stack_.resize(base);
+      return terms_.act(action, cont);
     }
     case OpenKind::Evt: {
       const std::int64_t p = exprs_.eval(n.priority, params);
@@ -148,17 +152,18 @@ TermId Context::instantiate(OpenTermId open_id,
       return terms_.evt(n.event, n.send,
                         static_cast<Priority>(p < 0 ? 0 : p), cont);
     }
-    case OpenKind::Choice: {
-      std::vector<TermId> alts;
-      alts.reserve(n.children.size());
-      for (OpenTermId c : n.children) alts.push_back(instantiate(c, params));
-      return terms_.choice(std::move(alts));
-    }
+    case OpenKind::Choice:
     case OpenKind::Parallel: {
-      std::vector<TermId> procs;
-      procs.reserve(n.children.size());
-      for (OpenTermId c : n.children) procs.push_back(instantiate(c, params));
-      return terms_.parallel(std::move(procs));
+      const std::size_t base = term_stack_.size();
+      for (const OpenTermId c : n.children) {
+        const TermId t = instantiate(c, params);
+        term_stack_.push_back(t);
+      }
+      const auto kids = std::span<const TermId>(term_stack_).subspan(base);
+      const TermId t = n.kind == OpenKind::Choice ? terms_.choice(kids)
+                                                  : terms_.parallel(kids);
+      term_stack_.resize(base);
+      return t;
     }
     case OpenKind::Restrict: {
       const TermId body = instantiate(n.cont, params);
@@ -183,13 +188,13 @@ TermId Context::instantiate(OpenTermId open_id,
       return terms_.scope(parts);
     }
     case OpenKind::Call: {
-      std::vector<ParamValue> args;
-      args.reserve(n.args.size());
-      for (ExprId a : n.args) {
-        const std::int64_t v = exprs_.eval(a, params);
-        args.push_back(static_cast<ParamValue>(v));
-      }
-      return terms_.call(n.def, args);
+      const std::size_t base = arg_stack_.size();
+      for (const ExprId a : n.args)
+        arg_stack_.push_back(static_cast<ParamValue>(exprs_.eval(a, params)));
+      const TermId t = terms_.call(
+          n.def, std::span<const ParamValue>(arg_stack_).subspan(base));
+      arg_stack_.resize(base);
+      return t;
     }
     case OpenKind::Cond:
       return exprs_.eval_cond(n.guard, params) ? instantiate(n.cont, params)
@@ -208,11 +213,12 @@ TermId Context::unfold(TermId call_term) {
   const Definition& def = defs_[def_id];
   if (def.body == kInvalidOpenTerm)
     throw std::logic_error("call to undefined process '" + def.name + "'");
+  // instantiate() never unfolds, so this buffer is not in use below.
   const auto raw = terms_.payload(call_term);
-  std::vector<ParamValue> params(raw.size());
+  unfold_params_.resize(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i)
-    params[i] = static_cast<ParamValue>(raw[i]);
-  const TermId ground = instantiate(def.body, params);
+    unfold_params_[i] = static_cast<ParamValue>(raw[i]);
+  const TermId ground = instantiate(def.body, unfold_params_);
   if (call_term >= unfold_memo_.size())
     unfold_memo_.resize(terms_.size(), kInvalidTerm);
   unfold_memo_[call_term] = ground;

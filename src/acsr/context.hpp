@@ -108,6 +108,14 @@ class Context {
   std::unordered_map<std::string, DefId> def_index_;
   // Unfolded body of each Call, indexed by TermId (kInvalidTerm: not yet).
   std::vector<TermId> unfold_memo_;
+  // instantiate()'s scratch stacks: an Act's uses, a Choice's or
+  // Parallel's operands, a Call's arguments, each above its caller's
+  // entries; and unfold()'s parameter values. Reused, so instantiating
+  // allocates only when a table or a stack grows.
+  std::vector<ResourceUse> use_stack_;
+  std::vector<TermId> term_stack_;
+  std::vector<ParamValue> arg_stack_;
+  std::vector<ParamValue> unfold_params_;
 };
 
 }  // namespace aadlsched::acsr

@@ -19,6 +19,7 @@ sort_key(const Transition& t) {
 
 /// Sort ts[from..) into canonical order and drop duplicates.
 void canonicalize(std::vector<Transition>& ts, std::size_t from) {
+  if (ts.size() - from < 2) return;
   const auto first = ts.begin() + static_cast<std::ptrdiff_t>(from);
   std::sort(first, ts.end(), [](const Transition& a, const Transition& b) {
     return sort_key(a) < sort_key(b);
@@ -262,14 +263,21 @@ Semantics::Fan Semantics::fan(TermId t, std::uint32_t* signature) {
     return f;
   }
   ++stats_.computed;
-  const std::size_t base = out_.size();
-  compute(t);
-  canonicalize(out_, base);
-  const Fan f = store(Fan(out_).subspan(base));
-  out_.resize(base);
+  Fan f;
+  std::uint32_t s = kNoSignature;
+  if (ctx_.terms().kind(t) == TermKind::Call) {
+    // A Call's fan is its unfolding's, which is canonical and stored
+    // already: the memo entry shares its view (and its signature).
+    f = fan(ctx_.unfold(t), signature != nullptr ? &s : nullptr);
+  } else {
+    const std::size_t base = out_.size();
+    compute(t);
+    canonicalize(out_, base);
+    f = store(Fan(out_).subspan(base));
+    out_.resize(base);
+    if (memoize_ && signature != nullptr) s = intern_signature(f);
+  }
   if (memoize_) {
-    const std::uint32_t s =
-        signature != nullptr ? intern_signature(f) : kNoSignature;
     if (signature != nullptr) *signature = s;
     // compute() may have interned terms above t: size the memo to the table.
     if (t >= memo_.size()) memo_.resize(ctx_.terms().size());
@@ -279,15 +287,13 @@ Semantics::Fan Semantics::fan(TermId t, std::uint32_t* signature) {
 }
 
 std::uint32_t Semantics::intern_signature(Fan f) {
-  const std::uint64_t hash = hash_labels(f);
-  std::uint32_t id = signature_index_.find(
-      hash, [&](std::uint32_t s) { return same_labels(signatures_[s], f); });
-  if (id == util::kFlatEmptySlot) {
-    id = static_cast<std::uint32_t>(signatures_.size());
-    signatures_.push_back(f);
-    signature_index_.insert(hash, id);
-  }
-  return id;
+  return signature_index_.find_or_insert(
+      hash_labels(f),
+      [&](std::uint32_t s) { return same_labels(signatures_[s], f); },
+      [&] {
+        signatures_.push_back(f);
+        return static_cast<std::uint32_t>(signatures_.size() - 1);
+      });
 }
 
 bool Semantics::poll_budget() {
@@ -419,11 +425,9 @@ void Semantics::compute(TermId t) {
       break;
     }
 
-    case TermKind::Call: {
-      const Fan f = fan(ctx_.unfold(t));
-      out_.insert(out_.end(), f.begin(), f.end());
+    case TermKind::Call:
+      assert(false && "fan() shares a Call's fan with its unfolding");
       break;
-    }
   }
 }
 

@@ -36,19 +36,20 @@ std::span<const std::uint32_t> TermTable::payload(TermId id) const {
 TermId TermTable::intern(TermNode proto,
                          std::span<const std::uint32_t> payload) {
   proto.extra_len = static_cast<std::uint32_t>(payload.size());
-  const std::uint64_t h = hash_node(proto, payload);
-  const TermId hit = index_.find(h, [&](TermId id) {
-    const TermNode& n = nodes_[id];
-    return n.kind == proto.kind && n.flag == proto.flag && n.a == proto.a &&
-           n.b == proto.b && n.c == proto.c && n.extra_len == proto.extra_len &&
-           std::equal(payload.begin(), payload.end(),
-                      arena_.view(n.extra, n.extra_len).begin());
-  });
-  if (hit != kInvalidTerm) return hit;
-  proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
-  const TermId id = static_cast<TermId>(nodes_.push_back(proto));
-  index_.insert(h, id);
-  return id;
+  return index_.find_or_insert(
+      hash_node(proto, payload),
+      [&](TermId id) {
+        const TermNode& n = nodes_[id];
+        return n.kind == proto.kind && n.flag == proto.flag &&
+               n.a == proto.a && n.b == proto.b && n.c == proto.c &&
+               n.extra_len == proto.extra_len &&
+               std::equal(payload.begin(), payload.end(),
+                          arena_.view(n.extra, n.extra_len).begin());
+      },
+      [&] {
+        proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
+        return static_cast<TermId>(nodes_.push_back(proto));
+      });
 }
 
 TermId TermTable::act(ActionId action, TermId cont) {

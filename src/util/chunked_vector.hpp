@@ -13,6 +13,7 @@
 // grows it: the tables are single-threaded.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -57,7 +58,7 @@ class ChunkedVector {
       start = (start & ~kChunkMask) + kChunkSize;  // pad to next chunk
     if (!xs.empty()) {
       ensure_chunk(start);
-      for (std::size_t k = 0; k < xs.size(); ++k) (*this)[start + k] = xs[k];
+      std::copy(xs.begin(), xs.end(), &(*this)[start]);
       size_ = start + xs.size();
     }
     return start;

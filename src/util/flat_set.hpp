@@ -36,21 +36,38 @@ class FlatHashIndex {
   /// The id under `hash` for which eq(id) holds, or kFlatEmptySlot.
   template <typename Eq>
   std::uint32_t find(std::uint64_t hash, Eq&& eq) const {
-    const std::uint32_t tag = tag_of(hash);
-    for (std::size_t i = tag & mask_;; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.id == kFlatEmptySlot) return kFlatEmptySlot;
-      if (s.tag == tag && eq(s.id)) return s.id;
-    }
+    return slots_[probe(tag_of(hash), eq)].id;
   }
 
   /// Add `id` under `hash`; the caller has checked that no equal key is
   /// present (find() returned kFlatEmptySlot).
   void insert(std::uint64_t hash, std::uint32_t id) {
     assert(id != kFlatEmptySlot);
-    if ((size_ + 1) * 10 > slots_.size() * 7) rehash(slots_.size() * 2);
+    if (full()) rehash(slots_.size() * 2);
     place(Slot{id, tag_of(hash)});
     ++size_;
+  }
+
+  /// find() and insert() in one probe: the id under `hash` for which
+  /// eq(id) holds; when there is none, make() appends the key to the
+  /// owning table and returns its new id, which is added under `hash` and
+  /// returned. The index grows at the same load as insert(), and a make()
+  /// that throws leaves it unchanged.
+  template <typename Eq, typename Make>
+  std::uint32_t find_or_insert(std::uint64_t hash, Eq&& eq, Make&& make) {
+    const std::uint32_t tag = tag_of(hash);
+    const std::size_t i = probe(tag, eq);
+    if (slots_[i].id != kFlatEmptySlot) return slots_[i].id;
+    const std::uint32_t id = make();
+    assert(id != kFlatEmptySlot);
+    if (full()) {
+      rehash(slots_.size() * 2);
+      place(Slot{id, tag});
+    } else {
+      slots_[i] = Slot{id, tag};
+    }
+    ++size_;
+    return id;
   }
 
   std::size_t approx_bytes() const { return slots_.size() * sizeof(Slot); }
@@ -60,6 +77,19 @@ class FlatHashIndex {
     std::uint32_t id = kFlatEmptySlot;
     std::uint32_t tag = 0;
   };
+
+  /// The slot holding the id under `tag` for which eq(id) holds, or the
+  /// empty slot that ends its probe run.
+  template <typename Eq>
+  std::size_t probe(std::uint32_t tag, Eq& eq) const {
+    std::size_t i = tag & mask_;
+    for (; slots_[i].id != kFlatEmptySlot; i = (i + 1) & mask_)
+      if (slots_[i].tag == tag && eq(slots_[i].id)) break;
+    return i;
+  }
+
+  /// One more entry would pass the 0.7 max load factor.
+  bool full() const { return (size_ + 1) * 10 > slots_.size() * 7; }
 
   static std::uint32_t tag_of(std::uint64_t h) {
     return static_cast<std::uint32_t>(h ^ (h >> 32));

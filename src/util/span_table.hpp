@@ -48,7 +48,9 @@ class SpanTable {
 
   /// The id of the span equal to `xs`, or kFlatEmptySlot. Never inserts.
   std::uint32_t find(std::span<const T> xs) const {
-    return xs.size() > kMaxSpan ? kFlatEmptySlot : find(xs, hash(xs));
+    if (xs.size() > kMaxSpan) return kFlatEmptySlot;
+    return index_.find(hash(xs),
+                       [&](std::uint32_t id) { return equal(id, xs); });
   }
 
   /// The id of the span equal to `xs`, appending a copy under the next id
@@ -57,14 +59,13 @@ class SpanTable {
   std::uint32_t intern(std::span<const T> xs) {
     if (xs.size() > kMaxSpan || size() == kFlatEmptySlot)
       throw std::length_error("SpanTable: span too long or ids exhausted");
-    const std::uint64_t h = hash(xs);
-    if (const std::uint32_t hit = find(xs, h); hit != kFlatEmptySlot)
-      return hit;
-    const std::uint32_t id = size();
-    const auto at = static_cast<std::uint32_t>(data_.append_span(xs));
-    entries_.push_back(Entry{at, static_cast<std::uint32_t>(xs.size())});
-    index_.insert(h, id);
-    return id;
+    return index_.find_or_insert(
+        hash(xs), [&](std::uint32_t id) { return equal(id, xs); },
+        [&] {
+          const auto at = static_cast<std::uint32_t>(data_.append_span(xs));
+          const auto len = static_cast<std::uint32_t>(xs.size());
+          return static_cast<std::uint32_t>(entries_.push_back(Entry{at, len}));
+        });
   }
 
   /// The span interned under `id`; valid for the table's lifetime.
@@ -92,12 +93,10 @@ class SpanTable {
     return h;
   }
 
-  std::uint32_t find(std::span<const T> xs, std::uint64_t h) const {
-    return index_.find(h, [&](std::uint32_t id) {
-      const std::span<const T> s = (*this)[id];
-      return std::equal(s.begin(), s.end(), xs.begin(), xs.end(),
-                        [](T x, T y) { return bits(x) == bits(y); });
-    });
+  bool equal(std::uint32_t id, std::span<const T> xs) const {
+    const std::span<const T> s = (*this)[id];
+    return std::equal(s.begin(), s.end(), xs.begin(), xs.end(),
+                      [](T x, T y) { return bits(x) == bits(y); });
   }
 
   Arena data_;

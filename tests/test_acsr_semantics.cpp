@@ -393,9 +393,11 @@ constexpr ShippedModel kShippedModels[] = {
     {"dual_rig", "DualRig.impl"},
 };
 
-/// Translate a shipped model at a 5 ms quantum into `ctx`; kInvalidTerm
-/// (with a recorded failure) when the front end or translation fails.
-TermId translate_shipped(Context& ctx, const ShippedModel& m) {
+/// Translate a shipped model at a 5 ms quantum (or `quantum_ms`) into
+/// `ctx`; kInvalidTerm (with a recorded failure) when the front end or
+/// translation fails.
+TermId translate_shipped(Context& ctx, const ShippedModel& m,
+                         std::int64_t quantum_ms = 5) {
   std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/" + m.file +
                    ".aadl");
   std::stringstream src;
@@ -412,7 +414,7 @@ TermId translate_shipped(Context& ctx, const ShippedModel& m) {
     return kInvalidTerm;
   }
   translate::TranslateOptions topts;
-  topts.quantum_ns = 5'000'000;
+  topts.quantum_ns = quantum_ms * 1'000'000;
   auto tr = translate::translate(ctx, *inst, diags, topts);
   if (!tr) {
     ADD_FAILURE() << diags.render_all();
@@ -472,6 +474,37 @@ TEST_P(ShippedModelSemantics, MemoFreeAgreesWithMemoized) {
   }
   EXPECT_GT(memo.stats().memo_hits, 0u);
   EXPECT_EQ(plain.stats().memo_hits, 0u);
+}
+
+// A Call's memoized fan is its unfolding's. On cruise control at 2 ms,
+// every Call term the exploration interned has the fan of the term it
+// unfolds to.
+TEST(CallFan, EveryReachedCallHasItsUnfoldingsFan) {
+  Context ctx;
+  const TermId initial =
+      translate_shipped(ctx, kShippedModels[0], /*quantum_ms=*/2);
+  ASSERT_NE(initial, kInvalidTerm);
+  Semantics sem(ctx);
+  std::vector<TermId> states{initial};
+  std::unordered_set<TermId> seen{initial};
+  std::vector<Transition> fan;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    sem.prioritized(states[i], fan);
+    for (const Transition& tr : fan)
+      if (seen.insert(tr.target).second) states.push_back(tr.target);
+    ASSERT_LT(states.size(), kMaxStates);
+  }
+  EXPECT_EQ(states.size(), 6113u);
+  // The checks below may intern more terms; only the explored ones count.
+  const std::size_t reached = ctx.terms().size();
+  std::size_t calls = 0;
+  for (TermId t = 0; t < reached; ++t) {
+    if (ctx.terms().kind(t) != TermKind::Call) continue;
+    ++calls;
+    ASSERT_EQ(sem.transitions(t), sem.transitions(ctx.unfold(t)))
+        << "call term " << t;
+  }
+  EXPECT_GT(calls, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

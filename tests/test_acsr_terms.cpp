@@ -1,9 +1,13 @@
 // Unit tests for term construction: hash-consing and normalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "acsr/builder.hpp"
 #include "acsr/context.hpp"
 #include "acsr/printer.hpp"
+#include "util/rng.hpp"
 
 using namespace aadlsched;
 using namespace aadlsched::acsr;
@@ -146,6 +150,59 @@ TEST_F(TermTest, DisjointnessAndMerge) {
   EXPECT_EQ(at.combine(a, c), ActionTable::kOverlap);
   EXPECT_EQ(at.size(), before + 1);
   EXPECT_EQ(ab, action({{"cpu", 1}, {"bus", 2}}));
+}
+
+// combine() merges two canonical actions whose resources are disjoint; its
+// contract is intern(uses(a) ++ uses(b)). Two tables take the same random
+// actions (negative priorities and the idle action among them), then the
+// same random pairs, one through combine() and one through intern() of the
+// concatenation: every answer and every entry must be the same.
+TEST(ActionCombine, EqualsInterningTheConcatenation) {
+  util::Xoshiro256 rng(20261022);
+  ActionTable merged;
+  ActionTable concatenated;
+  std::vector<ResourceUse> uses;
+  const auto random_action = [&] {
+    uses.clear();
+    const std::uint64_t n = rng.uniform_int(0, 4);
+    for (std::uint64_t k = 0; k < n; ++k)
+      uses.push_back(ResourceUse{
+          static_cast<Resource>(rng.uniform_int(0, 11)),
+          static_cast<Priority>(rng.uniform_int(0, 12)) - 4});
+  };
+  for (int k = 0; k < 300; ++k) {
+    random_action();
+    ASSERT_EQ(merged.intern(uses), concatenated.intern(uses));
+  }
+  const auto disjoint = [&](ActionId a, ActionId b) {
+    for (const ResourceUse& x : concatenated.uses(a))
+      for (const ResourceUse& y : concatenated.uses(b))
+        if (x.resource == y.resource) return false;
+    return true;
+  };
+  std::size_t unions = 0;
+  for (int k = 0; k < 20'000; ++k) {
+    // Operands from the whole table, so unions combine further.
+    const auto a = static_cast<ActionId>(
+        rng.uniform_int(0, merged.size() - 1));
+    const auto b = static_cast<ActionId>(
+        rng.uniform_int(0, merged.size() - 1));
+    ActionId expected = ActionTable::kOverlap;
+    if (disjoint(a, b)) {
+      uses.assign(concatenated.uses(a).begin(), concatenated.uses(a).end());
+      uses.insert(uses.end(), concatenated.uses(b).begin(),
+                  concatenated.uses(b).end());
+      expected = concatenated.intern(uses);
+      ++unions;
+    }
+    ASSERT_EQ(merged.combine(a, b), expected) << "pair " << a << ", " << b;
+    ASSERT_EQ(merged.size(), concatenated.size()) << "pair " << k;
+  }
+  EXPECT_GT(unions, 1'000u);
+  EXPECT_GT(merged.size(), 600u);
+  for (ActionId id = 0; id < merged.size(); ++id)
+    ASSERT_TRUE(std::ranges::equal(merged.uses(id), concatenated.uses(id)))
+        << "action " << id;
 }
 
 TEST_F(TermTest, PreemptionOrderOnActions) {

@@ -83,7 +83,10 @@ std::size_t allocations_during(auto&& fn) {
   return g_allocations;
 }
 
-TEST(ExploreAllocations, CruiseAt2msStaysUnder20PerState) {
+// Instantiation runs on scratch stacks the Context owns, a Call shares its
+// unfolding's fan and every intern probes once, so a cold exploration
+// allocates when a table or buffer grows, not per term or per fan.
+TEST(ExploreAllocations, CruiseAt2msStaysUnderPoint4PerState) {
   const std::string src = read_model("cruise_control.aadl");
   ASSERT_FALSE(src.empty());
   core::AnalyzerOptions opts;
@@ -99,8 +102,8 @@ TEST(ExploreAllocations, CruiseAt2msStaysUnder20PerState) {
   RecordProperty("allocations_per_state", std::to_string(per_state));
   std::printf("cruise @ 2 ms: %zu allocations for %llu states = %.2f/state\n",
               allocs, static_cast<unsigned long long>(r.states), per_state);
-  EXPECT_LE(per_state, 20.0) << allocs << " allocations for " << r.states
-                             << " states";
+  EXPECT_LE(per_state, 0.4) << allocs << " allocations for " << r.states
+                            << " states";
 }
 
 TEST(ExploreAllocations, CounterSeesAllocations) {

@@ -227,7 +227,8 @@ const Lines& rendered_lines() {
         for (const bool lint : {true, false}) {
           server::Request req;
           req.op = server::Op::Analyze;
-          req.id = "r" + std::to_string(n++);
+          req.id = "r";
+          req.id += std::to_string(n++);
           req.model = text;
           req.root = root;
           req.options.quantum_ns = quantum_ms * 1'000'000;

@@ -11,6 +11,7 @@
 
 #include "util/chunked_vector.hpp"
 #include "util/diagnostics.hpp"
+#include "util/flat_set.hpp"
 #include "util/hash.hpp"
 #include "util/interner.hpp"
 #include "util/numeric.hpp"
@@ -258,4 +259,74 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(u::json_escape("\t\r\b\f"), "\\t\\r\\b\\f");
   EXPECT_EQ(u::json_escape(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(u::json_escape(std::string(1, '\x1f')), "\\u001f");
+}
+
+// find_or_insert() is find() then insert() in one probe. Keys live in the
+// caller's vector, as in the hash-cons tables; hashes mod 5 collide often.
+TEST(FlatHashIndex, FindOrInsertReturnsTheHitOrInsertsOnce) {
+  std::vector<std::uint64_t> keys;
+  u::FlatHashIndex index;
+  const auto intern = [&](std::uint64_t key) {
+    return index.find_or_insert(
+        key % 5, [&](std::uint32_t id) { return keys[id] == key; },
+        [&] {
+          keys.push_back(key);
+          return static_cast<std::uint32_t>(keys.size() - 1);
+        });
+  };
+  EXPECT_EQ(intern(10), 0u);
+  EXPECT_EQ(intern(15), 1u);  // same hash, different key: a miss
+  EXPECT_EQ(intern(10), 0u);  // the hit; make() is not called
+  EXPECT_EQ(intern(15), 1u);
+  EXPECT_EQ(keys.size(), 2u);
+  for (std::uint64_t k = 0; k < 200; ++k) intern(k * 3);
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    const std::uint32_t id = index.find(
+        k * 3 % 5, [&](std::uint32_t i) { return keys[i] == k * 3; });
+    ASSERT_NE(id, u::kFlatEmptySlot);
+    EXPECT_EQ(keys[id], k * 3);
+  }
+  // 0, 3, ..., 597 less the 15 already there.
+  EXPECT_EQ(keys.size(), 201u);
+  EXPECT_EQ(intern(10), 0u);
+}
+
+// A hit never grows the index, even when one more entry would: before
+// each miss, the previous id is looked up again.
+TEST(FlatHashIndex, FindOrInsertGrowsAtTheLoadOfInsert) {
+  u::FlatHashIndex probed;  // find() then insert()
+  u::FlatHashIndex once;    // find_or_insert()
+  const auto unexpected = []() -> std::uint32_t {
+    ADD_FAILURE() << "make() called on a hit";
+    return 0;
+  };
+  for (std::uint32_t id = 0; id < 3000; ++id) {
+    const std::uint64_t h = u::mix64(id);
+    const auto eq = [&](std::uint32_t i) { return i == id; };
+    if (id > 0) {
+      const auto prev = [&](std::uint32_t i) { return i == id - 1; };
+      ASSERT_EQ(once.find_or_insert(u::mix64(id - 1), prev, unexpected),
+                id - 1);
+      ASSERT_EQ(probed.approx_bytes(), once.approx_bytes()) << "id " << id;
+    }
+    ASSERT_EQ(probed.find(h, eq), u::kFlatEmptySlot);
+    probed.insert(h, id);
+    ASSERT_EQ(once.find_or_insert(h, eq, [&] { return id; }), id);
+    ASSERT_EQ(probed.approx_bytes(), once.approx_bytes()) << "id " << id;
+  }
+  for (std::uint32_t id = 0; id < 3000; ++id)
+    EXPECT_EQ(once.find(u::mix64(id), [&](std::uint32_t i) { return i == id; }),
+              id);
+}
+
+TEST(FlatHashIndex, FindOrInsertWhoseMakeThrowsInsertsNothing) {
+  u::FlatHashIndex index;
+  const auto eq = [](std::uint32_t i) { return i == 7; };
+  const auto refuse = []() -> std::uint32_t {
+    throw std::length_error("table full");
+  };
+  EXPECT_THROW(index.find_or_insert(42, eq, refuse), std::length_error);
+  EXPECT_EQ(index.find(42, eq), u::kFlatEmptySlot);
+  EXPECT_EQ(index.find_or_insert(42, eq, [] { return 7u; }), 7u);
+  EXPECT_EQ(index.find(42, eq), 7u);
 }
